@@ -4,6 +4,12 @@ The subdivision machinery is the load-bearing certificate layer: a cell is
 discarded only when exact geometry or a sound interval evaluation proves it
 cannot contain a zero, and a boundary margin is returned only when every leaf
 sub-arc has a positive certified lower bound for |X|^2.
+
+Every enclosure cell lies on one dyadic grid: the square root box of the
+region, halved `depth` times.  A cell is an integer pair (i, j).  Scaling the
+grid and the region by n = lcm(denominators) * 2^depth makes every cell corner
+an integer, so the region predicates run in integer arithmetic and the float
+interval of a cell comes straight from integer quotients.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import interval as iv
 from .config import DEFAULTS, default_max_depth
@@ -27,11 +34,7 @@ from .regions import (
 )
 
 Box = tuple[Fraction, Fraction, Fraction, Fraction]
-
-
-def _box_interval(box: Box):
-    x0, y0, x1, y1 = box
-    return ((iv.make(x0)[0], iv.make(x1)[1]), (iv.make(y0)[0], iv.make(y1)[1]))
+Cell = tuple[int, int]
 
 
 def box_to_json(box: Box) -> dict:
@@ -49,12 +52,58 @@ def box_contains_point(box: Box, point) -> bool:
     return box[0] <= x <= box[2] and box[1] <= y <= box[3]
 
 
+def _lower(a: int, n: int) -> float:
+    """iv.make(Fraction(a, n))[0]: a / n is correctly rounded, so it needs
+    one ulp only when it rounded up."""
+    f = a / n
+    p, q = f.as_integer_ratio()
+    return f if p * n <= a * q else iv.down(f)
+
+
+def _upper(a: int, n: int) -> float:
+    f = a / n
+    p, q = f.as_integer_ratio()
+    return f if p * n >= a * q else iv.up(f)
+
+
+@dataclass(frozen=True)
+class Grid:
+    """The 2^depth x 2^depth cells of the square [x0, x0 + side] x
+    [y0, y0 + side]; cell (i, j) is column i, row j."""
+
+    x0: Fraction
+    y0: Fraction
+    side: Fraction
+    depth: int
+
+    def box(self, cell: Cell) -> Box:
+        h = self.side / 2 ** self.depth
+        i, j = cell
+        return (self.x0 + i * h, self.y0 + j * h,
+                self.x0 + (i + 1) * h, self.y0 + (j + 1) * h)
+
+    def scaling(self, *exact) -> tuple[int, int, int, int]:
+        """(n, n x0, n y0, n h) for the least n = lcm * 2^depth that makes the
+        grid, every cell corner and the given exact numbers integral."""
+        d = math.lcm(*(_frac(v).denominator
+                       for v in (self.x0, self.y0, self.side, *exact)))
+        return (d << self.depth, int(self.x0 * d) << self.depth,
+                int(self.y0 * d) << self.depth, int(self.side * d))
+
+    def scaled_boxes(self, cells, *exact):
+        """n from `scaling` and the integer corners n * box(cell) of the cells."""
+        n, sx, sy, h = self.scaling(*exact)
+        return n, ((sx + i * h, sy + j * h, sx + (i + 1) * h, sy + (j + 1) * h)
+                   for i, j in cells)
+
+
 @dataclass
 class ZeroEnclosure:
     """Certified outer approximation: common zeros inside the region's closure
-    are covered by the boxes."""
+    are covered by the grid cells."""
 
-    boxes: list[Box]
+    cells: list[Cell]
+    grid: Grid
     resolution: Fraction
     region: Region
     cells_examined: int = 0
@@ -62,9 +111,22 @@ class ZeroEnclosure:
     cells_discarded_interval: int = 0
     depth_used: int = 0
 
+    @cached_property
+    def boxes(self) -> list[Box]:
+        """The cells as exact rational boxes, built on first use."""
+        return [self.grid.box(c) for c in self.cells]
+
     @property
     def is_empty(self) -> bool:
-        return not self.boxes
+        return not self.cells
+
+    def spread_centers(self, count: int) -> list[tuple[float, float]]:
+        """Correctly rounded float centres of up to `count` cells, taken at an
+        even stride through the sorted cells."""
+        n, sx, sy, h = self.grid.scaling()
+        picked = self.cells[::max(1, len(self.cells) // count)][:count]
+        return [((2 * (sx + i * h) + h) / (2 * n), (2 * (sy + j * h) + h) / (2 * n))
+                for i, j in picked]
 
     def contains_point(self, point) -> bool:
         return any(box_contains_point(b, point) for b in self.boxes)
@@ -100,50 +162,49 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
     """Enclose the common zero set of the scalar functions within closure(U).
 
     A cell survives only if every scalar's interval enclosure over the cell
-    contains zero and the cell meets closure(U) (decided exactly).
+    contains zero and the cell meets closure(U) (decided exactly).  Kept cells
+    are those of the first depth whose diagonal is at most the resolution.
     """
     resolution = _frac(resolution)
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     if max_depth is None:
         max_depth = default_max_depth()
-    res_sq = resolution * resolution
-    root = _root_box(region)
+    x0, y0, x1, _ = _root_box(region)
+    side = x1 - x0
+    depth = 0
+    while 2 * side * side > resolution * resolution * 4 ** depth:
+        depth += 1
+    grid = Grid(x0, y0, side, depth)
+    n, sx, sy, h = grid.scaling(*region.params)
+    scaled = region.scaled(n)
     examined = discarded_geom = discarded_iv = depth_used = 0
-    kept: list[Box] = []
-    stack: list[tuple[Box, int]] = [(root, 0)]
+    kept: list[Cell] = []
+    stack: list[tuple[int, int, int]] = [(0, 0, 0)]
     while stack:
-        box, depth = stack.pop()
+        i, j, d = stack.pop()
         examined += 1
-        depth_used = max(depth_used, depth)
-        if not box_intersects_closure(region, box):
+        depth_used = max(depth_used, d)
+        w = h << (depth - d)
+        bx, by = sx + i * w, sy + j * w
+        if not box_intersects_closure(scaled, (bx, by, bx + w, by + w)):
             discarded_geom += 1
             continue
-        bi = _box_interval(box)
-        excluded = False
-        for s in scalars:
-            if not iv.contains_zero(s.eval_interval(*bi)):
-                excluded = True
-                break
-        if excluded:
+        bi = ((_lower(bx, n), _upper(bx + w, n)), (_lower(by, n), _upper(by + w, n)))
+        if not all(iv.contains_zero(s.eval_interval(*bi)) for s in scalars):
             discarded_iv += 1
             continue
-        x0, y0, x1, y1 = box
-        w, h = x1 - x0, y1 - y0
-        if w * w + h * h <= res_sq:
-            kept.append(box)
+        if d == depth:
+            kept.append((i, j))
             continue
-        if depth >= max_depth:
+        if d >= max_depth:
             raise DepthLimitExceeded(
                 f"resolution {resolution} unreachable within depth {max_depth}"
             )
-        mx, my = (x0 + x1) / 2, (y0 + y1) / 2
-        stack.append(((x0, y0, mx, my), depth + 1))
-        stack.append(((mx, y0, x1, my), depth + 1))
-        stack.append(((x0, my, mx, y1), depth + 1))
-        stack.append(((mx, my, x1, y1), depth + 1))
+        i, j, d = 2 * i, 2 * j, d + 1
+        stack += [(i, j, d), (i + 1, j, d), (i, j + 1, d), (i + 1, j + 1, d)]
     kept.sort()
-    return ZeroEnclosure(kept, resolution, region, examined,
+    return ZeroEnclosure(kept, grid, resolution, region, examined,
                          discarded_geom, discarded_iv, depth_used)
 
 
@@ -246,14 +307,17 @@ def certify_block(field: PlanarField, region: Region, resolution=None,
     if margin is None or margin <= 0:
         raise BoundaryZero("no positive boundary margin could be certified")
     enclosure = zero_enclosure(field, region, resolution, max_depth)
-    _check_collar(region, enclosure.boxes, resolution)
+    _check_collar(enclosure)
     return Block(field, region, enclosure, margin)
 
 
-def _check_collar(region: Region, boxes, resolution: Fraction):
-    collar = DEFAULTS.collar_factor * resolution
+def _check_collar(enclosure: ZeroEnclosure):
+    region = enclosure.region
+    collar = DEFAULTS.collar_factor * enclosure.resolution
+    n, boxes = enclosure.grid.scaled_boxes(enclosure.cells, *region.params, collar)
+    scaled, collar = region.scaled(n), int(collar * n)
     for box in boxes:
-        if not box_clears_boundary(region, box, collar):
+        if not box_clears_boundary(scaled, box, collar):
             raise CertificationFailed(
                 "enclosure box touches the boundary collar; refine the resolution"
             )
@@ -267,10 +331,12 @@ def restrict_block(parent: Block, sub_region: Region, tol=None,
     margin = min_norm_on_boundary(parent.field, sub_region, tol, max_depth)
     if margin is None or margin <= 0:
         raise BoundaryZero("no positive boundary margin on the sub-region")
-    boxes = [b for b in parent.enclosure.boxes
-             if box_intersects_closure(sub_region, b)]
-    _check_collar(sub_region, boxes, parent.enclosure.resolution)
-    enclosure = ZeroEnclosure(boxes, parent.enclosure.resolution, sub_region)
+    enc = parent.enclosure
+    n, boxes = enc.grid.scaled_boxes(enc.cells, *sub_region.params)
+    scaled = sub_region.scaled(n)
+    cells = [c for c, b in zip(enc.cells, boxes) if box_intersects_closure(scaled, b)]
+    enclosure = ZeroEnclosure(cells, enc.grid, enc.resolution, sub_region)
+    _check_collar(enclosure)
     return Block(parent.field, sub_region, enclosure, margin)
 
 
@@ -278,48 +344,31 @@ def restrict_block(parent: Block, sub_region: Region, tol=None,
 
 @dataclass
 class Component:
-    boxes: list[Box]
+    cells: list[Cell]
     bounding_box: Box
     loop_like: bool
 
     def to_json(self) -> dict:
         return {
             "bounding_box": box_to_json(self.bounding_box),
-            "box_count": len(self.boxes),
+            "box_count": len(self.cells),
             "loop_like": self.loop_like,
         }
 
 
 def components(enclosure: ZeroEnclosure) -> list[Component]:
-    """Edge-adjacency connected clusters of enclosure boxes, each with a
-    heuristic (non-certified) loop-like flag."""
-    boxes = enclosure.boxes
-    if not boxes:
-        return []
-    h = boxes[0][2] - boxes[0][0]
-    ox, oy = boxes[0][0], boxes[0][1]
-    cells = {}
-    for idx, b in enumerate(boxes):
-        gi = (b[0] - ox) / h
-        gj = (b[1] - oy) / h
-        if gi.denominator != 1 or gj.denominator != 1:
-            raise CertificationFailed("enclosure boxes are not grid aligned")
-        cells[(int(gi), int(gj))] = idx
+    """Edge-adjacency connected clusters of enclosure cells (wrapping around
+    on the torus), each with a heuristic (non-certified) loop-like flag."""
+    cells = set(enclosure.cells)
     wrap = enclosure.region.kind == TORUS_FULL
-    n_wrap = None
-    if wrap:
-        n = Fraction(1) / h
-        n_wrap = int(n) if n.denominator == 1 else None
+    m = 1 << enclosure.grid.depth
 
     def neighbors(c):
         ci, cj = c
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ni, nj = ci + di, cj + dj
-            if wrap and n_wrap:
-                ni %= n_wrap
-                nj %= n_wrap
-            if (ni, nj) in cells:
-                yield (ni, nj)
+            nb = ((ci + di) % m, (cj + dj) % m) if wrap else (ci + di, cj + dj)
+            if nb in cells:
+                yield nb
 
     seen = set()
     out = []
@@ -336,14 +385,10 @@ def components(enclosure: ZeroEnclosure) -> list[Component]:
                 if nb not in seen:
                     seen.add(nb)
                     todo.append(nb)
-        cluster_boxes = [boxes[cells[c]] for c in sorted(cluster)]
-        bb = (
-            min(b[0] for b in cluster_boxes),
-            min(b[1] for b in cluster_boxes),
-            max(b[2] for b in cluster_boxes),
-            max(b[3] for b in cluster_boxes),
-        )
-        out.append(Component(cluster_boxes, bb, _has_hole(set(cluster))))
+        cluster.sort()
+        lo = enclosure.grid.box((cluster[0][0], min(j for _, j in cluster)))
+        hi = enclosure.grid.box((cluster[-1][0], max(j for _, j in cluster)))
+        out.append(Component(cluster, lo[:2] + hi[2:], _has_hole(set(cluster))))
     return out
 
 

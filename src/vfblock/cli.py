@@ -1,8 +1,8 @@
 """Batch scenario runner: `vfblock verify <scenario.json> ...`.
 
-Exit codes: 0 all checks pass, 1 any failure, 2 schema or certification error,
-3 inconclusive.  VFBLOCK_MAX_DEPTH in the environment (or --max-depth, which
-sets it) caps subdivision depth globally.
+Exit codes: 0 all checks pass, 1 any failure, 2 schema, certification or any
+other error, 3 inconclusive.  VFBLOCK_MAX_DEPTH in the environment (or
+--max-depth, which sets it) caps subdivision depth globally.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def main(argv=None) -> int:
             return run_scenario(data).to_json(), None
         except ScenarioSchemaError as e:
             return None, f"{path}: {e}"
-        except VfblockError as e:
+        except Exception as e:  # any crash is an error (2), never "failed" (1)
             return None, f"{path}: {type(e).__name__}: {e}"
 
     if args.jobs > 1 and len(sources) > 1:

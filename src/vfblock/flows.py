@@ -46,7 +46,7 @@ def integrate(f, y0, t_total: float, tol: float, bbox=DEFAULT_BBOX,
         if elapsed >= remaining - 1e-300:
             return y
         h = min(h, remaining - elapsed)
-        if h < h_min:
+        if h < h_min and h < remaining - elapsed:   # shrunk by error control
             raise StepUnderflow(f"step collapsed to {h:g} at t={direction*elapsed:g}")
         hs = h * direction
         k = [f(y)]

@@ -2,14 +2,16 @@
 
 Conventions: outer boundary components run counterclockwise, inner ones
 clockwise, so the region always lies to the left of its boundary.  All region
-parameters are exact rationals; the box predicates used by the subdivision
-machinery are decided in exact arithmetic.
+parameters are exact rationals.  The box predicates used by the subdivision
+machinery are exact: they take rational boxes, or integer corners together
+with `Region.scaled(n)` for an n that clears every denominator, in which case
+they never leave integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import interval as iv
@@ -46,6 +48,24 @@ class Region:
             raise ValueError(f"unknown region kind {self.kind!r}")
 
     # geometry -------------------------------------------------------------
+
+    @property
+    def params(self) -> tuple:
+        """Every exact number the region is built from."""
+        return (*(self.center or ()), *(self.corners or ()),
+                *(v for v in (self.r, self.r_in, self.r_out) if v is not None))
+
+    def scaled(self, n: int) -> "Region":
+        """The image of the region under (x, y) -> (n x, n y); parameters that
+        n makes integral become ints."""
+        def s(v):
+            if isinstance(v, tuple):
+                return tuple(map(s, v))
+            v = v * n
+            return v.numerator if v.denominator == 1 else v
+        return replace(self, **{f: s(getattr(self, f)) for f in
+                                ("center", "r", "r_in", "r_out", "corners")
+                                if getattr(self, f) is not None})
 
     def bounding_box(self):
         if self.kind == DISK:
@@ -150,8 +170,8 @@ def torus_full() -> Region:
 def box_min_dist_sq(box, c) -> Fraction:
     x0, y0, x1, y1 = box
     cx, cy = c
-    dx = max(x0 - cx, cx - x1, Fraction(0))
-    dy = max(y0 - cy, cy - y1, Fraction(0))
+    dx = max(x0 - cx, cx - x1, 0)
+    dy = max(y0 - cy, cy - y1, 0)
     return dx * dx + dy * dy
 
 

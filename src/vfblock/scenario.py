@@ -237,7 +237,7 @@ def _op_block_index(ctx: _Ctx):
 def _op_certify_block(ctx: _Ctx):
     block = certify_block(ctx.field("X"), ctx.region("U"), ctx.resolution)
     return {"block": {"boundary_margin": _frac_str(block.boundary_margin),
-                      "enclosure_boxes": len(block.enclosure.boxes)}}, True
+                      "enclosure_boxes": len(block.enclosure.cells)}}, True
 
 
 def _op_jet_order(ctx: _Ctx):

@@ -119,14 +119,9 @@ def zero_invariance_check(x_field: PlanarField, y_field: PlanarField, block: Blo
     cert = tracks_symbolic(y_field, x_field)
     if not cert.verdict:
         raise PreconditionFailed("Y does not track X; invariance check refused")
-    boxes = block.enclosure.boxes
-    if not boxes:
+    if block.enclosure.is_empty:
         return InvarianceReport(True, 0.0, tol, ())
-    stride = max(1, len(boxes) // n_points)
-    seeds = []
-    for b in boxes[::stride][:n_points]:
-        center = (float((b[0] + b[2]) / 2), float((b[1] + b[3]) / 2))
-        seeds.append(polish_zero(x_field, center))
+    seeds = [polish_zero(x_field, c) for c in block.enclosure.spread_centers(n_points)]
     bbox = block.region.bounding_box()
     pad = (bbox[2] - bbox[0]) / 5
     lip = interval_lipschitz(x_field, (bbox[0] - pad, bbox[1] - pad,

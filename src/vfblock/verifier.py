@@ -27,7 +27,8 @@ from .liealg import (LieAlgebraPresentation, algebra_tracks, common_zero_set,
                      structure_constants, supersolvable_flag)
 from .linefield import angle_mod_pi, flowbox_line_field
 from .poly import _frac, _frac_str
-from .regions import Region, annulus, box_max_dist_sq, box_min_dist_sq, disk
+from .regions import (Region, annulus, box_intersects_closure, box_max_dist_sq,
+                      box_min_dist_sq, disk)
 from .tracking import polish_zero, tracks_symbolic
 
 MAIN = "MAIN"
@@ -122,7 +123,7 @@ def _check_not_kflat(field: PlanarField, region: Region, k: int, resolution,
     except VfblockError as e:
         data["error"] = str(e)
         return CheckRecord(name, INCONCLUSIVE, data)
-    data["kflat_locus_boxes"] = len(locus.boxes)
+    data["kflat_locus_boxes"] = len(locus.cells)
     if locus.is_empty:
         return CheckRecord(name, PASS, data)
     return CheckRecord(name, INCONCLUSIVE, data)
@@ -153,7 +154,7 @@ def _check_essential_block(field: PlanarField, region: Region, resolution):
     result = block_index(block)
     record = CheckRecord(name, PASS if result.essential else FAIL,
                          {"index": result.to_json(),
-                          "enclosure_boxes": len(block.enclosure.boxes)})
+                          "enclosure_boxes": len(block.enclosure.cells)})
     return record, block, result
 
 
@@ -223,8 +224,8 @@ def verify_main(x_field: PlanarField, y_field: PlanarField, region: Region,
             concl.append(CheckRecord(name, INCONCLUSIVE, {"error": str(e)}))
             return TheoremReport(MAIN, hyp, concl)
         overlap = enclosures_overlap(y_enc, block.enclosure)
-        data = {"y_zero_boxes": len(y_enc.boxes),
-                "k_boxes": len(block.enclosure.boxes), "enclosures_overlap": overlap}
+        data = {"y_zero_boxes": len(y_enc.cells),
+                "k_boxes": len(block.enclosure.cells), "enclosures_overlap": overlap}
         if overlap:
             witness = _common_zero_witness(
                 x_field, y_field, region, known_zeros,
@@ -247,7 +248,7 @@ def _check_zy_disjoint_from_k(x_field, y_field, region, block, resolution,
         y_enc = zero_enclosure(y_field, region, resolution)
     except VfblockError as e:
         return CheckRecord(name, INCONCLUSIVE, {"error": str(e)})
-    data = {"y_zero_boxes": len(y_enc.boxes)}
+    data = {"y_zero_boxes": len(y_enc.cells)}
     if not enclosures_overlap(y_enc, block.enclosure):
         return CheckRecord(name, PASS, data)
     centers = _overlap_centers(block.enclosure, y_enc)
@@ -260,15 +261,7 @@ def _check_zy_disjoint_from_k(x_field, y_field, region, block, resolution,
 
 
 def _spread_base_points(x_field: PlanarField, block: Block, n: int):
-    boxes = block.enclosure.boxes
-    if not boxes:
-        return []
-    stride = max(1, len(boxes) // n)
-    out = []
-    for b in boxes[::stride][:n]:
-        center = (float((b[0] + b[2]) / 2), float((b[1] + b[3]) / 2))
-        out.append(polish_zero(x_field, center))
-    return out
+    return [polish_zero(x_field, c) for c in block.enclosure.spread_centers(n)]
 
 
 def _flowbox_control_check(x_field: PlanarField, y_field: PlanarField, block: Block,
@@ -350,23 +343,30 @@ def _component_indices_check(x_field: PlanarField, block: Block,
         return CheckRecord(name, INCONCLUSIVE, {"error": "empty enclosure"})
     resolution = _frac(resolution)
     pad = 4 * resolution
+    grid = block.enclosure.grid
+    m, sx, sy, h = grid.scaling()
     indices = []
     for comp in comps:
-        n = len(comp.boxes)
-        cx = sum((b[0] + b[2]) / 2 for b in comp.boxes) / n
-        cy = sum((b[1] + b[3]) / 2 for b in comp.boxes) / n
+        k = len(comp.cells)
+        si, sj = sum(i for i, _ in comp.cells), sum(j for _, j in comp.cells)
+        cx = Fraction(2 * k * sx + h * (2 * si + k), 2 * k * m)
+        cy = Fraction(2 * k * sy + h * (2 * sj + k), 2 * k * m)
         center = (cx.limit_denominator(64), cy.limit_denominator(64))
-        min_dsq = min(box_min_dist_sq(b, center) for b in comp.boxes)
-        max_dsq = max(box_max_dist_sq(b, center) for b in comp.boxes)
+        n, boxes = grid.scaled_boxes(comp.cells, *center)
+        boxes = list(boxes)
+        c = (int(center[0] * n), int(center[1] * n))
+        min_dsq = Fraction(min(box_min_dist_sq(b, c) for b in boxes), n * n)
+        max_dsq = Fraction(max(box_max_dist_sq(b, c) for b in boxes), n * n)
         r_hi = Fraction(math.nextafter(math.sqrt(float(max_dsq)), math.inf)) + pad
         r_lo = Fraction(math.sqrt(float(min_dsq))) - pad
         if comp.loop_like and r_lo > 0:
             sub = annulus(center, r_lo, r_hi)
         else:
             sub = disk(center, r_hi)
-        other_boxes = [b for c in comps if c is not comp for b in c.boxes]
-        from .regions import box_intersects_closure
-        if any(box_intersects_closure(sub, b) for b in other_boxes):
+        others = [cell for o in comps if o is not comp for cell in o.cells]
+        n, boxes = grid.scaled_boxes(others, *sub.params)
+        scaled = sub.scaled(n)
+        if any(box_intersects_closure(scaled, b) for b in boxes):
             return CheckRecord(name, INCONCLUSIVE,
                                {"error": "sub-region cannot separate components"})
         try:
@@ -474,8 +474,8 @@ def verify_liealg(algebra, x_field: PlanarField, region: Region, k: int = 1,
             concl.append(CheckRecord(name, INCONCLUSIVE, {"error": str(e)}))
             return TheoremReport(LIEALG, hyp, concl)
         overlap = enclosures_overlap(zg, block.enclosure)
-        data = {"zg_boxes": len(zg.boxes), "k_boxes": len(block.enclosure.boxes),
+        data = {"zg_boxes": len(zg.cells), "k_boxes": len(block.enclosure.cells),
                 "enclosures_overlap": overlap,
-                "zg_enclosure": zg.to_json() if len(zg.boxes) <= 64 else None}
+                "zg_enclosure": zg.to_json() if len(zg.cells) <= 64 else None}
         concl.append(CheckRecord(name, PASS if overlap else FAIL, data))
     return TheoremReport(LIEALG, hyp, concl)

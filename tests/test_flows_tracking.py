@@ -27,6 +27,10 @@ def test_flow_translation(const_east):
     assert flow_integrate(const_east, (3.25, -2.0), 1.0) == pytest.approx((4.25, -2.0))
 
 
+def test_flow_span_below_step_floor(rotation):
+    assert flow_integrate(rotation, (1, 0), 3e-18) == pytest.approx((1.0, 3e-18))
+
+
 def test_flow_exponential(euler):
     q = flow_integrate(euler, (1, 0), math.log(2))
     assert abs(q[0] - 2) < 1e-9 and q[1] == 0

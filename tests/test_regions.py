@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vfblock.certify import (boxes_overlap, certify_block, components,
-                             min_norm_on_boundary, zero_enclosure)
+from vfblock import interval as iv
+from vfblock.certify import (Grid, _lower, _root_box, _upper, boxes_overlap,
+                             certify_block, components, min_norm_on_boundary,
+                             zero_enclosure)
 from vfblock.errors import BoundaryZero, DepthLimitExceeded, UnsupportedRegion
-from vfblock.fields import plane_field
+from vfblock.fields import plane_field, torus_field
 from vfblock.poly import Poly2, X, Y
-from vfblock.regions import Region, annulus, disk, rectangle, torus_full
+from vfblock.regions import (Region, annulus, box_clears_boundary,
+                             box_intersects_closure, disk, rectangle, torus_full)
+from vfblock.trig import TrigPoly2
 
 
 def _box_dist_to_origin(b):
@@ -133,6 +137,16 @@ def test_components_wrap_on_torus(torus_sin):
     assert len(comps) == 4
 
 
+def test_components_wrap_diagonal_loops_on_torus():
+    # X = (cos 2pi(x - y), 0) vanishes on the two (1,1)-loops x - y = +-1/4,
+    # which cross the fundamental domain's edges in both x and y
+    p = TrigPoly2.term(1, 1, "cc", 1) + TrigPoly2.term(1, 1, "ss", 1)
+    enc = zero_enclosure(torus_field(p, TrigPoly2.zero()), torus_full(),
+                         Fraction(1, 16))
+    comps = components(enc)
+    assert [len(c.cells) for c in comps] == [96, 96]
+
+
 def test_region_validation():
     with pytest.raises(ValueError):
         disk((0, 0), 0)
@@ -164,3 +178,39 @@ def test_boxes_overlap_is_closed_test():
     c = (Fraction(2), Fraction(0), Fraction(3), Fraction(1))
     assert boxes_overlap(a, b)
     assert not boxes_overlap(a, c)
+
+
+_coord = st.fractions(min_value=-3, max_value=3, max_denominator=40)
+_length = st.fractions(min_value=Fraction(1, 40), max_value=3, max_denominator=40)
+
+
+@st.composite
+def _regions(draw):
+    kind = draw(st.sampled_from(("disk", "annulus", "rect")))
+    cx, cy = draw(_coord), draw(_coord)
+    if kind == "disk":
+        return disk((cx, cy), draw(_length))
+    if kind == "annulus":
+        r_in = draw(_length)
+        return annulus((cx, cy), r_in, r_in + draw(_length))
+    return rectangle(cx, cy, cx + draw(_length), cy + draw(_length))
+
+
+@given(_regions(), st.integers(0, 7), st.data(),
+       st.fractions(min_value=0, max_value=1, max_denominator=40))
+@settings(max_examples=200, deadline=None)
+def test_integer_cell_geometry_matches_fractions(region, depth, data, collar):
+    x0, y0, x1, _ = _root_box(region)
+    grid = Grid(x0, y0, x1 - x0, depth)
+    cell = tuple(data.draw(st.integers(0, 2 ** depth - 1)) for _ in "ij")
+    box = grid.box(cell)
+    n, (scaled_box,) = grid.scaled_boxes([cell], *region.params, collar)
+    scaled = region.scaled(n)
+    assert all(type(v) is int for v in (*scaled_box, *scaled.params))
+    assert (collar * n).denominator == 1
+    assert (box_intersects_closure(scaled, scaled_box)
+            == box_intersects_closure(region, box))
+    assert (box_clears_boundary(scaled, scaled_box, int(collar * n))
+            == box_clears_boundary(region, box, collar))
+    for a, exact in zip(scaled_box, box):
+        assert (_lower(a, n), _upper(a, n)) == iv.make(exact)

@@ -17,6 +17,8 @@ SCENARIOS = ROOT / "scenarios"
 
 def _cli(*args, env=None):
     full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), full_env.get("PYTHONPATH"))))
     if env:
         full_env.update(env)
     return subprocess.run([sys.executable, "-m", "vfblock.cli", *args],
@@ -130,6 +132,18 @@ def test_cli_malformed_json_exit_2(tmp_path):
 def test_cli_missing_file_exit_2():
     proc = _cli("verify", "/nonexistent/scenario.json")
     assert proc.returncode == 2
+
+
+def test_cli_unexpected_exception_exit_2(tmp_path):
+    # a 400-digit coefficient overflows float(): an error, not a failed check
+    data = json.loads((SCENARIOS / "source_disk.json").read_text())
+    data["fields"]["X"]["P"][0]["c"] = "1" + "0" * 400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    proc = _cli("verify", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {path}: OverflowError: " \
+        "integer division result too large for a float\n"
 
 
 def test_cli_max_depth_env_forces_depth_error(tmp_path):

@@ -81,6 +81,21 @@ def test_mainbis_zy_meets_k(circle_field, rotation):
     assert rec.data["witness"] == ["0", "0"]
 
 
+def test_mainbis_off_centre_annulus_passes():
+    # the flowbox inverse here returns t ~ 3e-18, below the integrator's step
+    # floor; a final sliver that short must not count as a collapsed step
+    cx, cy = Fraction(-2, 5), Fraction(-3, 10)
+    u, v = X - cx, Y - cy
+    rho = 1 - u * u - v * v
+    report = verify_mainbis(plane_field(rho * -v, rho * u), plane_field(-v, u),
+                            annulus((cx, cy), Fraction(1, 2), Fraction(3, 2)),
+                            k=1, resolution=Fraction(1, 64), tol=1e-6,
+                            known_zeros=[(cx + 1, cy), (cx, cy + 1),
+                                         (cx - 1, cy), (cx, cy - 1)])
+    assert report.overall == {"status": "Pass"}
+    assert report.exit_code == 0
+
+
 def test_mainbis_source_fails(euler, rotation, unit_disk):
     report = verify_mainbis(euler, rotation, unit_disk, k=1,
                             resolution=Fraction(1, 32), known_zeros=[(0, 0)])
