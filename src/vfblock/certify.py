@@ -3,7 +3,8 @@
 The subdivision machinery is the load-bearing certificate layer: a cell is
 discarded only when exact geometry or a sound interval evaluation proves it
 cannot contain a zero, and a boundary margin is returned only when every leaf
-sub-arc has a positive certified lower bound for |X|^2.
+sub-arc has a positive certified lower bound for |X|^2; the same leaves give
+the index of X in U (see `winding_stats`).
 
 Every enclosure cell lies on one dyadic grid: the square root box of the
 region, halved `depth` times.  A cell is an integer pair (i, j).  Scaling the
@@ -22,7 +23,8 @@ from functools import cached_property
 
 from . import interval as iv
 from .config import DEFAULTS, default_max_depth
-from .errors import BoundaryZero, CertificationFailed, DepthLimitExceeded
+from .errors import (BoundaryZero, CertificationFailed, ContradictionError,
+                     DepthLimitExceeded)
 from .fields import PlanarField
 from .poly import _frac, _frac_str
 from .regions import (
@@ -213,54 +215,38 @@ def zero_enclosure(field: PlanarField, region: Region, resolution,
     return zero_enclosure_scalars([field.p, field.q], region, resolution, max_depth)
 
 
-# boundary margins ------------------------------------------------------------
+# boundary margins and degrees ------------------------------------------------
 
 _INITIAL_ARCS = 16
 _LEAF_BUDGET = 40000
 
 
-def _curve_min_norm_sq(field, curve, tol: float, max_depth: int):
-    """Certified lower bound of |X|^2 over the curve, or None."""
-    min_width = 0.5 ** max_depth
-
-    def norm_sq_interval(t0, t1):
-        ix, iy = curve.box_of(t0, t1)
-        p_iv = field.p.eval_interval(ix, iy)
-        q_iv = field.q.eval_interval(ix, iy)
-        return iv.add(iv.sqr(p_iv), iv.sqr(q_iv))
-
-    def sample_sq(t):
-        vx, vy = field.eval_float(*curve.point(t))
-        return vx * vx + vy * vy
-
-    emp = math.inf
-    heap = []
-    for i in range(_INITIAL_ARCS):
-        t0, t1 = i / _INITIAL_ARCS, (i + 1) / _INITIAL_ARCS
-        lo, _ = norm_sq_interval(t0, t1)
-        emp = min(emp, sample_sq(0.5 * (t0 + t1)))
-        heapq.heappush(heap, (lo, t0, t1))
-    splits = 0
-    while True:
-        lo, t0, t1 = heap[0]
-        if lo > 0.0 and lo >= (1.0 - tol) ** 2 * emp:
-            return lo
-        if (t1 - t0) < min_width or splits >= _LEAF_BUDGET:
-            return lo if lo > 0.0 else None
-        heapq.heappop(heap)
-        tm = 0.5 * (t0 + t1)
-        for a, b in ((t0, tm), (tm, t1)):
-            child_lo, _ = norm_sq_interval(a, b)
-            emp = min(emp, sample_sq(0.5 * (a + b)))
-            heapq.heappush(heap, (child_lo, a, b))
-        splits += 1
+@dataclass(frozen=True)
+class WindingStats:
+    winding: int
+    samples: int            # leaf arcs
+    norm_sq_lower: float    # least leaf lower bound for |X|^2
 
 
-def min_norm_on_boundary(field: PlanarField, region: Region, tol=None,
-                         max_depth: int | None = None):
-    """Certified positive lower bound for |X| on the boundary of U, as an exact
-    rational, or None when the bound is inconclusive (e.g. a boundary zero)."""
-    require_planar_boundary(region, "min_norm_on_boundary")
+def winding_stats(field: PlanarField, curve, tol=None,
+                  max_depth: int | None = None) -> WindingStats:
+    """Certified lower bound for |X|^2 on a closed curve and the degree of
+    X/|X| along it, from one adaptive interval subdivision of the curve.
+
+    Arcs are split lowest bound first until the least bound is positive and
+    within the relative slack `tol` of the least |X|^2 sampled at midpoints
+    (tol = 1 accepts any positive bound).  Each leaf's interval image then
+    misses 0, so it lies in an open half-plane p > 0, q > 0, p < 0 or q < 0:
+    quarter k, centred at angle k pi/2.  On a leaf the angle of X stays
+    within pi/2 of one lift of k pi/2; at an endpoint shared by neighbouring
+    leaves it is within pi/2 of both lifts, so they differ by exactly the
+    quarter step -1, 0 or +1 (mod 4) times pi/2.  The lifts advance by 2 pi
+    times the degree around the curve, so the degree is the sum of the
+    quarter steps over 4, exactly.  A step of 2 puts one point in two
+    disjoint half-planes, which only an unsound enclosure can do.  Raises
+    BoundaryZero when no positive bound is reached within the depth cap or
+    the leaf budget.
+    """
     if tol is None:
         tol = DEFAULTS.margin_tol
     tol = float(tol)
@@ -268,24 +254,85 @@ def min_norm_on_boundary(field: PlanarField, region: Region, tol=None,
         raise ValueError("tol must be positive")
     if max_depth is None:
         max_depth = default_max_depth()
-    worst = math.inf
-    for curve in region.boundary_curves():
-        lo = _curve_min_norm_sq(field, curve, tol, max_depth)
-        if lo is None:
-            return None
-        worst = min(worst, lo)
-    return Fraction(iv.sqrt_lower(worst))
+    min_width = 0.5 ** max_depth
+    emp = math.inf
+    heap = []
+
+    def push(t0, t1):
+        nonlocal emp
+        ix, iy = curve.box_of(t0, t1)
+        p_iv = field.p.eval_interval(ix, iy)
+        q_iv = field.q.eval_interval(ix, iy)
+        lo, _ = iv.add(iv.sqr(p_iv), iv.sqr(q_iv))
+        vx, vy = field.eval_float(*curve.point(0.5 * (t0 + t1)))
+        emp = min(emp, vx * vx + vy * vy)
+        heapq.heappush(heap, (lo, t0, t1, p_iv, q_iv))
+
+    for i in range(_INITIAL_ARCS):
+        push(i / _INITIAL_ARCS, (i + 1) / _INITIAL_ARCS)
+    splits = 0
+    while True:
+        lo, t0, t1 = heap[0][:3]
+        stop = (t1 - t0) < min_width or splits >= _LEAF_BUDGET
+        if lo > 0.0 and (stop or lo >= (1.0 - tol) ** 2 * emp):
+            break
+        if stop:
+            raise BoundaryZero("|X| could not be certified positive on the boundary")
+        heapq.heappop(heap)
+        tm = 0.5 * (t0 + t1)
+        push(t0, tm)
+        push(tm, t1)
+        splits += 1
+    heap.sort(key=lambda leaf: leaf[1])
+    quarters = [0 if p[0] > 0.0 else 1 if q[0] > 0.0 else 2 if p[1] < 0.0 else 3
+                for _, _, _, p, q in heap]
+    turns = 0
+    for k0, k1 in zip(quarters, quarters[1:] + quarters[:1]):
+        step = (k1 - k0) % 4
+        if step == 2:
+            raise ContradictionError(
+                "neighbouring boundary arcs map into opposite half-planes")
+        turns += step if step < 2 else -1
+    return WindingStats(turns // 4, len(heap), lo)
+
+
+@dataclass(frozen=True)
+class BoundaryPass:
+    """Certified lower bound for |X| on the boundary of U, the index of X in U
+    and the number of leaf arcs that certify both."""
+
+    margin: Fraction
+    index: int
+    arcs: int
+
+
+def min_norm_on_boundary(field: PlanarField, region: Region, tol=None,
+                         max_depth: int | None = None) -> BoundaryPass | None:
+    """One certified pass over the boundary of U (`winding_stats` on each
+    curve), or None when |X| cannot be certified positive there (e.g. a
+    boundary zero)."""
+    require_planar_boundary(region, "min_norm_on_boundary")
+    try:
+        stats = [winding_stats(field, curve, tol, max_depth)
+                 for curve in region.boundary_curves()]
+    except BoundaryZero:
+        return None
+    return BoundaryPass(Fraction(iv.sqrt_lower(min(s.norm_sq_lower for s in stats))),
+                        sum(s.winding for s in stats), sum(s.samples for s in stats))
 
 
 @dataclass
 class Block:
     """A certified isolating neighborhood: positive boundary margin plus a zero
-    enclosure at positive distance from the frontier."""
+    enclosure at positive distance from the frontier; `index` and `arcs` come
+    from the boundary pass that certified the margin."""
 
     field: PlanarField
     region: Region
     enclosure: ZeroEnclosure
     boundary_margin: Fraction
+    index: int
+    arcs: int
 
     def to_json(self) -> dict:
         return {
@@ -303,12 +350,13 @@ def certify_block(field: PlanarField, region: Region, resolution=None,
     if resolution is None:
         resolution = DEFAULTS.default_resolution
     resolution = _frac(resolution)
-    margin = min_norm_on_boundary(field, region, tol, max_depth)
-    if margin is None or margin <= 0:
+    boundary = min_norm_on_boundary(field, region, tol, max_depth)
+    if boundary is None or boundary.margin <= 0:
         raise BoundaryZero("no positive boundary margin could be certified")
     enclosure = zero_enclosure(field, region, resolution, max_depth)
     _check_collar(enclosure)
-    return Block(field, region, enclosure, margin)
+    return Block(field, region, enclosure, boundary.margin, boundary.index,
+                 boundary.arcs)
 
 
 def _check_collar(enclosure: ZeroEnclosure):
@@ -328,8 +376,8 @@ def restrict_block(parent: Block, sub_region: Region, tol=None,
     """A block for a sub-region of an already certified block: the parent's
     enclosure boxes restricted to the sub-region stay a valid outer enclosure,
     so only the boundary margin needs fresh certification."""
-    margin = min_norm_on_boundary(parent.field, sub_region, tol, max_depth)
-    if margin is None or margin <= 0:
+    boundary = min_norm_on_boundary(parent.field, sub_region, tol, max_depth)
+    if boundary is None or boundary.margin <= 0:
         raise BoundaryZero("no positive boundary margin on the sub-region")
     enc = parent.enclosure
     n, boxes = enc.grid.scaled_boxes(enc.cells, *sub_region.params)
@@ -337,7 +385,8 @@ def restrict_block(parent: Block, sub_region: Region, tol=None,
     cells = [c for c, b in zip(enc.cells, boxes) if box_intersects_closure(scaled, b)]
     enclosure = ZeroEnclosure(cells, enc.grid, enc.resolution, sub_region)
     _check_collar(enclosure)
-    return Block(parent.field, sub_region, enclosure, margin)
+    return Block(parent.field, sub_region, enclosure, boundary.margin,
+                 boundary.index, boundary.arcs)
 
 
 # connected components --------------------------------------------------------

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .config import ENV_MAX_DEPTH
 from .errors import ScenarioSchemaError, VfblockError
@@ -56,7 +55,6 @@ def main(argv=None) -> int:
     ver.add_argument("--plot", help="write an SVG figure (uses the scenario's plot block)")
     ver.add_argument("--tol", type=float, help="override the scenario tolerance")
     ver.add_argument("--max-depth", type=int, help="subdivision depth cap")
-    ver.add_argument("--jobs", type=int, default=1, help="parallel scenarios")
     args = parser.parse_args(argv)
 
     if args.max_depth is not None:
@@ -87,11 +85,7 @@ def main(argv=None) -> int:
         except Exception as e:  # any crash is an error (2), never "failed" (1)
             return None, f"{path}: {type(e).__name__}: {e}"
 
-    if args.jobs > 1 and len(sources) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_one, sources))
-    else:
-        results = [run_one(s) for s in sources]
+    results = [run_one(s) for s in sources]
 
     codes = []
     reports = []

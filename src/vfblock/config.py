@@ -1,4 +1,4 @@
-"""Default knobs for subdivision, winding certification and flows."""
+"""Default knobs for subdivision, the sampled double-cover winding and flows."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ ENV_MAX_DEPTH = "VFBLOCK_MAX_DEPTH"
 @dataclass(frozen=True)
 class Settings:
     max_depth: int = 24                 # quadtree / boundary subdivision depth cap
-    winding_budget: int = 1 << 20       # max samples per boundary curve
+    winding_budget: int = 1 << 20       # max samples per curve, double-cover lift
     lipschitz_safety: float = 1.2       # oversampling factor on the chord bound
     sampled_lipschitz_safety: float = 2.0
     collar_factor: int = 2              # boundary collar = collar_factor * resolution

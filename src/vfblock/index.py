@@ -1,9 +1,11 @@
-"""Certified Poincare-Hopf indices via boundary winding numbers.
+"""Certified Poincare-Hopf indices from one boundary pass.
 
-The winding certificate: with |X| >= margin on a curve and L a Lipschitz bound
-for X along it, sampling finer than margin/L keeps every continuous angular
-variation between consecutive samples strictly under pi/2, so the discrete
-angle sum equals the continuous one and rounds to the exact integer degree.
+The index of X in U is the degree of X/|X| along the oriented boundary of U,
+read off the leaf arcs that certify the boundary margin: each leaf's interval
+image lies in one open half-plane p > 0, q > 0, p < 0 or q < 0, and the degree
+is the sum of the quarter turns between neighbouring leaves over 4 (Stenger
+1975, Kearfott 1979; see `certify.winding_stats`, re-exported here).  Only the
+annulus double-cover lift, a float evaluator, is still sampled.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import interval as iv
-from .certify import Block, min_norm_on_boundary
+from .certify import Block, min_norm_on_boundary, winding_stats  # noqa: F401 (re-export)
 from .config import DEFAULTS
-from .errors import CertificationFailed, ContradictionError
+from .errors import BoundaryZero, CertificationFailed, ContradictionError
 from .fields import PlanarField
 from .poly import Poly2, _frac, _frac_str, restrict_to_circle, restrict_to_segment
 from .regions import ANNULUS, Circle, RectLoop, Region
@@ -26,17 +28,15 @@ from . import upoly
 class IndexResult:
     index: int
     boundary_margin: Fraction
-    max_step_rotation: float
-    samples_per_curve: int
+    samples: int
     essential: bool
     certified: bool
-    lipschitz_mode: str
 
     def to_json(self) -> dict:
         return {
             "index": self.index,
             "margin": _frac_str(self.boundary_margin),
-            "max_step": self.max_step_rotation,
+            "samples": self.samples,
             "essential": self.essential,
             "certified": self.certified,
         }
@@ -68,91 +68,21 @@ def sampled_lipschitz(evalf, curve, n: int = 2048) -> float:
     return best * DEFAULTS.sampled_lipschitz_safety + 1e-300
 
 
-@dataclass(frozen=True)
-class WindingStats:
-    winding: int
-    samples: int
-    max_step: float
-    residual: float
-    lipschitz_mode: str
-
-
-def winding_stats(field_or_eval, curve, margin, *, samples=None, start_offset=0.0,
-                  budget=None, lipschitz=None) -> WindingStats:
-    if budget is None:
-        budget = DEFAULTS.winding_budget
-    margin_f = float(margin)
-    if margin_f <= 0:
-        raise CertificationFailed("winding needs a positive boundary margin")
-    if isinstance(field_or_eval, PlanarField):
-        evalf = field_or_eval.eval_float
-        mode = "interval"
-        if lipschitz is None:
-            lipschitz = interval_lipschitz(field_or_eval, curve.bounding_box())
-    else:
-        evalf = field_or_eval
-        mode = "sampled"
-        if lipschitz is None:
-            lipschitz = sampled_lipschitz(evalf, curve)
-    if samples is None:
-        need = DEFAULTS.lipschitz_safety * lipschitz * curve.length_upper() / margin_f
-        samples = max(16, int(math.ceil(need)))
-    if samples > budget:
-        raise CertificationFailed(
-            f"winding needs {samples} samples, over the budget {budget}"
-        )
-    total = 0.0
-    max_step = 0.0
-    first = evalf(*curve.point(start_offset))
-    prev = first
-    for i in range(1, samples + 1):
-        t = start_offset + i / samples
-        cur = first if i == samples else evalf(*curve.point(t))
-        cross = prev[0] * cur[1] - prev[1] * cur[0]
-        dot = prev[0] * cur[0] + prev[1] * cur[1]
-        step = math.atan2(cross, dot)
-        if abs(step) >= math.pi / 2:
-            raise CertificationFailed(
-                f"angular step {step:.3f} rad exceeds pi/2 at sample {i}"
-            )
-        max_step = max(max_step, abs(step))
-        total += step
-        prev = cur
-    turns = total / (2.0 * math.pi)
-    winding = round(turns)
-    residual = abs(turns - winding)
-    if residual >= 0.25:
-        raise CertificationFailed(f"rounding residual {residual:.3f} >= 0.25")
-    return WindingStats(winding, samples, max_step, residual, mode)
-
-
-def winding_number(field_or_eval, curve, margin, **kwargs) -> int:
-    """Degree of X/|X| along the oriented curve (certified integer)."""
-    return winding_stats(field_or_eval, curve, margin, **kwargs).winding
-
-
-def region_index(field_or_eval, region: Region, margin, *, lipschitz=None,
-                 certified=True) -> IndexResult:
-    """Sum of winding numbers over the region's oriented boundary components."""
-    total = 0
-    max_step = 0.0
-    samples = 0
-    mode = "interval"
-    for curve in region.boundary_curves():
-        st = winding_stats(field_or_eval, curve, margin, lipschitz=lipschitz)
-        total += st.winding
-        max_step = max(max_step, st.max_step)
-        samples = max(samples, st.samples)
-        mode = st.lipschitz_mode
-    return IndexResult(total, _frac(margin), max_step, samples,
-                       essential=total != 0,
-                       certified=certified and mode == "interval",
-                       lipschitz_mode=mode)
+def region_index(field: PlanarField, region: Region) -> IndexResult:
+    """Index of X in U from one boundary pass that stops at the first positive
+    bound on every arc; raises BoundaryZero when there is none."""
+    boundary = min_norm_on_boundary(field, region, tol=1)
+    if boundary is None:
+        raise BoundaryZero("X is not certified nonvanishing on the boundary")
+    return IndexResult(boundary.index, boundary.margin, boundary.arcs,
+                       essential=boundary.index != 0, certified=True)
 
 
 def block_index(block: Block) -> IndexResult:
-    """Poincare-Hopf index of the block, with its essentiality flag."""
-    return region_index(block.field, block.region, block.boundary_margin)
+    """Poincare-Hopf index of the block, with its essentiality flag; read from
+    the boundary pass that certified the block."""
+    return IndexResult(block.index, block.boundary_margin, block.arcs,
+                       essential=block.index != 0, certified=True)
 
 
 def perturbation_bound(block: Block) -> Fraction:
@@ -189,10 +119,10 @@ def homotopy_invariance_check(x0: PlanarField, x1: PlanarField, region: Region,
         xt = x0.scale(1 - t) + x1.scale(t)
         if xt.is_zero():
             return HomotopyVerdict("degenerate", t=t)
-        margin = min_norm_on_boundary(xt, region)
-        if margin is None:
+        boundary = min_norm_on_boundary(xt, region, tol=1)
+        if boundary is None:
             return HomotopyVerdict("degenerate", t=t)
-        indices.append(region_index(xt, region, margin).index)
+        indices.append(boundary.index)
     if any(idx != indices[0] for idx in indices):
         raise ContradictionError(
             f"index changed along a certified-nonvanishing homotopy: {indices}"
@@ -250,18 +180,16 @@ def wedge_check(y_field: PlanarField, yp_field: PlanarField,
     dependent, witness = _dependent_on_boundary(det, region)
     if not dependent:
         return WedgeVerdict("not_dependent", witness=witness)
-    m1 = min_norm_on_boundary(y_field, region)
-    m2 = min_norm_on_boundary(yp_field, region)
-    if m1 is None or m2 is None:
+    b1 = min_norm_on_boundary(y_field, region, tol=1)
+    b2 = min_norm_on_boundary(yp_field, region, tol=1)
+    if b1 is None or b2 is None:
         return WedgeVerdict("not_isolating")
-    i1 = region_index(y_field, region, m1).index
-    i2 = region_index(yp_field, region, m2).index
-    if i1 != i2:
+    if b1.index != b2.index:
         raise ContradictionError(
-            f"boundary-dependent fields with certified margins {m1}, {m2} "
-            f"have indices {i1} != {i2}"
+            f"boundary-dependent fields with certified margins {b1.margin}, "
+            f"{b2.margin} have indices {b1.index} != {b2.index}"
         )
-    return WedgeVerdict("equal", index=i1)
+    return WedgeVerdict("equal", index=b1.index)
 
 
 def make_double_cover_lift(field: PlanarField):
@@ -285,26 +213,48 @@ def make_double_cover_lift(field: PlanarField):
 
 def lift_double_cover(field: PlanarField, region: Region):
     """Index-doubling check through the annulus double cover; returns the lifted
-    evaluator and its (sampled-Lipschitz) index result."""
+    evaluator and its index result.
+
+    The lift is radial * e_phi + tangential / 2 * e_phi', so
+    |lift|^2 >= |X o kappa|^2 / 4, and kappa maps each boundary circle onto
+    itself: half the certified boundary margin of X is a certified margin for
+    the lift.  The lifted winding is still sampled at float points with a
+    finite-difference Lipschitz estimate, so the result is `certified: false`.
+    """
     if region.kind != ANNULUS or region.center != (Fraction(0), Fraction(0)):
         raise ValueError("double cover lift needs an origin-centered annulus")
-    margin = min_norm_on_boundary(field, region)
-    if margin is None:
+    base = min_norm_on_boundary(field, region)
+    if base is None or base.margin <= 0:
         raise CertificationFailed("field not certified nonvanishing on the annulus boundary")
-    base = region_index(field, region, margin)
     lifted = make_double_cover_lift(field)
-    lift_margin = math.inf
-    for curve in region.boundary_curves():
-        for i in range(4096):
-            w = lifted(*curve.point(i / 4096))
-            lift_margin = min(lift_margin, math.hypot(*w))
-    lift_margin *= 0.9
-    if lift_margin <= 0:
-        raise CertificationFailed("lifted field vanishes on the covering boundary")
-    lifted_result = region_index(lifted, region, Fraction(lift_margin),
-                                 certified=False)
-    if lifted_result.index != 2 * base.index:
-        raise ContradictionError(
-            f"lifted index {lifted_result.index} != 2 * base index {base.index}"
-        )
-    return lifted, lifted_result
+    margin = base.margin / 2
+
+    def sampled_winding(curve) -> tuple[int, int]:
+        """(winding, samples) of the lift along the curve, sampled uniformly
+        finer than margin / (sampled Lipschitz estimate)."""
+        lipschitz = sampled_lipschitz(lifted, curve)
+        need = DEFAULTS.lipschitz_safety * lipschitz * curve.length_upper() / float(margin)
+        samples = max(16, int(math.ceil(need)))
+        if samples > DEFAULTS.winding_budget:
+            raise CertificationFailed(f"winding needs {samples} samples, over the budget")
+        total = 0.0
+        first = prev = lifted(*curve.point(0.0))
+        for i in range(1, samples + 1):
+            cur = first if i == samples else lifted(*curve.point(i / samples))
+            step = math.atan2(prev[0] * cur[1] - prev[1] * cur[0],
+                              prev[0] * cur[0] + prev[1] * cur[1])
+            if abs(step) >= math.pi / 2:
+                raise CertificationFailed(f"angular step {step:.3f} rad exceeds pi/2")
+            total += step
+            prev = cur
+        winding = round(total / (2.0 * math.pi))
+        if abs(total / (2.0 * math.pi) - winding) >= 0.25:
+            raise CertificationFailed("winding rounding residual >= 0.25")
+        return winding, samples
+
+    windings = [sampled_winding(curve) for curve in region.boundary_curves()]
+    index = sum(w for w, _ in windings)
+    if index != 2 * base.index:
+        raise ContradictionError(f"lifted index {index} != 2 * base index {base.index}")
+    return lifted, IndexResult(index, margin, sum(n for _, n in windings),
+                               essential=index != 0, certified=False)

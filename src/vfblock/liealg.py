@@ -260,7 +260,7 @@ def _pick_candidate(candidates):
     return normed[0][1]
 
 
-def supersolvable_flag(g: LieAlgebraPresentation, tol: float = 1e-9) -> FlagResult:
+def supersolvable_flag(g: LieAlgebraPresentation) -> FlagResult:
     """Search for a complete flag of ideals; verdicts are exact except that
     irrational real eigenvalues can make the search ambiguous."""
     _require_closed(g)

@@ -156,11 +156,6 @@ class Poly2:
             return -1
         return min(i + j for i, j in self._m)
 
-    def min_y_exponent(self) -> int:
-        if not self._m:
-            return -1
-        return min(j for _, j in self._m)
-
     def dx(self) -> "Poly2":
         return Poly2({(i - 1, j): c * i for (i, j), c in self._m.items() if i > 0})
 

@@ -78,20 +78,6 @@ class Region:
             return self.corners
         return (Fraction(0), Fraction(0), Fraction(1), Fraction(1))
 
-    def contains_point_open(self, point) -> bool:
-        x, y = _frac(point[0]), _frac(point[1])
-        if self.kind == DISK:
-            cx, cy = self.center
-            return (x - cx) ** 2 + (y - cy) ** 2 < self.r ** 2
-        if self.kind == ANNULUS:
-            cx, cy = self.center
-            d = (x - cx) ** 2 + (y - cy) ** 2
-            return self.r_in ** 2 < d < self.r_out ** 2
-        if self.kind == RECT:
-            x0, y0, x1, y1 = self.corners
-            return x0 < x < x1 and y0 < y < y1
-        return True
-
     def contains_point_closed(self, point) -> bool:
         x, y = _frac(point[0]), _frac(point[1])
         if self.kind == DISK:
@@ -290,20 +276,26 @@ class RectLoop:
         ax, ay, bx, by = float(a[0]), float(a[1]), float(b[0]), float(b[1])
         return (ax + (bx - ax) * local, ay + (by - ay) * local)
 
+    def exact_point(self, t: Fraction) -> tuple[Fraction, Fraction]:
+        """The point at parameter t in [0, 1], in exact arithmetic."""
+        prev = Fraction(0)
+        for e, b in enumerate(self.breaks):
+            if t <= b:
+                (ax, ay), (bx, by) = self.vertices[e], self.vertices[(e + 1) % 4]
+                s = (t - prev) / (b - prev)
+                return (ax + (bx - ax) * s, ay + (by - ay) * s)
+            prev = b
+        raise ValueError(f"parameter {t} outside [0, 1]")
+
     def box_of(self, t0: float, t1: float):
-        p0 = self.point(t0)
-        p1 = self.point(t1)
-        mid = self.point(0.5 * (t0 + t1))
-        xs = (p0[0], p1[0], mid[0])
-        ys = (p0[1], p1[1], mid[1])
-        # the parameter break points inside [t0, t1] are also extremes
-        for b in self.breaks:
-            bf = float(b)
-            if t0 < bf < t1:
-                pb = self.point(bf)
-                xs += (pb[0],)
-                ys += (pb[1],)
-        return ((iv.down(min(xs)), iv.up(max(xs))), (iv.down(min(ys)), iv.up(max(ys))))
+        """Enclosure of the exact points with parameter in [t0, t1]: its
+        endpoints and the vertices between them."""
+        pts = [self.exact_point(Fraction(t0)), self.exact_point(Fraction(t1))]
+        pts += [self.vertices[(e + 1) % 4] for e, b in enumerate(self.breaks)
+                if t0 < b < t1]
+        xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+        return ((iv.make(min(xs))[0], iv.make(max(xs))[1]),
+                (iv.make(min(ys))[0], iv.make(max(ys))[1]))
 
     def length_upper(self) -> float:
         return iv.up(float(self.perimeter))

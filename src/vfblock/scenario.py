@@ -347,7 +347,7 @@ def _op_supersolvable(ctx: _Ctx):
     g = structure_constants(ctx.algebra("g"))
     if solvability(g).status == "not_solvable":
         return {"flag": {"status": "not_solvable"}}, None
-    r = supersolvable_flag(g, ctx.tol)
+    r = supersolvable_flag(g)
     return {"flag": r.to_json()}, None
 
 
@@ -376,7 +376,7 @@ def _theorem_outcome(report):
 def _op_verify_main(ctx: _Ctx):
     report = verify_main(ctx.field("X"), ctx.field("Y"), ctx.region("U"),
                          k=ctx.int_arg("k", 1), resolution=ctx.resolution,
-                         tol=ctx.tol, known_zeros=ctx.point_list("known_zeros"))
+                         known_zeros=ctx.point_list("known_zeros"))
     return _theorem_outcome(report)
 
 

@@ -49,10 +49,6 @@ class PiNumber:
     def is_zero(self) -> bool:
         return not self._c
 
-    @property
-    def rational_part(self) -> Fraction:
-        return self._c.get(0, Fraction(0))
-
     def as_fraction(self) -> Fraction | None:
         """The exact rational value, or None if a pi power is present."""
         if not self._c:
@@ -217,12 +213,6 @@ class TrigPoly2:
 
     def is_zero(self) -> bool:
         return not self._t
-
-    @property
-    def max_frequency(self) -> int:
-        if not self._t:
-            return 0
-        return max(max(m, n) for m, n, _, _ in self._t)
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -61,12 +61,6 @@ def mul(p, q):
     return trim(out)
 
 
-def mul_xn(p, n: int):
-    if not p:
-        return []
-    return [Fraction(0)] * n + list(p)
-
-
 def evaluate(p, x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(p):
@@ -201,9 +195,3 @@ def rational_roots(p) -> list[tuple[Fraction, int]]:
                 if deg(p) <= 0:
                     return sorted(roots)
     return sorted(roots)
-
-
-def has_irrational_real_root(p) -> bool:
-    total = count_real_roots(p)
-    rational = len(rational_roots(p))
-    return total > rational

@@ -202,8 +202,7 @@ def _common_zero_witness(x_field: PlanarField, y_field: PlanarField, region: Reg
 
 
 def verify_main(x_field: PlanarField, y_field: PlanarField, region: Region,
-                k: int = 1, resolution=None, tol: float = 1e-6,
-                known_zeros=()) -> TheoremReport:
+                k: int = 1, resolution=None, known_zeros=()) -> TheoremReport:
     """Hypotheses: essential block, nowhere k-flat on K, Y tracks X.
     Conclusion: Z(Y) meets K."""
     if resolution is None:
@@ -434,8 +433,7 @@ def verify_mainbis(x_field: PlanarField, y_field: PlanarField, region: Region,
 
 
 def verify_liealg(algebra, x_field: PlanarField, region: Region, k: int = 1,
-                  resolution=None, tol: float = 1e-9,
-                  known_zeros=()) -> TheoremReport:
+                  resolution=None, known_zeros=()) -> TheoremReport:
     """Hypotheses: essential block, nowhere k-flat on K, a supersolvable algebra
     tracking X.  Conclusion: the common zero set of the algebra meets K."""
     if resolution is None:
@@ -452,7 +450,7 @@ def verify_liealg(algebra, x_field: PlanarField, region: Region, k: int = 1,
                                {"error": f"not closed, witness {algebra.witness}"}))
     else:
         try:
-            flag = supersolvable_flag(algebra, tol)
+            flag = supersolvable_flag(algebra)
             hyp.append(CheckRecord(name_ss, PASS if flag.status == "flag" else FAIL,
                                    {"flag": flag.to_json()}))
         except VfblockError as e:

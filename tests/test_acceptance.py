@@ -99,7 +99,7 @@ def test_c03_stability():
             continue
         scale = delta / (2 * sup) * Fraction(9, 10)
         pert = plane_field(Poly2(terms_p) * scale, Poly2(terms_q) * scale)
-        assert region_index(EULER + pert, UNIT_DISK, delta / 2).index == 1
+        assert region_index(EULER + pert, UNIT_DISK).index == 1
     verdict = homotopy_invariance_check(EULER, plane_field(2 * X + Y, X + 2 * Y),
                                         UNIT_DISK, 11)
     assert verdict.status == "invariant" and verdict.index == 1

@@ -5,29 +5,36 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vfblock.certify import certify_block
-from vfblock.errors import CertificationFailed, ContradictionError
-from vfblock.fields import plane_field
+from vfblock.errors import BoundaryZero, ContradictionError
+from vfblock.fields import plane_field, torus_field
 from vfblock.index import (block_index, homotopy_invariance_check,
-                           lift_double_cover, perturbation_bound,
-                           region_index, wedge_check, winding_number,
+                           lift_double_cover, min_norm_on_boundary,
+                           perturbation_bound, region_index, wedge_check,
                            winding_stats)
 from vfblock.poly import Poly2, X, Y
-from vfblock.regions import Circle, annulus, disk
+from vfblock.regions import Circle, annulus, disk, rectangle
+from vfblock.trig import TrigPoly2
 
 
-def oracle_winding(evalf, curve, n=100000):
-    """Independent degree oracle: dense uniform accumulation of angle steps."""
-    total = 0.0
+def _angle_steps(evalf, curve, n):
+    steps = []
     prev = evalf(*curve.point(0.0))
     first = prev
     for i in range(1, n + 1):
         cur = first if i == n else evalf(*curve.point(i / n))
-        total += math.atan2(prev[0] * cur[1] - prev[1] * cur[0],
-                            prev[0] * cur[0] + prev[1] * cur[1])
+        steps.append(math.atan2(prev[0] * cur[1] - prev[1] * cur[0],
+                                prev[0] * cur[0] + prev[1] * cur[1]))
         prev = cur
-    return round(total / (2 * math.pi))
+    return steps
+
+
+def oracle_winding(evalf, curve, n=100000):
+    """Independent degree oracle: dense uniform accumulation of angle steps."""
+    return round(sum(_angle_steps(evalf, curve, n)) / (2 * math.pi))
 
 
 UNIT_CIRCLE = Circle((0, 0), 1, ccw=True)
@@ -42,21 +49,71 @@ UNIT_CIRCLE = Circle((0, 0), 1, ccw=True)
 def test_winding_examples_against_oracle(components, expected):
     field = plane_field(*components)
     assert oracle_winding(field.eval_float, UNIT_CIRCLE) == expected
-    assert winding_number(field, UNIT_CIRCLE, Fraction(1, 2)) == expected
+    assert winding_stats(field, UNIT_CIRCLE).winding == expected
 
 
 def test_winding_reparametrization_invariance(dipole):
-    w1 = winding_stats(dipole, UNIT_CIRCLE, Fraction(1, 2))
-    w2 = winding_stats(dipole, UNIT_CIRCLE, Fraction(1, 2),
-                       samples=2 * w1.samples)
-    w3 = winding_stats(dipole, UNIT_CIRCLE, Fraction(1, 2), start_offset=0.37)
-    assert w1.winding == w2.winding == w3.winding
-    assert w1.max_step < math.pi / 2
+    # a finer subdivision and the reversed orientation t -> -t
+    coarse = winding_stats(dipole, UNIT_CIRCLE, tol=1)
+    fine = winding_stats(dipole, UNIT_CIRCLE, tol=Fraction(1, 1000))
+    reverse = winding_stats(dipole, Circle((0, 0), 1, ccw=False))
+    assert fine.samples > coarse.samples
+    assert coarse.winding == fine.winding == -reverse.winding == 2
 
 
-def test_winding_budget_certification_failure(euler):
-    with pytest.raises(CertificationFailed):
-        winding_number(euler, UNIT_CIRCLE, Fraction(1, 10 ** 9), budget=64)
+def test_winding_boundary_zero_raises(euler):
+    # the circle passes through the zero of X at the origin
+    with pytest.raises(BoundaryZero):
+        winding_stats(euler, Circle((1, 0), 1, ccw=True), max_depth=12)
+
+
+_coef = st.integers(-3, 3)
+_rational = st.fractions(min_value=-1, max_value=1, max_denominator=8)
+_radius = st.fractions(min_value=Fraction(1, 8), max_value=1, max_denominator=8)
+
+
+@st.composite
+def _fields_and_regions(draw):
+    """A random field with a zero at the centre c of a random region around c
+    (the hole of an annulus), so that nonzero degrees are common."""
+    kind = draw(st.sampled_from(("disk", "rect", "annulus", "torus_disk")))
+    if kind == "torus_disk":
+        # frequencies <= 1 and a quarter-period centre keep the value at c exact
+        c = tuple(Fraction(draw(st.integers(0, 3)), 4) for _ in "xy")
+
+        def trig():
+            t = sum((TrigPoly2.term(m, n, basis, draw(_coef)) for m in range(2)
+                     for n in range(2) for basis in ("cc", "cs", "sc", "ss")),
+                    TrigPoly2.zero())
+            return t - TrigPoly2.const(t.eval_exact(*c).as_fraction())
+        return torus_field(trig(), trig()), disk(c, draw(_radius) / 4)
+    c = (draw(_rational), draw(_rational))
+
+    def poly():
+        p = Poly2({(i, j): Fraction(draw(_coef)) for i in range(3) for j in range(3 - i)})
+        return p - Poly2.const(p.eval_exact(*c))
+    field = plane_field(poly(), poly())
+    r = draw(_radius)
+    if kind == "disk":
+        return field, disk(c, r)
+    if kind == "annulus":
+        return field, annulus(c, r, r + draw(_radius))
+    return field, rectangle(c[0] - r, c[1] - draw(_radius), c[0] + draw(_radius), c[1] + r)
+
+
+@given(_fields_and_regions())
+@settings(max_examples=60, deadline=None)
+def test_leaf_degree_matches_oracle(case):
+    field, region = case
+    assume(not field.is_zero())
+    for curve in region.boundary_curves():
+        try:
+            stats = winding_stats(field, curve, tol=1, max_depth=16)
+        except BoundaryZero:
+            assume(False)
+        steps = _angle_steps(field.eval_float, curve, 1500)
+        assume(max(map(abs, steps)) < math.pi / 4)   # the oracle is dense enough
+        assert stats.winding == round(sum(steps) / (2 * math.pi))
 
 
 def test_block_indices(euler, saddle, dipole, circle_field, saddle_pair_field,
@@ -74,7 +131,7 @@ def test_block_indices(euler, saddle, dipole, circle_field, saddle_pair_field,
         assert result.index == expected
         assert result.essential is essential
         assert result.certified
-        assert result.max_step_rotation < math.pi / 2
+        assert result.samples == blk.arcs > 0
 
 
 def test_index_additivity(saddle_pair_field, std_annulus):
@@ -127,7 +184,7 @@ def test_perturbation_bound_contract(euler, unit_disk):
             continue
         scale = delta / (2 * sup) * Fraction(9, 10)
         perturbed = euler + plane_field(pert * scale, pert2 * scale)
-        result = region_index(perturbed, unit_disk, delta / 2)
+        result = region_index(perturbed, unit_disk)
         assert result.index == 1
 
 
@@ -135,7 +192,7 @@ def test_perturbation_explicit_shift(euler, unit_disk):
     blk = certify_block(euler, unit_disk, Fraction(1, 32), tol=Fraction(1, 200))
     delta = perturbation_bound(blk)
     shifted = euler + plane_field(Poly2.const(delta / 2), Poly2.zero())
-    assert region_index(shifted, unit_disk, delta / 2).index == 1
+    assert region_index(shifted, unit_disk).index == 1
 
 
 def test_homotopy_invariant_linear(euler, unit_disk):
@@ -183,8 +240,11 @@ def test_double_cover_doubling(saddle_pair_field, circle_field, const_east,
                                  (circle_field, 0)):
         lifted_eval, lifted = lift_double_cover(field, std_annulus)
         assert lifted.index == 2 * base_expected
-        assert lifted.lipschitz_mode == "sampled"
         assert not lifted.certified
+        # |lift| >= |X|/2 on the boundary circles: half the certified margin
+        base = min_norm_on_boundary(field, std_annulus)
+        assert base.index == base_expected
+        assert lifted.boundary_margin == base.margin / 2
         # oracle on the lifted evaluator
         outer = Circle((0, 0), Fraction(3, 2), ccw=True)
         inner = Circle((0, 0), Fraction(1, 2), ccw=False)

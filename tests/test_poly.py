@@ -141,7 +141,6 @@ def test_upoly_sturm_and_rational_roots():
     q = [Fraction(-2), Fraction(0), Fraction(1)]
     assert upoly.rational_roots(q) == []
     assert upoly.count_real_roots(q) == 2
-    assert upoly.has_irrational_real_root(q)
     # x^2 + 1 has no real roots
     assert upoly.count_real_roots([Fraction(1), Fraction(0), Fraction(1)]) == 0
 

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vfblock import interval as iv
@@ -14,7 +14,7 @@ from vfblock.certify import (Grid, _lower, _root_box, _upper, boxes_overlap,
 from vfblock.errors import BoundaryZero, DepthLimitExceeded, UnsupportedRegion
 from vfblock.fields import plane_field, torus_field
 from vfblock.poly import Poly2, X, Y
-from vfblock.regions import (Region, annulus, box_clears_boundary,
+from vfblock.regions import (RectLoop, Region, annulus, box_clears_boundary,
                              box_intersects_closure, disk, rectangle, torus_full)
 from vfblock.trig import TrigPoly2
 
@@ -70,14 +70,13 @@ def test_enclosure_depth_limit(euler, unit_disk):
 
 
 def test_min_norm_source(euler, unit_disk):
-    m = min_norm_on_boundary(euler, unit_disk, tol=Fraction(1, 2000))
-    assert m is not None
+    m = min_norm_on_boundary(euler, unit_disk, tol=Fraction(1, 2000)).margin
     assert Fraction(999, 1000) <= m <= 1
 
 
 def test_min_norm_annulus_with_sampling_oracle(saddle_pair_field, std_annulus):
-    m = min_norm_on_boundary(saddle_pair_field, std_annulus)
-    assert m is not None and m > 0
+    m = min_norm_on_boundary(saddle_pair_field, std_annulus).margin
+    assert m > 0
     # oracle: dense 1-D minimization over each boundary circle
     lowest = math.inf
     for r in (0.5, 1.5):
@@ -90,8 +89,7 @@ def test_min_norm_annulus_with_sampling_oracle(saddle_pair_field, std_annulus):
 
 
 def test_min_norm_anti_false_negative(circle_field, std_annulus):
-    m = min_norm_on_boundary(circle_field, std_annulus)
-    assert m is not None
+    m = min_norm_on_boundary(circle_field, std_annulus).margin
     import random
     rng = random.Random(7)
     for _ in range(10000):
@@ -214,3 +212,34 @@ def test_integer_cell_geometry_matches_fractions(region, depth, data, collar):
             == box_clears_boundary(region, box, collar))
     for a, exact in zip(scaled_box, box):
         assert (_lower(a, n), _upper(a, n)) == iv.make(exact)
+
+
+def _rect_point(corners, t: Fraction):
+    """The exact point at arc-length parameter t of the counterclockwise
+    boundary of the rectangle, starting at its lower-left corner."""
+    x0, y0, x1, y1 = corners
+    w, h = x1 - x0, y1 - y0
+    s = t * 2 * (w + h)
+    for (ax, ay), (dx, dy), length in (((x0, y0), (1, 0), w), ((x1, y0), (0, 1), h),
+                                       ((x1, y1), (-1, 0), w), ((x0, y1), (0, -1), h)):
+        if s <= length:
+            return ax + dx * s, ay + dy * s
+        s -= length
+    raise AssertionError(t)
+
+
+@given(st.tuples(_coord, _coord, _length, _length), st.integers(1, 12),
+       st.integers(0, 2 ** 12 - 1), st.fractions(min_value=0, max_value=1))
+@example((Fraction(-815366, 735), Fraction(-45829, 946),
+          Fraction(-539833817, 490245) + Fraction(815366, 735),
+          Fraction(-25429, 2838) + Fraction(45829, 946)), 8, 115, Fraction(1, 2))
+@settings(max_examples=200, deadline=None)
+def test_rect_box_of_encloses_exact_arc(rect, depth, k, u):
+    x0, y0, w, h = rect
+    corners = (x0, y0, x0 + w, y0 + h)
+    k %= 2 ** depth
+    t0, t1 = k / 2 ** depth, (k + 1) / 2 ** depth
+    (xlo, xhi), (ylo, yhi) = RectLoop(corners).box_of(t0, t1)
+    for t in (Fraction(t0), Fraction(t1), Fraction(t0) + u * (Fraction(t1) - Fraction(t0))):
+        x, y = _rect_point(corners, t)
+        assert xlo <= x <= xhi and ylo <= y <= yhi

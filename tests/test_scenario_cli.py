@@ -152,9 +152,9 @@ def test_cli_max_depth_env_forces_depth_error(tmp_path):
     assert proc.returncode == 2
 
 
-def test_cli_jobs_parallel(tmp_path):
+def test_cli_two_scenarios_aggregate(tmp_path):
     proc = _cli("verify", str(SCENARIOS / "source_disk.json"),
-                str(SCENARIOS / "liealg_uppertri.json"), "--jobs", "2",
+                str(SCENARIOS / "liealg_uppertri.json"),
                 "--report", str(tmp_path / "agg.json"))
     assert proc.returncode == 0
     agg = json.loads((tmp_path / "agg.json").read_text())
