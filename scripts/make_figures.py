@@ -4,10 +4,12 @@ import json
 import pathlib
 import sys
 
-from vfblock.cli import _plot_for
-from vfblock.scenario import run_scenario
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+# run from a plain checkout: import vfblock from this checkout's src/
+sys.path.insert(0, str(ROOT / "src"))
+
+from vfblock.cli import _plot_for  # noqa: E402
+from vfblock.scenario import run_scenario  # noqa: E402
 
 
 def main() -> int:

@@ -4,10 +4,14 @@ contradict the theorem; the run exits nonzero and dumps diagnostics."""
 
 import argparse
 import json
+import pathlib
 import sys
 import time
 
-from vfblock.corpus import falsification_run
+# run from a plain checkout: import vfblock from this checkout's src/
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from vfblock.corpus import falsification_run  # noqa: E402
 
 
 def main() -> int:

@@ -234,24 +234,25 @@ def winding_stats(field: PlanarField, curve, tol=None,
     X/|X| along it, from one adaptive interval subdivision of the curve.
 
     Arcs are split lowest bound first until the least bound is positive and
-    within the relative slack `tol` of the least |X|^2 sampled at midpoints
-    (tol = 1 accepts any positive bound).  Each leaf's interval image then
-    misses 0, so it lies in an open half-plane p > 0, q > 0, p < 0 or q < 0:
-    quarter k, centred at angle k pi/2.  On a leaf the angle of X stays
-    within pi/2 of one lift of k pi/2; at an endpoint shared by neighbouring
-    leaves it is within pi/2 of both lifts, so they differ by exactly the
-    quarter step -1, 0 or +1 (mod 4) times pi/2.  The lifts advance by 2 pi
-    times the degree around the curve, so the degree is the sum of the
-    quarter steps over 4, exactly.  A step of 2 puts one point in two
-    disjoint half-planes, which only an unsound enclosure can do.  Raises
-    BoundaryZero when no positive bound is reached within the depth cap or
-    the leaf budget.
+    within the relative slack `tol` in (0, 1] of the least |X|^2 sampled at
+    midpoints (tol = 1 accepts any positive bound and samples nothing).  Each
+    leaf's interval image then misses 0, so it lies in an open half-plane
+    p > 0, q > 0, p < 0 or q < 0: quarter k, centred at angle k pi/2.  On a
+    leaf the angle of X stays within pi/2 of one lift of k pi/2; at an
+    endpoint shared by neighbouring leaves it is within pi/2 of both lifts,
+    so they differ by exactly the quarter step -1, 0 or +1 (mod 4) times
+    pi/2.  The lifts advance by 2 pi times the degree around the curve, so
+    the degree is the sum of the quarter steps over 4, exactly.  A step of 2
+    puts one point in two disjoint half-planes, which only an unsound
+    enclosure can do.  Raises BoundaryZero when no positive bound is reached
+    within the depth cap or the leaf budget.
     """
     if tol is None:
         tol = DEFAULTS.margin_tol
     tol = float(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol <= 1:
+        raise ValueError("tol must lie in (0, 1]")
+    slack = (1.0 - tol) ** 2
     if max_depth is None:
         max_depth = default_max_depth()
     min_width = 0.5 ** max_depth
@@ -264,8 +265,9 @@ def winding_stats(field: PlanarField, curve, tol=None,
         p_iv = field.p.eval_interval(ix, iy)
         q_iv = field.q.eval_interval(ix, iy)
         lo, _ = iv.add(iv.sqr(p_iv), iv.sqr(q_iv))
-        vx, vy = field.eval_float(*curve.point(0.5 * (t0 + t1)))
-        emp = min(emp, vx * vx + vy * vy)
+        if slack:
+            vx, vy = field.eval_float(*curve.point(0.5 * (t0 + t1)))
+            emp = min(emp, vx * vx + vy * vy)
         heapq.heappush(heap, (lo, t0, t1, p_iv, q_iv))
 
     for i in range(_INITIAL_ARCS):
@@ -274,7 +276,7 @@ def winding_stats(field: PlanarField, curve, tol=None,
     while True:
         lo, t0, t1 = heap[0][:3]
         stop = (t1 - t0) < min_width or splits >= _LEAF_BUDGET
-        if lo > 0.0 and (stop or lo >= (1.0 - tol) ** 2 * emp):
+        if lo > 0.0 and (stop or not slack or lo >= slack * emp):
             break
         if stop:
             raise BoundaryZero("|X| could not be certified positive on the boundary")

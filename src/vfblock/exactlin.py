@@ -1,12 +1,16 @@
 """Exact linear algebra over Q: rref, kernels, span solves, charpoly.
 
 Matrices are lists of rows of Fractions.  Sizes here are tiny (algebra
-dimensions and coefficient supports), so plain Gaussian elimination is plenty.
+dimensions and coefficient supports), so plain Gaussian elimination is plenty;
+charpoly, the flag search's hot path, rescales to integers and runs on ints.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from .errors import ContradictionError
 
 
 def rref(rows):
@@ -79,30 +83,34 @@ def mat_vec(mat, vec):
     return [sum(a * b for a, b in zip(row, vec)) for row in mat]
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def identity(n):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
             for i in range(n)]
 
 
 def charpoly(mat):
-    """Monic characteristic polynomial, ascending coefficients, via
-    Faddeev-LeVerrier."""
+    """Monic characteristic polynomial det(tI - A), ascending Fraction
+    coefficients, by Faddeev-LeVerrier on B = d A, d the lcm of A's
+    denominators.  The recurrence M_1 = I, c_(n-k) = -tr(B M_k) / k,
+    M_(k+1) = B M_k + c_(n-k) I gives the integer coefficients of p_B, so
+    every trace divides exactly (else ContradictionError) and the run stays in
+    ints; then p_A(t) = d^-n p_B(d t), i.e. coefficient j is c_j / d^(n-j)."""
     n = len(mat)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = identity(n)
+    d = math.lcm(1, *(v.denominator for row in mat for v in row))
+    b = [[v.numerator * (d // v.denominator) for v in row] for row in mat]
+    coeffs = [0] * n + [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        am = mat_mul(mat, m)
-        trace = sum(am[i][i] for i in range(n))
-        c = -trace / k
+        cols = list(zip(*m))
+        bm = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in b]
+        c, rem = divmod(-sum(bm[i][i] for i in range(n)), k)
+        if rem:
+            raise ContradictionError(f"Faddeev-LeVerrier trace not divisible by {k}")
         coeffs[n - k] = c
-        m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-    return coeffs
+        for i in range(n):
+            bm[i][i] += c
+        m = bm
+    return [Fraction(c, d ** (n - j)) for j, c in enumerate(coeffs)]
 
 
 def subspace_basis(vectors):

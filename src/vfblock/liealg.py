@@ -6,7 +6,9 @@ is operationalized as a complete flag of ideals, found by an exact nested
 common-eigenvector search.  A rational eigenvector of a rational matrix forces
 a rational eigenvalue, so exact kernels decide every verifiable case; Sturm
 counts detect irrational real eigenvalues, which surface as NumericalAmbiguity
-only when no exact candidate exists.
+only when no exact candidate exists.  Per quotient level, each adjoint's
+eigenspaces are computed once, when the search first reaches that map, and
+only maps the search reaches can make it ambiguous.
 """
 
 from __future__ import annotations
@@ -225,25 +227,31 @@ def _real_rational_eigenvalues(mat):
 
 def _common_eigendirections(ads, space, ambiguous_flag):
     """All joint eigendirections of the adjoint maps inside the subspace,
-    found by nested exact eigenspace intersections."""
-    if not space:
-        return []
-    if not ads:
-        return list(space)
-    head, *rest = ads
-    n = len(head)
-    candidates = []
-    eigs, irrational = _real_rational_eigenvalues(head)
-    if irrational:
-        ambiguous_flag.append(True)
-    for lam in eigs:
-        shifted = [[head[r][c] - (lam if r == c else 0) for c in range(n)]
-                   for r in range(n)]
-        ker = xl.kernel(shifted)
-        sub = xl.intersect_subspaces(space, ker)
-        if sub:
-            candidates.extend(_common_eigendirections(rest, sub, ambiguous_flag))
-    return candidates
+    found by nested exact eigenspace intersections.  Each map's kernels of
+    ad - lambda, one per rational eigenvalue, are computed the first time the
+    search reaches it; later branches only intersect.  Only reached maps can
+    flag irrational eigenvalues: a map behind dead branches decides nothing."""
+    eigenspaces = {}
+
+    def search(i, sub):
+        if i == len(ads):
+            return list(sub)
+        if i not in eigenspaces:
+            mat, n = ads[i], len(ads[i])
+            eigs, irrational = _real_rational_eigenvalues(mat)
+            if irrational:
+                ambiguous_flag.append(True)
+            eigenspaces[i] = [xl.kernel([[mat[r][c] - (lam if r == c else 0)
+                                          for c in range(n)] for r in range(n)])
+                              for lam in eigs]
+        candidates = []
+        for ker in eigenspaces[i]:
+            inter = xl.intersect_subspaces(sub, ker)
+            if inter:
+                candidates.extend(search(i + 1, inter))
+        return candidates
+
+    return search(0, space) if space else []
 
 
 def _pick_candidate(candidates):
@@ -290,7 +298,7 @@ def supersolvable_flag(g: LieAlgebraPresentation) -> FlagResult:
         v = _pick_candidate(cands)
         # exact re-verification: [b_i, v] in span(v) for all i
         for i in range(dim):
-            w = xl.mat_vec(current.adjoint(i), v)
+            w = xl.mat_vec(ads[i], v)
             if not xl.vector_in_span([v], w):
                 raise NumericalAmbiguity("candidate failed exact ideal verification")
         # lift to original coordinates

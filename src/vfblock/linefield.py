@@ -14,12 +14,11 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from . import interval as iv
 from . import upoly
 from .errors import FactorVanishes, SamplingTooCoarse
 from .fields import PlanarField
 from .flows import Flowbox
-from .poly import Poly2, _frac
+from .poly import _frac
 from .regions import ANNULUS, RECT, Region
 
 
@@ -53,13 +52,14 @@ class LineFieldRep:
         return self.evaluate(x, y)
 
 
-def factor_y_power(f_pair, l: int, x_interval=(-1, 1), max_depth: int = 12):
+def factor_y_power(f_pair, l: int, x_interval=(-1, 1)):
     """Exact factorization F = y^l * g with g(x, 0) certified nonvanishing on
-    the declared x-interval.  Raises InsufficientPower when some monomial has a
+    the closed x-interval.  Raises InsufficientPower when some monomial has a
     smaller y-exponent, FactorVanishes when g(x, 0) has a zero in the interval.
 
-    A bounded interval-positivity pass handles the comfortable cases; when it
-    stalls, an exact gcd/Sturm decision settles nonvanishing either way."""
+    The decision is exact: g(x, 0) vanishes at x exactly when x is a real root
+    of the gcd of its two components, and a rational root search, a Sturm
+    count and an endpoint test settle whether such a root lies in [a, b]."""
     if l < 1:
         raise ValueError("l must be >= 1")
     if isinstance(f_pair, PlanarField):
@@ -73,33 +73,13 @@ def factor_y_power(f_pair, l: int, x_interval=(-1, 1), max_depth: int = 12):
     gx2 = g2.substitute_y(0)
     if upoly.is_zero(gx1) and upoly.is_zero(gx2):
         raise FactorVanishes("g(x, 0) is identically (0, 0)", witness=a)
-    norm_sq = Poly2({(i, 0): c for i, c in enumerate(upoly.add(
-        upoly.mul(gx1, gx1), upoly.mul(gx2, gx2)))})
-    # bounded interval positivity of |g(x,0)|^2 over [a, b]
-    budget = 1 << (max_depth + 1)
-    stack = [(a, b, 0)]
-    while stack:
-        if budget <= 0:
-            _decide_factor_vanishes(gx1, gx2, a, b)
-            break
-        budget -= 1
-        lo_x, hi_x, depth = stack.pop()
-        box = ((iv.make(lo_x)[0], iv.make(hi_x)[1]), (0.0, 0.0))
-        val = norm_sq.eval_interval(*box)
-        if val[0] > 0.0:
-            continue
-        if depth >= max_depth:
-            _decide_factor_vanishes(gx1, gx2, a, b)
-            break
-        mid = (lo_x + hi_x) / 2
-        stack.append((lo_x, mid, depth + 1))
-        stack.append((mid, hi_x, depth + 1))
+    _decide_factor_vanishes(gx1, gx2, a, b)
     return g1, g2
 
 
 def _decide_factor_vanishes(gx1, gx2, a: Fraction, b: Fraction):
-    """Exact fallback when interval positivity stalls: a common real root of
-    the axis restrictions inside [a, b] proves FactorVanishes."""
+    """A common real root of the axis restrictions inside [a, b] proves
+    FactorVanishes; the witness is a rational root when one exists."""
     if upoly.is_zero(gx1):
         common = list(gx2)
     elif upoly.is_zero(gx2):

@@ -67,6 +67,12 @@ def test_winding_boundary_zero_raises(euler):
         winding_stats(euler, Circle((1, 0), 1, ccw=True), max_depth=12)
 
 
+def test_winding_tol_outside_unit_interval_rejected(dipole):
+    # tol = 2 would square to the same slack factor as tol = 0
+    with pytest.raises(ValueError):
+        winding_stats(dipole, UNIT_CIRCLE, tol=2)
+
+
 _coef = st.integers(-3, 3)
 _rational = st.fractions(min_value=-1, max_value=1, max_denominator=8)
 _radius = st.fractions(min_value=Fraction(1, 8), max_value=1, max_denominator=8)

@@ -3,13 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vfblock.certify import zero_enclosure
 from vfblock.errors import DependentBasisError, NotClosedError
-from vfblock.exactlin import charpoly, kernel, rank
+from vfblock.exactlin import charpoly, identity, kernel, rank
 from vfblock.fields import plane_field
-from vfblock.liealg import (algebra_tracks, common_zero_set, solvability,
-                            structure_constants, supersolvable_flag)
+from vfblock.liealg import (_common_eigendirections, algebra_tracks,
+                            common_zero_set, solvability, structure_constants,
+                            supersolvable_flag)
 from vfblock.poly import Poly2, X, Y
 from vfblock.regions import disk
 
@@ -38,6 +41,54 @@ def test_exact_linear_algebra_helpers():
     # charpoly of [[0, -1], [1, 0]] is t^2 + 1
     j = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]
     assert charpoly(j) == [Fraction(1), Fraction(0), Fraction(1)]
+
+
+def _det(mat):
+    """Determinant by exact Fraction elimination."""
+    m = [list(row) for row in mat]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+_entries = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 5, 7, 12]))
+
+
+@given(st.integers(0, 7).flatmap(
+    lambda n: st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+@example([[Fraction(0)] * 5 for _ in range(5)])
+@settings(max_examples=60, deadline=None)
+def test_charpoly_is_det_t_minus_a(mat):
+    n = len(mat)
+    cp = charpoly(mat)
+    assert len(cp) == n + 1 and cp[n] == 1
+    for t in range(n + 1):
+        value = sum(c * t ** j for j, c in enumerate(cp))
+        assert value == _det([[(t if i == j else 0) - mat[i][j] for j in range(n)]
+                              for i in range(n)])
+
+
+def test_eigen_search_ignores_maps_it_never_reaches():
+    # diag(1, 2) and [[1, 1], [1, 1]] share no eigendirection, so every branch
+    # dies at the second map; the third has eigenvalues +-sqrt(2) but is never
+    # reached and must not make the search ambiguous
+    f = Fraction
+    ads = [[[f(1), f(0)], [f(0), f(2)]],
+           [[f(1), f(1)], [f(1), f(1)]],
+           [[f(0), f(2)], [f(1), f(0)]]]
+    ambiguous = []
+    assert _common_eigendirections(ads, identity(2), ambiguous) == []
+    assert ambiguous == []
 
 
 def test_abelian_pair(euler):

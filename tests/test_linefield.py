@@ -36,6 +36,16 @@ def test_factor_vanishes_with_witness():
     assert exc.value.witness == 0
 
 
+def test_factor_vanishes_decided_exactly():
+    # x^2 - 2 has its zero sqrt(2) in [1, 2]: no rational witness
+    with pytest.raises(FactorVanishes) as exc:
+        factor_y_power((Y * (X ** 2 - 2), Poly2.zero()), 1, (1, 2))
+    assert exc.value.witness is None
+    # x^2 + 1/10^6 stays positive on [-1, 1] with a minimum of 1/10^6
+    g1, g2 = factor_y_power((Y * (X ** 2 + Fraction(1, 10 ** 6)), Poly2.zero()), 1)
+    assert (g1, g2) == (X ** 2 + Fraction(1, 10 ** 6), Poly2.zero())
+
+
 def test_factor_insufficient_power():
     with pytest.raises(InsufficientPower):
         factor_y_power((X, Y), 1)

@@ -207,3 +207,11 @@ def test_schema_is_published_and_valid():
     jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
     published = json.loads((ROOT / "scenarios" / "scenario.schema.json").read_text())
     assert published == SCENARIO_SCHEMA
+
+
+def test_falsification_script_runs_from_plain_checkout(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_falsification.py"), "--count", "2"],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
