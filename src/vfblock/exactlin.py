@@ -142,3 +142,14 @@ def intersect_subspaces(a_basis, b_basis):
 
 def vector_in_span(basis, vec) -> bool:
     return solve_in_span(basis, vec) is not None
+
+
+def in_rref_span(rows, pivots, vec) -> bool:
+    """Is vec in the span of rows, given as rref rows with their pivot
+    columns?  Coordinates must be vec's pivot entries, so subtracting them
+    leaves zero exactly when it is."""
+    for row, c in zip(rows, pivots):
+        f = vec[c]
+        if f:
+            vec = [a - f * b for a, b in zip(vec, row)]
+    return not any(vec)

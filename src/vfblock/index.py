@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import interval as iv
-from .certify import Block, min_norm_on_boundary, winding_stats  # noqa: F401 (re-export)
+from .certify import (Block, BoundaryPass, min_norm_on_boundary,  # noqa: F401 (re-export)
+                      winding_stats)
 from .config import DEFAULTS
 from .errors import BoundaryZero, CertificationFailed, ContradictionError
 from .fields import PlanarField
@@ -211,9 +212,10 @@ def make_double_cover_lift(field: PlanarField):
     return lifted
 
 
-def lift_double_cover(field: PlanarField, region: Region):
+def lift_double_cover(field: PlanarField, region: Region, block: Block | None = None):
     """Index-doubling check through the annulus double cover; returns the lifted
-    evaluator and its index result.
+    evaluator and its index result.  A `block` certified for the same field
+    and annulus lends its boundary pass; without one the pass is run here.
 
     The lift is radial * e_phi + tangential / 2 * e_phi', so
     |lift|^2 >= |X o kappa|^2 / 4, and kappa maps each boundary circle onto
@@ -223,7 +225,12 @@ def lift_double_cover(field: PlanarField, region: Region):
     """
     if region.kind != ANNULUS or region.center != (Fraction(0), Fraction(0)):
         raise ValueError("double cover lift needs an origin-centered annulus")
-    base = min_norm_on_boundary(field, region)
+    if block is None:
+        base = min_norm_on_boundary(field, region)
+    elif (block.field, block.region) == (field, region):
+        base = BoundaryPass(block.boundary_margin, block.index, block.arcs)
+    else:
+        raise ValueError("the block certifies another field or region")
     if base is None or base.margin <= 0:
         raise CertificationFailed("field not certified nonvanishing on the annulus boundary")
     lifted = make_double_cover_lift(field)

@@ -12,8 +12,12 @@ import math
 from fractions import Fraction
 
 _INF = math.inf
+_next = math.nextafter
 _TRIG_SLOP = 1e-12     # absolute pad on libm sin/cos results
 _ARG_SLOP = 1e-9       # pad when locating trig extrema inside an argument range
+_PERIOD = 2 * math.pi
+_FULL_TURN = 2 * math.pi - 2 * _ARG_SLOP   # wider arguments cover every value
+_HALF_PI = math.pi / 2
 
 PI = (math.nextafter(math.pi, -_INF), math.nextafter(math.pi, _INF))
 TWO_PI = (math.nextafter(2 * math.pi, -_INF), math.nextafter(2 * math.pi, _INF))
@@ -50,12 +54,41 @@ def neg(a):
     return (-a[1], -a[0])
 
 
+def mul4(a0: float, a1: float, b0: float, b1: float) -> tuple[float, float]:
+    """[a0, a1] * [b0, b1], outward rounded; the endpoint products are chosen
+    by the signs of the operands (Moore's nine cases).
+
+    Rounding is monotone, so whenever no product of all four is NaN the
+    chosen ones round to their min and max; only the sign of a zero can
+    differ, and the outward step erases it.  A zero endpoint is multiplied
+    by an infinite one (NaN) only when an operand is the point 0 or a point
+    at infinity.
+    """
+    if a0 >= 0.0:
+        if b0 >= 0.0:
+            lo, hi = a0 * b0, a1 * b1
+        elif b1 <= 0.0:
+            lo, hi = a1 * b0, a0 * b1
+        else:
+            lo, hi = a1 * b0, a1 * b1
+    elif a1 <= 0.0:
+        if b0 >= 0.0:
+            lo, hi = a0 * b1, a1 * b0
+        elif b1 <= 0.0:
+            lo, hi = a1 * b1, a0 * b0
+        else:
+            lo, hi = a0 * b1, a0 * b0
+    elif b0 >= 0.0:
+        lo, hi = a0 * b1, a1 * b1
+    elif b1 <= 0.0:
+        lo, hi = a1 * b0, a0 * b0
+    else:
+        lo, hi = min(a0 * b1, a1 * b0), max(a0 * b0, a1 * b1)
+    return (_next(lo, -_INF), _next(hi, _INF))
+
+
 def mul(a, b):
-    p1 = a[0] * b[0]
-    p2 = a[0] * b[1]
-    p3 = a[1] * b[0]
-    p4 = a[1] * b[1]
-    return (down(min(p1, p2, p3, p4)), up(max(p1, p2, p3, p4)))
+    return mul4(a[0], a[1], b[0], b[1])
 
 
 def sqr(a):
@@ -80,14 +113,17 @@ def pow_int(a, n: int):
         for _ in range(n):
             hi = up(hi * m)
         return (0.0, hi)
+    a0, a1 = a
     r = a
     for _ in range(n - 1):
-        r = mul(r, a)
+        r = mul4(r[0], r[1], a0, a1)
     return r
 
 
 def contains_zero(a) -> bool:
-    return a[0] <= 0.0 <= a[1]
+    """True unless the interval lies strictly on one side of 0; a NaN
+    endpoint (an undefined bound) never excludes 0."""
+    return not (a[0] > 0.0 or a[1] < 0.0)
 
 
 def abs_upper(a) -> float:
@@ -103,28 +139,28 @@ def _has_point_cong(lo: float, hi: float, base: float, period: float) -> bool:
 
 def sin_iv(a):
     lo, hi = a
-    if hi - lo >= 2 * math.pi - 2 * _ARG_SLOP:
+    if hi - lo >= _FULL_TURN:
         return (-1.0, 1.0)
     v0, v1 = math.sin(lo), math.sin(hi)
     s_lo = min(v0, v1) - _TRIG_SLOP
     s_hi = max(v0, v1) + _TRIG_SLOP
-    if _has_point_cong(lo, hi, math.pi / 2, 2 * math.pi):
+    if _has_point_cong(lo, hi, _HALF_PI, _PERIOD):
         s_hi = 1.0
-    if _has_point_cong(lo, hi, -math.pi / 2, 2 * math.pi):
+    if _has_point_cong(lo, hi, -_HALF_PI, _PERIOD):
         s_lo = -1.0
     return (max(s_lo, -1.0), min(s_hi, 1.0))
 
 
 def cos_iv(a):
     lo, hi = a
-    if hi - lo >= 2 * math.pi - 2 * _ARG_SLOP:
+    if hi - lo >= _FULL_TURN:
         return (-1.0, 1.0)
     v0, v1 = math.cos(lo), math.cos(hi)
     c_lo = min(v0, v1) - _TRIG_SLOP
     c_hi = max(v0, v1) + _TRIG_SLOP
-    if _has_point_cong(lo, hi, 0.0, 2 * math.pi):
+    if _has_point_cong(lo, hi, 0.0, _PERIOD):
         c_hi = 1.0
-    if _has_point_cong(lo, hi, math.pi, 2 * math.pi):
+    if _has_point_cong(lo, hi, math.pi, _PERIOD):
         c_lo = -1.0
     return (max(c_lo, -1.0), min(c_hi, 1.0))
 

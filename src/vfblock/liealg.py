@@ -344,18 +344,20 @@ def _quotient(g: LieAlgebraPresentation, v, lift):
 
 
 def _verify_ideal_chain(g: LieAlgebraPresentation, chain):
-    """Recomputed-from-scratch ideal verification of every chain prefix."""
+    """Ideal verification of every chain prefix, recomputed from the chain
+    alone: each prefix is row-reduced once and every bracket is reduced
+    against it."""
     n = g.dim
     for depth in range(1, len(chain) + 1):
-        sub = xl.subspace_basis([list(v) for v in chain[:depth]])
-        if len(sub) != depth:
+        sub, pivots = xl.rref([list(v) for v in chain[:depth]])
+        if len(pivots) != depth:
             raise NumericalAmbiguity("flag chain lost a dimension")
         for i in range(n):
             e = [Fraction(0)] * n
             e[i] = Fraction(1)
             for u in sub:
                 w = g.bracket_coords(e, u)
-                if not xl.vector_in_span(sub, w):
+                if not xl.in_rref_span(sub, pivots, w):
                     raise NumericalAmbiguity(
                         f"chain member of dim {depth} is not an ideal"
                     )

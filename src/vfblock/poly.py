@@ -28,7 +28,7 @@ def _frac(x) -> Fraction:
 class Poly2:
     """Polynomial in x, y; monomial map (i, j) -> nonzero Fraction."""
 
-    __slots__ = ("_m", "_float_terms", "_ival_terms", "_hash")
+    __slots__ = ("_m", "_float_terms", "_plan_cache", "_hash")
 
     def __init__(self, monomials=None):
         m = {}
@@ -41,7 +41,7 @@ class Poly2:
                     m[(int(i), int(j))] = c
         self._m = m
         self._float_terms = None
-        self._ival_terms = None
+        self._plan_cache = None
         self._hash = None
 
     # construction -------------------------------------------------------
@@ -225,36 +225,35 @@ class Poly2:
             total += c * x ** i * y ** j
         return total
 
-    def _ivals(self):
-        if self._ival_terms is None:
-            self._ival_terms = [(i, j, iv.make(c)) for (i, j), c in sorted(self._m.items())]
-        return self._ival_terms
+    def _plan(self):
+        """(largest x exponent, largest y exponent, [(i, j, c_lo, c_hi)] in
+        sorted monomial order): the interval evaluation plan, built once."""
+        if self._plan_cache is None:
+            terms = [(i, j, *iv.make(c)) for (i, j), c in sorted(self._m.items())]
+            self._plan_cache = (max((t[0] for t in terms), default=0),
+                                max((t[1] for t in terms), default=0), terms)
+        return self._plan_cache
 
     def eval_interval(self, ix, iy):
-        """Sound enclosure of the range over the box ix x iy."""
-        terms = self._ivals()
+        """Sound enclosure of the range over the box ix x iy: the natural
+        extension, sum of c * (x^i * y^j) in sorted monomial order."""
+        max_i, max_j, terms = self._plan()
         if not terms:
             return (0.0, 0.0)
-        max_i = max(t[0] for t in terms)
-        max_j = max(t[1] for t in terms)
-        xp = [(1.0, 1.0)]
-        for _ in range(max_i):
-            xp.append(iv.mul(xp[-1], ix))
-        if max_i >= 2:
-            for n in range(2, max_i + 1):
-                if n % 2 == 0:
-                    xp[n] = iv.pow_int(ix, n)
-        yp = [(1.0, 1.0)]
-        for _ in range(max_j):
-            yp.append(iv.mul(yp[-1], iy))
-        if max_j >= 2:
-            for n in range(2, max_j + 1):
-                if n % 2 == 0:
-                    yp[n] = iv.pow_int(iy, n)
-        total = (0.0, 0.0)
-        for i, j, c in terms:
-            total = iv.add(total, iv.mul(c, iv.mul(xp[i], yp[j])))
-        return total
+        xp = _powers(ix, max_i)
+        yp = _powers(iy, max_j)
+        mul4 = iv.mul4
+        nextafter = math.nextafter
+        inf = math.inf
+        lo = hi = 0.0
+        for i, j, c0, c1 in terms:
+            a0, a1 = xp[i]
+            b0, b1 = yp[j]
+            m0, m1 = mul4(a0, a1, b0, b1)
+            t0, t1 = mul4(c0, c1, m0, m1)
+            lo = nextafter(lo + t0, -inf)
+            hi = nextafter(hi + t1, inf)
+        return (lo, hi)
 
     # serialization ------------------------------------------------------
 
@@ -276,6 +275,20 @@ class Poly2:
             mono = "".join(s for s in (f"x^{i}" if i else "", f"y^{j}" if j else "") if s)
             parts.append(f"{c}{'*' + mono if mono else ''}")
         return "Poly2(" + " + ".join(parts) + ")"
+
+
+def _powers(a, n: int) -> list:
+    """[a^0, ..., a^n]: a chain of products from (1, 1); every even power
+    is then replaced by iv.pow_int, which is tight for a box around 0."""
+    a0, a1 = a
+    lo = hi = 1.0
+    out = [(lo, hi)]
+    for _ in range(n):
+        lo, hi = iv.mul4(lo, hi, a0, a1)
+        out.append((lo, hi))
+    for k in range(2, n + 1, 2):
+        out[k] = iv.pow_int(a, k)
+    return out
 
 
 def _frac_str(c: Fraction) -> str:

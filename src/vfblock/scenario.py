@@ -8,6 +8,7 @@ certification error, 3 inconclusive.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -28,12 +29,32 @@ from .tracking import (component_order_check, order_invariance_check,
                        tracking_residual, tracks_symbolic, zero_invariance_check)
 from .verifier import verify_liealg, verify_main, verify_mainbis
 
+_RATIONAL = {"type": ["string", "integer"]}
+_EXPONENT = {"type": "integer", "minimum": 0}
+
 SCENARIO_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "vfblock scenario",
     "type": "object",
     "required": ["name", "checks"],
     "additionalProperties": False,
+    "$defs": {
+        # c * x^i y^j on the plane; c * f(2 pi m x) g(2 pi n y) on the torus,
+        # where a torus coefficient may carry powers of pi: {"pi1": "3", ...}
+        "term": {"anyOf": [
+            {"type": "object", "required": ["i", "j", "c"], "additionalProperties": False,
+             "properties": {"i": _EXPONENT, "j": _EXPONENT, "c": _RATIONAL}},
+            {"type": "object", "required": ["m", "n", "basis", "c"],
+             "additionalProperties": False,
+             "properties": {
+                 "m": _EXPONENT, "n": _EXPONENT,
+                 "basis": {"enum": ["cc", "cs", "sc", "ss"]},
+                 "c": {"anyOf": [_RATIONAL, {
+                     "type": "object", "minProperties": 1,
+                     "propertyNames": {"pattern": "^pi[0-9]+$"},
+                     "additionalProperties": _RATIONAL}]}}},
+        ]},
+    },
     "properties": {
         "name": {"type": "string"},
         "surface": {"enum": ["plane", "torus"]},
@@ -43,8 +64,8 @@ SCENARIO_SCHEMA = {
                 "type": "object",
                 "required": ["P", "Q"],
                 "properties": {
-                    "P": {"type": "array", "items": {"type": "object"}},
-                    "Q": {"type": "array", "items": {"type": "object"}},
+                    "P": {"type": "array", "items": {"$ref": "#/$defs/term"}},
+                    "Q": {"type": "array", "items": {"$ref": "#/$defs/term"}},
                     "k": {"type": "integer", "minimum": 1},
                     "surface": {"enum": ["plane", "torus"]},
                 },
@@ -128,12 +149,18 @@ class Scenario:
     plot: dict | None = None
 
 
+@functools.cache
+def _validator():
+    """SCENARIO_SCHEMA is checked once, here, not on every parse."""
+    jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
+    return jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+
+
 def parse_scenario(data: dict) -> Scenario:
-    try:
-        jsonschema.validate(data, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as e:
+    e = jsonschema.exceptions.best_match(_validator().iter_errors(data))
+    if e is not None:
         path = "$" + "".join(f"[{p!r}]" for p in e.absolute_path)
-        raise ScenarioSchemaError(f"schema violation at {path}: {e.message}") from e
+        raise ScenarioSchemaError(f"schema violation at {path}: {e.message}")
     surface = data.get("surface", "plane")
     fields = {}
     for name, fd in data.get("fields", {}).items():
@@ -280,7 +307,7 @@ def _op_double_cover(ctx: _Ctx):
     region = ctx.region("A")
     block = certify_block(field, region, ctx.resolution)
     base = block_index(block)
-    _, lifted = lift_double_cover(field, region)
+    _, lifted = lift_double_cover(field, region, block)
     return {"base_index": base.to_json(), "lifted_index": lifted.to_json()}, \
         lifted.index == 2 * base.index
 

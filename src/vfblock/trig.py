@@ -114,7 +114,7 @@ class PiNumber:
 
     @classmethod
     def from_json(cls, data) -> "PiNumber":
-        if isinstance(data, str):
+        if isinstance(data, (str, int)):
             return cls({0: Fraction(data)})
         return cls({int(k[2:]): Fraction(v) for k, v in data.items()})
 
@@ -163,7 +163,7 @@ def _axis_product(m1, b1, m2, b2):
 class TrigPoly2:
     """Trig polynomial on the torus; term map (m, n, bx, by) -> PiNumber."""
 
-    __slots__ = ("_t", "_hash")
+    __slots__ = ("_t", "_plan_cache", "_hash")
 
     def __init__(self, terms=None):
         t: dict[tuple[int, int, int, int], PiNumber] = {}
@@ -192,7 +192,15 @@ class TrigPoly2:
                 else:
                     t[key] = s
         self._t = t
+        self._plan_cache = None
         self._hash = None
+
+    @classmethod
+    def _of(cls, t) -> "TrigPoly2":
+        """Wrap an already normalized term map."""
+        out = cls()
+        out._t = t
+        return out
 
     @classmethod
     def zero(cls) -> "TrigPoly2":
@@ -224,16 +232,12 @@ class TrigPoly2:
                 t.pop(k, None)
             else:
                 t[k] = s
-        out = TrigPoly2()
-        out._t = t
-        return out
+        return TrigPoly2._of(t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = TrigPoly2()
-        out._t = {k: -c for k, c in self._t.items()}
-        return out
+        return TrigPoly2._of({k: -c for k, c in self._t.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -243,9 +247,7 @@ class TrigPoly2:
             c = PiNumber.of(other)
             if c.is_zero():
                 return TrigPoly2()
-            out = TrigPoly2()
-            out._t = {k: v * c for k, v in self._t.items()}
-            return out
+            return TrigPoly2._of({k: v * c for k, v in self._t.items()})
         other = self._coerce(other)
         acc: dict[tuple[int, int, int, int], PiNumber] = {}
         for (m1, n1, bx1, by1), c1 in self._t.items():
@@ -261,9 +263,7 @@ class TrigPoly2:
                             acc.pop(key, None)
                         else:
                             acc[key] = s
-        out = TrigPoly2()
-        out._t = acc
-        return out
+        return TrigPoly2._of(acc)
 
     __rmul__ = __mul__
 
@@ -302,9 +302,7 @@ class TrigPoly2:
                 t[key] = s
             else:
                 t.pop(key, None)
-        out = TrigPoly2()
-        out._t = t
-        return out
+        return TrigPoly2._of(t)
 
     def dy(self) -> "TrigPoly2":
         t: dict[tuple[int, int, int, int], PiNumber] = {}
@@ -323,9 +321,7 @@ class TrigPoly2:
                 t[key] = s
             else:
                 t.pop(key, None)
-        out = TrigPoly2()
-        out._t = t
-        return out
+        return TrigPoly2._of(t)
 
     # evaluation ---------------------------------------------------------
 
@@ -361,15 +357,36 @@ class TrigPoly2:
             total += float(c) * fx * fy
         return total
 
+    def _plan(self):
+        """Per term, in term-map order: the x and y factor functions, the
+        intervals of 2*pi*m and 2*pi*n, and the coefficient's interval."""
+        if self._plan_cache is None:
+            self._plan_cache = [
+                (iv.cos_iv if bx == COS else iv.sin_iv,
+                 iv.cos_iv if by == COS else iv.sin_iv,
+                 iv.mul(iv.TWO_PI, (float(m), float(m))),
+                 iv.mul(iv.TWO_PI, (float(n), float(n))),
+                 c.interval())
+                for (m, n, bx, by), c in self._t.items()]
+        return self._plan_cache
+
     def eval_interval(self, ix, iy):
-        total = (0.0, 0.0)
-        for (m, n, bx, by), c in self._t.items():
-            ax = iv.mul(iv.mul(iv.TWO_PI, (float(m), float(m))), ix)
-            ay = iv.mul(iv.mul(iv.TWO_PI, (float(n), float(n))), iy)
-            fx = iv.cos_iv(ax) if bx == COS else iv.sin_iv(ax)
-            fy = iv.cos_iv(ay) if by == COS else iv.sin_iv(ay)
-            total = iv.add(total, iv.mul(c.interval(), iv.mul(fx, fy)))
-        return total
+        """Sound enclosure of the range over the box ix x iy: the sum of
+        c * (f(2 pi m x) * g(2 pi n y)) in term-map order."""
+        mul4 = iv.mul4
+        nextafter = math.nextafter
+        inf = math.inf
+        x0, x1 = ix
+        y0, y1 = iy
+        lo = hi = 0.0
+        for fx, fy, (km0, km1), (kn0, kn1), (c0, c1) in self._plan():
+            a0, a1 = fx(mul4(km0, km1, x0, x1))
+            b0, b1 = fy(mul4(kn0, kn1, y0, y1))
+            m0, m1 = mul4(a0, a1, b0, b1)
+            t0, t1 = mul4(c0, c1, m0, m1)
+            lo = nextafter(lo + t0, -inf)
+            hi = nextafter(hi + t1, inf)
+        return (lo, hi)
 
     # serialization ------------------------------------------------------
 

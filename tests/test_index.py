@@ -258,6 +258,15 @@ def test_double_cover_doubling(saddle_pair_field, circle_field, const_east,
                 + oracle_winding(lifted_eval, inner, 20000)) == 2 * base_expected
 
 
+def test_double_cover_takes_the_blocks_boundary_pass(saddle_pair_field, circle_field,
+                                                     std_annulus):
+    block = certify_block(saddle_pair_field, std_annulus, Fraction(1, 16))
+    own = lift_double_cover(saddle_pair_field, std_annulus)[1]
+    assert lift_double_cover(saddle_pair_field, std_annulus, block)[1] == own
+    with pytest.raises(ValueError):
+        lift_double_cover(circle_field, std_annulus, block)
+
+
 def test_double_cover_requires_origin_centered(saddle_pair_field):
     with pytest.raises(ValueError):
         lift_double_cover(saddle_pair_field, annulus((1, 0), 1, 2))

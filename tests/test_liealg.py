@@ -7,12 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vfblock.certify import zero_enclosure
-from vfblock.errors import DependentBasisError, NotClosedError
-from vfblock.exactlin import charpoly, identity, kernel, rank
+from vfblock.errors import DependentBasisError, NotClosedError, NumericalAmbiguity
+from vfblock.exactlin import (charpoly, identity, in_rref_span, kernel, rank, rref,
+                              vector_in_span)
 from vfblock.fields import plane_field
-from vfblock.liealg import (_common_eigendirections, algebra_tracks,
-                            common_zero_set, solvability, structure_constants,
-                            supersolvable_flag)
+from vfblock.liealg import (_common_eigendirections, _verify_ideal_chain,
+                            algebra_tracks, common_zero_set, solvability,
+                            structure_constants, supersolvable_flag)
 from vfblock.poly import Poly2, X, Y
 from vfblock.regions import disk
 
@@ -153,6 +154,35 @@ def test_flag_members_are_ideals_reverified():
             e = [Fraction(1) if d == i else Fraction(0) for d in range(n)]
             for u in sub:
                 assert vector_in_span(sub, g.bracket_coords(e, u))
+
+
+small_frac = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+           st.lists(st.lists(small_frac, min_size=n, max_size=n), min_size=1, max_size=4),
+           st.lists(small_frac, min_size=n, max_size=n),
+           st.lists(st.sampled_from((0, 1, -2)), min_size=4, max_size=4))))
+@settings(max_examples=150, deadline=None)
+def test_rref_span_reduction_matches_span_solve(case):
+    vectors, stray, weights = case
+    m, pivots = rref(vectors)
+    inside = [sum((w * v[d] for w, v in zip(weights, vectors)), Fraction(0))
+              for d in range(len(stray))]
+    for w in (stray, inside):
+        assert in_rref_span(m, pivots, w) == vector_in_span(vectors, w)
+    assert in_rref_span(m, pivots, inside)
+
+
+def test_ideal_chain_check_rejects_non_ideals():
+    g = structure_constants(_uppertri())    # x d/dx, y d/dx, y d/dy
+    e = identity(3)
+    _verify_ideal_chain(g, [e[1], e[0], e[2]])
+    _verify_ideal_chain(g, supersolvable_flag(g).chain)
+    with pytest.raises(NumericalAmbiguity, match="dim 1 is not an ideal"):
+        _verify_ideal_chain(g, [e[0], e[1], e[2]])
+    with pytest.raises(NumericalAmbiguity, match="lost a dimension"):
+        _verify_ideal_chain(g, [e[1], e[1], e[2]])
 
 
 def test_supersolvable_implies_solvable_on_corpus():

@@ -146,6 +146,22 @@ def test_cli_unexpected_exception_exit_2(tmp_path):
         "integer division result too large for a float\n"
 
 
+@pytest.mark.parametrize("term, where", [
+    ({"i": -1, "j": 0, "c": "1"}, "['P'][0]['i']"),   # negative exponent
+    ({"i": 1, "j": 0, "c": 0.5}, "['P'][0]['c']"),    # float coefficient
+    ({"i": 1, "c": "1"}, "['P'][0]"),                 # missing exponent
+    ({"i": 1, "j": 0, "c": "1", "m": 2}, "['P'][0]"),  # mixed term shapes
+])
+def test_cli_malformed_term_exit_2(tmp_path, term, where):
+    data = json.loads((SCENARIOS / "source_disk.json").read_text())
+    data["fields"]["X"]["P"][0] = term
+    path = tmp_path / "term.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    proc = _cli("verify", str(path))
+    assert proc.returncode == 2
+    assert f"schema violation at $['fields']['X']{where}:" in proc.stderr
+
+
 def test_cli_max_depth_env_forces_depth_error(tmp_path):
     proc = _cli("verify", str(SCENARIOS / "source_disk.json"),
                 env={"VFBLOCK_MAX_DEPTH": "2"})
