@@ -26,7 +26,7 @@ from .config import DEFAULTS, default_max_depth
 from .errors import (BoundaryZero, CertificationFailed, ContradictionError,
                      DepthLimitExceeded)
 from .fields import PlanarField
-from .poly import _frac, _frac_str
+from .poly import _frac, _frac_str, box_evaluator
 from .regions import (
     Region,
     TORUS_FULL,
@@ -180,6 +180,7 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
     grid = Grid(x0, y0, side, depth)
     n, sx, sy, h = grid.scaling(*region.params)
     scaled = region.scaled(n)
+    evaluate = box_evaluator(scalars)
     examined = discarded_geom = discarded_iv = depth_used = 0
     kept: list[Cell] = []
     stack: list[tuple[int, int, int]] = [(0, 0, 0)]
@@ -193,7 +194,7 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
             discarded_geom += 1
             continue
         bi = ((_lower(bx, n), _upper(bx + w, n)), (_lower(by, n), _upper(by + w, n)))
-        if not all(iv.contains_zero(s.eval_interval(*bi)) for s in scalars):
+        if not all(iv.contains_zero(v) for v in evaluate(*bi)):
             discarded_iv += 1
             continue
         if d == depth:
@@ -258,12 +259,11 @@ def winding_stats(field: PlanarField, curve, tol=None,
     min_width = 0.5 ** max_depth
     emp = math.inf
     heap = []
+    evaluate = box_evaluator((field.p, field.q))
 
     def push(t0, t1):
         nonlocal emp
-        ix, iy = curve.box_of(t0, t1)
-        p_iv = field.p.eval_interval(ix, iy)
-        q_iv = field.q.eval_interval(ix, iy)
+        p_iv, q_iv = evaluate(*curve.box_of(t0, t1))
         lo, _ = iv.add(iv.sqr(p_iv), iv.sqr(q_iv))
         if slack:
             vx, vy = field.eval_float(*curve.point(0.5 * (t0 + t1)))
@@ -407,20 +407,13 @@ class Component:
         }
 
 
-def components(enclosure: ZeroEnclosure) -> list[Component]:
-    """Edge-adjacency connected clusters of enclosure cells (wrapping around
-    on the torus), each with a heuristic (non-certified) loop-like flag."""
-    cells = set(enclosure.cells)
-    wrap = enclosure.region.kind == TORUS_FULL
-    m = 1 << enclosure.grid.depth
+_EDGE_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_KING_STEPS = _EDGE_STEPS + ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
-    def neighbors(c):
-        ci, cj = c
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nb = ((ci + di) % m, (cj + dj) % m) if wrap else (ci + di, cj + dj)
-            if nb in cells:
-                yield nb
 
+def _clusters(cells: set[Cell], steps, wrap: int | None = None) -> list[list[Cell]]:
+    """Connected clusters of the cells under the given steps (mod `wrap` in
+    both axes when it is set), each sorted, in order of their least cell."""
     seen = set()
     out = []
     for start in sorted(cells):
@@ -430,36 +423,42 @@ def components(enclosure: ZeroEnclosure) -> list[Component]:
         cluster = []
         seen.add(start)
         while todo:
-            c = todo.pop()
+            ci, cj = c = todo.pop()
             cluster.append(c)
-            for nb in neighbors(c):
-                if nb not in seen:
+            for di, dj in steps:
+                nb = (ci + di, cj + dj)
+                if wrap:
+                    nb = (nb[0] % wrap, nb[1] % wrap)
+                if nb in cells and nb not in seen:
                     seen.add(nb)
                     todo.append(nb)
         cluster.sort()
-        lo = enclosure.grid.box((cluster[0][0], min(j for _, j in cluster)))
-        hi = enclosure.grid.box((cluster[-1][0], max(j for _, j in cluster)))
-        out.append(Component(cluster, lo[:2] + hi[2:], _has_hole(set(cluster))))
+        out.append(cluster)
     return out
 
 
-def _has_hole(cluster: set[tuple[int, int]]) -> bool:
-    """Flood the complement of the cluster inside its padded bounding box;
-    an unreachable complement cell means the union of boxes encircles a hole."""
-    is_ = [c[0] for c in cluster]
-    js = [c[1] for c in cluster]
-    i0, i1 = min(is_) - 1, max(is_) + 1
-    j0, j1 = min(js) - 1, max(js) + 1
-    start = (i0, j0)
-    seen = {start}
-    todo = [start]
-    while todo:
-        ci, cj = todo.pop()
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nb = (ci + di, cj + dj)
-            if (i0 <= nb[0] <= i1 and j0 <= nb[1] <= j1
-                    and nb not in seen and nb not in cluster):
-                seen.add(nb)
-                todo.append(nb)
-    total = (i1 - i0 + 1) * (j1 - j0 + 1)
-    return len(seen) + len(cluster) < total
+def components(enclosure: ZeroEnclosure) -> list[Component]:
+    """Edge-adjacency connected clusters of enclosure cells (wrapping around
+    on the torus), each with a heuristic (non-certified) loop-like flag."""
+    wrap = enclosure.region.kind == TORUS_FULL
+    out = []
+    for cluster in _clusters(set(enclosure.cells), _EDGE_STEPS,
+                             1 << enclosure.grid.depth if wrap else None):
+        lo = enclosure.grid.box((cluster[0][0], min(j for _, j in cluster)))
+        hi = enclosure.grid.box((cluster[-1][0], max(j for _, j in cluster)))
+        out.append(Component(cluster, lo[:2] + hi[2:], _has_hole(set(cluster), wrap)))
+    return out
+
+
+def _has_hole(cluster: set[Cell], wrapped: bool = False) -> bool:
+    """Whether the union of the closed cells encloses a hole.  Its Euler
+    characteristic V - E + F is its number of 8-connected pieces minus its
+    number of holes.  An edge-connected planar cluster is one piece; a
+    cluster that wraps around the torus may fall apart at the seam."""
+    verts = set()
+    edges = set()
+    for i, j in cluster:
+        verts.update(((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)))
+        edges.update(((i, j, 0), (i, j + 1, 0), (i, j, 1), (i + 1, j, 1)))
+    pieces = len(_clusters(cluster, _KING_STEPS)) if wrapped else 1
+    return len(verts) - len(edges) + len(cluster) < pieces

@@ -1,4 +1,5 @@
-"""Default knobs for subdivision, the sampled double-cover winding and flows."""
+"""Default knobs for subdivision, boundary margins and the sampled
+double-cover winding."""
 
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ class Settings:
     sampled_lipschitz_safety: float = 2.0
     collar_factor: int = 2              # boundary collar = collar_factor * resolution
     margin_tol: Fraction = Fraction(1, 4)     # relative slack target for boundary margins
-    flow_tol: float = 1e-10
     default_resolution: Fraction = Fraction(1, 64)
 
 

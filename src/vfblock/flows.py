@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import EscapeError, FoldDetected, StepUnderflow, ZeroAtBasePoint
 from .fields import PlanarField
-from .poly import _frac
+from .poly import _frac, float_plan
 
 _A = (
     (),
@@ -27,6 +27,10 @@ _A = (
 )
 _B5 = _A[6]
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+# the nonzero entries (m, coefficient) of each tableau row, in order of m
+_A_NZ = tuple(tuple((m, a) for m, a in enumerate(row) if a) for row in _A)
+_B5_NZ = tuple((m, b) for m, b in enumerate(_B5) if b)
+_B4_NZ = tuple((m, b) for m, b in enumerate(_B4) if b)
 
 DEFAULT_BBOX = (-1e3, -1e3, 1e3, 1e3)
 
@@ -42,6 +46,7 @@ def integrate(f, y0, t_total: float, tol: float, bbox=DEFAULT_BBOX,
     h = min(0.1, remaining)
     h_min = 1e-14 * max(1.0, abs(t_total))
     elapsed = 0.0
+    dims = range(len(y))
     for _ in range(max_steps):
         if elapsed >= remaining - 1e-300:
             return y
@@ -53,10 +58,10 @@ def integrate(f, y0, t_total: float, tol: float, bbox=DEFAULT_BBOX,
         ok = True
         for stage in range(1, 7):
             yi = list(y)
-            for m, a in enumerate(_A[stage]):
-                if a:
-                    for d in range(len(y)):
-                        yi[d] += hs * a * k[m][d]
+            for m, a in _A_NZ[stage]:
+                hsa, km = hs * a, k[m]
+                for d in dims:
+                    yi[d] += hsa * km[d]
             try:
                 k.append(f(tuple(yi)))
             except (OverflowError, ValueError):
@@ -65,9 +70,9 @@ def integrate(f, y0, t_total: float, tol: float, bbox=DEFAULT_BBOX,
         if ok:
             y5 = list(y)
             err = 0.0
-            for d in range(len(y)):
-                acc5 = sum(b * k[m][d] for m, b in enumerate(_B5) if b)
-                acc4 = sum(b * k[m][d] for m, b in enumerate(_B4) if b)
+            for d in dims:
+                acc5 = sum(b * k[m][d] for m, b in _B5_NZ)
+                acc4 = sum(b * k[m][d] for m, b in _B4_NZ)
                 y5[d] += hs * acc5
                 scale = tol + tol * max(abs(y[d]), abs(y5[d]))
                 err += ((hs * (acc5 - acc4)) / scale) ** 2
@@ -99,14 +104,11 @@ def field_rhs(field: PlanarField):
 
 def variational_rhs(field: PlanarField):
     """RHS of the flow plus its derivative along one transported vector."""
-    evalf = field.eval_float
-    jp = field.jacobian()
-    jf = [c.eval_float for c in jp]
+    evaluate = float_plan((field.p, field.q, *field.jacobian()))
 
     def rhs(y):
         x0, x1, v0, v1 = y
-        f0, f1 = evalf(x0, x1)
-        a, b, c, d = (j(x0, x1) for j in jf)
+        f0, f1, a, b, c, d = evaluate(x0, x1)
         return (f0, f1, a * v0 + b * v1, c * v0 + d * v1)
 
     return rhs
@@ -132,6 +134,7 @@ class Flowbox:
     tol: float
     injectivity_margin: float = 0.0
     _rhs: object = dc_field(default=None, repr=False)
+    _frames: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         self._rhs = variational_rhs(self.field)
@@ -141,7 +144,11 @@ class Flowbox:
 
     def frame(self, t: float, s: float):
         """Chart point plus the columns of the chart differential:
-        (point, Y(point), v) with v the transported transversal direction."""
+        (point, Y(point), v) with v the transported transversal direction.
+        Memoised per chart on the exact (t, s); errors are not cached."""
+        found = self._frames.get((t, s))
+        if found is not None:
+            return found
         x0, y0 = self._transversal(s)
         if t == 0.0:
             pt = (x0, y0)
@@ -151,7 +158,8 @@ class Flowbox:
                                      bbox=None)
             pt = (x, y)
             v = (vx, vy)
-        return pt, self.field.eval_float(*pt), v
+        found = self._frames[(t, s)] = (pt, self.field.eval_float(*pt), v)
+        return found
 
     def forward(self, t: float, s: float) -> tuple[float, float]:
         return self.frame(t, s)[0]

@@ -234,14 +234,16 @@ class Poly2:
                                 max((t[1] for t in terms), default=0), terms)
         return self._plan_cache
 
-    def eval_interval(self, ix, iy):
+    def eval_interval(self, ix, iy, powers=None):
         """Sound enclosure of the range over the box ix x iy: the natural
-        extension, sum of c * (x^i * y^j) in sorted monomial order."""
+        extension, sum of c * (x^i * y^j) in sorted monomial order.  `powers`
+        is a pair of `_powers` tables of ix and iy at least as long as this
+        polynomial needs; entry k does not depend on the length, so a table
+        shared between polynomials gives the same bits."""
         max_i, max_j, terms = self._plan()
         if not terms:
             return (0.0, 0.0)
-        xp = _powers(ix, max_i)
-        yp = _powers(iy, max_j)
+        xp, yp = powers or (_powers(ix, max_i), _powers(iy, max_j))
         mul4 = iv.mul4
         nextafter = math.nextafter
         inf = math.inf
@@ -289,6 +291,46 @@ def _powers(a, n: int) -> list:
     for k in range(2, n + 1, 2):
         out[k] = iv.pow_int(a, k)
     return out
+
+
+def box_evaluator(scalars):
+    """Evaluator (ix, iy) -> lazy iterator of `s.eval_interval(ix, iy)` over
+    the scalars, in order.  When every scalar is a Poly2 they share one table
+    of interval powers per box; TrigPoly2 scalars keep their own path."""
+    if not all(isinstance(s, Poly2) for s in scalars):
+        return lambda ix, iy: (s.eval_interval(ix, iy) for s in scalars)
+    nx = max((s._plan()[0] for s in scalars), default=0)
+    ny = max((s._plan()[1] for s in scalars), default=0)
+
+    def evaluate(ix, iy):
+        powers = (_powers(ix, nx), _powers(iy, ny))
+        return (s.eval_interval(ix, iy, powers) for s in scalars)
+
+    return evaluate
+
+
+def float_plan(polys):
+    """Evaluator (x, y) -> [p.eval_float(x, y) for p in polys], bit for bit,
+    from one table of x**i and y**j per point when every entry is a Poly2;
+    TrigPoly2 entries keep their own path."""
+    if not all(isinstance(p, Poly2) for p in polys):
+        return lambda x, y: [p.eval_float(x, y) for p in polys]
+    terms = [p._floats() for p in polys]
+    nx = max((t[0] for ts in terms for t in ts), default=0)
+    ny = max((t[1] for ts in terms for t in ts), default=0)
+
+    def evaluate(x, y):
+        xp = [x ** i for i in range(nx + 1)]
+        yp = [y ** j for j in range(ny + 1)]
+        out = []
+        for ts in terms:
+            total = 0.0
+            for i, j, c in ts:
+                total += c * xp[i] * yp[j]
+            out.append(total)
+        return out
+
+    return evaluate
 
 
 def _frac_str(c: Fraction) -> str:

@@ -18,6 +18,7 @@ from .errors import OrderEstimateAmbiguous, PreconditionFailed
 from .fields import JetOrder, PlanarField, jet_order, lie_bracket, require_not_identically_zero
 from .flows import flow_integrate
 from .index import interval_lipschitz
+from .poly import float_plan
 from .regions import Region
 
 
@@ -76,15 +77,11 @@ def tracking_residual(y_field: PlanarField, x_field: PlanarField, region: Region
 def polish_zero(field: PlanarField, point, iterations: int = 30):
     """Damped Gauss-Newton descent of |X|^2 toward the nearby zero set."""
     x, y = float(point[0]), float(point[1])
-    jp = field.jacobian()
+    evaluate = float_plan((field.p, field.q, *field.jacobian()))
     for _ in range(iterations):
-        fx, fy = field.eval_float(x, y)
+        fx, fy, a, b, c, d = evaluate(x, y)
         if math.hypot(fx, fy) < 1e-14 * (1.0 + math.hypot(x, y)):
             break
-        a = jp[0].eval_float(x, y)
-        b = jp[1].eval_float(x, y)
-        c = jp[2].eval_float(x, y)
-        d = jp[3].eval_float(x, y)
         # normal equations with a tiny Levenberg damping
         g0 = a * fx + c * fy
         g1 = b * fx + d * fy

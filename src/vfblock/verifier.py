@@ -283,6 +283,19 @@ def _flowbox_control_check(x_field: PlanarField, y_field: PlanarField, block: Bl
             boxes.append((fb, lam))
     except VfblockError as e:
         return CheckRecord(name, INCONCLUSIVE, {"error": str(e)})
+    try:
+        data = _flowbox_deviations(x_field, boxes)
+    except VfblockError as e:
+        return CheckRecord(name, INCONCLUSIVE, {"error": str(e)})
+    worst = max(data["max_deviation"], data["axis_continuity"],
+                data["overlap_deviation"])
+    data["order"] = order
+    return CheckRecord(name, PASS if worst < tol else FAIL, data)
+
+
+def _flowbox_deviations(x_field: PlanarField, boxes) -> dict:
+    """The three sampled deviations of `_flowbox_control_check` over the
+    built (flowbox, line field) pairs."""
     threshold = 1e-9
     max_dev = 0.0
     for fb, lam in boxes:
@@ -325,19 +338,16 @@ def _flowbox_control_check(x_field: PlanarField, y_field: PlanarField, block: Bl
                 overlap_dev = max(overlap_dev, angle_mod_pi(lam_a(*pt), lam_b(*pt)))
             except ValueError:
                 continue
-    worst = max(max_dev, axis_dev, overlap_dev)
-    data = {"max_deviation": max_dev, "axis_continuity": axis_dev,
+    return {"max_deviation": max_dev, "axis_continuity": axis_dev,
             "overlap_deviation": overlap_dev, "overlap_points": overlaps,
-            "flowboxes": len(boxes), "order": order}
-    return CheckRecord(name, PASS if worst < tol else FAIL, data)
+            "flowboxes": len(boxes)}
 
 
 def _component_indices_check(x_field: PlanarField, block: Block,
-                             resolution) -> CheckRecord:
-    """Index of each K-component through an isolating sub-annulus (or sub-disk)
-    built around its box cluster."""
+                             comps, resolution) -> CheckRecord:
+    """Index of each K-component (`components(block.enclosure)`) through an
+    isolating sub-annulus (or sub-disk) built around its box cluster."""
     name = "index zero at each component"
-    comps = components(block.enclosure)
     if not comps:
         return CheckRecord(name, INCONCLUSIVE, {"error": "empty enclosure"})
     resolution = _frac(resolution)
@@ -424,7 +434,7 @@ def verify_mainbis(x_field: PlanarField, y_field: PlanarField, region: Region,
                 order = jo.order
         cc = _flowbox_control_check(x_field, y_field, block, order, tol, n_flowboxes)
         concl.append(CheckRecord("(iii) " + cc.name, cc.verdict, cc.data))
-        ci = _component_indices_check(x_field, block, resolution)
+        ci = _component_indices_check(x_field, block, comps, resolution)
         concl.append(CheckRecord("(iv) " + ci.name, ci.verdict, ci.data))
     concl.append(CheckRecord(
         "(v) zero-free approximation in U", NOT_IMPLEMENTED,

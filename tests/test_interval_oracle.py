@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vfblock import interval as iv
-from vfblock.poly import Poly2, X, Y
+from vfblock.poly import Poly2, X, Y, _powers, box_evaluator, float_plan
 from vfblock.trig import COS, SIN, PiNumber, TrigPoly2
 
 _INF = math.inf
@@ -141,6 +141,47 @@ def test_pow_int_matches_reference(a, n):
 def test_poly_eval_interval_matches_reference(p, ix, iy):
     assert bits(p.eval_interval(ix, iy)) == bits(poly_ref(p, ix, iy))
     assert bits(p.eval_interval(ix, iy)) == bits(poly_ref(p, ix, iy))   # cached plan
+
+
+@given(st.lists(poly_st(), min_size=1, max_size=4), moderate_iv, moderate_iv)
+@settings(max_examples=100, deadline=None)
+def test_shared_power_tables_match_plain_eval_interval(polys, ix, iy):
+    plain = [bits(p.eval_interval(ix, iy)) for p in polys]
+    assert [bits(v) for v in box_evaluator(polys)(ix, iy)] == plain
+    # a table longer than any polynomial needs gives the same bits
+    powers = (_powers(ix, 7), _powers(iy, 7))
+    assert [bits(p.eval_interval(ix, iy, powers)) for p in polys] == plain
+
+
+_SPECIAL_POINT = st.sampled_from((0.0, -0.0, 1.0, -1.0, 5e-324, 1e200, -1e200))
+
+
+def _floats_or_overflow(evaluate, x, y):
+    try:
+        return [v.hex() for v in evaluate(x, y)]
+    except OverflowError:
+        return "overflow"
+
+
+_point_st = st.one_of(_SPECIAL_POINT, st.floats(-4.0, 4.0), st.floats(allow_nan=False))
+
+
+@given(st.lists(poly_st(), min_size=1, max_size=6), _point_st, _point_st)
+@settings(max_examples=100, deadline=None)
+@example([X ** 2 * Y, Y], 1e200, 0.5)        # x**2 overflows: both raise
+@example([X ** 3 - Y, Poly2.zero()], -0.0, -0.0)
+def test_float_plan_matches_eval_float(polys, x, y):
+    plain = _floats_or_overflow(lambda a, b: [p.eval_float(a, b) for p in polys], x, y)
+    assert _floats_or_overflow(float_plan(polys), x, y) == plain
+
+
+def test_mixed_scalars_keep_their_own_paths():
+    p = X ** 2 - Y
+    t = TrigPoly2.term(1, 0, "sc", 1)
+    box = ((0.1, 0.2), (-0.3, 0.05))
+    assert [bits(v) for v in box_evaluator([p, t])(*box)] == \
+        [bits(p.eval_interval(*box)), bits(trig_ref(t, *box))]
+    assert float_plan([p, t])(0.3, 0.7) == [p.eval_float(0.3, 0.7), t.eval_float(0.3, 0.7)]
 
 
 @given(trig_st(), moderate_iv, moderate_iv)

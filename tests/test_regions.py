@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vfblock import interval as iv
-from vfblock.certify import (Grid, _lower, _root_box, _upper, boxes_overlap,
-                             certify_block, components, min_norm_on_boundary,
-                             zero_enclosure)
+from vfblock.certify import (_EDGE_STEPS, Grid, _clusters, _has_hole, _lower,
+                             _root_box, _upper, boxes_overlap, certify_block,
+                             components, min_norm_on_boundary, zero_enclosure)
 from vfblock.errors import BoundaryZero, DepthLimitExceeded, UnsupportedRegion
 from vfblock.fields import plane_field, torus_field
 from vfblock.poly import Poly2, X, Y
@@ -143,6 +143,60 @@ def test_components_wrap_diagonal_loops_on_torus():
                          Fraction(1, 16))
     comps = components(enc)
     assert [len(c.cells) for c in comps] == [96, 96]
+    assert [c.loop_like for c in comps] == [_has_hole_flood(set(c.cells)) for c in comps]
+
+
+def _has_hole_flood(cluster):
+    """Reference loop-like flag: flood the complement of the cells inside
+    their padded bounding box; an unreachable complement cell is a hole."""
+    is_ = [c[0] for c in cluster]
+    js = [c[1] for c in cluster]
+    i0, i1 = min(is_) - 1, max(is_) + 1
+    j0, j1 = min(js) - 1, max(js) + 1
+    seen = {(i0, j0)}
+    todo = [(i0, j0)]
+    while todo:
+        ci, cj = todo.pop()
+        for nb in ((ci + 1, cj), (ci - 1, cj), (ci, cj + 1), (ci, cj - 1)):
+            if (i0 <= nb[0] <= i1 and j0 <= nb[1] <= j1
+                    and nb not in seen and nb not in cluster):
+                seen.add(nb)
+                todo.append(nb)
+    return len(seen) + len(cluster) < (i1 - i0 + 1) * (j1 - j0 + 1)
+
+
+_cell_sets = st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1,
+                     max_size=40)
+
+
+@given(_cell_sets)
+@settings(max_examples=300, deadline=None)
+@example({(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (1, 2), (2, 2)})   # ring
+@example({(1, 0), (0, 1), (2, 1), (1, 2)})          # diagonal ring around (1, 1)
+@example({(0, 0), (1, 1)})                          # touching at a corner only
+def test_euler_hole_test_matches_flood_fill(cells):
+    # planar: each edge-connected cluster, as `components` passes it
+    for cluster in _clusters(cells, _EDGE_STEPS):
+        assert _has_hole(set(cluster)) == _has_hole_flood(set(cluster))
+    # torus of side 8: clusters wrap across the seam, so the flood fill sees
+    # them in several pieces; any cell set counts its own pieces
+    for cluster in _clusters(cells, _EDGE_STEPS, 8):
+        assert _has_hole(set(cluster), True) == _has_hole_flood(set(cluster))
+    assert _has_hole(cells, True) == _has_hole_flood(cells)
+
+
+def test_euler_hole_test_on_seam_clusters():
+    # a ring cut by the seam x = 0 of an 8-cell torus falls into two planar
+    # pieces, neither enclosing anything
+    cut = {(7, 2), (7, 3), (7, 4), (0, 2), (0, 4), (1, 2), (1, 3), (1, 4)}
+    assert _clusters(cut, _EDGE_STEPS, 8) == [sorted(cut)]
+    assert not _has_hole(cut, True) and not _has_hole_flood(cut)
+    # joined by (2, 3) to an uncut ring around (4, 4): still one wrapped
+    # cluster, two planar pieces, and one hole (chi = 1 < 2 pieces)
+    ring = {(3, 3), (4, 3), (5, 3), (3, 4), (5, 4), (3, 5), (4, 5), (5, 5)}
+    joined = cut | {(2, 3)} | ring
+    assert _clusters(joined, _EDGE_STEPS, 8) == [sorted(joined)]
+    assert _has_hole(joined, True) and _has_hole_flood(joined)
 
 
 def test_region_validation():

@@ -1,10 +1,17 @@
 """Theorem verifiers on the spec scenarios, plus the falsification harness."""
 
 import json
+import pathlib
 from fractions import Fraction
 
+import pytest
+
+from vfblock import verifier
+from vfblock.certify import certify_block
 from vfblock.corpus import falsification_run, random_tracking_scenario
+from vfblock.errors import EscapeError, StepUnderflow
 from vfblock.fields import plane_field
+from vfblock.flows import Flowbox
 from vfblock.poly import Poly2, X, Y
 from vfblock.regions import annulus, disk
 from vfblock.tracking import tracks_symbolic
@@ -81,19 +88,73 @@ def test_mainbis_zy_meets_k(circle_field, rotation):
     assert rec.data["witness"] == ["0", "0"]
 
 
+def _off_centre_mainbis(cx, cy):
+    """MAINBIS for X = (1 - |z - c|^2) R and Y = R, R the rotation about c,
+    on the annulus 1/2 < |z - c| < 3/2."""
+    u, v = X - cx, Y - cy
+    rho = 1 - u * u - v * v
+    return verify_mainbis(plane_field(rho * -v, rho * u), plane_field(-v, u),
+                          annulus((cx, cy), Fraction(1, 2), Fraction(3, 2)),
+                          k=1, resolution=Fraction(1, 64), tol=1e-6,
+                          known_zeros=[(cx + 1, cy), (cx, cy + 1),
+                                       (cx - 1, cy), (cx, cy - 1)])
+
+
 def test_mainbis_off_centre_annulus_passes():
     # the flowbox inverse here returns t ~ 3e-18, below the integrator's step
     # floor; a final sliver that short must not count as a collapsed step
-    cx, cy = Fraction(-2, 5), Fraction(-3, 10)
-    u, v = X - cx, Y - cy
-    rho = 1 - u * u - v * v
-    report = verify_mainbis(plane_field(rho * -v, rho * u), plane_field(-v, u),
-                            annulus((cx, cy), Fraction(1, 2), Fraction(3, 2)),
-                            k=1, resolution=Fraction(1, 64), tol=1e-6,
-                            known_zeros=[(cx + 1, cy), (cx, cy + 1),
-                                         (cx - 1, cy), (cx, cy - 1)])
+    report = _off_centre_mainbis(Fraction(-2, 5), Fraction(-3, 10))
     assert report.overall == {"status": "Pass"}
     assert report.exit_code == 0
+
+
+GOLDEN_OFF_CENTRE = pathlib.Path(__file__).parent / "data" / "mainbis_off_centre_report.json"
+
+
+def test_mainbis_off_centre_report_is_pinned():
+    # byte for byte, the floats of the sampled flowbox check included: frame
+    # memoisation, the shared float and interval power tables and the Euler
+    # hole test must reproduce the plain evaluation's results exactly
+    report = _off_centre_mainbis(Fraction(3, 10), Fraction(2, 5))
+    assert json.dumps(report.to_json(), indent=1) + "\n" == GOLDEN_OFF_CENTRE.read_text()
+
+
+@pytest.mark.parametrize("error", [StepUnderflow, EscapeError])
+def test_flowbox_sampling_errors_are_inconclusive(monkeypatch, circle_field, rotation,
+                                                  std_annulus, error):
+    block = certify_block(circle_field, std_annulus, Fraction(1, 32))
+    frame, build = Flowbox.frame, verifier.flowbox_build
+    log = {"calls": [], "built": 0, "fail_at": None}
+
+    def failing_frame(self, t, s):
+        log["calls"].append(s)
+        if len(log["calls"]) == log["fail_at"]:
+            raise error("injected")
+        return frame(self, t, s)
+
+    def counting_build(*args, **kwargs):
+        fb = build(*args, **kwargs)
+        log["built"] = len(log["calls"])
+        return fb
+
+    monkeypatch.setattr(Flowbox, "frame", failing_frame)
+    monkeypatch.setattr(verifier, "flowbox_build", counting_build)
+    clean = verifier._flowbox_control_check(circle_field, rotation, block, 1, 1e-6)
+    assert clean.verdict == "pass" and clean.data["overlap_points"] > 0
+    calls = log["calls"]
+    # the first call of each sampling loop: the deviation of X, the axis
+    # continuity (the only samples at s = 2e-4) and the last, an overlap
+    for fail_at in (log["built"] + 1, calls.index(2e-4) + 1, len(calls)):
+        log.update(calls=[], fail_at=fail_at)
+        cc = verifier._flowbox_control_check(circle_field, rotation, block, 1, 1e-6)
+        assert (cc.verdict, cc.data) == ("inconclusive", {"error": "injected"})
+    # the whole theorem reports it instead of raising
+    log.update(calls=[], fail_at=len(calls))
+    report = verify_mainbis(circle_field, rotation, std_annulus, k=1,
+                            resolution=Fraction(1, 32), tol=1e-6,
+                            known_zeros=[(1, 0), (0, 1), (-1, 0), (0, -1)])
+    assert report.overall == {"status": "Inconclusive",
+                              "name": "(iii) X controlled by flowbox line fields"}
 
 
 def test_mainbis_source_fails(euler, rotation, unit_disk):
