@@ -9,7 +9,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from vfblock.cli import _plot_for  # noqa: E402
-from vfblock.scenario import run_scenario  # noqa: E402
+from vfblock.scenario import parse_scenario, run_scenario  # noqa: E402
 
 
 def main() -> int:
@@ -20,9 +20,10 @@ def main() -> int:
         data = json.loads(path.read_text(encoding="utf-8"))
         if "plot" not in data:
             continue
-        report = run_scenario(data).to_json()
+        scenario = parse_scenario(data)
+        report = run_scenario(scenario).to_json()
         out_path = out_dir / (path.stem + ".svg")
-        _plot_for(report, data, str(out_path))
+        _plot_for(report, scenario, str(out_path))
         print(f"wrote {out_path}")
         count += 1
     print(f"{count} figures")

@@ -45,15 +45,6 @@ def box_to_json(box: Box) -> dict:
             "x1": _frac_str(x1), "y1": _frac_str(y1)}
 
 
-def boxes_overlap(a: Box, b: Box) -> bool:
-    return (a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3])
-
-
-def box_contains_point(box: Box, point) -> bool:
-    x, y = _frac(point[0]), _frac(point[1])
-    return box[0] <= x <= box[2] and box[1] <= y <= box[3]
-
-
 def _lower(a: int, n: int) -> float:
     """iv.make(Fraction(a, n))[0]: a / n is correctly rounded, so it needs
     one ulp only when it rounded up."""
@@ -98,6 +89,12 @@ class Grid:
         return n, ((sx + i * h, sy + j * h, sx + (i + 1) * h, sy + (j + 1) * h)
                    for i, j in cells)
 
+    def centers(self, cells) -> list[tuple[float, float]]:
+        """Correctly rounded float centres of the cells."""
+        n, sx, sy, h = self.scaling()
+        return [((2 * (sx + i * h) + h) / (2 * n), (2 * (sy + j * h) + h) / (2 * n))
+                for i, j in cells]
+
 
 @dataclass
 class ZeroEnclosure:
@@ -115,7 +112,7 @@ class ZeroEnclosure:
 
     @cached_property
     def boxes(self) -> list[Box]:
-        """The cells as exact rational boxes, built on first use."""
+        """The cells as exact rational boxes, for JSON and plots only."""
         return [self.grid.box(c) for c in self.cells]
 
     @property
@@ -125,13 +122,13 @@ class ZeroEnclosure:
     def spread_centers(self, count: int) -> list[tuple[float, float]]:
         """Correctly rounded float centres of up to `count` cells, taken at an
         even stride through the sorted cells."""
-        n, sx, sy, h = self.grid.scaling()
-        picked = self.cells[::max(1, len(self.cells) // count)][:count]
-        return [((2 * (sx + i * h) + h) / (2 * n), (2 * (sy + j * h) + h) / (2 * n))
-                for i, j in picked]
+        return self.grid.centers(self.cells[::max(1, len(self.cells) // count)][:count])
 
     def contains_point(self, point) -> bool:
-        return any(box_contains_point(b, point) for b in self.boxes)
+        """Whether the exact point lies in a closed cell."""
+        n, boxes = self.grid.scaled_boxes(self.cells, *point)
+        x, y = (int(_frac(v) * n) for v in point)
+        return any(x0 <= x <= x1 and y0 <= y <= y1 for x0, y0, x1, y1 in boxes)
 
     def to_json(self) -> dict:
         return {
@@ -147,8 +144,18 @@ class ZeroEnclosure:
         }
 
 
+def meeting_cells(a: ZeroEnclosure, b: ZeroEnclosure):
+    """The cells of `a`, in order, whose closed squares meet a closed cell of
+    `b`.  On the grid both share, cells (i, j) and (i', j') meet exactly when
+    |i - i'| <= 1 and |j - j'| <= 1."""
+    if a.grid != b.grid:
+        raise ValueError("the enclosures lie on different grids")
+    near = {(i + di, j + dj) for i, j in b.cells for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+    return (c for c in a.cells if c in near)
+
+
 def enclosures_overlap(a: ZeroEnclosure, b: ZeroEnclosure) -> bool:
-    return any(boxes_overlap(ba, bb) for ba in a.boxes for bb in b.boxes)
+    return next(meeting_cells(a, b), None) is not None
 
 
 def _root_box(region: Region) -> Box:

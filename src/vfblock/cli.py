@@ -14,7 +14,7 @@ import sys
 
 from .config import ENV_MAX_DEPTH
 from .errors import ScenarioSchemaError, VfblockError
-from .scenario import run_scenario
+from .scenario import Scenario, parse_scenario, run_scenario
 
 _EXIT_RANK = {0: 0, 3: 1, 1: 2, 2: 3}
 
@@ -23,25 +23,15 @@ def _worst_exit(codes) -> int:
     return max(codes, key=lambda c: _EXIT_RANK.get(c, 3), default=0)
 
 
-def _plot_for(report_json: dict, scenario_data: dict, out_path: str):
-    from fractions import Fraction
-
+def _plot_for(report_json: dict, scenario: Scenario, out_path: str):
     from .certify import zero_enclosure
-    from .fields import PlanarField
-    from .regions import Region
     from .svgplot import emit_plot
 
-    plot = scenario_data.get("plot")
-    if not plot:
+    if not scenario.plot:
         return False
-    surface = scenario_data.get("surface", "plane")
-    fd = dict(scenario_data["fields"][plot["field"]])
-    fd.setdefault("surface", surface)
-    field = PlanarField.from_json(fd)
-    region = Region.from_json(scenario_data["regions"][plot["region"]])
-    resolution = Fraction(scenario_data.get("tolerances", {})
-                          .get("resolution", "1/64"))
-    enclosure = zero_enclosure(field, region, resolution)
+    field = scenario.fields[scenario.plot["field"]]
+    region = scenario.regions[scenario.plot["region"]]
+    enclosure = zero_enclosure(field, region, scenario.resolution)
     emit_plot(report_json, region, field, enclosure, out_path)
     return True
 
@@ -79,21 +69,22 @@ def main(argv=None) -> int:
     def run_one(item):
         path, data = item
         try:
-            return run_scenario(data).to_json(), None
+            scenario = parse_scenario(data)
+            return scenario, run_scenario(scenario).to_json(), None
         except ScenarioSchemaError as e:
-            return None, f"{path}: {e}"
+            return None, None, f"{path}: {e}"
         except Exception as e:  # any crash is an error (2), never "failed" (1)
-            return None, f"{path}: {type(e).__name__}: {e}"
-
-    results = [run_one(s) for s in sources]
+            return None, None, f"{path}: {type(e).__name__}: {e}"
 
     codes = []
+    scenarios = []
     reports = []
-    for (path, data), (report, err) in zip(sources, results):
+    for scenario, report, err in map(run_one, sources):
         if err is not None:
             print(f"error: {err}", file=sys.stderr)
             codes.append(2)
             continue
+        scenarios.append(scenario)
         reports.append(report)
         codes.append(report["exit_code"])
         for check in report["checks"]:
@@ -101,17 +92,23 @@ def main(argv=None) -> int:
 
     if args.report and reports:
         payload = reports[0] if len(reports) == 1 else {"reports": reports}
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        try:
+            with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        except OSError as e:
+            print(f"error: cannot write {args.report}: {e}", file=sys.stderr)
+            codes.append(2)
 
     if args.plot and reports:
         try:
-            done = _plot_for(reports[0], sources[0][1], args.plot)
-            if not done:
+            if not _plot_for(reports[0], scenarios[0], args.plot):
                 print("warning: first scenario has no plot block; no SVG written",
                       file=sys.stderr)
         except VfblockError as e:
             print(f"error: plotting failed: {e}", file=sys.stderr)
+            codes.append(2)
+        except OSError as e:
+            print(f"error: cannot write {args.plot}: {e}", file=sys.stderr)
             codes.append(2)
 
     return _worst_exit(codes)

@@ -193,9 +193,13 @@ def parse_scenario(data: dict) -> Scenario:
     resolution = Fraction(tols.get("resolution", "1/64"))
     if resolution <= 0:
         raise ScenarioSchemaError("resolution must be positive")
+    plot = data.get("plot")
+    for key, known in (("field", fields), ("region", regions)):
+        if plot and plot[key] not in known:
+            raise ScenarioSchemaError(f"plot {key} {plot[key]!r} is not declared")
     seed = int(data.get("seeds", {}).get("default", 0))
     return Scenario(data["name"], fields, regions, points, algebras, tol,
-                    resolution, seed, list(data["checks"]), data.get("plot"))
+                    resolution, seed, list(data["checks"]), plot)
 
 
 class _Ctx:
@@ -511,8 +515,8 @@ class ScenarioReport:
 
 
 def run_scenario(source) -> ScenarioReport:
-    """Execute a scenario from a path, JSON string or dict."""
-    if isinstance(source, dict):
+    """Execute a scenario from a path, JSON string, dict or parsed Scenario."""
+    if isinstance(source, (Scenario, dict)):
         data = source
     else:
         try:
@@ -525,7 +529,7 @@ def run_scenario(source) -> ScenarioReport:
             raise ScenarioSchemaError(
                 f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}"
             ) from e
-    scenario = parse_scenario(data)
+    scenario = data if isinstance(data, Scenario) else parse_scenario(data)
     outcomes = []
     for i, check in enumerate(scenario.checks):
         op = check["op"]

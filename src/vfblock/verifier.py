@@ -14,12 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import islice
 
-from .certify import (Block, ZeroEnclosure, boxes_overlap, certify_block,
-                      components, enclosures_overlap, restrict_block,
+from .certify import (Block, ZeroEnclosure, certify_block, components,
+                      enclosures_overlap, meeting_cells, restrict_block,
                       zero_enclosure, zero_enclosure_scalars)
 from .config import DEFAULTS
-from .errors import VfblockError
+from .errors import CertificationFailed, VfblockError
 from .fields import PlanarField, jet_order
 from .flows import flowbox_build
 from .index import block_index
@@ -172,16 +173,6 @@ def _verified_exact_zero(field: PlanarField, point) -> bool:
     return True
 
 
-def _overlap_centers(k_enc: ZeroEnclosure, y_enc: ZeroEnclosure, limit: int = 8):
-    out = []
-    for b in k_enc.boxes:
-        if any(boxes_overlap(b, yb) for yb in y_enc.boxes):
-            out.append((float((b[0] + b[2]) / 2), float((b[1] + b[3]) / 2)))
-            if len(out) >= limit:
-                break
-    return out
-
-
 def _common_zero_witness(x_field: PlanarField, y_field: PlanarField, region: Region,
                          known_zeros, centers):
     """An exact rational point of Z(X) n Z(Y) n cl(U), if one can be pinned."""
@@ -201,6 +192,21 @@ def _common_zero_witness(x_field: PlanarField, y_field: PlanarField, region: Reg
     return None
 
 
+def _zy_meets_k(x_field, y_field, region, block, resolution, known_zeros):
+    """Z(Y) enclosed on the grid of K's enclosure: its cell count, whether the
+    two overlap and, on overlap, an exact common zero as JSON (or None).
+    Raises VfblockError without a block or an enclosure of Z(Y)."""
+    if block is None:
+        raise CertificationFailed("no certified block")
+    y_enc = zero_enclosure(y_field, region, resolution)
+    k_enc = block.enclosure
+    centers = k_enc.grid.centers(islice(meeting_cells(k_enc, y_enc), 8))
+    if not centers:
+        return len(y_enc.cells), False, None
+    w = _common_zero_witness(x_field, y_field, region, known_zeros, centers)
+    return len(y_enc.cells), True, w and [_frac_str(w[0]), _frac_str(w[1])]
+
+
 def verify_main(x_field: PlanarField, y_field: PlanarField, region: Region,
                 k: int = 1, resolution=None, known_zeros=()) -> TheoremReport:
     """Hypotheses: essential block, nowhere k-flat on K, Y tracks X.
@@ -212,48 +218,35 @@ def verify_main(x_field: PlanarField, y_field: PlanarField, region: Region,
     hyp.append(essential)
     hyp.append(_check_not_kflat(x_field, region, k, resolution, known_zeros))
     hyp.append(_check_tracking(y_field, x_field))
-    concl = []
     name = "Z(Y) n K is nonempty"
-    if block is None:
-        concl.append(CheckRecord(name, INCONCLUSIVE, {"error": "no certified block"}))
-    else:
-        try:
-            y_enc = zero_enclosure(y_field, region, resolution)
-        except VfblockError as e:
-            concl.append(CheckRecord(name, INCONCLUSIVE, {"error": str(e)}))
-            return TheoremReport(MAIN, hyp, concl)
-        overlap = enclosures_overlap(y_enc, block.enclosure)
-        data = {"y_zero_boxes": len(y_enc.cells),
-                "k_boxes": len(block.enclosure.cells), "enclosures_overlap": overlap}
-        if overlap:
-            witness = _common_zero_witness(
-                x_field, y_field, region, known_zeros,
-                _overlap_centers(block.enclosure, y_enc))
-            if witness is not None:
-                data["witness"] = [_frac_str(witness[0]), _frac_str(witness[1])]
-            concl.append(CheckRecord(name, PASS, data))
-        else:
-            # certified disjoint outer enclosures prove Z(Y) n K is empty
-            concl.append(CheckRecord(name, FAIL, data))
-    return TheoremReport(MAIN, hyp, concl)
+    try:
+        y_boxes, overlap, witness = _zy_meets_k(x_field, y_field, region, block,
+                                                resolution, known_zeros)
+    except VfblockError as e:
+        concl = CheckRecord(name, INCONCLUSIVE, {"error": str(e)})
+        return TheoremReport(MAIN, hyp, [concl])
+    data = {"y_zero_boxes": y_boxes, "k_boxes": len(block.enclosure.cells),
+            "enclosures_overlap": overlap}
+    if witness is not None:
+        data["witness"] = witness
+    # certified disjoint outer enclosures prove Z(Y) n K is empty
+    concl = CheckRecord(name, PASS if overlap else FAIL, data)
+    return TheoremReport(MAIN, hyp, [concl])
 
 
 def _check_zy_disjoint_from_k(x_field, y_field, region, block, resolution,
                               known_zeros) -> CheckRecord:
     name = "Z(Y) n K is empty"
-    if block is None:
-        return CheckRecord(name, INCONCLUSIVE, {"error": "no certified block"})
     try:
-        y_enc = zero_enclosure(y_field, region, resolution)
+        y_boxes, overlap, witness = _zy_meets_k(x_field, y_field, region, block,
+                                                resolution, known_zeros)
     except VfblockError as e:
         return CheckRecord(name, INCONCLUSIVE, {"error": str(e)})
-    data = {"y_zero_boxes": len(y_enc.cells)}
-    if not enclosures_overlap(y_enc, block.enclosure):
+    data = {"y_zero_boxes": y_boxes}
+    if not overlap:
         return CheckRecord(name, PASS, data)
-    centers = _overlap_centers(block.enclosure, y_enc)
-    witness = _common_zero_witness(x_field, y_field, region, known_zeros, centers)
     if witness is not None:
-        data["witness"] = [_frac_str(witness[0]), _frac_str(witness[1])]
+        data["witness"] = witness
         return CheckRecord(name, FAIL, data)
     data["note"] = "enclosures overlap at this resolution; no exact witness found"
     return CheckRecord(name, INCONCLUSIVE, data)
@@ -471,19 +464,17 @@ def verify_liealg(algebra, x_field: PlanarField, region: Region, k: int = 1,
     else:
         tr = algebra_tracks(algebra, x_field)
         hyp.append(CheckRecord(name_tr, PASS if tr.verdict else FAIL, tr.to_json()))
-    concl = []
     name = "Z(g) n K is nonempty"
-    if block is None:
-        concl.append(CheckRecord(name, INCONCLUSIVE, {"error": "no certified block"}))
-    else:
-        try:
-            zg = common_zero_set(algebra, region, resolution)
-        except VfblockError as e:
-            concl.append(CheckRecord(name, INCONCLUSIVE, {"error": str(e)}))
-            return TheoremReport(LIEALG, hyp, concl)
-        overlap = enclosures_overlap(zg, block.enclosure)
-        data = {"zg_boxes": len(zg.cells), "k_boxes": len(block.enclosure.cells),
-                "enclosures_overlap": overlap,
-                "zg_enclosure": zg.to_json() if len(zg.cells) <= 64 else None}
-        concl.append(CheckRecord(name, PASS if overlap else FAIL, data))
-    return TheoremReport(LIEALG, hyp, concl)
+    try:
+        if block is None:
+            raise CertificationFailed("no certified block")
+        zg = common_zero_set(algebra, region, resolution)
+    except VfblockError as e:
+        concl = CheckRecord(name, INCONCLUSIVE, {"error": str(e)})
+        return TheoremReport(LIEALG, hyp, [concl])
+    overlap = enclosures_overlap(zg, block.enclosure)
+    data = {"zg_boxes": len(zg.cells), "k_boxes": len(block.enclosure.cells),
+            "enclosures_overlap": overlap,
+            "zg_enclosure": zg.to_json() if len(zg.cells) <= 64 else None}
+    concl = CheckRecord(name, PASS if overlap else FAIL, data)
+    return TheoremReport(LIEALG, hyp, [concl])

@@ -2,15 +2,17 @@
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vfblock import interval as iv
-from vfblock.certify import (_EDGE_STEPS, Grid, _clusters, _has_hole, _lower,
-                             _root_box, _upper, boxes_overlap, certify_block,
-                             components, min_norm_on_boundary, zero_enclosure)
+from vfblock.certify import (_EDGE_STEPS, Grid, ZeroEnclosure, _clusters, _has_hole,
+                             _lower, _root_box, _upper, certify_block, components,
+                             enclosures_overlap, meeting_cells, min_norm_on_boundary,
+                             zero_enclosure)
 from vfblock.errors import BoundaryZero, DepthLimitExceeded, UnsupportedRegion
 from vfblock.fields import plane_field, torus_field
 from vfblock.poly import Poly2, X, Y
@@ -224,14 +226,6 @@ def test_enclosure_covers_random_exact_zero(zx, zy):
     assert enc.contains_point((zx, zy))
 
 
-def test_boxes_overlap_is_closed_test():
-    a = (Fraction(0), Fraction(0), Fraction(1), Fraction(1))
-    b = (Fraction(1), Fraction(1), Fraction(2), Fraction(2))
-    c = (Fraction(2), Fraction(0), Fraction(3), Fraction(1))
-    assert boxes_overlap(a, b)
-    assert not boxes_overlap(a, c)
-
-
 _coord = st.fractions(min_value=-3, max_value=3, max_denominator=40)
 _length = st.fractions(min_value=Fraction(1, 40), max_value=3, max_denominator=40)
 
@@ -266,6 +260,67 @@ def test_integer_cell_geometry_matches_fractions(region, depth, data, collar):
             == box_clears_boundary(region, box, collar))
     for a, exact in zip(scaled_box, box):
         assert (_lower(a, n), _upper(a, n)) == iv.make(exact)
+
+
+def _boxes_overlap_ref(a, b):
+    """Reference overlap rule: closed exact rational boxes meet."""
+    return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
+
+
+def _enclosure(grid, cells):
+    return ZeroEnclosure(sorted(cells), grid, Fraction(1), torus_full())
+
+
+_UNIT_GRID = Grid(Fraction(0), Fraction(0), Fraction(4), 2)   # cells of side 1
+
+
+@st.composite
+def _overlap_cases(draw):
+    """K and Z(Y) on one grid, the torus root box's or a random region's, and
+    exact points on cell corners, on edges, inside cells and off the grid."""
+    region = draw(st.one_of(st.just(torus_full()), _regions()))
+    x0, y0, x1, _ = _root_box(region)
+    depth = draw(st.integers(0, 4))
+    grid = Grid(x0, y0, x1 - x0, depth)
+    cells = st.sets(st.tuples(*[st.integers(0, 2 ** depth - 1)] * 2), max_size=12)
+    h = grid.side / 2 ** depth
+    coord = st.tuples(st.integers(-1, 2 ** depth),
+                      st.sampled_from([Fraction(0), Fraction(1, 2)])
+                      | st.fractions(0, 1, max_denominator=64))
+    points = [(x0 + (i + u) * h, y0 + (j + v) * h)
+              for (i, u), (j, v) in draw(st.lists(st.tuples(coord, coord), max_size=4))]
+    return _enclosure(grid, draw(cells)), _enclosure(grid, draw(cells)), points
+
+
+@given(_overlap_cases(), st.integers(1, 8))
+@example((_enclosure(_UNIT_GRID, {(0, 0)}), _enclosure(_UNIT_GRID, {(1, 1)}),
+          [(Fraction(1), Fraction(1)), (Fraction(2), Fraction(1))]), 8)   # corner contact
+@example((_enclosure(_UNIT_GRID, {(0, 0)}), _enclosure(_UNIT_GRID, {(2, 0)}),
+          [(Fraction(1), Fraction(1, 2))]), 8)                            # one cell apart
+@settings(max_examples=300, deadline=None)
+def test_cell_overlap_matches_fraction_boxes(case, limit):
+    k_enc, y_enc, points = case
+    k_boxes, y_boxes = k_enc.boxes, y_enc.boxes
+    meeting = [b for b in k_boxes if any(_boxes_overlap_ref(b, yb) for yb in y_boxes)]
+    assert enclosures_overlap(k_enc, y_enc) == bool(meeting)
+    assert enclosures_overlap(y_enc, k_enc) == bool(meeting)
+    centres = [(float((b[0] + b[2]) / 2), float((b[1] + b[3]) / 2)) for b in k_boxes]
+    assert k_enc.grid.centers(k_enc.cells) == centres
+    assert k_enc.grid.centers(islice(meeting_cells(k_enc, y_enc), limit)) == [
+        c for c, b in zip(centres, k_boxes) if b in meeting][:limit]
+    for point in points:
+        assert k_enc.contains_point(point) == any(
+            b[0] <= point[0] <= b[2] and b[1] <= point[1] <= b[3] for b in k_boxes)
+
+
+def test_enclosures_on_different_grids_raise():
+    cells = [(0, 0)]
+    for other in (Grid(Fraction(0), Fraction(0), Fraction(4), 3),
+                  Grid(Fraction(1, 2), Fraction(0), Fraction(4), 2)):
+        with pytest.raises(ValueError):
+            enclosures_overlap(_enclosure(_UNIT_GRID, cells), _enclosure(other, cells))
+        with pytest.raises(ValueError):
+            meeting_cells(_enclosure(other, cells), _enclosure(_UNIT_GRID, cells))
 
 
 def _rect_point(corners, t: Fraction):

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from vfblock.errors import ScenarioSchemaError
-from vfblock.scenario import SCENARIO_SCHEMA, run_scenario
+from vfblock.scenario import SCENARIO_SCHEMA, parse_scenario, run_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -207,12 +207,34 @@ def test_plot_empty_enclosure(tmp_path):
     assert 'fill="#e4572e"' not in svg  # no enclosure boxes drawn
 
 
+@pytest.mark.parametrize("key", ["field", "region"])
+def test_cli_plot_unknown_reference_exit_2(tmp_path, key):
+    data = json.loads((SCENARIOS / "source_disk.json").read_text())
+    data["plot"][key] = "nope"
+    path = tmp_path / "plot.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    proc = _cli("verify", str(path), "--plot", str(tmp_path / "out.svg"))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {path}: plot {key} 'nope' is not declared\n"
+    assert not (tmp_path / "out.svg").exists()
+
+
+@pytest.mark.parametrize("flag", ["--report", "--plot"])
+def test_cli_unwritable_output_exit_2(tmp_path, flag):
+    out = tmp_path / "missing" / "out"
+    proc = _cli("verify", str(SCENARIOS / "source_disk.json"), flag, str(out))
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_torus_plot_has_labels(tmp_path):
-    data = json.loads((SCENARIOS / "torus_four_blocks.json").read_text())
-    report = run_scenario(data)
+    scenario = parse_scenario(json.loads((SCENARIOS / "torus_four_blocks.json").read_text()))
+    report = run_scenario(scenario)
     from vfblock.cli import _plot_for
     out = tmp_path / "torus.svg"
-    assert _plot_for(report.to_json(), data, str(out))
+    assert _plot_for(report.to_json(), scenario, str(out))
     text = out.read_text()
     assert text.count("<text") == 4
     assert "1" in text and "-1" in text
