@@ -26,7 +26,7 @@ from .config import DEFAULTS, default_max_depth
 from .errors import (BoundaryZero, CertificationFailed, ContradictionError,
                      DepthLimitExceeded)
 from .fields import PlanarField
-from .poly import _frac, _frac_str, box_evaluator
+from .poly import _frac, _frac_str, box_evaluator, cell_test
 from .regions import (
     Region,
     TORUS_FULL,
@@ -122,6 +122,8 @@ class ZeroEnclosure:
     def spread_centers(self, count: int) -> list[tuple[float, float]]:
         """Correctly rounded float centres of up to `count` cells, taken at an
         even stride through the sorted cells."""
+        if count < 1:
+            raise ValueError(f"count must be at least 1, got {count}")
         return self.grid.centers(self.cells[::max(1, len(self.cells) // count)][:count])
 
     def contains_point(self, point) -> bool:
@@ -166,6 +168,23 @@ def _root_box(region: Region) -> Box:
     return (cx - side / 2, cy - side / 2, cx + side / 2, cy + side / 2)
 
 
+class _AxisTables(dict):
+    """The tables of one grid axis, keyed on (depth d, column or row i): each
+    is built once, on first use, from the float interval of
+    [start + i w, start + (i + 1) w] / n with w = h 2^(depth - d)."""
+
+    def __init__(self, start: int, h: int, depth: int, n: int, build):
+        super().__init__()
+        self.start, self.h, self.depth, self.n, self.build = start, h, depth, n, build
+
+    def __missing__(self, key):
+        d, i = key
+        w = self.h << (self.depth - d)
+        a = self.start + i * w
+        table = self[key] = self.build((_lower(a, self.n), _upper(a + w, self.n)))
+        return table
+
+
 def zero_enclosure_scalars(scalars, region: Region, resolution,
                            max_depth: int | None = None) -> ZeroEnclosure:
     """Enclose the common zero set of the scalar functions within closure(U).
@@ -187,7 +206,9 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
     grid = Grid(x0, y0, side, depth)
     n, sx, sy, h = grid.scaling(*region.params)
     scaled = region.scaled(n)
-    evaluate = box_evaluator(scalars)
+    x_table, y_table, test = cell_test(scalars)
+    columns = _AxisTables(sx, h, depth, n, x_table)
+    rows = _AxisTables(sy, h, depth, n, y_table)
     examined = discarded_geom = discarded_iv = depth_used = 0
     kept: list[Cell] = []
     stack: list[tuple[int, int, int]] = [(0, 0, 0)]
@@ -200,8 +221,7 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
         if not box_intersects_closure(scaled, (bx, by, bx + w, by + w)):
             discarded_geom += 1
             continue
-        bi = ((_lower(bx, n), _upper(bx + w, n)), (_lower(by, n), _upper(by + w, n)))
-        if not all(iv.contains_zero(v) for v in evaluate(*bi)):
+        if not test(columns[d, i], rows[d, j]):
             discarded_iv += 1
             continue
         if d == depth:

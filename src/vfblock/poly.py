@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 
 from . import interval as iv
 from . import upoly
@@ -241,21 +242,8 @@ class Poly2:
         polynomial needs; entry k does not depend on the length, so a table
         shared between polynomials gives the same bits."""
         max_i, max_j, terms = self._plan()
-        if not terms:
-            return (0.0, 0.0)
         xp, yp = powers or (_powers(ix, max_i), _powers(iy, max_j))
-        mul4 = iv.mul4
-        nextafter = math.nextafter
-        inf = math.inf
-        lo = hi = 0.0
-        for i, j, c0, c1 in terms:
-            a0, a1 = xp[i]
-            b0, b1 = yp[j]
-            m0, m1 = mul4(a0, a1, b0, b1)
-            t0, t1 = mul4(c0, c1, m0, m1)
-            lo = nextafter(lo + t0, -inf)
-            hi = nextafter(hi + t1, inf)
-        return (lo, hi)
+        return _sum_terms(terms, xp, yp)
 
     # serialization ------------------------------------------------------
 
@@ -293,6 +281,57 @@ def _powers(a, n: int) -> list:
     return out
 
 
+def _sum_terms(terms, xp, yp):
+    """The one term loop of the natural extension: the sum of c * (x^i * y^j)
+    over a plan's terms, in order, from power tables xp and yp.  Both
+    products are those of `iv.mul4`, its sign cases written out: the same
+    float operations in the same order, so the same bits."""
+    nextafter = math.nextafter
+    inf = math.inf
+    lo = hi = 0.0
+    for i, j, c0, c1 in terms:
+        a0, a1 = xp[i]
+        b0, b1 = yp[j]
+        if a0 >= 0.0:
+            if b0 >= 0.0:
+                m0, m1 = a0 * b0, a1 * b1
+            elif b1 <= 0.0:
+                m0, m1 = a1 * b0, a0 * b1
+            else:
+                m0, m1 = a1 * b0, a1 * b1
+        elif a1 <= 0.0:
+            if b0 >= 0.0:
+                m0, m1 = a0 * b1, a1 * b0
+            elif b1 <= 0.0:
+                m0, m1 = a1 * b1, a0 * b0
+            else:
+                m0, m1 = a0 * b1, a0 * b0
+        elif b0 >= 0.0:
+            m0, m1 = a0 * b1, a1 * b1
+        elif b1 <= 0.0:
+            m0, m1 = a1 * b0, a0 * b0
+        else:
+            m0, m1 = min(a0 * b1, a1 * b0), max(a0 * b0, a1 * b1)
+        m0 = nextafter(m0, -inf)
+        m1 = nextafter(m1, inf)
+        if c0 >= 0.0:
+            if m0 >= 0.0:
+                t0, t1 = c0 * m0, c1 * m1
+            elif m1 <= 0.0:
+                t0, t1 = c1 * m0, c0 * m1
+            else:
+                t0, t1 = c1 * m0, c1 * m1
+        elif m0 >= 0.0:         # c1 <= 0: iv.make of a nonzero rational has one sign
+            t0, t1 = c0 * m1, c1 * m0
+        elif m1 <= 0.0:
+            t0, t1 = c1 * m1, c0 * m0
+        else:
+            t0, t1 = c0 * m1, c0 * m0
+        lo = nextafter(lo + nextafter(t0, -inf), -inf)
+        hi = nextafter(hi + nextafter(t1, inf), inf)
+    return (lo, hi)
+
+
 def box_evaluator(scalars):
     """Evaluator (ix, iy) -> lazy iterator of `s.eval_interval(ix, iy)` over
     the scalars, in order.  When every scalar is a Poly2 they share one table
@@ -307,6 +346,34 @@ def box_evaluator(scalars):
         return (s.eval_interval(ix, iy, powers) for s in scalars)
 
     return evaluate
+
+
+def cell_test(scalars):
+    """(x_table, y_table, test) for the cells of one grid.  `x_table(ix)` and
+    `y_table(iy)` build what a grid column with x-interval ix, or a row with
+    y-interval iy, needs: a `_powers` table when every scalar is a Poly2,
+    else the interval itself.  `test(xt, yt)` walks the scalars in order and
+    returns False at the first whose enclosure over the cell excludes 0; each
+    enclosure has the bits of `s.eval_interval(ix, iy)`."""
+    if not all(isinstance(s, Poly2) for s in scalars):
+        kernels = [s.eval_interval for s in scalars]
+        x_table = y_table = lambda a: a
+    else:
+        plans = [s._plan() for s in scalars]
+        nx = max((p[0] for p in plans), default=0)
+        ny = max((p[1] for p in plans), default=0)
+        kernels = [partial(_sum_terms, p[2]) for p in plans]
+        x_table = partial(_powers, n=nx)
+        y_table = partial(_powers, n=ny)
+
+    def test(xt, yt):
+        for kernel in kernels:
+            lo, hi = kernel(xt, yt)
+            if lo > 0.0 or hi < 0.0:
+                return False
+        return True
+
+    return x_table, y_table, test
 
 
 def float_plan(polys):

@@ -213,6 +213,7 @@ class Circle:
         self.ccw = ccw
         self._cf = (float(self.center[0]), float(self.center[1]))
         self._rf = float(self.r)
+        self._iv = (iv.make(self.center[0]), iv.make(self.center[1]), iv.make(self.r))
 
     def point(self, t: float) -> tuple[float, float]:
         theta = 2.0 * math.pi * t * (1.0 if self.ccw else -1.0)
@@ -222,9 +223,9 @@ class Circle:
     def box_of(self, t0: float, t1: float):
         sign = 1.0 if self.ccw else -1.0
         a = iv.mul(iv.TWO_PI, (min(sign * t0, sign * t1), max(sign * t0, sign * t1)))
-        rr = iv.make(self.r)
-        ix = iv.add(iv.make(self.center[0]), iv.mul(rr, iv.cos_iv(a)))
-        iy = iv.add(iv.make(self.center[1]), iv.mul(rr, iv.sin_iv(a)))
+        cx, cy, rr = self._iv
+        ix = iv.add(cx, iv.mul(rr, iv.cos_iv(a)))
+        iy = iv.add(cy, iv.mul(rr, iv.sin_iv(a)))
         return ix, iy
 
     def length_upper(self) -> float:

@@ -334,11 +334,15 @@ def _op_orientability_of_field(ctx: _Ctx):
 
 
 def _op_zero_invariance(ctx: _Ctx):
+    n_points = ctx.int_arg("n_points", 8)
+    if n_points < 1:
+        raise ScenarioSchemaError(
+            f"check argument 'n_points' must be at least 1, got {n_points}")
     x_field, y_field = ctx.field("X"), ctx.field("Y")
     block = certify_block(x_field, ctx.region("U"), ctx.resolution)
     rep = zero_invariance_check(x_field, y_field, block,
                                 t_max=ctx.float_arg("t_max", 1.0),
-                                n_points=ctx.int_arg("n_points", 8),
+                                n_points=n_points,
                                 tol=ctx.float_arg("tol", 1e-8))
     return {"invariance": rep.to_json()}, rep.verdict
 

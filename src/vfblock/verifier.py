@@ -388,6 +388,8 @@ def verify_mainbis(x_field: PlanarField, y_field: PlanarField, region: Region,
     isolating U.  Conclusions: index 0, circle components (heuristic), flowbox
     line-field control, per-component index 0; the zero-free approximation
     conclusion is reported not-implemented."""
+    if n_flowboxes < 1:
+        raise ValueError(f"n_flowboxes must be at least 1, got {n_flowboxes}")
     if resolution is None:
         resolution = DEFAULTS.default_resolution
     hyp = []

@@ -1,6 +1,9 @@
 """Zero enclosures, boundary margins, blocks and components."""
 
+import hashlib
+import json
 import math
+import pathlib
 from fractions import Fraction
 from itertools import islice
 
@@ -9,16 +12,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vfblock import interval as iv
-from vfblock.certify import (_EDGE_STEPS, Grid, ZeroEnclosure, _clusters, _has_hole,
-                             _lower, _root_box, _upper, certify_block, components,
-                             enclosures_overlap, meeting_cells, min_norm_on_boundary,
-                             zero_enclosure)
+from vfblock.certify import (_EDGE_STEPS, Grid, ZeroEnclosure, _AxisTables, _clusters,
+                             _has_hole, _lower, _root_box, _upper, certify_block,
+                             components, enclosures_overlap, meeting_cells,
+                             min_norm_on_boundary, zero_enclosure, zero_enclosure_scalars)
+from vfblock.config import default_max_depth
 from vfblock.errors import BoundaryZero, DepthLimitExceeded, UnsupportedRegion
 from vfblock.fields import plane_field, torus_field
-from vfblock.poly import Poly2, X, Y
+from vfblock.poly import Poly2, X, Y, box_evaluator
 from vfblock.regions import (RectLoop, Region, annulus, box_clears_boundary,
                              box_intersects_closure, disk, rectangle, torus_full)
+from vfblock.scenario import parse_scenario
 from vfblock.trig import TrigPoly2
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _box_dist_to_origin(b):
@@ -69,6 +76,118 @@ def test_enclosure_monotone_under_refinement(saddle_pair_field, std_annulus):
 def test_enclosure_depth_limit(euler, unit_disk):
     with pytest.raises(DepthLimitExceeded):
         zero_enclosure(euler, unit_disk, Fraction(1, 2 ** 30), max_depth=8)
+
+
+def test_annulus_scenario_enclosure_is_pinned():
+    # K = Z(X) of scenarios/annulus_mainbis.json at its resolution 1/64
+    scenario = parse_scenario(json.loads((SCENARIOS / "annulus_mainbis.json").read_text()))
+    enc = zero_enclosure(scenario.fields["X"], scenario.regions["U"], scenario.resolution)
+    assert (len(enc.cells), enc.cells_examined, enc.cells_discarded_geometry,
+            enc.cells_discarded_interval, enc.depth_used) == (2552, 10069, 16, 4984, 9)
+    assert hashlib.sha256(json.dumps(enc.cells).encode()).hexdigest() == \
+        "34d225a7d219a4435e26fbe7b6378834f12c5013886a9f0f72810468c43401bc"
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_spread_centers_rejects_non_positive_count(euler, unit_disk, count):
+    enc = zero_enclosure(euler, unit_disk, Fraction(1, 16))
+    assert len(enc.spread_centers(1)) == 1
+    with pytest.raises(ValueError):
+        enc.spread_centers(count)
+
+
+def _zero_enclosure_reference(scalars, region, resolution, max_depth=None):
+    """Reference quadtree: one `box_evaluator` call per cell, from the cell's
+    own float intervals.  Returns the cells and the certificate counters."""
+    resolution = Fraction(resolution)
+    if max_depth is None:
+        max_depth = default_max_depth()
+    x0, y0, x1, _ = _root_box(region)
+    side = x1 - x0
+    depth = 0
+    while 2 * side * side > resolution * resolution * 4 ** depth:
+        depth += 1
+    grid = Grid(x0, y0, side, depth)
+    n, sx, sy, h = grid.scaling(*region.params)
+    scaled = region.scaled(n)
+    evaluate = box_evaluator(scalars)
+    examined = discarded_geom = discarded_iv = depth_used = 0
+    kept = []
+    stack = [(0, 0, 0)]
+    while stack:
+        i, j, d = stack.pop()
+        examined += 1
+        depth_used = max(depth_used, d)
+        w = h << (depth - d)
+        bx, by = sx + i * w, sy + j * w
+        if not box_intersects_closure(scaled, (bx, by, bx + w, by + w)):
+            discarded_geom += 1
+            continue
+        bi = ((_lower(bx, n), _upper(bx + w, n)), (_lower(by, n), _upper(by + w, n)))
+        if not all(iv.contains_zero(v) for v in evaluate(*bi)):
+            discarded_iv += 1
+            continue
+        if d == depth:
+            kept.append((i, j))
+            continue
+        if d >= max_depth:
+            raise DepthLimitExceeded(f"resolution {resolution} unreachable")
+        i, j, d = 2 * i, 2 * j, d + 1
+        stack += [(i, j, d), (i + 1, j, d), (i, j + 1, d), (i + 1, j + 1, d)]
+    kept.sort()
+    return kept, examined, discarded_geom, discarded_iv, depth_used
+
+
+_coef = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+_exponents = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda e: sum(e) <= 4)
+
+
+@st.composite
+def _quadtree_cases(draw):
+    """Scalars, a region of any kind and a resolution of 1/20 to 2 root-box
+    sides.  A Poly2 may be shifted to vanish at an exact point of the root
+    box, so kept cells and deep subdivisions occur; a TrigPoly2 list comes
+    with the torus."""
+    kind = draw(st.integers(0, 5))
+    trig = kind == 0
+    region = torus_full() if kind < 2 else draw(_regions())
+    x0, y0, x1, _ = _root_box(region)
+    side = x1 - x0
+    if trig:
+        basis = st.sampled_from(("ss", "sc", "cs", "cc"))
+        terms = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), basis, _coef),
+                         max_size=4)
+        scalars = [sum((TrigPoly2.term(*t) for t in ts), TrigPoly2.zero())
+                   for ts in draw(st.lists(terms, min_size=1, max_size=3))]
+    else:
+        scalars = []
+        for _ in range(draw(st.integers(1, 6))):
+            p = draw(st.one_of(st.just(Poly2.zero()), _coef.map(Poly2.const),
+                               st.dictionaries(_exponents, _coef, max_size=6).map(Poly2)))
+            if draw(st.booleans()):
+                u, v = draw(st.fractions(0, 1, max_denominator=16)), draw(st.fractions(0, 1))
+                p = p - p.eval_exact(x0 + u * side, y0 + v * side)
+            scalars.append(p)
+    resolution = side * draw(st.fractions(Fraction(1, 20), 2, max_denominator=60))
+    return scalars, region, resolution
+
+
+@given(_quadtree_cases(), st.none() | st.integers(0, 4))
+@example(([X ** 2 + Y ** 2 - 1, Poly2.zero()], annulus((0, 0), Fraction(1, 2), 2),
+          Fraction(1, 8)), None)
+@example(([Poly2.zero()], disk((0, 0), 1), Fraction(1, 4)), 2)
+@settings(max_examples=150, deadline=None)
+def test_quadtree_matches_reference_loop(case, max_depth):
+    scalars, region, resolution = case
+    try:
+        want = _zero_enclosure_reference(scalars, region, resolution, max_depth)
+    except DepthLimitExceeded:
+        with pytest.raises(DepthLimitExceeded):
+            zero_enclosure_scalars(scalars, region, resolution, max_depth)
+        return
+    enc = zero_enclosure_scalars(scalars, region, resolution, max_depth)
+    assert (enc.cells, enc.cells_examined, enc.cells_discarded_geometry,
+            enc.cells_discarded_interval, enc.depth_used) == want
 
 
 def test_min_norm_source(euler, unit_disk):
@@ -260,6 +379,11 @@ def test_integer_cell_geometry_matches_fractions(region, depth, data, collar):
             == box_clears_boundary(region, box, collar))
     for a, exact in zip(scaled_box, box):
         assert (_lower(a, n), _upper(a, n)) == iv.make(exact)
+    # the quadtree's per-column and per-row intervals are the cell's, rounded outward
+    _, sx, sy, h = grid.scaling(*region.params, collar)
+    for start, k, lo, hi in ((sx, cell[0], box[0], box[2]), (sy, cell[1], box[1], box[3])):
+        assert _AxisTables(start, h, depth, n, lambda a: a)[depth, k] == \
+            (iv.make(lo)[0], iv.make(hi)[1])
 
 
 def _boxes_overlap_ref(a, b):

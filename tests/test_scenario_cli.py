@@ -162,6 +162,19 @@ def test_cli_malformed_term_exit_2(tmp_path, term, where):
     assert f"schema violation at $['fields']['X']{where}:" in proc.stderr
 
 
+@pytest.mark.parametrize("n_points", [0, -3])
+def test_cli_non_positive_n_points_exit_2(tmp_path, n_points):
+    data = json.loads((SCENARIOS / "annulus_mainbis.json").read_text())
+    data["checks"] = [{"op": "zero_invariance", "name": "invariance",
+                       "args": {"X": "X", "Y": "Y", "U": "U", "n_points": n_points}}]
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    proc = _cli("verify", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {path}: check argument 'n_points' must be at least 1, " \
+        f"got {n_points}\n"
+
+
 def test_cli_max_depth_env_forces_depth_error(tmp_path):
     proc = _cli("verify", str(SCENARIOS / "source_disk.json"),
                 env={"VFBLOCK_MAX_DEPTH": "2"})
