@@ -146,13 +146,18 @@ class ZeroEnclosure:
         }
 
 
+_EDGE_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_KING_STEPS = _EDGE_STEPS + ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_NEIGHBOURHOOD = ((0, 0),) + _KING_STEPS    # a cell and the eight it meets
+
+
 def meeting_cells(a: ZeroEnclosure, b: ZeroEnclosure):
     """The cells of `a`, in order, whose closed squares meet a closed cell of
     `b`.  On the grid both share, cells (i, j) and (i', j') meet exactly when
     |i - i'| <= 1 and |j - j'| <= 1."""
     if a.grid != b.grid:
         raise ValueError("the enclosures lie on different grids")
-    near = {(i + di, j + dj) for i, j in b.cells for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+    near = {(i + di, j + dj) for i, j in b.cells for di, dj in _NEIGHBOURHOOD}
     return (c for c in a.cells if c in near)
 
 
@@ -185,13 +190,44 @@ class _AxisTables(dict):
         return table
 
 
+class _NearCells(dict):
+    """Per depth d, built in O(|near|) on first use: the depth-d cells that may
+    have a final descendant within one cell of `near`'s.  Exact at the final
+    depth; above it, the parents of the cells beside `near`'s ancestors one
+    depth down."""
+
+    def __init__(self, near: ZeroEnclosure, grid: Grid):
+        if near.grid != grid:
+            raise ValueError("the enclosures lie on different grids")
+        super().__init__()
+        self.ancestors = [near.cells]
+        for _ in range(grid.depth):
+            self.ancestors.append({(i >> 1, j >> 1) for i, j in self.ancestors[-1]})
+        self.ancestors.reverse()
+
+    def __missing__(self, d):
+        if d == len(self.ancestors) - 1:
+            cells = {(i + di, j + dj) for i, j in self.ancestors[d] for di, dj in _NEIGHBOURHOOD}
+        else:   # {a - 1, a, a + 1} >> 1 == {(a - 1) >> 1, (a + 1) >> 1}
+            cells = {((i + di) >> 1, (j + dj) >> 1) for i, j in self.ancestors[d + 1]
+                     for di in (-1, 1) for dj in (-1, 1)}
+        self[d] = cells
+        return cells
+
+
 def zero_enclosure_scalars(scalars, region: Region, resolution,
-                           max_depth: int | None = None) -> ZeroEnclosure:
+                           max_depth: int | None = None,
+                           near: ZeroEnclosure | None = None) -> ZeroEnclosure:
     """Enclose the common zero set of the scalar functions within closure(U).
 
     A cell survives only if every scalar's interval enclosure over the cell
     contains zero and the cell meets closure(U) (decided exactly).  Kept cells
     are those of the first depth whose diagonal is at most the resolution.
+
+    With `near`, an enclosure on the same grid (else ValueError), the kept
+    cells are exactly `list(meeting_cells(full, near))` of the unrestricted
+    enclosure `full`: a cell none of whose descendants can lie within one
+    cell of `near`'s is discarded first and counted under geometry.
     """
     resolution = _frac(resolution)
     if resolution <= 0:
@@ -209,6 +245,7 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
     x_table, y_table, test = cell_test(scalars)
     columns = _AxisTables(sx, h, depth, n, x_table)
     rows = _AxisTables(sy, h, depth, n, y_table)
+    near_cells = None if near is None else _NearCells(near, grid)
     examined = discarded_geom = discarded_iv = depth_used = 0
     kept: list[Cell] = []
     stack: list[tuple[int, int, int]] = [(0, 0, 0)]
@@ -216,6 +253,9 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
         i, j, d = stack.pop()
         examined += 1
         depth_used = max(depth_used, d)
+        if near_cells is not None and (i, j) not in near_cells[d]:
+            discarded_geom += 1
+            continue
         w = h << (depth - d)
         bx, by = sx + i * w, sy + j * w
         if not box_intersects_closure(scaled, (bx, by, bx + w, by + w)):
@@ -239,8 +279,8 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
 
 
 def zero_enclosure(field: PlanarField, region: Region, resolution,
-                   max_depth: int | None = None) -> ZeroEnclosure:
-    return zero_enclosure_scalars([field.p, field.q], region, resolution, max_depth)
+                   max_depth: int | None = None, near=None) -> ZeroEnclosure:
+    return zero_enclosure_scalars([field.p, field.q], region, resolution, max_depth, near)
 
 
 # boundary margins and degrees ------------------------------------------------
@@ -432,10 +472,6 @@ class Component:
             "box_count": len(self.cells),
             "loop_like": self.loop_like,
         }
-
-
-_EDGE_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-_KING_STEPS = _EDGE_STEPS + ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def _clusters(cells: set[Cell], steps, wrap: int | None = None) -> list[list[Cell]]:

@@ -48,6 +48,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.max_depth is not None:
+        if args.max_depth < 1:
+            print(f"error: --max-depth must be at least 1, got {args.max_depth}",
+                  file=sys.stderr)
+            return 2
         os.environ[ENV_MAX_DEPTH] = str(args.max_depth)
 
     sources = []

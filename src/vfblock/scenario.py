@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -149,6 +150,14 @@ class Scenario:
     plot: dict | None = None
 
 
+def _positive_tol(value, what: str) -> float:
+    """`value` as a float; NaN and infinity pass the schema's minimum."""
+    tol = float(value)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ScenarioSchemaError(f"{what} must be finite and positive, got {value!r}")
+    return tol
+
+
 @functools.cache
 def _validator():
     """SCENARIO_SCHEMA is checked once, here, not on every parse."""
@@ -189,7 +198,7 @@ def parse_scenario(data: dict) -> Scenario:
             raise ScenarioSchemaError(f"algebra {name!r} references unknown fields {missing}")
         algebras[name] = [fields[b] for b in ad["basis"]]
     tols = data.get("tolerances", {})
-    tol = float(tols.get("tol", 1e-6))
+    tol = _positive_tol(tols.get("tol", 1e-6), "tolerance 'tol'")
     resolution = Fraction(tols.get("resolution", "1/64"))
     if resolution <= 0:
         raise ScenarioSchemaError("resolution must be positive")
@@ -240,9 +249,8 @@ class _Ctx:
             raise ScenarioSchemaError(f"unknown point {n!r}")
         return self.s.points[n]
 
-    @property
-    def tol(self):
-        return float(self.args.get("tol", self.s.tol))
+    def tol(self, default):
+        return _positive_tol(self.args.get("tol", default), "check argument 'tol'")
 
     @property
     def resolution(self):
@@ -343,7 +351,7 @@ def _op_zero_invariance(ctx: _Ctx):
     rep = zero_invariance_check(x_field, y_field, block,
                                 t_max=ctx.float_arg("t_max", 1.0),
                                 n_points=n_points,
-                                tol=ctx.float_arg("tol", 1e-8))
+                                tol=ctx.tol(1e-8))
     return {"invariance": rep.to_json()}, rep.verdict
 
 
@@ -418,7 +426,7 @@ def _op_verify_main(ctx: _Ctx):
 def _op_verify_mainbis(ctx: _Ctx):
     report = verify_mainbis(ctx.field("X"), ctx.field("Y"), ctx.region("U"),
                             k=ctx.int_arg("k", 1), resolution=ctx.resolution,
-                            tol=ctx.tol, known_zeros=ctx.point_list("known_zeros"))
+                            tol=ctx.tol(ctx.s.tol), known_zeros=ctx.point_list("known_zeros"))
     return _theorem_outcome(report)
 
 

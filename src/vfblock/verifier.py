@@ -193,13 +193,14 @@ def _common_zero_witness(x_field: PlanarField, y_field: PlanarField, region: Reg
 
 
 def _zy_meets_k(x_field, y_field, region, block, resolution, known_zeros):
-    """Z(Y) enclosed on the grid of K's enclosure: its cell count, whether the
+    """Z(Y) enclosed on the grid of K's enclosure, only within one cell of
+    K's cells (the cells that can meet them): that cell count, whether the
     two overlap and, on overlap, an exact common zero as JSON (or None).
     Raises VfblockError without a block or an enclosure of Z(Y)."""
     if block is None:
         raise CertificationFailed("no certified block")
-    y_enc = zero_enclosure(y_field, region, resolution)
     k_enc = block.enclosure
+    y_enc = zero_enclosure(y_field, region, resolution, near=k_enc)
     centers = k_enc.grid.centers(islice(meeting_cells(k_enc, y_enc), 8))
     if not centers:
         return len(y_enc.cells), False, None
@@ -390,6 +391,8 @@ def verify_mainbis(x_field: PlanarField, y_field: PlanarField, region: Region,
     conclusion is reported not-implemented."""
     if n_flowboxes < 1:
         raise ValueError(f"n_flowboxes must be at least 1, got {n_flowboxes}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if resolution is None:
         resolution = DEFAULTS.default_resolution
     hyp = []

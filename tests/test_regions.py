@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import pathlib
+import random
 from fractions import Fraction
 from itertools import islice
 
@@ -17,6 +18,7 @@ from vfblock.certify import (_EDGE_STEPS, Grid, ZeroEnclosure, _AxisTables, _clu
                              components, enclosures_overlap, meeting_cells,
                              min_norm_on_boundary, zero_enclosure, zero_enclosure_scalars)
 from vfblock.config import default_max_depth
+from vfblock.corpus import random_tracking_scenario
 from vfblock.errors import BoundaryZero, DepthLimitExceeded, UnsupportedRegion
 from vfblock.fields import plane_field, torus_field
 from vfblock.poly import Poly2, X, Y, box_evaluator
@@ -445,6 +447,46 @@ def test_enclosures_on_different_grids_raise():
             enclosures_overlap(_enclosure(_UNIT_GRID, cells), _enclosure(other, cells))
         with pytest.raises(ValueError):
             meeting_cells(_enclosure(other, cells), _enclosure(_UNIT_GRID, cells))
+
+
+@given(_quadtree_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_near_enclosure_is_full_enclosure_meeting_near(case, data):
+    scalars, region, resolution = case
+    full = zero_enclosure_scalars(scalars, region, resolution)
+    top = 2 ** full.grid.depth - 1
+    # any cell, a cell on the grid's edge, a kept cell or a neighbour of one
+    coord = st.integers(0, top) | st.sampled_from((0, top))
+    cell = st.tuples(coord, coord)
+    if full.cells:
+        nudge = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+        cell |= st.tuples(st.sampled_from(full.cells), nudge).map(
+            lambda c: (min(max(c[0][0] + c[1][0], 0), top),
+                       min(max(c[0][1] + c[1][1], 0), top)))
+    near = ZeroEnclosure(sorted(data.draw(st.sets(cell, max_size=6))), full.grid,
+                         resolution, region)
+    restricted = zero_enclosure_scalars(scalars, region, resolution, near=near)
+    assert restricted.cells == list(meeting_cells(full, near))
+    assert list(meeting_cells(near, restricted)) == list(meeting_cells(near, full))
+    assert restricted.cells_examined <= full.cells_examined
+    assert restricted.cells_discarded_interval <= full.cells_discarded_interval
+    other = Grid(full.grid.x0, full.grid.y0, full.grid.side, full.grid.depth + 1)
+    with pytest.raises(ValueError):
+        zero_enclosure_scalars(scalars, region, resolution,
+                               near=ZeroEnclosure(near.cells, other, resolution, region))
+
+
+def test_near_enclosure_examines_fewer_cells():
+    # the first seed-1 falsification case: Z(Y) has zeros away from K = Z(X)
+    x_field, y_field, region, _ = random_tracking_scenario(random.Random(1))
+    res = Fraction(1, 16)
+    k_enc = zero_enclosure(x_field, region, res)
+    full = zero_enclosure(y_field, region, res)
+    restricted = zero_enclosure(y_field, region, res, near=k_enc)
+    assert len(restricted.cells) < len(full.cells)
+    assert restricted.cells_examined < full.cells_examined
+    assert restricted.cells == list(meeting_cells(full, k_enc))
+    assert list(meeting_cells(k_enc, restricted)) == list(meeting_cells(k_enc, full))
 
 
 def _rect_point(corners, t: Fraction):

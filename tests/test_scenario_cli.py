@@ -1,6 +1,8 @@
 """Scenario schema, report determinism, CLI exit codes, SVG emission."""
 
+import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -8,6 +10,7 @@ import sys
 
 import pytest
 
+from vfblock.corpus import falsification_run
 from vfblock.errors import ScenarioSchemaError
 from vfblock.scenario import SCENARIO_SCHEMA, parse_scenario, run_scenario
 
@@ -175,6 +178,39 @@ def test_cli_non_positive_n_points_exit_2(tmp_path, n_points):
         f"got {n_points}\n"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_cli_non_finite_tol_exit_2(tol):
+    # NaN or infinity would make the flowbox control check fail or pass vacuously
+    path = SCENARIOS / "annulus_mainbis.json"
+    proc = _cli("verify", str(path), "--tol", tol)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {path}: tolerance 'tol' must be finite and " \
+        f"positive, got {tol}\n"
+
+
+@pytest.mark.parametrize("where", ["file", "check"])
+def test_non_finite_tol_in_scenario_is_schema_error(tmp_path, where):
+    data = json.loads((SCENARIOS / "annulus_mainbis.json").read_text())
+    if where == "file":
+        data["tolerances"]["tol"] = math.nan
+    else:
+        next(c for c in data["checks"] if c["op"] == "verify_mainbis")["args"]["tol"] = math.nan
+    with pytest.raises(ScenarioSchemaError, match="'tol' must be finite and positive"):
+        run_scenario(data)
+    path = tmp_path / "nan_tol.json"
+    path.write_text(json.dumps(data), encoding="utf-8")   # json writes a bare NaN
+    proc = _cli("verify", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.count("error:") == 1
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_cli_max_depth_below_one_exit_2(depth):
+    proc = _cli("verify", str(SCENARIOS / "annulus_mainbis.json"), "--max-depth", depth)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: --max-depth must be at least 1, got {depth}\n"
+
+
 def test_cli_max_depth_env_forces_depth_error(tmp_path):
     proc = _cli("verify", str(SCENARIOS / "source_disk.json"),
                 env={"VFBLOCK_MAX_DEPTH": "2"})
@@ -266,3 +302,20 @@ def test_falsification_script_runs_from_plain_checkout(tmp_path):
         [sys.executable, str(ROOT / "scripts" / "run_falsification.py"), "--count", "2"],
         capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+GOLDEN_REPORTS = ROOT / "tests" / "data" / "scenario_reports"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")
+                                         if p.name != "scenario.schema.json"))
+def test_scenario_report_matches_golden(name):
+    # every shipped scenario's report, byte for byte
+    assert run_scenario(str(SCENARIOS / name)).dumps() == \
+        (GOLDEN_REPORTS / name).read_text(encoding="utf-8")
+
+
+def test_falsification_run_is_pinned():
+    summary = falsification_run(200, 0).to_json()
+    assert hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest() == \
+        "f22fb9c81d8e66fd263b444a6c2dd8ee8b4ba6e5e1e1cbc0cbddaad12e4c96de"

@@ -1,6 +1,7 @@
 """Theorem verifiers on the spec scenarios, plus the falsification harness."""
 
 import json
+import math
 import pathlib
 from fractions import Fraction
 
@@ -124,6 +125,13 @@ def test_mainbis_off_centre_report_is_pinned():
     # hole test must reproduce the plain evaluation's results exactly
     report = _off_centre_mainbis(Fraction(3, 10), Fraction(2, 5))
     assert json.dumps(report.to_json(), indent=1) + "\n" == GOLDEN_OFF_CENTRE.read_text()
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+def test_mainbis_rejects_tol_that_is_not_finite_and_positive(circle_field, rotation,
+                                                             std_annulus, tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        verify_mainbis(circle_field, rotation, std_annulus, tol=tol)
 
 
 @pytest.mark.parametrize("error", [StepUnderflow, EscapeError])
