@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks pass, 1 any failure, 2 schema, certification or any
 other error, 3 inconclusive.  VFBLOCK_MAX_DEPTH in the environment (or
---max-depth, which sets it) caps subdivision depth globally.
+--max-depth, which sets it) caps subdivision depth globally; it must be an
+integer >= 1.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import os
 import sys
 
-from .config import ENV_MAX_DEPTH
+from .config import ENV_MAX_DEPTH, default_max_depth
 from .errors import ScenarioSchemaError, VfblockError
 from .scenario import Scenario, parse_scenario, run_scenario
 
@@ -53,6 +54,11 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         os.environ[ENV_MAX_DEPTH] = str(args.max_depth)
+    try:
+        default_max_depth()
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
     sources = []
     for path in args.scenarios:

@@ -25,11 +25,16 @@ DEFAULTS = Settings()
 
 
 def default_max_depth() -> int:
-    """Depth cap, overridable through the environment (used by the CLI contract)."""
+    """Depth cap, overridable through the environment (used by the CLI contract).
+    Raises ValueError unless the override is an integer >= 1."""
     raw = os.environ.get(ENV_MAX_DEPTH)
     if raw is None:
         return DEFAULTS.max_depth
+    error = ValueError(f"{ENV_MAX_DEPTH} must be an integer >= 1, got {raw!r}")
     try:
-        return max(1, int(raw))
+        depth = int(raw)
     except ValueError:
-        return DEFAULTS.max_depth
+        raise error from None
+    if depth < 1:
+        raise error
+    return depth

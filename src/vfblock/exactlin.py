@@ -1,8 +1,12 @@
 """Exact linear algebra over Q: rref, kernels, span solves, charpoly.
 
-Matrices are lists of rows of Fractions.  Sizes here are tiny (algebra
-dimensions and coefficient supports), so plain Gaussian elimination is plenty;
-charpoly, the flag search's hot path, rescales to integers and runs on ints.
+Matrices are lists of rows of ints or Fractions; every vector or matrix
+returned has Fraction entries.  Elimination is fraction-free Gauss-Jordan
+(after Bareiss) on integer rows: rows are scaled by the lcm of their
+denominators, and each row operation pv*row - f*prow ends by dividing by the
+new row's content.  Scaling rows keeps the row space and the rref of a matrix
+is unique, so dividing each pivot row by its pivot at the end gives exactly
+the Fractions that elimination over Q would.  charpoly rescales to ints too.
 """
 
 from __future__ import annotations
@@ -13,30 +17,51 @@ from fractions import Fraction
 from .errors import ContradictionError
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+def _int_rows(rows):
+    """Each row times the lcm of its denominators: integer rows with the same
+    row space."""
+    out = []
+    for row in rows:
+        dens = [v.denominator for v in row]
+        d = math.lcm(*dens)
+        out.append([v.numerator * (d // e) for v, e in zip(row, dens)])
+    return out
+
+
+def _rref_int(m):
+    """Gauss-Jordan on the integer rows m, in place; returns the pivot columns.
+    Pivot rows come first, in pivot order, and zero rows last; row r is rref
+    row r times its pivot m[r][pivots[r]]."""
     pivots = []
     r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
+        m[r], m[p] = m[p], m[r]
+        prow = m[r]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                g = math.gcd(prow[c], f)
+                pv, f = prow[c] // g, f // g
+                row = [pv * a - f * b for a, b in zip(m[i], prow)]
+                g = math.gcd(*row)
+                m[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    return pivots
+
+
+def rref(rows):
+    """Reduced row echelon form; returns (matrix, pivot column list)."""
+    m = _int_rows(rows)
+    pivots = _rref_int(m)
+    zero = Fraction(0)
+    out = [[Fraction(a, row[c]) if a else zero for a in row] for row, c in zip(m, pivots)]
+    return out + [[zero] * len(row) for row in m[len(pivots):]], pivots
 
 
 def rank(rows) -> int:
@@ -66,21 +91,20 @@ def kernel(rows):
     """Basis of the right kernel of the matrix."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    m, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    m = _int_rows(rows)
+    pivots = _rref_int(m)
     out = []
-    for fcol in free:
-        v = [Fraction(0)] * ncols
+    for fcol in (c for c in range(len(m[0])) if c not in pivots):
+        v = [Fraction(0)] * len(m[0])
         v[fcol] = Fraction(1)
         for row, pc in zip(m, pivots):
-            v[pc] = -row[fcol]
+            v[pc] = Fraction(-row[fcol], row[pc])
         out.append(v)
     return out
 
 
 def mat_vec(mat, vec):
-    return [sum(a * b for a, b in zip(row, vec)) for row in mat]
+    return [sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in mat]
 
 
 def identity(n):
@@ -123,19 +147,22 @@ def intersect_subspaces(a_basis, b_basis):
     """Basis of the intersection of two subspaces given by spanning sets."""
     if not a_basis or not b_basis:
         return []
-    dim = len(a_basis[0])
-    # a combo (u, w) with A^T u = B^T w pins a vector of the intersection
-    na = len(a_basis)
-    rows = [[a_basis[k][d] for k in range(na)]
-            + [-b_basis[k][d] for k in range(len(b_basis))] for d in range(dim)]
+    a, b = _int_rows(a_basis), _int_rows(b_basis)
+    na = len(a)
+    # a kernel vector (u, w) of [A^T | -B^T] pins the vector A^T u of the
+    # intersection; read one integer kernel vector off each free column
+    cols = list(zip(*a))
+    m = [list(ca) + [-v for v in cb] for ca, cb in zip(cols, zip(*b))]
+    pivots = _rref_int(m)
+    lcm = math.lcm(*(row[c] for row, c in zip(m, pivots)))
     out = []
-    for combo in kernel(rows):
-        vec = [Fraction(0)] * dim
-        for k in range(na):
-            if combo[k]:
-                for d in range(dim):
-                    vec[d] += combo[k] * a_basis[k][d]
-        if any(v != 0 for v in vec):
+    for f in (c for c in range(na + len(b)) if c not in pivots):
+        u = [lcm if k == f else 0 for k in range(na)]
+        for row, c in zip(m, pivots):
+            if c < na and row[f]:
+                u[c] = -row[f] * (lcm // row[c])
+        vec = [sum(uk * v for uk, v in zip(u, col) if uk) for col in cols]
+        if any(vec):
             out.append(vec)
     return subspace_basis(out) if out else []
 
@@ -151,5 +178,5 @@ def in_rref_span(rows, pivots, vec) -> bool:
     for row, c in zip(rows, pivots):
         f = vec[c]
         if f:
-            vec = [a - f * b for a, b in zip(vec, row)]
+            vec = [a - f * b if b else a for a, b in zip(vec, row)]
     return not any(vec)

@@ -140,21 +140,27 @@ def structure_constants(basis: list[PlanarField]) -> LieAlgebraPresentation:
             brackets[(i, j)] = b
             all_fields.append(b)
     keys = _coefficient_keys(all_fields)
-    vecs = [_coefficient_vector(f, keys) for f in basis]
-    if xl.rank(vecs) < n:
+    nk = len(keys)
+    # rref of [V | I] once: its rows are R = E V with E in the last n columns,
+    # and a target t in the row span of R has coordinates sum_r t[pivot_r] E_r
+    red, pivots = xl.rref([_coefficient_vector(f, keys) + [int(k == i) for k in range(n)]
+                           for i, f in enumerate(basis)])
+    if pivots[-1] >= nk:
         raise DependentBasisError("basis fields are linearly dependent")
+    span = [row[:nk] for row in red]
     structure = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     closed = True
     witness = None
     table = {}
     for (i, j), b in brackets.items():
         target = _coefficient_vector(b, keys)
-        coords = xl.solve_in_span(vecs, target)
-        if coords is None:
+        if not xl.in_rref_span(span, pivots, target):
             closed = False
             if witness is None:
                 witness = (i, j)
             continue
+        coords = [sum((target[p] * row[nk + k] for row, p in zip(red, pivots) if target[p]),
+                      Fraction(0)) for k in range(n)]
         table[(i, j)] = coords
         for k in range(n):
             structure[i][j][k] = coords[k]

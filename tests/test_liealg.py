@@ -1,21 +1,28 @@
 """Lie algebras of vector fields: closure, series, flags, common zeros."""
 
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vfblock.certify import zero_enclosure
 from vfblock.errors import DependentBasisError, NotClosedError, NumericalAmbiguity
-from vfblock.exactlin import (charpoly, identity, in_rref_span, kernel, rank, rref,
-                              vector_in_span)
-from vfblock.fields import plane_field
-from vfblock.liealg import (_common_eigendirections, _verify_ideal_chain,
+from vfblock.exactlin import (charpoly, identity, in_rref_span, intersect_subspaces,
+                              kernel, mat_vec, rank, rref, solve_in_span,
+                              subspace_basis, vector_in_span)
+from vfblock.fields import lie_bracket, plane_field
+from vfblock.liealg import (_coefficient_keys, _coefficient_vector,
+                            _common_eigendirections, _verify_ideal_chain,
                             algebra_tracks, common_zero_set, solvability,
                             structure_constants, supersolvable_flag)
 from vfblock.poly import Poly2, X, Y
 from vfblock.regions import disk
+from vfblock.verifier import verify_liealg
 
 
 def _e2():
@@ -35,6 +42,22 @@ def _sl2_line():
             plane_field(X ** 2, Poly2.zero())]
 
 
+_BASIS_CHANGE = tuple(Fraction(c) for c in ("-2", "-1", "-1/2", "1/2", "1", "2"))
+
+
+def _seeded_solvable_basis(n, rng):
+    """x d/dx, y d/dy and y^k d/dx (k = 1..n) after a seeded rational
+    unitriangular change of basis: a solvable algebra of dimension n + 2."""
+    base = ([plane_field(X, Poly2.zero()), plane_field(Poly2.zero(), Y)]
+            + [plane_field(Y ** k, Poly2.zero()) for k in range(1, n + 1)])
+    out = []
+    for i, f in enumerate(base):
+        for g in base[i + 1:]:
+            f = f + g.scale(rng.choice(_BASIS_CHANGE))
+        out.append(f)
+    return out
+
+
 def test_exact_linear_algebra_helpers():
     m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert rank(m) == 1
@@ -42,6 +65,198 @@ def test_exact_linear_algebra_helpers():
     # charpoly of [[0, -1], [1, 0]] is t^2 + 1
     j = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]
     assert charpoly(j) == [Fraction(1), Fraction(0), Fraction(1)]
+
+
+def test_exact_helpers_return_fractions_on_int_input():
+    f = Fraction
+    vectors = (rref([[2, 1], [4, 3]])[0] + kernel([[2, 4]])
+               + [solve_in_span([[2, 0], [0, 4]], [1, 1]), mat_vec([[1, 2]], [3, 4])])
+    assert vectors == [[f(1), f(0)], [f(0), f(1)], [f(-2), f(1)], [f(1, 2), f(1, 4)], [f(11)]]
+    assert all(type(v) is Fraction for vec in vectors for v in vec)
+
+
+# Gauss-Jordan over Q, entry by entry in Fractions: the reference that the
+# integer elimination in exactlin must match exactly
+def _rref_reference(rows):
+    m = [[Fraction(v) for v in r] for r in rows]
+    if not m:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        m[r] = [v / pv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def _kernel_reference(rows):
+    m, pivots = _rref_reference(rows)
+    out = []
+    for fcol in (c for c in range(len(rows[0])) if c not in pivots):
+        v = [Fraction(0)] * len(rows[0])
+        v[fcol] = Fraction(1)
+        for row, pc in zip(m, pivots):
+            v[pc] = -row[fcol]
+        out.append(v)
+    return out
+
+
+def _solve_reference(basis, target):
+    n = len(basis)
+    m, pivots = _rref_reference([[basis[k][d] for k in range(n)] + [target[d]]
+                                 for d in range(len(target))])
+    if n in pivots:
+        return None
+    coords = [Fraction(0)] * n
+    for row, c in zip(m, pivots):
+        coords[c] = row[-1]
+    return coords
+
+
+def _span_reference(vectors):
+    m, pivots = _rref_reference(vectors)
+    return m[: len(pivots)]
+
+
+def _intersect_reference(a_basis, b_basis):
+    na, dim = len(a_basis), len(a_basis[0])
+    rows = [[a_basis[k][d] for k in range(na)] + [-v[d] for v in b_basis]
+            for d in range(dim)]
+    out = []
+    for combo in _kernel_reference(rows):
+        vec = [sum((combo[k] * a_basis[k][d] for k in range(na)), Fraction(0))
+               for d in range(dim)]
+        if any(vec):
+            out.append(vec)
+    return _span_reference(out) if out else []
+
+
+_mixed = st.one_of(st.integers(-6, 6),
+                   st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 7, 12])))
+
+
+@st.composite
+def _matrix(draw, ncols):
+    """Rows of int and Fraction entries, some zero, some combinations of
+    earlier rows, so that rank deficiency is common."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("free", "free", "zero", "combo")))
+        if kind == "zero":
+            rows.append([draw(st.sampled_from((0, Fraction(0)))) for _ in range(ncols)])
+        elif kind == "combo" and rows:
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            a, b = draw(_mixed), draw(_mixed)
+            rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+        else:
+            rows.append(draw(st.lists(_mixed, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+_matrix_pair = st.integers(1, 6).flatmap(lambda n: st.tuples(_matrix(n), _matrix(n)))
+
+
+def _all_fractions(rows):
+    return all(type(v) is Fraction for row in rows for v in row)
+
+
+@given(_matrix_pair)
+@example(([[0]], [[5]]))
+@example(([[1, 2, 3]], [[2, 4, 6]]))
+@example(([[1], [2], [0]], [[Fraction(1, 3)]]))
+@settings(max_examples=200, deadline=None)
+def test_integer_elimination_matches_fraction_reference(case):
+    a, b = case
+    m, pivots = rref(a)
+    assert (m, pivots) == _rref_reference(a)
+    assert _all_fractions(m) and len(m) == len(a)
+    sm, spivots = sympy.Matrix(a).rref()
+    assert list(spivots) == pivots
+    assert m == [[Fraction(int(sm[i, j].p), int(sm[i, j].q)) for j in range(sm.cols)]
+                 for i in range(sm.rows)]
+    ker = kernel(a)
+    assert ker == _kernel_reference(a) and _all_fractions(ker)
+    span = subspace_basis(a)
+    assert span == _span_reference(a) and _all_fractions(span)
+    inter = intersect_subspaces(a, b)
+    assert inter == _intersect_reference(a, b) and _all_fractions(inter)
+    for target in (b[0], [sum(x) for x in zip(*a)]):
+        coords = solve_in_span(a, target)
+        assert coords == _solve_reference(a, target)
+        assert coords is None or all(type(v) is Fraction for v in coords)
+
+
+def _structure_reference(basis):
+    """The per-bracket span solve: (structure, closed, witness, table)."""
+    n = len(basis)
+    brackets = {(i, j): lie_bracket(basis[i], basis[j])
+                for i in range(n) for j in range(i + 1, n)}
+    keys = _coefficient_keys(list(basis) + list(brackets.values()))
+    vecs = [_coefficient_vector(f, keys) for f in basis]
+    if len(_rref_reference(vecs)[1]) < n:
+        raise DependentBasisError("basis fields are linearly dependent")
+    structure = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    closed, witness, table = True, None, {}
+    for (i, j), b in brackets.items():
+        coords = _solve_reference(vecs, _coefficient_vector(b, keys))
+        if coords is None:
+            closed = False
+            witness = witness or (i, j)
+            continue
+        table[(i, j)] = coords
+        for k in range(n):
+            structure[i][j][k] = coords[k]
+            structure[j][i][k] = -coords[k]
+    return structure, closed, witness, table
+
+
+_monomials = (Poly2.const(1), X, Y, X * X, X * Y, Y * Y)
+
+
+@st.composite
+def _bases(draw):
+    """Random quadratic fields (rarely closed), seeded solvable algebras
+    (closed), either one possibly with a combination of its fields appended
+    (dependent)."""
+    if draw(st.booleans()):
+        basis = _seeded_solvable_basis(draw(st.integers(1, 3)),
+                                       random.Random(draw(st.integers(0, 1000))))
+    else:
+        def poly():
+            return sum((draw(_mixed) * mono for mono in _monomials
+                        if draw(st.integers(0, 2)) == 0), Poly2.zero())
+        basis = [plane_field(poly(), poly()) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(basis) - 1))
+        basis.append(basis[i].scale(draw(_mixed)) + basis[-1])
+    return basis
+
+
+@given(_bases())
+@example([plane_field(Poly2.zero(), Poly2.zero())])
+@settings(max_examples=80, deadline=None)
+def test_structure_constants_match_per_bracket_solve(basis):
+    try:
+        want = _structure_reference(basis)
+    except DependentBasisError:
+        with pytest.raises(DependentBasisError):
+            structure_constants(basis)
+        return
+    g = structure_constants(basis)
+    assert (g.structure, g.closed, g.witness, g.bracket_table) == want
+    assert all(type(v) is Fraction for plane in g.structure for row in plane for v in row)
 
 
 def _det(mat):
@@ -242,3 +457,18 @@ def test_structure_constants_roundtrip_brackets():
             rebuilt = term if rebuilt is None else rebuilt + term
         direct = lie_bracket(g.basis[i], g.basis[j])
         assert (rebuilt - direct).is_zero()
+
+
+def test_liealg_reports_are_pinned(euler, unit_disk):
+    """Structure constants and LIEALG reports of 15 seeded solvable algebras
+    (3 seeds, dimensions 3-7) against the Euler field on the unit disk."""
+    out = []
+    for seed in (0, 1, 2):
+        rng = random.Random(seed)
+        for n in range(1, 6):
+            g = structure_constants(_seeded_solvable_basis(n, rng))
+            report = verify_liealg(g, euler, unit_disk, k=1,
+                                   resolution=Fraction(1, 64), known_zeros=[(0, 0)])
+            out.append({"structure": g.to_json(), "report": report.to_json()})
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == "6787ce214a7026659fc77f9b96f75a4e3f7c12ad10f9e808e03403ca6181e205"

@@ -217,6 +217,15 @@ def test_cli_max_depth_env_forces_depth_error(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("depth", ["abc", "0", "-3"])
+def test_cli_invalid_max_depth_env_exit_2(depth):
+    proc = _cli("verify", str(SCENARIOS / "source_disk.json"),
+                env={"VFBLOCK_MAX_DEPTH": depth})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: VFBLOCK_MAX_DEPTH must be an integer >= 1, got '{depth}'\n"
+
+
 def test_cli_two_scenarios_aggregate(tmp_path):
     proc = _cli("verify", str(SCENARIOS / "source_disk.json"),
                 str(SCENARIOS / "liealg_uppertri.json"),
