@@ -1,12 +1,13 @@
-"""Exact linear algebra over Q: rref, kernels, span solves, charpoly.
+"""Exact linear algebra over Q: rref, kernels, subspaces, charpoly.
 
-Matrices are lists of rows of ints or Fractions; every vector or matrix
-returned has Fraction entries.  Elimination is fraction-free Gauss-Jordan
-(after Bareiss) on integer rows: rows are scaled by the lcm of their
-denominators, and each row operation pv*row - f*prow ends by dividing by the
-new row's content.  Scaling rows keeps the row space and the rref of a matrix
-is unique, so dividing each pivot row by its pivot at the end gives exactly
-the Fractions that elimination over Q would.  charpoly rescales to ints too.
+Matrices are lists of rows of ints or Fractions.  Elimination is fraction-free
+Gauss-Jordan (after Bareiss) on integer rows: rows are scaled by the lcm of
+their denominators, and each row operation pv*row - f*prow ends by dividing by
+the new row's content.  Scaling rows keeps the row space and the rref of a
+matrix is unique, so dividing each pivot row by its pivot at the end gives
+exactly the Fractions that elimination over Q would; every vector or matrix
+returned has Fraction entries.  charpoly scales the matrix to ints as well and
+returns integer coefficients with the scale.
 """
 
 from __future__ import annotations
@@ -64,29 +65,6 @@ def rref(rows):
     return out + [[zero] * len(row) for row in m[len(pivots):]], pivots
 
 
-def rank(rows) -> int:
-    return len(rref(rows)[1])
-
-
-def solve_in_span(basis, target):
-    """Coordinates of target in the row span of basis, or None.
-
-    basis: list of vectors; target: vector of the same length."""
-    if not basis:
-        return None if any(t != 0 for t in target) else []
-    n = len(basis)
-    dim = len(target)
-    # augmented system: basis^T * c = target
-    aug = [[basis[k][d] for k in range(n)] + [target[d]] for d in range(dim)]
-    m, pivots = rref(aug)
-    if n in pivots:
-        return None
-    coords = [Fraction(0)] * n
-    for row, c in zip(m, pivots):
-        coords[c] = row[-1]
-    return coords
-
-
 def kernel(rows):
     """Basis of the right kernel of the matrix."""
     if not rows:
@@ -103,30 +81,34 @@ def kernel(rows):
     return out
 
 
-def mat_vec(mat, vec):
-    return [sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in mat]
-
-
 def identity(n):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
             for i in range(n)]
 
 
 def charpoly(mat):
-    """Monic characteristic polynomial det(tI - A), ascending Fraction
-    coefficients, by Faddeev-LeVerrier on B = d A, d the lcm of A's
-    denominators.  The recurrence M_1 = I, c_(n-k) = -tr(B M_k) / k,
+    """(d, p_B): d the lcm of A's denominators and p_B = det(tI - B) the
+    monic characteristic polynomial of the integer matrix B = d A, as
+    ascending ints.  That of A is p_A(t) = d^-n p_B(d t), i.e. coefficient j
+    is c_j / d^(n-j), and its roots are those of p_B divided by d.
+    Faddeev-LeVerrier: the recurrence M_1 = I, c_(n-k) = -tr(B M_k) / k,
     M_(k+1) = B M_k + c_(n-k) I gives the integer coefficients of p_B, so
     every trace divides exactly (else ContradictionError) and the run stays in
-    ints; then p_A(t) = d^-n p_B(d t), i.e. coefficient j is c_j / d^(n-j)."""
+    ints."""
     n = len(mat)
     d = math.lcm(1, *(v.denominator for row in mat for v in row))
-    b = [[v.numerator * (d // v.denominator) for v in row] for row in mat]
+    # B's nonzero entries by row: row i of B M is the sum of b_ij M[j]
+    b = [[(j, v.numerator * (d // v.denominator)) for j, v in enumerate(row) if v]
+         for row in mat]
     coeffs = [0] * n + [1]
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        cols = list(zip(*m))
-        bm = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in b]
+        bm = []
+        for row in b:
+            acc = [0] * n
+            for j, v in row:
+                acc = [a + v * x for a, x in zip(acc, m[j])]
+            bm.append(acc)
         c, rem = divmod(-sum(bm[i][i] for i in range(n)), k)
         if rem:
             raise ContradictionError(f"Faddeev-LeVerrier trace not divisible by {k}")
@@ -134,7 +116,7 @@ def charpoly(mat):
         for i in range(n):
             bm[i][i] += c
         m = bm
-    return [Fraction(c, d ** (n - j)) for j, c in enumerate(coeffs)]
+    return d, coeffs
 
 
 def subspace_basis(vectors):
@@ -165,10 +147,6 @@ def intersect_subspaces(a_basis, b_basis):
         if any(vec):
             out.append(vec)
     return subspace_basis(out) if out else []
-
-
-def vector_in_span(basis, vec) -> bool:
-    return solve_in_span(basis, vec) is not None
 
 
 def in_rref_span(rows, pivots, vec) -> bool:

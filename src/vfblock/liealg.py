@@ -224,11 +224,19 @@ class FlagResult:
 
 
 def _real_rational_eigenvalues(mat):
-    """(rational eigenvalues, whether irrational real eigenvalues exist)."""
-    cp = xl.charpoly(mat)
-    rats = [r for r, _ in upoly.rational_roots(cp)]
-    irrational = upoly.count_real_roots(cp) > len(rats)
-    return sorted(rats), irrational
+    """(rational eigenvalues, whether irrational real eigenvalues exist).
+    The eigenvalues of A are the roots of the monic integer p_B of B = d A,
+    which are integers, divided by d.  What is left of p_B once its rational
+    roots are divided out decides the second: it has a real root if its degree
+    is odd, and otherwise exactly when its Sturm count is positive."""
+    d, cp = xl.charpoly(mat)
+    roots = upoly.rational_roots(cp)
+    for r, mult in roots:
+        for _ in range(mult):
+            cp = upoly.quotient(cp, [-r.numerator, 1])
+    left = len(cp) - 1
+    irrational = left % 2 == 1 or (left > 0 and upoly.count_real_roots(cp) > 0)
+    return [r / d for r, _ in roots], irrational
 
 
 def _common_eigendirections(ads, space, ambiguous_flag):
@@ -302,10 +310,12 @@ def supersolvable_flag(g: LieAlgebraPresentation) -> FlagResult:
                 )
             return FlagResult("no_real_flag")
         v = _pick_candidate(cands)
-        # exact re-verification: [b_i, v] in span(v) for all i
-        for i in range(dim):
-            w = xl.mat_vec(ads[i], v)
-            if not xl.vector_in_span([v], w):
+        # exact re-verification: [b_i, v] in span(v) for all i, i.e. each
+        # w = ad_i v is w[lead] / v[lead] times v
+        lead = next(k for k, c in enumerate(v) if c)
+        for ad in ads:
+            w = [sum(a * b for a, b in zip(row, v) if b) for row in ad]
+            if any(a * v[lead] != w[lead] * b for a, b in zip(w, v)):
                 raise NumericalAmbiguity("candidate failed exact ideal verification")
         # lift to original coordinates
         orig = [Fraction(0)] * n

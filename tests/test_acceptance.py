@@ -22,7 +22,9 @@ from vfblock.tracking import (component_order_check, tracks_symbolic,
                               zero_invariance_check)
 from vfblock.trig import TrigPoly2
 from vfblock.verifier import verify_liealg, verify_mainbis
-from vfblock.exactlin import subspace_basis, vector_in_span
+from vfblock.exactlin import subspace_basis
+
+from fraction_reference import vector_in_span
 
 
 def _line(num: int, text: str):

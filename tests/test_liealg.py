@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -13,16 +14,19 @@ from hypothesis import strategies as st
 from vfblock.certify import zero_enclosure
 from vfblock.errors import DependentBasisError, NotClosedError, NumericalAmbiguity
 from vfblock.exactlin import (charpoly, identity, in_rref_span, intersect_subspaces,
-                              kernel, mat_vec, rank, rref, solve_in_span,
-                              subspace_basis, vector_in_span)
+                              kernel, rref, subspace_basis)
 from vfblock.fields import lie_bracket, plane_field
 from vfblock.liealg import (_coefficient_keys, _coefficient_vector,
-                            _common_eigendirections, _verify_ideal_chain,
+                            _common_eigendirections, _real_rational_eigenvalues,
+                            _verify_ideal_chain,
                             algebra_tracks, common_zero_set, solvability,
                             structure_constants, supersolvable_flag)
 from vfblock.poly import Poly2, X, Y
 from vfblock.regions import disk
 from vfblock.verifier import verify_liealg
+
+from fraction_reference import (count_real_roots, rational_roots, rref_reference,
+                                solve_in_span, vector_in_span)
 
 
 def _e2():
@@ -60,49 +64,23 @@ def _seeded_solvable_basis(n, rng):
 
 def test_exact_linear_algebra_helpers():
     m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert rank(m) == 1
+    assert len(rref(m)[1]) == 1
     assert kernel(m) == [[Fraction(-2), Fraction(1)]]
     # charpoly of [[0, -1], [1, 0]] is t^2 + 1
     j = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]
-    assert charpoly(j) == [Fraction(1), Fraction(0), Fraction(1)]
+    assert charpoly(j) == (1, [1, 0, 1])
 
 
 def test_exact_helpers_return_fractions_on_int_input():
     f = Fraction
     vectors = (rref([[2, 1], [4, 3]])[0] + kernel([[2, 4]])
-               + [solve_in_span([[2, 0], [0, 4]], [1, 1]), mat_vec([[1, 2]], [3, 4])])
-    assert vectors == [[f(1), f(0)], [f(0), f(1)], [f(-2), f(1)], [f(1, 2), f(1, 4)], [f(11)]]
+               + intersect_subspaces([[2, 0], [0, 4]], [[1, 1]]))
+    assert vectors == [[f(1), f(0)], [f(0), f(1)], [f(-2), f(1)], [f(1), f(1)]]
     assert all(type(v) is Fraction for vec in vectors for v in vec)
 
 
-# Gauss-Jordan over Q, entry by entry in Fractions: the reference that the
-# integer elimination in exactlin must match exactly
-def _rref_reference(rows):
-    m = [[Fraction(v) for v in r] for r in rows]
-    if not m:
-        return [], []
-    pivots = []
-    r = 0
-    for c in range(len(m[0])):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
 def _kernel_reference(rows):
-    m, pivots = _rref_reference(rows)
+    m, pivots = rref_reference(rows)
     out = []
     for fcol in (c for c in range(len(rows[0])) if c not in pivots):
         v = [Fraction(0)] * len(rows[0])
@@ -113,20 +91,8 @@ def _kernel_reference(rows):
     return out
 
 
-def _solve_reference(basis, target):
-    n = len(basis)
-    m, pivots = _rref_reference([[basis[k][d] for k in range(n)] + [target[d]]
-                                 for d in range(len(target))])
-    if n in pivots:
-        return None
-    coords = [Fraction(0)] * n
-    for row, c in zip(m, pivots):
-        coords[c] = row[-1]
-    return coords
-
-
 def _span_reference(vectors):
-    m, pivots = _rref_reference(vectors)
+    m, pivots = rref_reference(vectors)
     return m[: len(pivots)]
 
 
@@ -180,7 +146,7 @@ def _all_fractions(rows):
 def test_integer_elimination_matches_fraction_reference(case):
     a, b = case
     m, pivots = rref(a)
-    assert (m, pivots) == _rref_reference(a)
+    assert (m, pivots) == rref_reference(a)
     assert _all_fractions(m) and len(m) == len(a)
     sm, spivots = sympy.Matrix(a).rref()
     assert list(spivots) == pivots
@@ -192,10 +158,6 @@ def test_integer_elimination_matches_fraction_reference(case):
     assert span == _span_reference(a) and _all_fractions(span)
     inter = intersect_subspaces(a, b)
     assert inter == _intersect_reference(a, b) and _all_fractions(inter)
-    for target in (b[0], [sum(x) for x in zip(*a)]):
-        coords = solve_in_span(a, target)
-        assert coords == _solve_reference(a, target)
-        assert coords is None or all(type(v) is Fraction for v in coords)
 
 
 def _structure_reference(basis):
@@ -205,12 +167,12 @@ def _structure_reference(basis):
                 for i in range(n) for j in range(i + 1, n)}
     keys = _coefficient_keys(list(basis) + list(brackets.values()))
     vecs = [_coefficient_vector(f, keys) for f in basis]
-    if len(_rref_reference(vecs)[1]) < n:
+    if len(rref_reference(vecs)[1]) < n:
         raise DependentBasisError("basis fields are linearly dependent")
     structure = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     closed, witness, table = True, None, {}
     for (i, j), b in brackets.items():
-        coords = _solve_reference(vecs, _coefficient_vector(b, keys))
+        coords = solve_in_span(vecs, _coefficient_vector(b, keys))
         if coords is None:
             closed = False
             witness = witness or (i, j)
@@ -286,12 +248,77 @@ _entries = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 
 @settings(max_examples=60, deadline=None)
 def test_charpoly_is_det_t_minus_a(mat):
     n = len(mat)
-    cp = charpoly(mat)
-    assert len(cp) == n + 1 and cp[n] == 1
+    d, cb = charpoly(mat)
+    assert d == math.lcm(1, *(v.denominator for row in mat for v in row))
+    assert len(cb) == n + 1 and cb[n] == 1 and all(type(c) is int for c in cb)
+    cp = _charpoly_reference(mat)
     for t in range(n + 1):
         value = sum(c * t ** j for j, c in enumerate(cp))
         assert value == _det([[(t if i == j else 0) - mat[i][j] for j in range(n)]
                               for i in range(n)])
+
+
+def _charpoly_reference(mat):
+    """det(tI - A) over Q from charpoly's (d, p_B): p_A(t) = d^-n p_B(d t)."""
+    d, cb = charpoly(mat)
+    return [Fraction(c, d ** (len(mat) - j)) for j, c in enumerate(cb)]
+
+
+def _eigen_reference(mat):
+    """Rational roots and a Sturm count of det(tI - A) in Fractions."""
+    cp = _charpoly_reference(mat)
+    rats = [r for r, _ in rational_roots(cp)]
+    return rats, count_real_roots(cp) > len(rats)
+
+
+def _companion(*c):
+    """Companion matrix of t^n + c[n-1] t^(n-1) + ... + c[0]."""
+    n = len(c)
+    return [[int(i == j + 1) for j in range(n - 1)] + [-c[i]] for i in range(n)]
+
+
+@pytest.mark.parametrize("mat, want", [
+    (_companion(1, 0), ([], False)),                       # t^2 + 1: no real root
+    (_companion(-2, 0), ([], True)),                       # t^2 - 2: real irrational roots
+    (_companion(-2, 0, 0), ([], True)),                    # t^3 - 2: odd degree
+    (_companion(4, 0, -4, 0), ([], True)),                 # (t^2 - 2)^2: repeated
+    ([[Fraction(3, 2), 0, 0], [0, Fraction(3, 2), 0], [0, 0, 0]],
+     ([Fraction(0), Fraction(3, 2)], False)),              # d = 2, multiplicity 2
+    (_companion(-1, 1, -1), ([Fraction(1)], False)),       # (t - 1)(t^2 + 1)
+    (_companion(0, -2, 0), ([Fraction(0)], True)),         # t (t^2 - 2)
+], ids=["t2+1", "t2-2", "t3-2", "(t2-2)^2", "diag(3/2,3/2,0)", "(t-1)(t2+1)", "t(t2-2)"])
+def test_eigenvalue_cofactor_branches(mat, want):
+    mat = [[Fraction(v) for v in row] for row in mat]
+    assert _real_rational_eigenvalues(mat) == want == _eigen_reference(mat)
+
+
+# Both sides find rational root candidates by trial division up to
+# sqrt|det(d A)|, so entries stay small enough for that to be quick.
+_small_entries = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2]))
+
+
+@st.composite
+def _eigen_matrix(draw):
+    """Dense rational matrices, and triangular ones (rational eigenvalues,
+    often repeated) with a companion block [[0, a], [1, 0]] on top (roots
+    +-sqrt(a), real, complex or rational)."""
+    n = draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(_small_entries, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    diag = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2)])
+    mat = [[draw(diag) if i == j else draw(_small_entries) if j > i else Fraction(0)
+            for j in range(n)] for i in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        mat[0][0], mat[1][0] = Fraction(0), Fraction(1)
+        mat[0][1], mat[1][1] = draw(st.sampled_from([2, -1, 4, 3])), Fraction(0)
+    return mat
+
+
+@given(_eigen_matrix())
+@settings(max_examples=80, deadline=None)
+def test_eigenvalues_match_fraction_reference(mat):
+    assert _real_rational_eigenvalues(mat) == _eigen_reference(mat)
 
 
 def test_eigen_search_ignores_maps_it_never_reaches():
@@ -360,7 +387,6 @@ def test_supersolvable_flags():
 def test_flag_members_are_ideals_reverified():
     g = structure_constants(_uppertri())
     flag = supersolvable_flag(g)
-    from vfblock.exactlin import subspace_basis, vector_in_span
     n = g.dim
     for depth in range(1, len(flag.chain) + 1):
         sub = subspace_basis([list(v) for v in flag.chain[:depth]])
@@ -472,3 +498,21 @@ def test_liealg_reports_are_pinned(euler, unit_disk):
             out.append({"structure": g.to_json(), "report": report.to_json()})
     digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
     assert digest == "6787ce214a7026659fc77f9b96f75a4e3f7c12ad10f9e808e03403ca6181e205"
+
+
+def test_flag_candidate_is_reverified(monkeypatch):
+    # x d/dx, y d/dx, y d/dy: span(y d/dx) is an ideal, span(x d/dx) is not,
+    # since [y d/dx, x d/dx] = y d/dx
+    import vfblock.liealg as liealg
+    g = structure_constants(_uppertri())
+    pick = liealg._pick_candidate
+
+    def first_pick(v):
+        return lambda cands: v if len(cands[0]) == 3 else pick(cands)
+
+    f = Fraction
+    monkeypatch.setattr(liealg, "_pick_candidate", first_pick([f(0), f(-2), f(0)]))
+    assert supersolvable_flag(g).chain[0] == [f(0), f(-2), f(0)]
+    monkeypatch.setattr(liealg, "_pick_candidate", first_pick([f(1), f(0), f(0)]))
+    with pytest.raises(NumericalAmbiguity, match="exact ideal verification"):
+        supersolvable_flag(g)
