@@ -26,7 +26,7 @@ from .config import DEFAULTS, default_max_depth
 from .errors import (BoundaryZero, CertificationFailed, ContradictionError,
                      DepthLimitExceeded)
 from .fields import PlanarField
-from .poly import _frac, _frac_str, box_evaluator, cell_test
+from .poly import Poly2, _frac, _frac_str, box_evaluator, cell_test
 from .regions import (
     Region,
     TORUS_FULL,
@@ -224,6 +224,16 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
     contains zero and the cell meets closure(U) (decided exactly).  Kept cells
     are those of the first depth whose diagonal is at most the resolution.
 
+    The natural extension overestimates more the farther a box lies from the
+    origin.  So when every scalar is a Poly2 and the root box has a nonzero
+    centre c (and depth > 0), the descent tests s.translate(c), exact, on the
+    cells shifted by -c, and a final-depth cell is kept only if the untranslated
+    scalars also admit 0 there.  Both forms are inclusion-isotone: every
+    rounded operation is a monotone function of exact endpoints, as in
+    `iv.mul4` and `_sum_terms`.  So a leaf that passes the natural test has
+    ancestors that all pass it, and the kept cells are exactly those that both
+    forms keep at every depth: a subset of what either keeps alone.
+
     With `near`, an enclosure on the same grid (else ValueError), the kept
     cells are exactly `list(meeting_cells(full, near))` of the unrestricted
     enclosure `full`: a cell none of whose descendants can lie within one
@@ -245,6 +255,15 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
     x_table, y_table, test = cell_test(scalars)
     columns = _AxisTables(sx, h, depth, n, x_table)
     rows = _AxisTables(sy, h, depth, n, y_table)
+    leaf_test = None
+    half = h << depth >> 1          # n side / 2, exact when depth > 0
+    cx, cy = sx + half, sy + half   # n c for the root box's centre c
+    if depth and (cx or cy) and all(isinstance(s, Poly2) for s in scalars):
+        leaf_test, leaf_columns, leaf_rows = test, columns, rows
+        c = Fraction(cx, n), Fraction(cy, n)
+        x_table, y_table, test = cell_test([s.translate(*c) for s in scalars])
+        columns = _AxisTables(sx - cx, h, depth, n, x_table)
+        rows = _AxisTables(sy - cy, h, depth, n, y_table)
     near_cells = None if near is None else _NearCells(near, grid)
     examined = discarded_geom = discarded_iv = depth_used = 0
     kept: list[Cell] = []
@@ -265,7 +284,10 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
             discarded_iv += 1
             continue
         if d == depth:
-            kept.append((i, j))
+            if leaf_test is None or leaf_test(leaf_columns[d, i], leaf_rows[d, j]):
+                kept.append((i, j))
+            else:
+                discarded_iv += 1
             continue
         if d >= max_depth:
             raise DepthLimitExceeded(

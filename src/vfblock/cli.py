@@ -72,8 +72,10 @@ def main(argv=None) -> int:
             print(f"error: {path}: malformed JSON at line {e.lineno}, "
                   f"column {e.colno}: {e.msg}", file=sys.stderr)
             return 2
-        if args.tol is not None:
-            data.setdefault("tolerances", {})["tol"] = args.tol
+        if args.tol is not None and isinstance(data, dict):
+            tolerances = data.setdefault("tolerances", {})
+            if isinstance(tolerances, dict):    # other shapes fail the schema check
+                tolerances["tol"] = args.tol
         sources.append((path, data))
 
     def run_one(item):

@@ -361,8 +361,10 @@ def _quotient(g: LieAlgebraPresentation, v, lift):
 
 def _verify_ideal_chain(g: LieAlgebraPresentation, chain):
     """Ideal verification of every chain prefix, recomputed from the chain
-    alone: each prefix is row-reduced once and every bracket is reduced
-    against it."""
+    alone.  Once P_{d-1} is verified, P_d = P_{d-1} + span(c_d) is an ideal
+    iff [e_i, c_d] lies in P_d for every basis vector e_i, since [e_i, P_{d-1}]
+    lies in P_{d-1}: so each basis vector is bracketed once with each member
+    and reduced against the row-reduced prefix."""
     n = g.dim
     for depth in range(1, len(chain) + 1):
         sub, pivots = xl.rref([list(v) for v in chain[:depth]])
@@ -371,12 +373,10 @@ def _verify_ideal_chain(g: LieAlgebraPresentation, chain):
         for i in range(n):
             e = [Fraction(0)] * n
             e[i] = Fraction(1)
-            for u in sub:
-                w = g.bracket_coords(e, u)
-                if not xl.in_rref_span(sub, pivots, w):
-                    raise NumericalAmbiguity(
-                        f"chain member of dim {depth} is not an ideal"
-                    )
+            if not xl.in_rref_span(sub, pivots, g.bracket_coords(e, chain[depth - 1])):
+                raise NumericalAmbiguity(
+                    f"chain member of dim {depth} is not an ideal"
+                )
 
 
 @dataclass(frozen=True)

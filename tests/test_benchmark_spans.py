@@ -2,8 +2,8 @@
 
 benchmark/run.py raises BenchmarkError when a traced workload never enters
 one of its REQUIRED_SPANS, e.g. once the quadtree or the boundary pass stops
-calling `Poly2.eval_interval`.  One traced round of each workload that
-builds enclosures shows such a move in the ordinary test run.
+calling `Poly2.eval_interval`.  One traced round of every workload shows
+such a move in the ordinary test run.
 """
 
 import importlib.util
@@ -23,7 +23,7 @@ def bench_run():
     return module
 
 
-@pytest.mark.parametrize("workload", ["annulus", "falsify"])
+@pytest.mark.parametrize("workload", ["annulus", "falsify", "boundary", "algebra"])
 def test_traced_round_reaches_required_spans(bench_run, workload, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))   # run.py prepends src/ and benchmark/
     _, failures, _, _ = bench_run.traced(workload, 0, 0.0)   # BenchmarkError if a span is missed

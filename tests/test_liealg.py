@@ -500,6 +500,21 @@ def test_liealg_reports_are_pinned(euler, unit_disk):
     assert digest == "6787ce214a7026659fc77f9b96f75a4e3f7c12ad10f9e808e03403ca6181e205"
 
 
+def test_ideal_chain_checks_each_new_member():
+    # d/dx, d/dy, x d/dx + y d/dy: span(d/dx) is an ideal, but adding the
+    # dilation D is not, since [d/dy, D] = d/dy; d/dx, d/dy, D is a flag
+    g = structure_constants([plane_field(Poly2.const(1), Poly2.zero()),
+                             plane_field(Poly2.zero(), Poly2.const(1)),
+                             plane_field(X, Y)])
+    dx, dy, dil = ([Fraction(int(i == k)) for i in range(3)] for k in range(3))
+    _verify_ideal_chain(g, (dx, dy, dil))
+    _verify_ideal_chain(g, (dx,))
+    with pytest.raises(NumericalAmbiguity, match="chain member of dim 2 is not an ideal"):
+        _verify_ideal_chain(g, (dx, dil, dy))
+    with pytest.raises(NumericalAmbiguity, match="chain member of dim 1 is not an ideal"):
+        _verify_ideal_chain(g, (dil, dx, dy))
+
+
 def test_flag_candidate_is_reverified(monkeypatch):
     # x d/dx, y d/dx, y d/dy: span(y d/dx) is an ideal, span(x d/dx) is not,
     # since [y d/dx, x d/dx] = y d/dx

@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
@@ -98,9 +99,13 @@ def test_spread_centers_rejects_non_positive_count(euler, unit_disk, count):
         enc.spread_centers(count)
 
 
-def _zero_enclosure_reference(scalars, region, resolution, max_depth=None):
+def _zero_enclosure_reference(scalars, region, resolution, max_depth=None, centred=True):
     """Reference quadtree: one `box_evaluator` call per cell, from the cell's
-    own float intervals.  Returns the cells and the certificate counters."""
+    own float intervals.  With `centred`, Poly2 scalars on a grid of depth > 0
+    whose root box has a nonzero centre c are tested as s.translate(c) on the
+    cell shifted by -c at every depth, and as themselves on the cell at the
+    final depth; without it, as themselves at every depth.  Returns the cells
+    and the certificate counters."""
     resolution = Fraction(resolution)
     if max_depth is None:
         max_depth = default_max_depth()
@@ -112,7 +117,18 @@ def _zero_enclosure_reference(scalars, region, resolution, max_depth=None):
     grid = Grid(x0, y0, side, depth)
     n, sx, sy, h = grid.scaling(*region.params)
     scaled = region.scaled(n)
-    evaluate = box_evaluator(scalars)
+    c = (x0 + side / 2, y0 + side / 2)
+    natural = box_evaluator(scalars)
+    shift = (centred and depth > 0 and c != (0, 0)
+             and all(isinstance(s, Poly2) for s in scalars))
+    evaluate = box_evaluator([s.translate(*c) for s in scalars]) if shift else natural
+    nc = [v * n if shift else Fraction(0) for v in c]
+    assert all(v.denominator == 1 for v in nc)     # n c is integral when depth > 0
+    ncx, ncy = map(int, nc)
+
+    def cell(bx, by, w):
+        return (_lower(bx, n), _upper(bx + w, n)), (_lower(by, n), _upper(by + w, n))
+
     examined = discarded_geom = discarded_iv = depth_used = 0
     kept = []
     stack = [(0, 0, 0)]
@@ -125,12 +141,14 @@ def _zero_enclosure_reference(scalars, region, resolution, max_depth=None):
         if not box_intersects_closure(scaled, (bx, by, bx + w, by + w)):
             discarded_geom += 1
             continue
-        bi = ((_lower(bx, n), _upper(bx + w, n)), (_lower(by, n), _upper(by + w, n)))
-        if not all(iv.contains_zero(v) for v in evaluate(*bi)):
+        if not all(iv.contains_zero(v) for v in evaluate(*cell(bx - ncx, by - ncy, w))):
             discarded_iv += 1
             continue
         if d == depth:
-            kept.append((i, j))
+            if shift and not all(iv.contains_zero(v) for v in natural(*cell(bx, by, w))):
+                discarded_iv += 1
+            else:
+                kept.append((i, j))
             continue
         if d >= max_depth:
             raise DepthLimitExceeded(f"resolution {resolution} unreachable")
@@ -162,22 +180,31 @@ def _quadtree_cases(draw):
         scalars = [sum((TrigPoly2.term(*t) for t in ts), TrigPoly2.zero())
                    for ts in draw(st.lists(terms, min_size=1, max_size=3))]
     else:
-        scalars = []
-        for _ in range(draw(st.integers(1, 6))):
-            p = draw(st.one_of(st.just(Poly2.zero()), _coef.map(Poly2.const),
-                               st.dictionaries(_exponents, _coef, max_size=6).map(Poly2)))
-            if draw(st.booleans()):
-                u, v = draw(st.fractions(0, 1, max_denominator=16)), draw(st.fractions(0, 1))
-                p = p - p.eval_exact(x0 + u * side, y0 + v * side)
-            scalars.append(p)
+        scalars = draw(_poly_scalars(x0, y0, side))
     resolution = side * draw(st.fractions(Fraction(1, 20), 2, max_denominator=60))
     return scalars, region, resolution
+
+
+@st.composite
+def _poly_scalars(draw, x0, y0, side):
+    """One to six Poly2 scalars, each maybe shifted to vanish at an exact
+    point of the square [x0, x0 + side] x [y0, y0 + side]."""
+    scalars = []
+    for _ in range(draw(st.integers(1, 6))):
+        p = draw(st.one_of(st.just(Poly2.zero()), _coef.map(Poly2.const),
+                           st.dictionaries(_exponents, _coef, max_size=6).map(Poly2)))
+        if draw(st.booleans()):
+            u, v = draw(st.fractions(0, 1, max_denominator=16)), draw(st.fractions(0, 1))
+            p = p - p.eval_exact(x0 + u * side, y0 + v * side)
+        scalars.append(p)
+    return scalars
 
 
 @given(_quadtree_cases(), st.none() | st.integers(0, 4))
 @example(([X ** 2 + Y ** 2 - 1, Poly2.zero()], annulus((0, 0), Fraction(1, 2), 2),
           Fraction(1, 8)), None)
 @example(([Poly2.zero()], disk((0, 0), 1), Fraction(1, 4)), 2)
+@example(([(X - 1) ** 2 + Fraction(1, 8)], disk((1, 0), Fraction(1, 2)), 2), None)
 @settings(max_examples=150, deadline=None)
 def test_quadtree_matches_reference_loop(case, max_depth):
     scalars, region, resolution = case
@@ -190,6 +217,13 @@ def test_quadtree_matches_reference_loop(case, max_depth):
     enc = zero_enclosure_scalars(scalars, region, resolution, max_depth)
     assert (enc.cells, enc.cells_examined, enc.cells_discarded_geometry,
             enc.cells_discarded_interval, enc.depth_used) == want
+    # the centred descent only ever removes cells the natural extension keeps
+    try:
+        natural = _zero_enclosure_reference(scalars, region, resolution, max_depth,
+                                            centred=False)
+    except DepthLimitExceeded:
+        return
+    assert set(enc.cells) <= set(natural[0])
 
 
 def test_min_norm_source(euler, unit_disk):
@@ -386,6 +420,36 @@ def test_integer_cell_geometry_matches_fractions(region, depth, data, collar):
     for start, k, lo, hi in ((sx, cell[0], box[0], box[2]), (sy, cell[1], box[1], box[3])):
         assert _AxisTables(start, h, depth, n, lambda a: a)[depth, k] == \
             (iv.make(lo)[0], iv.make(hi)[1])
+
+
+def _shifted(region, c):
+    """The disk, annulus or rectangle translated by -c."""
+    if region.corners is not None:
+        x0, y0, x1, y1 = region.corners
+        return replace(region, corners=(x0 - c[0], y0 - c[1], x1 - c[0], y1 - c[1]))
+    return replace(region, center=(region.center[0] - c[0], region.center[1] - c[1]))
+
+
+@given(_regions(), st.data(), st.fractions(Fraction(1, 20), 1, max_denominator=60))
+@settings(max_examples=100, deadline=None)
+def test_centred_descent_is_translation_covariant(region, data, fraction):
+    # on U, whose root box is centred at c, the descent is the natural one of
+    # the translated scalars on U - c, cell for cell; the final natural test
+    # of the untranslated scalars can only remove cells
+    x0, y0, x1, _ = _root_box(region)
+    side = x1 - x0
+    c = (x0 + side / 2, y0 + side / 2)
+    scalars = data.draw(_poly_scalars(x0, y0, side))
+    enc = zero_enclosure_scalars(scalars, region, side * fraction)
+    moved = zero_enclosure_scalars([s.translate(*c) for s in scalars],
+                                   _shifted(region, c), side * fraction)
+    assert _root_box(moved.region) == (-side / 2, -side / 2, side / 2, side / 2)
+    assert enc.grid.depth == moved.grid.depth > 0
+    assert (enc.cells_examined, enc.cells_discarded_geometry, enc.depth_used) == \
+        (moved.cells_examined, moved.cells_discarded_geometry, moved.depth_used)
+    assert set(enc.cells) <= set(moved.cells)
+    assert enc.cells_discarded_interval == \
+        moved.cells_discarded_interval + len(moved.cells) - len(enc.cells)
 
 
 def _boxes_overlap_ref(a, b):

@@ -188,6 +188,24 @@ def test_cli_non_finite_tol_exit_2(tol):
         f"positive, got {tol}\n"
 
 
+@pytest.mark.parametrize("shape, message", [
+    ("top", "schema violation at $: [] is not of type 'object'"),
+    ("tolerances", "schema violation at $['tolerances']: 5 is not of type 'object'"),
+])
+def test_cli_tol_override_on_malformed_scenario_exit_2(tmp_path, shape, message):
+    # --tol writes into the scenario before the schema check sees it
+    data = json.loads((SCENARIOS / "annulus_mainbis.json").read_text())
+    if shape == "top":
+        data = []
+    else:
+        data["tolerances"] = 5
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    proc = _cli("verify", str(path), "--tol", "1e-6")
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("where", ["file", "check"])
 def test_non_finite_tol_in_scenario_is_schema_error(tmp_path, where):
     data = json.loads((SCENARIOS / "annulus_mainbis.json").read_text())
