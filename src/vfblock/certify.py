@@ -462,12 +462,11 @@ def _check_collar(enclosure: ZeroEnclosure):
             )
 
 
-def restrict_block(parent: Block, sub_region: Region, tol=None,
-                   max_depth: int | None = None) -> Block:
+def restrict_block(parent: Block, sub_region: Region) -> Block:
     """A block for a sub-region of an already certified block: the parent's
     enclosure boxes restricted to the sub-region stay a valid outer enclosure,
     so only the boundary margin needs fresh certification."""
-    boundary = min_norm_on_boundary(parent.field, sub_region, tol, max_depth)
+    boundary = min_norm_on_boundary(parent.field, sub_region)
     if boundary is None or boundary.margin <= 0:
         raise BoundaryZero("no positive boundary margin on the sub-region")
     enc = parent.enclosure

@@ -2,8 +2,8 @@
 
 Exit codes: 0 all checks pass, 1 any failure, 2 schema, certification or any
 other error, 3 inconclusive.  VFBLOCK_MAX_DEPTH in the environment (or
---max-depth, which sets it) caps subdivision depth globally; it must be an
-integer >= 1.
+--max-depth, which sets it for the length of the call) caps subdivision depth
+globally; it must be an integer >= 1.
 """
 
 from __future__ import annotations
@@ -48,12 +48,24 @@ def main(argv=None) -> int:
     ver.add_argument("--max-depth", type=int, help="subdivision depth cap")
     args = parser.parse_args(argv)
 
-    if args.max_depth is not None:
-        if args.max_depth < 1:
-            print(f"error: --max-depth must be at least 1, got {args.max_depth}",
-                  file=sys.stderr)
-            return 2
-        os.environ[ENV_MAX_DEPTH] = str(args.max_depth)
+    if args.max_depth is None:
+        return _verify(args)
+    if args.max_depth < 1:
+        print(f"error: --max-depth must be at least 1, got {args.max_depth}",
+              file=sys.stderr)
+        return 2
+    saved = os.environ.get(ENV_MAX_DEPTH)
+    os.environ[ENV_MAX_DEPTH] = str(args.max_depth)
+    try:
+        return _verify(args)
+    finally:    # the cap holds for this call only
+        if saved is None:
+            os.environ.pop(ENV_MAX_DEPTH, None)
+        else:
+            os.environ[ENV_MAX_DEPTH] = saved
+
+
+def _verify(args) -> int:
     try:
         default_max_depth()
     except ValueError as e:

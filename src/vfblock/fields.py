@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import DegenerateField, PointNotZero
 from .poly import Poly2, _frac
@@ -153,15 +154,13 @@ class JetOrder:
         return {"order": self.order, "k": self.k, "k_flat": self.is_flat}
 
 
-def _trig_partials_nonzero_at(comp: TrigPoly2, x, y, order: int) -> bool:
-    """Does some mixed partial of total order `order` not vanish at (x, y)?"""
-    derivs = [comp]
-    for _ in range(order):
-        derivs = [d.dx() for d in derivs] + [derivs[-1].dy()]
-    for d in derivs:
-        if not d.eval_exact(x, y).is_zero():
-            return True
-    return False
+def partials_by_order(comp):
+    """The mixed partials of comp, one list per total order j = 0, 1, ...:
+    [d^j/dx^j, d^j/dx^(j-1)dy, ..., d^j/dy^j], each order built from the last."""
+    order = [comp]
+    while True:
+        yield order
+        order = [d.dx() for d in order] + [order[-1].dy()]
 
 
 def jet_order(field: PlanarField, point, k: int | None = None) -> JetOrder:
@@ -183,10 +182,9 @@ def jet_order(field: PlanarField, point, k: int | None = None) -> JetOrder:
             return JetOrder(None, k)
         j = min(degs)
         return JetOrder(j if j <= k else None, k)
-    for j in range(1, k + 1):
-        if _trig_partials_nonzero_at(field.p, x, y, j) or _trig_partials_nonzero_at(
-            field.q, x, y, j
-        ):
+    orders = islice(zip(partials_by_order(field.p), partials_by_order(field.q)), 1, k + 1)
+    for j, (dp, dq) in enumerate(orders, 1):
+        if any(not d.eval_exact(x, y).is_zero() for d in dp + dq):
             return JetOrder(j, k)
     return JetOrder(None, k)
 

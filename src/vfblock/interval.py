@@ -50,10 +50,6 @@ def sub(a, b):
     return (down(a[0] - b[1]), up(a[1] - b[0]))
 
 
-def neg(a):
-    return (-a[1], -a[0])
-
-
 def mul4(a0: float, a1: float, b0: float, b1: float) -> tuple[float, float]:
     """[a0, a1] * [b0, b1], outward rounded; the endpoint products are chosen
     by the signs of the operands (Moore's nine cases).

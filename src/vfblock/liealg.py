@@ -397,10 +397,10 @@ def algebra_tracks(g: LieAlgebraPresentation, x_field: PlanarField) -> AlgebraTr
 
 
 def common_zero_set(g: LieAlgebraPresentation, region: Region,
-                    resolution, max_depth=None) -> ZeroEnclosure:
+                    resolution) -> ZeroEnclosure:
     """Certified enclosure of the intersection of the basis fields' zero sets."""
     scalars = []
     for b in g.basis:
         scalars.append(b.p)
         scalars.append(b.q)
-    return zero_enclosure_scalars(scalars, region, resolution, max_depth)
+    return zero_enclosure_scalars(scalars, region, resolution)

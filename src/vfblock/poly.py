@@ -2,7 +2,9 @@
 
 Poly2 is the coefficient-level workhorse: brackets, translations and
 divisibility tests all happen here, exactly.  Float and interval evaluation
-forms are cached per instance for the numeric paths.
+forms are cached per instance for the numeric paths.  `TermMap` and
+`add_term` are the sparse term-map core that trig.TrigPoly2 and trig.PiNumber
+share with it.
 """
 
 from __future__ import annotations
@@ -26,10 +28,75 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-class Poly2:
+def add_term(m: dict, key, c) -> None:
+    """m[key] += c, dropping the key when the sum is 0; a new key goes last."""
+    s = m.get(key)
+    s = c if s is None else s + c
+    if s:
+        m[key] = s
+    else:
+        m.pop(key, None)
+
+
+class TermMap:
+    """Sparse map `_m` from term keys to nonzero coefficients, with its
+    additive structure.  Subclasses define `const` and `_SCALARS`, the
+    coefficient types that coerce to a constant."""
+
+    __slots__ = ("_m", "_hash")
+    _SCALARS: tuple = ()
+
+    @classmethod
+    def _of(cls, m):
+        """Wrap an already normalized term map."""
+        out = cls()
+        out._m = m
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def _coerce(cls, other):
+        if isinstance(other, cls):
+            return other
+        if isinstance(other, cls._SCALARS):
+            return cls.const(other)
+        raise TypeError(f"cannot coerce {other!r}")
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        m = dict(self._m)
+        for k, c in other._m.items():
+            add_term(m, k, c)
+        return self._of(m)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._of({k: -c for k, c in self._m.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self._m == other._m
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self._m.items()))
+        return self._hash
+
+    def is_zero(self) -> bool:
+        return not self._m
+
+
+class Poly2(TermMap):
     """Polynomial in x, y; monomial map (i, j) -> nonzero Fraction."""
 
-    __slots__ = ("_m", "_float_terms", "_plan_cache", "_hash")
+    __slots__ = ("_float_terms", "_plan_cache")
+    _SCALARS = (int, Fraction)
 
     def __init__(self, monomials=None):
         m = {}
@@ -48,10 +115,6 @@ class Poly2:
     # construction -------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Poly2":
-        return cls()
-
-    @classmethod
     def const(cls, c) -> "Poly2":
         return cls({(0, 0): _frac(c)})
 
@@ -68,45 +131,21 @@ class Poly2:
 
     # ring structure -----------------------------------------------------
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        m = dict(self._m)
-        for k, c in other._m.items():
-            s = m.get(k, Fraction(0)) + c
-            if s == 0:
-                m.pop(k, None)
-            else:
-                m[k] = s
-        return Poly2(m)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly2({k: -c for k, c in self._m.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, self._SCALARS):
             c = _frac(other)
             if c == 0:
-                return Poly2()
-            return Poly2({k: v * c for k, v in self._m.items()})
+                return self.zero()
+            return self._of({k: v * c for k, v in self._m.items()})
         other = self._coerce(other)
         m: dict[tuple[int, int], Fraction] = {}
         for (i1, j1), c1 in self._m.items():
             for (i2, j2), c2 in other._m.items():
-                k = (i1 + i2, j1 + j2)
-                s = m.get(k, Fraction(0)) + c1 * c2
-                if s == 0:
-                    m.pop(k, None)
-                else:
-                    m[k] = s
-        return Poly2(m)
+                add_term(m, (i1 + i2, j1 + j2), c1 * c2)
+        return self._of(m)
 
     __rmul__ = __mul__
 
@@ -121,25 +160,6 @@ class Poly2:
             base = base * base
             n >>= 1
         return out
-
-    @staticmethod
-    def _coerce(other) -> "Poly2":
-        if isinstance(other, Poly2):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly2.const(other)
-        raise TypeError(f"cannot coerce {other!r}")
-
-    def __eq__(self, other):
-        return isinstance(other, Poly2) and self._m == other._m
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._m.items()))
-        return self._hash
-
-    def is_zero(self) -> bool:
-        return not self._m
 
     # structure ----------------------------------------------------------
 
@@ -158,10 +178,10 @@ class Poly2:
         return min(i + j for i, j in self._m)
 
     def dx(self) -> "Poly2":
-        return Poly2({(i - 1, j): c * i for (i, j), c in self._m.items() if i > 0})
+        return self._of({(i - 1, j): c * i for (i, j), c in self._m.items() if i > 0})
 
     def dy(self) -> "Poly2":
-        return Poly2({(i, j - 1): c * j for (i, j), c in self._m.items() if j > 0})
+        return self._of({(i, j - 1): c * j for (i, j), c in self._m.items() if j > 0})
 
     def translate(self, ax, ay) -> "Poly2":
         """Substitute x -> x + ax, y -> y + ay exactly."""
@@ -174,15 +194,9 @@ class Poly2:
                     continue
                 for q in range(j + 1):
                     cc = cx * math.comb(j, q) * ay ** (j - q)
-                    if cc == 0:
-                        continue
-                    k = (p, q)
-                    s = m.get(k, Fraction(0)) + cc
-                    if s == 0:
-                        m.pop(k, None)
-                    else:
-                        m[k] = s
-        return Poly2(m)
+                    if cc:
+                        add_term(m, (p, q), cc)
+        return self._of(m)
 
     def divide_y_power(self, l: int) -> "Poly2":
         """Exact quotient by y**l; raises InsufficientPower if not divisible."""
@@ -191,7 +205,7 @@ class Poly2:
         for (i, j) in self._m:
             if j < l:
                 raise InsufficientPower(f"monomial x^{i} y^{j} has y-exponent < {l}")
-        return Poly2({(i, j - l): c for (i, j), c in self._m.items()})
+        return self._of({(i, j - l): c for (i, j), c in self._m.items()})
 
     def substitute_y(self, value) -> list[Fraction]:
         """Univariate polynomial in x obtained by fixing y = value (exact)."""

@@ -532,8 +532,11 @@ def run_scenario(source) -> ScenarioReport:
         data = source
     else:
         try:
-            text = open(source, "r", encoding="utf-8").read() \
-                if not str(source).lstrip().startswith("{") else str(source)
+            if str(source).lstrip().startswith("{"):
+                text = str(source)
+            else:
+                with open(source, "r", encoding="utf-8") as fh:
+                    text = fh.read()
             data = json.loads(text)
         except OSError as e:
             raise ScenarioSchemaError(f"cannot read scenario: {e}") from e

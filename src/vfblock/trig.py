@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import interval as iv
 from .errors import InexactTrigEvaluation
-from .poly import _frac, _frac_str
+from .poly import TermMap, _frac, _frac_str, add_term
 
 COS, SIN = 0, 1
 _BASIS_STR = {COS: "c", SIN: "s"}
@@ -49,6 +49,9 @@ class PiNumber:
     def is_zero(self) -> bool:
         return not self._c
 
+    def __bool__(self) -> bool:
+        return bool(self._c)
+
     def as_fraction(self) -> Fraction | None:
         """The exact rational value, or None if a pi power is present."""
         if not self._c:
@@ -61,11 +64,7 @@ class PiNumber:
         other = PiNumber.of(other)
         c = dict(self._c)
         for k, v in other._c.items():
-            s = c.get(k, Fraction(0)) + v
-            if s == 0:
-                c.pop(k, None)
-            else:
-                c[k] = s
+            add_term(c, k, v)
         return PiNumber(c)
 
     def __neg__(self):
@@ -79,12 +78,7 @@ class PiNumber:
         c: dict[int, Fraction] = {}
         for k1, v1 in self._c.items():
             for k2, v2 in other._c.items():
-                k = k1 + k2
-                s = c.get(k, Fraction(0)) + v1 * v2
-                if s == 0:
-                    c.pop(k, None)
-                else:
-                    c[k] = s
+                add_term(c, k1 + k2, v1 * v2)
         return PiNumber(c)
 
     __rmul__ = __mul__
@@ -160,51 +154,29 @@ def _axis_product(m1, b1, m2, b2):
     return out
 
 
-class TrigPoly2:
+class TrigPoly2(TermMap):
     """Trig polynomial on the torus; term map (m, n, bx, by) -> PiNumber."""
 
-    __slots__ = ("_t", "_plan_cache", "_hash")
+    __slots__ = ("_plan_cache",)
+    _SCALARS = (int, Fraction, PiNumber)
 
     def __init__(self, terms=None):
         t: dict[tuple[int, int, int, int], PiNumber] = {}
         if terms:
             for (m, n, bx, by), c in terms.items():
                 c = PiNumber.of(c)
-                if c.is_zero():
+                if not c:
                     continue
-                sign = 1
                 nx = _norm_axis(int(m), int(bx), 1)
                 if nx is None:
                     continue
-                m2, bx2, sx = nx
-                sign *= sx
                 ny = _norm_axis(int(n), int(by), 1)
                 if ny is None:
                     continue
-                n2, by2, sy = ny
-                sign *= sy
-                key = (m2, n2, bx2, by2)
-                add = c if sign == 1 else -c
-                cur = t.get(key)
-                s = add if cur is None else cur + add
-                if s.is_zero():
-                    t.pop(key, None)
-                else:
-                    t[key] = s
-        self._t = t
+                add_term(t, (nx[0], ny[0], nx[1], ny[1]), c if nx[2] == ny[2] else -c)
+        self._m = t
         self._plan_cache = None
         self._hash = None
-
-    @classmethod
-    def _of(cls, t) -> "TrigPoly2":
-        """Wrap an already normalized term map."""
-        out = cls()
-        out._t = t
-        return out
-
-    @classmethod
-    def zero(cls) -> "TrigPoly2":
-        return cls()
 
     @classmethod
     def const(cls, c) -> "TrigPoly2":
@@ -217,111 +189,47 @@ class TrigPoly2:
         return cls({(m, n, bx, by): PiNumber.of(c)})
 
     def terms(self):
-        return dict(self._t)
-
-    def is_zero(self) -> bool:
-        return not self._t
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        t = dict(self._t)
-        for k, c in other._t.items():
-            cur = t.get(k)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                t.pop(k, None)
-            else:
-                t[k] = s
-        return TrigPoly2._of(t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TrigPoly2._of({k: -c for k, c in self._t.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return dict(self._m)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PiNumber)):
+        if isinstance(other, self._SCALARS):
             c = PiNumber.of(other)
-            if c.is_zero():
-                return TrigPoly2()
-            return TrigPoly2._of({k: v * c for k, v in self._t.items()})
+            if not c:
+                return self.zero()
+            return self._of({k: v * c for k, v in self._m.items()})
         other = self._coerce(other)
         acc: dict[tuple[int, int, int, int], PiNumber] = {}
-        for (m1, n1, bx1, by1), c1 in self._t.items():
-            for (m2, n2, bx2, by2), c2 in other._t.items():
+        for (m1, n1, bx1, by1), c1 in self._m.items():
+            for (m2, n2, bx2, by2), c2 in other._m.items():
                 c = c1 * c2
                 for mx, bx, fx in _axis_product(m1, bx1, m2, bx2):
                     for ny, by, fy in _axis_product(n1, by1, n2, by2):
-                        key = (mx, ny, bx, by)
-                        add = c * (fx * fy)
-                        cur = acc.get(key)
-                        s = add if cur is None else cur + add
-                        if s.is_zero():
-                            acc.pop(key, None)
-                        else:
-                            acc[key] = s
-        return TrigPoly2._of(acc)
+                        add_term(acc, (mx, ny, bx, by), c * (fx * fy))
+        return self._of(acc)
 
     __rmul__ = __mul__
 
-    @staticmethod
-    def _coerce(other) -> "TrigPoly2":
-        if isinstance(other, TrigPoly2):
-            return other
-        if isinstance(other, (int, Fraction, PiNumber)):
-            return TrigPoly2.const(other)
-        raise TypeError(f"cannot coerce {other!r}")
-
-    def __eq__(self, other):
-        return isinstance(other, TrigPoly2) and self._t == other._t
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._t.items()))
-        return self._hash
-
     # calculus -----------------------------------------------------------
 
-    def dx(self) -> "TrigPoly2":
+    def _diff(self, axis: int) -> "TrigPoly2":
+        """d/dx (axis 0) or d/dy (axis 1): at frequency f, cos(2 pi f t) turns
+        into -2 pi f sin(2 pi f t) and sin into 2 pi f cos."""
         t: dict[tuple[int, int, int, int], PiNumber] = {}
-        for (m, n, bx, by), c in self._t.items():
-            if m == 0:
+        for key, c in self._m.items():
+            f, basis = key[axis], key[2 + axis]
+            if f == 0:
                 continue
-            if bx == COS:
-                nc = c * PiNumber({1: Fraction(-2 * m)})
-                key = (m, n, SIN, by)
-            else:
-                nc = c * PiNumber({1: Fraction(2 * m)})
-                key = (m, n, COS, by)
-            cur = t.get(key)
-            s = nc if cur is None else cur + nc
-            if not s.is_zero():
-                t[key] = s
-            else:
-                t.pop(key, None)
-        return TrigPoly2._of(t)
+            new = list(key)
+            new[2 + axis] = SIN if basis == COS else COS
+            factor = PiNumber({1: Fraction(-2 * f if basis == COS else 2 * f)})
+            add_term(t, tuple(new), c * factor)
+        return self._of(t)
+
+    def dx(self) -> "TrigPoly2":
+        return self._diff(0)
 
     def dy(self) -> "TrigPoly2":
-        t: dict[tuple[int, int, int, int], PiNumber] = {}
-        for (m, n, bx, by), c in self._t.items():
-            if n == 0:
-                continue
-            if by == COS:
-                nc = c * PiNumber({1: Fraction(-2 * n)})
-                key = (m, n, bx, SIN)
-            else:
-                nc = c * PiNumber({1: Fraction(2 * n)})
-                key = (m, n, bx, COS)
-            cur = t.get(key)
-            s = nc if cur is None else cur + nc
-            if not s.is_zero():
-                t[key] = s
-            else:
-                t.pop(key, None)
-        return TrigPoly2._of(t)
+        return self._diff(1)
 
     # evaluation ---------------------------------------------------------
 
@@ -339,7 +247,7 @@ class TrigPoly2:
         """Exact value at a quarter-period rational point (else raises)."""
         x, y = _frac(x), _frac(y)
         total = PiNumber()
-        for (m, n, bx, by), c in self._t.items():
+        for (m, n, bx, by), c in self._m.items():
             fx = self._quarter(m, x, bx)
             fy = self._quarter(n, y, by)
             f = fx * fy
@@ -349,7 +257,7 @@ class TrigPoly2:
 
     def eval_float(self, x: float, y: float) -> float:
         total = 0.0
-        for (m, n, bx, by), c in self._t.items():
+        for (m, n, bx, by), c in self._m.items():
             ax = 2.0 * math.pi * m * x
             ay = 2.0 * math.pi * n * y
             fx = math.cos(ax) if bx == COS else math.sin(ax)
@@ -367,7 +275,7 @@ class TrigPoly2:
                  iv.mul(iv.TWO_PI, (float(m), float(m))),
                  iv.mul(iv.TWO_PI, (float(n), float(n))),
                  c.interval())
-                for (m, n, bx, by), c in self._t.items()]
+                for (m, n, bx, by), c in self._m.items()]
         return self._plan_cache
 
     def eval_interval(self, ix, iy):
@@ -392,7 +300,7 @@ class TrigPoly2:
 
     def to_json(self) -> list[dict]:
         out = []
-        for (m, n, bx, by), c in sorted(self._t.items()):
+        for (m, n, bx, by), c in sorted(self._m.items()):
             out.append(
                 {
                     "m": m,
@@ -412,10 +320,10 @@ class TrigPoly2:
         return cls(terms)
 
     def __repr__(self):
-        if not self._t:
+        if not self._m:
             return "TrigPoly2(0)"
         parts = []
-        for (m, n, bx, by), c in sorted(self._t.items()):
+        for (m, n, bx, by), c in sorted(self._m.items()):
             fx = "" if m == 0 and bx == COS else f"{_BASIS_STR[bx]}({m}x)"
             fy = "" if n == 0 and by == COS else f"{_BASIS_STR[by]}({n}y)"
             parts.append(f"({c!r}){fx}{fy}")

@@ -21,7 +21,7 @@ from .certify import (Block, ZeroEnclosure, certify_block, components,
                       zero_enclosure, zero_enclosure_scalars)
 from .config import DEFAULTS
 from .errors import CertificationFailed, VfblockError
-from .fields import PlanarField, jet_order
+from .fields import PlanarField, jet_order, partials_by_order
 from .flows import flowbox_build
 from .index import block_index
 from .liealg import (LieAlgebraPresentation, algebra_tracks, common_zero_set,
@@ -89,21 +89,13 @@ class TheoremReport:
         }
 
 
-def _all_partials(comp, k: int):
-    out = [comp]
-    current = [comp]
-    for _ in range(k):
-        current = [c.dx() for c in current] + [current[-1].dy()]
-        out.extend(current)
-    return out
-
-
-def kflat_locus_enclosure(field: PlanarField, region: Region, k: int, resolution,
-                          max_depth=None) -> ZeroEnclosure:
+def kflat_locus_enclosure(field: PlanarField, region: Region, k: int,
+                          resolution) -> ZeroEnclosure:
     """Enclosure of the set where every jet of the field through order k
     vanishes; empty means the field is nowhere k-flat on closure(U)."""
-    scalars = _all_partials(field.p, k) + _all_partials(field.q, k)
-    return zero_enclosure_scalars(scalars, region, resolution, max_depth)
+    scalars = [d for comp in (field.p, field.q)
+               for order in islice(partials_by_order(comp), k + 1) for d in order]
+    return zero_enclosure_scalars(scalars, region, resolution)
 
 
 def _check_not_kflat(field: PlanarField, region: Region, k: int, resolution,

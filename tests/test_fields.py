@@ -1,6 +1,7 @@
 """Field evaluation, Lie brackets and jet orders."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 import sympy
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vfblock.errors import PointNotZero
-from vfblock.fields import field_eval, jet_order, lie_bracket, plane_field
+from vfblock.fields import (field_eval, jet_order, lie_bracket, partials_by_order,
+                            plane_field, torus_field)
 from vfblock.poly import Poly2, X, Y
+from vfblock.trig import TrigPoly2
 
 from test_poly import poly2_st
 
@@ -130,6 +133,23 @@ def test_torus_jets(torus_sin):
     for p, expected in (((0, 0), 1), ((Fraction(1, 2), 0), 1),
                         ((0, Fraction(1, 2)), 1), ((Fraction(1, 2), Fraction(1, 2)), 1)):
         assert jet_order(torus_sin, p, 1).order == expected
+
+
+def test_torus_jets_of_higher_order():
+    s = TrigPoly2.term(1, 0, "sc", 1)      # sin(2 pi x)
+    t = TrigPoly2.term(0, 1, "cs", 1)      # sin(2 pi y)
+    f = torus_field(s * s * s, t * t)
+    assert jet_order(f, (0, 0), 1).is_flat
+    assert jet_order(f, (0, 0), 2).order == 2
+    g = torus_field(s * s * s, s * t * t)
+    assert jet_order(g, (0, 0), 3).order == 3
+    assert jet_order(g, (Fraction(1, 2), 0), 2).is_flat
+
+
+def test_partials_by_order():
+    p = X ** 3 * Y + Y ** 2
+    assert list(islice(partials_by_order(p), 3)) == [
+        [p], [p.dx(), p.dy()], [p.dx().dx(), p.dx().dy(), p.dy().dy()]]
 
 
 def test_field_json_roundtrip(circle_field, torus_sin):

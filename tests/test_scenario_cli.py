@@ -235,6 +235,18 @@ def test_cli_max_depth_env_forces_depth_error(tmp_path):
     assert proc.returncode == 2
 
 
+def test_cli_max_depth_lasts_one_call(monkeypatch, capsys):
+    from vfblock.cli import main
+    source = str(SCENARIOS / "source_disk.json")
+    monkeypatch.delenv("VFBLOCK_MAX_DEPTH", raising=False)
+    assert main(["verify", source, "--max-depth", "2"]) == 2     # depth cap reached
+    assert "VFBLOCK_MAX_DEPTH" not in os.environ
+    assert main(["verify", source]) == 0                        # default cap again
+    monkeypatch.setenv("VFBLOCK_MAX_DEPTH", "29")
+    assert main(["verify", source, "--max-depth", "30"]) == 0
+    assert os.environ["VFBLOCK_MAX_DEPTH"] == "29"
+
+
 @pytest.mark.parametrize("depth", ["abc", "0", "-3"])
 def test_cli_invalid_max_depth_env_exit_2(depth):
     proc = _cli("verify", str(SCENARIOS / "source_disk.json"),
