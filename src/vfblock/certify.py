@@ -119,6 +119,11 @@ class ZeroEnclosure:
     def is_empty(self) -> bool:
         return not self.cells
 
+    @cached_property
+    def near_cells(self) -> "_NearCells":
+        """The `_NearCells` of every descent `near` these cells."""
+        return _NearCells(self)
+
     def spread_centers(self, count: int) -> list[tuple[float, float]]:
         """Correctly rounded float centres of up to `count` cells, taken at an
         even stride through the sorted cells."""
@@ -161,10 +166,6 @@ def meeting_cells(a: ZeroEnclosure, b: ZeroEnclosure):
     return (c for c in a.cells if c in near)
 
 
-def enclosures_overlap(a: ZeroEnclosure, b: ZeroEnclosure) -> bool:
-    return next(meeting_cells(a, b), None) is not None
-
-
 def _root_box(region: Region) -> Box:
     x0, y0, x1, y1 = region.bounding_box()
     w, h = x1 - x0, y1 - y0
@@ -196,12 +197,10 @@ class _NearCells(dict):
     depth; above it, the parents of the cells beside `near`'s ancestors one
     depth down."""
 
-    def __init__(self, near: ZeroEnclosure, grid: Grid):
-        if near.grid != grid:
-            raise ValueError("the enclosures lie on different grids")
+    def __init__(self, near: ZeroEnclosure):
         super().__init__()
         self.ancestors = [near.cells]
-        for _ in range(grid.depth):
+        for _ in range(near.grid.depth):
             self.ancestors.append({(i >> 1, j >> 1) for i, j in self.ancestors[-1]})
         self.ancestors.reverse()
 
@@ -264,7 +263,9 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
         x_table, y_table, test = cell_test([s.translate(*c) for s in scalars])
         columns = _AxisTables(sx - cx, h, depth, n, x_table)
         rows = _AxisTables(sy - cy, h, depth, n, y_table)
-    near_cells = None if near is None else _NearCells(near, grid)
+    if near is not None and near.grid != grid:
+        raise ValueError("the enclosures lie on different grids")
+    near_cells = None if near is None else near.near_cells
     examined = discarded_geom = discarded_iv = depth_used = 0
     kept: list[Cell] = []
     stack: list[tuple[int, int, int]] = [(0, 0, 0)]

@@ -172,7 +172,7 @@ def jet_order(field: PlanarField, point, k: int | None = None) -> JetOrder:
         raise ValueError("k must be >= 1")
     x, y = _frac(point[0]), _frac(point[1])
     vx, vy = field.eval_exact(x, y)
-    if not _is_exact_zero(vx) or not _is_exact_zero(vy):
+    if vx or vy:
         raise PointNotZero(f"field is {vx, vy} != 0 at {point}")
     if field.surface == PLANE:
         tp = field.p.translate(x, y)
@@ -184,15 +184,9 @@ def jet_order(field: PlanarField, point, k: int | None = None) -> JetOrder:
         return JetOrder(j if j <= k else None, k)
     orders = islice(zip(partials_by_order(field.p), partials_by_order(field.q)), 1, k + 1)
     for j, (dp, dq) in enumerate(orders, 1):
-        if any(not d.eval_exact(x, y).is_zero() for d in dp + dq):
+        if any(d.eval_exact(x, y) for d in dp + dq):
             return JetOrder(j, k)
     return JetOrder(None, k)
-
-
-def _is_exact_zero(v) -> bool:
-    if isinstance(v, PiNumber):
-        return v.is_zero()
-    return v == 0
 
 
 def require_not_identically_zero(field: PlanarField, what: str = "field"):

@@ -396,11 +396,9 @@ def algebra_tracks(g: LieAlgebraPresentation, x_field: PlanarField) -> AlgebraTr
     return AlgebraTrackingResult(all(c.verdict for c in certs), certs)
 
 
-def common_zero_set(g: LieAlgebraPresentation, region: Region,
-                    resolution) -> ZeroEnclosure:
-    """Certified enclosure of the intersection of the basis fields' zero sets."""
-    scalars = []
-    for b in g.basis:
-        scalars.append(b.p)
-        scalars.append(b.q)
-    return zero_enclosure_scalars(scalars, region, resolution)
+def common_zero_set(g: LieAlgebraPresentation, region: Region, resolution,
+                    near: ZeroEnclosure | None = None) -> ZeroEnclosure:
+    """Certified enclosure of the intersection of the basis fields' zero sets
+    (only within one cell of `near`'s cells, when it is given)."""
+    scalars = [s for b in g.basis for s in (b.p, b.q)]
+    return zero_enclosure_scalars(scalars, region, resolution, near=near)

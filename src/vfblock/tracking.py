@@ -198,19 +198,12 @@ def order_invariance_check(x_field: PlanarField, y_field: PlanarField, point,
           Fraction(q[1]).limit_denominator(10 ** 6))
     try:
         vx, vy = x_field.eval_exact(*qr)
-        if _exact_zero(vx) and _exact_zero(vy):
+        if not (vx or vy):
             exact_q = jet_order(x_field, qr, k)
     except Exception:
         exact_q = None
     verdict = jq == jp.order and (exact_q is None or exact_q.order == jp.order)
     return OrderInvarianceReport(verdict, jp, jq, q, exact_q)
-
-
-def _exact_zero(v) -> bool:
-    try:
-        return v == 0 or v.is_zero()
-    except AttributeError:
-        return False
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,12 @@ _COS_QUARTER = (Fraction(1), Fraction(0), Fraction(-1), Fraction(0))
 _SIN_QUARTER = (Fraction(0), Fraction(1), Fraction(0), Fraction(-1))
 
 
-class PiNumber:
-    """A polynomial in pi with rational coefficients: sum c_k * pi**k."""
+class PiNumber(TermMap):
+    """A polynomial in pi with rational coefficients: sum c_k * pi**k, a term
+    map k -> c_k."""
 
-    __slots__ = ("_c",)
+    __slots__ = ()
+    _SCALARS = (int, Fraction)
 
     def __init__(self, coeffs=None):
         c = {}
@@ -38,65 +40,55 @@ class PiNumber:
                 v = _frac(v)
                 if v != 0:
                     c[int(k)] = v
-        self._c = c
+        self._m = c
+        self._hash = None
+
+    _c = property(lambda self: self._m)     # read-only alias of the term map
+
+    @classmethod
+    def const(cls, c) -> "PiNumber":
+        return cls({0: c})
 
     @classmethod
     def of(cls, x) -> "PiNumber":
         if isinstance(x, PiNumber):
             return x
-        return cls({0: _frac(x)})
-
-    def is_zero(self) -> bool:
-        return not self._c
+        return cls.const(x)
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._m)
 
     def as_fraction(self) -> Fraction | None:
         """The exact rational value, or None if a pi power is present."""
-        if not self._c:
+        if not self._m:
             return Fraction(0)
-        if set(self._c) == {0}:
-            return self._c[0]
+        if set(self._m) == {0}:
+            return self._m[0]
         return None
 
-    def __add__(self, other):
-        other = PiNumber.of(other)
-        c = dict(self._c)
-        for k, v in other._c.items():
-            add_term(c, k, v)
-        return PiNumber(c)
-
-    def __neg__(self):
-        return PiNumber({k: -v for k, v in self._c.items()})
-
-    def __sub__(self, other):
-        return self + (-PiNumber.of(other))
-
     def __mul__(self, other):
-        other = PiNumber.of(other)
+        other = self._coerce(other)
         c: dict[int, Fraction] = {}
-        for k1, v1 in self._c.items():
-            for k2, v2 in other._c.items():
+        for k1, v1 in self._m.items():
+            for k2, v2 in other._m.items():
                 add_term(c, k1 + k2, v1 * v2)
-        return PiNumber(c)
+        return self._of(c)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PiNumber.of(other)
-        return isinstance(other, PiNumber) and self._c == other._c
+        if isinstance(other, self._SCALARS):
+            other = self.const(other)
+        return TermMap.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
+    __hash__ = TermMap.__hash__
 
     def __float__(self):
-        return sum(float(v) * math.pi ** k for k, v in self._c.items())
+        return sum(float(v) * math.pi ** k for k, v in self._m.items())
 
     def interval(self):
         total = (0.0, 0.0)
-        for k, v in self._c.items():
+        for k, v in self._m.items():
             total = iv.add(total, iv.mul(iv.make(v), iv.pow_int(iv.PI, k)))
         return total
 
@@ -104,7 +96,7 @@ class PiNumber:
         f = self.as_fraction()
         if f is not None:
             return _frac_str(f)
-        return {f"pi{k}": _frac_str(v) for k, v in sorted(self._c.items())}
+        return {f"pi{k}": _frac_str(v) for k, v in sorted(self._m.items())}
 
     @classmethod
     def from_json(cls, data) -> "PiNumber":
@@ -113,10 +105,10 @@ class PiNumber:
         return cls({int(k[2:]): Fraction(v) for k, v in data.items()})
 
     def __repr__(self):
-        if not self._c:
+        if not self._m:
             return "0"
         return " + ".join(
-            f"{v}" + ("" if k == 0 else f"*pi^{k}") for k, v in sorted(self._c.items())
+            f"{v}" + ("" if k == 0 else f"*pi^{k}") for k, v in sorted(self._m.items())
         )
 
 

@@ -7,6 +7,10 @@ diagnostics and drives a nonzero exit code through the CLI.  Overlapping
 enclosures never prove intersection by themselves: conclusions of the form
 "the zero sets meet" pass on overlap (consistency), while disjointness of the
 certified outer enclosures is a proof of empty intersection.
+
+Every question about K (is X k-flat on it, do Z(Y) or Z(g) meet it) is
+answered by one descent near K's cells on K's grid, `_near_k`, so with a
+certified block each theorem runs one quadtree over all of closure(U).
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from fractions import Fraction
 from itertools import islice
 
 from .certify import (Block, ZeroEnclosure, certify_block, components,
-                      enclosures_overlap, meeting_cells, restrict_block,
-                      zero_enclosure, zero_enclosure_scalars)
+                      meeting_cells, restrict_block, zero_enclosure,
+                      zero_enclosure_scalars)
 from .config import DEFAULTS
 from .errors import CertificationFailed, VfblockError
 from .fields import PlanarField, jet_order, partials_by_order
@@ -90,16 +94,20 @@ class TheoremReport:
 
 
 def kflat_locus_enclosure(field: PlanarField, region: Region, k: int,
-                          resolution) -> ZeroEnclosure:
+                          resolution, near: ZeroEnclosure | None = None) -> ZeroEnclosure:
     """Enclosure of the set where every jet of the field through order k
     vanishes; empty means the field is nowhere k-flat on closure(U)."""
     scalars = [d for comp in (field.p, field.q)
                for order in islice(partials_by_order(comp), k + 1) for d in order]
-    return zero_enclosure_scalars(scalars, region, resolution)
+    return zero_enclosure_scalars(scalars, region, resolution, near=near)
 
 
 def _check_not_kflat(field: PlanarField, region: Region, k: int, resolution,
-                     known_zeros) -> CheckRecord:
+                     known_zeros, block: Block | None) -> CheckRecord:
+    """Every k-flat point of X in closure(U) is a zero of X, so it lies in
+    K's cells: the locus is enclosed near K (over all of closure(U) without a
+    certified block), and an exact zero of X found there is tested for
+    flatness like a known zero."""
     name = f"X not {k}-flat on K"
     data = {}
     for z in known_zeros:
@@ -109,16 +117,18 @@ def _check_not_kflat(field: PlanarField, region: Region, k: int, resolution,
             data["flat_witness"] = [str(_frac(z[0])), str(_frac(z[1]))]
             return CheckRecord(name, FAIL, data)
     try:
-        # an empty locus at any resolution is already a certificate; a coarse
-        # pass keeps this check cheap
-        locus = kflat_locus_enclosure(field, region, k,
-                                      max(_frac(resolution), Fraction(1, 16)))
+        locus, _, zero = _near_k(
+            lambda near: kflat_locus_enclosure(field, region, k, resolution, near),
+            (), field, region, block, ())
     except VfblockError as e:
         data["error"] = str(e)
         return CheckRecord(name, INCONCLUSIVE, data)
     data["kflat_locus_boxes"] = len(locus.cells)
     if locus.is_empty:
         return CheckRecord(name, PASS, data)
+    if zero is not None and jet_order(field, zero, k).is_flat:
+        data["flat_witness"] = zero
+        return CheckRecord(name, FAIL, data)
     return CheckRecord(name, INCONCLUSIVE, data)
 
 
@@ -156,48 +166,54 @@ def _verified_exact_zero(field: PlanarField, point) -> bool:
         vx, vy = field.eval_exact(_frac(point[0]), _frac(point[1]))
     except Exception:
         return False
-    for v in (vx, vy):
-        if hasattr(v, "is_zero"):
-            if not v.is_zero():
-                return False
-        elif v != 0:
-            return False
-    return True
+    return not (vx or vy)
 
 
-def _common_zero_witness(x_field: PlanarField, y_field: PlanarField, region: Region,
+def _common_zero_witness(x_field: PlanarField, fields, region: Region,
                          known_zeros, centers):
-    """An exact rational point of Z(X) n Z(Y) n cl(U), if one can be pinned."""
+    """An exact rational point of Z(X) n cl(U) where every field of `fields`
+    vanishes too, if one can be pinned: a known zero (an exact zero of X, as
+    the k-flat check's `jet_order` raises on any other), or a zero of X
+    polished from one of the centres and rounded to a small denominator."""
     for z in known_zeros:
         zf = (_frac(z[0]), _frac(z[1]))
-        if region.contains_point_closed(zf) and _verified_exact_zero(y_field, zf):
+        if region.contains_point_closed(zf) and all(
+                _verified_exact_zero(f, zf) for f in fields):
             return zf
     for c in centers:
         p = polish_zero(x_field, c)
         for den in (1, 2, 4, 8, 16, 1024):
             zr = (Fraction(p[0]).limit_denominator(den),
                   Fraction(p[1]).limit_denominator(den))
-            if (region.contains_point_closed(zr)
-                    and _verified_exact_zero(x_field, zr)
-                    and _verified_exact_zero(y_field, zr)):
+            if region.contains_point_closed(zr) and all(
+                    _verified_exact_zero(f, zr) for f in (x_field, *fields)):
                 return zr
     return None
 
 
+def _near_k(enclose, fields, x_field, region, block, known_zeros):
+    """The one descent for a question about K.  `enclose(near)` encloses a
+    zero set on K's grid, with `near` K's enclosure, so only the cells within
+    one cell of K's are kept (`near` is None without a certified block, and
+    the set is enclosed over all of closure(U)).  Returns that enclosure,
+    whether it meets K's cells (is nonempty, without a block) and, if it
+    does, an exact common zero of X and `fields` in closure(U) as JSON, or
+    None."""
+    near = None if block is None else block.enclosure
+    enc = enclose(near)
+    cells = list(islice(enc.cells if near is None else meeting_cells(near, enc), 8))
+    if not cells:
+        return enc, False, None
+    w = _common_zero_witness(x_field, fields, region, known_zeros, enc.grid.centers(cells))
+    return enc, True, w and [_frac_str(w[0]), _frac_str(w[1])]
+
+
 def _zy_meets_k(x_field, y_field, region, block, resolution, known_zeros):
-    """Z(Y) enclosed on the grid of K's enclosure, only within one cell of
-    K's cells (the cells that can meet them): that cell count, whether the
-    two overlap and, on overlap, an exact common zero as JSON (or None).
-    Raises VfblockError without a block or an enclosure of Z(Y)."""
+    """`_near_k` for Z(Y); raises VfblockError without a block."""
     if block is None:
         raise CertificationFailed("no certified block")
-    k_enc = block.enclosure
-    y_enc = zero_enclosure(y_field, region, resolution, near=k_enc)
-    centers = k_enc.grid.centers(islice(meeting_cells(k_enc, y_enc), 8))
-    if not centers:
-        return len(y_enc.cells), False, None
-    w = _common_zero_witness(x_field, y_field, region, known_zeros, centers)
-    return len(y_enc.cells), True, w and [_frac_str(w[0]), _frac_str(w[1])]
+    return _near_k(lambda near: zero_enclosure(y_field, region, resolution, near=near),
+                   [y_field], x_field, region, block, known_zeros)
 
 
 def verify_main(x_field: PlanarField, y_field: PlanarField, region: Region,
@@ -209,16 +225,16 @@ def verify_main(x_field: PlanarField, y_field: PlanarField, region: Region,
     hyp = []
     essential, block, _ = _check_essential_block(x_field, region, resolution)
     hyp.append(essential)
-    hyp.append(_check_not_kflat(x_field, region, k, resolution, known_zeros))
+    hyp.append(_check_not_kflat(x_field, region, k, resolution, known_zeros, block))
     hyp.append(_check_tracking(y_field, x_field))
     name = "Z(Y) n K is nonempty"
     try:
-        y_boxes, overlap, witness = _zy_meets_k(x_field, y_field, region, block,
-                                                resolution, known_zeros)
+        y_enc, overlap, witness = _zy_meets_k(x_field, y_field, region, block,
+                                              resolution, known_zeros)
     except VfblockError as e:
         concl = CheckRecord(name, INCONCLUSIVE, {"error": str(e)})
         return TheoremReport(MAIN, hyp, [concl])
-    data = {"y_zero_boxes": y_boxes, "k_boxes": len(block.enclosure.cells),
+    data = {"y_zero_boxes": len(y_enc.cells), "k_boxes": len(block.enclosure.cells),
             "enclosures_overlap": overlap}
     if witness is not None:
         data["witness"] = witness
@@ -231,11 +247,11 @@ def _check_zy_disjoint_from_k(x_field, y_field, region, block, resolution,
                               known_zeros) -> CheckRecord:
     name = "Z(Y) n K is empty"
     try:
-        y_boxes, overlap, witness = _zy_meets_k(x_field, y_field, region, block,
-                                                resolution, known_zeros)
+        y_enc, overlap, witness = _zy_meets_k(x_field, y_field, region, block,
+                                              resolution, known_zeros)
     except VfblockError as e:
         return CheckRecord(name, INCONCLUSIVE, {"error": str(e)})
-    data = {"y_zero_boxes": y_boxes}
+    data = {"y_zero_boxes": len(y_enc.cells)}
     if not overlap:
         return CheckRecord(name, PASS, data)
     if witness is not None:
@@ -389,7 +405,7 @@ def verify_mainbis(x_field: PlanarField, y_field: PlanarField, region: Region,
         resolution = DEFAULTS.default_resolution
     hyp = []
     block, err = _certify_block_checked(x_field, region, resolution)
-    hyp.append(_check_not_kflat(x_field, region, k, resolution, known_zeros))
+    hyp.append(_check_not_kflat(x_field, region, k, resolution, known_zeros, block))
     hyp.append(_check_tracking(y_field, x_field))
     hyp.append(_check_zy_disjoint_from_k(x_field, y_field, region, block,
                                          resolution, known_zeros))
@@ -443,7 +459,7 @@ def verify_liealg(algebra, x_field: PlanarField, region: Region, k: int = 1,
     hyp = []
     essential, block, _ = _check_essential_block(x_field, region, resolution)
     hyp.append(essential)
-    hyp.append(_check_not_kflat(x_field, region, k, resolution, known_zeros))
+    hyp.append(_check_not_kflat(x_field, region, k, resolution, known_zeros, block))
     name_ss = "algebra is supersolvable"
     if not algebra.closed:
         hyp.append(CheckRecord(name_ss, FAIL,
@@ -465,13 +481,16 @@ def verify_liealg(algebra, x_field: PlanarField, region: Region, k: int = 1,
     try:
         if block is None:
             raise CertificationFailed("no certified block")
-        zg = common_zero_set(algebra, region, resolution)
+        zg, overlap, witness = _near_k(
+            lambda near: common_zero_set(algebra, region, resolution, near),
+            algebra.basis, x_field, region, block, known_zeros)
     except VfblockError as e:
         concl = CheckRecord(name, INCONCLUSIVE, {"error": str(e)})
         return TheoremReport(LIEALG, hyp, [concl])
-    overlap = enclosures_overlap(zg, block.enclosure)
     data = {"zg_boxes": len(zg.cells), "k_boxes": len(block.enclosure.cells),
             "enclosures_overlap": overlap,
             "zg_enclosure": zg.to_json() if len(zg.cells) <= 64 else None}
+    if witness is not None:
+        data["witness"] = witness
     concl = CheckRecord(name, PASS if overlap else FAIL, data)
     return TheoremReport(LIEALG, hyp, [concl])

@@ -62,7 +62,7 @@ def poly_ref(p: Poly2, ix, iy):
 
 def pi_ref(c: PiNumber):
     total = (0.0, 0.0)
-    for k, v in c._c.items():
+    for k, v in c._m.items():
         total = iv.add(total, mul_ref(iv.make(v), pow_ref(iv.PI, k)))
     return total
 

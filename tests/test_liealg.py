@@ -497,7 +497,7 @@ def test_liealg_reports_are_pinned(euler, unit_disk):
                                    resolution=Fraction(1, 64), known_zeros=[(0, 0)])
             out.append({"structure": g.to_json(), "report": report.to_json()})
     digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
-    assert digest == "6787ce214a7026659fc77f9b96f75a4e3f7c12ad10f9e808e03403ca6181e205"
+    assert digest == "f262853ace424db469c38507345629830e2fdd6f1b2714a97711693a8733fd8f"
 
 
 def test_ideal_chain_checks_each_new_member():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from vfblock import interval as iv
 from vfblock.certify import (_EDGE_STEPS, Grid, ZeroEnclosure, _AxisTables, _clusters,
                              _has_hole, _lower, _root_box, _upper, certify_block,
-                             components, enclosures_overlap, meeting_cells,
+                             components, meeting_cells,
                              min_norm_on_boundary, zero_enclosure, zero_enclosure_scalars)
 from vfblock.config import default_max_depth
 from vfblock.corpus import random_tracking_scenario
@@ -492,8 +492,8 @@ def test_cell_overlap_matches_fraction_boxes(case, limit):
     k_enc, y_enc, points = case
     k_boxes, y_boxes = k_enc.boxes, y_enc.boxes
     meeting = [b for b in k_boxes if any(_boxes_overlap_ref(b, yb) for yb in y_boxes)]
-    assert enclosures_overlap(k_enc, y_enc) == bool(meeting)
-    assert enclosures_overlap(y_enc, k_enc) == bool(meeting)
+    assert (next(meeting_cells(k_enc, y_enc), None) is not None) == bool(meeting)
+    assert (next(meeting_cells(y_enc, k_enc), None) is not None) == bool(meeting)
     centres = [(float((b[0] + b[2]) / 2), float((b[1] + b[3]) / 2)) for b in k_boxes]
     assert k_enc.grid.centers(k_enc.cells) == centres
     assert k_enc.grid.centers(islice(meeting_cells(k_enc, y_enc), limit)) == [
@@ -508,7 +508,7 @@ def test_enclosures_on_different_grids_raise():
     for other in (Grid(Fraction(0), Fraction(0), Fraction(4), 3),
                   Grid(Fraction(1, 2), Fraction(0), Fraction(4), 2)):
         with pytest.raises(ValueError):
-            enclosures_overlap(_enclosure(_UNIT_GRID, cells), _enclosure(other, cells))
+            meeting_cells(_enclosure(_UNIT_GRID, cells), _enclosure(other, cells))
         with pytest.raises(ValueError):
             meeting_cells(_enclosure(other, cells), _enclosure(_UNIT_GRID, cells))
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vfblock.errors import InexactTrigEvaluation
+from vfblock.poly import TermMap
 from vfblock.trig import COS, SIN, PiNumber, TrigPoly2
 
 coeff_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -73,6 +74,17 @@ def test_pi_number_zero_test_is_exact():
     b = PiNumber({1: Fraction(-2)})
     assert (a + b).is_zero()
     assert not (a + PiNumber.of(1)).is_zero()
+
+
+def test_pi_number_is_a_term_map():
+    pi = PiNumber({1: 1})
+    assert isinstance(pi, TermMap)
+    assert not PiNumber() and pi and PiNumber() == 0 and PiNumber.of(3) == 3
+    assert PiNumber.of(Fraction(1, 2)) == Fraction(1, 2) != pi
+    assert 1 + pi == pi + 1 == PiNumber({1: 1, 0: 1})
+    assert hash(pi + 1) == hash(PiNumber({0: 1, 1: 1}))
+    assert (pi - pi).is_zero() and -pi == PiNumber({1: -1})
+    assert {pi * 2: "a"}[PiNumber({1: 2})] == "a"
 
 
 @given(trig_st(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))

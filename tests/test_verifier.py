@@ -1,17 +1,20 @@
 """Theorem verifiers on the spec scenarios, plus the falsification harness."""
 
+import inspect
 import json
 import math
 import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vfblock import verifier
-from vfblock.certify import certify_block
+from vfblock import certify, liealg, verifier
+from vfblock.certify import certify_block, zero_enclosure_scalars
 from vfblock.corpus import falsification_run, random_tracking_scenario
-from vfblock.errors import EscapeError, StepUnderflow
-from vfblock.fields import plane_field
+from vfblock.errors import EscapeError, StepUnderflow, VfblockError
+from vfblock.fields import jet_order, plane_field
 from vfblock.flows import Flowbox
 from vfblock.poly import Poly2, X, Y
 from vfblock.regions import annulus, disk
@@ -217,6 +220,149 @@ def test_kflat_detected_at_supplied_zero():
     rec = names["X not 2-flat on K"]
     assert rec.verdict == "fail"
     assert rec.data["flat_witness"] == ["0", "0"]
+
+
+def test_kflat_found_by_polishing_without_known_zeros():
+    # the locus near K is not empty, and the zero of X polished from K's
+    # cells rounds to the origin, where every jet through order 2 vanishes
+    cube = plane_field(X ** 3, Y ** 3)
+    report = verify_main(cube, cube.scale(2), disk((0, 0), Fraction(1, 2)), k=2,
+                         resolution=Fraction(1, 16))
+    rec = {c.name: c for c in report.hypothesis_checks}["X not 2-flat on K"]
+    assert rec.verdict == "fail"
+    assert rec.data["flat_witness"] == ["0", "0"]
+    assert rec.data["kflat_locus_boxes"] > 0
+
+
+def _kflat_locus_reference(field, region, k, resolution):
+    """The k-flat locus as it was enclosed before it moved onto K's grid: one
+    quadtree over all of closure(U) at resolution max(resolution, 1/16), of
+    every partial d^(i+j) / dx^i dy^j with i + j <= k of both components."""
+    scalars = []
+    for comp in (field.p, field.q):
+        for i in range(k + 1):
+            for j in range(k + 1 - i):
+                d = comp
+                for _ in range(i):
+                    d = d.dx()
+                for _ in range(j):
+                    d = d.dy()
+                scalars.append(d)
+    return zero_enclosure_scalars(scalars, region, max(resolution, Fraction(1, 16)))
+
+
+_eighths = st.fractions(Fraction(-1, 2), Fraction(1, 2), max_denominator=8)
+
+
+@st.composite
+def _kflat_cases(draw):
+    """A polynomial field vanishing at z to an order of 1 to 4 in each
+    component, a disk around z, a k and a resolution."""
+    z = (draw(_eighths), draw(_eighths))
+    u, v = X - z[0], Y - z[1]
+
+    def component():
+        order = draw(st.integers(1, 4))
+        exponents = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
+            lambda e: order <= sum(e) <= 4)
+        terms = draw(st.dictionaries(exponents, st.integers(-3, 3).filter(bool),
+                                     min_size=1, max_size=3))
+        return sum((c * u ** i * v ** j for (i, j), c in terms.items()), Poly2.zero())
+
+    field = plane_field(component(), component())
+    r = draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))))
+    offset = (draw(_eighths) * r, draw(_eighths) * r)
+    region = disk((z[0] + offset[0], z[1] + offset[1]), r)
+    resolution = draw(st.sampled_from((Fraction(1, 8), Fraction(1, 16), Fraction(1, 32))))
+    return field, region, draw(st.integers(1, 3)), resolution, z
+
+
+@given(_kflat_cases())
+@example((plane_field(X ** 3, Y ** 3), disk((0, 0), Fraction(1, 2)), 2, Fraction(1, 16),
+          (Fraction(0), Fraction(0))))
+@settings(max_examples=40, deadline=None)
+def test_kflat_locus_near_k_within_reference(case):
+    field, region, k, resolution, z = case
+    try:
+        block = certify_block(field, region, resolution)
+    except VfblockError:
+        block = None
+    ref = _kflat_locus_reference(field, region, k, resolution)
+    locus = verifier.kflat_locus_enclosure(field, region, k, resolution,
+                                           None if block is None else block.enclosure)
+    # one root box: the near-K grid refines the reference's, and each of its
+    # cells lies in a reference cell
+    assert (locus.grid.x0, locus.grid.y0, locus.grid.side) == \
+        (ref.grid.x0, ref.grid.y0, ref.grid.side)
+    shift = locus.grid.depth - ref.grid.depth
+    assert shift >= 0
+    ref_cells = set(ref.cells)
+    assert all((i >> shift, j >> shift) in ref_cells for i, j in locus.cells)
+    rec = verifier._check_not_kflat(field, region, k, resolution, (), block)
+    assert rec.data["kflat_locus_boxes"] == len(locus.cells)
+    if ref.is_empty:
+        assert locus.is_empty and rec.verdict == "pass"
+    if rec.verdict == "fail":
+        w = tuple(Fraction(c) for c in rec.data["flat_witness"])
+        assert region.contains_point_closed(w) and jet_order(field, w, k).is_flat
+    if region.contains_point_closed(z) and jet_order(field, z, k).is_flat:
+        assert rec.verdict in ("fail", "inconclusive")
+
+
+def test_one_full_quadtree_per_theorem(monkeypatch, euler, rotation, circle_field,
+                                       unit_disk, std_annulus):
+    # with a certified block, K's enclosure is the only quadtree over all of
+    # closure(U), and every enclosure of the theorem lies on K's grid
+    calls = []
+    signature = inspect.signature(zero_enclosure_scalars)
+
+    def counting(*args, **kwargs):
+        enc = zero_enclosure_scalars(*args, **kwargs)
+        calls.append((signature.bind(*args, **kwargs).arguments.get("near"), enc.grid))
+        return enc
+
+    for module in (certify, verifier, liealg):
+        monkeypatch.setattr(module, "zero_enclosure_scalars", counting)
+    runs = [
+        lambda: verify_main(euler, rotation, unit_disk, k=1, resolution=Fraction(1, 16),
+                            known_zeros=[(0, 0)]),
+        lambda: verify_mainbis(circle_field, rotation, std_annulus, k=1,
+                               resolution=Fraction(1, 32),
+                               known_zeros=[(1, 0), (0, 1), (-1, 0), (0, -1)]),
+        lambda: verify_liealg(_uppertri(), euler, unit_disk, k=1,
+                              resolution=Fraction(1, 64), known_zeros=[(0, 0)]),
+    ]
+    for run in runs:
+        calls.clear()
+        assert run().overall == {"status": "Pass"}
+        assert len(calls) == 3
+        assert [near is None for near, _ in calls].count(True) == 1
+        assert len({grid for _, grid in calls}) == 1
+
+
+def test_liealg_witness():
+    # from a known zero
+    euler = plane_field(X, Y)
+    report = verify_liealg(_uppertri(), euler, disk((0, 0), 1), k=1,
+                           resolution=Fraction(1, 64), known_zeros=[(0, 0)])
+    assert report.conclusion_checks[0].data["witness"] == ["0", "0"]
+    # polished from K's cells: the upper-triangular algebra moved to (1/2, -1/4)
+    u, v = X - Fraction(1, 2), Y + Fraction(1, 4)
+    moved = [plane_field(u, Poly2.zero()), plane_field(v, Poly2.zero()),
+             plane_field(Poly2.zero(), v)]
+    report = verify_liealg(moved, plane_field(u, v), disk((0, 0), 1), k=1,
+                           resolution=Fraction(1, 32))
+    assert report.overall == {"status": "Pass"}
+    assert report.conclusion_checks[0].data["witness"] == ["1/2", "-1/4"]
+    # Z(g) is the lines x = +-sqrt(2)/1000: they meet K's cells around the
+    # origin, but the known zero of X there is no zero of g, and no exact
+    # common zero exists
+    g = [plane_field(X ** 2 - Fraction(2, 10 ** 6), Poly2.zero())]
+    report = verify_liealg(g, euler, disk((0, 0), 1), k=1, resolution=Fraction(1, 32),
+                           known_zeros=[(0, 0)])
+    concl = report.conclusion_checks[0]
+    assert concl.verdict == "pass" and concl.data["enclosures_overlap"]
+    assert "witness" not in concl.data
 
 
 def test_report_json_roundtrip(euler, rotation, unit_disk):
