@@ -1,9 +1,9 @@
 """Batch scenario runner: `vfblock verify <scenario.json> ...`.
 
-Exit codes: 0 all checks pass, 1 any failure, 2 schema, certification or any
-other error, 3 inconclusive.  VFBLOCK_MAX_DEPTH in the environment (or
---max-depth, which sets it for the length of the call) caps subdivision depth
-globally; it must be an integer >= 1.
+The batch exits with the code (`verifier.EXIT_CODE`) of its worst verdict; a
+file that cannot be read, parsed or run is an error.  VFBLOCK_MAX_DEPTH in the
+environment (or --max-depth, which sets it for the length of the call) caps
+subdivision depth globally; it must be an integer >= 1.
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ import sys
 from .config import ENV_MAX_DEPTH, default_max_depth
 from .errors import ScenarioSchemaError, VfblockError
 from .scenario import Scenario, parse_scenario, run_scenario
-
-_EXIT_RANK = {0: 0, 3: 1, 1: 2, 2: 3}
-
-
-def _worst_exit(codes) -> int:
-    return max(codes, key=lambda c: _EXIT_RANK.get(c, 3), default=0)
+from .verifier import ERROR, EXIT_CODE, worst
 
 
 def _plot_for(report_json: dict, scenario: Scenario, out_path: str):
@@ -53,7 +48,7 @@ def main(argv=None) -> int:
     if args.max_depth < 1:
         print(f"error: --max-depth must be at least 1, got {args.max_depth}",
               file=sys.stderr)
-        return 2
+        return EXIT_CODE[ERROR]
     saved = os.environ.get(ENV_MAX_DEPTH)
     os.environ[ENV_MAX_DEPTH] = str(args.max_depth)
     try:
@@ -70,7 +65,7 @@ def _verify(args) -> int:
         default_max_depth()
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return EXIT_CODE[ERROR]
 
     sources = []
     for path in args.scenarios:
@@ -79,11 +74,11 @@ def _verify(args) -> int:
                 data = json.load(fh)
         except OSError as e:
             print(f"error: cannot read {path}: {e}", file=sys.stderr)
-            return 2
+            return EXIT_CODE[ERROR]
         except json.JSONDecodeError as e:
             print(f"error: {path}: malformed JSON at line {e.lineno}, "
                   f"column {e.colno}: {e.msg}", file=sys.stderr)
-            return 2
+            return EXIT_CODE[ERROR]
         if args.tol is not None and isinstance(data, dict):
             tolerances = data.setdefault("tolerances", {})
             if isinstance(tolerances, dict):    # other shapes fail the schema check
@@ -94,25 +89,25 @@ def _verify(args) -> int:
         path, data = item
         try:
             scenario = parse_scenario(data)
-            return scenario, run_scenario(scenario).to_json(), None
+            return scenario, run_scenario(scenario), None
         except ScenarioSchemaError as e:
             return None, None, f"{path}: {e}"
-        except Exception as e:  # any crash is an error (2), never "failed" (1)
+        except Exception as e:  # any crash is an ERROR, never a FAIL
             return None, None, f"{path}: {type(e).__name__}: {e}"
 
-    codes = []
+    verdicts = []
     scenarios = []
     reports = []
     for scenario, report, err in map(run_one, sources):
         if err is not None:
             print(f"error: {err}", file=sys.stderr)
-            codes.append(2)
+            verdicts.append(ERROR)
             continue
         scenarios.append(scenario)
-        reports.append(report)
-        codes.append(report["exit_code"])
-        for check in report["checks"]:
-            print(f"{report['scenario']}: {check['name']}: {check['verdict']}")
+        reports.append(report.to_json())
+        verdicts.append(report.verdict)
+        for check in report.checks:
+            print(f"{report.name}: {check.name}: {check.verdict}")
 
     if args.report and reports:
         payload = reports[0] if len(reports) == 1 else {"reports": reports}
@@ -121,7 +116,7 @@ def _verify(args) -> int:
                 fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         except OSError as e:
             print(f"error: cannot write {args.report}: {e}", file=sys.stderr)
-            codes.append(2)
+            verdicts.append(ERROR)
 
     if args.plot and reports:
         try:
@@ -130,12 +125,12 @@ def _verify(args) -> int:
                       file=sys.stderr)
         except VfblockError as e:
             print(f"error: plotting failed: {e}", file=sys.stderr)
-            codes.append(2)
+            verdicts.append(ERROR)
         except OSError as e:
             print(f"error: cannot write {args.plot}: {e}", file=sys.stderr)
-            codes.append(2)
+            verdicts.append(ERROR)
 
-    return _worst_exit(codes)
+    return EXIT_CODE[worst(verdicts)]
 
 
 if __name__ == "__main__":

@@ -33,10 +33,12 @@ _B5_NZ = tuple((m, b) for m, b in enumerate(_B5) if b)
 _B4_NZ = tuple((m, b) for m, b in enumerate(_B4) if b)
 
 DEFAULT_BBOX = (-1e3, -1e3, 1e3, 1e3)
+_MAX_STEPS = 200000
+_MAX_SHRINKS = 12
+_MARGIN_GRID = 5
 
 
-def integrate(f, y0, t_total: float, tol: float, bbox=DEFAULT_BBOX,
-              max_steps: int = 200000):
+def integrate(f, y0, t_total: float, tol: float, bbox=DEFAULT_BBOX):
     """Integrate the autonomous system y' = f(y) from 0 to t_total."""
     if t_total == 0.0:
         return tuple(y0)
@@ -47,7 +49,7 @@ def integrate(f, y0, t_total: float, tol: float, bbox=DEFAULT_BBOX,
     h_min = 1e-14 * max(1.0, abs(t_total))
     elapsed = 0.0
     dims = range(len(y))
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if elapsed >= remaining - 1e-300:
             return y
         h = min(h, remaining - elapsed)
@@ -178,7 +180,7 @@ class Flowbox:
 
         return pushed
 
-    def inverse(self, q, max_iter: int = 40):
+    def inverse(self, q):
         """Chart coordinates of a nearby point, or None when Newton leaves the
         (slightly padded) window or fails to converge."""
         dx = (q[0] - self.base[0], q[1] - self.base[1])
@@ -187,7 +189,7 @@ class Flowbox:
         t /= max(speed, 1e-12)
         s = dx[0] * self.normal[0] + dx[1] * self.normal[1]
         scale = 1.0 + math.hypot(*q)
-        for _ in range(max_iter):
+        for _ in range(40):
             if abs(t) > 1.5 * self.time_window or abs(s) > 1.5 * self.half_length:
                 return None
             pt, ycol, vcol = self.frame(t, s)
@@ -209,7 +211,7 @@ class Flowbox:
 
 
 def flowbox_build(field: PlanarField, point, half_length, time_window,
-                  tol: float = 1e-10, max_shrinks: int = 12) -> Flowbox:
+                  tol: float = 1e-10) -> Flowbox:
     """Construct a flowbox for the field at a nonzero base point, shrinking the
     window until the chart frame keeps a transversality margin."""
     p = (float(point[0]), float(point[1]))
@@ -221,7 +223,7 @@ def flowbox_build(field: PlanarField, point, half_length, time_window,
     normal = (-direction[1], direction[0])
     half = float(_frac(half_length)) if not isinstance(half_length, float) else half_length
     window = float(_frac(time_window)) if not isinstance(time_window, float) else time_window
-    for _ in range(max_shrinks + 1):
+    for _ in range(_MAX_SHRINKS + 1):
         fb = Flowbox(field, p, direction, normal, half, window, tol)
         margin = _injectivity_margin(fb)
         if margin >= 0.25:
@@ -230,16 +232,16 @@ def flowbox_build(field: PlanarField, point, half_length, time_window,
         half *= 0.5
         window *= 0.5
     raise FoldDetected(
-        f"no transversality margin within {max_shrinks} window shrinks at {point}"
+        f"no transversality margin within {_MAX_SHRINKS} window shrinks at {point}"
     )
 
 
-def _injectivity_margin(fb: Flowbox, grid: int = 5) -> float:
+def _injectivity_margin(fb: Flowbox) -> float:
     worst = math.inf
-    for i in range(grid):
-        t = fb.time_window * (2.0 * i / (grid - 1) - 1.0)
-        for j in range(grid):
-            s = fb.half_length * (2.0 * j / (grid - 1) - 1.0)
+    for i in range(_MARGIN_GRID):
+        t = fb.time_window * (2.0 * i / (_MARGIN_GRID - 1) - 1.0)
+        for j in range(_MARGIN_GRID):
+            s = fb.half_length * (2.0 * j / (_MARGIN_GRID - 1) - 1.0)
             try:
                 _, ycol, vcol = fb.frame(t, s)
             except (EscapeError, StepUnderflow):

@@ -53,13 +53,16 @@ def interval_lipschitz(field: PlanarField, bbox) -> float:
     return iv.up(math.sqrt(total)) + 1e-300
 
 
-def sampled_lipschitz(evalf, curve, n: int = 2048) -> float:
+_LIPSCHITZ_SAMPLES = 2048
+
+
+def sampled_lipschitz(evalf, curve) -> float:
     """Finite-difference Lipschitz estimate along a curve, with a safety factor."""
     best = 0.0
     prev_p = curve.point(0.0)
     prev_v = evalf(*prev_p)
-    for i in range(1, n + 1):
-        p = curve.point(i / n)
+    for i in range(1, _LIPSCHITZ_SAMPLES + 1):
+        p = curve.point(i / _LIPSCHITZ_SAMPLES)
         v = evalf(*p)
         dp = math.hypot(p[0] - prev_p[0], p[1] - prev_p[1])
         dv = math.hypot(v[0] - prev_v[0], v[1] - prev_v[1])

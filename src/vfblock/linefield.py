@@ -101,8 +101,7 @@ def _decide_factor_vanishes(gx1, gx2, a: Fraction, b: Fraction):
         )
 
 
-def extend_line_field(f_pair, l: int, region: Region, y_eps: float = 1e-9,
-                      continuity_levels=(4, 5, 6)) -> LineFieldRep:
+def extend_line_field(f_pair, l: int, region: Region) -> LineFieldRep:
     """The unique continuous line field extending F/|F| across {y = 0}: off the
     axis the representative is sign(y)^l F/|F|, on the axis g(x,0)/|g(x,0)|."""
     if region.kind != RECT:
@@ -115,14 +114,14 @@ def extend_line_field(f_pair, l: int, region: Region, y_eps: float = 1e-9,
         f1, f2 = f_pair
 
     def rep(px: float, py: float):
-        if abs(py) > y_eps:
+        if abs(py) > 1e-9:
             sgn = 1.0 if (py > 0 or l % 2 == 0) else -1.0
             return _unit((sgn * f1.eval_float(px, py), sgn * f2.eval_float(px, py)))
         return _unit((g1.eval_float(px, 0.0), g2.eval_float(px, 0.0)))
 
     lam = LineFieldRep(rep, domain=region)
     lam.meta["factor"] = (g1, g2)
-    lam.meta["continuity"] = _continuity_jumps(lam, region, continuity_levels)
+    lam.meta["continuity"] = _continuity_jumps(lam, region, (4, 5, 6))
     return lam
 
 
@@ -190,11 +189,10 @@ class ControlsResult:
 
 
 def controls_check(lam: LineFieldRep, x_field: PlanarField, region: Region,
-                   tol: float, n_samples: int, seed: int = 0,
-                   threshold: float = 1e-9) -> ControlsResult:
+                   tol: float, n_samples: int) -> ControlsResult:
     """Max mod-pi angle between X and the line field over sampled points of the
-    region where |X| clears the threshold; controls iff max < tol."""
-    rng = random.Random(seed)
+    region where |X| clears 1e-9; controls iff max < tol."""
+    rng = random.Random(0)
     x0, y0, x1, y1 = (float(v) for v in region.bounding_box())
     worst = 0.0
     used = 0
@@ -211,7 +209,7 @@ def controls_check(lam: LineFieldRep, x_field: PlanarField, region: Region,
                 and not lam.domain.contains((px, py)):
             continue
         vx, vy = x_field.eval_float(px, py)
-        if math.hypot(vx, vy) <= threshold:
+        if math.hypot(vx, vy) <= 1e-9:
             continue
         used += 1
         worst = max(worst, angle_mod_pi((vx, vy), lam(px, py)))
@@ -246,8 +244,11 @@ def orientability_check(lam: LineFieldRep, region: Region, n_samples: int,
     return orientable
 
 
-def flowbox_line_field(fb: Flowbox, x_field: PlanarField, l: int,
-                       s_eps: float = 1e-4) -> LineFieldRep:
+# below this |s| the chart direction is a symmetric difference quotient
+_S_EPS = 1e-4
+
+
+def flowbox_line_field(fb: Flowbox, x_field: PlanarField, l: int) -> LineFieldRep:
     """Numeric controlling line field in a flowbox: divide the pushforward of X
     by s^l, extend across the axis via symmetric difference quotients, and pull
     the direction back through the chart frame."""
@@ -255,13 +256,13 @@ def flowbox_line_field(fb: Flowbox, x_field: PlanarField, l: int,
     parity = 1.0 if l % 2 == 0 else -1.0
 
     def chart_dir(t: float, s: float):
-        if abs(s) >= s_eps:
+        if abs(s) >= _S_EPS:
             a, b = pushed(t, s)
             sgn = 1.0 if (s > 0 or l % 2 == 0) else -1.0
             return _unit((sgn * a, sgn * b))
-        scale = s_eps ** l
-        ap, bp = pushed(t, s_eps)
-        am, bm = pushed(t, -s_eps)
+        scale = _S_EPS ** l
+        ap, bp = pushed(t, _S_EPS)
+        am, bm = pushed(t, -_S_EPS)
         return _unit(((ap + parity * am) / (2 * scale), (bp + parity * bm) / (2 * scale)))
 
     def rep(px: float, py: float):

@@ -40,7 +40,7 @@ def add_term(m: dict, key, c) -> None:
 
 class TermMap:
     """Sparse map `_m` from term keys to nonzero coefficients, with its
-    additive structure.  Subclasses define `const` and `_SCALARS`, the
+    additive structure; it is falsy exactly when it is zero.  Subclasses define `const` and `_SCALARS`, the
     coefficient types that coerce to a constant."""
 
     __slots__ = ("_m", "_hash")
@@ -90,6 +90,9 @@ class TermMap:
 
     def is_zero(self) -> bool:
         return not self._m
+
+    def __bool__(self) -> bool:
+        return bool(self._m)
 
 
 class Poly2(TermMap):

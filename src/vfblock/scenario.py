@@ -1,9 +1,9 @@
 """Scenario files: schema validation, check dispatch, deterministic reports.
 
 A scenario declares named fields, regions, points and algebras, then a list of
-checks referencing them by name.  Exit codes are CI-oriented: 0 all pass,
-1 any hypothesis/conclusion failure or expectation mismatch, 2 schema or
-certification error, 3 inconclusive.
+checks referencing them by name.  A report exits with the code of its worst
+check on the verdict ladder, `verifier.EXIT_CODE`; an expectation mismatch
+counts as at least a failure.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .poly import _frac_str
 from .regions import Region
 from .tracking import (component_order_check, order_invariance_check,
                        tracking_residual, tracks_symbolic, zero_invariance_check)
-from .verifier import verify_liealg, verify_main, verify_mainbis
+from .verifier import (ERROR, EXIT_CODE, FAIL, PASS, verify_liealg, verify_main,
+                       verify_mainbis, worst)
 
 _RATIONAL = {"type": ["string", "integer"]}
 _EXPONENT = {"type": "integer", "minimum": 0}
@@ -131,11 +132,6 @@ SCENARIO_SCHEMA = {
     },
 }
 
-PASS, FAIL, INCONCLUSIVE, ERROR = "pass", "fail", "inconclusive", "error"
-_SEVERITY = {PASS: 0, INCONCLUSIVE: 1, FAIL: 2, ERROR: 3}
-_EXIT_CODE = {PASS: 0, INCONCLUSIVE: 3, FAIL: 1, ERROR: 2}
-
-
 @dataclass
 class Scenario:
     name: str
@@ -216,23 +212,20 @@ class _Ctx:
         self.s = scenario
         self.args = args
 
-    def field(self, key, default=None):
-        name = self.args.get(key, default)
-        if name is None or name not in self.s.fields:
-            raise ScenarioSchemaError(f"check argument {key!r} -> unknown field {name!r}")
-        return self.s.fields[name]
+    def _named(self, table: dict, noun: str, key):
+        name = self.args.get(key)
+        if name is None or name not in table:
+            raise ScenarioSchemaError(f"check argument {key!r} -> unknown {noun} {name!r}")
+        return table[name]
 
-    def region(self, key, default=None):
-        name = self.args.get(key, default)
-        if name is None or name not in self.s.regions:
-            raise ScenarioSchemaError(f"check argument {key!r} -> unknown region {name!r}")
-        return self.s.regions[name]
+    def field(self, key):
+        return self._named(self.s.fields, "field", key)
+
+    def region(self, key):
+        return self._named(self.s.regions, "region", key)
 
     def algebra(self, key):
-        name = self.args.get(key)
-        if name is None or name not in self.s.algebras:
-            raise ScenarioSchemaError(f"check argument {key!r} -> unknown algebra {name!r}")
-        return self.s.algebras[name]
+        return self._named(self.s.algebras, "algebra", key)
 
     def point_list(self, key):
         names = self.args.get(key, [])
@@ -270,48 +263,48 @@ def _op_block_index(ctx: _Ctx):
     data = {"index": result.to_json(),
             "boundary_margin": _frac_str(block.boundary_margin),
             "components": [c.to_json() for c in comps]}
-    return data, True
+    return data, PASS
 
 
 def _op_certify_block(ctx: _Ctx):
     block = certify_block(ctx.field("X"), ctx.region("U"), ctx.resolution)
     return {"block": {"boundary_margin": _frac_str(block.boundary_margin),
-                      "enclosure_boxes": len(block.enclosure.cells)}}, True
+                      "enclosure_boxes": len(block.enclosure.cells)}}, PASS
 
 
 def _op_jet_order(ctx: _Ctx):
     jo = jet_order(ctx.field("X"), ctx.point_list_single("p"),
                    ctx.int_arg("k", 1))
-    return {"jet": jo.to_json()}, not jo.is_flat
+    return {"jet": jo.to_json()}, FAIL if jo.is_flat else PASS
 
 
 def _op_tracks(ctx: _Ctx):
     cert = tracks_symbolic(ctx.field("Y"), ctx.field("X"))
-    return {"certificate": cert.to_json()}, cert.verdict
+    return {"certificate": cert.to_json()}, PASS if cert.verdict else FAIL
 
 
 def _op_tracking_residual(ctx: _Ctx):
     r = tracking_residual(ctx.field("Y"), ctx.field("X"), ctx.region("U"),
                           ctx.int_arg("n_samples", 1000), seed=ctx.s.seed)
-    return {"residual": r}, None
+    return {"residual": r}, PASS
 
 
 def _op_wedge(ctx: _Ctx):
     verdict = wedge_check(ctx.field("Y"), ctx.field("Yp"), ctx.region("U"))
-    return {"wedge": verdict.to_json()}, verdict.status == "equal"
+    return {"wedge": verdict.to_json()}, PASS if verdict.status == "equal" else FAIL
 
 
 def _op_homotopy(ctx: _Ctx):
     verdict = homotopy_invariance_check(ctx.field("X0"), ctx.field("X1"),
                                         ctx.region("U"), ctx.int_arg("steps", 10))
-    return {"homotopy": verdict.to_json()}, verdict.status == "invariant"
+    return {"homotopy": verdict.to_json()}, PASS if verdict.status == "invariant" else FAIL
 
 
 def _op_perturbation_bound(ctx: _Ctx):
     block = certify_block(ctx.field("X"), ctx.region("U"), ctx.resolution,
                           tol=Fraction(1, 200))
     delta = perturbation_bound(block)
-    return {"delta": _frac_str(delta), "delta_float": float(delta)}, True
+    return {"delta": _frac_str(delta), "delta_float": float(delta)}, PASS
 
 
 def _op_double_cover(ctx: _Ctx):
@@ -320,8 +313,8 @@ def _op_double_cover(ctx: _Ctx):
     block = certify_block(field, region, ctx.resolution)
     base = block_index(block)
     _, lifted = lift_double_cover(field, region, block)
-    return {"base_index": base.to_json(), "lifted_index": lifted.to_json()}, \
-        lifted.index == 2 * base.index
+    return ({"base_index": base.to_json(), "lifted_index": lifted.to_json()},
+            PASS if lifted.index == 2 * base.index else FAIL)
 
 
 def _op_orientability_of_field(ctx: _Ctx):
@@ -329,7 +322,6 @@ def _op_orientability_of_field(ctx: _Ctx):
 
     def rep(x, y):
         vx, vy = field.eval_float(x, y)
-        import math
         n = math.hypot(vx, vy)
         if n == 0:
             raise VfblockError("field vanishes on the core circle")
@@ -338,7 +330,7 @@ def _op_orientability_of_field(ctx: _Ctx):
     lam = LineFieldRep(rep)
     result = orientability_check(lam, ctx.region("A"),
                                  ctx.int_arg("n_samples", 128))
-    return {"orientable": result}, None
+    return {"orientable": result}, PASS
 
 
 def _op_zero_invariance(ctx: _Ctx):
@@ -352,89 +344,79 @@ def _op_zero_invariance(ctx: _Ctx):
                                 t_max=ctx.float_arg("t_max", 1.0),
                                 n_points=n_points,
                                 tol=ctx.tol(1e-8))
-    return {"invariance": rep.to_json()}, rep.verdict
+    return {"invariance": rep.to_json()}, PASS if rep.verdict else FAIL
 
 
 def _op_order_invariance(ctx: _Ctx):
     rep = order_invariance_check(ctx.field("X"), ctx.field("Y"),
                                  ctx.point_list_single("p"),
                                  ctx.float_arg("t", 1.0), ctx.int_arg("k", 1))
-    return {"order_invariance": rep.to_json()}, rep.verdict
+    return {"order_invariance": rep.to_json()}, PASS if rep.verdict else FAIL
 
 
 def _op_component_orders(ctx: _Ctx):
     rep = component_order_check(ctx.field("X"), ctx.point_list("points"),
                                 ctx.int_arg("k", 1))
-    return {"component_orders": rep.to_json()}, rep.verdict
+    return {"component_orders": rep.to_json()}, PASS if rep.verdict else FAIL
 
 
 def _op_factor_y_power(ctx: _Ctx):
     g1, g2 = factor_y_power(ctx.field("F"), ctx.int_arg("l", 1))
-    return {"g": {"P": g1.to_json(), "Q": g2.to_json()}}, True
+    return {"g": {"P": g1.to_json(), "Q": g2.to_json()}}, PASS
 
 
 def _op_structure_constants(ctx: _Ctx):
     g = structure_constants(ctx.algebra("g"))
     data = {"algebra": g.to_json(), "antisymmetry": g.antisymmetry_holds(),
             "jacobi": g.jacobi_holds()}
-    return data, g.closed
+    return data, PASS if g.closed else FAIL
 
 
 def _op_solvability(ctx: _Ctx):
     g = structure_constants(ctx.algebra("g"))
     r = solvability(g)
-    return {"solvability": r.to_json()}, None
+    return {"solvability": r.to_json()}, PASS
 
 
 def _op_supersolvable(ctx: _Ctx):
     g = structure_constants(ctx.algebra("g"))
     if solvability(g).status == "not_solvable":
-        return {"flag": {"status": "not_solvable"}}, None
+        return {"flag": {"status": "not_solvable"}}, PASS
     r = supersolvable_flag(g)
-    return {"flag": r.to_json()}, None
+    return {"flag": r.to_json()}, PASS
 
 
 def _op_algebra_tracks(ctx: _Ctx):
     g = structure_constants(ctx.algebra("g"))
     r = algebra_tracks(g, ctx.field("X"))
-    return {"algebra_tracking": r.to_json()}, r.verdict
+    return {"algebra_tracking": r.to_json()}, PASS if r.verdict else FAIL
 
 
 def _op_common_zero_set(ctx: _Ctx):
     g = structure_constants(ctx.algebra("g"))
     enc = common_zero_set(g, ctx.region("U"), ctx.resolution)
-    return {"common_zeros": enc.to_json()}, None
-
-
-def _theorem_outcome(report):
-    status = report.overall["status"]
-    data = {"report": report.to_json()}
-    if status == "Pass":
-        return data, True
-    if status == "Inconclusive":
-        return data, "inconclusive"
-    return data, False
+    return {"common_zeros": enc.to_json()}, PASS
 
 
 def _op_verify_main(ctx: _Ctx):
     report = verify_main(ctx.field("X"), ctx.field("Y"), ctx.region("U"),
                          k=ctx.int_arg("k", 1), resolution=ctx.resolution,
                          known_zeros=ctx.point_list("known_zeros"))
-    return _theorem_outcome(report)
+    return {"report": report.to_json()}, report.verdict
 
 
 def _op_verify_mainbis(ctx: _Ctx):
     report = verify_mainbis(ctx.field("X"), ctx.field("Y"), ctx.region("U"),
                             k=ctx.int_arg("k", 1), resolution=ctx.resolution,
                             tol=ctx.tol(ctx.s.tol), known_zeros=ctx.point_list("known_zeros"))
-    return _theorem_outcome(report)
+    return {"report": report.to_json()}, report.verdict
 
 
 def _op_verify_liealg(ctx: _Ctx):
     report = verify_liealg(ctx.algebra("g"), ctx.field("X"), ctx.region("U"),
                            k=ctx.int_arg("k", 1), resolution=ctx.resolution,
                            known_zeros=ctx.point_list("known_zeros"))
-    return _theorem_outcome(report)
+    return {"report": report.to_json()}, report.verdict
 
 
 CHECK_OPS = {
@@ -495,11 +477,9 @@ class CheckOutcome:
         return out
 
     @property
-    def severity(self) -> int:
-        worst = _SEVERITY[self.verdict]
-        if self.expected_ok is False:
-            worst = max(worst, _SEVERITY[FAIL])
-        return worst
+    def severity(self) -> str:
+        """The verdict, raised to at least FAIL by an expectation mismatch."""
+        return worst((self.verdict, FAIL)) if self.expected_ok is False else self.verdict
 
 
 @dataclass
@@ -508,14 +488,12 @@ class ScenarioReport:
     checks: list
 
     @property
+    def verdict(self) -> str:
+        return worst(c.severity for c in self.checks)
+
+    @property
     def exit_code(self) -> int:
-        if not self.checks:
-            return 0
-        worst = max(c.severity for c in self.checks)
-        for verdict, sev in _SEVERITY.items():
-            if sev == worst:
-                return _EXIT_CODE[verdict]
-        return 2
+        return EXIT_CODE[self.verdict]
 
     def to_json(self) -> dict:
         return {"scenario": self.name,
@@ -555,7 +533,7 @@ def run_scenario(source) -> ScenarioReport:
                 f"unknown op {op!r}; known: {sorted(CHECK_OPS)}")
         ctx = _Ctx(scenario, check.get("args", {}))
         try:
-            data_out, ok = handler(ctx)
+            data_out, verdict = handler(ctx)
         except ScenarioSchemaError:
             raise
         except VfblockError as e:
@@ -563,12 +541,6 @@ def run_scenario(source) -> ScenarioReport:
                                          {"error": type(e).__name__,
                                           "message": str(e)}))
             continue
-        if ok is True or ok is None:
-            verdict = PASS
-        elif ok == "inconclusive":
-            verdict = INCONCLUSIVE
-        else:
-            verdict = FAIL
         expected_ok = None
         if "expect" in check:
             expected_ok = _match_expectation(check["expect"], data_out)

@@ -46,9 +46,9 @@ def tracks_symbolic(y_field: PlanarField, x_field: PlanarField) -> TrackingCerti
 
 
 def tracking_residual(y_field: PlanarField, x_field: PlanarField, region: Region,
-                      n_samples: int, seed: int = 0, threshold: float = 1e-9) -> float:
+                      n_samples: int, seed: int = 0) -> float:
     """Numeric cross-check: max normalized parallelism defect of [Y,X] with X
-    over sampled points where |X| is above the threshold."""
+    over sampled points where |X| is above 1e-9."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     bracket = lie_bracket(y_field, x_field)
@@ -65,7 +65,7 @@ def tracking_residual(y_field: PlanarField, x_field: PlanarField, region: Region
         used += 1
         vx, vy = x_field.eval_float(px, py)
         nx = math.hypot(vx, vy)
-        if nx <= threshold:
+        if nx <= 1e-9:
             continue
         bx, by = bracket.eval_float(px, py)
         nb = math.hypot(bx, by)
@@ -74,11 +74,11 @@ def tracking_residual(y_field: PlanarField, x_field: PlanarField, region: Region
     return worst
 
 
-def polish_zero(field: PlanarField, point, iterations: int = 30):
+def polish_zero(field: PlanarField, point):
     """Damped Gauss-Newton descent of |X|^2 toward the nearby zero set."""
     x, y = float(point[0]), float(point[1])
     evaluate = float_plan((field.p, field.q, *field.jacobian()))
-    for _ in range(iterations):
+    for _ in range(30):
         fx, fy, a, b, c, d = evaluate(x, y)
         if math.hypot(fx, fy) < 1e-14 * (1.0 + math.hypot(x, y)):
             break
@@ -137,13 +137,12 @@ _ORDER_DIRECTIONS = 16
 _ORDER_SCALES = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
 
-def numeric_order_estimate(field: PlanarField, point, k: int,
-                           scales=_ORDER_SCALES) -> int:
+def numeric_order_estimate(field: PlanarField, point, k: int) -> int:
     """Order of vanishing at a numeric zero from the log-log slope of the max
     jet magnitude against the probe scale (4 dyadic scales)."""
     qx, qy = float(point[0]), float(point[1])
     mags = []
-    for h in scales:
+    for h in _ORDER_SCALES:
         m = 0.0
         for i in range(_ORDER_DIRECTIONS):
             a = 2.0 * math.pi * i / _ORDER_DIRECTIONS
@@ -152,7 +151,7 @@ def numeric_order_estimate(field: PlanarField, point, k: int,
         if m == 0.0:
             raise OrderEstimateAmbiguous("field identically zero at probe scale")
         mags.append(m)
-    xs = [math.log(h) for h in scales]
+    xs = [math.log(h) for h in _ORDER_SCALES]
     ys = [math.log(m) for m in mags]
     n = len(xs)
     mean_x = sum(xs) / n

@@ -55,9 +55,6 @@ class PiNumber(TermMap):
             return x
         return cls.const(x)
 
-    def __bool__(self) -> bool:
-        return bool(self._m)
-
     def as_fraction(self) -> Fraction | None:
         """The exact rational value, or None if a pi power is present."""
         if not self._m:

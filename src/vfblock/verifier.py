@@ -40,7 +40,18 @@ MAIN = "MAIN"
 MAINBIS = "MAINBIS"
 LIEALG = "LIEALG"
 
-PASS, FAIL, INCONCLUSIVE, NOT_IMPLEMENTED = "pass", "fail", "inconclusive", "not_implemented"
+PASS, INCONCLUSIVE, FAIL, ERROR = "pass", "inconclusive", "fail", "error"
+NOT_IMPLEMENTED = "not_implemented"     # reported in a check, never ranked
+# The verdict ladder, mildest first, with each verdict's exit code: a report,
+# or a batch of them, exits with the code of its worst verdict.
+EXIT_CODE = {PASS: 0, INCONCLUSIVE: 3, FAIL: 1, ERROR: 2}
+STATUS_VERDICT = {"Pass": PASS, "Inconclusive": INCONCLUSIVE,
+                  "HypothesisFailed": FAIL, "ConclusionFailed": FAIL}
+
+
+def worst(verdicts) -> str:
+    """The verdict of `verdicts` highest on the ladder; PASS if there is none."""
+    return max(verdicts, key=list(EXIT_CODE).index, default=PASS)
 
 
 @dataclass
@@ -61,28 +72,23 @@ class TheoremReport:
 
     @property
     def overall(self) -> dict:
-        for c in self.hypothesis_checks:
-            if c.verdict == FAIL:
-                return {"status": "HypothesisFailed", "name": c.name}
-        for c in self.hypothesis_checks:
-            if c.verdict == INCONCLUSIVE:
-                return {"status": "Inconclusive", "name": c.name}
-        for c in self.conclusion_checks:
-            if c.verdict == FAIL:
-                return {"status": "ConclusionFailed", "name": c.name}
-        for c in self.conclusion_checks:
-            if c.verdict == INCONCLUSIVE:
-                return {"status": "Inconclusive", "name": c.name}
+        hyp, concl = self.hypothesis_checks, self.conclusion_checks
+        for checks, verdict, status in ((hyp, FAIL, "HypothesisFailed"),
+                                        (hyp, INCONCLUSIVE, "Inconclusive"),
+                                        (concl, FAIL, "ConclusionFailed"),
+                                        (concl, INCONCLUSIVE, "Inconclusive")):
+            for c in checks:
+                if c.verdict == verdict:
+                    return {"status": status, "name": c.name}
         return {"status": "Pass"}
 
     @property
+    def verdict(self) -> str:
+        return STATUS_VERDICT[self.overall["status"]]
+
+    @property
     def exit_code(self) -> int:
-        status = self.overall["status"]
-        if status == "Pass":
-            return 0
-        if status in ("HypothesisFailed", "ConclusionFailed"):
-            return 1
-        return 3
+        return EXIT_CODE[self.verdict]
 
     def to_json(self) -> dict:
         return {
@@ -283,9 +289,6 @@ def _flowbox_control_check(x_field: PlanarField, y_field: PlanarField, block: Bl
             fb = flowbox_build(y_field, base, half, window, tol=1e-12)
             lam = flowbox_line_field(fb, x_field, order)
             boxes.append((fb, lam))
-    except VfblockError as e:
-        return CheckRecord(name, INCONCLUSIVE, {"error": str(e)})
-    try:
         data = _flowbox_deviations(x_field, boxes)
     except VfblockError as e:
         return CheckRecord(name, INCONCLUSIVE, {"error": str(e)})
@@ -409,20 +412,17 @@ def verify_mainbis(x_field: PlanarField, y_field: PlanarField, region: Region,
     hyp.append(_check_tracking(y_field, x_field))
     hyp.append(_check_zy_disjoint_from_k(x_field, y_field, region, block,
                                          resolution, known_zeros))
-    iso = CheckRecord("U is isolating for (X, K)",
-                      PASS if block is not None else INCONCLUSIVE,
-                      {} if block is None else
-                      {"boundary_margin": _frac_str(block.boundary_margin)})
-    if block is None:
-        iso.data["error"] = err
-    hyp.append(iso)
+    iso = "U is isolating for (X, K)"
     concl = []
     if block is None:
+        hyp.append(CheckRecord(iso, INCONCLUSIVE, {"error": err}))
         for nm in ("(i) index of K is zero", "(ii) components are embedded circles",
                    "(iii) X controlled by flowbox line fields",
                    "(iv) index zero at each component"):
             concl.append(CheckRecord(nm, INCONCLUSIVE, {"error": "no certified block"}))
     else:
+        hyp.append(CheckRecord(iso, PASS,
+                               {"boundary_margin": _frac_str(block.boundary_margin)}))
         idx = block_index(block)
         concl.append(CheckRecord("(i) index of K is zero",
                                  PASS if idx.index == 0 else FAIL,
@@ -460,10 +460,11 @@ def verify_liealg(algebra, x_field: PlanarField, region: Region, k: int = 1,
     essential, block, _ = _check_essential_block(x_field, region, resolution)
     hyp.append(essential)
     hyp.append(_check_not_kflat(x_field, region, k, resolution, known_zeros, block))
-    name_ss = "algebra is supersolvable"
+    name_ss, name_tr = "algebra is supersolvable", "algebra tracks X"
     if not algebra.closed:
         hyp.append(CheckRecord(name_ss, FAIL,
                                {"error": f"not closed, witness {algebra.witness}"}))
+        hyp.append(CheckRecord(name_tr, INCONCLUSIVE, {"error": "algebra not closed"}))
     else:
         try:
             flag = supersolvable_flag(algebra)
@@ -471,10 +472,6 @@ def verify_liealg(algebra, x_field: PlanarField, region: Region, k: int = 1,
                                    {"flag": flag.to_json()}))
         except VfblockError as e:
             hyp.append(CheckRecord(name_ss, INCONCLUSIVE, {"error": str(e)}))
-    name_tr = "algebra tracks X"
-    if not algebra.closed:
-        hyp.append(CheckRecord(name_tr, INCONCLUSIVE, {"error": "algebra not closed"}))
-    else:
         tr = algebra_tracks(algebra, x_field)
         hyp.append(CheckRecord(name_tr, PASS if tr.verdict else FAIL, tr.to_json()))
     name = "Z(g) n K is nonempty"

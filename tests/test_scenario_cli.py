@@ -101,6 +101,50 @@ def test_certification_error_maps_to_exit_2():
     assert report.exit_code == 2
 
 
+def _inconclusive_scenario():
+    """verify_main on a disk whose boundary passes through the zero of X:
+    no block can be certified, so the theorem comes back inconclusive."""
+    data = json.loads((SCENARIOS / "source_disk.json").read_text())
+    data["name"] = "no_block"
+    data["regions"]["U"] = {"type": "disk", "center": ["1", "0"], "r": "1"}
+    data["checks"] = [{"op": "verify_main", "name": "main",
+                       "args": {"X": "X", "Y": "X", "U": "U"}}]
+    return data
+
+
+def test_inconclusive_check_exits_3():
+    report = run_scenario(_inconclusive_scenario())
+    assert report.checks[0].verdict == "inconclusive"
+    assert report.exit_code == 3
+
+
+def test_expectation_mismatch_on_inconclusive_check_exits_1():
+    data = _inconclusive_scenario()
+    data["checks"][0]["expect"] = {"report.overall.status": "Pass"}
+    report = run_scenario(data)
+    assert report.checks[0].verdict == "inconclusive"
+    assert report.checks[0].expected_ok is False
+    assert report.exit_code == 1
+
+
+def test_cli_batch_exits_with_worst_verdict(tmp_path, capsys):
+    from vfblock.cli import main
+    inconclusive = tmp_path / "inconclusive.json"
+    inconclusive.write_text(json.dumps(_inconclusive_scenario()), encoding="utf-8")
+    batch = ["verify", str(SCENARIOS / "source_disk.json"), str(inconclusive)]
+    assert main(batch) == 3
+    assert capsys.readouterr().out == ("source_disk: source_index: pass\n"
+                                       "no_block: main: inconclusive\n")
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps({"name": "malformed", "checks": []}),
+                         encoding="utf-8")
+    assert main(batch + [str(malformed)]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["source_disk: source_index: pass",
+                                "no_block: main: inconclusive"]
+    assert err.startswith(f"error: {malformed}: schema violation")
+
+
 def test_report_determinism_bytes():
     a = run_scenario(str(SCENARIOS / "annulus_mainbis.json")).dumps()
     b = run_scenario(str(SCENARIOS / "annulus_mainbis.json")).dumps()

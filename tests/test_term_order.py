@@ -1,4 +1,5 @@
-"""Term-map insertion order of TrigPoly2, PiNumber and Poly2 results.
+"""Term-map insertion order of TrigPoly2, PiNumber and Poly2 results, and the
+truthiness they share.
 
 Interval and float evaluation of TrigPoly2 and PiNumber sum their terms in
 insertion order, so that order decides the bits of every torus margin.  The
@@ -162,3 +163,15 @@ EXPECTED = {'trig_init': [((2, 0, 0, 0), [(0, '1')]),
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_term_order_is_pinned(name):
     assert _order(_cases()[name]) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("cls, nonzero", [
+    (Poly2, Poly2({(1, 0): 1})),
+    (TrigPoly2, TrigPoly2({(1, 0, SIN, COS): 1})),
+    (PiNumber, PiNumber({1: 1})),
+])
+def test_term_map_is_falsy_exactly_when_zero(cls, nonzero):
+    zero = cls.zero()
+    assert not zero
+    assert not (nonzero - nonzero)
+    assert nonzero
