@@ -1,10 +1,12 @@
 """Adaptive flow integration and flowbox charts.
 
 The integrator is a Dormand-Prince 5(4) embedded pair with standard step
-control.  Flowboxes rectify a field Y to the constant horizontal field: the
-chart sends (t, s) to the time-t flow of the point p + s * n, with n the unit
-normal to Y(p).  The s-derivative column is integrated alongside through the
-exact variational equation, so chart frames are cheap and accurate.
+control, its stages unrolled into the float operations of the plain tableau
+loop, in the same order (see `integrate`).  Flowboxes rectify a field Y to
+the constant horizontal field: the chart sends (t, s) to the time-t flow of
+the point p + s * n, with n the unit normal to Y(p).  The s-derivative
+column is integrated alongside through the exact variational equation, so
+chart frames are cheap and accurate.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ _A = (
 )
 _B5 = _A[6]
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-# the nonzero entries (m, coefficient) of each tableau row, in order of m
-_A_NZ = tuple(tuple((m, a) for m, a in enumerate(row) if a) for row in _A)
-_B5_NZ = tuple((m, b) for m, b in enumerate(_B5) if b)
-_B4_NZ = tuple((m, b) for m, b in enumerate(_B4) if b)
 
 DEFAULT_BBOX = (-1e3, -1e3, 1e3, 1e3)
 _MAX_STEPS = 200000
@@ -39,7 +37,14 @@ _MARGIN_GRID = 5
 
 
 def integrate(f, y0, t_total: float, tol: float, bbox=DEFAULT_BBOX):
-    """Integrate the autonomous system y' = f(y) from 0 to t_total."""
+    """Integrate the autonomous system y' = f(y) from 0 to t_total.
+
+    The seven stages are unrolled.  Stage i adds (hs * a_im) * k_m[d] to y[d]
+    over the nonzero a_im, left to right, and each order sum adds b_m * k_m[d]
+    to 0.0 left to right: the floats, in the order, of the tableau loop in
+    tests/flow_reference.py (whose `sum()` adds left to right on Python 3.10
+    and 3.11).  tests/test_flow_oracle.py compares the two by `repr` of every
+    float and by every raised error."""
     if t_total == 0.0:
         return tuple(y0)
     y = tuple(float(v) for v in y0)
@@ -48,7 +53,10 @@ def integrate(f, y0, t_total: float, tol: float, bbox=DEFAULT_BBOX):
     h = min(0.1, remaining)
     h_min = 1e-14 * max(1.0, abs(t_total))
     elapsed = 0.0
-    dims = range(len(y))
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
+        (a50, a51, a52, a53, a54) = _A[1:6]
+    b0, _, b2, b3, b4, b5 = _B5
+    e0, _, e2, e3, e4, e5, e6 = _B4
     for _ in range(_MAX_STEPS):
         if elapsed >= remaining - 1e-300:
             return y
@@ -56,31 +64,34 @@ def integrate(f, y0, t_total: float, tol: float, bbox=DEFAULT_BBOX):
         if h < h_min and h < remaining - elapsed:   # shrunk by error control
             raise StepUnderflow(f"step collapsed to {h:g} at t={direction*elapsed:g}")
         hs = h * direction
-        k = [f(y)]
-        ok = True
-        for stage in range(1, 7):
-            yi = list(y)
-            for m, a in _A_NZ[stage]:
-                hsa, km = hs * a, k[m]
-                for d in dims:
-                    yi[d] += hsa * km[d]
-            try:
-                k.append(f(tuple(yi)))
-            except (OverflowError, ValueError):
-                ok = False
-                break
-        if ok:
-            y5 = list(y)
-            err = 0.0
-            for d in dims:
-                acc5 = sum(b * k[m][d] for m, b in _B5_NZ)
-                acc4 = sum(b * k[m][d] for m, b in _B4_NZ)
-                y5[d] += hs * acc5
-                scale = tol + tol * max(abs(y[d]), abs(y5[d]))
+        k0 = f(y)
+        try:
+            c0 = hs * a10
+            k1 = f([u + c0 * p for u, p in zip(y, k0)])
+            c0, c1 = hs * a20, hs * a21
+            k2 = f([u + c0 * p + c1 * q for u, p, q in zip(y, k0, k1)])
+            c0, c1, c2 = hs * a30, hs * a31, hs * a32
+            k3 = f([u + c0 * p + c1 * q + c2 * r for u, p, q, r in zip(y, k0, k1, k2)])
+            c0, c1, c2, c3 = hs * a40, hs * a41, hs * a42, hs * a43
+            k4 = f([u + c0 * p + c1 * q + c2 * r + c3 * s
+                    for u, p, q, r, s in zip(y, k0, k1, k2, k3)])
+            c0, c1, c2, c3, c4 = hs * a50, hs * a51, hs * a52, hs * a53, hs * a54
+            k5 = f([u + c0 * p + c1 * q + c2 * r + c3 * s + c4 * v
+                    for u, p, q, r, s, v in zip(y, k0, k1, k2, k3, k4)])
+            c0, c2, c3, c4, c5 = hs * b0, hs * b2, hs * b3, hs * b4, hs * b5
+            k6 = f([u + c0 * p + c2 * r + c3 * s + c4 * v + c5 * w
+                    for u, p, r, s, v, w in zip(y, k0, k2, k3, k4, k5)])
+        except (OverflowError, ValueError):
+            err = math.inf
+        else:
+            y5, err = [], 0.0
+            for u, p, r, s, v, w, z in zip(y, k0, k2, k3, k4, k5, k6):
+                acc5 = 0.0 + b0 * p + b2 * r + b3 * s + b4 * v + b5 * w
+                acc4 = 0.0 + e0 * p + e2 * r + e3 * s + e4 * v + e5 * w + e6 * z
+                y5.append(u + hs * acc5)
+                scale = tol + tol * max(abs(u), abs(y5[-1]))
                 err += ((hs * (acc5 - acc4)) / scale) ** 2
             err = math.sqrt(err / len(y))
-        else:
-            err = math.inf
         if err <= 1.0:
             elapsed += h
             y = tuple(y5)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 from . import interval as iv
 from . import upoly
@@ -395,26 +395,42 @@ def cell_test(scalars):
 
 def float_plan(polys):
     """Evaluator (x, y) -> [p.eval_float(x, y) for p in polys], bit for bit,
-    from one table of x**i and y**j per point when every entry is a Poly2;
-    TrigPoly2 entries keep their own path."""
+    when every entry is a Poly2; TrigPoly2 entries keep their own path.
+
+    The plan is compiled once into straight-line code that computes each
+    x**e and y**e with e >= 2 once per point, then the same floats as
+    eval_float in the same order: every sum starts at 0.0 and adds
+    c * x**i * y**j over the sorted monomials, a factor x**0 or y**0 dropped
+    (c * 1.0 is c).  Coefficients reach the code by name through its globals,
+    so no value is written into the source.  `test_float_plan_matches_eval_float`
+    pins every result, and every OverflowError, against eval_float by repr."""
     if not all(isinstance(p, Poly2) for p in polys):
         return lambda x, y: [p.eval_float(x, y) for p in polys]
-    terms = [p._floats() for p in polys]
-    nx = max((t[0] for ts in terms for t in ts), default=0)
-    ny = max((t[1] for ts in terms for t in ts), default=0)
+    coeffs, powers, lines = {}, set(), []
+    for n, p in enumerate(polys):
+        parts = ["0.0"]
+        for i, j, c in p._floats():
+            term = f"c{len(coeffs)}"
+            coeffs[term] = c
+            for v, e in (("x", i), ("y", j)):
+                if e > 1:
+                    powers.add((v, e))
+                    term += f" * {v}{e}"
+                elif e:
+                    term += f" * {v}"
+            parts.append(term)
+        for k in range(0, len(parts), 64):     # a chain per line: no deep ASTs
+            lines.append(f"r{n} = " + " + ".join([f"r{n}"] * (k > 0) + parts[k:k + 64]))
+    body = [f"{v}{e} = {v} ** {e}" for v, e in sorted(powers)] + lines
+    body.append(f"return [{', '.join(f'r{n}' for n in range(len(polys)))}]")
+    exec(_compile_plan("def evaluate(x, y):\n" + "".join(f"    {b}\n" for b in body)), coeffs)
+    return coeffs["evaluate"]
 
-    def evaluate(x, y):
-        xp = [x ** i for i in range(nx + 1)]
-        yp = [y ** j for j in range(ny + 1)]
-        out = []
-        for ts in terms:
-            total = 0.0
-            for i, j, c in ts:
-                total += c * xp[i] * yp[j]
-            out.append(total)
-        return out
 
-    return evaluate
+@lru_cache(maxsize=256)
+def _compile_plan(source):
+    """Plans with one monomial pattern share one source and so one code object."""
+    return compile(source, "<float_plan>", "exec")
 
 
 def _frac_str(c: Fraction) -> str:

@@ -219,6 +219,6 @@ def component_order_check(x_field: PlanarField, points, k: int) -> ComponentOrde
     """Exact orders at several rational points of one component must agree."""
     orders = tuple(jet_order(x_field, p, k) for p in points)
     if not orders:
-        raise ValueError("need at least one point")
+        raise PreconditionFailed("need at least one point")
     first = orders[0].order
     return ComponentOrderReport(all(o.order == first for o in orders), orders)

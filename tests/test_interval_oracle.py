@@ -157,12 +157,14 @@ _SPECIAL_POINT = st.sampled_from((0.0, -0.0, 1.0, -1.0, 5e-324, 1e200, -1e200))
 
 
 def _floats_or_overflow(evaluate, x, y):
+    """Every float by repr (the sign of a zero counts), or the error raised."""
     try:
-        return [v.hex() for v in evaluate(x, y)]
-    except OverflowError:
-        return "overflow"
+        return [repr(v) for v in evaluate(x, y)]
+    except OverflowError as e:
+        return ("overflow", str(e))
 
 
+THIRD = Fraction(1, 3)
 _point_st = st.one_of(_SPECIAL_POINT, st.floats(-4.0, 4.0), st.floats(allow_nan=False))
 
 
@@ -170,6 +172,14 @@ _point_st = st.one_of(_SPECIAL_POINT, st.floats(-4.0, 4.0), st.floats(allow_nan=
 @settings(max_examples=100, deadline=None)
 @example([X ** 2 * Y, Y], 1e200, 0.5)        # x**2 overflows: both raise
 @example([X ** 3 - Y, Poly2.zero()], -0.0, -0.0)
+@example([Poly2.zero()], 0.5, -0.0)          # the zero polynomial alone
+@example([X, -Y], -0.0, 0.0)                 # one term is -0.0; the sum from 0.0 is not
+@example([X ** 3 + X, Y ** 4 * X - 2], -1.5, 0.75)    # exponent gaps: no x**2, y**2
+@example([THIRD * X + Y, THIRD * X - Y ** 2, THIRD * X], 0.1, -0.0)  # shared coefficients
+@example([X * Y - 1, X ** 2], -1e200, 1e-200)  # x*y is finite, x**2 overflows
+@example([Y ** 3 - X], 0.5, 1e200)           # y**3 overflows
+@example([X, Y * 5], 1e200, -1e200)          # degree 1 near 1e200: no error
+@example([(1 + X - THIRD * Y) ** 12], 0.3, -0.7)  # 91 terms: more than one line of code
 def test_float_plan_matches_eval_float(polys, x, y):
     plain = _floats_or_overflow(lambda a, b: [p.eval_float(a, b) for p in polys], x, y)
     assert _floats_or_overflow(float_plan(polys), x, y) == plain

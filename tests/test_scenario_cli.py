@@ -145,6 +145,23 @@ def test_cli_batch_exits_with_worst_verdict(tmp_path, capsys):
     assert err.startswith(f"error: {malformed}: schema violation")
 
 
+@pytest.mark.parametrize("points", [[], None])
+def test_cli_component_orders_without_points_is_that_checks_error(tmp_path, points):
+    # an empty or missing point list errs in its own check, after the pass line
+    data = json.loads((SCENARIOS / "source_disk.json").read_text())
+    args = {"X": "X", "k": 1}
+    if points is not None:
+        args["points"] = points
+    data["checks"].append({"op": "component_orders", "name": "orders", "args": args})
+    path = tmp_path / "two_checks.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    proc = _cli("verify", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == "source_disk: source_index: pass\nsource_disk: orders: error\n"
+    assert run_scenario(data).checks[1].data == {
+        "error": "PreconditionFailed", "message": "need at least one point"}
+
+
 def test_report_determinism_bytes():
     a = run_scenario(str(SCENARIOS / "annulus_mainbis.json")).dumps()
     b = run_scenario(str(SCENARIOS / "annulus_mainbis.json")).dumps()
@@ -375,7 +392,7 @@ def test_torus_plot_has_labels(tmp_path):
 def test_schema_is_published_and_valid():
     import jsonschema
     jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
-    published = json.loads((ROOT / "scenarios" / "scenario.schema.json").read_text())
+    published = json.loads((ROOT / "schemas" / "scenario.schema.json").read_text())
     assert published == SCENARIO_SCHEMA
 
 
@@ -390,8 +407,7 @@ def test_falsification_script_runs_from_plain_checkout(tmp_path):
 GOLDEN_REPORTS = ROOT / "tests" / "data" / "scenario_reports"
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")
-                                         if p.name != "scenario.schema.json"))
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
 def test_scenario_report_matches_golden(name):
     # every shipped scenario's report, byte for byte
     assert run_scenario(str(SCENARIOS / name)).dumps() == \
