@@ -399,14 +399,16 @@ class BoundaryPass:
 
 
 def min_norm_on_boundary(field: PlanarField, region: Region, tol=None,
-                         max_depth: int | None = None) -> BoundaryPass | None:
+                         max_depth: int | None = None, *,
+                         _curves=None) -> BoundaryPass | None:
     """One certified pass over the boundary of U (`winding_stats` on each
     curve), or None when |X| cannot be certified positive there (e.g. a
-    boundary zero)."""
+    boundary zero).  Callers that run several passes over one region hand in
+    its `boundary_curves()` once as `_curves`, so the passes share arc boxes."""
     require_planar_boundary(region, "min_norm_on_boundary")
     try:
         stats = [winding_stats(field, curve, tol, max_depth)
-                 for curve in region.boundary_curves()]
+                 for curve in _curves or region.boundary_curves()]
     except BoundaryZero:
         return None
     return BoundaryPass(Fraction(iv.sqrt_lower(min(s.norm_sq_lower for s in stats))),

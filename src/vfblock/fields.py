@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 
 from .errors import DegenerateField, PointNotZero
-from .poly import Poly2, _frac
+from .poly import Poly2, _frac, float_plan
 from .trig import PiNumber, TrigPoly2
 
 PLANE = "plane"
@@ -86,6 +87,13 @@ class PlanarField:
     def jacobian(self):
         """Component partials (dp/dx, dp/dy, dq/dx, dq/dy)."""
         return (self.p.dx(), self.p.dy(), self.q.dx(), self.q.dy())
+
+    @cached_property
+    def jacobian_plan(self):
+        """Float evaluator (x, y) -> [p, q, dp/dx, dp/dy, dq/dx, dq/dy], bit for
+        bit each component's eval_float (`poly.float_plan`); built once per
+        field, on first use."""
+        return float_plan((self.p, self.q, *self.jacobian()))
 
     def to_json(self) -> dict:
         return {

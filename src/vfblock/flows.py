@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import EscapeError, FoldDetected, StepUnderflow, ZeroAtBasePoint
 from .fields import PlanarField
-from .poly import _frac, float_plan
+from .poly import _frac
 
 _A = (
     (),
@@ -117,7 +117,7 @@ def field_rhs(field: PlanarField):
 
 def variational_rhs(field: PlanarField):
     """RHS of the flow plus its derivative along one transported vector."""
-    evaluate = float_plan((field.p, field.q, *field.jacobian()))
+    evaluate = field.jacobian_plan
 
     def rhs(y):
         x0, x1, v0, v1 = y

@@ -6,6 +6,10 @@ image lies in one open half-plane p > 0, q > 0, p < 0 or q < 0, and the degree
 is the sum of the quarter turns between neighbouring leaves over 4 (Stenger
 1975, Kearfott 1979; see `certify.winding_stats`, re-exported here).  Only the
 annulus double-cover lift, a float evaluator, is still sampled.
+
+An arc's interval box depends on the curve, not on the field, and each curve
+memoises its boxes (`regions.Circle`, `regions.RectLoop`): the passes of one
+homotopy or wedge check run over one list of boundary curves and share them.
 """
 
 from __future__ import annotations
@@ -114,16 +118,18 @@ def homotopy_invariance_check(x0: PlanarField, x1: PlanarField, region: Region,
                               steps: int) -> HomotopyVerdict:
     """Certify boundary nonvanishing and a constant index along the straight-line
     homotopy sampled at t = i/steps; degenerate reports are honest failures of
-    certification, not counterexamples."""
+    certification, not counterexamples.  The steps + 1 boundary passes run
+    over one list of boundary curves and so share their arc boxes."""
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    curves = region.boundary_curves()
     indices = []
     for i in range(steps + 1):
         t = Fraction(i, steps)
         xt = x0.scale(1 - t) + x1.scale(t)
         if xt.is_zero():
             return HomotopyVerdict("degenerate", t=t)
-        boundary = min_norm_on_boundary(xt, region, tol=1)
+        boundary = min_norm_on_boundary(xt, region, tol=1, _curves=curves)
         if boundary is None:
             return HomotopyVerdict("degenerate", t=t)
         indices.append(boundary.index)
@@ -149,10 +155,10 @@ class WedgeVerdict:
         return out
 
 
-def _dependent_on_boundary(det: Poly2, region: Region):
-    """(True, None) if det vanishes identically on the boundary, else a rational
-    witness point where it does not."""
-    for curve in region.boundary_curves():
+def _dependent_on_boundary(det: Poly2, curves):
+    """(True, None) if det vanishes identically on the boundary curves, else a
+    rational witness point where it does not."""
+    for curve in curves:
         if isinstance(curve, Circle):
             coeffs = restrict_to_circle(det, curve.center[0], curve.center[1], curve.r)
             if upoly.is_zero(coeffs):
@@ -179,13 +185,16 @@ def _dependent_on_boundary(det: Poly2, region: Region):
 def wedge_check(y_field: PlanarField, yp_field: PlanarField,
                 region: Region) -> WedgeVerdict:
     """Certify pointwise linear dependence of the two fields along the boundary
-    of an isolating region; their indices must then agree."""
+    of an isolating region; their indices must then agree.  Both boundary
+    passes run over one list of boundary curves and so share their arc
+    boxes."""
     det = y_field.p * yp_field.q - y_field.q * yp_field.p
-    dependent, witness = _dependent_on_boundary(det, region)
+    curves = region.boundary_curves()
+    dependent, witness = _dependent_on_boundary(det, curves)
     if not dependent:
         return WedgeVerdict("not_dependent", witness=witness)
-    b1 = min_norm_on_boundary(y_field, region, tol=1)
-    b2 = min_norm_on_boundary(yp_field, region, tol=1)
+    b1 = min_norm_on_boundary(y_field, region, tol=1, _curves=curves)
+    b2 = min_norm_on_boundary(yp_field, region, tol=1, _curves=curves)
     if b1 is None or b2 is None:
         return WedgeVerdict("not_isolating")
     if b1.index != b2.index:

@@ -9,7 +9,6 @@ dominates libm's error.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 _INF = math.inf
 _next = math.nextafter
@@ -32,13 +31,18 @@ def up(x: float) -> float:
 
 
 def make(x) -> tuple[float, float]:
-    """Enclose an exact number (int, Fraction or float) in a float interval."""
+    """Enclose an exact number (int, Fraction or float) in a float interval.
+
+    float(x) is correctly rounded, so it needs one ulp only on the side it
+    rounded to; that side is read off in integers: f = p / q against
+    x = a / n is p n against a q."""
     if isinstance(x, float):
         return (x, x)
     f = float(x)
-    exact = Fraction(f)
-    lo = f if exact <= x else down(f)
-    hi = f if exact >= x else up(f)
+    p, q = f.as_integer_ratio()
+    pn, aq = p * x.denominator, x.numerator * q
+    lo = f if pn <= aq else down(f)
+    hi = f if pn >= aq else up(f)
     return (lo, hi)
 
 

@@ -93,6 +93,8 @@ class Region:
         return True
 
     def boundary_curves(self) -> list:
+        """New curve objects, outer first; passes that share one list share
+        its memoised arc boxes (`box_of`)."""
         if self.kind == DISK:
             return [Circle(self.center, self.r, ccw=True)]
         if self.kind == ANNULUS:
@@ -204,10 +206,27 @@ def box_clears_boundary(region: Region, box, collar: Fraction) -> bool:
 # boundary curves -------------------------------------------------------------
 
 
-class Circle:
+class _Curve:
+    """A closed boundary curve parametrized over t in [0, 1).  `box_of(t0, t1)`
+    encloses the arc [t0, t1] in an interval box, memoised per curve object on
+    the exact float pair: every pass over one curve list shares its arc boxes,
+    and they are freed with it."""
+
+    def __init__(self):
+        self._boxes = {}
+
+    def box_of(self, t0: float, t1: float):
+        found = self._boxes.get((t0, t1))
+        if found is None:
+            found = self._boxes[(t0, t1)] = self._arc_box(t0, t1)
+        return found
+
+
+class Circle(_Curve):
     """Circle parametrized over t in [0, 1); ccw=False reverses orientation."""
 
     def __init__(self, center, r, ccw: bool):
+        super().__init__()
         self.center = (_frac(center[0]), _frac(center[1]))
         self.r = _frac(r)
         self.ccw = ccw
@@ -220,7 +239,7 @@ class Circle:
         return (self._cf[0] + self._rf * math.cos(theta),
                 self._cf[1] + self._rf * math.sin(theta))
 
-    def box_of(self, t0: float, t1: float):
+    def _arc_box(self, t0: float, t1: float):
         sign = 1.0 if self.ccw else -1.0
         a = iv.mul(iv.TWO_PI, (min(sign * t0, sign * t1), max(sign * t0, sign * t1)))
         cx, cy, rr = self._iv
@@ -242,10 +261,11 @@ class Circle:
         return (cx + self.r * (1 - s * s) / d, cy + self.r * 2 * s / d)
 
 
-class RectLoop:
+class RectLoop(_Curve):
     """Counterclockwise rectangle boundary, arc-length parametrized on [0, 1)."""
 
     def __init__(self, corners):
+        super().__init__()
         self.corners = tuple(_frac(c) for c in corners)
         x0, y0, x1, y1 = self.corners
         self.vertices = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
@@ -288,7 +308,7 @@ class RectLoop:
             prev = b
         raise ValueError(f"parameter {t} outside [0, 1]")
 
-    def box_of(self, t0: float, t1: float):
+    def _arc_box(self, t0: float, t1: float):
         """Enclosure of the exact points with parameter in [t0, t1]: its
         endpoints and the vertices between them."""
         pts = [self.exact_point(Fraction(t0)), self.exact_point(Fraction(t1))]

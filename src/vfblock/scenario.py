@@ -536,7 +536,7 @@ def run_scenario(source) -> ScenarioReport:
             data_out, verdict = handler(ctx)
         except ScenarioSchemaError:
             raise
-        except VfblockError as e:
+        except Exception as e:      # a crashing check is that check's error
             outcomes.append(CheckOutcome(name, op, ERROR,
                                          {"error": type(e).__name__,
                                           "message": str(e)}))

@@ -18,7 +18,6 @@ from .errors import OrderEstimateAmbiguous, PreconditionFailed
 from .fields import JetOrder, PlanarField, jet_order, lie_bracket, require_not_identically_zero
 from .flows import flow_integrate
 from .index import interval_lipschitz
-from .poly import float_plan
 from .regions import Region
 
 
@@ -77,7 +76,7 @@ def tracking_residual(y_field: PlanarField, x_field: PlanarField, region: Region
 def polish_zero(field: PlanarField, point):
     """Damped Gauss-Newton descent of |X|^2 toward the nearby zero set."""
     x, y = float(point[0]), float(point[1])
-    evaluate = float_plan((field.p, field.q, *field.jacobian()))
+    evaluate = field.jacobian_plan
     for _ in range(30):
         fx, fy, a, b, c, d = evaluate(x, y)
         if math.hypot(fx, fy) < 1e-14 * (1.0 + math.hypot(x, y)):

@@ -2,7 +2,8 @@
 
 Gauss-Jordan, span solves, Sturm chains, gcds and rational roots computed
 over Q the textbook way.  `vfblock.exactlin` and `vfblock.upoly` work on
-integers instead and must agree with these exactly.
+integers instead and must agree with these exactly; so must
+`vfblock.interval.make` with `make_reference`.
 """
 
 import math
@@ -146,3 +147,15 @@ def rational_roots(p) -> list[tuple[Fraction, int]]:
                 if mult:
                     roots.append((cand, mult))
     return sorted(roots)
+
+
+def make_reference(x) -> tuple[float, float]:
+    """Float interval around an exact number: float(x), widened by one ulp on
+    each side where Fraction(float(x)) misses x."""
+    if isinstance(x, float):
+        return (x, x)
+    f = float(x)
+    exact = Fraction(f)
+    lo = f if exact <= x else math.nextafter(f, -math.inf)
+    hi = f if exact >= x else math.nextafter(f, math.inf)
+    return (lo, hi)

@@ -10,7 +10,7 @@ from vfblock.certify import certify_block
 from vfblock.errors import (EscapeError, PreconditionFailed, ZeroAtBasePoint)
 from vfblock.fields import plane_field
 from vfblock.flows import flow_integrate, flowbox_build
-from vfblock.poly import Poly2, X, Y
+from vfblock.poly import Poly2, X, Y, float_plan
 from vfblock.regions import annulus, disk
 from vfblock.tracking import (component_order_check, numeric_order_estimate,
                               order_invariance_check, polish_zero,
@@ -70,6 +70,26 @@ def test_flowbox_polar_chart(rotation):
             a, b = pushed(t, s)
             worst = max(worst, abs(a - 1), abs(b))
     assert worst < 1e-6
+
+
+def test_one_float_plan_per_field(monkeypatch):
+    # every window a flowbox tries and every polish of the same field share one plan
+    from vfblock import fields
+    builds = []
+
+    def counted(polys):
+        builds.append(polys)
+        return float_plan(polys)
+
+    monkeypatch.setattr(fields, "float_plan", counted)
+    field = plane_field(-Y + X * X, X)
+    first = flowbox_build(field, (1, 0), 0.15, 0.5)
+    again = flowbox_build(field, (1, 0), 0.15, 0.5)
+    assert first.forward(0.1, 0.05) == again.forward(0.1, 0.05)
+    assert polish_zero(field, (0.1, 0.1)) == polish_zero(field, (0.1, 0.1))
+    assert len(builds) == 1
+    assert field.jacobian_plan(0.5, -0.25) == [c.eval_float(0.5, -0.25) for c in
+                                               (field.p, field.q, *field.jacobian())]
 
 
 def test_flowbox_zero_base(euler):

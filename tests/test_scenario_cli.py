@@ -198,16 +198,49 @@ def test_cli_missing_file_exit_2():
     assert proc.returncode == 2
 
 
+_OVERFLOW = {"error": "OverflowError",
+             "message": "integer division result too large for a float"}
+
+
 def test_cli_unexpected_exception_exit_2(tmp_path):
-    # a 400-digit coefficient overflows float(): an error, not a failed check
+    # a 400-digit coefficient overflows float(): that check's error, not a failure
     data = json.loads((SCENARIOS / "source_disk.json").read_text())
     data["fields"]["X"]["P"][0]["c"] = "1" + "0" * 400
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     proc = _cli("verify", str(path))
     assert proc.returncode == 2
-    assert proc.stderr == f"error: {path}: OverflowError: " \
-        "integer division result too large for a float\n"
+    assert (proc.stdout, proc.stderr) == ("source_disk: source_index: error\n", "")
+    assert run_scenario(data).checks[0].data == _OVERFLOW
+
+
+def test_cli_crashing_check_keeps_the_other_checks(tmp_path):
+    # a check that raises a non-vfblock exception errs alone, after the pass line
+    data = json.loads((SCENARIOS / "source_disk.json").read_text())
+    data["fields"]["H"] = {"P": [{"i": 1, "j": 0, "c": "1" + "0" * 400}],
+                           "Q": [{"i": 0, "j": 1, "c": "1"}], "k": 1}
+    data["checks"].append({"op": "block_index", "name": "huge",
+                           "args": {"X": "H", "U": "U"}})
+    path = tmp_path / "two_checks.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    proc = _cli("verify", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == "source_disk: source_index: pass\nsource_disk: huge: error\n"
+    assert proc.stderr == ""
+    report = run_scenario(data)
+    assert [c.verdict for c in report.checks] == ["pass", "error"]
+    assert report.checks[1].data == _OVERFLOW
+
+
+def test_schema_error_inside_a_check_still_ends_the_scenario(monkeypatch):
+    from vfblock import scenario
+
+    def broken(ctx):
+        raise ScenarioSchemaError("bad argument")
+
+    monkeypatch.setitem(scenario.CHECK_OPS, "block_index", broken)
+    with pytest.raises(ScenarioSchemaError, match="bad argument"):
+        run_scenario(json.loads((SCENARIOS / "source_disk.json").read_text()))
 
 
 @pytest.mark.parametrize("term, where", [
