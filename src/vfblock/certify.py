@@ -45,20 +45,6 @@ def box_to_json(box: Box) -> dict:
             "x1": _frac_str(x1), "y1": _frac_str(y1)}
 
 
-def _lower(a: int, n: int) -> float:
-    """iv.make(Fraction(a, n))[0]: a / n is correctly rounded, so it needs
-    one ulp only when it rounded up."""
-    f = a / n
-    p, q = f.as_integer_ratio()
-    return f if p * n <= a * q else iv.down(f)
-
-
-def _upper(a: int, n: int) -> float:
-    f = a / n
-    p, q = f.as_integer_ratio()
-    return f if p * n >= a * q else iv.up(f)
-
-
 @dataclass(frozen=True)
 class Grid:
     """The 2^depth x 2^depth cells of the square [x0, x0 + side] x
@@ -187,7 +173,8 @@ class _AxisTables(dict):
         d, i = key
         w = self.h << (self.depth - d)
         a = self.start + i * w
-        table = self[key] = self.build((_lower(a, self.n), _upper(a + w, self.n)))
+        lo, hi = iv.ratio(a, self.n)[0], iv.ratio(a + w, self.n)[1]
+        table = self[key] = self.build((lo, hi))
         return table
 
 

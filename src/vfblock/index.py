@@ -22,10 +22,11 @@ from . import interval as iv
 from .certify import (Block, BoundaryPass, min_norm_on_boundary,  # noqa: F401 (re-export)
                       winding_stats)
 from .config import DEFAULTS
-from .errors import BoundaryZero, CertificationFailed, ContradictionError
+from .errors import (BoundaryZero, CertificationFailed, ContradictionError,
+                     PreconditionFailed)
 from .fields import PlanarField
-from .poly import Poly2, _frac, _frac_str, restrict_to_circle, restrict_to_segment
-from .regions import ANNULUS, Circle, RectLoop, Region
+from .poly import Poly2, _frac, _frac_str, restrict
+from .regions import ANNULUS, Region, piece_point
 from . import upoly
 
 
@@ -155,30 +156,27 @@ class WedgeVerdict:
         return out
 
 
-def _dependent_on_boundary(det: Poly2, curves):
-    """(True, None) if det vanishes identically on the boundary curves, else a
-    rational witness point where it does not."""
+def _dependent_on_boundary(det, curves):
+    """(True, None) if det vanishes identically on the boundary curves, else
+    (False, witness).  The witness is on the first piece whose restriction
+    has n > 0 coefficients: the point at the first t = k/n, k < n, where the
+    restriction is not 0.  One exists, as a nonzero polynomial of degree
+    n - 1 has at most n - 1 roots; and w(t) != 0, so det != 0 there.  A
+    torus det is decided only where it is identically zero."""
+    if det.is_zero():
+        return True, None
+    if not isinstance(det, Poly2):
+        raise PreconditionFailed(
+            "boundary dependence of torus fields is decided only where "
+            "det(Y, Y') is identically zero")
     for curve in curves:
-        if isinstance(curve, Circle):
-            coeffs = restrict_to_circle(det, curve.center[0], curve.center[1], curve.r)
-            if upoly.is_zero(coeffs):
-                continue
-            for num in range(0, 40):
-                for s in {Fraction(num, 3), Fraction(-num, 3), Fraction(num, 7)}:
-                    if upoly.evaluate(coeffs, s) != 0:
-                        return False, curve.exact_point(s)
-            return False, None
-        if isinstance(curve, RectLoop):
-            for a, b in curve.edges():
-                coeffs = restrict_to_segment(det, a, b)
-                if upoly.is_zero(coeffs):
-                    continue
-                for num in range(0, 40):
-                    t = Fraction(num, 37)
-                    if 0 <= t <= 1 and upoly.evaluate(coeffs, t) != 0:
-                        ex = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-                        return False, ex
-                return False, None
+        for piece in curve.pieces():
+            coeffs = restrict(det, *piece)
+            if not upoly.is_zero(coeffs):
+                n = len(coeffs)
+                t = next(Fraction(k, n) for k in range(n)
+                         if upoly.evaluate(coeffs, Fraction(k, n)))
+                return False, piece_point(piece, t)
     return True, None
 
 

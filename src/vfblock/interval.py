@@ -31,16 +31,24 @@ def up(x: float) -> float:
 
 
 def make(x) -> tuple[float, float]:
-    """Enclose an exact number (int, Fraction or float) in a float interval.
-
-    float(x) is correctly rounded, so it needs one ulp only on the side it
-    rounded to; that side is read off in integers: f = p / q against
-    x = a / n is p n against a q."""
+    """Enclose an exact number (int, Fraction or float) in a float interval:
+    `ratio` of its numerator and denominator."""
     if isinstance(x, float):
         return (x, x)
-    f = float(x)
+    if isinstance(x, int):
+        float(x)    # past float range, raise float's own OverflowError
+    return ratio(x.numerator, x.denominator)
+
+
+def ratio(a: int, n: int) -> tuple[float, float]:
+    """Enclose a / n, for ints a and n > 0, in a float interval.
+
+    f = a / n is correctly rounded, so it needs one ulp only on the side it
+    rounded to; that side is read off in integers: f = p / q against a / n
+    is p n against a q."""
+    f = a / n
     p, q = f.as_integer_ratio()
-    pn, aq = p * x.denominator, x.numerator * q
+    pn, aq = p * n, a * q
     lo = f if pn <= aq else down(f)
     hi = f if pn >= aq else up(f)
     return (lo, hi)

@@ -18,7 +18,7 @@ from . import upoly
 from .errors import FactorVanishes, SamplingTooCoarse
 from .fields import PlanarField
 from .flows import Flowbox
-from .poly import _frac
+from .poly import _frac, restrict
 from .regions import ANNULUS, RECT, Region
 
 
@@ -52,6 +52,9 @@ class LineFieldRep:
         return self.evaluate(x, y)
 
 
+_X_AXIS = ([0, 1], [0], [1])     # the curve piece (t, 0)
+
+
 def factor_y_power(f_pair, l: int, x_interval=(-1, 1)):
     """Exact factorization F = y^l * g with g(x, 0) certified nonvanishing on
     the closed x-interval.  Raises InsufficientPower when some monomial has a
@@ -69,8 +72,7 @@ def factor_y_power(f_pair, l: int, x_interval=(-1, 1)):
     g1 = f1.divide_y_power(l)
     g2 = f2.divide_y_power(l)
     a, b = _frac(x_interval[0]), _frac(x_interval[1])
-    gx1 = g1.substitute_y(0)
-    gx2 = g2.substitute_y(0)
+    gx1, gx2 = restrict(g1, *_X_AXIS), restrict(g2, *_X_AXIS)
     if upoly.is_zero(gx1) and upoly.is_zero(gx2):
         raise FactorVanishes("g(x, 0) is identically (0, 0)", witness=a)
     _decide_factor_vanishes(gx1, gx2, a, b)

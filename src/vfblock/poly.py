@@ -210,19 +210,6 @@ class Poly2(TermMap):
                 raise InsufficientPower(f"monomial x^{i} y^{j} has y-exponent < {l}")
         return self._of({(i, j - l): c for (i, j), c in self._m.items()})
 
-    def substitute_y(self, value) -> list[Fraction]:
-        """Univariate polynomial in x obtained by fixing y = value (exact)."""
-        value = _frac(value)
-        out: dict[int, Fraction] = {}
-        for (i, j), c in self._m.items():
-            cc = c * value ** j
-            if cc:
-                out[i] = out.get(i, Fraction(0)) + cc
-        coeffs = [Fraction(0)] * (max(out) + 1 if out else 0)
-        for i, c in out.items():
-            coeffs[i] = c
-        return upoly.trim(coeffs)
-
     # evaluation ---------------------------------------------------------
 
     def eval_exact(self, x, y) -> Fraction:
@@ -442,46 +429,15 @@ Y = Poly2.variable("y")
 ONE = Poly2.const(1)
 
 
-def restrict_to_circle(p: Poly2, cx, cy, r) -> list[Fraction]:
-    """Numerator of p restricted to the circle |q - c| = r, in the half-angle
-    parameter s; identically zero iff p vanishes on the whole circle.
-
-    Uses x = cx + r(1-s^2)/(1+s^2), y = cy + 2rs/(1+s^2), cleared by (1+s^2)^deg.
-    """
-    cx, cy, r = _frac(cx), _frac(cy), _frac(r)
+def restrict(p: Poly2, x, y, w) -> list[Fraction]:
+    """w^d p(x/w, y/w), d = deg p: p along the exact curve piece (x, y, w) of
+    `regions`, zero exactly when p vanishes on the whole piece."""
     d = max(p.degree, 0)
-    one_s2 = [Fraction(1), Fraction(0), Fraction(1)]          # 1 + s^2
-    ax = upoly.add(scale_u(one_s2, cx), [r, Fraction(0), -r])  # cx(1+s^2) + r(1-s^2)
-    ay = upoly.add(scale_u(one_s2, cy), [Fraction(0), 2 * r])  # cy(1+s^2) + 2rs
+    xp, yp, wp = ([[Fraction(1)]] for _ in range(3))
+    for table, v in ((xp, x), (yp, y), (wp, w)):
+        for _ in range(d):
+            table.append(upoly.mul(table[-1], v))
     out: list[Fraction] = []
     for (i, j), c in p.monomials().items():
-        term = [c]
-        for _ in range(i):
-            term = upoly.mul(term, ax)
-        for _ in range(j):
-            term = upoly.mul(term, ay)
-        for _ in range(d - i - j):
-            term = upoly.mul(term, one_s2)
-        out = upoly.add(out, term)
-    return out
-
-
-def scale_u(p, c):
-    return upoly.scale(p, _frac(c))
-
-
-def restrict_to_segment(p: Poly2, a, b) -> list[Fraction]:
-    """p along the segment a -> b as a univariate polynomial in t over [0, 1]."""
-    ax, ay = _frac(a[0]), _frac(a[1])
-    bx, by = _frac(b[0]), _frac(b[1])
-    xt = [ax, bx - ax]
-    yt = [ay, by - ay]
-    out: list[Fraction] = []
-    for (i, j), c in p.monomials().items():
-        term = [c]
-        for _ in range(i):
-            term = upoly.mul(term, xt)
-        for _ in range(j):
-            term = upoly.mul(term, yt)
-        out = upoly.add(out, term)
+        out = upoly.add(out, upoly.scale(upoly.mul(upoly.mul(xp[i], yp[j]), wp[d - i - j]), c))
     return out

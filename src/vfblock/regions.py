@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import interval as iv
+from . import upoly
 from .errors import UnsupportedRegion
 from .poly import _frac, _frac_str
 
@@ -210,7 +211,9 @@ class _Curve:
     """A closed boundary curve parametrized over t in [0, 1).  `box_of(t0, t1)`
     encloses the arc [t0, t1] in an interval box, memoised per curve object on
     the exact float pair: every pass over one curve list shares its arc boxes,
-    and they are freed with it."""
+    and they are freed with it.  `pieces()` is the curve's one exact form:
+    pieces (x, y, w) of ascending coefficient lists, whose point at t is
+    (x(t) / w(t), y(t) / w(t)) (`piece_point`)."""
 
     def __init__(self):
         self._boxes = {}
@@ -250,15 +253,12 @@ class Circle(_Curve):
     def length_upper(self) -> float:
         return iv.up(2.0 * math.pi * self._rf * (1.0 + 1e-12))
 
-    def bounding_box(self):
-        cx, cy = self.center
-        return (cx - self.r, cy - self.r, cx + self.r, cy + self.r)
-
-    def exact_point(self, s: Fraction) -> tuple[Fraction, Fraction]:
-        """Rational point from the half-angle parameter s."""
-        cx, cy = self.center
-        d = 1 + s * s
-        return (cx + self.r * (1 - s * s) / d, cy + self.r * 2 * s / d)
+    def pieces(self):
+        """The one exact piece, the half-angle form: its point at t is the
+        point at angle 2 arctan(t), counterclockwise whatever `ccw` says.  It
+        covers every point but (cx - r, cy), the limit as t -> +-infinity."""
+        (cx, cy), r = self.center, self.r
+        return [([cx + r, 0, cx - r], [cy, 2 * r, cy], [1, 0, 1])]
 
 
 class RectLoop(_Curve):
@@ -269,6 +269,8 @@ class RectLoop(_Curve):
         self.corners = tuple(_frac(c) for c in corners)
         x0, y0, x1, y1 = self.corners
         self.vertices = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+        self._edges = [([ax, bx - ax], [ay, by - ay], [1]) for (ax, ay), (bx, by)
+                       in zip(self.vertices, self.vertices[1:] + self.vertices[:1])]
         lengths = [x1 - x0, y1 - y0, x1 - x0, y1 - y0]
         total = sum(lengths)
         self.breaks = []
@@ -297,14 +299,17 @@ class RectLoop(_Curve):
         ax, ay, bx, by = float(a[0]), float(a[1]), float(b[0]), float(b[1])
         return (ax + (bx - ax) * local, ay + (by - ay) * local)
 
+    def pieces(self):
+        """One piece per edge, counterclockwise from (x0, y0): the edge from
+        vertex a to vertex b is a + t (b - a) for t in [0, 1]."""
+        return self._edges
+
     def exact_point(self, t: Fraction) -> tuple[Fraction, Fraction]:
         """The point at parameter t in [0, 1], in exact arithmetic."""
         prev = Fraction(0)
-        for e, b in enumerate(self.breaks):
+        for piece, b in zip(self._edges, self.breaks):
             if t <= b:
-                (ax, ay), (bx, by) = self.vertices[e], self.vertices[(e + 1) % 4]
-                s = (t - prev) / (b - prev)
-                return (ax + (bx - ax) * s, ay + (by - ay) * s)
+                return piece_point(piece, (t - prev) / (b - prev))
             prev = b
         raise ValueError(f"parameter {t} outside [0, 1]")
 
@@ -321,11 +326,11 @@ class RectLoop(_Curve):
     def length_upper(self) -> float:
         return iv.up(float(self.perimeter))
 
-    def bounding_box(self):
-        return self.corners
 
-    def edges(self):
-        return [(self.vertices[i], self.vertices[(i + 1) % 4]) for i in range(4)]
+def piece_point(piece, t: Fraction) -> tuple[Fraction, Fraction]:
+    """The exact point (x(t) / w(t), y(t) / w(t)) of a curve piece (x, y, w)."""
+    x, y, w = (upoly.evaluate(c, t) for c in piece)
+    return x / w, y / w
 
 
 def require_planar_boundary(region: Region, op: str):

@@ -3,12 +3,15 @@
 Gauss-Jordan, span solves, Sturm chains, gcds and rational roots computed
 over Q the textbook way.  `vfblock.exactlin` and `vfblock.upoly` work on
 integers instead and must agree with these exactly; so must
-`vfblock.interval.make` with `make_reference`.
+`vfblock.interval.make` with `make_reference`, and `vfblock.poly.restrict`
+along the curves' pieces with `restrict_to_circle` and `restrict_to_segment`.
 """
 
 import math
 from fractions import Fraction
 
+from vfblock import upoly
+from vfblock.poly import Poly2, _frac
 from vfblock.upoly import deg, derivative, evaluate, trim
 
 
@@ -159,3 +162,48 @@ def make_reference(x) -> tuple[float, float]:
     lo = f if exact <= x else math.nextafter(f, -math.inf)
     hi = f if exact >= x else math.nextafter(f, math.inf)
     return (lo, hi)
+
+
+def restrict_to_circle(p: Poly2, cx, cy, r) -> list[Fraction]:
+    """Numerator of p restricted to the circle |q - c| = r, in the half-angle
+    parameter s; identically zero iff p vanishes on the whole circle.
+
+    Uses x = cx + r(1-s^2)/(1+s^2), y = cy + 2rs/(1+s^2), cleared by (1+s^2)^deg.
+    """
+    cx, cy, r = _frac(cx), _frac(cy), _frac(r)
+    d = max(p.degree, 0)
+    one_s2 = [Fraction(1), Fraction(0), Fraction(1)]          # 1 + s^2
+    ax = upoly.add(scale_u(one_s2, cx), [r, Fraction(0), -r])  # cx(1+s^2) + r(1-s^2)
+    ay = upoly.add(scale_u(one_s2, cy), [Fraction(0), 2 * r])  # cy(1+s^2) + 2rs
+    out: list[Fraction] = []
+    for (i, j), c in p.monomials().items():
+        term = [c]
+        for _ in range(i):
+            term = upoly.mul(term, ax)
+        for _ in range(j):
+            term = upoly.mul(term, ay)
+        for _ in range(d - i - j):
+            term = upoly.mul(term, one_s2)
+        out = upoly.add(out, term)
+    return out
+
+
+def scale_u(p, c):
+    return upoly.scale(p, _frac(c))
+
+
+def restrict_to_segment(p: Poly2, a, b) -> list[Fraction]:
+    """p along the segment a -> b as a univariate polynomial in t over [0, 1]."""
+    ax, ay = _frac(a[0]), _frac(a[1])
+    bx, by = _frac(b[0]), _frac(b[1])
+    xt = [ax, bx - ax]
+    yt = [ay, by - ay]
+    out: list[Fraction] = []
+    for (i, j), c in p.monomials().items():
+        term = [c]
+        for _ in range(i):
+            term = upoly.mul(term, xt)
+        for _ in range(j):
+            term = upoly.mul(term, yt)
+        out = upoly.add(out, term)
+    return out

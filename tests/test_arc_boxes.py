@@ -4,8 +4,9 @@ Boundary curves memoise `box_of` per object, and homotopy and wedge checks run
 several fields over one curve list.  Each pass over a shared list must give
 exactly what a pass over fresh curves gives, and what a pass that computes
 every box anew gives: the same `WindingStats` and `BoundaryPass`, every float
-compared by repr, or the same `BoundaryZero`.  `iv.make` must match the
-`Fraction` rule it replaced, kept in `fraction_reference.make_reference`.
+compared by repr, or the same `BoundaryZero`.  `iv.make`, and `iv.ratio` of
+a numerator and denominator in any terms, must match the `Fraction` rule
+they replaced, kept in `fraction_reference.make_reference`.
 """
 
 import math
@@ -145,6 +146,18 @@ def test_make_matches_fraction_rule(x):
         assert lo == -math.inf or Fraction(lo) <= x     # one ulp past the largest
         assert hi == math.inf or x <= Fraction(hi)      # float is infinite
         assert hi in (lo, math.nextafter(lo, math.inf))
+
+
+@given(st.one_of(_small, _big), _den,
+       st.one_of(st.integers(1, 10 ** 6), st.integers(2 ** 53, 2 ** 80)))
+@example(1, 3, 2 ** 53 + 1)
+@example(2 ** 53 + 1, 1, 1)
+@example(-(2 ** 1024 - 2 ** 970), 1, 3)      # rounds over the largest float
+@settings(max_examples=500, deadline=None)
+def test_ratio_matches_fraction_rule(a, n, k):
+    # a k / n k is a / n, not in lowest terms when k > 1
+    x = Fraction(a, n)
+    assert _outcome(lambda _: iv.ratio(a * k, n * k), x) == _outcome(make_reference, x)
 
 
 @pytest.mark.parametrize("x", [2 ** 1024, -Fraction(2 ** 1030, 3)])

@@ -9,13 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vfblock.certify import certify_block
-from vfblock.errors import BoundaryZero, ContradictionError
+from vfblock import upoly
+from vfblock.errors import BoundaryZero, ContradictionError, PreconditionFailed
 from vfblock.fields import plane_field, torus_field
-from vfblock.index import (block_index, homotopy_invariance_check,
+from vfblock.index import (_dependent_on_boundary, block_index,
+                           homotopy_invariance_check, interval_lipschitz,
                            lift_double_cover, min_norm_on_boundary,
                            perturbation_bound, region_index, wedge_check,
                            winding_stats)
-from vfblock.poly import Poly2, X, Y
+from vfblock.poly import Poly2, X, Y, restrict
 from vfblock.regions import Circle, annulus, disk, rectangle
 from vfblock.trig import TrigPoly2
 
@@ -238,6 +240,105 @@ def test_wedge_not_isolating(euler):
     # boundary passes through the zero of Y' = Y = euler
     v = wedge_check(euler, euler.scale(2), disk((1, 0), 1))
     assert v.status == "not_isolating"
+
+
+def test_wedge_torus_dependent_fields(torus_sin):
+    # det(Y, 2Y) is identically zero: dependent at once, on a disk and a rectangle
+    half, eighth = Fraction(1, 2), Fraction(1, 8)
+    for region in (disk((half, half), eighth),
+                   rectangle(half - eighth, half - eighth, half + eighth, half + eighth)):
+        v = wedge_check(torus_sin, torus_sin.scale(2), region)
+        assert v.status == "equal" and v.index == 1
+
+
+def test_wedge_torus_nonzero_det_is_refused(torus_sin):
+    swapped = torus_field(torus_sin.q, torus_sin.p)
+    with pytest.raises(PreconditionFailed, match="identically zero"):
+        wedge_check(torus_sin, swapped, disk((Fraction(1, 2), Fraction(1, 2)), Fraction(1, 8)))
+
+
+# exact boundary dependence: one restriction per curve piece ------------------
+
+
+def _on_boundary(region, point) -> bool:
+    x, y = point
+    if region.kind == "rect":
+        x0, y0, x1, y1 = region.corners
+        return (x0 <= x <= x1 and y in (y0, y1)) or (y0 <= y <= y1 and x in (x0, x1))
+    (cx, cy), radii = region.center, (region.r, region.r_in, region.r_out)
+    return (x - cx) ** 2 + (y - cy) ** 2 in {r * r for r in radii if r is not None}
+
+
+def _vanishing_factor(curve):
+    """A polynomial that vanishes on the whole curve."""
+    if isinstance(curve, Circle):
+        (cx, cy), r = curve.center, curve.r
+        return (X - cx) ** 2 + (Y - cy) ** 2 - r * r
+    x0, y0, x1, y1 = curve.corners
+    return (X - x0) * (X - x1) * (Y - y0) * (Y - y1)
+
+
+@st.composite
+def _dets_and_regions(draw):
+    """A random det over a random disk, annulus or rectangle; often a multiple
+    of the vanishing factors of some of the boundary curves."""
+    kind = draw(st.sampled_from(("disk", "annulus", "rect")))
+    c, r = (draw(_rational), draw(_rational)), draw(_radius)
+    if kind == "disk":
+        region = disk(c, r)
+    elif kind == "annulus":
+        region = annulus(c, r, r + draw(_radius))
+    else:
+        region = rectangle(c[0], c[1], c[0] + r, c[1] + draw(_radius))
+    det = Poly2({(i, j): draw(_rational) for i in range(3) for j in range(3 - i)
+                 if draw(st.booleans())})
+    for curve in region.boundary_curves():
+        if draw(st.booleans()):
+            det = det * _vanishing_factor(curve)
+    return det, region
+
+
+@given(_dets_and_regions())
+@settings(max_examples=200, deadline=None)
+def test_dependence_matches_the_restrictions(case):
+    det, region = case
+    curves = region.boundary_curves()
+    dependent, witness = _dependent_on_boundary(det, curves)
+    zero = all(upoly.is_zero(restrict(det, *piece))
+               for curve in curves for piece in curve.pieces())
+    assert dependent == zero
+    if dependent:
+        assert witness is None
+    else:
+        assert _on_boundary(region, witness) and det.eval_exact(*witness) != 0
+
+
+@pytest.mark.parametrize("det,region,witness", [
+    # zero on the outer circle, listed first: the witness is on the inner one
+    (X ** 2 + Y ** 2 - 4, annulus((0, 0), 1, 2), (1, 0)),
+    # zero on the bottom edge, the first piece: the witness is on the right edge
+    (Y - Fraction(1, 3), rectangle(0, Fraction(1, 3), 1, 1), (1, Fraction(2, 3))),
+    # y restricts to 2 r t, zero at t = 0: the witness is at t = 1/2
+    (Y, disk((0, 0), 5), (3, 4)),
+])
+def test_dependence_witness_examples(det, region, witness):
+    assert _dependent_on_boundary(det, region.boundary_curves()) == (False, witness)
+
+
+_CUBIC_MONOMIALS = [(i, j) for i in range(4) for j in range(4 - i)]
+_cubic = st.lists(st.builds(Fraction, st.integers(-8, 8), st.integers(1, 8)),
+                  min_size=10, max_size=10).map(
+    lambda cs: Poly2(dict(zip(_CUBIC_MONOMIALS, cs))))
+
+
+@given(_cubic, _cubic, _rational, _rational, _radius, _radius)
+@settings(max_examples=200, deadline=None)
+def test_interval_lipschitz_bounds_the_jacobian(p, q, x0, y0, w, h):
+    field = plane_field(p, q)
+    x1, y1 = x0 + w, y0 + h
+    bound = Fraction(interval_lipschitz(field, (x0, y0, x1, y1)))
+    for x, y in ((x0, y0), (x1, y0), (x0, y1), (x1, y1), ((x0 + x1) / 2, (y0 + y1) / 2)):
+        assert bound ** 2 >= sum(d.eval_exact(x, y) ** 2 for d in field.jacobian())
 
 
 def test_double_cover_doubling(saddle_pair_field, circle_field, const_east,

@@ -4,13 +4,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from fraction_reference import restrict_to_circle, restrict_to_segment
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vfblock import interval as iv
 from vfblock import upoly
 from vfblock.errors import InsufficientPower
-from vfblock.poly import Poly2, X, Y, restrict_to_circle, restrict_to_segment
+from vfblock.linefield import _X_AXIS
+from vfblock.poly import Poly2, X, Y, restrict
+from vfblock.regions import Circle, RectLoop, piece_point
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
@@ -107,26 +110,62 @@ def test_interval_pow_sound(num, den, n):
 def test_restrict_to_circle_detects_boundary_vanishing():
     # x^2 + y^2 - 1 vanishes identically on the unit circle
     p = X ** 2 + Y ** 2 - 1
-    assert upoly.is_zero(restrict_to_circle(p, 0, 0, 1))
+    (piece,) = Circle((0, 0), 1, ccw=True).pieces()
+    assert upoly.is_zero(restrict(p, *piece))
     # but not on a circle of radius 2
-    r = restrict_to_circle(p, 0, 0, 2)
-    assert not upoly.is_zero(r)
+    (piece,) = Circle((0, 0), 2, ccw=True).pieces()
+    assert not upoly.is_zero(restrict(p, *piece))
 
 
 def test_restrict_to_circle_matches_pointwise_evaluation():
     p = X ** 2 * Y - 2 * X + Y ** 3
-    coeffs = restrict_to_circle(p, Fraction(1, 2), 0, Fraction(3, 2))
+    (piece,) = Circle((Fraction(1, 2), 0), Fraction(3, 2), ccw=False).pieces()
+    coeffs = restrict(p, *piece)
     d = max(p.degree, 0)
     for s in (Fraction(0), Fraction(1, 3), Fraction(-2), Fraction(5, 7)):
         x = Fraction(1, 2) + Fraction(3, 2) * (1 - s * s) / (1 + s * s)
         y = Fraction(3, 2) * 2 * s / (1 + s * s)
+        assert piece_point(piece, s) == (x, y)
         assert upoly.evaluate(coeffs, s) == p.eval_exact(x, y) * (1 + s * s) ** d
 
 
 def test_restrict_to_segment():
     p = X + 2 * Y
-    coeffs = restrict_to_segment(p, (0, 0), (1, 1))
+    # the segment (0, 0) -> (1, 1) as the piece a + t (b - a)
+    coeffs = restrict(p, [0, 1], [0, 1], [1])
     assert coeffs == [Fraction(0), Fraction(3)]
+    # the unit square's edges, counterclockwise from (0, 0)
+    assert [restrict(p, *e) for e in RectLoop((0, 0, 1, 1)).pieces()] == \
+        [[0, 1], [1, 2], [3, -1], [2, -2]]
+
+
+_point = st.tuples(fractions_st, fractions_st)
+
+
+@given(poly2_st(), _point, st.fractions(min_value=Fraction(1, 8), max_value=4,
+                                        max_denominator=8), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_restrict_matches_reference_on_circles(p, c, r, ccw):
+    (piece,) = Circle(c, r, ccw).pieces()
+    assert restrict(p, *piece) == restrict_to_circle(p, c[0], c[1], r)
+
+
+@given(poly2_st(), _point, _point)
+@settings(max_examples=200, deadline=None)
+def test_restrict_matches_reference_on_segments(p, a, b):
+    piece = ([a[0], b[0] - a[0]], [a[1], b[1] - a[1]], [1])
+    assert restrict(p, *piece) == restrict_to_segment(p, a, b)
+    assert restrict(p, *_X_AXIS) == restrict_to_segment(p, (0, 0), (1, 0))
+
+
+@given(poly2_st(), st.tuples(fractions_st, fractions_st, fractions_st, fractions_st))
+@settings(max_examples=200, deadline=None)
+def test_rectangle_edges_match_reference(p, data):
+    x0, y0, w, h = data
+    loop = RectLoop((x0, y0, x0 + abs(w) + 1, y0 + abs(h) + 1))
+    v = loop.vertices
+    assert [restrict(p, *e) for e in loop.pieces()] == \
+        [restrict_to_segment(p, a, b) for a, b in zip(v, v[1:] + v[:1])]
 
 
 def test_upoly_sturm_and_rational_roots():

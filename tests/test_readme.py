@@ -1,0 +1,37 @@
+"""The README's examples run as written: the Quick tour prints what its
+comments say, and the scenario file it shows exits 0."""
+
+import contextlib
+import io
+import json
+import pathlib
+import re
+
+from vfblock.scenario import run_scenario
+
+README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _block(lang: str, after: str) -> str:
+    """The first fenced `lang` block after the line `after`."""
+    found = re.compile(rf"^```{lang}\n(.*?)^```", re.S | re.M).search(README, README.index(after))
+    return found.group(1)
+
+
+def test_quick_tour_prints_its_comments():
+    code = _block("python", "## Quick tour")
+    comments = [line.split("#", 1)[1].strip() for line in code.splitlines()
+                if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert printed == ["1", "True", "{'status': 'Pass'}"]
+    assert len(comments) == len(printed)
+    for line, comment in zip(printed, comments):     # a comment may add ", why"
+        assert comment == line or comment.startswith(line + ", ")
+
+
+def test_scenario_example_exits_0():
+    scenario = json.loads(_block("json", "Scenario files are JSON"))
+    assert run_scenario(scenario).exit_code == 0

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from vfblock import interval as iv
 from vfblock.certify import (_EDGE_STEPS, Grid, ZeroEnclosure, _AxisTables, _clusters,
-                             _has_hole, _lower, _root_box, _upper, certify_block,
+                             _has_hole, _root_box, certify_block,
                              components, meeting_cells,
                              min_norm_on_boundary, zero_enclosure, zero_enclosure_scalars)
 from vfblock.config import default_max_depth
@@ -127,7 +127,8 @@ def _zero_enclosure_reference(scalars, region, resolution, max_depth=None, centr
     ncx, ncy = map(int, nc)
 
     def cell(bx, by, w):
-        return (_lower(bx, n), _upper(bx + w, n)), (_lower(by, n), _upper(by + w, n))
+        return ((iv.ratio(bx, n)[0], iv.ratio(bx + w, n)[1]),
+                (iv.ratio(by, n)[0], iv.ratio(by + w, n)[1]))
 
     examined = discarded_geom = discarded_iv = depth_used = 0
     kept = []
@@ -414,7 +415,7 @@ def test_integer_cell_geometry_matches_fractions(region, depth, data, collar):
     assert (box_clears_boundary(scaled, scaled_box, int(collar * n))
             == box_clears_boundary(region, box, collar))
     for a, exact in zip(scaled_box, box):
-        assert (_lower(a, n), _upper(a, n)) == iv.make(exact)
+        assert iv.ratio(a, n) == iv.make(exact)
     # the quadtree's per-column and per-row intervals are the cell's, rounded outward
     _, sx, sy, h = grid.scaling(*region.params, collar)
     for start, k, lo, hi in ((sx, cell[0], box[0], box[2]), (sy, cell[1], box[1], box[3])):
