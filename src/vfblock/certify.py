@@ -19,14 +19,14 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import interval as iv
 from .config import DEFAULTS, default_max_depth
 from .errors import (BoundaryZero, CertificationFailed, ContradictionError,
                      DepthLimitExceeded)
 from .fields import PlanarField
-from .poly import Poly2, _frac, _frac_str, box_evaluator, cell_test
+from .poly import _frac, _frac_str, _powers, box_evaluator, cell_test
 from .regions import (
     Region,
     TORUS_FULL,
@@ -153,29 +153,67 @@ def meeting_cells(a: ZeroEnclosure, b: ZeroEnclosure):
 
 
 def _root_box(region: Region) -> Box:
+    """The square around the bounding box, in `Fraction`s for int regions too."""
     x0, y0, x1, y1 = region.bounding_box()
-    w, h = x1 - x0, y1 - y0
-    side = max(w, h)
-    cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
-    return (cx - side / 2, cy - side / 2, cx + side / 2, cy + side / 2)
+    half = Fraction(max(x1 - x0, y1 - y0), 2)
+    cx, cy = Fraction(x0 + x1, 2), Fraction(y0 + y1, 2)
+    return (cx - half, cy - half, cx + half, cy + half)
 
 
 class _AxisTables(dict):
     """The tables of one grid axis, keyed on (depth d, column or row i): each
     is built once, on first use, from the float interval of
-    [start + i w, start + (i + 1) w] / n with w = h 2^(depth - d)."""
+    [start + i w, start + (i + 1) w] / n with w = h 2^(depth - d).  A table
+    is that interval when `count` is None, else the tuple `_powers` of it
+    through the power `count`.  Entry k of `_powers` does not depend on the
+    table's length, so `at_least` raises the count for every later table and
+    one store serves scalars of every degree, bit for bit."""
 
-    def __init__(self, start: int, h: int, depth: int, n: int, build):
+    def __init__(self, start: int, h: int, depth: int, n: int, count: int | None):
         super().__init__()
-        self.start, self.h, self.depth, self.n, self.build = start, h, depth, n, build
+        self.start, self.h, self.depth, self.n, self.count = start, h, depth, n, count
+
+    def at_least(self, count: int | None) -> "_AxisTables":
+        if count is not None and count > self.count:
+            self.clear()
+            self.count = count
+        return self
 
     def __missing__(self, key):
         d, i = key
         w = self.h << (self.depth - d)
         a = self.start + i * w
-        lo, hi = iv.ratio(a, self.n)[0], iv.ratio(a + w, self.n)[1]
-        table = self[key] = self.build((lo, hi))
+        box = iv.ratio(a, self.n)[0], iv.ratio(a + w, self.n)[1]
+        table = self[key] = box if self.count is None else tuple(_powers(box, self.count))
         return table
+
+
+class _GridSetup:
+    """What every enclosure of one region at one resolution shares: the grid,
+    its `scaling` (n, n x0, n y0, n h), the region scaled by n, and one
+    `_AxisTables` store per axis start and kind of table, filled lazily."""
+
+    def __init__(self, region: Region, resolution: Fraction):
+        x0, y0, x1, _ = _root_box(region)
+        side = x1 - x0
+        depth = 0
+        while 2 * side * side > resolution * resolution * 4 ** depth:
+            depth += 1
+        self.grid = Grid(x0, y0, side, depth)
+        self.scaling = self.grid.scaling(*region.params)
+        self.scaled = region.scaled(self.scaling[0])
+        self._stores = {}
+
+    def axis(self, start: int, count: int | None) -> _AxisTables:
+        """The tables of the axis whose cells start at n x = start: power
+        tables through at least `count`, or intervals when count is None."""
+        key = start, count is None
+        if key not in self._stores:
+            n, _, _, h = self.scaling
+            self._stores[key] = _AxisTables(start, h, self.grid.depth, n, count)
+        return self._stores[key].at_least(count)
+
+_grid_setup = lru_cache(maxsize=1)(_GridSetup)
 
 
 class _NearCells(dict):
@@ -224,32 +262,32 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
     cells are exactly `list(meeting_cells(full, near))` of the unrestricted
     enclosure `full`: a cell none of whose descendants can lie within one
     cell of `near`'s is discarded first and counted under geometry.
+
+    The grid, its scaling, the scaled region and the column and row tables
+    come from a one-entry memo on the exact (region, resolution): K, the
+    k-flat locus, Z(Y) and Z(g) of one theorem, and the next theorem on an
+    equal region, share them, bit for bit.  One entry keeps one grid's
+    tables alive at a time.
     """
     resolution = _frac(resolution)
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     if max_depth is None:
         max_depth = default_max_depth()
-    x0, y0, x1, _ = _root_box(region)
-    side = x1 - x0
-    depth = 0
-    while 2 * side * side > resolution * resolution * 4 ** depth:
-        depth += 1
-    grid = Grid(x0, y0, side, depth)
-    n, sx, sy, h = grid.scaling(*region.params)
-    scaled = region.scaled(n)
-    x_table, y_table, test = cell_test(scalars)
-    columns = _AxisTables(sx, h, depth, n, x_table)
-    rows = _AxisTables(sy, h, depth, n, y_table)
+    setup = _grid_setup(region, resolution)
+    grid, scaled = setup.grid, setup.scaled
+    n, sx, sy, h = setup.scaling
+    depth = grid.depth
+    nx, ny, test = cell_test(scalars)
+    columns, rows = setup.axis(sx, nx), setup.axis(sy, ny)
     leaf_test = None
     half = h << depth >> 1          # n side / 2, exact when depth > 0
     cx, cy = sx + half, sy + half   # n c for the root box's centre c
-    if depth and (cx or cy) and all(isinstance(s, Poly2) for s in scalars):
+    if depth and (cx or cy) and nx is not None:
         leaf_test, leaf_columns, leaf_rows = test, columns, rows
         c = Fraction(cx, n), Fraction(cy, n)
-        x_table, y_table, test = cell_test([s.translate(*c) for s in scalars])
-        columns = _AxisTables(sx - cx, h, depth, n, x_table)
-        rows = _AxisTables(sy - cy, h, depth, n, y_table)
+        nx, ny, test = cell_test([s.translate(*c) for s in scalars])
+        columns, rows = setup.axis(sx - cx, nx), setup.axis(sy - cy, ny)
     if near is not None and near.grid != grid:
         raise ValueError("the enclosures lie on different grids")
     near_cells = None if near is None else near.near_cells
@@ -386,16 +424,15 @@ class BoundaryPass:
 
 
 def min_norm_on_boundary(field: PlanarField, region: Region, tol=None,
-                         max_depth: int | None = None, *,
-                         _curves=None) -> BoundaryPass | None:
+                         max_depth: int | None = None) -> BoundaryPass | None:
     """One certified pass over the boundary of U (`winding_stats` on each
     curve), or None when |X| cannot be certified positive there (e.g. a
-    boundary zero).  Callers that run several passes over one region hand in
-    its `boundary_curves()` once as `_curves`, so the passes share arc boxes."""
+    boundary zero).  The curves are the region's memoised `boundary_curves()`,
+    so consecutive passes over one region, for any fields, share arc boxes."""
     require_planar_boundary(region, "min_norm_on_boundary")
     try:
         stats = [winding_stats(field, curve, tol, max_depth)
-                 for curve in _curves or region.boundary_curves()]
+                 for curve in region.boundary_curves()]
     except BoundaryZero:
         return None
     return BoundaryPass(Fraction(iv.sqrt_lower(min(s.norm_sq_lower for s in stats))),

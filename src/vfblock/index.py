@@ -7,9 +7,11 @@ is the sum of the quarter turns between neighbouring leaves over 4 (Stenger
 1975, Kearfott 1979; see `certify.winding_stats`, re-exported here).  Only the
 annulus double-cover lift, a float evaluator, is still sampled.
 
-An arc's interval box depends on the curve, not on the field, and each curve
-memoises its boxes (`regions.Circle`, `regions.RectLoop`): the passes of one
-homotopy or wedge check run over one list of boundary curves and share them.
+An arc's interval box depends on the curve, not on the field.  Each curve
+memoises its boxes (`regions.Circle`, `regions.RectLoop`), and
+`Region.boundary_curves` memoises the curves of the last region asked: the
+passes of one homotopy or wedge check, and consecutive checks on an equal
+region, share them.
 """
 
 from __future__ import annotations
@@ -120,17 +122,16 @@ def homotopy_invariance_check(x0: PlanarField, x1: PlanarField, region: Region,
     """Certify boundary nonvanishing and a constant index along the straight-line
     homotopy sampled at t = i/steps; degenerate reports are honest failures of
     certification, not counterexamples.  The steps + 1 boundary passes run
-    over one list of boundary curves and so share their arc boxes."""
+    over the region's memoised boundary curves and so share their arc boxes."""
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    curves = region.boundary_curves()
     indices = []
     for i in range(steps + 1):
         t = Fraction(i, steps)
         xt = x0.scale(1 - t) + x1.scale(t)
         if xt.is_zero():
             return HomotopyVerdict("degenerate", t=t)
-        boundary = min_norm_on_boundary(xt, region, tol=1, _curves=curves)
+        boundary = min_norm_on_boundary(xt, region, tol=1)
         if boundary is None:
             return HomotopyVerdict("degenerate", t=t)
         indices.append(boundary.index)
@@ -184,15 +185,14 @@ def wedge_check(y_field: PlanarField, yp_field: PlanarField,
                 region: Region) -> WedgeVerdict:
     """Certify pointwise linear dependence of the two fields along the boundary
     of an isolating region; their indices must then agree.  Both boundary
-    passes run over one list of boundary curves and so share their arc
-    boxes."""
+    passes run over the region's memoised boundary curves and so share their
+    arc boxes."""
     det = y_field.p * yp_field.q - y_field.q * yp_field.p
-    curves = region.boundary_curves()
-    dependent, witness = _dependent_on_boundary(det, curves)
+    dependent, witness = _dependent_on_boundary(det, region.boundary_curves())
     if not dependent:
         return WedgeVerdict("not_dependent", witness=witness)
-    b1 = min_norm_on_boundary(y_field, region, tol=1, _curves=curves)
-    b2 = min_norm_on_boundary(yp_field, region, tol=1, _curves=curves)
+    b1 = min_norm_on_boundary(y_field, region, tol=1)
+    b2 = min_norm_on_boundary(yp_field, region, tol=1)
     if b1 is None or b2 is None:
         return WedgeVerdict("not_isolating")
     if b1.index != b2.index:

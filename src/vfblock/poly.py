@@ -353,22 +353,21 @@ def box_evaluator(scalars):
 
 
 def cell_test(scalars):
-    """(x_table, y_table, test) for the cells of one grid.  `x_table(ix)` and
-    `y_table(iy)` build what a grid column with x-interval ix, or a row with
-    y-interval iy, needs: a `_powers` table when every scalar is a Poly2,
-    else the interval itself.  `test(xt, yt)` walks the scalars in order and
-    returns False at the first whose enclosure over the cell excludes 0; each
-    enclosure has the bits of `s.eval_interval(ix, iy)`."""
+    """(nx, ny, test) for the cells of one grid.  A grid column with
+    x-interval ix, or a row with y-interval iy, reaches `test(xt, yt)` as a
+    `_powers` table through at least ix^nx, or iy^ny, when every scalar is a
+    Poly2, else (nx = ny = None) as the interval itself.  `test` walks the
+    scalars in order and returns False at the first whose enclosure over the
+    cell excludes 0; each enclosure has the bits of `s.eval_interval(ix, iy)`.
+    It only reads the tables, so callers may share them."""
     if not all(isinstance(s, Poly2) for s in scalars):
         kernels = [s.eval_interval for s in scalars]
-        x_table = y_table = lambda a: a
+        nx = ny = None
     else:
         plans = [s._plan() for s in scalars]
         nx = max((p[0] for p in plans), default=0)
         ny = max((p[1] for p in plans), default=0)
         kernels = [partial(_sum_terms, p[2]) for p in plans]
-        x_table = partial(_powers, n=nx)
-        y_table = partial(_powers, n=ny)
 
     def test(xt, yt):
         for kernel in kernels:
@@ -377,7 +376,7 @@ def cell_test(scalars):
                 return False
         return True
 
-    return x_table, y_table, test
+    return nx, ny, test
 
 
 def float_plan(polys):

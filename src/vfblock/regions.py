@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from . import interval as iv
 from . import upoly
@@ -93,19 +94,19 @@ class Region:
             return x0 <= x <= x1 and y0 <= y <= y1
         return True
 
-    def boundary_curves(self) -> list:
-        """New curve objects, outer first; passes that share one list share
-        its memoised arc boxes (`box_of`)."""
+    @lru_cache(maxsize=1)
+    def boundary_curves(self) -> tuple:
+        """The boundary curves, outer first, memoised for the last region
+        asked (one entry, so one region's arc boxes stay alive at a time):
+        every pass over an equal region shares their arc boxes (`box_of`)."""
         if self.kind == DISK:
-            return [Circle(self.center, self.r, ccw=True)]
+            return (Circle(self.center, self.r, ccw=True),)
         if self.kind == ANNULUS:
-            return [
-                Circle(self.center, self.r_out, ccw=True),
-                Circle(self.center, self.r_in, ccw=False),
-            ]
+            return (Circle(self.center, self.r_out, ccw=True),
+                    Circle(self.center, self.r_in, ccw=False))
         if self.kind == RECT:
-            return [RectLoop(self.corners)]
-        return []
+            return (RectLoop(self.corners),)
+        return ()
 
     def to_json(self) -> dict:
         if self.kind == DISK:
@@ -210,8 +211,9 @@ def box_clears_boundary(region: Region, box, collar: Fraction) -> bool:
 class _Curve:
     """A closed boundary curve parametrized over t in [0, 1).  `box_of(t0, t1)`
     encloses the arc [t0, t1] in an interval box, memoised per curve object on
-    the exact float pair: every pass over one curve list shares its arc boxes,
-    and they are freed with it.  `pieces()` is the curve's one exact form:
+    the exact float pair: every pass over the curves that
+    `Region.boundary_curves` memoises shares their arc boxes, and they are
+    freed with them.  `pieces()` is the curve's one exact form:
     pieces (x, y, w) of ascending coefficient lists, whose point at t is
     (x(t) / w(t), y(t) / w(t)) (`piece_point`)."""
 

@@ -1,12 +1,14 @@
 """Memoised arc boxes and the integer rounding rule of `iv.make`.
 
-Boundary curves memoise `box_of` per object, and homotopy and wedge checks run
-several fields over one curve list.  Each pass over a shared list must give
-exactly what a pass over fresh curves gives, and what a pass that computes
-every box anew gives: the same `WindingStats` and `BoundaryPass`, every float
-compared by repr, or the same `BoundaryZero`.  `iv.make`, and `iv.ratio` of
-a numerator and denominator in any terms, must match the `Fraction` rule
-they replaced, kept in `fraction_reference.make_reference`.
+Boundary curves memoise `box_of` per object, and `Region.boundary_curves`
+memoises the curves of the last region asked, so homotopy and wedge checks,
+and consecutive passes on an equal region, run every field over one curve
+list.  Each pass over the memoised list must give exactly what a pass over
+fresh curves gives, and what a pass that computes every box anew gives: the
+same `WindingStats` and `BoundaryPass`, every float compared by repr, or the
+same `BoundaryZero`.  `iv.make`, and `iv.ratio` of a numerator and
+denominator in any terms, must match the `Fraction` rule they replaced, kept
+in `fraction_reference.make_reference`.
 """
 
 import math
@@ -23,7 +25,7 @@ from vfblock.errors import BoundaryZero
 from vfblock.fields import plane_field
 from vfblock.index import homotopy_invariance_check, wedge_check
 from vfblock.poly import Poly2, X, Y
-from vfblock.regions import annulus, disk, rectangle
+from vfblock.regions import Region, annulus, disk, rectangle
 
 _DEPTH = 12     # keeps a pass that meets a boundary zero short
 _rational = st.fractions(min_value=-1, max_value=1, max_denominator=12)
@@ -58,11 +60,25 @@ class _Uncached:
         self.box_of = curve._arc_box
 
 
+def _fresh(region):
+    """New curve objects for the region, past the memo."""
+    return Region.boundary_curves.__wrapped__(region)
+
+
 def _stats(field, curve, tol):
     try:
         return repr(winding_stats(field, curve, tol, _DEPTH))
     except BoundaryZero:
         return "BoundaryZero"
+
+
+def _fresh_pass(field, region, tol):
+    """`min_norm_on_boundary` over fresh curves, left out of the memo."""
+    Region.boundary_curves.cache_clear()
+    try:
+        return repr(min_norm_on_boundary(field, region, tol, _DEPTH))
+    finally:
+        Region.boundary_curves.cache_clear()
 
 
 @given(_regions(), st.lists(_fields(), min_size=2, max_size=4),
@@ -72,35 +88,54 @@ def _stats(field, curve, tol):
          Fraction(1, 2))
 @settings(max_examples=60, deadline=None)
 def test_shared_curves_give_fresh_results(region, fields, tol):
+    want = [_fresh_pass(field, region, tol) for field in fields]
     shared = region.boundary_curves()
-    for field in fields:
-        fresh = region.boundary_curves()
-        for curve, new in zip(shared, fresh):
+    for field, fresh_pass in zip(fields, want):
+        for curve, new in zip(shared, _fresh(region)):
             got = _stats(field, curve, tol)
             assert got == _stats(field, new, tol)
             assert got == _stats(field, _Uncached(new), tol)
-        assert repr(min_norm_on_boundary(field, region, tol, _DEPTH, _curves=shared)) == \
-            repr(min_norm_on_boundary(field, region, tol, _DEPTH))
+        assert region.boundary_curves() is shared
+        assert repr(min_norm_on_boundary(field, region, tol, _DEPTH)) == fresh_pass
+
+
+@given(_regions(), _fields(), _fields(), st.booleans())
+@example(disk((0, 0), 1), plane_field(X, Y), plane_field(X - Fraction(19, 20), Y), True)
+@settings(max_examples=60, deadline=None)
+def test_memoised_curves_any_pass_order(region, first, second, coarse_first):
+    """A tol = 1 pass and a tol = 1/4 pass on another field, in either order,
+    on the memoised curves: each the `BoundaryPass` of fresh curves."""
+    passes = [(first, 1), (second, Fraction(1, 4))]
+    if not coarse_first:
+        passes.reverse()
+    want = [_fresh_pass(field, region, tol) for field, tol in passes]
+    shared = region.boundary_curves()
+    got = [repr(min_norm_on_boundary(field, region, tol, _DEPTH)) for field, tol in passes]
+    assert region.boundary_curves() is shared
+    assert got == want
 
 
 def test_checks_share_one_curve_list(monkeypatch):
-    from vfblock import index
+    from vfblock import certify
 
     seen = []
-    original = index.min_norm_on_boundary
+    original = certify.winding_stats
 
-    def spy(field, region, tol=None, max_depth=None, *, _curves=None):
-        seen.append(_curves)
-        return original(field, region, tol, max_depth, _curves=_curves)
+    def spy(field, curve, tol=None, max_depth=None):
+        seen.append(curve)
+        return original(field, curve, tol, max_depth)
 
-    monkeypatch.setattr(index, "min_norm_on_boundary", spy)
+    monkeypatch.setattr(certify, "winding_stats", spy)
     region = rectangle(-1, -1, 1, 1)
     x0, x1 = plane_field(X, Y), plane_field(X + Y, Y - X)
     assert homotopy_invariance_check(x0, x1, region, 4).index == 1
-    assert len(seen) == 5 and all(c is seen[0] for c in seen) and seen[0]
-    seen.clear()
+    assert len(seen) == 5 and all(c is seen[0] for c in seen)
     assert wedge_check(x0, x0.times_scalar_poly(1 + X * X), region).index == 1
-    assert len(seen) == 2 and seen[0] is seen[1] and seen[0]
+    assert len(seen) == 7 and all(c is seen[0] for c in seen)
+    # the verdicts of fresh curves
+    Region.boundary_curves.cache_clear()
+    assert homotopy_invariance_check(x0, x1, region, 4).index == 1
+    assert seen[7] is not seen[0]
 
 
 # iv.make against the Fraction rule ---------------------------------------------

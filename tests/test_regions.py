@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from vfblock import interval as iv
 from vfblock.certify import (_EDGE_STEPS, Grid, ZeroEnclosure, _AxisTables, _clusters,
+                             _grid_setup,
                              _has_hole, _root_box, certify_block,
                              components, meeting_cells,
                              min_norm_on_boundary, zero_enclosure, zero_enclosure_scalars)
@@ -419,7 +420,7 @@ def test_integer_cell_geometry_matches_fractions(region, depth, data, collar):
     # the quadtree's per-column and per-row intervals are the cell's, rounded outward
     _, sx, sy, h = grid.scaling(*region.params, collar)
     for start, k, lo, hi in ((sx, cell[0], box[0], box[2]), (sy, cell[1], box[1], box[3])):
-        assert _AxisTables(start, h, depth, n, lambda a: a)[depth, k] == \
+        assert _AxisTables(start, h, depth, n, None)[depth, k] == \
             (iv.make(lo)[0], iv.make(hi)[1])
 
 
@@ -583,3 +584,104 @@ def test_rect_box_of_encloses_exact_arc(rect, depth, k, u):
     for t in (Fraction(t0), Fraction(t1), Fraction(t0) + u * (Fraction(t1) - Fraction(t0))):
         x, y = _rect_point(corners, t)
         assert xlo <= x <= xhi and ylo <= y <= yhi
+
+
+# the grid set-up memo ----------------------------------------------------------
+
+def _fingerprint(enc):
+    return (enc.grid, enc.cells, enc.cells_examined, enc.cells_discarded_geometry,
+            enc.cells_discarded_interval, enc.depth_used)
+
+
+@st.composite
+def _memo_cases(draw):
+    """Scalars of mixed degree on a disk, annulus or rectangle, mostly off
+    the origin; a resolution of 1/20 to 2 root-box sides; another region."""
+    region = draw(_regions())
+    x0, y0, x1, _ = _root_box(region)
+    side = x1 - x0
+    scalars = draw(_poly_scalars(x0, y0, side))
+    resolution = side * draw(st.fractions(Fraction(1, 20), 2, max_denominator=60))
+    return scalars, region, resolution, draw(_regions().filter(lambda r: r != region))
+
+
+@given(_memo_cases(), st.integers(5, 7), st.integers(5, 7))
+@example(([X * X + Y * Y - 1, X - Y], disk((0, 0), 1), Fraction(1, 16),
+          rectangle(0, 0, 1, 1)), 5, 6)
+@example(([(X - 1) ** 3 - Y, Y * Y - Fraction(1, 9)], annulus((1, 1), Fraction(1, 3), 1),
+          Fraction(1, 32), disk((0, 0), 1)), 7, 5)
+@settings(max_examples=100, deadline=None)
+def test_warm_grid_memo_gives_cold_enclosures(case, a, b):
+    """The enclosure is the same with the memo cold, warm from scalars of
+    fewer or more powers on the same grid, and after another region evicted
+    the entry."""
+    scalars, region, resolution, other = case
+    enclose = zero_enclosure_scalars
+    _grid_setup.cache_clear()
+    cold = _fingerprint(enclose(scalars, region, resolution))
+    for before in ([X - Y], [X ** a + Y ** b, X ** b * Y - 1]):
+        _grid_setup.cache_clear()
+        enclose(before, region, resolution)
+        assert _fingerprint(enclose(scalars, region, resolution)) == cold
+        assert _fingerprint(enclose(scalars, region, resolution)) == cold
+    enclose(before, other, resolution)
+    assert _grid_setup.cache_info().currsize == 1
+    assert _fingerprint(enclose(scalars, region, resolution)) == cold
+
+
+@pytest.mark.parametrize("ints, fractions", [
+    (Region("disk", (0, 0), r=1), disk((Fraction(0), Fraction(0)), Fraction(1))),
+    (Region("disk", (1, -2), r=3), disk((Fraction(1), Fraction(-2)), Fraction(3))),
+    (Region("annulus", (1, 0), r_in=1, r_out=2), annulus((Fraction(1), 0), 1, Fraction(2))),
+    (Region("rect", corners=(0, -1, 3, 1)), rectangle(0, Fraction(-1), Fraction(3), 1)),
+])
+def test_int_region_shares_the_fraction_entry(ints, fractions):
+    """A region built from ints equals one built from `Fraction`s, so they
+    share a memo entry; either may fill it, for the same enclosure."""
+    scalars = [X * X + Y * Y - 2, X * Y - Fraction(1, 2)]
+    assert ints == fractions and hash(ints) == hash(fractions)
+    got = []
+    for first, second in ((ints, fractions), (fractions, ints)):
+        _grid_setup.cache_clear()
+        got.append(_fingerprint(zero_enclosure_scalars(scalars, first, Fraction(1, 16))))
+        got.append(_fingerprint(zero_enclosure_scalars(scalars, second, Fraction(1, 16))))
+        assert _grid_setup.cache_info().hits >= 1
+    assert got == got[:1] * 4
+    assert all(isinstance(v, Fraction) for v in got[0][0].box((0, 0)))
+
+
+def test_torus_polynomials_and_trig_share_one_grid():
+    """Interval and power-table stores of one grid stay apart."""
+    region, res = torus_full(), Fraction(1, 32)
+    trig = [TrigPoly2.term(1, 0, "sc", Fraction(1)), TrigPoly2.term(0, 1, "cs", Fraction(1))]
+    poly = [X * X - Fraction(1, 4), Y - Fraction(1, 3)]
+    _grid_setup.cache_clear()
+    cold = [_fingerprint(zero_enclosure_scalars(s, region, res)) for s in (trig, poly)]
+    _grid_setup.cache_clear()
+    warm = [_fingerprint(zero_enclosure_scalars(s, region, res)) for s in (poly, trig)]
+    assert warm[::-1] == cold and _grid_setup.cache_info().currsize == 1
+
+
+def test_memos_hold_one_read_only_entry():
+    """After enclosures and boundary passes on 20 regions each memo holds one
+    entry, and what it hands out cannot be changed in place: power tables and
+    intervals are tuples, the scaled region is frozen and the curves are a
+    tuple."""
+    field = plane_field(X * X - Fraction(1, 9), Y - X * Y)
+    for k in range(20):
+        region = (disk, lambda c, r: annulus(c, r / 2, r))[k % 2]((Fraction(k, 7), 0),
+                                                                 Fraction(1, 2) + k)
+        zero_enclosure(field, region, Fraction(1, 8))
+        assert min_norm_on_boundary(field, region, tol=1) is not None
+        assert _grid_setup.cache_info().currsize <= 1
+        assert Region.boundary_curves.cache_info().currsize <= 1
+    setup = _grid_setup(region, Fraction(1, 8))
+    assert _grid_setup.cache_info().currsize == 1
+    tables = [t for store in setup._stores.values() for t in store.values()]
+    assert tables and all(type(t) is tuple and all(type(e) is tuple for e in t)
+                          for t in tables)
+    with pytest.raises(AttributeError):
+        setup.scaled.r_out = 0
+    assert all(type(v) in (int, Fraction, str, type(None)) or type(v) is tuple
+               for v in vars(setup.scaled).values())
+    assert type(region.boundary_curves()) is tuple
