@@ -26,7 +26,7 @@ from .config import DEFAULTS, default_max_depth
 from .errors import (BoundaryZero, CertificationFailed, ContradictionError,
                      DepthLimitExceeded)
 from .fields import PlanarField
-from .poly import _frac, _frac_str, _powers, box_evaluator, cell_test
+from .poly import Poly2, _frac, _frac_str, box_evaluator, cell_test
 from .regions import (
     Region,
     TORUS_FULL,
@@ -162,36 +162,30 @@ def _root_box(region: Region) -> Box:
 
 class _AxisTables(dict):
     """The tables of one grid axis, keyed on (depth d, column or row i): each
-    is built once, on first use, from the float interval of
-    [start + i w, start + (i + 1) w] / n with w = h 2^(depth - d).  A table
-    is that interval when `count` is None, else the tuple `_powers` of it
-    through the power `count`.  Entry k of `_powers` does not depend on the
-    table's length, so `at_least` raises the count for every later table and
-    one store serves scalars of every degree, bit for bit."""
+    is built once, on first use, as the tuple build(a, count) of the float
+    interval a of [start + i w, start + (i + 1) w] / n, w = h 2^(depth - d);
+    `build` is a ring's `axis_table`.  Entry k of such a table does not depend
+    on its length, so one store serves scalars of every degree up to `count`,
+    bit for bit."""
 
-    def __init__(self, start: int, h: int, depth: int, n: int, count: int | None):
+    def __init__(self, start: int, h: int, depth: int, n: int, build, count: int):
         super().__init__()
-        self.start, self.h, self.depth, self.n, self.count = start, h, depth, n, count
-
-    def at_least(self, count: int | None) -> "_AxisTables":
-        if count is not None and count > self.count:
-            self.clear()
-            self.count = count
-        return self
+        self.start, self.h, self.depth, self.n = start, h, depth, n
+        self.build, self.count = build, count
 
     def __missing__(self, key):
         d, i = key
         w = self.h << (self.depth - d)
         a = self.start + i * w
         box = iv.ratio(a, self.n)[0], iv.ratio(a + w, self.n)[1]
-        table = self[key] = box if self.count is None else tuple(_powers(box, self.count))
+        table = self[key] = tuple(self.build(box, self.count))
         return table
 
 
 class _GridSetup:
     """What every enclosure of one region at one resolution shares: the grid,
     its `scaling` (n, n x0, n y0, n h), the region scaled by n, and one
-    `_AxisTables` store per axis start and kind of table, filled lazily."""
+    `_AxisTables` store per axis start and table builder, filled lazily."""
 
     def __init__(self, region: Region, resolution: Fraction):
         x0, y0, x1, _ = _root_box(region)
@@ -204,14 +198,15 @@ class _GridSetup:
         self.scaled = region.scaled(self.scaling[0])
         self._stores = {}
 
-    def axis(self, start: int, count: int | None) -> _AxisTables:
-        """The tables of the axis whose cells start at n x = start: power
-        tables through at least `count`, or intervals when count is None."""
-        key = start, count is None
-        if key not in self._stores:
+    def axis(self, start: int, build, count: int) -> _AxisTables:
+        """The `build` tables, through at least entry `count`, of the axis
+        whose cells start at n x = start; a longer count replaces the store."""
+        store = self._stores.get((start, build))
+        if store is None or count > store.count:
             n, _, _, h = self.scaling
-            self._stores[key] = _AxisTables(start, h, self.grid.depth, n, count)
-        return self._stores[key].at_least(count)
+            store = _AxisTables(start, h, self.grid.depth, n, build, count)
+            self._stores[start, build] = store
+        return store
 
 _grid_setup = lru_cache(maxsize=1)(_GridSetup)
 
@@ -278,16 +273,16 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
     grid, scaled = setup.grid, setup.scaled
     n, sx, sy, h = setup.scaling
     depth = grid.depth
-    nx, ny, test = cell_test(scalars)
-    columns, rows = setup.axis(sx, nx), setup.axis(sy, ny)
+    build, nx, ny, test = cell_test(scalars)
+    columns, rows = setup.axis(sx, build, nx), setup.axis(sy, build, ny)
     leaf_test = None
     half = h << depth >> 1          # n side / 2, exact when depth > 0
     cx, cy = sx + half, sy + half   # n c for the root box's centre c
-    if depth and (cx or cy) and nx is not None:
+    if depth and (cx or cy) and all(isinstance(s, Poly2) for s in scalars):
         leaf_test, leaf_columns, leaf_rows = test, columns, rows
         c = Fraction(cx, n), Fraction(cy, n)
-        nx, ny, test = cell_test([s.translate(*c) for s in scalars])
-        columns, rows = setup.axis(sx - cx, nx), setup.axis(sy - cy, ny)
+        build, nx, ny, test = cell_test([s.translate(*c) for s in scalars])
+        columns, rows = setup.axis(sx - cx, build, nx), setup.axis(sy - cy, build, ny)
     if near is not None and near.grid != grid:
         raise ValueError("the enclosures lie on different grids")
     near_cells = None if near is None else near.near_cells
@@ -492,8 +487,9 @@ def _check_collar(enclosure: ZeroEnclosure):
 def restrict_block(parent: Block, sub_region: Region) -> Block:
     """A block for a sub-region of an already certified block: the parent's
     enclosure boxes restricted to the sub-region stay a valid outer enclosure,
-    so only the boundary margin needs fresh certification."""
-    boundary = min_norm_on_boundary(parent.field, sub_region)
+    so only the boundary margin needs fresh certification.  Its pass runs at
+    tol = 1: the margin is a certified positive bound, not a tight one."""
+    boundary = min_norm_on_boundary(parent.field, sub_region, tol=1)
     if boundary is None or boundary.margin <= 0:
         raise BoundaryZero("no positive boundary margin on the sub-region")
     enc = parent.enclosure

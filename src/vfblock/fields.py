@@ -81,9 +81,6 @@ class PlanarField:
                 return (fp, fq)
         return (vp, vq)
 
-    def eval_interval(self, ix, iy):
-        return (self.p.eval_interval(ix, iy), self.q.eval_interval(ix, iy))
-
     def jacobian(self):
         """Component partials (dp/dx, dp/dy, dq/dx, dq/dy)."""
         return (self.p.dx(), self.p.dy(), self.q.dx(), self.q.dy())

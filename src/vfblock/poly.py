@@ -95,11 +95,26 @@ class TermMap:
         return bool(self._m)
 
 
+def _powers(a, n: int) -> list:
+    """[a^0, ..., a^n]: a chain of products from (1, 1); every even power
+    is then replaced by iv.pow_int, which is tight for a box around 0."""
+    a0, a1 = a
+    lo = hi = 1.0
+    out = [(lo, hi)]
+    for _ in range(n):
+        lo, hi = iv.mul4(lo, hi, a0, a1)
+        out.append((lo, hi))
+    for k in range(2, n + 1, 2):
+        out[k] = iv.pow_int(a, k)
+    return out
+
+
 class Poly2(TermMap):
     """Polynomial in x, y; monomial map (i, j) -> nonzero Fraction."""
 
     __slots__ = ("_float_terms", "_plan_cache")
     _SCALARS = (int, Fraction)
+    axis_table = staticmethod(_powers)      # entry i of a plan's x table is x^i
 
     def __init__(self, monomials=None):
         m = {}
@@ -239,15 +254,14 @@ class Poly2(TermMap):
                                 max((t[1] for t in terms), default=0), terms)
         return self._plan_cache
 
-    def eval_interval(self, ix, iy, powers=None):
+    def eval_interval(self, ix, iy, tables=None):
         """Sound enclosure of the range over the box ix x iy: the natural
-        extension, sum of c * (x^i * y^j) in sorted monomial order.  `powers`
+        extension, sum of c * (x^i * y^j) in sorted monomial order.  `tables`
         is a pair of `_powers` tables of ix and iy at least as long as this
         polynomial needs; entry k does not depend on the length, so a table
         shared between polynomials gives the same bits."""
         max_i, max_j, terms = self._plan()
-        xp, yp = powers or (_powers(ix, max_i), _powers(iy, max_j))
-        return _sum_terms(terms, xp, yp)
+        return _sum_terms(terms, *(tables or (_powers(ix, max_i), _powers(iy, max_j))))
 
     # serialization ------------------------------------------------------
 
@@ -271,25 +285,11 @@ class Poly2(TermMap):
         return "Poly2(" + " + ".join(parts) + ")"
 
 
-def _powers(a, n: int) -> list:
-    """[a^0, ..., a^n]: a chain of products from (1, 1); every even power
-    is then replaced by iv.pow_int, which is tight for a box around 0."""
-    a0, a1 = a
-    lo = hi = 1.0
-    out = [(lo, hi)]
-    for _ in range(n):
-        lo, hi = iv.mul4(lo, hi, a0, a1)
-        out.append((lo, hi))
-    for k in range(2, n + 1, 2):
-        out[k] = iv.pow_int(a, k)
-    return out
-
-
 def _sum_terms(terms, xp, yp):
-    """The one term loop of the natural extension: the sum of c * (x^i * y^j)
-    over a plan's terms, in order, from power tables xp and yp.  Both
-    products are those of `iv.mul4`, its sign cases written out: the same
-    float operations in the same order, so the same bits."""
+    """The one term loop of the natural extension, for both rings: the sum of
+    c * (xp[i] * yp[j]) over a plan's terms, in order, from axis tables xp and
+    yp.  Both products are those of `iv.mul4`, its sign cases written out: the
+    same float operations in the same order, so the same bits."""
     nextafter = math.nextafter
     inf = math.inf
     lo = hi = 0.0
@@ -325,49 +325,58 @@ def _sum_terms(terms, xp, yp):
                 t0, t1 = c1 * m0, c0 * m1
             else:
                 t0, t1 = c1 * m0, c1 * m1
-        elif m0 >= 0.0:         # c1 <= 0: iv.make of a nonzero rational has one sign
-            t0, t1 = c0 * m1, c1 * m0
+        elif c1 <= 0.0:
+            if m0 >= 0.0:
+                t0, t1 = c0 * m1, c1 * m0
+            elif m1 <= 0.0:
+                t0, t1 = c1 * m1, c0 * m0
+            else:
+                t0, t1 = c0 * m1, c0 * m0
+        elif m0 >= 0.0:         # c straddles 0: a Q[pi] coefficient can, a rational cannot
+            t0, t1 = c0 * m1, c1 * m1
         elif m1 <= 0.0:
-            t0, t1 = c1 * m1, c0 * m0
+            t0, t1 = c1 * m0, c0 * m0
         else:
-            t0, t1 = c0 * m1, c0 * m0
+            t0, t1 = min(c0 * m1, c1 * m0), max(c0 * m0, c1 * m1)
         lo = nextafter(lo + nextafter(t0, -inf), -inf)
         hi = nextafter(hi + nextafter(t1, inf), inf)
     return (lo, hi)
 
 
+def _ring_plans(scalars):
+    """(build, nx, ny, plans) of scalars of one ring (else TypeError): its
+    `axis_table`, the largest x and y table index a plan reads, the plans."""
+    build, *others = {s.axis_table for s in scalars} or {_powers}
+    if others:
+        raise TypeError("the scalars mix coefficient rings")
+    plans = [s._plan() for s in scalars]
+    return (build, max((p[0] for p in plans), default=0),
+            max((p[1] for p in plans), default=0), plans)
+
+
 def box_evaluator(scalars):
     """Evaluator (ix, iy) -> lazy iterator of `s.eval_interval(ix, iy)` over
-    the scalars, in order.  When every scalar is a Poly2 they share one table
-    of interval powers per box; TrigPoly2 scalars keep their own path."""
-    if not all(isinstance(s, Poly2) for s in scalars):
-        return lambda ix, iy: (s.eval_interval(ix, iy) for s in scalars)
-    nx = max((s._plan()[0] for s in scalars), default=0)
-    ny = max((s._plan()[1] for s in scalars), default=0)
+    the scalars, in order, bit for bit; scalars of one ring (else TypeError)
+    share one table per axis per box."""
+    build, nx, ny, _ = _ring_plans(scalars)
 
     def evaluate(ix, iy):
-        powers = (_powers(ix, nx), _powers(iy, ny))
-        return (s.eval_interval(ix, iy, powers) for s in scalars)
+        tables = (build(ix, nx), build(iy, ny))
+        return (s.eval_interval(ix, iy, tables) for s in scalars)
 
     return evaluate
 
 
 def cell_test(scalars):
-    """(nx, ny, test) for the cells of one grid.  A grid column with
-    x-interval ix, or a row with y-interval iy, reaches `test(xt, yt)` as a
-    `_powers` table through at least ix^nx, or iy^ny, when every scalar is a
-    Poly2, else (nx = ny = None) as the interval itself.  `test` walks the
-    scalars in order and returns False at the first whose enclosure over the
-    cell excludes 0; each enclosure has the bits of `s.eval_interval(ix, iy)`.
-    It only reads the tables, so callers may share them."""
-    if not all(isinstance(s, Poly2) for s in scalars):
-        kernels = [s.eval_interval for s in scalars]
-        nx = ny = None
-    else:
-        plans = [s._plan() for s in scalars]
-        nx = max((p[0] for p in plans), default=0)
-        ny = max((p[1] for p in plans), default=0)
-        kernels = [partial(_sum_terms, p[2]) for p in plans]
+    """(build, nx, ny, test) for the cells of one grid, scalars of one ring.
+    A grid column with x-interval ix, or a row with y-interval iy, reaches
+    `test(xt, yt)` as the table build(ix, nx), or build(iy, ny), or a longer
+    one.  `test` walks the scalars in order and returns False at the first
+    whose enclosure over the cell excludes 0; each enclosure has the bits of
+    `s.eval_interval(ix, iy)`.  It only reads the tables, so callers may
+    share them."""
+    build, nx, ny, plans = _ring_plans(scalars)
+    kernels = [partial(_sum_terms, p[2]) for p in plans]
 
     def test(xt, yt):
         for kernel in kernels:
@@ -376,7 +385,7 @@ def cell_test(scalars):
                 return False
         return True
 
-    return nx, ny, test
+    return build, nx, ny, test
 
 
 def float_plan(polys):

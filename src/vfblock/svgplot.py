@@ -1,8 +1,8 @@
 """Deterministic SVG figures: region boundary, quiver, enclosure, labels.
 
-Byte-for-byte determinism matters (figures are compared by hash in CI), so all
-coordinates are formatted with a fixed precision and iteration orders are
-fixed.  No plotting library is involved.
+Byte-for-byte determinism matters (CI re-renders the committed figures and
+compares them byte for byte), so all coordinates are formatted with a fixed
+precision and iteration orders are fixed.  No plotting library is involved.
 """
 
 from __future__ import annotations

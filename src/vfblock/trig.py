@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import interval as iv
 from .errors import InexactTrigEvaluation
-from .poly import TermMap, _frac, _frac_str, add_term
+from .poly import TermMap, _frac, _frac_str, _sum_terms, add_term
 
 COS, SIN = 0, 1
 _BASIS_STR = {COS: "c", SIN: "s"}
@@ -143,11 +143,23 @@ def _axis_product(m1, b1, m2, b2):
     return out
 
 
+def factors(a, n: int) -> list:
+    """The axis table of TrigPoly2 plans through entry n: entry 2f + b
+    encloses cos (b = COS) or sin (b = SIN) of 2 pi f t over the interval a.
+    Like `poly._powers`, entry k does not depend on n."""
+    out = []
+    for f in range(n // 2 + 1):
+        arg = iv.mul4(*iv.mul(iv.TWO_PI, (float(f), float(f))), *a)
+        out += iv.cos_iv(arg), iv.sin_iv(arg)
+    return out[:n + 1]
+
+
 class TrigPoly2(TermMap):
     """Trig polynomial on the torus; term map (m, n, bx, by) -> PiNumber."""
 
     __slots__ = ("_plan_cache",)
     _SCALARS = (int, Fraction, PiNumber)
+    axis_table = staticmethod(factors)      # entry 2m + bx of a plan's x table
 
     def __init__(self, terms=None):
         t: dict[tuple[int, int, int, int], PiNumber] = {}
@@ -255,35 +267,23 @@ class TrigPoly2(TermMap):
         return total
 
     def _plan(self):
-        """Per term, in term-map order: the x and y factor functions, the
-        intervals of 2*pi*m and 2*pi*n, and the coefficient's interval."""
+        """(largest x index, largest y index, [(2m + bx, 2n + by, c_lo,
+        c_hi)] in term-map order): the interval evaluation plan, built once."""
         if self._plan_cache is None:
-            self._plan_cache = [
-                (iv.cos_iv if bx == COS else iv.sin_iv,
-                 iv.cos_iv if by == COS else iv.sin_iv,
-                 iv.mul(iv.TWO_PI, (float(m), float(m))),
-                 iv.mul(iv.TWO_PI, (float(n), float(n))),
-                 c.interval())
-                for (m, n, bx, by), c in self._m.items()]
+            terms = [(2 * m + bx, 2 * n + by, *c.interval())
+                     for (m, n, bx, by), c in self._m.items()]
+            self._plan_cache = (max((t[0] for t in terms), default=0),
+                                max((t[1] for t in terms), default=0), terms)
         return self._plan_cache
 
-    def eval_interval(self, ix, iy):
+    def eval_interval(self, ix, iy, tables=None):
         """Sound enclosure of the range over the box ix x iy: the sum of
-        c * (f(2 pi m x) * g(2 pi n y)) in term-map order."""
-        mul4 = iv.mul4
-        nextafter = math.nextafter
-        inf = math.inf
-        x0, x1 = ix
-        y0, y1 = iy
-        lo = hi = 0.0
-        for fx, fy, (km0, km1), (kn0, kn1), (c0, c1) in self._plan():
-            a0, a1 = fx(mul4(km0, km1, x0, x1))
-            b0, b1 = fy(mul4(kn0, kn1, y0, y1))
-            m0, m1 = mul4(a0, a1, b0, b1)
-            t0, t1 = mul4(c0, c1, m0, m1)
-            lo = nextafter(lo + t0, -inf)
-            hi = nextafter(hi + t1, inf)
-        return (lo, hi)
+        c * (f(2 pi m x) * g(2 pi n y)) in term-map order.  `tables` is a pair
+        of `factors` tables of ix and iy at least as long as this polynomial
+        needs; entry k does not depend on the length, so a table shared
+        between polynomials gives the same bits."""
+        max_i, max_j, terms = self._plan()
+        return _sum_terms(terms, *(tables or (factors(ix, max_i), factors(iy, max_j))))
 
     # serialization ------------------------------------------------------
 

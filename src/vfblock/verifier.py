@@ -138,8 +138,8 @@ def _check_not_kflat(field: PlanarField, region: Region, k: int, resolution,
     return CheckRecord(name, INCONCLUSIVE, data)
 
 
-def _check_tracking(y_field: PlanarField, x_field: PlanarField,
-                    name: str = "Y tracks X") -> CheckRecord:
+def _check_tracking(y_field: PlanarField, x_field: PlanarField) -> CheckRecord:
+    name = "Y tracks X"
     try:
         cert = tracks_symbolic(y_field, x_field)
     except VfblockError as e:
@@ -267,17 +267,13 @@ def _check_zy_disjoint_from_k(x_field, y_field, region, block, resolution,
     return CheckRecord(name, INCONCLUSIVE, data)
 
 
-def _spread_base_points(x_field: PlanarField, block: Block, n: int):
-    return [polish_zero(x_field, c) for c in block.enclosure.spread_centers(n)]
-
-
 def _flowbox_control_check(x_field: PlanarField, y_field: PlanarField, block: Block,
-                           order: int, tol: float, n_base: int = 4) -> CheckRecord:
-    """Per-flowbox controlling line fields: deviation of X from the pulled-back
-    direction, continuity across the rectified axis, and pairwise consistency
-    of overlapping flowboxes."""
+                           order: int, tol: float) -> CheckRecord:
+    """Per-flowbox controlling line fields, on 4 base points spread over K:
+    deviation of X from the pulled-back direction, continuity across the
+    rectified axis, and pairwise consistency of overlapping flowboxes."""
     name = "X controlled by flowbox line fields"
-    bases = _spread_base_points(x_field, block, n_base)
+    bases = [polish_zero(x_field, c) for c in block.enclosure.spread_centers(4)]
     if not bases:
         return CheckRecord(name, INCONCLUSIVE, {"error": "empty zero enclosure"})
     res = float(block.enclosure.resolution)
@@ -395,13 +391,11 @@ def _component_indices_check(x_field: PlanarField, block: Block,
 
 def verify_mainbis(x_field: PlanarField, y_field: PlanarField, region: Region,
                    k: int = 1, resolution=None, tol: float = 1e-6,
-                   known_zeros=(), n_flowboxes: int = 4) -> TheoremReport:
+                   known_zeros=()) -> TheoremReport:
     """Hypotheses: nowhere k-flat on K, tracking, Z(Y) disjoint from K,
     isolating U.  Conclusions: index 0, circle components (heuristic), flowbox
     line-field control, per-component index 0; the zero-free approximation
     conclusion is reported not-implemented."""
-    if n_flowboxes < 1:
-        raise ValueError(f"n_flowboxes must be at least 1, got {n_flowboxes}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if resolution is None:
@@ -438,7 +432,7 @@ def verify_mainbis(x_field: PlanarField, y_field: PlanarField, region: Region,
             jo = jet_order(x_field, known_zeros[0], k)
             if jo.order is not None:
                 order = jo.order
-        cc = _flowbox_control_check(x_field, y_field, block, order, tol, n_flowboxes)
+        cc = _flowbox_control_check(x_field, y_field, block, order, tol)
         concl.append(CheckRecord("(iii) " + cc.name, cc.verdict, cc.data))
         ci = _component_indices_check(x_field, block, comps, resolution)
         concl.append(CheckRecord("(iv) " + ci.name, ci.verdict, ci.data))

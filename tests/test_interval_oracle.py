@@ -6,12 +6,13 @@ match the reference bit for bit, the sign of a zero included."""
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vfblock import interval as iv
-from vfblock.poly import Poly2, X, Y, _powers, box_evaluator, float_plan
-from vfblock.trig import COS, SIN, PiNumber, TrigPoly2
+from vfblock.poly import Poly2, X, Y, _powers, box_evaluator, cell_test, float_plan
+from vfblock.trig import COS, SIN, PiNumber, TrigPoly2, factors
 
 _INF = math.inf
 
@@ -143,14 +144,18 @@ def test_poly_eval_interval_matches_reference(p, ix, iy):
     assert bits(p.eval_interval(ix, iy)) == bits(poly_ref(p, ix, iy))   # cached plan
 
 
-@given(st.lists(poly_st(), min_size=1, max_size=4), moderate_iv, moderate_iv)
-@settings(max_examples=100, deadline=None)
+@given(st.lists(poly_st(), min_size=1, max_size=4) | st.lists(trig_st(), min_size=1, max_size=4),
+       moderate_iv, moderate_iv)
+@settings(max_examples=200, deadline=None)
 def test_shared_power_tables_match_plain_eval_interval(polys, ix, iy):
+    """Poly2 lists share `_powers` tables, TrigPoly2 lists `factors` tables."""
     plain = [bits(p.eval_interval(ix, iy)) for p in polys]
     assert [bits(v) for v in box_evaluator(polys)(ix, iy)] == plain
-    # a table longer than any polynomial needs gives the same bits
-    powers = (_powers(ix, 7), _powers(iy, 7))
-    assert [bits(p.eval_interval(ix, iy, powers)) for p in polys] == plain
+    # a table longer than any polynomial needs gives the same bits: a Poly2
+    # here has degree 5 at most, a TrigPoly2 reads entry 2 * 3 + 1 at most
+    build = _powers if isinstance(polys[0], Poly2) else factors
+    tables = (build(ix, 9), build(iy, 9))
+    assert [bits(p.eval_interval(ix, iy, tables)) for p in polys] == plain
 
 
 _SPECIAL_POINT = st.sampled_from((0.0, -0.0, 1.0, -1.0, 5e-324, 1e200, -1e200))
@@ -186,11 +191,14 @@ def test_float_plan_matches_eval_float(polys, x, y):
 
 
 def test_mixed_scalars_keep_their_own_paths():
+    """Interval tables belong to one ring, so a mixed list has no shared
+    evaluator; the float plan keeps each entry's own eval_float."""
     p = X ** 2 - Y
     t = TrigPoly2.term(1, 0, "sc", 1)
-    box = ((0.1, 0.2), (-0.3, 0.05))
-    assert [bits(v) for v in box_evaluator([p, t])(*box)] == \
-        [bits(p.eval_interval(*box)), bits(trig_ref(t, *box))]
+    with pytest.raises(TypeError):
+        box_evaluator([p, t])
+    with pytest.raises(TypeError):
+        cell_test([t, p])
     assert float_plan([p, t])(0.3, 0.7) == [p.eval_float(0.3, 0.7), t.eval_float(0.3, 0.7)]
 
 
@@ -204,9 +212,17 @@ def test_trig_eval_interval_matches_reference(p, ix, iy):
 def test_trig_plan_follows_every_construction():
     s = TrigPoly2.term(1, 0, "sc", 1)
     c = TrigPoly2.term(0, 1, "cs", Fraction(-2, 3))
+    # a Q[pi] coefficient near 0 whose interval, about +-2048, straddles 0
+    near_zero = PiNumber({0: round(math.pi * 2 ** 60), 1: -2 ** 60})
+    lo, hi = near_zero.interval()
+    assert lo < 0.0 < hi
     box = ((0.1, 0.2), (-0.3, 0.05))
+    # on the box, near_zero multiplies factor products >= 0 (s), of both
+    # signs (cos 4 pi x cos 2 pi y) and <= 0 (cos 6 pi x)
     for p in (s + c, -s, s * c, s * PiNumber({1: 2}), s.dx(), c.dy(), 3 * c,
-              TrigPoly2.from_json((s - c).to_json())):
+              TrigPoly2.from_json((s - c).to_json()), s * near_zero + c,
+              TrigPoly2.term(2, 1, "cc", near_zero) - c * near_zero,
+              TrigPoly2.term(3, 0, "cc", near_zero)):
         assert bits(p.eval_interval(*box)) == bits(trig_ref(p, *box))
 
 

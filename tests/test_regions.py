@@ -169,10 +169,15 @@ def _quadtree_cases(draw):
     """Scalars, a region of any kind and a resolution of 1/20 to 2 root-box
     sides.  A Poly2 may be shifted to vanish at an exact point of the root
     box, so kept cells and deep subdivisions occur; a TrigPoly2 list comes
-    with the torus."""
-    kind = draw(st.integers(0, 5))
-    trig = kind == 0
-    region = torus_full() if kind < 2 else draw(_regions())
+    with the torus or a disk inside its fundamental domain."""
+    kind = draw(st.integers(0, 6))
+    trig = kind in (0, 6)
+    if kind == 6:
+        r = draw(st.fractions(Fraction(1, 20), Fraction(1, 2), max_denominator=40))
+        centre = st.fractions(r, 1 - r, max_denominator=40)
+        region = disk((draw(centre), draw(centre)), r)
+    else:
+        region = torus_full() if kind < 2 else draw(_regions())
     x0, y0, x1, _ = _root_box(region)
     side = x1 - x0
     if trig:
@@ -420,7 +425,7 @@ def test_integer_cell_geometry_matches_fractions(region, depth, data, collar):
     # the quadtree's per-column and per-row intervals are the cell's, rounded outward
     _, sx, sy, h = grid.scaling(*region.params, collar)
     for start, k, lo, hi in ((sx, cell[0], box[0], box[2]), (sy, cell[1], box[1], box[3])):
-        assert _AxisTables(start, h, depth, n, None)[depth, k] == \
+        assert _AxisTables(start, h, depth, n, lambda a, count: a, 0)[depth, k] == \
             (iv.make(lo)[0], iv.make(hi)[1])
 
 
@@ -651,7 +656,7 @@ def test_int_region_shares_the_fraction_entry(ints, fractions):
 
 
 def test_torus_polynomials_and_trig_share_one_grid():
-    """Interval and power-table stores of one grid stay apart."""
+    """Power and factor table stores of one grid stay apart."""
     region, res = torus_full(), Fraction(1, 32)
     trig = [TrigPoly2.term(1, 0, "sc", Fraction(1)), TrigPoly2.term(0, 1, "cs", Fraction(1))]
     poly = [X * X - Fraction(1, 4), Y - Fraction(1, 3)]
@@ -664,8 +669,8 @@ def test_torus_polynomials_and_trig_share_one_grid():
 
 def test_memos_hold_one_read_only_entry():
     """After enclosures and boundary passes on 20 regions each memo holds one
-    entry, and what it hands out cannot be changed in place: power tables and
-    intervals are tuples, the scaled region is frozen and the curves are a
+    entry, and what it hands out cannot be changed in place: the axis tables
+    are tuples of intervals, the scaled region is frozen and the curves are a
     tuple."""
     field = plane_field(X * X - Fraction(1, 9), Y - X * Y)
     for k in range(20):

@@ -92,13 +92,6 @@ def test_mainbis_zy_meets_k(circle_field, rotation):
     assert rec.data["witness"] == ["0", "0"]
 
 
-@pytest.mark.parametrize("n_flowboxes", [0, -3])
-def test_mainbis_rejects_non_positive_flowbox_count(circle_field, rotation, std_annulus,
-                                                    n_flowboxes):
-    with pytest.raises(ValueError, match="n_flowboxes"):
-        verify_mainbis(circle_field, rotation, std_annulus, n_flowboxes=n_flowboxes)
-
-
 def _off_centre_mainbis(cx, cy):
     """MAINBIS for X = (1 - |z - c|^2) R and Y = R, R the rotation about c,
     on the annulus 1/2 < |z - c| < 3/2."""
