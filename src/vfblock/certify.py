@@ -26,7 +26,7 @@ from .config import DEFAULTS, default_max_depth
 from .errors import (BoundaryZero, CertificationFailed, ContradictionError,
                      DepthLimitExceeded)
 from .fields import PlanarField
-from .poly import Poly2, _frac, _frac_str, box_evaluator, cell_test
+from .poly import Poly2, _frac, _frac_str, _ring_plans, cell_test
 from .regions import (
     Region,
     TORUS_FULL,
@@ -356,7 +356,8 @@ def winding_stats(field: PlanarField, curve, tol=None,
     the degree is the sum of the quarter steps over 4, exactly.  A step of 2
     puts one point in two disjoint half-planes, which only an unsound
     enclosure can do.  Raises BoundaryZero when no positive bound is reached
-    within the depth cap or the leaf budget.
+    within the depth cap or the leaf budget.  An arc's box and axis tables
+    come from the curve's memo (`tables_of`), shared by every pass.
     """
     if tol is None:
         tol = DEFAULTS.margin_tol
@@ -369,11 +370,13 @@ def winding_stats(field: PlanarField, curve, tol=None,
     min_width = 0.5 ** max_depth
     emp = math.inf
     heap = []
-    evaluate = box_evaluator((field.p, field.q))
+    p, q = field.p, field.q
+    build, nx, ny, _ = _ring_plans((p, q))
 
     def push(t0, t1):
         nonlocal emp
-        p_iv, q_iv = evaluate(*curve.box_of(t0, t1))
+        ix, iy, tables = curve.tables_of(t0, t1, build, nx, ny)
+        p_iv, q_iv = p.eval_interval(ix, iy, tables), q.eval_interval(ix, iy, tables)
         lo, _ = iv.add(iv.sqr(p_iv), iv.sqr(q_iv))
         if slack:
             vx, vy = field.eval_float(*curve.point(0.5 * (t0 + t1)))
@@ -396,8 +399,8 @@ def winding_stats(field: PlanarField, curve, tol=None,
         push(tm, t1)
         splits += 1
     heap.sort(key=lambda leaf: leaf[1])
-    quarters = [0 if p[0] > 0.0 else 1 if q[0] > 0.0 else 2 if p[1] < 0.0 else 3
-                for _, _, _, p, q in heap]
+    quarters = [0 if pv[0] > 0.0 else 1 if qv[0] > 0.0 else 2 if pv[1] < 0.0 else 3
+                for _, _, _, pv, qv in heap]
     turns = 0
     for k0, k1 in zip(quarters, quarters[1:] + quarters[:1]):
         step = (k1 - k0) % 4
@@ -423,7 +426,8 @@ def min_norm_on_boundary(field: PlanarField, region: Region, tol=None,
     """One certified pass over the boundary of U (`winding_stats` on each
     curve), or None when |X| cannot be certified positive there (e.g. a
     boundary zero).  The curves are the region's memoised `boundary_curves()`,
-    so consecutive passes over one region, for any fields, share arc boxes."""
+    so consecutive passes over one region, for any fields, share arc boxes
+    and axis tables (`_Curve.tables_of`)."""
     require_planar_boundary(region, "min_norm_on_boundary")
     try:
         stats = [winding_stats(field, curve, tol, max_depth)

@@ -5,19 +5,21 @@ read off the leaf arcs that certify the boundary margin: each leaf's interval
 image lies in one open half-plane p > 0, q > 0, p < 0 or q < 0, and the degree
 is the sum of the quarter turns between neighbouring leaves over 4 (Stenger
 1975, Kearfott 1979; see `certify.winding_stats`, re-exported here).  Only the
-annulus double-cover lift, a float evaluator, is still sampled.
+annulus double-cover lift, a float evaluator compiled once per lift
+(`poly.float_plan`), is still sampled.
 
-An arc's interval box depends on the curve, not on the field.  Each curve
-memoises its boxes (`regions.Circle`, `regions.RectLoop`), and
-`Region.boundary_curves` memoises the curves of the last region asked: the
-passes of one homotopy or wedge check, and consecutive checks on an equal
-region, share them.
+An arc's interval box, and its axis tables for a coefficient ring, depend on
+the curve, not on the field.  Each curve memoises them (`_Curve.tables_of`
+in `regions`), and `Region.boundary_curves` memoises the curves of the last
+region asked: the passes of one homotopy or wedge check, and consecutive
+checks on an equal region, share them.  A homotopy builds x1 - x0 once and
+each step field from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import interval as iv
@@ -27,7 +29,7 @@ from .config import DEFAULTS
 from .errors import (BoundaryZero, CertificationFailed, ContradictionError,
                      PreconditionFailed)
 from .fields import PlanarField
-from .poly import Poly2, _frac, _frac_str, restrict
+from .poly import Poly2, _frac, _frac_str, float_plan, restrict
 from .regions import ANNULUS, Region, piece_point
 from . import upoly
 
@@ -121,14 +123,20 @@ def homotopy_invariance_check(x0: PlanarField, x1: PlanarField, region: Region,
                               steps: int) -> HomotopyVerdict:
     """Certify boundary nonvanishing and a constant index along the straight-line
     homotopy sampled at t = i/steps; degenerate reports are honest failures of
-    certification, not counterexamples.  The steps + 1 boundary passes run
-    over the region's memoised boundary curves and so share their arc boxes."""
+    certification, not counterexamples.  The field at t is x0 + t (x1 - x0),
+    with the difference built once, and x1 itself at t = 1: the coefficients
+    and term order of x0.scale(1 - t) + x1.scale(t).  The steps + 1 boundary
+    passes run over the region's memoised boundary curves and so share their
+    arc boxes and axis tables."""
+    if isinstance(steps, bool) or not isinstance(steps, int):
+        raise ValueError(f"steps must be an int, got {steps!r}")
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    d = x1 - x0
     indices = []
     for i in range(steps + 1):
         t = Fraction(i, steps)
-        xt = x0.scale(1 - t) + x1.scale(t)
+        xt = replace(x1, k=d.k) if i == steps else x0 + d.scale(t)
         if xt.is_zero():
             return HomotopyVerdict("degenerate", t=t)
         boundary = min_norm_on_boundary(xt, region, tol=1)
@@ -186,7 +194,7 @@ def wedge_check(y_field: PlanarField, yp_field: PlanarField,
     """Certify pointwise linear dependence of the two fields along the boundary
     of an isolating region; their indices must then agree.  Both boundary
     passes run over the region's memoised boundary curves and so share their
-    arc boxes."""
+    arc boxes and axis tables."""
     det = y_field.p * yp_field.q - y_field.q * yp_field.p
     dependent, witness = _dependent_on_boundary(det, region.boundary_curves())
     if not dependent:
@@ -205,14 +213,16 @@ def wedge_check(y_field: PlanarField, yp_field: PlanarField,
 
 def make_double_cover_lift(field: PlanarField):
     """Evaluator for the lift of the field under the angle-doubling cover of an
-    origin-centered annulus: kappa(r, theta) = (r, 2 theta)."""
+    origin-centered annulus: kappa(r, theta) = (r, 2 theta).  X is read
+    through one `poly.float_plan` per lift, bit for bit `eval_float`."""
+    evaluate = float_plan((field.p, field.q))
 
     def lifted(u: float, v: float) -> tuple[float, float]:
         phi = math.atan2(v, u)
         rho = math.hypot(u, v)
         theta = 2.0 * phi
         ct, st = math.cos(theta), math.sin(theta)
-        wx, wy = field.eval_float(rho * ct, rho * st)
+        wx, wy = evaluate(rho * ct, rho * st)
         radial = wx * ct + wy * st
         tangential = -wx * st + wy * ct
         cp, sp = math.cos(phi), math.sin(phi)

@@ -354,19 +354,6 @@ def _ring_plans(scalars):
             max((p[1] for p in plans), default=0), plans)
 
 
-def box_evaluator(scalars):
-    """Evaluator (ix, iy) -> lazy iterator of `s.eval_interval(ix, iy)` over
-    the scalars, in order, bit for bit; scalars of one ring (else TypeError)
-    share one table per axis per box."""
-    build, nx, ny, _ = _ring_plans(scalars)
-
-    def evaluate(ix, iy):
-        tables = (build(ix, nx), build(iy, ny))
-        return (s.eval_interval(ix, iy, tables) for s in scalars)
-
-    return evaluate
-
-
 def cell_test(scalars):
     """(build, nx, ny, test) for the cells of one grid, scalars of one ring.
     A grid column with x-interval ix, or a row with y-interval iy, reaches

@@ -97,8 +97,9 @@ class Region:
     @lru_cache(maxsize=1)
     def boundary_curves(self) -> tuple:
         """The boundary curves, outer first, memoised for the last region
-        asked (one entry, so one region's arc boxes stay alive at a time):
-        every pass over an equal region shares their arc boxes (`box_of`)."""
+        asked (one entry, so one region's arc tables stay alive at a time):
+        every pass over an equal region shares their arc boxes and axis
+        tables (`tables_of`)."""
         if self.kind == DISK:
             return (Circle(self.center, self.r, ccw=True),)
         if self.kind == ANNULUS:
@@ -210,20 +211,37 @@ def box_clears_boundary(region: Region, box, collar: Fraction) -> bool:
 
 class _Curve:
     """A closed boundary curve parametrized over t in [0, 1).  `box_of(t0, t1)`
-    encloses the arc [t0, t1] in an interval box, memoised per curve object on
-    the exact float pair: every pass over the curves that
-    `Region.boundary_curves` memoises shares their arc boxes, and they are
-    freed with them.  `pieces()` is the curve's one exact form:
-    pieces (x, y, w) of ascending coefficient lists, whose point at t is
-    (x(t) / w(t), y(t) / w(t)) (`piece_point`)."""
+    encloses the arc [t0, t1] in an interval box.  `tables_of` memoises that
+    box, next to its x and y axis tables for one ring's `axis_table`
+    builder, per curve object on the exact float pair and the builder: every
+    pass over the curves that `Region.boundary_curves` memoises, for any
+    field of the ring, shares them, and they are freed with them.
+    `pieces()` is the curve's one exact form: pieces (x, y, w) of ascending
+    coefficient lists, whose point at t is (x(t) / w(t), y(t) / w(t))
+    (`piece_point`)."""
 
     def __init__(self):
-        self._boxes = {}
+        self._tables = {}
 
-    def box_of(self, t0: float, t1: float):
-        found = self._boxes.get((t0, t1))
+    def tables_of(self, t0: float, t1: float, build, nx: int, ny: int):
+        """(ix, iy, (build(ix, >= nx), build(iy, >= ny))) for the arc's box,
+        the tables as tuples, which every caller shares.  The longest tables
+        asked for so far are kept; entry k of a table does not depend on its
+        length, so every caller reads fresh tables' bits.  Float-pair keys and
+        tuples of floats drop out of the cyclic collector's tracking once it
+        has passed over them, so kept tables add little collection work."""
+        memo = self._tables.get(build)
+        if memo is None:
+            memo = self._tables[build] = {}
+        found = memo.get((t0, t1))
         if found is None:
-            found = self._boxes[(t0, t1)] = self._arc_box(t0, t1)
+            ix, iy = self.box_of(t0, t1)
+        elif len(found[2][0]) > nx and len(found[2][1]) > ny:
+            return found
+        else:
+            ix, iy, (xt, yt) = found
+            nx, ny = max(nx, len(xt) - 1), max(ny, len(yt) - 1)
+        found = memo[(t0, t1)] = (ix, iy, (tuple(build(ix, nx)), tuple(build(iy, ny))))
         return found
 
 
@@ -244,7 +262,7 @@ class Circle(_Curve):
         return (self._cf[0] + self._rf * math.cos(theta),
                 self._cf[1] + self._rf * math.sin(theta))
 
-    def _arc_box(self, t0: float, t1: float):
+    def box_of(self, t0: float, t1: float):
         sign = 1.0 if self.ccw else -1.0
         a = iv.mul(iv.TWO_PI, (min(sign * t0, sign * t1), max(sign * t0, sign * t1)))
         cx, cy, rr = self._iv
@@ -315,7 +333,7 @@ class RectLoop(_Curve):
             prev = b
         raise ValueError(f"parameter {t} outside [0, 1]")
 
-    def _arc_box(self, t0: float, t1: float):
+    def box_of(self, t0: float, t1: float):
         """Enclosure of the exact points with parameter in [t0, t1]: its
         endpoints and the vertices between them."""
         pts = [self.exact_point(Fraction(t0)), self.exact_point(Fraction(t1))]

@@ -250,7 +250,12 @@ class _Ctx:
         return Fraction(self.args.get("resolution", self.s.resolution))
 
     def int_arg(self, key, default):
-        return int(self.args.get(key, default))
+        """A JSON integer; 2.9, "3" or true would be truncated or coerced."""
+        value = self.args.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ScenarioSchemaError(
+                f"check argument {key!r} must be an integer, got {value!r}")
+        return value
 
     def float_arg(self, key, default):
         return float(self.args.get(key, default))

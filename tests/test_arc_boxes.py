@@ -1,11 +1,12 @@
-"""Memoised arc boxes and the integer rounding rule of `iv.make`.
+"""Memoised arc boxes and axis tables, and the integer rounding rule of `iv.make`.
 
-Boundary curves memoise `box_of` per object, and `Region.boundary_curves`
-memoises the curves of the last region asked, so homotopy and wedge checks,
-and consecutive passes on an equal region, run every field over one curve
-list.  Each pass over the memoised list must give exactly what a pass over
-fresh curves gives, and what a pass that computes every box anew gives: the
-same `WindingStats` and `BoundaryPass`, every float compared by repr, or the
+Boundary curves memoise each arc's box and axis tables per object
+(`tables_of`), and `Region.boundary_curves` memoises the curves of the last
+region asked, so homotopy and wedge checks, and consecutive passes on an
+equal region, run every field over one curve list.  Each pass over the
+memoised list must give exactly what a pass over fresh curves gives, and
+what a pass that computes every box and table anew gives: the same
+`WindingStats` and `BoundaryPass`, every float compared by repr, or the
 same `BoundaryZero`.  `iv.make`, and `iv.ratio` of a numerator and
 denominator in any terms, must match the `Fraction` rule they replaced, kept
 in `fraction_reference.make_reference`.
@@ -22,10 +23,11 @@ from hypothesis import strategies as st
 from vfblock import interval as iv
 from vfblock.certify import min_norm_on_boundary, winding_stats
 from vfblock.errors import BoundaryZero
-from vfblock.fields import plane_field
+from vfblock.fields import plane_field, torus_field
 from vfblock.index import homotopy_invariance_check, wedge_check
 from vfblock.poly import Poly2, X, Y
-from vfblock.regions import Region, annulus, disk, rectangle
+from vfblock.regions import Circle, Region, _Curve, annulus, disk, rectangle
+from vfblock.trig import TrigPoly2
 
 _DEPTH = 12     # keeps a pass that meets a boundary zero short
 _rational = st.fractions(min_value=-1, max_value=1, max_denominator=12)
@@ -53,11 +55,15 @@ def _fields(draw):
 
 
 class _Uncached:
-    """A view of a curve that computes every arc box anew."""
+    """A view of a curve that computes every arc box and axis table anew."""
 
     def __init__(self, curve):
         self.point = curve.point
-        self.box_of = curve._arc_box
+        self.box_of = curve.box_of
+
+    def tables_of(self, t0, t1, build, nx, ny):
+        ix, iy = self.box_of(t0, t1)
+        return ix, iy, (build(ix, nx), build(iy, ny))
 
 
 def _fresh(region):
@@ -136,6 +142,67 @@ def test_checks_share_one_curve_list(monkeypatch):
     Region.boundary_curves.cache_clear()
     assert homotopy_invariance_check(x0, x1, region, 4).index == 1
     assert seen[7] is not seen[0]
+
+
+_SIN_X = TrigPoly2.term(1, 0, "sc", 1)     # sin(2 pi x)
+_SIN_Y = TrigPoly2.term(0, 1, "cs", 1)     # sin(2 pi y)
+_WEIGHT = 3 + TrigPoly2.term(1, 1, "cc", 1)
+
+
+def test_homotopy_builds_each_arcs_tables_once_per_ring(monkeypatch):
+    """Nine passes of an 8-step homotopy share every arc's box and tables:
+    each arc reached gets one box and one table per axis, per ring."""
+    builds, boxes, visits = {}, [], []
+    for ring in (Poly2, TrigPoly2):
+        def counting(a, n, ring=ring, build=ring.axis_table):
+            builds[ring] = builds.get(ring, 0) + 1
+            return build(a, n)
+        monkeypatch.setattr(ring, "axis_table", staticmethod(counting))
+    box_of, tables_of = Circle.box_of, _Curve.tables_of
+    monkeypatch.setattr(Circle, "box_of", lambda c, t0, t1: (
+        boxes.append((id(c), t0, t1)), box_of(c, t0, t1))[1])
+    monkeypatch.setattr(_Curve, "tables_of", lambda c, *a: (
+        visits.append(a[:2]), tables_of(c, *a))[1])
+    Region.boundary_curves.cache_clear()
+    cases = [(plane_field(X, Y), plane_field(2 * X + Y, X + 2 * Y), disk((0, 0), 1), Poly2),
+             (torus_field(_WEIGHT * _SIN_X, _WEIGHT * _SIN_Y),
+              torus_field((_WEIGHT - 1) * _SIN_X, (_WEIGHT + 1) * _SIN_Y),
+              disk((0, 0), Fraction(1, 8)), TrigPoly2)]
+    for x0, x1, region, ring in cases:
+        boxes.clear()
+        visits.clear()
+        assert homotopy_invariance_check(x0, x1, region, 8).index == 1
+        assert len(set(boxes)) == len(boxes) == len(set(visits))
+        assert len(visits) >= 9 * 16                # every pass reads the 16 first arcs
+        assert builds.pop(ring) == 2 * len(boxes)
+    assert not builds
+
+
+@pytest.mark.parametrize("ring", ["plane", "torus"])
+@pytest.mark.parametrize("high_first", [True, False])
+def test_lower_degree_pass_reads_fresh_bits(ring, high_first):
+    """A pass that reads tables longer than it needs, kept from a pass of
+    higher degree, gives the `BoundaryPass` of fresh curves; a pass of
+    higher degree after a lower one lengthens the tables."""
+    if ring == "plane":
+        region = rectangle(-1, -1, 1, 1)
+        low, high = plane_field(X, Y), plane_field(X + X ** 3 * Y ** 2, Y - X ** 2 * Y ** 3)
+    else:
+        region = disk((0, 0), Fraction(1, 8))
+        low, high = torus_field(_SIN_X, _SIN_Y), torus_field(_WEIGHT * _SIN_X, _SIN_Y)
+    order = [high, low] if high_first else [low, high]
+    for tol in (1, Fraction(1, 4)):
+        want = [_fresh_pass(field, region, tol) for field in order]
+        assert [repr(min_norm_on_boundary(field, region, tol, _DEPTH))
+                for field in order] == want
+        # both passes read the 16 first arcs, in tables long enough for `high`
+        (curve,) = region.boundary_curves()
+        (arcs,) = curve._tables.values()            # one ring, one builder
+        nx, ny = (max(s._plan()[k] for s in (high.p, high.q)) for k in (0, 1))
+        assert nx > max(s._plan()[0] for s in (low.p, low.q))
+        assert sum(len(xt) > nx and len(yt) > ny
+                   for _, _, (xt, yt) in arcs.values()) >= 16
+        Region.boundary_curves.cache_clear()
 
 
 # iv.make against the Fraction rule ---------------------------------------------

@@ -3,23 +3,24 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from vfblock.certify import certify_block
-from vfblock import upoly
+from vfblock import index, upoly
+from vfblock.certify import BoundaryPass, certify_block
 from vfblock.errors import BoundaryZero, ContradictionError, PreconditionFailed
-from vfblock.fields import plane_field, torus_field
-from vfblock.index import (_dependent_on_boundary, block_index,
+from vfblock.fields import PlanarField, plane_field, torus_field
+from vfblock.index import (HomotopyVerdict, _dependent_on_boundary, block_index,
                            homotopy_invariance_check, interval_lipschitz,
-                           lift_double_cover, min_norm_on_boundary,
-                           perturbation_bound, region_index, wedge_check,
-                           winding_stats)
+                           lift_double_cover, make_double_cover_lift,
+                           min_norm_on_boundary, perturbation_bound, region_index,
+                           wedge_check, winding_stats)
 from vfblock.poly import Poly2, X, Y, restrict
 from vfblock.regions import Circle, annulus, disk, rectangle
-from vfblock.trig import TrigPoly2
+from vfblock.trig import COS, SIN, PiNumber, TrigPoly2
 
 
 def _angle_steps(evalf, curve, n):
@@ -220,6 +221,89 @@ def test_homotopy_constant(euler, unit_disk):
     assert verdict.status == "invariant" and verdict.index == 1
 
 
+@pytest.mark.parametrize("steps", [2.5, 4.0, Fraction(4), True, "4"])
+def test_homotopy_steps_must_be_an_int(euler, unit_disk, steps):
+    with pytest.raises(ValueError, match="steps must be an int"):
+        homotopy_invariance_check(euler, euler, unit_disk, steps)
+
+
+def test_homotopy_rejects_mixed_surfaces(euler, torus_sin, unit_disk):
+    with pytest.raises(ValueError, match="different surfaces"):
+        homotopy_invariance_check(euler, torus_sin, unit_disk, 4)
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def _homotopy_ends(draw):
+    """(x0, x1, negated) on one surface; x1 is -x0, x0 plus a field (keys
+    shared, some cancel), or a field of its own."""
+    if draw(st.booleans()):
+        surface = "plane"
+
+        def comp():
+            return Poly2({(i, j): draw(_small) for i in range(3) for j in range(3 - i)
+                          if draw(st.booleans())})
+    else:
+        surface = "torus"
+
+        def comp():
+            return TrigPoly2({(draw(st.integers(-2, 2)), draw(st.integers(0, 2)),
+                               draw(st.sampled_from((COS, SIN))),
+                               draw(st.sampled_from((COS, SIN)))):
+                              PiNumber({k: draw(_small) for k in draw(st.sets(st.integers(0, 2)))})
+                              for _ in range(draw(st.integers(0, 4)))})
+
+    def field():
+        return PlanarField(surface, comp(), comp(), draw(st.integers(1, 3)))
+
+    x0 = field()
+    how = draw(st.sampled_from(("negated", "shifted", "free")))
+    x1 = -x0 if how == "negated" else x0 + field() if how == "shifted" else field()
+    return x0, x1, how == "negated"
+
+
+def _term_order(s):
+    """Keys and coefficients in term-map order, a PiNumber's terms in theirs."""
+    return [(key, list(c._m.items()) if isinstance(c, PiNumber) else c)
+            for key, c in s._m.items()]
+
+
+@given(_homotopy_ends(), st.integers(2, 8))
+@example((plane_field(X, Y), plane_field(-X, -Y), True), 4)
+@example((torus_field(TrigPoly2.term(1, 0, "sc", 1), TrigPoly2.term(0, 1, "cs", 1)),
+          torus_field(-TrigPoly2.term(1, 0, "sc", 1), -TrigPoly2.term(0, 1, "cs", 1)),
+          True), 6)
+@settings(max_examples=200, deadline=None)
+def test_homotopy_step_fields_are_the_convex_combination(ends, steps):
+    """The field of step t is x0.scale(1 - t) + x1.scale(t), with its k, its
+    terms in term-map order and its interval plan bit for bit; t = 0 and
+    t = 1 included.  The boundary passes are stubbed, so every step field
+    is reached up to the first zero one."""
+    x0, x1, negated = ends
+    seen = []
+
+    def boundary_pass(field, region, tol=None, max_depth=None):
+        seen.append(field)
+        return BoundaryPass(Fraction(1), 0, 1)
+
+    with mock.patch.object(index, "min_norm_on_boundary", boundary_pass):
+        verdict = homotopy_invariance_check(x0, x1, disk((0, 0), 1), steps)
+    want = [x0.scale(1 - Fraction(i, steps)) + x1.scale(Fraction(i, steps))
+            for i in range(steps + 1)]
+    if verdict.status == "degenerate":
+        assert want[len(seen)].is_zero() and verdict.t == Fraction(len(seen), steps)
+    assert len(seen) == len(want) if verdict.status == "invariant" else len(seen) < len(want)
+    for got, ref in zip(seen, want):
+        assert got.k == ref.k == min(x0.k, x1.k)
+        for a, b in ((got.p, ref.p), (got.q, ref.q)):
+            assert _term_order(a) == _term_order(b)
+            assert repr(a._plan()) == repr(b._plan())
+    if negated and steps % 2 == 0 and not x0.is_zero():
+        assert verdict == HomotopyVerdict("degenerate", t=Fraction(1, 2))
+
+
 def test_wedge_examples(euler, const_east, unit_disk):
     rho = 1 + X ** 2 + Y ** 2
     scaled = plane_field(rho * X, rho * Y)
@@ -357,6 +441,46 @@ def test_double_cover_doubling(saddle_pair_field, circle_field, const_east,
         inner = Circle((0, 0), Fraction(1, 2), ccw=False)
         assert (oracle_winding(lifted_eval, outer, 20000)
                 + oracle_winding(lifted_eval, inner, 20000)) == 2 * base_expected
+
+
+def _eval_float_lift(field):
+    """The double-cover lift through the field's own `eval_float`."""
+
+    def lifted(u, v):
+        phi = math.atan2(v, u)
+        rho = math.hypot(u, v)
+        theta = 2.0 * phi
+        ct, st = math.cos(theta), math.sin(theta)
+        wx, wy = field.eval_float(rho * ct, rho * st)
+        radial = wx * ct + wy * st
+        tangential = -wx * st + wy * ct
+        cp, sp = math.cos(phi), math.sin(phi)
+        return (radial * cp - 0.5 * tangential * sp,
+                radial * sp + 0.5 * tangential * cp)
+
+    return lifted
+
+
+def _lift_outcome(lifted, u, v):
+    try:
+        return [repr(w) for w in lifted(u, v)]
+    except OverflowError as e:
+        return ("overflow", str(e))
+
+
+_lift_point = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.5, 1e200)),
+                        st.floats(-4.0, 4.0))
+
+
+@given(_cubic, _cubic, st.lists(st.tuples(_lift_point, _lift_point), min_size=1,
+                                max_size=8))
+@example(X ** 2 - 1, X * Y, [(0.0, -0.0), (1e200, 0.5), (-0.0, 1.0)])
+@settings(max_examples=100, deadline=None)
+def test_double_cover_lift_matches_eval_float(p, q, points):
+    field = plane_field(p, q)
+    fast, plain = make_double_cover_lift(field), _eval_float_lift(field)
+    for u, v in points:
+        assert _lift_outcome(fast, u, v) == _lift_outcome(plain, u, v)
 
 
 def test_double_cover_takes_the_blocks_boundary_pass(saddle_pair_field, circle_field,

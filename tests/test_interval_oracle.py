@@ -7,11 +7,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from box_reference import box_evaluator
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vfblock import interval as iv
-from vfblock.poly import Poly2, X, Y, _powers, box_evaluator, cell_test, float_plan
+from vfblock.poly import Poly2, X, Y, _powers, cell_test, float_plan
 from vfblock.trig import COS, SIN, PiNumber, TrigPoly2, factors
 
 _INF = math.inf

@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from box_reference import box_evaluator
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,7 @@ from vfblock.config import default_max_depth
 from vfblock.corpus import random_tracking_scenario
 from vfblock.errors import BoundaryZero, DepthLimitExceeded, UnsupportedRegion
 from vfblock.fields import plane_field, torus_field
-from vfblock.poly import Poly2, X, Y, box_evaluator
+from vfblock.poly import Poly2, X, Y
 from vfblock.regions import (RectLoop, Region, annulus, box_clears_boundary,
                              box_intersects_closure, disk, rectangle, torus_full)
 from vfblock.scenario import parse_scenario

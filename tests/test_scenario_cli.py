@@ -272,6 +272,27 @@ def test_cli_non_positive_n_points_exit_2(tmp_path, n_points):
         f"got {n_points}\n"
 
 
+@pytest.mark.parametrize("op, args, key, value", [
+    ("homotopy", {"X0": "X", "X1": "X", "U": "U"}, "steps", 2.9),
+    ("homotopy", {"X0": "X", "X1": "X", "U": "U"}, "steps", "3"),
+    ("homotopy", {"X0": "X", "X1": "X", "U": "U"}, "steps", True),
+    ("jet_order", {"X": "X", "p": "origin"}, "k", 1.5),
+])
+def test_cli_non_integer_count_exit_2(tmp_path, op, args, key, value):
+    # int() would run 2.9 steps as 2, and k = 1.5 as k = 1, and pass
+    data = json.loads((SCENARIOS / "source_disk.json").read_text())
+    data["points"] = {"origin": ["0", "0"]}
+    data["checks"] = [{"op": op, "name": op, "args": {**args, key: value}}]
+    message = f"check argument {key!r} must be an integer, got {value!r}"
+    with pytest.raises(ScenarioSchemaError, match=message):
+        run_scenario(data)
+    path = tmp_path / "count.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    proc = _cli("verify", str(path))
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == ("", f"error: {path}: {message}\n")
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_cli_non_finite_tol_exit_2(tol):
     # NaN or infinity would make the flowbox control check fail or pass vacuously
