@@ -5,9 +5,12 @@ Gauss-Jordan (after Bareiss) on integer rows: rows are scaled by the lcm of
 their denominators, and each row operation pv*row - f*prow ends by dividing by
 the new row's content.  Scaling rows keeps the row space and the rref of a
 matrix is unique, so dividing each pivot row by its pivot at the end gives
-exactly the Fractions that elimination over Q would; every vector or matrix
-returned has Fraction entries.  charpoly scales the matrix to ints as well and
-returns integer coefficients with the scale.
+exactly the Fractions that elimination over Q would.  rref and subspace_basis
+return Fraction rows.  kernel and intersect_subspaces take integer rows and
+return primitive integer rows: an intersection's rows are its rref rows times
+their pivots, and a kernel vector is the Fraction one (1 at its free column,
+which is its last nonzero entry) times a positive integer.  charpoly scales
+the matrix to ints as well and returns integer coefficients with the scale.
 """
 
 from __future__ import annotations
@@ -65,20 +68,32 @@ def rref(rows):
     return out + [[zero] * len(row) for row in m[len(pivots):]], pivots
 
 
+def _primitive(vec, k):
+    """vec divided by its content, with vec[k] made positive."""
+    g = math.gcd(*vec) if vec[k] > 0 else -math.gcd(*vec)
+    return [a // g for a in vec] if g != 1 else vec
+
+
+def _null_vector(m, pivots, f):
+    """The kernel vector of the integer rref rows m (pivot columns pivots) for
+    the free column f, as a primitive integer vector positive at f."""
+    lcm = math.lcm(*(row[c] for row, c in zip(m, pivots) if row[f]))
+    v = [0] * len(m[0])
+    v[f] = lcm
+    for row, c in zip(m, pivots):
+        if row[f]:
+            v[c] = -row[f] * (lcm // row[c])
+    return _primitive(v, f)
+
+
 def kernel(rows):
-    """Basis of the right kernel of the matrix."""
+    """Basis of the right kernel of the integer matrix: one primitive vector
+    per free column."""
     if not rows:
         return []
-    m = _int_rows(rows)
+    m = [list(row) for row in rows]
     pivots = _rref_int(m)
-    out = []
-    for fcol in (c for c in range(len(m[0])) if c not in pivots):
-        v = [Fraction(0)] * len(m[0])
-        v[fcol] = Fraction(1)
-        for row, pc in zip(m, pivots):
-            v[pc] = Fraction(-row[fcol], row[pc])
-        out.append(v)
-    return out
+    return [_null_vector(m, pivots, f) for f in range(len(m[0])) if f not in pivots]
 
 
 def identity(n):
@@ -126,27 +141,24 @@ def subspace_basis(vectors):
 
 
 def intersect_subspaces(a_basis, b_basis):
-    """Basis of the intersection of two subspaces given by spanning sets."""
+    """Basis of the intersection of two subspaces given by integer spanning
+    sets: its rref rows times their pivots, primitive."""
     if not a_basis or not b_basis:
         return []
-    a, b = _int_rows(a_basis), _int_rows(b_basis)
-    na = len(a)
+    na = len(a_basis)
     # a kernel vector (u, w) of [A^T | -B^T] pins the vector A^T u of the
     # intersection; read one integer kernel vector off each free column
-    cols = list(zip(*a))
-    m = [list(ca) + [-v for v in cb] for ca, cb in zip(cols, zip(*b))]
+    cols = list(zip(*a_basis))
+    m = [list(ca) + [-v for v in cb] for ca, cb in zip(cols, zip(*b_basis))]
     pivots = _rref_int(m)
-    lcm = math.lcm(*(row[c] for row, c in zip(m, pivots)))
     out = []
-    for f in (c for c in range(na + len(b)) if c not in pivots):
-        u = [lcm if k == f else 0 for k in range(na)]
-        for row, c in zip(m, pivots):
-            if c < na and row[f]:
-                u[c] = -row[f] * (lcm // row[c])
+    for f in (c for c in range(na + len(b_basis)) if c not in pivots):
+        u = _null_vector(m, pivots, f)[:na]
         vec = [sum(uk * v for uk, v in zip(u, col) if uk) for col in cols]
         if any(vec):
             out.append(vec)
-    return subspace_basis(out) if out else []
+    pivots = _rref_int(out)
+    return [_primitive(row, c) for row, c in zip(out, pivots)]
 
 
 def in_rref_span(rows, pivots, vec) -> bool:

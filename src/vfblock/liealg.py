@@ -6,20 +6,24 @@ is operationalized as a complete flag of ideals, found by an exact nested
 common-eigenvector search.  A rational eigenvector of a rational matrix forces
 a rational eigenvalue, so exact kernels decide every verifiable case; Sturm
 counts detect irrational real eigenvalues, which surface as NumericalAmbiguity
-only when no exact candidate exists.  Per quotient level, each adjoint's
-eigenspaces are computed once, when the search first reaches that map, and
-only maps the search reaches can make it ambiguous.
+only when no exact candidate exists, and only from maps the search reaches.
+The search runs over Z, on an integer multiple of each quotient level's
+structure tensor (whose ad maps have the same eigenvectors).  A basis
+element's spectrum is computed once, and each quotient keeps it less the
+eigenvalue on the ideal divided out.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import exactlin as xl
 from . import upoly
 from .certify import ZeroEnclosure, zero_enclosure_scalars
-from .errors import DependentBasisError, NotClosedError, NumericalAmbiguity
+from .errors import (ContradictionError, DependentBasisError, NotClosedError,
+                     NumericalAmbiguity)
 from .fields import PlanarField
 from .poly import _frac_str
 from .regions import Region
@@ -223,49 +227,71 @@ class FlagResult:
         }
 
 
-def _real_rational_eigenvalues(mat):
-    """(rational eigenvalues, whether irrational real eigenvalues exist).
-    The eigenvalues of A are the roots of the monic integer p_B of B = d A,
-    which are integers, divided by d.  What is left of p_B once its rational
-    roots are divided out decides the second: it has a real root if its degree
-    is odd, and otherwise exactly when its Sturm count is positive."""
-    d, cp = xl.charpoly(mat)
+def _spectrum(mat):
+    """({eigenvalue: multiplicity} over the rational eigenvalues, whether
+    irrational real eigenvalues exist) of the integer matrix mat.  Its
+    eigenvalues are s times those of the primitive matrix mat / s, s the
+    content signed like the first nonzero entry, whose monic integer
+    characteristic polynomial has integer rational roots.  What is left of it
+    once they are divided out decides the second: it has a real root if its
+    degree is odd, and otherwise exactly when its Sturm count is positive."""
+    flat = [v for row in mat for v in row if v]
+    s = math.gcd(*flat) if flat else 1
+    s = s if not flat or flat[0] > 0 else -s
+    _, cp = xl.charpoly([[v // s for v in row] for row in mat])
     roots = upoly.rational_roots(cp)
     for r, mult in roots:
         for _ in range(mult):
             cp = upoly.quotient(cp, [-r.numerator, 1])
     left = len(cp) - 1
     irrational = left % 2 == 1 or (left > 0 and upoly.count_real_roots(cp) > 0)
-    return [r / d for r, _ in roots], irrational
+    return {r.numerator * s: mult for r, mult in roots}, irrational
 
 
-def _common_eigendirections(ads, space, ambiguous_flag):
-    """All joint eigendirections of the adjoint maps inside the subspace,
-    found by nested exact eigenspace intersections.  Each map's kernels of
-    ad - lambda, one per rational eigenvalue, are computed the first time the
-    search reaches it; later branches only intersect.  Only reached maps can
-    flag irrational eigenvalues: a map behind dead branches decides nothing."""
+def _flag_candidates(ads, spectra, ambiguous_flag):
+    """All joint eigendirections of the integer adjoint maps, by nested exact
+    eigenspace intersections.  A map's eigenspaces come from its spectrum in
+    spectra (filled in when missing) once a branch of dimension two or more
+    reaches it; a branch span(u) asks each later map only whether u is an
+    eigenvector.  With no candidate left, only a reached map with irrational
+    real eigenvalues makes the search ambiguous."""
+    n = len(ads)
     eigenspaces = {}
+    reached = set()
+
+    def spectrum(i):
+        if spectra[i] is None:
+            spectra[i] = _spectrum(ads[i])
+        return spectra[i]
 
     def search(i, sub):
-        if i == len(ads):
+        if len(sub) == 1:
+            u = sub[0]
+            lead = next(k for k, c in enumerate(u) if c)
+            for j in range(i, n):
+                reached.add(j)
+                w = [sum(a * b for a, b in zip(row, u) if b) for row in ads[j]]
+                if any(a * u[lead] != w[lead] * b for a, b in zip(w, u)):
+                    return []
+            return [u]
+        if i == n:
             return list(sub)
+        reached.add(i)
         if i not in eigenspaces:
-            mat, n = ads[i], len(ads[i])
-            eigs, irrational = _real_rational_eigenvalues(mat)
-            if irrational:
-                ambiguous_flag.append(True)
-            eigenspaces[i] = [xl.kernel([[mat[r][c] - (lam if r == c else 0)
-                                          for c in range(n)] for r in range(n)])
-                              for lam in eigs]
+            eigenspaces[i] = [xl.kernel([[v - lam if r == c else v for c, v in enumerate(row)]
+                                         for r, row in enumerate(ads[i])])
+                              for lam in spectrum(i)[0]]
         candidates = []
         for ker in eigenspaces[i]:
-            inter = xl.intersect_subspaces(sub, ker)
+            inter = xl.intersect_subspaces(sub, ker) if i else ker
             if inter:
                 candidates.extend(search(i + 1, inter))
         return candidates
 
-    return search(0, space) if space else []
+    candidates = search(0, [[int(r == c) for c in range(n)] for r in range(n)])
+    if not candidates and any(spectrum(i)[1] for i in sorted(reached)):
+        ambiguous_flag.append(True)
+    return candidates
 
 
 def _pick_candidate(candidates):
@@ -282,6 +308,30 @@ def _pick_candidate(candidates):
     return normed[0][1]
 
 
+def _quotient(t, v, lead, spectra, lams):
+    """Integer tensor of the quotient by span(v), v an integer ideal vector:
+    on the complement of lead, T' = v[lead] T - T[.][.][lead] v, divided by
+    its content c.  The map induced by ad_b has characteristic polynomial
+    p_b(t) / (t - lam_b), scaled by v[lead] / c with the tensor, so each known
+    spectrum loses lam_b and is rescaled."""
+    comp = [i for i in range(len(t)) if i != lead]
+    vl = v[lead]
+    q = [[[vl * row[k] - row[lead] * v[k] for k in comp] for row in (plane[b] for b in comp)]
+         for plane in (t[a] for a in comp)]
+    c = math.gcd(*(x for plane in q for row in plane for x in row)) or 1
+    if c > 1:
+        q = [[[x // c for x in row] for row in plane] for plane in q]
+
+    def carry(i):
+        eigs, irrational = spectra[i]
+        if not eigs.get(lams[i]):
+            raise ContradictionError(f"ideal eigenvalue {lams[i]} is not in its map's spectrum")
+        eigs = {**eigs, lams[i]: eigs[lams[i]] - 1}
+        return {lam * vl // c: m for lam, m in eigs.items() if m}, irrational
+
+    return q, [spectra[i] and carry(i) for i in comp]
+
+
 def supersolvable_flag(g: LieAlgebraPresentation) -> FlagResult:
     """Search for a complete flag of ideals; verdicts are exact except that
     irrational real eigenvalues can make the search ambiguous."""
@@ -292,16 +342,20 @@ def supersolvable_flag(g: LieAlgebraPresentation) -> FlagResult:
     # work in coordinates; lift chain vectors back to the original basis
     lift = xl.identity(n)  # rows: current-quotient basis in original coords
     chain: list[list[Fraction]] = []
-    current = g
+    # the structure tensor times the lcm of its denominators; one spectrum
+    # per basis element, carried down the quotients
+    den = math.lcm(*(c.denominator for plane in g.structure for row in plane for c in row))
+    t = [[[c.numerator * (den // c.denominator) for c in row] for row in plane]
+         for plane in g.structure]
+    spectra = [None] * n
     while len(chain) < n:
-        dim = current.dim
+        dim = len(t)
         if dim == 1:
-            vec = lift[0]
-            chain.append(vec)
+            chain.append(lift[0])
             break
-        ads = [current.adjoint(i) for i in range(dim)]
+        ads = [[[t[i][j][k] for j in range(dim)] for k in range(dim)] for i in range(dim)]
         ambiguous: list[bool] = []
-        cands = _common_eigendirections(ads, xl.identity(dim), ambiguous)
+        cands = _flag_candidates(ads, spectra, ambiguous)
         if not cands:
             if ambiguous:
                 raise NumericalAmbiguity(
@@ -309,14 +363,18 @@ def supersolvable_flag(g: LieAlgebraPresentation) -> FlagResult:
                     "no exactly verifiable one-dimensional ideal found"
                 )
             return FlagResult("no_real_flag")
-        v = _pick_candidate(cands)
+        v = _pick_candidate([[Fraction(c) for c in u] for u in cands])
         # exact re-verification: [b_i, v] in span(v) for all i, i.e. each
-        # w = ad_i v is w[lead] / v[lead] times v
-        lead = next(k for k, c in enumerate(v) if c)
+        # w = ad_i v is lam_i = w[lead] / v[lead] times v
+        scale = math.lcm(*(c.denominator for c in v))
+        vi = [c.numerator * (scale // c.denominator) for c in v]
+        lead = next(k for k, c in enumerate(vi) if c)
+        lams = []
         for ad in ads:
-            w = [sum(a * b for a, b in zip(row, v) if b) for row in ad]
-            if any(a * v[lead] != w[lead] * b for a, b in zip(w, v)):
+            w = [sum(a * b for a, b in zip(row, vi) if b) for row in ad]
+            if any(a * vi[lead] != w[lead] * b for a, b in zip(w, vi)):
                 raise NumericalAmbiguity("candidate failed exact ideal verification")
+            lams.append(w[lead] // vi[lead])
         # lift to original coordinates
         orig = [Fraction(0)] * n
         for c, row in zip(v, lift):
@@ -324,39 +382,11 @@ def supersolvable_flag(g: LieAlgebraPresentation) -> FlagResult:
                 for d in range(n):
                     orig[d] += c * row[d]
         chain.append(orig)
-        current, lift = _quotient(current, v, lift)
+        t, spectra = _quotient(t, vi, lead, spectra, lams)
+        lift = [row for k, row in enumerate(lift) if k != lead]
     full_chain = tuple(chain)
     _verify_ideal_chain(g, full_chain)
     return FlagResult("flag", full_chain)
-
-
-def _quotient(g: LieAlgebraPresentation, v, lift):
-    """Quotient presentation by the 1-dim ideal span(v), with updated lift rows."""
-    n = g.dim
-    lead = next(i for i, c in enumerate(v) if c != 0)
-    comp_idx = [i for i in range(n) if i != lead]
-
-    def project(w):
-        # reduce w modulo v, then drop the lead coordinate
-        f = w[lead] / v[lead]
-        return [w[i] - f * v[i] for i in comp_idx]
-
-    m = len(comp_idx)
-    basis_vecs = []
-    for i in comp_idx:
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        basis_vecs.append(e)
-    structure = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            w = g.bracket_coords(basis_vecs[a], basis_vecs[b])
-            pw = project(w)
-            for k in range(m):
-                structure[a][b][k] = pw[k]
-    new_lift = [lift[i] for i in comp_idx]
-    q = LieAlgebraPresentation([None] * m, structure, True)
-    return q, new_lift
 
 
 def _verify_ideal_chain(g: LieAlgebraPresentation, chain):

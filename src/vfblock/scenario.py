@@ -384,10 +384,9 @@ def _op_solvability(ctx: _Ctx):
 
 
 def _op_supersolvable(ctx: _Ctx):
-    g = structure_constants(ctx.algebra("g"))
-    if solvability(g).status == "not_solvable":
+    r = supersolvable_flag(structure_constants(ctx.algebra("g")))
+    if r.status == "not_solvable":
         return {"flag": {"status": "not_solvable"}}, PASS
-    r = supersolvable_flag(g)
     return {"flag": r.to_json()}, PASS
 
 

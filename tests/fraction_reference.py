@@ -3,14 +3,20 @@
 Gauss-Jordan, span solves, Sturm chains, gcds and rational roots computed
 over Q the textbook way.  `vfblock.exactlin` and `vfblock.upoly` work on
 integers instead and must agree with these exactly; so must
-`vfblock.interval.make` with `make_reference`, and `vfblock.poly.restrict`
-along the curves' pieces with `restrict_to_circle` and `restrict_to_segment`.
+`vfblock.interval.make` with `make_reference`, `vfblock.poly.restrict`
+along the curves' pieces with `restrict_to_circle` and `restrict_to_segment`,
+and `vfblock.liealg.supersolvable_flag` with `supersolvable_flag_reference`,
+the flag search on Fraction structure constants that it replaced.
 """
 
 import math
 from fractions import Fraction
 
+from vfblock import exactlin as xl
 from vfblock import upoly
+from vfblock.errors import NumericalAmbiguity
+from vfblock.liealg import (FlagResult, LieAlgebraPresentation, _pick_candidate,
+                            _require_closed, _verify_ideal_chain, solvability)
 from vfblock.poly import Poly2, _frac
 from vfblock.upoly import deg, derivative, evaluate, trim
 
@@ -37,6 +43,40 @@ def rref_reference(rows):
         if r == len(m):
             break
     return m, pivots
+
+
+def kernel_reference(rows):
+    """The kernel basis read off the rref: 1 at each free column."""
+    m, pivots = rref_reference(rows)
+    out = []
+    for fcol in (c for c in range(len(rows[0])) if c not in pivots):
+        v = [Fraction(0)] * len(rows[0])
+        v[fcol] = Fraction(1)
+        for row, pc in zip(m, pivots):
+            v[pc] = -row[fcol]
+        out.append(v)
+    return out
+
+
+def span_reference(vectors):
+    m, pivots = rref_reference(vectors)
+    return m[: len(pivots)]
+
+
+def intersect_reference(a_basis, b_basis):
+    """The rref basis of span(a) and span(b)'s intersection."""
+    if not a_basis or not b_basis:
+        return []
+    na, dim = len(a_basis), len(a_basis[0])
+    rows = [[a_basis[k][d] for k in range(na)] + [-v[d] for v in b_basis]
+            for d in range(dim)]
+    out = []
+    for combo in kernel_reference(rows):
+        vec = [sum((combo[k] * a_basis[k][d] for k in range(na)), Fraction(0))
+               for d in range(dim)]
+        if any(vec):
+            out.append(vec)
+    return span_reference(out) if out else []
 
 
 def solve_in_span(basis, target):
@@ -207,3 +247,105 @@ def restrict_to_segment(p: Poly2, a, b) -> list[Fraction]:
             term = upoly.mul(term, yt)
         out = upoly.add(out, term)
     return out
+
+
+# The flag search on Fraction structure constants: a characteristic polynomial
+# and eigenspaces per map and quotient level, Fraction kernels and
+# intersections, and the quotient presentation built from bracket_coords.
+
+def real_rational_eigenvalues(mat):
+    """(rational eigenvalues, whether irrational real eigenvalues exist) of
+    the Fraction matrix mat, from p_B of B = d A (see exactlin.charpoly)."""
+    d, cp = xl.charpoly(mat)
+    roots = upoly.rational_roots(cp)
+    for r, mult in roots:
+        for _ in range(mult):
+            cp = upoly.quotient(cp, [-r.numerator, 1])
+    left = len(cp) - 1
+    irrational = left % 2 == 1 or (left > 0 and upoly.count_real_roots(cp) > 0)
+    return [r / d for r, _ in roots], irrational
+
+
+def common_eigendirections(ads, space, ambiguous_flag):
+    """All joint eigendirections of the Fraction maps ads inside space;
+    irrational real eigenvalues of a reached map append to ambiguous_flag."""
+    eigenspaces = {}
+
+    def search(i, sub):
+        if i == len(ads):
+            return list(sub)
+        if i not in eigenspaces:
+            mat, n = ads[i], len(ads[i])
+            eigs, irrational = real_rational_eigenvalues(mat)
+            if irrational:
+                ambiguous_flag.append(True)
+            eigenspaces[i] = [kernel_reference([[mat[r][c] - (lam if r == c else 0)
+                                                 for c in range(n)] for r in range(n)])
+                              for lam in eigs]
+        candidates = []
+        for ker in eigenspaces[i]:
+            inter = intersect_reference(sub, ker)
+            if inter:
+                candidates.extend(search(i + 1, inter))
+        return candidates
+
+    return search(0, space) if space else []
+
+
+def quotient_reference(g: LieAlgebraPresentation, v, lift):
+    """Quotient presentation by the 1-dim ideal span(v), with updated lift rows."""
+    n = g.dim
+    lead = next(i for i, c in enumerate(v) if c != 0)
+    comp_idx = [i for i in range(n) if i != lead]
+
+    def project(w):
+        f = w[lead] / v[lead]
+        return [w[i] - f * v[i] for i in comp_idx]
+
+    m = len(comp_idx)
+    basis_vecs = [[Fraction(int(k == i)) for k in range(n)] for i in comp_idx]
+    structure = [[project(g.bracket_coords(basis_vecs[a], basis_vecs[b])) for b in range(m)]
+                 for a in range(m)]
+    return (LieAlgebraPresentation([None] * m, structure, True),
+            [lift[i] for i in comp_idx])
+
+
+def supersolvable_flag_reference(g: LieAlgebraPresentation) -> FlagResult:
+    _require_closed(g)
+    if solvability(g).status == "not_solvable":
+        return FlagResult("not_solvable")
+    n = g.dim
+    lift = xl.identity(n)
+    chain = []
+    current = g
+    while len(chain) < n:
+        dim = current.dim
+        if dim == 1:
+            chain.append(lift[0])
+            break
+        ads = [current.adjoint(i) for i in range(dim)]
+        ambiguous = []
+        cands = common_eigendirections(ads, xl.identity(dim), ambiguous)
+        if not cands:
+            if ambiguous:
+                raise NumericalAmbiguity(
+                    "adjoint maps have irrational real eigenvalues; "
+                    "no exactly verifiable one-dimensional ideal found"
+                )
+            return FlagResult("no_real_flag")
+        v = _pick_candidate(cands)
+        lead = next(k for k, c in enumerate(v) if c)
+        for ad in ads:
+            w = [sum(a * b for a, b in zip(row, v) if b) for row in ad]
+            if any(a * v[lead] != w[lead] * b for a, b in zip(w, v)):
+                raise NumericalAmbiguity("candidate failed exact ideal verification")
+        orig = [Fraction(0)] * n
+        for c, row in zip(v, lift):
+            if c:
+                for d in range(n):
+                    orig[d] += c * row[d]
+        chain.append(orig)
+        current, lift = quotient_reference(current, v, lift)
+    full_chain = tuple(chain)
+    _verify_ideal_chain(g, full_chain)
+    return FlagResult("flag", full_chain)

@@ -12,12 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vfblock.certify import zero_enclosure
-from vfblock.errors import DependentBasisError, NotClosedError, NumericalAmbiguity
+from vfblock.errors import (ContradictionError, DependentBasisError, NotClosedError,
+                            NumericalAmbiguity, VfblockError)
 from vfblock.exactlin import (charpoly, identity, in_rref_span, intersect_subspaces,
                               kernel, rref, subspace_basis)
 from vfblock.fields import lie_bracket, plane_field
-from vfblock.liealg import (_coefficient_keys, _coefficient_vector,
-                            _common_eigendirections, _real_rational_eigenvalues,
+from vfblock.liealg import (FlagResult, LieAlgebraPresentation, _coefficient_keys,
+                            _coefficient_vector, _flag_candidates, _quotient, _spectrum,
                             _verify_ideal_chain,
                             algebra_tracks, common_zero_set, solvability,
                             structure_constants, supersolvable_flag)
@@ -25,8 +26,10 @@ from vfblock.poly import Poly2, X, Y
 from vfblock.regions import disk
 from vfblock.verifier import verify_liealg
 
-from fraction_reference import (count_real_roots, rational_roots, rref_reference,
-                                solve_in_span, vector_in_span)
+from fraction_reference import (count_real_roots, intersect_reference, kernel_reference,
+                                rational_roots, rref_reference, solve_in_span,
+                                span_reference, supersolvable_flag_reference,
+                                vector_in_span)
 
 
 def _e2():
@@ -65,48 +68,45 @@ def _seeded_solvable_basis(n, rng):
 def test_exact_linear_algebra_helpers():
     m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert len(rref(m)[1]) == 1
-    assert kernel(m) == [[Fraction(-2), Fraction(1)]]
+    assert kernel([[1, 2], [2, 4]]) == [[-2, 1]]
     # charpoly of [[0, -1], [1, 0]] is t^2 + 1
     j = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]
     assert charpoly(j) == (1, [1, 0, 1])
 
 
-def test_exact_helpers_return_fractions_on_int_input():
-    f = Fraction
-    vectors = (rref([[2, 1], [4, 3]])[0] + kernel([[2, 4]])
-               + intersect_subspaces([[2, 0], [0, 4]], [[1, 1]]))
-    assert vectors == [[f(1), f(0)], [f(0), f(1)], [f(-2), f(1)], [f(1), f(1)]]
-    assert all(type(v) is Fraction for vec in vectors for v in vec)
-
-
-def _kernel_reference(rows):
-    m, pivots = rref_reference(rows)
+def _ints(rows):
+    """Each row times the lcm of its denominators: the same row space."""
     out = []
-    for fcol in (c for c in range(len(rows[0])) if c not in pivots):
-        v = [Fraction(0)] * len(rows[0])
-        v[fcol] = Fraction(1)
-        for row, pc in zip(m, pivots):
-            v[pc] = -row[fcol]
-        out.append(v)
+    for row in rows:
+        d = math.lcm(*(Fraction(v).denominator for v in row))
+        out.append([int(v * d) for v in row])
     return out
 
 
-def _span_reference(vectors):
-    m, pivots = rref_reference(vectors)
-    return m[: len(pivots)]
+def _by_lead(rows):
+    """Integer rows divided by their first nonzero entry: rref rows."""
+    return [[Fraction(v, next(c for c in row if c)) for v in row] for row in rows]
 
 
-def _intersect_reference(a_basis, b_basis):
-    na, dim = len(a_basis), len(a_basis[0])
-    rows = [[a_basis[k][d] for k in range(na)] + [-v[d] for v in b_basis]
-            for d in range(dim)]
-    out = []
-    for combo in _kernel_reference(rows):
-        vec = [sum((combo[k] * a_basis[k][d] for k in range(na)), Fraction(0))
-               for d in range(dim)]
-        if any(vec):
-            out.append(vec)
-    return _span_reference(out) if out else []
+def _by_free(rows):
+    """Integer kernel rows divided by their free column's entry, which is
+    their last nonzero one."""
+    return [[Fraction(v, next(c for c in reversed(row) if c)) for v in row] for row in rows]
+
+
+def _primitive_ints(rows):
+    return all(type(v) is int for row in rows for v in row) and all(
+        math.gcd(*row) == 1 for row in rows)
+
+
+def test_exact_helpers_return_fractions_on_int_input():
+    f = Fraction
+    m = rref([[2, 1], [4, 3]])[0]
+    assert m == [[f(1), f(0)], [f(0), f(1)]] and _all_fractions(m)
+    ker, inter = kernel([[2, 4]]), intersect_subspaces([[2, 0], [0, 4]], [[1, 1]])
+    assert ker == [[-2, 1]] and inter == [[1, 1]]
+    assert _by_free(ker) + _by_lead(inter) == [[f(-2), f(1)], [f(1), f(1)]]
+    assert _primitive_ints(ker + inter)
 
 
 _mixed = st.one_of(st.integers(-6, 6),
@@ -152,12 +152,14 @@ def test_integer_elimination_matches_fraction_reference(case):
     assert list(spivots) == pivots
     assert m == [[Fraction(int(sm[i, j].p), int(sm[i, j].q)) for j in range(sm.cols)]
                  for i in range(sm.rows)]
-    ker = kernel(a)
-    assert ker == _kernel_reference(a) and _all_fractions(ker)
+    ker = kernel(_ints(a))
+    assert _by_free(ker) == kernel_reference(a) and _primitive_ints(ker)
+    assert all(next(v for v in reversed(row) if v) > 0 for row in ker)
     span = subspace_basis(a)
-    assert span == _span_reference(a) and _all_fractions(span)
-    inter = intersect_subspaces(a, b)
-    assert inter == _intersect_reference(a, b) and _all_fractions(inter)
+    assert span == span_reference(a) and _all_fractions(span)
+    inter = intersect_subspaces(_ints(a), _ints(b))
+    assert _by_lead(inter) == intersect_reference(a, b) and _primitive_ints(inter)
+    assert all(next(v for v in row if v) > 0 for row in inter)
 
 
 def _structure_reference(basis):
@@ -271,6 +273,18 @@ def _eigen_reference(mat):
     return rats, count_real_roots(cp) > len(rats)
 
 
+def _eigenvalues(mat):
+    """_spectrum of the Fraction matrix A through the integer matrix d A:
+    (the rational eigenvalues of A, in order, whether irrational real
+    eigenvalues exist), with the multiplicities checked against the
+    reference's."""
+    d = math.lcm(1, *(v.denominator for row in mat for v in row))
+    eigs, irrational = _spectrum([[int(v * d) for v in row] for row in mat])
+    assert {Fraction(lam, d): m for lam, m in eigs.items()} == dict(
+        rational_roots(_charpoly_reference(mat)))
+    return [Fraction(lam, d) for lam in sorted(eigs)], irrational
+
+
 def _companion(*c):
     """Companion matrix of t^n + c[n-1] t^(n-1) + ... + c[0]."""
     n = len(c)
@@ -289,7 +303,7 @@ def _companion(*c):
 ], ids=["t2+1", "t2-2", "t3-2", "(t2-2)^2", "diag(3/2,3/2,0)", "(t-1)(t2+1)", "t(t2-2)"])
 def test_eigenvalue_cofactor_branches(mat, want):
     mat = [[Fraction(v) for v in row] for row in mat]
-    assert _real_rational_eigenvalues(mat) == want == _eigen_reference(mat)
+    assert _eigenvalues(mat) == want == _eigen_reference(mat)
 
 
 # Both sides find rational root candidates by trial division up to
@@ -318,19 +332,18 @@ def _eigen_matrix(draw):
 @given(_eigen_matrix())
 @settings(max_examples=80, deadline=None)
 def test_eigenvalues_match_fraction_reference(mat):
-    assert _real_rational_eigenvalues(mat) == _eigen_reference(mat)
+    assert _eigenvalues(mat) == _eigen_reference(mat)
 
 
 def test_eigen_search_ignores_maps_it_never_reaches():
     # diag(1, 2) and [[1, 1], [1, 1]] share no eigendirection, so every branch
     # dies at the second map; the third has eigenvalues +-sqrt(2) but is never
     # reached and must not make the search ambiguous
-    f = Fraction
-    ads = [[[f(1), f(0)], [f(0), f(2)]],
-           [[f(1), f(1)], [f(1), f(1)]],
-           [[f(0), f(2)], [f(1), f(0)]]]
+    ads = [[[1, 0], [0, 2]],
+           [[1, 1], [1, 1]],
+           [[0, 2], [1, 0]]]
     ambiguous = []
-    assert _common_eigendirections(ads, identity(2), ambiguous) == []
+    assert _flag_candidates(ads, [None] * 3, ambiguous) == []
     assert ambiguous == []
 
 
@@ -531,3 +544,171 @@ def test_flag_candidate_is_reverified(monkeypatch):
     monkeypatch.setattr(liealg, "_pick_candidate", first_pick([f(1), f(0), f(0)]))
     with pytest.raises(NumericalAmbiguity, match="exact ideal verification"):
         supersolvable_flag(g)
+
+
+# The integer flag search against the Fraction search it replaced -----------
+
+def _sqrt2_line():
+    """d/dx, d/dy and 2y d/dx + x d/dy, whose adjoint has eigenvalues
+    0 and +-sqrt(2): no rational common eigenvector, and a reached map with
+    irrational real eigenvalues."""
+    return [plane_field(Poly2.const(1), Poly2.zero()),
+            plane_field(Poly2.zero(), Poly2.const(1)),
+            plane_field(2 * Y, X)]
+
+
+def _abelian():
+    return [plane_field(Poly2.const(1), Poly2.zero()),
+            plane_field(Poly2.zero(), Poly2.const(1)),
+            plane_field(Y, Poly2.zero())]
+
+
+def _split_rotation(s_at):
+    """span(r, s) acting on W1 = Q(i) (r by i, s by 0) and W2 = Q(sqrt2, i)
+    (r by i, s by sqrt2), with basis r, x1, x2 of Q(i) and y1..y4 = 1, sqrt2,
+    i, i sqrt2 of W2, and s put at position s_at.  No rational vector is a
+    common eigenvector.  ad_r's only rational eigenspace is span(r, s); ad_x1 cuts
+    it to span(s), and ad_y1 s = -y2 ends that branch.  ad_s has eigenvalues
+    +-sqrt(2) and is reached exactly when it comes before y1."""
+    names = ["r", "x1", "x2", "y1", "y2", "y3", "y4"]
+    names.insert(s_at, "s")
+    acts = {("r", "x1"): ("x2", 1), ("r", "x2"): ("x1", -1),
+            ("r", "y1"): ("y3", 1), ("r", "y2"): ("y4", 1),
+            ("r", "y3"): ("y1", -1), ("r", "y4"): ("y2", -1),
+            ("s", "y1"): ("y2", 1), ("s", "y2"): ("y1", 2),
+            ("s", "y3"): ("y4", 1), ("s", "y4"): ("y3", 2)}
+    at = {name: i for i, name in enumerate(names)}
+    c = [[[Fraction(0)] * 8 for _ in range(8)] for _ in range(8)]
+    for (a, b), (k, v) in acts.items():
+        c[at[a]][at[b]][at[k]] = Fraction(v)
+        c[at[b]][at[a]][at[k]] = Fraction(-v)
+    return LieAlgebraPresentation([None] * 8, c, True)
+
+
+def _matrix_algebra(mats):
+    """Presentation of the span of the independent, commutator-closed square
+    matrices mats, with [A, B] = AB - BA."""
+    k = len(mats[0])
+    flat = [[v for row in m for v in row] for m in mats]
+    structure = [[solve_in_span(flat, [sum(a[i][h] * b[h][j] - b[i][h] * a[h][j]
+                                           for h in range(k))
+                                       for i in range(k) for j in range(k)])
+                  for b in mats] for a in mats]
+    return LieAlgebraPresentation([None] * len(mats), structure, True)
+
+
+@st.composite
+def _triangular_algebra(draw):
+    """The strictly upper triangular k x k matrices plus a random span of
+    diagonal ones, a/q with one denominator q up to 12 (a subalgebra, as it
+    holds [b, b]), after a random unitriangular change of basis with small
+    integer scales, in random order.  One q keeps the entries small: trial
+    division for rational roots costs sqrt(|c_0|) on either side."""
+    k = draw(st.integers(2, 3))
+    unit = [[[Fraction(int((r, c) == (i, j))) for c in range(k)] for r in range(k)]
+            for i in range(k) for j in range(i + 1, k)]
+    entry = st.builds(Fraction, st.integers(-6, 6), st.just(draw(st.integers(1, 12))))
+    diagonal = [[[draw(entry) if r == c else Fraction(0) for c in range(k)] for r in range(k)]
+                for _ in range(draw(st.integers(0, k)))]
+    basis = []
+    for m in unit + diagonal:
+        flat = [[v for row in b for v in row] for b in basis + [m]]
+        if len(rref_reference(flat)[1]) > len(basis):
+            basis.append(m)
+    mixed = []
+    for i, m in enumerate(basis):
+        scale = draw(st.sampled_from((1, -1, 2, 3)))
+        out = [[v * scale for v in row] for row in m]
+        for later in basis[i + 1:]:
+            c = draw(st.sampled_from((0, 0, 1, -1, 2)))
+            out = [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(out, later)]
+        mixed.append(out)
+    return _matrix_algebra(draw(st.permutations(mixed)))
+
+
+@st.composite
+def _shuffled_benchmark_algebra(draw):
+    basis = _seeded_solvable_basis(draw(st.integers(1, 5)),
+                                   random.Random(draw(st.integers(0, 10 ** 6))))
+    return structure_constants(draw(st.permutations(basis)))
+
+
+def _assert_same_flag(g):
+    try:
+        want = supersolvable_flag_reference(g)
+    except VfblockError as e:
+        with pytest.raises(VfblockError) as got:
+            supersolvable_flag(g)
+        assert (type(got.value), str(got.value)) == (type(e), str(e))
+        return
+    got = supersolvable_flag(g)
+    assert got == want
+    assert all(type(c) is Fraction for vec in got.chain for c in vec)
+    return got
+
+
+@given(st.one_of(_shuffled_benchmark_algebra(), _triangular_algebra()))
+@example(structure_constants(_e2()))
+@example(structure_constants(_sqrt2_line()))
+@example(structure_constants(_sl2_line()))
+@example(structure_constants(_abelian()))
+@example(_split_rotation(7))
+@example(_split_rotation(3))
+@settings(max_examples=60, deadline=None)
+def test_flag_search_matches_fraction_reference(g):
+    _assert_same_flag(g)
+
+
+def test_one_vector_branches_decide_ambiguity():
+    # s last: the span(s) branch dies at y1, and no reached map has
+    # irrational real eigenvalues
+    assert _assert_same_flag(_split_rotation(7)) == FlagResult("no_real_flag")
+    # s before y1: the span(s) branch reaches ad_s, whose spectrum is only
+    # computed once no candidate is left
+    with pytest.raises(NumericalAmbiguity, match="irrational real eigenvalues"):
+        supersolvable_flag(_split_rotation(3))
+    _assert_same_flag(_split_rotation(3))
+    with pytest.raises(NumericalAmbiguity, match="irrational real eigenvalues"):
+        supersolvable_flag(structure_constants(_sqrt2_line()))
+    assert supersolvable_flag(structure_constants(_abelian())).status == "flag"
+
+
+def test_spectra_pass_small_integers_to_rational_roots(monkeypatch):
+    import vfblock.upoly as upoly
+    seen = []
+    rational_roots_of = upoly.rational_roots
+    monkeypatch.setattr(upoly, "rational_roots",
+                        lambda p: seen.append(list(p)) or rational_roots_of(p))
+    m = [[1, 2, 0], [0, 0, 2], [0, 1, 0]]     # eigenvalues 1 and +-sqrt(2)
+    eigs, irrational = _spectrum(m)
+    assert (eigs, irrational) == ({1: 1}, True)
+    primitive = seen[:]
+    for k in (2, 6, 64, -3):
+        seen.clear()
+        assert _spectrum([[k * v for v in row] for row in m]) == ({k: 1}, True)
+        assert seen == primitive
+    # the constant term trial division sees (the lowest nonzero coefficient)
+    # over the flag searches of the pinned reports' 15 algebras stays at most
+    # that of the Fraction search, which took p_B of d A at every level
+    seen.clear()
+    for seed in (0, 1, 2):
+        rng = random.Random(seed)
+        for n in range(1, 6):
+            supersolvable_flag(structure_constants(_seeded_solvable_basis(n, rng)))
+    assert max(abs(next(c for c in p if c)) for p in seen) <= 3_932_160
+
+
+def test_quotient_carries_spectra_less_the_ideal_eigenvalue():
+    # x d/dx, y d/dx, y d/dy as integers; span(y d/dx) is an ideal on which
+    # ad_x acts by -1 and ad_(y d/dy) by 1.  The quotient is abelian, so its
+    # content is 0 and its spectra are {0: 2}.
+    g = structure_constants(_uppertri())
+    t = [[[int(c) for c in row] for row in plane] for plane in g.structure]
+    spectra = [_spectrum([[t[i][j][k] for j in range(3)] for k in range(3)]) for i in range(3)]
+    assert spectra[0] == ({-1: 1, 0: 2}, False) and spectra[2] == ({0: 2, 1: 1}, False)
+    q, carried = _quotient(t, [0, 1, 0], 1, spectra, [-1, 0, 1])
+    assert q == [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    assert carried == [({0: 2}, False), ({0: 2}, False)]
+    assert _quotient(t, [0, 1, 0], 1, [None] * 3, [-1, 0, 1])[1] == [None, None]
+    with pytest.raises(ContradictionError, match="ideal eigenvalue 1 is not in"):
+        _quotient(t, [0, 1, 0], 1, spectra, [1, 0, 1])

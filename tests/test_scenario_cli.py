@@ -57,6 +57,38 @@ def test_liealg_scenario():
     assert report.exit_code == 0
 
 
+_SL2_LINE = {f"x{i}": {"P": [{"i": i, "j": 0, "c": "1"}], "Q": []} for i in range(3)}
+_UPPERTRI = {"x": {"P": [{"i": 1, "j": 0, "c": "1"}], "Q": []},
+             "y": {"P": [{"i": 0, "j": 1, "c": "1"}], "Q": []},
+             "ydy": {"P": [], "Q": [{"i": 0, "j": 1, "c": "1"}]}}
+
+
+@pytest.mark.parametrize("fields, want", [
+    (_SL2_LINE, '{"flag": {"status": "not_solvable"}}'),
+    (_UPPERTRI, '"status": "flag"'),
+], ids=["sl2_line", "uppertri"])
+def test_supersolvable_op_runs_the_derived_series_once(monkeypatch, fields, want):
+    # the op reads not_solvable off the flag search's own derived series, so
+    # it runs once: for 1, x and x^2 times d/dx, which span sl(2) and report
+    # no chain, and for a solvable algebra alike
+    import vfblock.liealg as liealg
+    import vfblock.scenario as scenario
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return solvability(g)
+
+    solvability = liealg.solvability
+    monkeypatch.setattr(liealg, "solvability", counted)
+    monkeypatch.setattr(scenario, "solvability", counted)
+    report = run_scenario({"name": "flag", "fields": fields,
+                           "algebras": {"g": {"basis": list(fields)}},
+                           "checks": [{"op": "supersolvable", "args": {"g": "g"}}]})
+    assert want in json.dumps(report.checks[0].data)
+    assert len(calls) == 1
+
+
 def test_double_cover_scenario():
     report = run_scenario(str(SCENARIOS / "double_cover_annulus.json"))
     assert report.exit_code == 0
