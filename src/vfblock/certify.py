@@ -242,6 +242,12 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
     A cell survives only if every scalar's interval enclosure over the cell
     contains zero and the cell meets closure(U) (decided exactly).  Kept cells
     are those of the first depth whose diagonal is at most the resolution.
+    A cell that passes both and is split asks once whether its box lies in
+    closure(U) (`box_clears_boundary` with collar 0, exact); if so, its
+    descendants skip the region test.  Both region tests are exact and
+    inclusion-isotone, so such a descendant would have passed it: the cells,
+    the order of the remaining tests and all four counters are those of a
+    region test on every cell.
 
     The natural extension overestimates more the farther a box lies from the
     origin.  So when every scalar is a Poly2 and the root box has a nonzero
@@ -288,19 +294,21 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
     near_cells = None if near is None else near.near_cells
     examined = discarded_geom = discarded_iv = depth_used = 0
     kept: list[Cell] = []
-    stack: list[tuple[int, int, int]] = [(0, 0, 0)]
+    stack: list[tuple[int, int, int, bool]] = [(0, 0, 0, False)]
     while stack:
-        i, j, d = stack.pop()
+        i, j, d, inside = stack.pop()
         examined += 1
         depth_used = max(depth_used, d)
         if near_cells is not None and (i, j) not in near_cells[d]:
             discarded_geom += 1
             continue
-        w = h << (depth - d)
-        bx, by = sx + i * w, sy + j * w
-        if not box_intersects_closure(scaled, (bx, by, bx + w, by + w)):
-            discarded_geom += 1
-            continue
+        if not inside:
+            w = h << (depth - d)
+            bx, by = sx + i * w, sy + j * w
+            box = (bx, by, bx + w, by + w)
+            if not box_intersects_closure(scaled, box):
+                discarded_geom += 1
+                continue
         if not test(columns[d, i], rows[d, j]):
             discarded_iv += 1
             continue
@@ -314,8 +322,10 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
             raise DepthLimitExceeded(
                 f"resolution {resolution} unreachable within depth {max_depth}"
             )
+        inside = inside or box_clears_boundary(scaled, box, 0)
         i, j, d = 2 * i, 2 * j, d + 1
-        stack += [(i, j, d), (i + 1, j, d), (i, j + 1, d), (i + 1, j + 1, d)]
+        stack += [(i, j, d, inside), (i + 1, j, d, inside), (i, j + 1, d, inside),
+                  (i + 1, j + 1, d, inside)]
     kept.sort()
     return ZeroEnclosure(kept, grid, resolution, region, examined,
                          discarded_geom, discarded_iv, depth_used)

@@ -1,18 +1,20 @@
 """Adaptive flow integration and flowbox charts.
 
 The integrator is a Dormand-Prince 5(4) embedded pair with standard step
-control, its stages unrolled into the float operations of the plain tableau
-loop, in the same order (see `integrate`).  Flowboxes rectify a field Y to
-the constant horizontal field: the chart sends (t, s) to the time-t flow of
-the point p + s * n, with n the unit normal to Y(p).  The s-derivative
-column is integrated alongside through the exact variational equation, so
-chart frames are cheap and accurate.
+control.  Its step loop is generated from the tableau once per dimension of
+the state and keeps every coordinate and stage value in a scalar local; it
+does the float operations of the plain tableau loop, in the same order (see
+`integrate`).  Flowboxes rectify a field Y to the constant horizontal field:
+the chart sends (t, s) to the time-t flow of the point p + s * n, with n the
+unit normal to Y(p).  The s-derivative column is integrated alongside through
+the exact variational equation, so chart frames are cheap and accurate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from .errors import EscapeError, FoldDetected, StepUnderflow, ZeroAtBasePoint
 from .fields import PlanarField
@@ -39,71 +41,97 @@ _MARGIN_GRID = 5
 def integrate(f, y0, t_total: float, tol: float, bbox=DEFAULT_BBOX):
     """Integrate the autonomous system y' = f(y) from 0 to t_total.
 
-    The seven stages are unrolled.  Stage i adds (hs * a_im) * k_m[d] to y[d]
-    over the nonzero a_im, left to right, and each order sum adds b_m * k_m[d]
-    to 0.0 left to right: the floats, in the order, of the tableau loop in
-    tests/flow_reference.py (whose `sum()` adds left to right on Python 3.10
-    and 3.11).  tests/test_flow_oracle.py compares the two by `repr` of every
-    float and by every raised error."""
+    The step loop is `_stepper(len(y0))`: the source `_STEP_LOOP`, filled in
+    from the nonzero entries of `_A`, `_B5` and `_B4` and compiled once per
+    dimension n, with y0..y{n-1} and the stage values k{m}_{d} as scalar
+    locals.  Stage i calls f on the tuple of y{d} + c{m} * k{m}_{d}, added
+    left to right over the nonzero a_im with c{m} = hs * a_im, and the two
+    order sums add b_m * k{m}_{d} to 0.0 left to right: the floats, in the
+    order, of the tableau loop in tests/flow_reference.py (whose `sum()` adds
+    left to right on Python 3.10 and 3.11), with its step control, messages
+    and caught errors.  tests/test_flow_oracle.py compares the two by `repr`
+    of every float and by every raised error.  A bbox bounds the first two
+    coordinates."""
     if t_total == 0.0:
         return tuple(y0)
     y = tuple(float(v) for v in y0)
+    return _stepper(len(y))(f, y, t_total, tol, bbox)
+
+
+_STEP_LOOP = """\
+def step_loop(f, y, t_total, tol, bbox):
+    {ys} = y
     direction = 1.0 if t_total > 0 else -1.0
     remaining = abs(t_total)
     h = min(0.1, remaining)
     h_min = 1e-14 * max(1.0, abs(t_total))
     elapsed = 0.0
-    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
-        (a50, a51, a52, a53, a54) = _A[1:6]
-    b0, _, b2, b3, b4, b5 = _B5
-    e0, _, e2, e3, e4, e5, e6 = _B4
-    for _ in range(_MAX_STEPS):
+    for _ in range(MAX_STEPS):
         if elapsed >= remaining - 1e-300:
-            return y
+            return ({ys})
         h = min(h, remaining - elapsed)
         if h < h_min and h < remaining - elapsed:   # shrunk by error control
-            raise StepUnderflow(f"step collapsed to {h:g} at t={direction*elapsed:g}")
+            raise StepUnderflow(f"step collapsed to {{h:g}} at t={{direction*elapsed:g}}")
         hs = h * direction
-        k0 = f(y)
+        {k0} = f(({ys}))
         try:
-            c0 = hs * a10
-            k1 = f([u + c0 * p for u, p in zip(y, k0)])
-            c0, c1 = hs * a20, hs * a21
-            k2 = f([u + c0 * p + c1 * q for u, p, q in zip(y, k0, k1)])
-            c0, c1, c2 = hs * a30, hs * a31, hs * a32
-            k3 = f([u + c0 * p + c1 * q + c2 * r for u, p, q, r in zip(y, k0, k1, k2)])
-            c0, c1, c2, c3 = hs * a40, hs * a41, hs * a42, hs * a43
-            k4 = f([u + c0 * p + c1 * q + c2 * r + c3 * s
-                    for u, p, q, r, s in zip(y, k0, k1, k2, k3)])
-            c0, c1, c2, c3, c4 = hs * a50, hs * a51, hs * a52, hs * a53, hs * a54
-            k5 = f([u + c0 * p + c1 * q + c2 * r + c3 * s + c4 * v
-                    for u, p, q, r, s, v in zip(y, k0, k1, k2, k3, k4)])
-            c0, c2, c3, c4, c5 = hs * b0, hs * b2, hs * b3, hs * b4, hs * b5
-            k6 = f([u + c0 * p + c2 * r + c3 * s + c4 * v + c5 * w
-                    for u, p, r, s, v, w in zip(y, k0, k2, k3, k4, k5)])
+{stages}
         except (OverflowError, ValueError):
             err = math.inf
         else:
-            y5, err = [], 0.0
-            for u, p, r, s, v, w, z in zip(y, k0, k2, k3, k4, k5, k6):
-                acc5 = 0.0 + b0 * p + b2 * r + b3 * s + b4 * v + b5 * w
-                acc4 = 0.0 + e0 * p + e2 * r + e3 * s + e4 * v + e5 * w + e6 * z
-                y5.append(u + hs * acc5)
-                scale = tol + tol * max(abs(u), abs(y5[-1]))
-                err += ((hs * (acc5 - acc4)) / scale) ** 2
-            err = math.sqrt(err / len(y))
+            err = 0.0
+{sums}
+            err = math.sqrt(err / {n})
         if err <= 1.0:
             elapsed += h
-            y = tuple(y5)
-            if bbox is not None and not (
-                bbox[0] <= y[0] <= bbox[2] and bbox[1] <= y[1] <= bbox[3]
-            ):
-                raise EscapeError(f"trajectory left the bounding box at {y[:2]}")
+            {ys} = {news}
+            if bbox is not None and not (bbox[0] <= y0 <= bbox[2] and bbox[1] <= {y1} <= bbox[3]):
+                raise EscapeError(f"trajectory left the bounding box at {{({head})}}")
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         else:
             factor = max(0.2, 0.9 * err ** -0.2) if math.isfinite(err) else 0.2
         h *= factor
     raise StepUnderflow("integrator exceeded its step budget")
+"""
+
+
+@lru_cache(maxsize=None)
+def _stepper(n: int):
+    """`_STEP_LOOP` for states of dimension n, compiled (see `integrate`).  As
+    in `poly.float_plan`, the tableau reaches the code by name through its
+    globals (A{i}_{m}, B5_{m}, B4_{m}), so no value is written into the
+    source; every 2-D flow and 4-D flowbox frame runs on the one tableau."""
+    def tup(names):
+        return ", ".join(names) + ","
+
+    def weighted(prefix, row, d):
+        return "".join(f" + {prefix}{m} * k{m}_{d}" for m, v in enumerate(row) if v)
+
+    dims = range(n)
+    env = {"math": math, "MAX_STEPS": _MAX_STEPS, "StepUnderflow": StepUnderflow,
+           "EscapeError": EscapeError}
+    env.update((f"B5_{m}", b) for m, b in enumerate(_B5))
+    env.update((f"B4_{m}", b) for m, b in enumerate(_B4))
+    stages, sums = [], []
+    for i in range(1, 7):
+        env.update((f"A{i}_{m}", a) for m, a in enumerate(_A[i]))
+        stages += [f"c{m} = hs * A{i}_{m}" for m, a in enumerate(_A[i]) if a]
+        args = (f"y{d}" + weighted("c", _A[i], d) for d in dims)
+        stages.append(f"{tup(f'k{i}_{d}' for d in dims)} = f(({tup(args)}))")
+    for d in dims:
+        sums += [f"p{d} = 0.0" + weighted("B5_", _B5, d),
+                 f"q{d} = 0.0" + weighted("B4_", _B4, d),
+                 f"n{d} = y{d} + hs * p{d}",
+                 f"scale = tol + tol * max(abs(y{d}), abs(n{d}))",
+                 f"err += ((hs * (p{d} - q{d})) / scale) ** 2"]
+    source = _STEP_LOOP.format(
+        n=n, ys=tup(f"y{d}" for d in dims), k0=tup(f"k0_{d}" for d in dims),
+        news=tup(f"n{d}" for d in dims), y1="y1" if n > 1 else "(y0,)[1]",
+        head=tup(f"y{d}" for d in dims[:2]),
+        stages="\n".join(" " * 12 + s for s in stages),
+        sums="\n".join(" " * 12 + s for s in sums))
+    exec(compile(source, f"<dormand_prince_{n}>", "exec"), env)
+    return env["step_loop"]
 
 
 def field_rhs(field: PlanarField):
@@ -142,6 +170,7 @@ class Flowbox:
     base: tuple[float, float]
     direction: tuple[float, float]
     normal: tuple[float, float]
+    speed: float                        # |Y(base)|
     half_length: float
     time_window: float
     tol: float
@@ -196,8 +225,7 @@ class Flowbox:
         (slightly padded) window or fails to converge."""
         dx = (q[0] - self.base[0], q[1] - self.base[1])
         t = dx[0] * self.direction[0] + dx[1] * self.direction[1]
-        speed = math.hypot(*self.field.eval_float(*self.base))
-        t /= max(speed, 1e-12)
+        t /= max(self.speed, 1e-12)
         s = dx[0] * self.normal[0] + dx[1] * self.normal[1]
         scale = 1.0 + math.hypot(*q)
         for _ in range(40):
@@ -235,7 +263,7 @@ def flowbox_build(field: PlanarField, point, half_length, time_window,
     half = float(_frac(half_length)) if not isinstance(half_length, float) else half_length
     window = float(_frac(time_window)) if not isinstance(time_window, float) else time_window
     for _ in range(_MAX_SHRINKS + 1):
-        fb = Flowbox(field, p, direction, normal, half, window, tol)
+        fb = Flowbox(field, p, direction, normal, speed, half, window, tol)
         margin = _injectivity_margin(fb)
         if margin >= 0.25:
             fb.injectivity_margin = margin
@@ -255,7 +283,7 @@ def _injectivity_margin(fb: Flowbox) -> float:
             s = fb.half_length * (2.0 * j / (_MARGIN_GRID - 1) - 1.0)
             try:
                 _, ycol, vcol = fb.frame(t, s)
-            except (EscapeError, StepUnderflow):
+            except StepUnderflow:       # frames integrate with no bbox
                 return 0.0
             ny = math.hypot(*ycol)
             nv = math.hypot(*vcol)

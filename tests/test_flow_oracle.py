@@ -53,6 +53,12 @@ def _outcome(integrator, *args):
          DEFAULT_BBOX)                                 # a zero field keeps -0.0
 @example(X ** 3, Poly2.const(1), False, (0.5, 0.0, 0.0, 0.0), 3.0, 1e-12,
          None)                                         # blows up: overflow path
+@example(X, Y, True, (0.5, 0.0, 1.0, 0.0), 1.0, 1e-10,
+         (-0.6, -0.6, 0.6, 0.6))                       # 4-D: leaves the small bbox
+@example(X ** 3, Poly2.const(1), False, (10.0, 0.0, 0.0, 0.0), 3.0, 1e-12,
+         None)                                         # a stage raises OverflowError
+@example(X ** 3, Poly2.const(1), True, (10.0, 0.0, 1.0, 0.0), 3.0, 1e-12,
+         None)                                         # 4-D: a stage raises OverflowError
 def test_integrate_matches_reference(p, q, variational, start, t, tol, bbox):
     field = plane_field(p, q)
     if variational:

@@ -14,6 +14,7 @@ from box_reference import box_evaluator
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vfblock import certify
 from vfblock import interval as iv
 from vfblock.certify import (_EDGE_STEPS, Grid, ZeroEnclosure, _AxisTables, _clusters,
                              _grid_setup,
@@ -91,6 +92,26 @@ def test_annulus_scenario_enclosure_is_pinned():
             enc.cells_discarded_interval, enc.depth_used) == (2552, 10069, 16, 4984, 9)
     assert hashlib.sha256(json.dumps(enc.cells).encode()).hexdigest() == \
         "34d225a7d219a4435e26fbe7b6378834f12c5013886a9f0f72810468c43401bc"
+
+
+def test_cells_inside_closure_skip_the_region_test(monkeypatch):
+    # K of scenarios/annulus_mainbis.json: once a split cell lies in closure(U),
+    # its descendants are not region-tested, and nothing else moves
+    scenario = parse_scenario(json.loads((SCENARIOS / "annulus_mainbis.json").read_text()))
+    scalars = [scenario.fields["X"].p, scenario.fields["X"].q]
+    region, resolution = scenario.regions["U"], scenario.resolution
+    calls = []
+
+    def counted(region, box):
+        calls.append(box)
+        return box_intersects_closure(region, box)
+
+    monkeypatch.setattr(certify, "box_intersects_closure", counted)
+    enc = zero_enclosure_scalars(scalars, region, resolution)
+    assert len(calls) == 181 < enc.cells_examined
+    assert (enc.cells, enc.cells_examined, enc.cells_discarded_geometry,
+            enc.cells_discarded_interval, enc.depth_used) == \
+        _zero_enclosure_reference(scalars, region, resolution)
 
 
 @pytest.mark.parametrize("count", [0, -3])
