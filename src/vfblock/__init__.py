@@ -13,14 +13,12 @@ from .liealg import (FlagResult, LieAlgebraPresentation, algebra_tracks,
                      common_zero_set, solvability, structure_constants,
                      supersolvable_flag)
 from .linefield import (LineFieldRep, controls_check, direction_grid,
-                        extend_line_field, factor_y_power, flowbox_line_field,
-                        orientability_check)
+                        extend_line_field, factor_y_power, flowbox_line_field)
 from .poly import Poly2, X, Y
 from .regions import Region, annulus, disk, rectangle, torus_full
 from .scenario import run_scenario
 from .tracking import (TrackingCertificate, component_order_check,
-                       order_invariance_check, tracking_residual,
-                       tracks_symbolic, zero_invariance_check)
+                       tracks_symbolic)
 from .trig import TrigPoly2
 from .verifier import (TheoremReport, verify_liealg, verify_main,
                        verify_mainbis)

@@ -45,10 +45,6 @@ class FactorVanishes(VfblockError):
         self.witness = witness
 
 
-class SamplingTooCoarse(VfblockError):
-    """Consecutive line-field samples jump by too large an angle to transport signs."""
-
-
 class ZeroAtBasePoint(VfblockError):
     """A flowbox cannot be centered at a zero of the rectified field."""
 
@@ -79,10 +75,6 @@ class DependentBasisError(VfblockError):
 
 class NumericalAmbiguity(VfblockError):
     """Eigenvector candidates could not be verified exactly within tolerance."""
-
-
-class OrderEstimateAmbiguous(VfblockError):
-    """The finite-difference order estimate did not settle near an integer."""
 
 
 class PreconditionFailed(VfblockError):

@@ -1,4 +1,4 @@
-"""Line fields: y-power factorizations, axis extensions, control and holonomy.
+"""Line fields: y-power factorizations, axis extensions and control checks.
 
 A line field stores a unit representative defined up to sign; all comparisons
 go through the mod-pi angular distance, so no global angle chart is needed.
@@ -15,11 +15,11 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import upoly
-from .errors import FactorVanishes, SamplingTooCoarse
+from .errors import FactorVanishes
 from .fields import PlanarField
 from .flows import Flowbox
 from .poly import _frac, restrict
-from .regions import ANNULUS, RECT, Region
+from .regions import RECT, Region
 
 
 def angle_mod_pi(u, v) -> float:
@@ -45,7 +45,6 @@ class LineFieldRep:
 
     evaluate: object
     domain: object = None
-    orientable: bool | None = None
     meta: dict = dc_field(default_factory=dict)
 
     def __call__(self, x: float, y: float):
@@ -216,34 +215,6 @@ def controls_check(lam: LineFieldRep, x_field: PlanarField, region: Region,
         used += 1
         worst = max(worst, angle_mod_pi((vx, vy), lam(px, py)))
     return ControlsResult(worst, worst < tol, used)
-
-
-def orientability_check(lam: LineFieldRep, region: Region, n_samples: int,
-                        start_offset: float = 0.0) -> bool:
-    """Transport a consistent orientation around the core circle of the annulus;
-    orientable iff the holonomy is +1."""
-    if region.kind != ANNULUS:
-        raise ValueError("orientability_check expects an annulus region")
-    if n_samples < 8:
-        raise ValueError("need at least 8 samples")
-    cx, cy = (float(region.center[0]), float(region.center[1]))
-    r = float((region.r_in + region.r_out) / 2)
-    values = []
-    for i in range(n_samples):
-        theta = 2.0 * math.pi * ((i / n_samples + start_offset) % 1.0)
-        values.append(lam(cx + r * math.cos(theta), cy + r * math.sin(theta)))
-    for u, v in zip(values, values[1:] + values[:1]):
-        if angle_mod_pi(u, v) >= math.pi / 4:
-            raise SamplingTooCoarse(
-                "adjacent line samples jump by >= pi/4; refine n_samples"
-            )
-    holonomy = 1.0
-    for u, v in zip(values, values[1:] + values[:1]):
-        if u[0] * v[0] + u[1] * v[1] < 0.0:
-            holonomy = -holonomy
-    orientable = holonomy > 0.0
-    lam.orientable = orientable
-    return orientable
 
 
 # below this |s| the chart direction is a symmetric difference quotient

@@ -17,17 +17,16 @@ from fractions import Fraction
 import jsonschema
 
 from .certify import certify_block, components
-from .errors import ScenarioSchemaError, VfblockError
+from .errors import ScenarioSchemaError
 from .fields import PlanarField, jet_order
 from .index import (block_index, homotopy_invariance_check, lift_double_cover,
                     perturbation_bound, wedge_check)
 from .liealg import (algebra_tracks, common_zero_set, solvability,
                      structure_constants, supersolvable_flag)
-from .linefield import LineFieldRep, factor_y_power, orientability_check
+from .linefield import factor_y_power
 from .poly import _frac_str
 from .regions import Region
-from .tracking import (component_order_check, order_invariance_check,
-                       tracking_residual, tracks_symbolic, zero_invariance_check)
+from .tracking import component_order_check, tracks_symbolic
 from .verifier import (ERROR, EXIT_CODE, FAIL, PASS, verify_liealg, verify_main,
                        verify_mainbis, worst)
 
@@ -141,7 +140,6 @@ class Scenario:
     algebras: dict
     tol: float
     resolution: Fraction
-    seed: int
     checks: list
     plot: dict | None = None
 
@@ -202,9 +200,8 @@ def parse_scenario(data: dict) -> Scenario:
     for key, known in (("field", fields), ("region", regions)):
         if plot and plot[key] not in known:
             raise ScenarioSchemaError(f"plot {key} {plot[key]!r} is not declared")
-    seed = int(data.get("seeds", {}).get("default", 0))
     return Scenario(data["name"], fields, regions, points, algebras, tol,
-                    resolution, seed, list(data["checks"]), plot)
+                    resolution, list(data["checks"]), plot)
 
 
 class _Ctx:
@@ -257,9 +254,6 @@ class _Ctx:
                 f"check argument {key!r} must be an integer, got {value!r}")
         return value
 
-    def float_arg(self, key, default):
-        return float(self.args.get(key, default))
-
 
 def _op_block_index(ctx: _Ctx):
     block = certify_block(ctx.field("X"), ctx.region("U"), ctx.resolution)
@@ -288,12 +282,6 @@ def _op_tracks(ctx: _Ctx):
     return {"certificate": cert.to_json()}, PASS if cert.verdict else FAIL
 
 
-def _op_tracking_residual(ctx: _Ctx):
-    r = tracking_residual(ctx.field("Y"), ctx.field("X"), ctx.region("U"),
-                          ctx.int_arg("n_samples", 1000), seed=ctx.s.seed)
-    return {"residual": r}, PASS
-
-
 def _op_wedge(ctx: _Ctx):
     verdict = wedge_check(ctx.field("Y"), ctx.field("Yp"), ctx.region("U"))
     return {"wedge": verdict.to_json()}, PASS if verdict.status == "equal" else FAIL
@@ -320,43 +308,6 @@ def _op_double_cover(ctx: _Ctx):
     _, lifted = lift_double_cover(field, region, block)
     return ({"base_index": base.to_json(), "lifted_index": lifted.to_json()},
             PASS if lifted.index == 2 * base.index else FAIL)
-
-
-def _op_orientability_of_field(ctx: _Ctx):
-    field = ctx.field("X")
-
-    def rep(x, y):
-        vx, vy = field.eval_float(x, y)
-        n = math.hypot(vx, vy)
-        if n == 0:
-            raise VfblockError("field vanishes on the core circle")
-        return (vx / n, vy / n)
-
-    lam = LineFieldRep(rep)
-    result = orientability_check(lam, ctx.region("A"),
-                                 ctx.int_arg("n_samples", 128))
-    return {"orientable": result}, PASS
-
-
-def _op_zero_invariance(ctx: _Ctx):
-    n_points = ctx.int_arg("n_points", 8)
-    if n_points < 1:
-        raise ScenarioSchemaError(
-            f"check argument 'n_points' must be at least 1, got {n_points}")
-    x_field, y_field = ctx.field("X"), ctx.field("Y")
-    block = certify_block(x_field, ctx.region("U"), ctx.resolution)
-    rep = zero_invariance_check(x_field, y_field, block,
-                                t_max=ctx.float_arg("t_max", 1.0),
-                                n_points=n_points,
-                                tol=ctx.tol(1e-8))
-    return {"invariance": rep.to_json()}, PASS if rep.verdict else FAIL
-
-
-def _op_order_invariance(ctx: _Ctx):
-    rep = order_invariance_check(ctx.field("X"), ctx.field("Y"),
-                                 ctx.point_list_single("p"),
-                                 ctx.float_arg("t", 1.0), ctx.int_arg("k", 1))
-    return {"order_invariance": rep.to_json()}, PASS if rep.verdict else FAIL
 
 
 def _op_component_orders(ctx: _Ctx):
@@ -428,14 +379,10 @@ CHECK_OPS = {
     "block_index": _op_block_index,
     "jet_order": _op_jet_order,
     "tracks": _op_tracks,
-    "tracking_residual": _op_tracking_residual,
     "wedge": _op_wedge,
     "homotopy": _op_homotopy,
     "perturbation_bound": _op_perturbation_bound,
     "double_cover": _op_double_cover,
-    "orientability_of_field": _op_orientability_of_field,
-    "zero_invariance": _op_zero_invariance,
-    "order_invariance": _op_order_invariance,
     "component_orders": _op_component_orders,
     "factor_y_power": _op_factor_y_power,
     "structure_constants": _op_structure_constants,

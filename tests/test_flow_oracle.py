@@ -52,7 +52,7 @@ def _outcome(integrator, *args):
 @example(Poly2.zero(), Poly2.zero(), False, (0.1, -0.0, 0.0, 0.0), -0.5, 1e-8,
          DEFAULT_BBOX)                                 # a zero field keeps -0.0
 @example(X ** 3, Poly2.const(1), False, (0.5, 0.0, 0.0, 0.0), 3.0, 1e-12,
-         None)                                         # blows up: overflow path
+         None)                                         # blows up: StepUnderflow at t = 2
 @example(X, Y, True, (0.5, 0.0, 1.0, 0.0), 1.0, 1e-10,
          (-0.6, -0.6, 0.6, 0.6))                       # 4-D: leaves the small bbox
 @example(X ** 3, Poly2.const(1), False, (10.0, 0.0, 0.0, 0.0), 3.0, 1e-12,

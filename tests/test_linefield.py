@@ -1,4 +1,4 @@
-"""Line fields: factorization exactness, axis extension, control, holonomy."""
+"""Line fields: factorization exactness, axis extension, control."""
 
 import math
 from fractions import Fraction
@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vfblock.certify import certify_block
-from vfblock.errors import FactorVanishes, InsufficientPower, SamplingTooCoarse
+from vfblock.errors import FactorVanishes, InsufficientPower
 from vfblock.fields import plane_field
 from vfblock.index import block_index
 from vfblock.linefield import (LineFieldRep, angle_mod_pi, controls_check,
                                extend_line_field, factor_y_power,
-                               flowbox_line_field, orientability_check)
+                               flowbox_line_field)
 from vfblock.flows import flowbox_build
 from vfblock.poly import Poly2, X, Y
 from vfblock.regions import disk, rectangle
@@ -140,45 +140,6 @@ def test_controls_through_flowbox_pipeline(circle_field, rotation, std_annulus):
                 continue
             worst = max(worst, angle_mod_pi(lam(*p), (vx, vy)))
     assert worst < 1e-6
-
-
-def test_orientability_examples(std_annulus):
-    def rot_rep(x, y):
-        n = math.hypot(x, y)
-        return (-y / n, x / n)
-
-    assert orientability_check(LineFieldRep(rot_rep), std_annulus, 64)
-
-    def half_angle(x, y):
-        th = math.atan2(y, x)
-        return (math.cos(th / 2), math.sin(th / 2))
-
-    lam = LineFieldRep(half_angle)
-    assert not orientability_check(lam, std_annulus, 128)
-    assert lam.orientable is False
-
-    assert orientability_check(LineFieldRep(lambda x, y: (1.0, 0.0)),
-                               std_annulus, 64)
-
-
-def test_orientability_restart_invariance(std_annulus):
-    def half_angle(x, y):
-        th = math.atan2(y, x)
-        return (math.cos(th / 2), math.sin(th / 2))
-
-    lam = LineFieldRep(half_angle)
-    verdicts = {orientability_check(lam, std_annulus, 128, start_offset=o)
-                for o in (0.0, 0.2, 0.55, 0.81)}
-    assert verdicts == {False}
-
-
-def test_orientability_too_coarse(std_annulus):
-    def wiggly(x, y):
-        th = math.atan2(y, x)
-        return (math.cos(7 * th), math.sin(7 * th))
-
-    with pytest.raises(SamplingTooCoarse):
-        orientability_check(LineFieldRep(wiggly), std_annulus, 8)
 
 
 def test_direction_grid_export():

@@ -1,5 +1,6 @@
 """The README's examples run as written: the Quick tour prints what its
-comments say, and the scenario file it shows exits 0."""
+comments say, the scenario file it shows exits 0, and its list of ops is
+the scenario dispatch table."""
 
 import contextlib
 import io
@@ -7,7 +8,7 @@ import json
 import pathlib
 import re
 
-from vfblock.scenario import run_scenario
+from vfblock.scenario import CHECK_OPS, run_scenario
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -35,3 +36,9 @@ def test_quick_tour_prints_its_comments():
 def test_scenario_example_exits_0():
     scenario = json.loads(_block("json", "Scenario files are JSON"))
     assert run_scenario(scenario).exit_code == 0
+
+
+def test_available_ops_are_the_dispatch_table():
+    start = README.index("Available ops:")
+    sentence = README[start:README.index(".\n", start)]
+    assert sorted(re.findall(r"`(\w+)`", sentence)) == sorted(CHECK_OPS)

@@ -1,5 +1,6 @@
 """Scenario schema, report determinism, CLI exit codes, SVG emission."""
 
+import ast
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 
 from vfblock.corpus import falsification_run
 from vfblock.errors import ScenarioSchemaError
-from vfblock.scenario import SCENARIO_SCHEMA, parse_scenario, run_scenario
+from vfblock.scenario import CHECK_OPS, SCENARIO_SCHEMA, parse_scenario, run_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -291,17 +292,26 @@ def test_cli_malformed_term_exit_2(tmp_path, term, where):
     assert f"schema violation at $['fields']['X']{where}:" in proc.stderr
 
 
-@pytest.mark.parametrize("n_points", [0, -3])
-def test_cli_non_positive_n_points_exit_2(tmp_path, n_points):
+# ops deleted because the exact tracking certificate proves what three of them
+# sampled and the fourth, orientability, could only pass
+_REMOVED_OPS = ("tracking_residual", "orientability_of_field", "zero_invariance",
+                "order_invariance")
+
+
+@pytest.mark.parametrize("op", _REMOVED_OPS)
+def test_cli_removed_op_exit_2(tmp_path, op):
     data = json.loads((SCENARIOS / "annulus_mainbis.json").read_text())
-    data["checks"] = [{"op": "zero_invariance", "name": "invariance",
-                       "args": {"X": "X", "Y": "Y", "U": "U", "n_points": n_points}}]
-    path = tmp_path / "points.json"
+    data["checks"] = [{"op": op, "name": op, "args": {"X": "X", "Y": "Y", "U": "U"}}]
+    path = tmp_path / "removed.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     proc = _cli("verify", str(path))
     assert proc.returncode == 2
-    assert proc.stderr == f"error: {path}: check argument 'n_points' must be at least 1, " \
-        f"got {n_points}\n"
+    assert proc.stdout == ""
+    prefix = f"error: {path}: unknown op {op!r}; known: "
+    assert proc.stderr.startswith(prefix) and proc.stderr.endswith("]\n")
+    known = ast.literal_eval(proc.stderr[len(prefix):])
+    assert known == sorted(CHECK_OPS)
+    assert not set(known) & set(_REMOVED_OPS)
 
 
 @pytest.mark.parametrize("op, args, key, value", [
