@@ -235,7 +235,6 @@ class _NearCells(dict):
 
 
 def zero_enclosure_scalars(scalars, region: Region, resolution,
-                           max_depth: int | None = None,
                            near: ZeroEnclosure | None = None) -> ZeroEnclosure:
     """Enclose the common zero set of the scalar functions within closure(U).
 
@@ -262,7 +261,9 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
     With `near`, an enclosure on the same grid (else ValueError), the kept
     cells are exactly `list(meeting_cells(full, near))` of the unrestricted
     enclosure `full`: a cell none of whose descendants can lie within one
-    cell of `near`'s is discarded first and counted under geometry.
+    cell of `near`'s is discarded first and counted under geometry.  A cell
+    to be split at the depth cap `default_max_depth()` raises
+    DepthLimitExceeded.
 
     The grid, its scaling, the scaled region and the column and row tables
     come from a one-entry memo on the exact (region, resolution): K, the
@@ -273,8 +274,7 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
     resolution = _frac(resolution)
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    if max_depth is None:
-        max_depth = default_max_depth()
+    max_depth = default_max_depth()
     setup = _grid_setup(region, resolution)
     grid, scaled = setup.grid, setup.scaled
     n, sx, sy, h = setup.scaling
@@ -332,8 +332,8 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
 
 
 def zero_enclosure(field: PlanarField, region: Region, resolution,
-                   max_depth: int | None = None, near=None) -> ZeroEnclosure:
-    return zero_enclosure_scalars([field.p, field.q], region, resolution, max_depth, near)
+                   near=None) -> ZeroEnclosure:
+    return zero_enclosure_scalars([field.p, field.q], region, resolution, near)
 
 
 # boundary margins and degrees ------------------------------------------------
@@ -349,8 +349,7 @@ class WindingStats:
     norm_sq_lower: float    # least leaf lower bound for |X|^2
 
 
-def winding_stats(field: PlanarField, curve, tol=None,
-                  max_depth: int | None = None) -> WindingStats:
+def winding_stats(field: PlanarField, curve, tol=None) -> WindingStats:
     """Certified lower bound for |X|^2 on a closed curve and the degree of
     X/|X| along it, from one adaptive interval subdivision of the curve.
 
@@ -375,9 +374,7 @@ def winding_stats(field: PlanarField, curve, tol=None,
     if not 0 < tol <= 1:
         raise ValueError("tol must lie in (0, 1]")
     slack = (1.0 - tol) ** 2
-    if max_depth is None:
-        max_depth = default_max_depth()
-    min_width = 0.5 ** max_depth
+    min_width = 0.5 ** default_max_depth()
     emp = math.inf
     heap = []
     p, q = field.p, field.q
@@ -431,8 +428,8 @@ class BoundaryPass:
     arcs: int
 
 
-def min_norm_on_boundary(field: PlanarField, region: Region, tol=None,
-                         max_depth: int | None = None) -> BoundaryPass | None:
+def min_norm_on_boundary(field: PlanarField, region: Region,
+                         tol=None) -> BoundaryPass | None:
     """One certified pass over the boundary of U (`winding_stats` on each
     curve), or None when |X| cannot be certified positive there (e.g. a
     boundary zero).  The curves are the region's memoised `boundary_curves()`,
@@ -440,7 +437,7 @@ def min_norm_on_boundary(field: PlanarField, region: Region, tol=None,
     and axis tables (`_Curve.tables_of`)."""
     require_planar_boundary(region, "min_norm_on_boundary")
     try:
-        stats = [winding_stats(field, curve, tol, max_depth)
+        stats = [winding_stats(field, curve, tol)
                  for curve in region.boundary_curves()]
     except BoundaryZero:
         return None
@@ -470,17 +467,17 @@ class Block:
 
 
 def certify_block(field: PlanarField, region: Region, resolution=None,
-                  tol=None, max_depth: int | None = None) -> Block:
+                  tol=None) -> Block:
     """Certify that U is isolating for the field and enclose K = Z(X) n cl(U)."""
     if region.kind == TORUS_FULL:
         require_planar_boundary(region, "certify_block")
     if resolution is None:
         resolution = DEFAULTS.default_resolution
     resolution = _frac(resolution)
-    boundary = min_norm_on_boundary(field, region, tol, max_depth)
+    boundary = min_norm_on_boundary(field, region, tol)
     if boundary is None or boundary.margin <= 0:
         raise BoundaryZero("no positive boundary margin could be certified")
-    enclosure = zero_enclosure(field, region, resolution, max_depth)
+    enclosure = zero_enclosure(field, region, resolution)
     _check_collar(enclosure)
     return Block(field, region, enclosure, boundary.margin, boundary.index,
                  boundary.arcs)

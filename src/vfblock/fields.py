@@ -8,7 +8,6 @@ translations, jet inspection) are exact in the coefficient ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 
@@ -114,24 +113,6 @@ def plane_field(p: Poly2, q: Poly2, k: int = 1) -> PlanarField:
 
 def torus_field(p: TrigPoly2, q: TrigPoly2, k: int = 1) -> PlanarField:
     return PlanarField(TORUS, p, q, k)
-
-
-def field_eval(field: PlanarField, point):
-    """Evaluate at a point; exact for rational input, float for float input.
-
-    On the torus exact evaluation needs every angle to be a multiple of pi/2
-    (quarter-period rational coordinates); other rational points fall back to
-    float evaluation.
-    """
-    x, y = point
-    if isinstance(x, float) or isinstance(y, float):
-        return field.eval_float(float(x), float(y))
-    try:
-        return field.eval_exact(_frac(x), _frac(y))
-    except Exception:
-        if field.surface == TORUS:
-            return field.eval_float(float(Fraction(x)), float(Fraction(y)))
-        raise
 
 
 def lie_bracket(y_field: PlanarField, x_field: PlanarField) -> PlanarField:

@@ -245,9 +245,6 @@ class Flowbox:
             s -= (ycol[0] * ry - ycol[1] * rx) / det
         return None
 
-    def contains(self, q) -> bool:
-        return self.inverse(q) is not None
-
 
 def flowbox_build(field: PlanarField, point, half_length, time_window,
                   tol: float = 1e-10) -> Flowbox:

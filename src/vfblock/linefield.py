@@ -1,17 +1,16 @@
-"""Line fields: y-power factorizations, axis extensions and control checks.
+"""Line fields: y-power factorizations and flowbox line fields.
 
 A line field stores a unit representative defined up to sign; all comparisons
 go through the mod-pi angular distance, so no global angle chart is needed.
-The extension across the zero axis uses the sign(y)^l adjustment, which makes
-the representative itself continuous for every parity of l (for odd l it
-agrees with the sign(y) convention up to sign, i.e. as a line field).
+In a flowbox chart the direction of X is divided by sign(s)^l, which makes the
+representative itself continuous across the axis s = 0 for every parity of l
+(for odd l it agrees with the sign(s) convention up to sign, i.e. as a line
+field).
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import upoly
@@ -19,7 +18,6 @@ from .errors import FactorVanishes
 from .fields import PlanarField
 from .flows import Flowbox
 from .poly import _frac, restrict
-from .regions import RECT, Region
 
 
 def angle_mod_pi(u, v) -> float:
@@ -37,18 +35,6 @@ def _unit(v):
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return (v[0] / n, v[1] / n)
-
-
-@dataclass
-class LineFieldRep:
-    """Unoriented direction field: a unit-vector evaluator defined up to sign."""
-
-    evaluate: object
-    domain: object = None
-    meta: dict = dc_field(default_factory=dict)
-
-    def __call__(self, x: float, y: float):
-        return self.evaluate(x, y)
 
 
 _X_AXIS = ([0, 1], [0], [1])     # the curve piece (t, 0)
@@ -102,129 +88,18 @@ def _decide_factor_vanishes(gx1, gx2, a: Fraction, b: Fraction):
         )
 
 
-def extend_line_field(f_pair, l: int, region: Region) -> LineFieldRep:
-    """The unique continuous line field extending F/|F| across {y = 0}: off the
-    axis the representative is sign(y)^l F/|F|, on the axis g(x,0)/|g(x,0)|."""
-    if region.kind != RECT:
-        raise ValueError("extend_line_field expects a rectangle region")
-    x0, _, x1, _ = region.corners
-    g1, g2 = factor_y_power(f_pair, l, (x0, x1))
-    if isinstance(f_pair, PlanarField):
-        f1, f2 = f_pair.p, f_pair.q
-    else:
-        f1, f2 = f_pair
-
-    def rep(px: float, py: float):
-        if abs(py) > 1e-9:
-            sgn = 1.0 if (py > 0 or l % 2 == 0) else -1.0
-            return _unit((sgn * f1.eval_float(px, py), sgn * f2.eval_float(px, py)))
-        return _unit((g1.eval_float(px, 0.0), g2.eval_float(px, 0.0)))
-
-    lam = LineFieldRep(rep, domain=region)
-    lam.meta["factor"] = (g1, g2)
-    lam.meta["continuity"] = _continuity_jumps(lam, region, (4, 5, 6))
-    return lam
-
-
-def _continuity_jumps(lam: LineFieldRep, region: Region, levels) -> list[float]:
-    """Max mod-pi angular jump between adjacent grid samples per refinement
-    level; grid points where the representative is undefined (off-axis zeros
-    of F) are skipped."""
-    x0, y0, x1, y1 = (float(v) for v in region.bounding_box())
-    out = []
-    for level in levels:
-        n = 1 << level
-        worst = 0.0
-        prev_row = None
-        for j in range(n + 1):
-            row = []
-            py = y0 + (y1 - y0) * j / n
-            for i in range(n + 1):
-                px = x0 + (x1 - x0) * i / n
-                try:
-                    row.append(lam(px, py))
-                except ValueError:
-                    row.append(None)
-            for u, v in zip(row, row[1:]):
-                if u is not None and v is not None:
-                    worst = max(worst, angle_mod_pi(u, v))
-            if prev_row is not None:
-                for u, v in zip(prev_row, row):
-                    if u is not None and v is not None:
-                        worst = max(worst, angle_mod_pi(u, v))
-            prev_row = row
-        out.append(worst)
-    return out
-
-
-def direction_grid(lam: LineFieldRep, region: Region, n: int = 16) -> dict:
-    """Sampled direction grid for JSON export and SVG plotting: entries are
-    [x, y, ux, uy]; grid points where the representative is undefined or the
-    domain test fails are skipped."""
-    x0, y0, x1, y1 = (float(v) for v in region.bounding_box())
-    samples = []
-    for j in range(n + 1):
-        py = y0 + (y1 - y0) * j / n
-        for i in range(n + 1):
-            px = x0 + (x1 - x0) * i / n
-            if lam.domain is not None and hasattr(lam.domain, "contains") \
-                    and not lam.domain.contains((px, py)):
-                continue
-            try:
-                ux, uy = lam(px, py)
-            except ValueError:
-                continue
-            samples.append([px, py, ux, uy])
-    return {"grid": n, "region": region.to_json(), "directions": samples}
-
-
-@dataclass(frozen=True)
-class ControlsResult:
-    max_deviation: float
-    controls: bool
-    n_used: int
-
-    def to_json(self) -> dict:
-        return {"max_deviation": self.max_deviation, "controls": self.controls,
-                "n_used": self.n_used}
-
-
-def controls_check(lam: LineFieldRep, x_field: PlanarField, region: Region,
-                   tol: float, n_samples: int) -> ControlsResult:
-    """Max mod-pi angle between X and the line field over sampled points of the
-    region where |X| clears 1e-9; controls iff max < tol."""
-    rng = random.Random(0)
-    x0, y0, x1, y1 = (float(v) for v in region.bounding_box())
-    worst = 0.0
-    used = 0
-    attempts = 0
-    while used < n_samples and attempts < 50 * n_samples:
-        attempts += 1
-        px = rng.uniform(x0, x1)
-        py = rng.uniform(y0, y1)
-        if not region.contains_point_closed(
-                (Fraction(px).limit_denominator(1 << 30),
-                 Fraction(py).limit_denominator(1 << 30))):
-            continue
-        if lam.domain is not None and hasattr(lam.domain, "contains") \
-                and not lam.domain.contains((px, py)):
-            continue
-        vx, vy = x_field.eval_float(px, py)
-        if math.hypot(vx, vy) <= 1e-9:
-            continue
-        used += 1
-        worst = max(worst, angle_mod_pi((vx, vy), lam(px, py)))
-    return ControlsResult(worst, worst < tol, used)
-
-
 # below this |s| the chart direction is a symmetric difference quotient
 _S_EPS = 1e-4
 
 
-def flowbox_line_field(fb: Flowbox, x_field: PlanarField, l: int) -> LineFieldRep:
+def flowbox_line_field(fb: Flowbox, x_field: PlanarField, l: int):
     """Numeric controlling line field in a flowbox: divide the pushforward of X
     by s^l, extend across the axis via symmetric difference quotients, and pull
-    the direction back through the chart frame."""
+    the direction back through the chart frame.
+
+    Returns the pair (line, chart_dir): line(x, y) is the unit representative
+    at a point of the window (ValueError outside it), chart_dir(t, s) the unit
+    direction in chart coordinates."""
     pushed = fb.pushforward(x_field)
     parity = 1.0 if l % 2 == 0 else -1.0
 
@@ -238,7 +113,7 @@ def flowbox_line_field(fb: Flowbox, x_field: PlanarField, l: int) -> LineFieldRe
         am, bm = pushed(t, -_S_EPS)
         return _unit(((ap + parity * am) / (2 * scale), (bp + parity * bm) / (2 * scale)))
 
-    def rep(px: float, py: float):
+    def line(px: float, py: float):
         ts = fb.inverse((px, py))
         if ts is None:
             raise ValueError(f"point {(px, py)} is outside the flowbox window")
@@ -248,7 +123,4 @@ def flowbox_line_field(fb: Flowbox, x_field: PlanarField, l: int) -> LineFieldRe
         return _unit((ycol[0] * d[0] + vcol[0] * d[1],
                       ycol[1] * d[0] + vcol[1] * d[1]))
 
-    lam = LineFieldRep(rep, domain=fb)
-    lam.meta["chart_dir"] = chart_dir
-    lam.meta["order"] = l
-    return lam
+    return line, chart_dir

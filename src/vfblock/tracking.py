@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import PreconditionFailed
 from .fields import PlanarField, jet_order, lie_bracket, require_not_identically_zero
@@ -21,15 +20,13 @@ from .fields import PlanarField, jet_order, lie_bracket, require_not_identically
 
 @dataclass(frozen=True)
 class TrackingCertificate:
-    mode: str               # "symbolic" | "numeric"
+    """An exact verdict of `tracks_symbolic`: symbolic, with residual 0."""
+
     verdict: bool
-    residual: object        # Fraction(0) in symbolic mode, float in numeric mode
+    mode = "symbolic"
 
     def to_json(self) -> dict:
-        res = "0" if self.mode == "symbolic" and self.verdict else self.residual
-        if isinstance(res, Fraction):
-            res = str(res)
-        return {"mode": self.mode, "verdict": self.verdict, "residual": res}
+        return {"mode": self.mode, "verdict": self.verdict, "residual": "0"}
 
 
 def tracks_symbolic(y_field: PlanarField, x_field: PlanarField) -> TrackingCertificate:
@@ -39,7 +36,7 @@ def tracks_symbolic(y_field: PlanarField, x_field: PlanarField) -> TrackingCerti
     bracket = lie_bracket(y_field, x_field)
     det = bracket.p * x_field.q - bracket.q * x_field.p
     verdict = det.is_zero()
-    return TrackingCertificate("symbolic", verdict, Fraction(0))
+    return TrackingCertificate(verdict)
 
 
 def polish_zero(field: PlanarField, point):

@@ -283,8 +283,7 @@ def _flowbox_control_check(x_field: PlanarField, y_field: PlanarField, block: Bl
     try:
         for base in bases:
             fb = flowbox_build(y_field, base, half, window, tol=1e-12)
-            lam = flowbox_line_field(fb, x_field, order)
-            boxes.append((fb, lam))
+            boxes.append((fb, *flowbox_line_field(fb, x_field, order)))
         data = _flowbox_deviations(x_field, boxes)
     except VfblockError as e:
         return CheckRecord(name, INCONCLUSIVE, {"error": str(e)})
@@ -296,11 +295,10 @@ def _flowbox_control_check(x_field: PlanarField, y_field: PlanarField, block: Bl
 
 def _flowbox_deviations(x_field: PlanarField, boxes) -> dict:
     """The three sampled deviations of `_flowbox_control_check` over the
-    built (flowbox, line field) pairs."""
+    built (flowbox, line, chart_dir) triples."""
     threshold = 1e-9
     max_dev = 0.0
-    for fb, lam in boxes:
-        chart_dir = lam.meta["chart_dir"]
+    for fb, _, chart_dir in boxes:
         for i in range(5):
             t = fb.time_window * 0.8 * (2 * i / 4 - 1)
             for j in range(5):
@@ -315,8 +313,7 @@ def _flowbox_deviations(x_field: PlanarField, boxes) -> dict:
                 max_dev = max(max_dev, angle_mod_pi((vx, vy), direction))
     # continuity of the chart direction across the axis
     axis_dev = 0.0
-    for fb, lam in boxes:
-        chart_dir = lam.meta["chart_dir"]
+    for fb, _, chart_dir in boxes:
         for i in range(5):
             t = fb.time_window * 0.8 * (2 * i / 4 - 1)
             d0 = chart_dir(t, 0.0)
@@ -326,7 +323,7 @@ def _flowbox_deviations(x_field: PlanarField, boxes) -> dict:
     # overlap consistency between consecutive flowboxes
     overlap_dev = 0.0
     overlaps = 0
-    for (fb_a, lam_a), (fb_b, lam_b) in zip(boxes, boxes[1:] + boxes[:1]):
+    for (fb_a, line_a, _), (fb_b, line_b, _) in zip(boxes, boxes[1:] + boxes[:1]):
         if fb_a is fb_b:
             continue
         for i in range(5):
@@ -336,7 +333,7 @@ def _flowbox_deviations(x_field: PlanarField, boxes) -> dict:
                 continue
             overlaps += 1
             try:
-                overlap_dev = max(overlap_dev, angle_mod_pi(lam_a(*pt), lam_b(*pt)))
+                overlap_dev = max(overlap_dev, angle_mod_pi(line_a(*pt), line_b(*pt)))
             except ValueError:
                 continue
     return {"max_deviation": max_dev, "axis_continuity": axis_dev,

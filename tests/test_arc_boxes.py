@@ -13,7 +13,9 @@ in `fraction_reference.make_reference`.
 """
 
 import math
+import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from fraction_reference import make_reference
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from vfblock import interval as iv
 from vfblock.certify import min_norm_on_boundary, winding_stats
+from vfblock.config import ENV_MAX_DEPTH
 from vfblock.errors import BoundaryZero
 from vfblock.fields import plane_field, torus_field
 from vfblock.index import homotopy_invariance_check, wedge_check
@@ -29,7 +32,7 @@ from vfblock.poly import Poly2, X, Y
 from vfblock.regions import Circle, Region, _Curve, annulus, disk, rectangle
 from vfblock.trig import TrigPoly2
 
-_DEPTH = 12     # keeps a pass that meets a boundary zero short
+_DEPTH = "12"   # VFBLOCK_MAX_DEPTH: keeps a pass that meets a boundary zero short
 _rational = st.fractions(min_value=-1, max_value=1, max_denominator=12)
 _length = st.fractions(min_value=Fraction(1, 8), max_value=1, max_denominator=12)
 
@@ -73,7 +76,7 @@ def _fresh(region):
 
 def _stats(field, curve, tol):
     try:
-        return repr(winding_stats(field, curve, tol, _DEPTH))
+        return repr(winding_stats(field, curve, tol))
     except BoundaryZero:
         return "BoundaryZero"
 
@@ -82,7 +85,7 @@ def _fresh_pass(field, region, tol):
     """`min_norm_on_boundary` over fresh curves, left out of the memo."""
     Region.boundary_curves.cache_clear()
     try:
-        return repr(min_norm_on_boundary(field, region, tol, _DEPTH))
+        return repr(min_norm_on_boundary(field, region, tol))
     finally:
         Region.boundary_curves.cache_clear()
 
@@ -94,15 +97,16 @@ def _fresh_pass(field, region, tol):
          Fraction(1, 2))
 @settings(max_examples=60, deadline=None)
 def test_shared_curves_give_fresh_results(region, fields, tol):
-    want = [_fresh_pass(field, region, tol) for field in fields]
-    shared = region.boundary_curves()
-    for field, fresh_pass in zip(fields, want):
-        for curve, new in zip(shared, _fresh(region)):
-            got = _stats(field, curve, tol)
-            assert got == _stats(field, new, tol)
-            assert got == _stats(field, _Uncached(new), tol)
-        assert region.boundary_curves() is shared
-        assert repr(min_norm_on_boundary(field, region, tol, _DEPTH)) == fresh_pass
+    with mock.patch.dict(os.environ, {ENV_MAX_DEPTH: _DEPTH}):
+        want = [_fresh_pass(field, region, tol) for field in fields]
+        shared = region.boundary_curves()
+        for field, fresh_pass in zip(fields, want):
+            for curve, new in zip(shared, _fresh(region)):
+                got = _stats(field, curve, tol)
+                assert got == _stats(field, new, tol)
+                assert got == _stats(field, _Uncached(new), tol)
+            assert region.boundary_curves() is shared
+            assert repr(min_norm_on_boundary(field, region, tol)) == fresh_pass
 
 
 @given(_regions(), _fields(), _fields(), st.booleans())
@@ -114,9 +118,10 @@ def test_memoised_curves_any_pass_order(region, first, second, coarse_first):
     passes = [(first, 1), (second, Fraction(1, 4))]
     if not coarse_first:
         passes.reverse()
-    want = [_fresh_pass(field, region, tol) for field, tol in passes]
-    shared = region.boundary_curves()
-    got = [repr(min_norm_on_boundary(field, region, tol, _DEPTH)) for field, tol in passes]
+    with mock.patch.dict(os.environ, {ENV_MAX_DEPTH: _DEPTH}):
+        want = [_fresh_pass(field, region, tol) for field, tol in passes]
+        shared = region.boundary_curves()
+        got = [repr(min_norm_on_boundary(field, region, tol)) for field, tol in passes]
     assert region.boundary_curves() is shared
     assert got == want
 
@@ -127,9 +132,9 @@ def test_checks_share_one_curve_list(monkeypatch):
     seen = []
     original = certify.winding_stats
 
-    def spy(field, curve, tol=None, max_depth=None):
+    def spy(field, curve, tol=None):
         seen.append(curve)
-        return original(field, curve, tol, max_depth)
+        return original(field, curve, tol)
 
     monkeypatch.setattr(certify, "winding_stats", spy)
     region = rectangle(-1, -1, 1, 1)
@@ -180,7 +185,7 @@ def test_homotopy_builds_each_arcs_tables_once_per_ring(monkeypatch):
 
 @pytest.mark.parametrize("ring", ["plane", "torus"])
 @pytest.mark.parametrize("high_first", [True, False])
-def test_lower_degree_pass_reads_fresh_bits(ring, high_first):
+def test_lower_degree_pass_reads_fresh_bits(monkeypatch, ring, high_first):
     """A pass that reads tables longer than it needs, kept from a pass of
     higher degree, gives the `BoundaryPass` of fresh curves; a pass of
     higher degree after a lower one lengthens the tables."""
@@ -191,9 +196,10 @@ def test_lower_degree_pass_reads_fresh_bits(ring, high_first):
         region = disk((0, 0), Fraction(1, 8))
         low, high = torus_field(_SIN_X, _SIN_Y), torus_field(_WEIGHT * _SIN_X, _SIN_Y)
     order = [high, low] if high_first else [low, high]
+    monkeypatch.setenv(ENV_MAX_DEPTH, _DEPTH)
     for tol in (1, Fraction(1, 4)):
         want = [_fresh_pass(field, region, tol) for field in order]
-        assert [repr(min_norm_on_boundary(field, region, tol, _DEPTH))
+        assert [repr(min_norm_on_boundary(field, region, tol))
                 for field in order] == want
         # both passes read the 16 first arcs, in tables long enough for `high`
         (curve,) = region.boundary_curves()

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vfblock.errors import PointNotZero
-from vfblock.fields import (field_eval, jet_order, lie_bracket, partials_by_order,
-                            plane_field, torus_field)
+from vfblock.fields import (jet_order, lie_bracket, partials_by_order, plane_field,
+                            torus_field)
 from vfblock.poly import Poly2, X, Y
 from vfblock.trig import TrigPoly2
 
@@ -23,14 +23,9 @@ def field_st(draw):
 
 
 def test_field_eval_examples(euler, dipole, torus_sin):
-    assert field_eval(euler, (Fraction(2), Fraction(3))) == (2, 3)
-    assert field_eval(dipole, (Fraction(1), Fraction(1))) == (0, 2)
-    assert field_eval(torus_sin, (Fraction(1, 4), Fraction(0))) == (1, 0)
-
-
-def test_field_eval_float_mode(euler):
-    vx, vy = field_eval(euler, (0.5, -0.25))
-    assert isinstance(vx, float) and (vx, vy) == (0.5, -0.25)
+    assert euler.eval_exact(Fraction(2), Fraction(3)) == (2, 3)
+    assert dipole.eval_exact(Fraction(1), Fraction(1)) == (0, 2)
+    assert torus_sin.eval_exact(Fraction(1, 4), Fraction(0)) == (1, 0)
 
 
 def test_bracket_examples(euler, rotation, const_east):

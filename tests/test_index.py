@@ -1,6 +1,7 @@
 """Winding numbers and index identities, checked against a dense-sampling oracle."""
 
 import math
+import os
 import random
 from fractions import Fraction
 from unittest import mock
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from vfblock import index, upoly
 from vfblock.certify import BoundaryPass, certify_block
+from vfblock.config import ENV_MAX_DEPTH
 from vfblock.errors import BoundaryZero, ContradictionError, PreconditionFailed
 from vfblock.fields import PlanarField, plane_field, torus_field
 from vfblock.index import (HomotopyVerdict, _dependent_on_boundary, block_index,
@@ -64,10 +66,11 @@ def test_winding_reparametrization_invariance(dipole):
     assert coarse.winding == fine.winding == -reverse.winding == 2
 
 
-def test_winding_boundary_zero_raises(euler):
+def test_winding_boundary_zero_raises(monkeypatch, euler):
     # the circle passes through the zero of X at the origin
+    monkeypatch.setenv(ENV_MAX_DEPTH, "12")
     with pytest.raises(BoundaryZero):
-        winding_stats(euler, Circle((1, 0), 1, ccw=True), max_depth=12)
+        winding_stats(euler, Circle((1, 0), 1, ccw=True))
 
 
 def test_winding_tol_outside_unit_interval_rejected(dipole):
@@ -117,7 +120,8 @@ def test_leaf_degree_matches_oracle(case):
     assume(not field.is_zero())
     for curve in region.boundary_curves():
         try:
-            stats = winding_stats(field, curve, tol=1, max_depth=16)
+            with mock.patch.dict(os.environ, {ENV_MAX_DEPTH: "16"}):
+                stats = winding_stats(field, curve, tol=1)
         except BoundaryZero:
             assume(False)
         steps = _angle_steps(field.eval_float, curve, 1500)
@@ -284,7 +288,7 @@ def test_homotopy_step_fields_are_the_convex_combination(ends, steps):
     x0, x1, negated = ends
     seen = []
 
-    def boundary_pass(field, region, tol=None, max_depth=None):
+    def boundary_pass(field, region, tol=None):
         seen.append(field)
         return BoundaryPass(Fraction(1), 0, 1)
 

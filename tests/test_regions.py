@@ -3,11 +3,13 @@
 import hashlib
 import json
 import math
+import os
 import pathlib
 import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
+from unittest import mock
 
 import pytest
 from box_reference import box_evaluator
@@ -21,7 +23,7 @@ from vfblock.certify import (_EDGE_STEPS, Grid, ZeroEnclosure, _AxisTables, _clu
                              _has_hole, _root_box, certify_block,
                              components, meeting_cells,
                              min_norm_on_boundary, zero_enclosure, zero_enclosure_scalars)
-from vfblock.config import default_max_depth
+from vfblock.config import ENV_MAX_DEPTH, default_max_depth
 from vfblock.corpus import random_tracking_scenario
 from vfblock.errors import BoundaryZero, DepthLimitExceeded, UnsupportedRegion
 from vfblock.fields import plane_field, torus_field
@@ -79,9 +81,10 @@ def test_enclosure_monotone_under_refinement(saddle_pair_field, std_annulus):
                    and cb[3] >= fb[3] for cb in coarse.boxes)
 
 
-def test_enclosure_depth_limit(euler, unit_disk):
+def test_enclosure_depth_limit(monkeypatch, euler, unit_disk):
+    monkeypatch.setenv(ENV_MAX_DEPTH, "8")
     with pytest.raises(DepthLimitExceeded):
-        zero_enclosure(euler, unit_disk, Fraction(1, 2 ** 30), max_depth=8)
+        zero_enclosure(euler, unit_disk, Fraction(1, 2 ** 30))
 
 
 def test_annulus_scenario_enclosure_is_pinned():
@@ -229,7 +232,7 @@ def _poly_scalars(draw, x0, y0, side):
     return scalars
 
 
-@given(_quadtree_cases(), st.none() | st.integers(0, 4))
+@given(_quadtree_cases(), st.none() | st.integers(1, 4))
 @example(([X ** 2 + Y ** 2 - 1, Poly2.zero()], annulus((0, 0), Fraction(1, 2), 2),
           Fraction(1, 8)), None)
 @example(([Poly2.zero()], disk((0, 0), 1), Fraction(1, 4)), 2)
@@ -237,13 +240,15 @@ def _poly_scalars(draw, x0, y0, side):
 @settings(max_examples=150, deadline=None)
 def test_quadtree_matches_reference_loop(case, max_depth):
     scalars, region, resolution = case
+    env = {} if max_depth is None else {ENV_MAX_DEPTH: str(max_depth)}
     try:
         want = _zero_enclosure_reference(scalars, region, resolution, max_depth)
     except DepthLimitExceeded:
-        with pytest.raises(DepthLimitExceeded):
-            zero_enclosure_scalars(scalars, region, resolution, max_depth)
+        with pytest.raises(DepthLimitExceeded), mock.patch.dict(os.environ, env):
+            zero_enclosure_scalars(scalars, region, resolution)
         return
-    enc = zero_enclosure_scalars(scalars, region, resolution, max_depth)
+    with mock.patch.dict(os.environ, env):
+        enc = zero_enclosure_scalars(scalars, region, resolution)
     assert (enc.cells, enc.cells_examined, enc.cells_discarded_geometry,
             enc.cells_discarded_interval, enc.depth_used) == want
     # the centred descent only ever removes cells the natural extension keeps
@@ -285,8 +290,9 @@ def test_min_norm_anti_false_negative(circle_field, std_annulus):
         assert math.hypot(vx, vy) >= float(m)
 
 
-def test_min_norm_boundary_zero_inconclusive(euler):
-    assert min_norm_on_boundary(euler, disk((1, 0), 1), max_depth=12) is None
+def test_min_norm_boundary_zero_inconclusive(monkeypatch, euler):
+    monkeypatch.setenv(ENV_MAX_DEPTH, "12")
+    assert min_norm_on_boundary(euler, disk((1, 0), 1)) is None
 
 
 def test_certify_block(euler, unit_disk):
@@ -295,9 +301,10 @@ def test_certify_block(euler, unit_disk):
     assert blk.enclosure.boxes
 
 
-def test_certify_block_boundary_zero(euler):
+def test_certify_block_boundary_zero(monkeypatch, euler):
+    monkeypatch.setenv(ENV_MAX_DEPTH, "12")
     with pytest.raises(BoundaryZero):
-        certify_block(euler, disk((1, 0), 1), Fraction(1, 32), max_depth=12)
+        certify_block(euler, disk((1, 0), 1), Fraction(1, 32))
 
 
 def test_certify_block_torus_full_unsupported(torus_sin):
