@@ -25,7 +25,7 @@ from .certify import ZeroEnclosure, zero_enclosure_scalars
 from .errors import (ContradictionError, DependentBasisError, NotClosedError,
                      NumericalAmbiguity)
 from .fields import PlanarField
-from .poly import _frac_str
+from .poly import Poly2, _frac_str
 from .regions import Region
 from .tracking import tracks_symbolic
 
@@ -33,31 +33,36 @@ from .tracking import tracks_symbolic
 def _coefficient_keys(fields) -> list:
     keys = set()
     for f in fields:
-        if hasattr(f.p, "monomials"):
-            keys.update(("P", k) for k in f.p.monomials())
-            keys.update(("Q", k) for k in f.q.monomials())
-        else:
-            keys.update(("P", k) for k in f.p.terms())
-            keys.update(("Q", k) for k in f.q.terms())
+        keys.update(("P", k) for k in f.p._m)
+        keys.update(("Q", k) for k in f.q._m)
     return sorted(keys)
 
 
-def _coefficient_vector(f: PlanarField, keys) -> list[Fraction]:
-    if hasattr(f.p, "monomials"):
-        mp, mq = f.p.monomials(), f.q.monomials()
-        getter = lambda comp, k: comp.get(k, Fraction(0))
-    else:
-        mp, mq = f.p.terms(), f.q.terms()
+def _numerators(comp) -> tuple[dict, int]:
+    """(numerators, denominator) of a Poly2, or of a TrigPoly2 whose
+    coefficients are all rational."""
+    if isinstance(comp, Poly2):
+        return comp._m, comp._d
+    values = {k: v.as_fraction() for k, v in comp._m.items()}
+    if None in values.values():
+        raise NotClosedError("bracket left the rational coefficient span")
+    d = math.lcm(*(v.denominator for v in values.values()))
+    return {k: v.numerator * (d // v.denominator) for k, v in values.items()}, d
 
-        def getter(comp, k):
-            v = comp.get(k)
-            if v is None:
-                return Fraction(0)
-            fr = v.as_fraction()
-            if fr is None:
-                raise NotClosedError("bracket left the rational coefficient span")
-            return fr
-    return [getter(mp if c == "P" else mq, k) for c, k in keys]
+
+def _coefficient_row(f: PlanarField, keys) -> tuple[list[int], int]:
+    """(s v, s): the coefficient vector v of f at keys as integers over s,
+    the lcm of the two components' denominators."""
+    (mp, dp), (mq, dq) = _numerators(f.p), _numerators(f.q)
+    s = math.lcm(dp, dq)
+    sp, sq = s // dp, s // dq
+    return [mp.get(k, 0) * sp if c == "P" else mq.get(k, 0) * sq for c, k in keys], s
+
+
+def _coefficient_vector(f: PlanarField, keys) -> list[Fraction]:
+    """The coefficient vector of f at keys, as Fractions."""
+    row, s = _coefficient_row(f, keys)
+    return [Fraction(v, s) for v in row]
 
 
 @dataclass
@@ -145,26 +150,36 @@ def structure_constants(basis: list[PlanarField]) -> LieAlgebraPresentation:
             all_fields.append(b)
     keys = _coefficient_keys(all_fields)
     nk = len(keys)
-    # rref of [V | I] once: its rows are R = E V with E in the last n columns,
-    # and a target t in the row span of R has coordinates sum_r t[pivot_r] E_r
-    red, pivots = xl.rref([_coefficient_vector(f, keys) + [int(k == i) for k in range(n)]
-                           for i, f in enumerate(basis)])
+    # Gauss-Jordan once, on the integer rows s_i [V_i | e_i]: they have the
+    # row space and so the rref of [V | I], whose rows are R = E V with E in
+    # the last n columns.  Times L, the lcm of the pivots, R stays integer.  A
+    # target t / s is in the span iff L t = sum_r t[pivot_r] L R_r on the
+    # first nk columns; its coordinates are then sum_r t[pivot_r] E_r / s.
+    rows = []
+    for i, f in enumerate(basis):
+        row, s = _coefficient_row(f, keys)
+        rows.append(row + [s if k == i else 0 for k in range(n)])
+    pivots = xl._rref_int(rows)
     if pivots[-1] >= nk:
         raise DependentBasisError("basis fields are linearly dependent")
-    span = [row[:nk] for row in red]
+    lcm = math.lcm(*(row[c] for row, c in zip(rows, pivots)))
+    red = [[a * (lcm // row[c]) for a in row] for row, c in zip(rows, pivots)]
     structure = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     closed = True
     witness = None
     table = {}
     for (i, j), b in brackets.items():
-        target = _coefficient_vector(b, keys)
-        if not xl.in_rref_span(span, pivots, target):
+        target, s = _coefficient_row(b, keys)
+        w = [0] * (nk + n)
+        for row, p in zip(red, pivots):
+            if target[p]:
+                w = [a + target[p] * v for a, v in zip(w, row)]
+        if any(lcm * t != a for t, a in zip(target, w)):
             closed = False
             if witness is None:
                 witness = (i, j)
             continue
-        coords = [sum((target[p] * row[nk + k] for row, p in zip(red, pivots) if target[p]),
-                      Fraction(0)) for k in range(n)]
+        coords = [Fraction(a, lcm * s) for a in w[nk:]]
         table[(i, j)] = coords
         for k in range(n):
             structure[i][j][k] = coords[k]

@@ -1,10 +1,10 @@
 """Exact bivariate polynomials over Q with sparse monomial maps.
 
 Poly2 is the coefficient-level workhorse: brackets, translations and
-divisibility tests all happen here, exactly.  Float and interval evaluation
-forms are cached per instance for the numeric paths.  `TermMap` and
-`add_term` are the sparse term-map core that trig.TrigPoly2 and trig.PiNumber
-share with it.
+divisibility tests all happen here, exactly, on integer numerators over one
+positive denominator.  Float and interval evaluation forms are cached per
+instance for the numeric paths.  `TermMap` and `add_term` are the sparse
+term-map core that trig.TrigPoly2 and trig.PiNumber share with it.
 """
 
 from __future__ import annotations
@@ -39,16 +39,18 @@ def add_term(m: dict, key, c) -> None:
 
 
 class TermMap:
-    """Sparse map `_m` from term keys to nonzero coefficients, with its
-    additive structure; it is falsy exactly when it is zero.  Subclasses define `const` and `_SCALARS`, the
-    coefficient types that coerce to a constant."""
+    """Sparse map `_m` from term keys to nonzero coefficients over the
+    denominator `_d`, with its additive structure; it is falsy exactly when
+    it is zero.  Subclasses define `const` and `_SCALARS`, the coefficient
+    types that coerce to a constant; only Poly2 keeps a `_d` other than 1."""
 
     __slots__ = ("_m", "_hash")
     _SCALARS: tuple = ()
+    _d = 1
 
     @classmethod
-    def _of(cls, m):
-        """Wrap an already normalized term map."""
+    def _of(cls, m, d=1):
+        """Wrap an already normalized term map (d is 1 here)."""
         out = cls()
         out._m = m
         return out
@@ -66,26 +68,31 @@ class TermMap:
         raise TypeError(f"cannot coerce {other!r}")
 
     def __add__(self, other):
+        """The one sum of the three rings: both sides over the common
+        denominator, then `add_term` in order."""
         other = self._coerce(other)
-        m = dict(self._m)
-        for k, c in other._m.items():
+        g = math.gcd(self._d, other._d)
+        s, t = other._d // g, self._d // g
+        m = dict(self._m) if s == 1 else {k: c * s for k, c in self._m.items()}
+        terms = other._m.items() if t == 1 else [(k, c * t) for k, c in other._m.items()]
+        for k, c in terms:
             add_term(m, k, c)
-        return self._of(m)
+        return self._of(m, self._d * s)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._of({k: -c for k, c in self._m.items()})
+        return self._of({k: -c for k, c in self._m.items()}, self._d)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __eq__(self, other):
-        return isinstance(other, type(self)) and self._m == other._m
+        return isinstance(other, type(self)) and self._d == other._d and self._m == other._m
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self._m.items()))
+            self._hash = hash((self._d, frozenset(self._m.items())))
         return self._hash
 
     def is_zero(self) -> bool:
@@ -110,9 +117,10 @@ def _powers(a, n: int) -> list:
 
 
 class Poly2(TermMap):
-    """Polynomial in x, y; monomial map (i, j) -> nonzero Fraction."""
+    """Polynomial in x, y: monomial map (i, j) -> nonzero int numerator over
+    the int denominator `_d` > 0, with gcd(`_d`, every numerator) = 1."""
 
-    __slots__ = ("_float_terms", "_plan_cache")
+    __slots__ = ("_d", "_float_terms", "_plan_cache")
     _SCALARS = (int, Fraction)
     axis_table = staticmethod(_powers)      # entry i of a plan's x table is x^i
 
@@ -125,10 +133,22 @@ class Poly2(TermMap):
                     if i < 0 or j < 0:
                         raise ValueError("negative exponent")
                     m[(int(i), int(j))] = c
-        self._m = m
-        self._float_terms = None
-        self._plan_cache = None
-        self._hash = None
+        # reduced Fractions over their lcm share no factor with it
+        d = math.lcm(*(c.denominator for c in m.values()))
+        self._m, self._d = {k: c.numerator * (d // c.denominator) for k, c in m.items()}, d
+        self._float_terms = self._plan_cache = self._hash = None
+
+    @classmethod
+    def _of(cls, m, d=1):
+        """Wrap numerators m over d > 0, divided by their common gcd."""
+        if d != 1:
+            g = math.gcd(d, *m.values())
+            if g != 1:
+                m, d = {k: c // g for k, c in m.items()}, d // g
+        out = cls.__new__(cls)
+        out._m, out._d = m, d
+        out._float_terms = out._plan_cache = out._hash = None
+        return out
 
     # construction -------------------------------------------------------
 
@@ -145,7 +165,13 @@ class Poly2(TermMap):
         raise ValueError(name)
 
     def monomials(self):
-        return dict(self._m)
+        d = self._d
+        return {k: Fraction(c, d) for k, c in self._m.items()}
+
+    def _extent(self):
+        """(largest x exponent, largest y exponent), 0 for the zero polynomial."""
+        return (max((i for i, _ in self._m), default=0),
+                max((j for _, j in self._m), default=0))
 
     # ring structure -----------------------------------------------------
 
@@ -154,16 +180,16 @@ class Poly2(TermMap):
 
     def __mul__(self, other):
         if isinstance(other, self._SCALARS):
-            c = _frac(other)
-            if c == 0:
+            if not other:
                 return self.zero()
-            return self._of({k: v * c for k, v in self._m.items()})
+            n = other.numerator
+            return self._of({k: v * n for k, v in self._m.items()}, self._d * other.denominator)
         other = self._coerce(other)
-        m: dict[tuple[int, int], Fraction] = {}
+        m: dict[tuple[int, int], int] = {}
         for (i1, j1), c1 in self._m.items():
             for (i2, j2), c2 in other._m.items():
                 add_term(m, (i1 + i2, j1 + j2), c1 * c2)
-        return self._of(m)
+        return self._of(m, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -196,25 +222,30 @@ class Poly2(TermMap):
         return min(i + j for i, j in self._m)
 
     def dx(self) -> "Poly2":
-        return self._of({(i - 1, j): c * i for (i, j), c in self._m.items() if i > 0})
+        return self._of({(i - 1, j): c * i for (i, j), c in self._m.items() if i > 0}, self._d)
 
     def dy(self) -> "Poly2":
-        return self._of({(i, j - 1): c * j for (i, j), c in self._m.items() if j > 0})
+        return self._of({(i, j - 1): c * j for (i, j), c in self._m.items() if j > 0}, self._d)
 
     def translate(self, ax, ay) -> "Poly2":
-        """Substitute x -> x + ax, y -> y + ay exactly."""
-        ax, ay = _frac(ax), _frac(ay)
-        m: dict[tuple[int, int], Fraction] = {}
+        """Substitute x -> x + ax, y -> y + ay exactly.  With ax = a/b and
+        ay = e/f, on numerators scaled by b^I f^J, I and J the largest x and
+        y exponents: ax^k becomes a^k b^(I-k), ay^k becomes e^k f^(J-k)."""
+        (a, b), (e, f) = _frac(ax).as_integer_ratio(), _frac(ay).as_integer_ratio()
+        ni, nj = self._extent()
+        px = [a ** k * b ** (ni - k) for k in range(ni + 1)]
+        py = [e ** k * f ** (nj - k) for k in range(nj + 1)]
+        m: dict[tuple[int, int], int] = {}
         for (i, j), c in self._m.items():
             for p in range(i + 1):
-                cx = c * math.comb(i, p) * ax ** (i - p)
+                cx = c * math.comb(i, p) * px[i - p]
                 if cx == 0:
                     continue
                 for q in range(j + 1):
-                    cc = cx * math.comb(j, q) * ay ** (j - q)
+                    cc = cx * math.comb(j, q) * py[j - q]
                     if cc:
                         add_term(m, (p, q), cc)
-        return self._of(m)
+        return self._of(m, self._d * b ** ni * f ** nj)
 
     def divide_y_power(self, l: int) -> "Poly2":
         """Exact quotient by y**l; raises InsufficientPower if not divisible."""
@@ -223,20 +254,25 @@ class Poly2(TermMap):
         for (i, j) in self._m:
             if j < l:
                 raise InsufficientPower(f"monomial x^{i} y^{j} has y-exponent < {l}")
-        return self._of({(i, j - l): c for (i, j), c in self._m.items()})
+        return self._of({(i, j - l): c for (i, j), c in self._m.items()}, self._d)
 
     # evaluation ---------------------------------------------------------
 
     def eval_exact(self, x, y) -> Fraction:
-        x, y = _frac(x), _frac(y)
-        total = Fraction(0)
-        for (i, j), c in self._m.items():
-            total += c * x ** i * y ** j
-        return total
+        """p(x, y) summed on integers, with x = a/b and y = e/f scaled as in
+        `translate`."""
+        (a, b), (e, f) = _frac(x).as_integer_ratio(), _frac(y).as_integer_ratio()
+        ni, nj = self._extent()
+        total = sum(c * a ** i * b ** (ni - i) * e ** j * f ** (nj - j)
+                    for (i, j), c in self._m.items())
+        return Fraction(total, self._d * b ** ni * f ** nj)
 
     def _floats(self):
+        """[(i, j, float)] in sorted monomial order: n / d is correctly
+        rounded, so it is float(Fraction(n, d))."""
         if self._float_terms is None:
-            self._float_terms = [(i, j, float(c)) for (i, j), c in sorted(self._m.items())]
+            d = self._d
+            self._float_terms = [(i, j, c / d) for (i, j), c in sorted(self._m.items())]
         return self._float_terms
 
     def eval_float(self, x: float, y: float) -> float:
@@ -249,9 +285,9 @@ class Poly2(TermMap):
         """(largest x exponent, largest y exponent, [(i, j, c_lo, c_hi)] in
         sorted monomial order): the interval evaluation plan, built once."""
         if self._plan_cache is None:
-            terms = [(i, j, *iv.make(c)) for (i, j), c in sorted(self._m.items())]
-            self._plan_cache = (max((t[0] for t in terms), default=0),
-                                max((t[1] for t in terms), default=0), terms)
+            d = self._d
+            terms = [(i, j, *iv.ratio(c, d)) for (i, j), c in sorted(self._m.items())]
+            self._plan_cache = (*self._extent(), terms)
         return self._plan_cache
 
     def eval_interval(self, ix, iy, tables=None):
@@ -268,7 +304,7 @@ class Poly2(TermMap):
     def to_json(self) -> list[dict]:
         return [
             {"i": i, "j": j, "c": _frac_str(c)}
-            for (i, j), c in sorted(self._m.items())
+            for (i, j), c in sorted(self.monomials().items())
         ]
 
     @classmethod
@@ -279,7 +315,7 @@ class Poly2(TermMap):
         if not self._m:
             return "Poly2(0)"
         parts = []
-        for (i, j), c in sorted(self._m.items()):
+        for (i, j), c in sorted(self.monomials().items()):
             mono = "".join(s for s in (f"x^{i}" if i else "", f"y^{j}" if j else "") if s)
             parts.append(f"{c}{'*' + mono if mono else ''}")
         return "Poly2(" + " + ".join(parts) + ")"
@@ -426,13 +462,21 @@ ONE = Poly2.const(1)
 
 def restrict(p: Poly2, x, y, w) -> list[Fraction]:
     """w^d p(x/w, y/w), d = deg p: p along the exact curve piece (x, y, w) of
-    `regions`, zero exactly when p vanishes on the whole piece."""
+    `regions`, zero exactly when p vanishes on the whole piece.  The tables
+    and the sum run on integers: the piece times e, the lcm of its
+    denominators, against p's numerators; one division by p._d e^d ends it."""
     d = max(p.degree, 0)
-    xp, yp, wp = ([[Fraction(1)]] for _ in range(3))
+    e = math.lcm(*(c.denominator for v in (x, y, w) for c in v))
+    xp, yp, wp = ([[1]] for _ in range(3))
     for table, v in ((xp, x), (yp, y), (wp, w)):
+        v = [c.numerator * (e // c.denominator) for c in v]
         for _ in range(d):
             table.append(upoly.mul(table[-1], v))
-    out: list[Fraction] = []
-    for (i, j), c in p.monomials().items():
-        out = upoly.add(out, upoly.scale(upoly.mul(upoly.mul(xp[i], yp[j]), wp[d - i - j]), c))
-    return out
+    out: list[int] = []
+    for (i, j), c in p._m.items():
+        term = upoly.mul(upoly.mul(xp[i], yp[j]), wp[d - i - j])
+        out += [0] * (len(term) - len(out))
+        for k, t in enumerate(term):
+            out[k] += c * t
+    den = p._d * e ** d
+    return [Fraction(c, den) for c in upoly.trim(out)]

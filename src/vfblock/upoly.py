@@ -1,7 +1,7 @@
 """Univariate polynomials as ascending coefficient lists.
 
-The arithmetic (add, mul, scale, evaluate) works on any exact numbers and
-builds the Fraction boundary restrictions of `poly`.  The root questions (gcd,
+The arithmetic (mul, evaluate, derivative) works on any exact numbers; `mul`
+on ints builds the integer tables of `poly.restrict`.  The root questions (gcd,
 count_real_roots, rational_roots) take ints or Fractions and work on the
 primitive integer list with the same roots: p times the lcm of its
 denominators, divided by its content, leading coefficient positive.
@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 
 
-def trim(p: list[Fraction]) -> list[Fraction]:
+def trim(p: list) -> list:
     while p and p[-1] == 0:
         p.pop()
     return p
@@ -36,26 +36,10 @@ def is_zero(p) -> bool:
     return not p
 
 
-def add(p, q):
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return trim(out)
-
-
-def scale(p, c: Fraction):
-    if c == 0:
-        return []
-    return [ci * c for ci in p]
-
-
 def mul(p, q):
     if not p or not q:
         return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue

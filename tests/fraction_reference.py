@@ -6,7 +6,9 @@ integers instead and must agree with these exactly; so must
 `vfblock.interval.make` with `make_reference`, `vfblock.poly.restrict`
 along the curves' pieces with `restrict_to_circle` and `restrict_to_segment`,
 and `vfblock.liealg.supersolvable_flag` with `supersolvable_flag_reference`,
-the flag search on Fraction structure constants that it replaced.
+the flag search on Fraction structure constants that it replaced.  Every
+`Poly2` operation must agree with its `poly_*` function here, which runs on a
+Fraction per monomial as `Poly2` did before it stored integer numerators.
 """
 
 import math
@@ -204,6 +206,22 @@ def make_reference(x) -> tuple[float, float]:
     return (lo, hi)
 
 
+def add_u(p, q):
+    """p + q on Fraction coefficient lists, trimmed."""
+    n = max(len(p), len(q))
+    out = [Fraction(0)] * n
+    for i, c in enumerate(p):
+        out[i] += c
+    for i, c in enumerate(q):
+        out[i] += c
+    return trim(out)
+
+
+def scale_u(p, c):
+    c = _frac(c)
+    return [ci * c for ci in p] if c else []
+
+
 def restrict_to_circle(p: Poly2, cx, cy, r) -> list[Fraction]:
     """Numerator of p restricted to the circle |q - c| = r, in the half-angle
     parameter s; identically zero iff p vanishes on the whole circle.
@@ -213,8 +231,8 @@ def restrict_to_circle(p: Poly2, cx, cy, r) -> list[Fraction]:
     cx, cy, r = _frac(cx), _frac(cy), _frac(r)
     d = max(p.degree, 0)
     one_s2 = [Fraction(1), Fraction(0), Fraction(1)]          # 1 + s^2
-    ax = upoly.add(scale_u(one_s2, cx), [r, Fraction(0), -r])  # cx(1+s^2) + r(1-s^2)
-    ay = upoly.add(scale_u(one_s2, cy), [Fraction(0), 2 * r])  # cy(1+s^2) + 2rs
+    ax = add_u(scale_u(one_s2, cx), [r, Fraction(0), -r])  # cx(1+s^2) + r(1-s^2)
+    ay = add_u(scale_u(one_s2, cy), [Fraction(0), 2 * r])  # cy(1+s^2) + 2rs
     out: list[Fraction] = []
     for (i, j), c in p.monomials().items():
         term = [c]
@@ -224,12 +242,8 @@ def restrict_to_circle(p: Poly2, cx, cy, r) -> list[Fraction]:
             term = upoly.mul(term, ay)
         for _ in range(d - i - j):
             term = upoly.mul(term, one_s2)
-        out = upoly.add(out, term)
+        out = add_u(out, term)
     return out
-
-
-def scale_u(p, c):
-    return upoly.scale(p, _frac(c))
 
 
 def restrict_to_segment(p: Poly2, a, b) -> list[Fraction]:
@@ -245,7 +259,116 @@ def restrict_to_segment(p: Poly2, a, b) -> list[Fraction]:
             term = upoly.mul(term, xt)
         for _ in range(j):
             term = upoly.mul(term, yt)
-        out = upoly.add(out, term)
+        out = add_u(out, term)
+    return out
+
+
+# Poly2 on Fraction dicts {(i, j): nonzero Fraction}: every sum and product
+# goes through _add_term, so the dict order is the term order Poly2 keeps.
+
+def _add_term(m, key, c):
+    s = m.get(key)
+    s = c if s is None else s + c
+    if s:
+        m[key] = s
+    else:
+        m.pop(key, None)
+
+
+def poly_of(monomials):
+    """The dict that Poly2(monomials) stands for."""
+    m = {}
+    for (i, j), c in monomials.items():
+        c = _frac(c)
+        if c:
+            m[(int(i), int(j))] = c
+    return m
+
+
+def poly_add(a, b):
+    m = dict(a)
+    for k, c in b.items():
+        _add_term(m, k, c)
+    return m
+
+
+def poly_neg(a):
+    return {k: -c for k, c in a.items()}
+
+
+def poly_sub(a, b):
+    return poly_add(a, poly_neg(b))
+
+
+def poly_scale(a, c):
+    c = _frac(c)
+    return {k: v * c for k, v in a.items()} if c else {}
+
+
+def poly_mul(a, b):
+    m = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            _add_term(m, (i1 + i2, j1 + j2), c1 * c2)
+    return m
+
+
+def poly_pow(a, n):
+    """Square and multiply from the constant 1, as Poly2.__pow__ does."""
+    out, base = {(0, 0): Fraction(1)}, a
+    while n:
+        if n & 1:
+            out = poly_mul(out, base)
+        base = poly_mul(base, base)
+        n >>= 1
+    return out
+
+
+def poly_dx(a):
+    return {(i - 1, j): c * i for (i, j), c in a.items() if i > 0}
+
+
+def poly_dy(a):
+    return {(i, j - 1): c * j for (i, j), c in a.items() if j > 0}
+
+
+def poly_translate(a, ax, ay):
+    ax, ay = _frac(ax), _frac(ay)
+    m = {}
+    for (i, j), c in a.items():
+        for p in range(i + 1):
+            cx = c * math.comb(i, p) * ax ** (i - p)
+            if cx == 0:
+                continue
+            for q in range(j + 1):
+                cc = cx * math.comb(j, q) * ay ** (j - q)
+                if cc:
+                    _add_term(m, (p, q), cc)
+    return m
+
+
+def poly_divide_y_power(a, l):
+    """The quotient by y^l, or None when some y exponent is below l."""
+    if any(j < l for _, j in a):
+        return None
+    return {(i, j - l): c for (i, j), c in a.items()}
+
+
+def poly_eval(a, x, y):
+    x, y = _frac(x), _frac(y)
+    return sum((c * x ** i * y ** j for (i, j), c in a.items()), Fraction(0))
+
+
+def poly_restrict(a, x, y, w):
+    """w^d a(x/w, y/w), d the degree, term by term on Fraction lists."""
+    d = max((i + j for i, j in a), default=0)
+    xp, yp, wp = ([[Fraction(1)]] for _ in range(3))
+    for table, v in ((xp, x), (yp, y), (wp, w)):
+        for _ in range(d):
+            table.append(upoly.mul(table[-1], [_frac(c) for c in v]))
+    out = []
+    for (i, j), c in a.items():
+        out = add_u(out, scale_u(upoly.mul(upoly.mul(xp[i], yp[j]), wp[d - i - j]), c))
     return out
 
 
