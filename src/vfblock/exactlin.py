@@ -1,35 +1,33 @@
-"""Exact linear algebra over Q: rref, kernels, subspaces, charpoly.
+"""Exact linear algebra over Z: integer row reduction, kernels, subspaces,
+charpoly.
 
-Matrices are lists of rows of ints or Fractions.  Elimination is fraction-free
-Gauss-Jordan (after Bareiss) on integer rows: rows are scaled by the lcm of
-their denominators, and each row operation pv*row - f*prow ends by dividing by
-the new row's content.  Scaling rows keeps the row space and the rref of a
-matrix is unique, so dividing each pivot row by its pivot at the end gives
-exactly the Fractions that elimination over Q would.  rref and subspace_basis
-return Fraction rows.  kernel and intersect_subspaces take integer rows and
-return primitive integer rows: an intersection's rows are its rref rows times
-their pivots, and a kernel vector is the Fraction one (1 at its free column,
-which is its last nonzero entry) times a positive integer.  charpoly scales
-the matrix to ints as well and returns integer coefficients with the scale.
+Matrices are lists of integer rows.  Elimination is fraction-free
+Gauss-Jordan (after Bareiss): each row operation pv*row - f*prow ends by
+dividing by the new row's content.  Scaling rows keeps the row space, so row
+r of the result is the rref row r times its pivot.  kernel and
+intersect_subspaces return primitive integer rows: an intersection's rows are
+its rref rows times their pivots, and a kernel vector is the Fraction one (1
+at its free column, which is its last nonzero entry) times a positive
+integer.  residual reduces a vector by such rows, so a span test needs no
+Fraction either.  charpoly scales a rational matrix to ints and returns
+integer coefficients with the scale.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import ContradictionError
 
 
-def _int_rows(rows):
-    """Each row times the lcm of its denominators: integer rows with the same
-    row space."""
-    out = []
-    for row in rows:
-        dens = [v.denominator for v in row]
-        d = math.lcm(*dens)
-        out.append([v.numerator * (d // e) for v, e in zip(row, dens)])
-    return out
+def _eliminate(row, prow, c):
+    """pv row - f prow, with column c cleared by the pivot row prow, divided
+    by its content."""
+    g = math.gcd(prow[c], row[c])
+    pv, f = prow[c] // g, row[c] // g
+    out = [pv * a - f * b for a, b in zip(row, prow)]
+    g = math.gcd(*out)
+    return [a // g for a in out] if g > 1 else out
 
 
 def _rref_int(m):
@@ -45,27 +43,13 @@ def _rref_int(m):
         m[r], m[p] = m[p], m[r]
         prow = m[r]
         for i in range(len(m)):
-            f = m[i][c]
-            if i != r and f:
-                g = math.gcd(prow[c], f)
-                pv, f = prow[c] // g, f // g
-                row = [pv * a - f * b for a, b in zip(m[i], prow)]
-                g = math.gcd(*row)
-                m[i] = [a // g for a in row] if g > 1 else row
+            if i != r and m[i][c]:
+                m[i] = _eliminate(m[i], prow, c)
         pivots.append(c)
         r += 1
         if r == len(m):
             break
     return pivots
-
-
-def rref(rows):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = _int_rows(rows)
-    pivots = _rref_int(m)
-    zero = Fraction(0)
-    out = [[Fraction(a, row[c]) if a else zero for a in row] for row, c in zip(m, pivots)]
-    return out + [[zero] * len(row) for row in m[len(pivots):]], pivots
 
 
 def _primitive(vec, k):
@@ -94,11 +78,6 @@ def kernel(rows):
     m = [list(row) for row in rows]
     pivots = _rref_int(m)
     return [_null_vector(m, pivots, f) for f in range(len(m[0])) if f not in pivots]
-
-
-def identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)]
 
 
 def charpoly(mat):
@@ -134,12 +113,6 @@ def charpoly(mat):
     return d, coeffs
 
 
-def subspace_basis(vectors):
-    """A canonical (rref) basis of the span of the given vectors."""
-    m, pivots = rref(vectors)
-    return [row for row in m[: len(pivots)]]
-
-
 def intersect_subspaces(a_basis, b_basis):
     """Basis of the intersection of two subspaces given by integer spanning
     sets: its rref rows times their pivots, primitive."""
@@ -161,12 +134,11 @@ def intersect_subspaces(a_basis, b_basis):
     return [_primitive(row, c) for row, c in zip(out, pivots)]
 
 
-def in_rref_span(rows, pivots, vec) -> bool:
-    """Is vec in the span of rows, given as rref rows with their pivot
-    columns?  Coordinates must be vec's pivot entries, so subtracting them
-    leaves zero exactly when it is."""
+def residual(rows, pivots, vec):
+    """vec reduced by the integer rows with their pivot columns, each row zero
+    at the pivots of the rows before it: zero exactly when vec is in their
+    span."""
     for row, c in zip(rows, pivots):
-        f = vec[c]
-        if f:
-            vec = [a - f * b if b else a for a, b in zip(vec, row)]
-    return not any(vec)
+        if vec[c]:
+            vec = _eliminate(vec, row, c)
+    return vec

@@ -1,22 +1,26 @@
 """Finite-dimensional Lie algebras of vector fields.
 
-Closure and structure constants are computed symbolically and exactly;
-solvability runs the derived series on the structure tensor; supersolvability
-is operationalized as a complete flag of ideals, found by an exact nested
-common-eigenvector search.  A rational eigenvector of a rational matrix forces
-a rational eigenvalue, so exact kernels decide every verifiable case; Sturm
-counts detect irrational real eigenvalues, which surface as NumericalAmbiguity
-only when no exact candidate exists, and only from maps the search reaches.
-The search runs over Z, on an integer multiple of each quotient level's
-structure tensor (whose ad maps have the same eigenvectors).  A basis
-element's spectrum is computed once, and each quotient keeps it less the
-eigenvalue on the ideal divided out.
+Closure and structure constants are computed symbolically and exactly.  Past
+the Fraction constants c of the report, everything reads one integer tensor
+T = D c, D > 0 the lcm of their denominators: brackets, the antisymmetry and
+Jacobi checks, the derived series (on integer rows, as a span's dimension does
+not depend on the scale), the flag search and its ideal-chain re-check.
+Supersolvability is operationalized as a complete flag of ideals, found by an
+exact nested common-eigenvector search.  A rational eigenvector of a rational
+matrix forces a rational eigenvalue, so exact kernels decide every verifiable
+case; Sturm counts detect irrational real eigenvalues, which surface as
+NumericalAmbiguity only when no exact candidate exists, and only from maps the
+search reaches.  The search runs over Z, on an integer multiple of each
+quotient level's structure tensor (whose ad maps have the same eigenvectors).
+A basis element's spectrum is computed once, and each quotient keeps it less
+the eigenvalue on the ideal divided out.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from fractions import Fraction
 
 from . import exactlin as xl
@@ -59,6 +63,13 @@ def _coefficient_row(f: PlanarField, keys) -> tuple[list[int], int]:
     return [mp.get(k, 0) * sp if c == "P" else mq.get(k, 0) * sq for c, k in keys], s
 
 
+def _scaled(vec) -> tuple[list[int], int]:
+    """(d v, d): the rational vector v as integers over d, the lcm of its
+    denominators."""
+    d = math.lcm(*(c.denominator for c in vec))
+    return [c.numerator * (d // c.denominator) for c in vec], d
+
+
 def _coefficient_vector(f: PlanarField, keys) -> list[Fraction]:
     """The coefficient vector of f at keys, as Fractions."""
     row, s = _coefficient_row(f, keys)
@@ -82,44 +93,46 @@ class LieAlgebraPresentation:
         n = self.dim
         return [[self.structure[i][j][k] for j in range(n)] for k in range(n)]
 
-    def bracket_coords(self, u, v):
-        n = self.dim
-        out = [Fraction(0)] * n
-        for i in range(n):
-            if u[i] == 0:
-                continue
-            for j in range(n):
-                if v[j] == 0:
-                    continue
-                c = u[i] * v[j]
-                row = self.structure[i][j]
-                for k in range(n):
-                    if row[k]:
-                        out[k] += c * row[k]
+    @cached_property
+    def tensor(self) -> tuple[int, list]:
+        """(D, T): T = D c, the structure constants c as integers over D > 0,
+        the lcm of their denominators.  Built once, on first use, and shared:
+        callers must not mutate it."""
+        den = math.lcm(*(c.denominator for plane in self.structure for row in plane
+                         for c in row))
+        return den, [[[c.numerator * (den // c.denominator) for c in row] for row in plane]
+                     for plane in self.structure]
+
+    def _bracket_int(self, u, v):
+        """D [u, v] for integer coordinate vectors u and v."""
+        t = self.tensor[1]
+        out = [0] * self.dim
+        for i, a in enumerate(u):
+            if a:
+                for j, b in enumerate(v):
+                    if b:
+                        c = a * b
+                        out = [o + c * x for o, x in zip(out, t[i][j])]
         return out
 
+    def bracket_coords(self, u, v):
+        """[u, v] in basis coordinates, as Fractions."""
+        (a, da), (b, db) = _scaled(u), _scaled(v)
+        s = self.tensor[0] * da * db
+        return [Fraction(x, s) for x in self._bracket_int(a, b)]
+
     def antisymmetry_holds(self) -> bool:
-        n = self.dim
-        return all(
-            self.structure[i][j][k] == -self.structure[j][i][k]
-            for i in range(n) for j in range(n) for k in range(n)
-        )
+        t = self.tensor[1]
+        return all(x == -y for i, plane in enumerate(t) for j, row in enumerate(plane)
+                   for x, y in zip(row, t[j][i]))
 
     def jacobi_holds(self) -> bool:
-        n = self.dim
-        basis_vecs = xl.identity(n)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    t1 = self.bracket_coords(basis_vecs[i],
-                                             self.bracket_coords(basis_vecs[j], basis_vecs[k]))
-                    t2 = self.bracket_coords(basis_vecs[j],
-                                             self.bracket_coords(basis_vecs[k], basis_vecs[i]))
-                    t3 = self.bracket_coords(basis_vecs[k],
-                                             self.bracket_coords(basis_vecs[i], basis_vecs[j]))
-                    if any(a + b + c != 0 for a, b, c in zip(t1, t2, t3)):
-                        return False
-        return True
+        n, br = self.dim, self._bracket_int
+        e = [[int(i == j) for j in range(n)] for i in range(n)]
+        return not any(
+            any(map(sum, zip(br(e[i], br(e[j], e[k])), br(e[j], br(e[k], e[i])),
+                             br(e[k], br(e[i], e[j])))))
+            for i in range(n) for j in range(n) for k in range(n))
 
     def to_json(self) -> dict:
         return {
@@ -205,19 +218,16 @@ class SolvabilityResult:
 
 
 def _derived_subspace(g: LieAlgebraPresentation, space):
-    gens = []
-    for a in range(len(space)):
-        for b in range(a + 1, len(space)):
-            w = g.bracket_coords(space[a], space[b])
-            if any(v != 0 for v in w):
-                gens.append(w)
-    return xl.subspace_basis(gens) if gens else []
+    """Row-reduced integer rows spanning [space, space]."""
+    gens = [w for a, u in enumerate(space) for v in space[a + 1:]
+            if any(w := g._bracket_int(u, v))]
+    return gens[:len(xl._rref_int(gens))]
 
 
 def solvability(g: LieAlgebraPresentation) -> SolvabilityResult:
-    """Derived series on the structure constants, exactly."""
+    """Derived series on the integer structure tensor, exactly."""
     _require_closed(g)
-    space = xl.identity(g.dim)
+    space = [[int(i == j) for j in range(g.dim)] for i in range(g.dim)]
     depth = 0
     while space:
         nxt = _derived_subspace(g, space)
@@ -354,19 +364,17 @@ def supersolvable_flag(g: LieAlgebraPresentation) -> FlagResult:
     if solvability(g).status == "not_solvable":
         return FlagResult("not_solvable")
     n = g.dim
-    # work in coordinates; lift chain vectors back to the original basis
-    lift = xl.identity(n)  # rows: current-quotient basis in original coords
+    # work in coordinates: the current quotient's basis is e_k, k in keep
+    keep = list(range(n))
     chain: list[list[Fraction]] = []
-    # the structure tensor times the lcm of its denominators; one spectrum
-    # per basis element, carried down the quotients
-    den = math.lcm(*(c.denominator for plane in g.structure for row in plane for c in row))
-    t = [[[c.numerator * (den // c.denominator) for c in row] for row in plane]
-         for plane in g.structure]
+    # the integer structure tensor; one spectrum per basis element, carried
+    # down the quotients
+    t = g.tensor[1]
     spectra = [None] * n
     while len(chain) < n:
         dim = len(t)
         if dim == 1:
-            chain.append(lift[0])
+            chain.append([Fraction(int(d == keep[0])) for d in range(n)])
             break
         ads = [[[t[i][j][k] for j in range(dim)] for k in range(dim)] for i in range(dim)]
         ambiguous: list[bool] = []
@@ -381,8 +389,7 @@ def supersolvable_flag(g: LieAlgebraPresentation) -> FlagResult:
         v = _pick_candidate([[Fraction(c) for c in u] for u in cands])
         # exact re-verification: [b_i, v] in span(v) for all i, i.e. each
         # w = ad_i v is lam_i = w[lead] / v[lead] times v
-        scale = math.lcm(*(c.denominator for c in v))
-        vi = [c.numerator * (scale // c.denominator) for c in v]
+        vi = _scaled(v)[0]
         lead = next(k for k, c in enumerate(vi) if c)
         lams = []
         for ad in ads:
@@ -392,33 +399,37 @@ def supersolvable_flag(g: LieAlgebraPresentation) -> FlagResult:
             lams.append(w[lead] // vi[lead])
         # lift to original coordinates
         orig = [Fraction(0)] * n
-        for c, row in zip(v, lift):
-            if c:
-                for d in range(n):
-                    orig[d] += c * row[d]
+        for c, d in zip(v, keep):
+            orig[d] = c
         chain.append(orig)
         t, spectra = _quotient(t, vi, lead, spectra, lams)
-        lift = [row for k, row in enumerate(lift) if k != lead]
+        del keep[lead]
     full_chain = tuple(chain)
     _verify_ideal_chain(g, full_chain)
     return FlagResult("flag", full_chain)
 
 
 def _verify_ideal_chain(g: LieAlgebraPresentation, chain):
-    """Ideal verification of every chain prefix, recomputed from the chain
-    alone.  Once P_{d-1} is verified, P_d = P_{d-1} + span(c_d) is an ideal
-    iff [e_i, c_d] lies in P_d for every basis vector e_i, since [e_i, P_{d-1}]
-    lies in P_{d-1}: so each basis vector is bracketed once with each member
-    and reduced against the row-reduced prefix."""
+    """Ideal verification of every chain prefix, from the integer tensor and
+    the chain alone.  Once P_{d-1} is verified, P_d = P_{d-1} + span(c_d) is
+    an ideal iff [e_i, c_d] lies in P_d for every basis vector e_i, since
+    [e_i, P_{d-1}] lies in P_{d-1}: so each basis vector is bracketed once
+    with each member's primitive integer multiple and reduced by the prefix's
+    integer echelon rows, which grow by one reduced member per depth."""
     n = g.dim
-    for depth in range(1, len(chain) + 1):
-        sub, pivots = xl.rref([list(v) for v in chain[:depth]])
-        if len(pivots) != depth:
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows, pivots = [], []
+    for depth, member in enumerate(chain, 1):
+        u = _scaled(member)[0]
+        w = xl.residual(rows, pivots, u)
+        if not any(w):
             raise NumericalAmbiguity("flag chain lost a dimension")
+        rows.append(w)
+        pivots.append(next(k for k, a in enumerate(w) if a))
+        c = math.gcd(*u)
+        u = [a // c for a in u]
         for i in range(n):
-            e = [Fraction(0)] * n
-            e[i] = Fraction(1)
-            if not xl.in_rref_span(sub, pivots, g.bracket_coords(e, chain[depth - 1])):
+            if any(xl.residual(rows, pivots, g._bracket_int(e[i], u))):
                 raise NumericalAmbiguity(
                     f"chain member of dim {depth} is not an ideal"
                 )

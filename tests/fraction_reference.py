@@ -2,11 +2,16 @@
 
 Gauss-Jordan, span solves, Sturm chains, gcds and rational roots computed
 over Q the textbook way.  `vfblock.exactlin` and `vfblock.upoly` work on
-integers instead and must agree with these exactly; so must
-`vfblock.interval.make` with `make_reference`, `vfblock.poly.restrict`
-along the curves' pieces with `restrict_to_circle` and `restrict_to_segment`,
-and `vfblock.liealg.supersolvable_flag` with `supersolvable_flag_reference`,
-the flag search on Fraction structure constants that it replaced.  Every
+integers instead and must agree with these exactly.  `rref`, `subspace_basis`
+and `in_rref_span` are Fraction views of the integer elimination, for tests
+that state spans over Q.  `vfblock.liealg`'s derived series and ideal-chain
+re-check run on the integer structure tensor and must agree with
+`derived_depth_reference` and `verify_ideal_chain_reference`, which bracket
+the Fraction structure constants.  So must `vfblock.interval.make` with
+`make_reference`, `vfblock.poly.restrict` along the curves' pieces with
+`restrict_to_circle` and `restrict_to_segment`, and
+`vfblock.liealg.supersolvable_flag` with `supersolvable_flag_reference`, the
+flag search on Fraction structure constants that it replaced.  Every
 `Poly2` operation must agree with its `poly_*` function here, which runs on a
 Fraction per monomial as `Poly2` did before it stored integer numerators.
 """
@@ -18,9 +23,45 @@ from vfblock import exactlin as xl
 from vfblock import upoly
 from vfblock.errors import NumericalAmbiguity
 from vfblock.liealg import (FlagResult, LieAlgebraPresentation, _pick_candidate,
-                            _require_closed, _verify_ideal_chain, solvability)
+                            _require_closed)
 from vfblock.poly import Poly2, _frac
 from vfblock.upoly import deg, derivative, evaluate, trim
+
+
+def identity(n):
+    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
+            for i in range(n)]
+
+
+def rref(rows):
+    """Reduced row echelon form through the integer elimination: each row
+    times the lcm of its denominators, then each pivot row divided by its
+    pivot.  Returns (Fraction matrix, pivot column list)."""
+    m = []
+    for row in rows:
+        d = math.lcm(*(Fraction(v).denominator for v in row))
+        m.append([int(Fraction(v) * d) for v in row])
+    pivots = xl._rref_int(m)
+    zero = Fraction(0)
+    out = [[Fraction(a, row[c]) if a else zero for a in row] for row, c in zip(m, pivots)]
+    return out + [[zero] * len(row) for row in m[len(pivots):]], pivots
+
+
+def subspace_basis(vectors):
+    """A canonical (rref) basis of the span of the given vectors."""
+    m, pivots = rref(vectors)
+    return m[: len(pivots)]
+
+
+def in_rref_span(rows, pivots, vec) -> bool:
+    """Is vec in the span of rows, given as rref rows with their pivot
+    columns?  Coordinates must be vec's pivot entries, so subtracting them
+    leaves zero exactly when it is."""
+    for row, c in zip(rows, pivots):
+        f = vec[c]
+        if f:
+            vec = [a - f * b if b else a for a, b in zip(vec, row)]
+    return not any(vec)
 
 
 def rref_reference(rows):
@@ -374,7 +415,45 @@ def poly_restrict(a, x, y, w):
 
 # The flag search on Fraction structure constants: a characteristic polynomial
 # and eigenspaces per map and quotient level, Fraction kernels and
-# intersections, and the quotient presentation built from bracket_coords.
+# intersections, the quotient presentation built from Fraction brackets, the
+# derived series and the ideal-chain re-check.
+
+def bracket_reference(g: LieAlgebraPresentation, u, v):
+    """[u, v] from the Fraction structure constants, term by term."""
+    n = g.dim
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n):
+            if u[i] and v[j]:
+                for k in range(n):
+                    out[k] += u[i] * v[j] * g.structure[i][j][k]
+    return out
+
+
+def derived_depth_reference(g: LieAlgebraPresentation):
+    """The derived series' length on Fraction rref bases, None when it
+    stalls (not solvable)."""
+    space, depth = identity(g.dim), 0
+    while space:
+        gens = [bracket_reference(g, u, v) for a, u in enumerate(space) for v in space[a + 1:]]
+        nxt = span_reference(gens) if gens else []
+        if len(nxt) == len(space):
+            return None
+        space, depth = nxt, depth + 1
+    return depth
+
+
+def verify_ideal_chain_reference(g: LieAlgebraPresentation, chain):
+    """Each prefix row-reduced from scratch, each [e_i, c_d] tested by a
+    Fraction span reduction."""
+    n = g.dim
+    for depth in range(1, len(chain) + 1):
+        sub, pivots = rref_reference([list(v) for v in chain[:depth]])
+        if len(pivots) != depth:
+            raise NumericalAmbiguity("flag chain lost a dimension")
+        for e in identity(n):
+            if not in_rref_span(sub, pivots, bracket_reference(g, e, chain[depth - 1])):
+                raise NumericalAmbiguity(f"chain member of dim {depth} is not an ideal")
 
 def real_rational_eigenvalues(mat):
     """(rational eigenvalues, whether irrational real eigenvalues exist) of
@@ -427,7 +506,7 @@ def quotient_reference(g: LieAlgebraPresentation, v, lift):
 
     m = len(comp_idx)
     basis_vecs = [[Fraction(int(k == i)) for k in range(n)] for i in comp_idx]
-    structure = [[project(g.bracket_coords(basis_vecs[a], basis_vecs[b])) for b in range(m)]
+    structure = [[project(bracket_reference(g, basis_vecs[a], basis_vecs[b])) for b in range(m)]
                  for a in range(m)]
     return (LieAlgebraPresentation([None] * m, structure, True),
             [lift[i] for i in comp_idx])
@@ -435,10 +514,10 @@ def quotient_reference(g: LieAlgebraPresentation, v, lift):
 
 def supersolvable_flag_reference(g: LieAlgebraPresentation) -> FlagResult:
     _require_closed(g)
-    if solvability(g).status == "not_solvable":
+    if derived_depth_reference(g) is None:
         return FlagResult("not_solvable")
     n = g.dim
-    lift = xl.identity(n)
+    lift = identity(n)
     chain = []
     current = g
     while len(chain) < n:
@@ -448,7 +527,7 @@ def supersolvable_flag_reference(g: LieAlgebraPresentation) -> FlagResult:
             break
         ads = [current.adjoint(i) for i in range(dim)]
         ambiguous = []
-        cands = common_eigendirections(ads, xl.identity(dim), ambiguous)
+        cands = common_eigendirections(ads, identity(dim), ambiguous)
         if not cands:
             if ambiguous:
                 raise NumericalAmbiguity(
@@ -470,5 +549,5 @@ def supersolvable_flag_reference(g: LieAlgebraPresentation) -> FlagResult:
         chain.append(orig)
         current, lift = quotient_reference(current, v, lift)
     full_chain = tuple(chain)
-    _verify_ideal_chain(g, full_chain)
+    verify_ideal_chain_reference(g, full_chain)
     return FlagResult("flag", full_chain)

@@ -21,9 +21,7 @@ from vfblock.regions import Circle, annulus, disk
 from vfblock.tracking import component_order_check, tracks_symbolic
 from vfblock.trig import TrigPoly2
 from vfblock.verifier import verify_liealg, verify_mainbis
-from vfblock.exactlin import subspace_basis
-
-from fraction_reference import vector_in_span
+from fraction_reference import subspace_basis, vector_in_span
 
 
 def _line(num: int, text: str):

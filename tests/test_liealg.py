@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from vfblock.certify import zero_enclosure
 from vfblock.errors import (ContradictionError, DependentBasisError, NotClosedError,
                             NumericalAmbiguity, VfblockError)
-from vfblock.exactlin import (charpoly, identity, in_rref_span, intersect_subspaces,
-                              kernel, rref, subspace_basis)
+from vfblock.exactlin import _rref_int, charpoly, intersect_subspaces, kernel, residual
 from vfblock.fields import lie_bracket, plane_field
-from vfblock.liealg import (FlagResult, LieAlgebraPresentation, _coefficient_keys,
+from vfblock.liealg import (FlagResult, LieAlgebraPresentation, SolvabilityResult,
+                            _coefficient_keys,
                             _coefficient_vector, _flag_candidates, _quotient, _spectrum,
                             _verify_ideal_chain,
                             algebra_tracks, common_zero_set, solvability,
@@ -26,10 +26,12 @@ from vfblock.poly import Poly2, X, Y
 from vfblock.regions import disk
 from vfblock.verifier import verify_liealg
 
-from fraction_reference import (count_real_roots, intersect_reference, kernel_reference,
-                                rational_roots, rref_reference, solve_in_span,
-                                span_reference, supersolvable_flag_reference,
-                                vector_in_span)
+from fraction_reference import (bracket_reference, count_real_roots,
+                                derived_depth_reference, identity, in_rref_span,
+                                intersect_reference, kernel_reference, rational_roots,
+                                rref, rref_reference, solve_in_span, span_reference,
+                                subspace_basis, supersolvable_flag_reference,
+                                verify_ideal_chain_reference, vector_in_span)
 
 
 def _e2():
@@ -423,8 +425,12 @@ def test_rref_span_reduction_matches_span_solve(case):
     m, pivots = rref(vectors)
     inside = [sum((w * v[d] for w, v in zip(weights, vectors)), Fraction(0))
               for d in range(len(stray))]
+    rows = _ints(vectors)
+    int_pivots = _rref_int(rows)
     for w in (stray, inside):
         assert in_rref_span(m, pivots, w) == vector_in_span(vectors, w)
+        assert (not any(residual(rows, int_pivots, _ints([w])[0]))) == \
+            vector_in_span(vectors, w)
     assert in_rref_span(m, pivots, inside)
 
 
@@ -657,6 +663,52 @@ def _assert_same_flag(g):
 @settings(max_examples=60, deadline=None)
 def test_flag_search_matches_fraction_reference(g):
     _assert_same_flag(g)
+
+
+def _chain_outcome(check, g, chain):
+    """None when check accepts the chain, else its NumericalAmbiguity message."""
+    try:
+        check(g, chain)
+    except NumericalAmbiguity as e:
+        return str(e)
+    return None
+
+
+def _spans_ideal(g, v):
+    return all(vector_in_span([v], bracket_reference(g, e, v)) for e in identity(g.dim))
+
+
+@given(st.one_of(_shuffled_benchmark_algebra(), _triangular_algebra()), st.data())
+@example(structure_constants(_uppertri()), None)
+@settings(max_examples=60, deadline=None)
+def test_integer_tensor_matches_fraction_structure(g, data):
+    den, t = g.tensor
+    assert den > 0 and all(type(x) is int for plane in t for row in plane for x in row)
+    assert [[[Fraction(x, den) for x in row] for row in plane] for plane in t] == g.structure
+    depth = derived_depth_reference(g)
+    assert solvability(g) == (SolvabilityResult("not_solvable") if depth is None
+                              else SolvabilityResult("solvable", depth))
+    flag = supersolvable_flag(g)
+    assert flag.status == "flag"
+    chain, n = list(flag.chain), g.dim
+    assert _chain_outcome(_verify_ideal_chain, g, chain) is None
+    if data is None:
+        return
+    mutants = []
+    if n >= 2:
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        mutants.append(chain[:])
+        mutants[0][i], mutants[0][j] = chain[j], chain[i]
+    k = data.draw(st.integers(0, n - 1))
+    v = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    non_ideal = not _spans_ideal(g, v)
+    if non_ideal:
+        mutants.append(chain[:k] + [v] + chain[k + 1:])
+    for mutant in mutants:
+        got = _chain_outcome(_verify_ideal_chain, g, mutant)
+        assert got == _chain_outcome(verify_ideal_chain_reference, g, mutant)
+    if non_ideal and k == 0:
+        assert got == "chain member of dim 1 is not an ideal"
 
 
 def test_one_vector_branches_decide_ambiguity():

@@ -500,6 +500,19 @@ def test_falsification_script_runs_from_plain_checkout(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_profile_script_profiles_algebra_cases(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    before = sorted(ROOT.rglob("*"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "profile_cases.py"), "--workload", "algebra",
+         "--cases", "2", "--sort", "tottime", "--callers", "_bracket_int"],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("algebra, seed 1: 2 cases, 0 failed checks\n")
+    assert "function calls" in proc.stdout and "_bracket_int" in proc.stdout
+    assert sorted(ROOT.rglob("*")) == before and not any(tmp_path.iterdir())
+
+
 GOLDEN_REPORTS = ROOT / "tests" / "data" / "scenario_reports"
 
 

@@ -123,6 +123,22 @@ def test_mainbis_off_centre_report_is_pinned():
     assert json.dumps(report.to_json(), indent=1) + "\n" == GOLDEN_OFF_CENTRE.read_text()
 
 
+def test_mainbis_two_zero_circles_each_have_index_zero(rotation):
+    # X = (1 - r^2)(4 - r^2) R vanishes on the circles r = 1 and r = 2, so K
+    # has two loop-like components and (iv) certifies each on its own
+    r2 = X * X + Y * Y
+    rho = (1 - r2) * (4 - r2)
+    report = verify_mainbis(plane_field(rho * -Y, rho * X), rotation,
+                            annulus((0, 0), Fraction(1, 2), Fraction(5, 2)),
+                            resolution=Fraction(1, 16))
+    assert report.overall == {"status": "Pass"}
+    by_name = {c.name: c for c in report.conclusion_checks}
+    circles = by_name["(ii) components are embedded circles"].data
+    assert (circles["components"], circles["loop_like"]) == (2, [True, True])
+    comp = by_name["(iv) index zero at each component"]
+    assert comp.verdict == "pass" and comp.data["component_indices"] == [0, 0]
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
 def test_mainbis_rejects_tol_that_is_not_finite_and_positive(circle_field, rotation,
                                                              std_annulus, tol):
