@@ -19,7 +19,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from . import interval as iv
 from .config import DEFAULTS, default_max_depth
@@ -483,16 +483,44 @@ def certify_block(field: PlanarField, region: Region, resolution=None,
                  boundary.arcs)
 
 
+_BLOCK_LEVELS = 3      # region tests decide 8 x 8 cells at once (`_select`)
+
+
+def _select(grid: Grid, cells, scaling, every, some=None) -> list[Cell]:
+    """The cells, in order, whose box at `scaling` passes the exact region test
+    `every`, which holds on sub-boxes where it holds, or `some`, which fails on
+    sub-boxes where it fails: a block under one ancestor _BLOCK_LEVELS depths
+    up (fewer on a shallow grid) is decided at once when that box decides it."""
+    _, sx, sy, h = scaling
+    up = min(_BLOCK_LEVELS, grid.depth)
+    w = h << up
+    verdicts, kept = {}, []
+    for cell in cells:
+        i, j = cell
+        key = i >> up, j >> up
+        if key not in verdicts:
+            x, y = sx + key[0] * w, sy + key[1] * w
+            box = x, y, x + w, y + w
+            verdicts[key] = every(box) or (None if some is None or some(box) else False)
+        verdict = verdicts[key]
+        if verdict is None:
+            x, y = sx + i * h, sy + j * h
+            box = x, y, x + h, y + h
+            verdict = every(box) or some is not None and some(box)
+        if verdict:
+            kept.append(cell)
+    return kept
+
+
 def _check_collar(enclosure: ZeroEnclosure):
-    region = enclosure.region
+    region, grid, cells = enclosure.region, enclosure.grid, enclosure.cells
     collar = DEFAULTS.collar_factor * enclosure.resolution
-    n, boxes = enclosure.grid.scaled_boxes(enclosure.cells, *region.params, collar)
-    scaled, collar = region.scaled(n), int(collar * n)
-    for box in boxes:
-        if not box_clears_boundary(scaled, box, collar):
-            raise CertificationFailed(
-                "enclosure box touches the boundary collar; refine the resolution"
-            )
+    scaling = n, _, _, _ = grid.scaling(*region.params, collar)
+    clears = partial(box_clears_boundary, region.scaled(n), collar=int(collar * n))
+    if len(_select(grid, cells, scaling, clears)) < len(cells):
+        raise CertificationFailed(
+            "enclosure box touches the boundary collar; refine the resolution"
+        )
 
 
 def restrict_block(parent: Block, sub_region: Region) -> Block:
@@ -504,9 +532,10 @@ def restrict_block(parent: Block, sub_region: Region) -> Block:
     if boundary is None or boundary.margin <= 0:
         raise BoundaryZero("no positive boundary margin on the sub-region")
     enc = parent.enclosure
-    n, boxes = enc.grid.scaled_boxes(enc.cells, *sub_region.params)
-    scaled = sub_region.scaled(n)
-    cells = [c for c, b in zip(enc.cells, boxes) if box_intersects_closure(scaled, b)]
+    scaling = enc.grid.scaling(*sub_region.params)
+    scaled = sub_region.scaled(scaling[0])
+    cells = _select(enc.grid, enc.cells, scaling, partial(box_clears_boundary, scaled, collar=0),
+                    partial(box_intersects_closure, scaled))
     enclosure = ZeroEnclosure(cells, enc.grid, enc.resolution, sub_region)
     _check_collar(enclosure)
     return Block(parent.field, sub_region, enclosure, boundary.margin,

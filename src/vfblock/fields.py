@@ -12,7 +12,7 @@ from functools import cached_property
 from itertools import islice
 
 from .errors import DegenerateField, PointNotZero
-from .poly import Poly2, _frac, float_plan
+from .poly import Poly2, _frac, float_plan, generated_plan
 from .trig import PiNumber, TrigPoly2
 
 PLANE = "plane"
@@ -90,6 +90,23 @@ class PlanarField:
         bit each component's eval_float (`poly.float_plan`); built once per
         field, on first use."""
         return float_plan((self.p, self.q, *self.jacobian()))
+
+    @cached_property
+    def variational_plan(self):
+        """(x, y, v0, v1) -> (p, q, a v0 + b v1, c v0 + d v1), [a b; c d] the
+        Jacobian at (x, y), from the floats of `jacobian_plan`: the flow and its
+        variational equation.  Generated for Poly2 components, else a closure."""
+        if self.surface == PLANE:
+            return generated_plan((self.p, self.q, *self.jacobian()),
+                                  "(r0, r1, r2 * v0 + r3 * v1, r4 * v0 + r5 * v1)",
+                                  "x, y, v0, v1")
+        evaluate = self.jacobian_plan
+
+        def rhs(s):
+            f0, f1, a, b, c, d = evaluate(s[0], s[1])
+            return (f0, f1, a * s[2] + b * s[3], c * s[2] + d * s[3])
+
+        return rhs
 
     def to_json(self) -> dict:
         return {

@@ -7,7 +7,8 @@ does the float operations of the plain tableau loop, in the same order (see
 `integrate`).  Flowboxes rectify a field Y to the constant horizontal field:
 the chart sends (t, s) to the time-t flow of the point p + s * n, with n the
 unit normal to Y(p).  The s-derivative column is integrated alongside through
-the exact variational equation, so chart frames are cheap and accurate.
+the exact variational equation, whose right-hand side for a polynomial field
+is one generated function per field (`PlanarField.variational_plan`).
 """
 
 from __future__ import annotations
@@ -143,18 +144,6 @@ def field_rhs(field: PlanarField):
     return rhs
 
 
-def variational_rhs(field: PlanarField):
-    """RHS of the flow plus its derivative along one transported vector."""
-    evaluate = field.jacobian_plan
-
-    def rhs(y):
-        x0, x1, v0, v1 = y
-        f0, f1, a, b, c, d = evaluate(x0, x1)
-        return (f0, f1, a * v0 + b * v1, c * v0 + d * v1)
-
-    return rhs
-
-
 def flow_integrate(field: PlanarField, point, t: float, tol: float = 1e-10,
                    bbox=DEFAULT_BBOX):
     """The time-t flow of the field applied to the point."""
@@ -175,11 +164,7 @@ class Flowbox:
     time_window: float
     tol: float
     injectivity_margin: float = 0.0
-    _rhs: object = dc_field(default=None, repr=False)
     _frames: dict = dc_field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        self._rhs = variational_rhs(self.field)
 
     def _transversal(self, s: float) -> tuple[float, float]:
         return (self.base[0] + s * self.normal[0], self.base[1] + s * self.normal[1])
@@ -196,8 +181,8 @@ class Flowbox:
             pt = (x0, y0)
             v = self.normal
         else:
-            x, y, vx, vy = integrate(self._rhs, (x0, y0, *self.normal), t, self.tol,
-                                     bbox=None)
+            x, y, vx, vy = integrate(self.field.variational_plan, (x0, y0, *self.normal),
+                                     t, self.tol, bbox=None)
             pt = (x, y)
             v = (vx, vy)
         found = self._frames[(t, s)] = (pt, self.field.eval_float(*pt), v)

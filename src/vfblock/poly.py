@@ -424,6 +424,13 @@ def float_plan(polys):
     pins every result, and every OverflowError, against eval_float by repr."""
     if not all(isinstance(p, Poly2) for p in polys):
         return lambda x, y: [p.eval_float(x, y) for p in polys]
+    return generated_plan(polys, f"[{', '.join(f'r{n}' for n in range(len(polys)))}]")
+
+
+def generated_plan(polys, result, state="x, y"):
+    """`float_plan`'s code for Poly2 entries, r{n} = polys[n].eval_float(x, y),
+    returning the expression `result` of them; it takes x and y, or one tuple
+    that it unpacks into the names `state` (x and y first)."""
     coeffs, powers, lines = {}, set(), []
     for n, p in enumerate(polys):
         parts = ["0.0"]
@@ -439,9 +446,10 @@ def float_plan(polys):
             parts.append(term)
         for k in range(0, len(parts), 64):     # a chain per line: no deep ASTs
             lines.append(f"r{n} = " + " + ".join([f"r{n}"] * (k > 0) + parts[k:k + 64]))
-    body = [f"{v}{e} = {v} ** {e}" for v, e in sorted(powers)] + lines
-    body.append(f"return [{', '.join(f'r{n}' for n in range(len(polys)))}]")
-    exec(_compile_plan("def evaluate(x, y):\n" + "".join(f"    {b}\n" for b in body)), coeffs)
+    params, body = ("x, y", []) if state == "x, y" else ("s", [f"{state} = s"])
+    body += [f"{v}{e} = {v} ** {e}" for v, e in sorted(powers)] + lines
+    body.append(f"return {result}")
+    exec(_compile_plan(f"def evaluate({params}):\n" + "".join(f"    {b}\n" for b in body)), coeffs)
     return coeffs["evaluate"]
 
 

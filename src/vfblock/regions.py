@@ -206,6 +206,23 @@ def box_clears_boundary(region: Region, box, collar: Fraction) -> bool:
     return True  # the torus has no frontier
 
 
+def disk_like_within(sub: Region, region: Region) -> bool:
+    """Is closure(sub), a disk or an annulus, inside closure(region)?  Exact:
+    sub's outer disk lies within region's outer boundary, and the hole of an
+    annulus region misses sub or lies in sub's own hole."""
+    (cx, cy), r = sub.center, sub.r if sub.kind == DISK else sub.r_out
+    if region.kind == RECT:
+        x0, y0, x1, y1 = region.corners
+        return x0 + r <= cx <= x1 - r and y0 + r <= cy <= y1 - r
+    (ux, uy), outer = region.center, region.r if region.kind == DISK else region.r_out
+    d_sq = (cx - ux) ** 2 + (cy - uy) ** 2
+    if r > outer or d_sq > (outer - r) ** 2:
+        return False
+    hole, lo = region.r_in, sub.r_in or 0
+    return (region.kind == DISK or d_sq >= (r + hole) ** 2
+            or hole <= lo and d_sq <= (lo - hole) ** 2)
+
+
 # boundary curves -------------------------------------------------------------
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, takewhile
 
 from .certify import (Block, ZeroEnclosure, certify_block, components,
                       meeting_cells, restrict_block, zero_enclosure,
@@ -33,7 +33,7 @@ from .liealg import (LieAlgebraPresentation, algebra_tracks, common_zero_set,
 from .linefield import angle_mod_pi, flowbox_line_field
 from .poly import _frac, _frac_str
 from .regions import (Region, annulus, box_intersects_closure, box_max_dist_sq,
-                      box_min_dist_sq, disk)
+                      box_min_dist_sq, disk, disk_like_within)
 from .tracking import polish_zero, tracks_symbolic
 
 MAIN = "MAIN"
@@ -102,9 +102,11 @@ class TheoremReport:
 def kflat_locus_enclosure(field: PlanarField, region: Region, k: int,
                           resolution, near: ZeroEnclosure | None = None) -> ZeroEnclosure:
     """Enclosure of the set where every jet of the field through order k
-    vanishes; empty means the field is nowhere k-flat on closure(U)."""
+    vanishes; empty means the field is nowhere k-flat on closure(U).  Orders
+    stop at the first all-zero one: a zero scalar never discards a cell."""
     scalars = [d for comp in (field.p, field.q)
-               for order in islice(partials_by_order(comp), k + 1) for d in order]
+               for order in takewhile(any, islice(partials_by_order(comp), k + 1))
+               for d in order]
     return zero_enclosure_scalars(scalars, region, resolution, near=near)
 
 
@@ -370,6 +372,8 @@ def _component_indices_check(x_field: PlanarField, block: Block,
             sub = annulus(center, r_lo, r_hi)
         else:
             sub = disk(center, r_hi)
+        if not disk_like_within(sub, block.region):
+            return CheckRecord(name, INCONCLUSIVE, {"error": "sub-region leaves closure(U)"})
         others = [cell for o in comps if o is not comp for cell in o.cells]
         n, boxes = grid.scaled_boxes(others, *sub.params)
         scaled = sub.scaled(n)

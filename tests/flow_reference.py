@@ -1,4 +1,5 @@
-"""The Dormand-Prince 5(4) loop that `vfblock.flows.integrate` unrolls.
+"""The Dormand-Prince 5(4) loop that `vfblock.flows.integrate` unrolls, and
+the variational right-hand side that `PlanarField.variational_plan` generates.
 
 The tableau and the step loop are kept as they were before the unrolling:
 per-dimension loops over the nonzero entries of each row and `sum()` for the
@@ -87,3 +88,17 @@ def integrate_reference(f, y0, t_total: float, tol: float, bbox=DEFAULT_BBOX):
             factor = max(0.2, 0.9 * err ** -0.2) if math.isfinite(err) else 0.2
         h *= factor
     raise StepUnderflow("integrator exceeded its step budget")
+
+
+def variational_reference(field):
+    """The flow's right-hand side with its derivative along a transported
+    vector, as a closure over the field's `jacobian_plan`: the products and
+    sums that the generated `variational_plan` must reproduce bit for bit."""
+    evaluate = field.jacobian_plan
+
+    def rhs(y):
+        x0, x1, v0, v1 = y
+        f0, f1, a, b, c, d = evaluate(x0, x1)
+        return (f0, f1, a * v0 + b * v1, c * v0 + d * v1)
+
+    return rhs

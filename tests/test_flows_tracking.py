@@ -9,7 +9,7 @@ import pytest
 from vfblock.errors import EscapeError, ZeroAtBasePoint
 from vfblock.fields import PlanarField, lie_bracket, plane_field
 from vfblock.flows import flow_integrate, flowbox_build
-from vfblock.poly import Poly2, X, Y, float_plan
+from vfblock.poly import Poly2, X, Y, float_plan, generated_plan
 from vfblock.regions import Region
 from vfblock.tracking import component_order_check, polish_zero, tracks_symbolic
 
@@ -69,21 +69,27 @@ def test_flowbox_polar_chart(rotation):
 
 
 def test_one_float_plan_per_field(monkeypatch):
-    # every window a flowbox tries and every polish of the same field share one plan
+    # every window a flowbox tries shares one variational plan, and every
+    # polish of the same field one Jacobian plan
     from vfblock import fields
     builds = []
 
     def counted(polys):
-        builds.append(polys)
+        builds.append("jacobian")
         return float_plan(polys)
 
+    def counted_generated(*args):
+        builds.append("variational")
+        return generated_plan(*args)
+
     monkeypatch.setattr(fields, "float_plan", counted)
+    monkeypatch.setattr(fields, "generated_plan", counted_generated)
     field = plane_field(-Y + X * X, X)
     first = flowbox_build(field, (1, 0), 0.15, 0.5)
     again = flowbox_build(field, (1, 0), 0.15, 0.5)
     assert first.forward(0.1, 0.05) == again.forward(0.1, 0.05)
     assert polish_zero(field, (0.1, 0.1)) == polish_zero(field, (0.1, 0.1))
-    assert len(builds) == 1
+    assert builds == ["variational", "jacobian"]
     assert field.jacobian_plan(0.5, -0.25) == [c.eval_float(0.5, -0.25) for c in
                                                (field.p, field.q, *field.jacobian())]
 

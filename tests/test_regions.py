@@ -1,5 +1,6 @@
 """Zero enclosures, boundary margins, blocks and components."""
 
+import contextlib
 import hashlib
 import json
 import math
@@ -18,18 +19,20 @@ from hypothesis import strategies as st
 
 from vfblock import certify
 from vfblock import interval as iv
-from vfblock.certify import (_EDGE_STEPS, Grid, ZeroEnclosure, _AxisTables, _clusters,
-                             _grid_setup,
+from vfblock.certify import (_EDGE_STEPS, Block, Grid, ZeroEnclosure, _AxisTables,
+                             _clusters, _grid_setup,
                              _has_hole, _root_box, certify_block,
-                             components, meeting_cells,
-                             min_norm_on_boundary, zero_enclosure, zero_enclosure_scalars)
-from vfblock.config import ENV_MAX_DEPTH, default_max_depth
+                             components, meeting_cells, min_norm_on_boundary,
+                             restrict_block, zero_enclosure, zero_enclosure_scalars)
+from vfblock.config import DEFAULTS, ENV_MAX_DEPTH, default_max_depth
 from vfblock.corpus import random_tracking_scenario
-from vfblock.errors import BoundaryZero, DepthLimitExceeded, UnsupportedRegion
+from vfblock.errors import (BoundaryZero, CertificationFailed, DepthLimitExceeded,
+                            UnsupportedRegion)
 from vfblock.fields import plane_field, torus_field
 from vfblock.poly import Poly2, X, Y
 from vfblock.regions import (RectLoop, Region, annulus, box_clears_boundary,
-                             box_intersects_closure, disk, rectangle, torus_full)
+                             box_intersects_closure, disk, disk_like_within, rectangle,
+                             torus_full)
 from vfblock.scenario import parse_scenario
 from vfblock.trig import TrigPoly2
 
@@ -456,6 +459,111 @@ def test_integer_cell_geometry_matches_fractions(region, depth, data, collar):
     for start, k, lo, hi in ((sx, cell[0], box[0], box[2]), (sy, cell[1], box[1], box[3])):
         assert _AxisTables(start, h, depth, n, lambda a, count: a, 0)[depth, k] == \
             (iv.make(lo)[0], iv.make(hi)[1])
+
+
+_blob = st.tuples(st.integers(0, 127), st.integers(0, 127), st.integers(0, 12),
+                  st.lists(st.tuples(st.integers(0, 127), st.integers(0, 127)), max_size=4))
+
+
+def _cell_set(grid, blob):
+    """Sorted cells of the grid: a square of Chebyshev radius r around cell
+    (i0, j0), clipped to the grid, and a few more cells, every index taken
+    mod the grid's size; so blocks lie inside U, outside it and across its
+    frontier and collar."""
+    (i0, j0, r, extra), size = blob, 2 ** grid.depth
+    i0, j0 = i0 % size, j0 % size
+    cells = {(i, j) for i in range(max(0, i0 - r), min(size, i0 + r + 1))
+             for j in range(max(0, j0 - r), min(size, j0 + r + 1))}
+    return sorted(cells | {(i % size, j % size) for i, j in extra})
+
+
+@given(_regions(), _regions(), st.integers(0, 7), _blob,
+       st.fractions(Fraction(1, 64), Fraction(1, 2), max_denominator=64))
+@example(annulus((0, 0), Fraction(1, 2), Fraction(3, 2)),
+         annulus((0, 0), Fraction(7, 8), Fraction(9, 8)), 6, (10, 30, 12, []),
+         Fraction(1, 64))
+@settings(max_examples=200, deadline=None)
+def test_blockwise_region_tests_match_the_per_cell_loop(region, sub, depth, blob,
+                                                        resolution):
+    # `_check_collar` and `restrict_block` decide 8 x 8 cells at a time on
+    # their ancestor box; they must raise, keep and order exactly as a loop
+    # of the exact Fraction predicates over every cell does
+    x0, y0, x1, _ = _root_box(region)
+    grid = Grid(x0, y0, x1 - x0, depth)
+    cells = _cell_set(grid, blob)
+    collar = DEFAULTS.collar_factor * resolution
+
+    def collar_fails(region, cells):
+        return any(not box_clears_boundary(region, grid.box(c), collar) for c in cells)
+
+    enclosure = ZeroEnclosure(cells, grid, resolution, region)
+    with (pytest.raises(CertificationFailed) if collar_fails(region, cells)
+          else contextlib.nullcontext()):
+        certify._check_collar(enclosure)
+    parent = Block(plane_field(Poly2.const(1), Poly2.zero()), region, enclosure,
+                   Fraction(1), 0, 16)
+    want = [c for c in cells if box_intersects_closure(sub, grid.box(c))]
+    if collar_fails(sub, want):
+        with pytest.raises(CertificationFailed):
+            restrict_block(parent, sub)
+    else:
+        assert restrict_block(parent, sub).enclosure.cells == want
+
+
+def _within_slack(sub, region) -> float:
+    """In floats, how far closure(sub), a disk or an annulus, stays inside
+    closure(region): negative when it leaves it."""
+    (cx, cy), r = map(float, sub.center), float(sub.r or sub.r_out)
+    lo = float(sub.r_in or 0)
+    if region.kind == "rect":
+        x0, y0, x1, y1 = map(float, region.corners)
+        return min(cx - r - x0, x1 - r - cx, cy - r - y0, y1 - r - cy)
+    d = math.hypot(cx - float(region.center[0]), cy - float(region.center[1]))
+    slack = float(region.r or region.r_out) - r - d
+    if region.kind == "annulus":
+        hole = float(region.r_in)
+        slack = min(slack, max(d - r - hole, lo - hole - d))
+    return slack
+
+
+@pytest.mark.parametrize("sub, region, want", [
+    (disk((0, 0), 1), disk((0, 0), 1), True),
+    (disk((Fraction(1, 2), 0), Fraction(1, 2)), disk((0, 0), 1), True),     # tangent inside
+    (disk((Fraction(1, 2), 0), Fraction(3, 5)), disk((0, 0), 1), False),
+    (annulus((0, 0), Fraction(1, 2), Fraction(4860750170816711, 4503599627370496)),
+     annulus((0, 0), Fraction(1, 2), Fraction(17, 16)), False),             # the (iv) sliver
+    (annulus((0, 0), Fraction(3, 4), 1), annulus((0, 0), Fraction(1, 2), 1), True),
+    (annulus((0, 0), Fraction(1, 4), 1), annulus((0, 0), Fraction(1, 2), 1), False),
+    (disk((2, 0), Fraction(1, 2)), annulus((0, 0), 1, 3), True),            # beside the hole
+    (disk((Fraction(3, 2), 0), Fraction(1, 2)), annulus((0, 0), 1, 3), True),   # touches it
+    (disk((Fraction(7, 5), 0), Fraction(1, 2)), annulus((0, 0), 1, 3), False),
+    (annulus((Fraction(1, 4), 0), Fraction(5, 4), 2), annulus((0, 0), 1, 3), True),
+    (annulus((Fraction(1, 4), 0), Fraction(6, 5), 2), annulus((0, 0), 1, 3), False),
+    (disk((1, 1), 1), rectangle(0, 0, 2, 2), True),
+    (annulus((1, 1), Fraction(1, 2), 1), rectangle(0, 0, 2, 3), True),
+    (disk((1, 1), 1), rectangle(0, 0, 2, Fraction(19, 10)), False),
+])
+def test_disk_like_within_cases(sub, region, want):
+    assert disk_like_within(sub, region) is want
+
+
+_unit = st.fractions(-1, 1, max_denominator=24)
+
+
+@given(_regions(), _unit, _unit, _unit.map(abs), _unit.map(abs))
+@settings(max_examples=300, deadline=None)
+def test_disk_like_within_matches_float_geometry(region, u, v, a, b):
+    # a disk or an annulus scaled to the region's size and placed around its
+    # middle, so that it lies inside about as often as not: the exact decision
+    # agrees with the float one wherever the float slack is clear of rounding
+    x0, y0, x1, y1 = region.bounding_box()
+    size = min(x1 - x0, y1 - y0) / 2
+    center = ((x0 + x1) / 2 + u * size, (y0 + y1) / 2 + v * size)
+    r = (a + Fraction(1, 24)) * size
+    sub = disk(center, r) if b < Fraction(1, 3) else annulus(center, b * r, r + b * r)
+    slack = _within_slack(sub, region)
+    if abs(slack) > 1e-9:
+        assert disk_like_within(sub, region) is (slack > 0)
 
 
 def _shifted(region, c):

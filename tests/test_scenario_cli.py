@@ -45,6 +45,28 @@ def test_annulus_mainbis_scenario():
     assert by_name["mainbis"].data["report"]["overall"]["status"] == "Pass"
 
 
+def _verdicts(report):
+    """Every check's verdict, and those inside a theorem report, in order."""
+    out = []
+    for check in report.checks:
+        out.append(check.verdict)
+        inner = check.data.get("report", {})
+        out += [c["verdict"] for key in ("hypotheses", "conclusions") for c in inner.get(key, ())]
+    return out
+
+
+def test_annulus_mainbis_with_a_huge_k_finishes_with_k3_verdicts():
+    # a polynomial's partials past its degree are zero, so the k-flat locus
+    # stops there instead of building O(k^2) zero polynomials
+    data = json.loads((SCENARIOS / "annulus_mainbis.json").read_text())
+    reports = []
+    for k in (3, 10 ** 6):
+        data["checks"][1]["args"]["k"] = k
+        reports.append(run_scenario(json.loads(json.dumps(data))))
+    assert _verdicts(reports[0]) == _verdicts(reports[1])
+    assert reports[1].exit_code == 0
+
+
 def test_torus_scenario():
     report = run_scenario(str(SCENARIOS / "torus_four_blocks.json"))
     assert report.exit_code == 0

@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,7 @@ from vfblock import certify, liealg, verifier
 from vfblock.certify import certify_block, zero_enclosure_scalars
 from vfblock.corpus import falsification_run, random_tracking_scenario
 from vfblock.errors import EscapeError, StepUnderflow, VfblockError
-from vfblock.fields import jet_order, plane_field
+from vfblock.fields import jet_order, partials_by_order, plane_field
 from vfblock.flows import Flowbox
 from vfblock.poly import Poly2, X, Y
 from vfblock.regions import annulus, disk
@@ -139,6 +140,23 @@ def test_mainbis_two_zero_circles_each_have_index_zero(rotation):
     assert comp.verdict == "pass" and comp.data["component_indices"] == [0, 0]
 
 
+def test_mainbis_iv_sub_annulus_must_stay_in_closure_of_u(rotation):
+    # K's cells clear the frontier r = 17/16 by the 2 * resolution collar, but
+    # the sub-annulus padded by 4 * resolution around them reaches r ~ 1.079:
+    # a zero of X there would lie outside K yet count in the component's index
+    rho = 1 - X * X - Y * Y
+    report = verify_mainbis(plane_field(rho * -Y, rho * X), rotation,
+                            annulus((0, 0), Fraction(1, 2), Fraction(17, 16)),
+                            resolution=Fraction(1, 64),
+                            known_zeros=[(1, 0), (0, 1), (-1, 0), (0, -1)])
+    assert report.overall == {"status": "Inconclusive",
+                              "name": "(iv) index zero at each component"}
+    comp = {c.name: c for c in report.conclusion_checks}["(iv) index zero at each component"]
+    assert (comp.verdict, comp.data) == ("inconclusive",
+                                         {"error": "sub-region leaves closure(U)"})
+    assert all(c.verdict == "pass" for c in report.hypothesis_checks)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
 def test_mainbis_rejects_tol_that_is_not_finite_and_positive(circle_field, rotation,
                                                              std_annulus, tol):
@@ -258,6 +276,24 @@ def _kflat_locus_reference(field, region, k, resolution):
                     d = d.dy()
                 scalars.append(d)
     return zero_enclosure_scalars(scalars, region, max(resolution, Fraction(1, 16)))
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 7])
+def test_kflat_locus_stops_at_the_first_zero_order(circle_field, std_annulus, k):
+    # every partial through order k, zeros past the cubic's degree included,
+    # encloses the same cells with the same counters as the truncated list
+    res = Fraction(1, 16)
+    block = certify_block(circle_field, std_annulus, res)
+    full = [d for comp in (circle_field.p, circle_field.q)
+            for order in islice(partials_by_order(comp), k + 1) for d in order]
+    for near in (None, block.enclosure):
+        want = zero_enclosure_scalars(full, std_annulus, res, near=near)
+        got = kflat_locus_enclosure(circle_field, std_annulus, k, res, near)
+        assert got.cells == want.cells
+        assert (got.cells_examined, got.cells_discarded_geometry,
+                got.cells_discarded_interval, got.depth_used) == \
+            (want.cells_examined, want.cells_discarded_geometry,
+             want.cells_discarded_interval, want.depth_used)
 
 
 _eighths = st.fractions(Fraction(-1, 2), Fraction(1, 2), max_denominator=8)
