@@ -184,8 +184,9 @@ class _AxisTables(dict):
 
 class _GridSetup:
     """What every enclosure of one region at one resolution shares: the grid,
-    its `scaling` (n, n x0, n y0, n h), the region scaled by n, and one
-    `_AxisTables` store per axis start and table builder, filled lazily."""
+    its `scaling` (n, n x0, n y0, n h), the region scaled by n, the collar's
+    frame and one `_AxisTables` store per axis start and table builder,
+    filled lazily."""
 
     def __init__(self, region: Region, resolution: Fraction):
         x0, y0, x1, _ = _root_box(region)
@@ -194,9 +195,15 @@ class _GridSetup:
         while 2 * side * side > resolution * resolution * 4 ** depth:
             depth += 1
         self.grid = Grid(x0, y0, side, depth)
+        self.region, self.collar_width = region, DEFAULTS.collar_factor * resolution
         self.scaling = self.grid.scaling(*region.params)
         self.scaled = region.scaled(self.scaling[0])
         self._stores = {}
+
+    @cached_property
+    def collar(self):
+        """The `_collar_frame` of an enclosure on this grid, built once."""
+        return _collar_frame(self.grid, self.region, self.collar_width)
 
     def axis(self, start: int, build, count: int) -> _AxisTables:
         """The `build` tables, through at least entry `count`, of the axis
@@ -418,6 +425,36 @@ def winding_stats(field: PlanarField, curve, tol=None) -> WindingStats:
     return WindingStats(turns // 4, len(heap), lo)
 
 
+def segment_clear(x0: PlanarField, x1: PlanarField, curve) -> bool:
+    """Whether (1 - t) X0 + t X1 is certified nonzero on the closed curve for
+    every t in [0, 1].  An arc is certified when the interval images of X0
+    and X1 give lo(X0 . X1) > 0 or 0 not in det(X0, X1): they are then
+    nonzero and not antiparallel on it, so no convex combination vanishes.
+    Other arcs are split depth first, under the width and leaf budget of
+    `winding_stats`; the first that may not be split refuses, after
+    O(max depth) arcs.  Arcs and tables come from the curve's `tables_of`."""
+    min_width = 0.5 ** default_max_depth()
+    scalars = x0.p, x0.q, x1.p, x1.q
+    build, nx, ny, _ = _ring_plans(scalars)
+    stack = [(i / _INITIAL_ARCS, (i + 1) / _INITIAL_ARCS) for i in range(_INITIAL_ARCS)][::-1]
+    splits = 0
+    while stack:
+        t0, t1 = stack.pop()
+        ix, iy, tables = curve.tables_of(t0, t1, build, nx, ny)
+        a0, b0, a1, b1 = (s.eval_interval(ix, iy, tables) for s in scalars)
+        if iv.add(iv.mul(a0, a1), iv.mul(b0, b1))[0] > 0.0:
+            continue
+        lo, hi = iv.sub(iv.mul(a0, b1), iv.mul(b0, a1))
+        if lo > 0.0 or hi < 0.0:
+            continue
+        if (t1 - t0) < min_width or splits >= _LEAF_BUDGET:
+            return False
+        tm = 0.5 * (t0 + t1)
+        stack += [(tm, t1), (t0, tm)]
+        splits += 1
+    return True
+
+
 @dataclass(frozen=True)
 class BoundaryPass:
     """Certified lower bound for |X| on the boundary of U, the index of X in U
@@ -478,7 +515,7 @@ def certify_block(field: PlanarField, region: Region, resolution=None,
     if boundary is None or boundary.margin <= 0:
         raise BoundaryZero("no positive boundary margin could be certified")
     enclosure = zero_enclosure(field, region, resolution)
-    _check_collar(enclosure)
+    _check_collar(enclosure, _grid_setup(region, resolution).collar)
     return Block(field, region, enclosure, boundary.margin, boundary.index,
                  boundary.arcs)
 
@@ -512,11 +549,20 @@ def _select(grid: Grid, cells, scaling, every, some=None) -> list[Cell]:
     return kept
 
 
-def _check_collar(enclosure: ZeroEnclosure):
-    region, grid, cells = enclosure.region, enclosure.grid, enclosure.cells
-    collar = DEFAULTS.collar_factor * enclosure.resolution
+def _collar_frame(grid: Grid, region: Region, collar: Fraction):
+    """(scaling, region, collar): the grid's `scaling` that makes the region
+    and the collar integral, and both scaled by its n."""
     scaling = n, _, _, _ = grid.scaling(*region.params, collar)
-    clears = partial(box_clears_boundary, region.scaled(n), collar=int(collar * n))
+    return scaling, region.scaled(n), int(collar * n)
+
+
+def _check_collar(enclosure: ZeroEnclosure, frame=None):
+    """Raise CertificationFailed when a cell lies within the collar of the
+    frontier; `frame` is the enclosure's `_collar_frame`, built here if None."""
+    grid, cells = enclosure.grid, enclosure.cells
+    scaling, scaled, collar = frame or _collar_frame(
+        grid, enclosure.region, DEFAULTS.collar_factor * enclosure.resolution)
+    clears = partial(box_clears_boundary, scaled, collar=collar)
     if len(_select(grid, cells, scaling, clears)) < len(cells):
         raise CertificationFailed(
             "enclosure box touches the boundary collar; refine the resolution"

@@ -12,8 +12,9 @@ An arc's interval box, and its axis tables for a coefficient ring, depend on
 the curve, not on the field.  Each curve memoises them (`_Curve.tables_of`
 in `regions`), and `Region.boundary_curves` memoises the curves of the last
 region asked: the passes of one homotopy or wedge check, and consecutive
-checks on an equal region, share them.  A homotopy builds x1 - x0 once and
-each step field from it.
+checks on an equal region, share them.  A homotopy is certified for every
+t in [0, 1] by one subdivision of the boundary (`certify.segment_clear`)
+plus the passes of its two ends.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from . import interval as iv
 from .certify import (Block, BoundaryPass, min_norm_on_boundary,  # noqa: F401 (re-export)
-                      winding_stats)
+                      segment_clear, winding_stats)
 from .config import DEFAULTS
 from .errors import (BoundaryZero, CertificationFailed, ContradictionError,
                      PreconditionFailed)
@@ -121,33 +122,34 @@ class HomotopyVerdict:
 
 def homotopy_invariance_check(x0: PlanarField, x1: PlanarField, region: Region,
                               steps: int) -> HomotopyVerdict:
-    """Certify boundary nonvanishing and a constant index along the straight-line
-    homotopy sampled at t = i/steps; degenerate reports are honest failures of
-    certification, not counterexamples.  The field at t is x0 + t (x1 - x0),
-    with the difference built once, and x1 itself at t = 1: the coefficients
-    and term order of x0.scale(1 - t) + x1.scale(t).  The steps + 1 boundary
-    passes run over the region's memoised boundary curves and so share their
-    arc boxes and axis tables."""
+    """Certify that (1 - t) x0 + t x1 has no zero on the boundary of U for
+    every t in [0, 1] (`segment_clear`); the index, read at t = 0 and 1, is
+    then constant.  If that certificate refuses, the step fields at
+    t = i/steps (x0 + t (x1 - x0), x1 itself at t = 1: the terms of
+    x0.scale(1 - t) + x1.scale(t)) only locate the first t whose field is
+    zero or not certified nonvanishing; if none is, the verdict is
+    degenerate without t.  Degenerate verdicts are honest failures of
+    certification, not counterexamples.  All passes share the region's
+    memoised curves."""
     if isinstance(steps, bool) or not isinstance(steps, int):
         raise ValueError(f"steps must be an int, got {steps!r}")
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    x0._same_surface(x1)
+    if all(segment_clear(x0, x1, curve) for curve in region.boundary_curves()):
+        ends = [min_norm_on_boundary(x, region, tol=1) for x in (x0, x1)]
+        if None not in ends:
+            if ends[0].index != ends[1].index:
+                raise ContradictionError("index changed along a certified-nonvanishing "
+                                         f"homotopy: {[b.index for b in ends]}")
+            return HomotopyVerdict("invariant", index=ends[0].index)
     d = x1 - x0
-    indices = []
     for i in range(steps + 1):
         t = Fraction(i, steps)
         xt = replace(x1, k=d.k) if i == steps else x0 + d.scale(t)
-        if xt.is_zero():
+        if xt.is_zero() or min_norm_on_boundary(xt, region, tol=1) is None:
             return HomotopyVerdict("degenerate", t=t)
-        boundary = min_norm_on_boundary(xt, region, tol=1)
-        if boundary is None:
-            return HomotopyVerdict("degenerate", t=t)
-        indices.append(boundary.index)
-    if any(idx != indices[0] for idx in indices):
-        raise ContradictionError(
-            f"index changed along a certified-nonvanishing homotopy: {indices}"
-        )
-    return HomotopyVerdict("invariant", index=indices[0])
+    return HomotopyVerdict("degenerate")
 
 
 @dataclass(frozen=True)

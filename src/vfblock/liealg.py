@@ -181,6 +181,7 @@ def structure_constants(basis: list[PlanarField]) -> LieAlgebraPresentation:
     closed = True
     witness = None
     table = {}
+    numerators = {}     # (i, j): (integer coordinates, their denominator)
     for (i, j), b in brackets.items():
         target, s = _coefficient_row(b, keys)
         w = [0] * (nk + n)
@@ -192,12 +193,21 @@ def structure_constants(basis: list[PlanarField]) -> LieAlgebraPresentation:
             if witness is None:
                 witness = (i, j)
             continue
+        numerators[i, j] = w[nk:], lcm * s
         coords = [Fraction(a, lcm * s) for a in w[nk:]]
         table[(i, j)] = coords
         for k in range(n):
             structure[i][j][k] = coords[k]
             structure[j][i][k] = -coords[k]
-    return LieAlgebraPresentation(list(basis), structure, closed, witness, table)
+    g = LieAlgebraPresentation(list(basis), structure, closed, witness, table)
+    # the tensor from the integers: the reduced denominators of a bracket's
+    # coordinates a / m have the lcm m / gcd(m, a, ...)
+    den = math.lcm(*(m // math.gcd(m, *w) for w, m in numerators.values()))
+    t = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), (w, m) in numerators.items():
+        t[i][j], t[j][i] = [a * den // m for a in w], [-a * den // m for a in w]
+    g.__dict__["tensor"] = den, t
+    return g
 
 
 def _require_closed(g: LieAlgebraPresentation):

@@ -308,14 +308,16 @@ class RectLoop(_Curve):
         self.vertices = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
         self._edges = [([ax, bx - ax], [ay, by - ay], [1]) for (ax, ay), (bx, by)
                        in zip(self.vertices, self.vertices[1:] + self.vertices[:1])]
-        lengths = [x1 - x0, y1 - y0, x1 - x0, y1 - y0]
-        total = sum(lengths)
-        self.breaks = []
-        acc = Fraction(0)
-        for L in lengths:
-            acc += L
-            self.breaks.append(acc / total)
-        self.perimeter = total
+        # in integers, times L, the lcm of the corners' denominators: edge e runs
+        # from vertex e in direction (dx, dy) over the arc lengths (start, end]
+        self._scale = math.lcm(*(c.denominator for c in self.corners))
+        ix0, iy0, ix1, iy1 = (int(c * self._scale) for c in self.corners)
+        w, h = ix1 - ix0, iy1 - iy0
+        self._int_edges = [(ix0, iy0, 1, 0, 0, w), (ix1, iy0, 0, 1, w, w + h),
+                           (ix1, iy1, -1, 0, w + h, 2 * w + h),
+                           (ix0, iy1, 0, -1, 2 * w + h, 2 * (w + h))]
+        self.perimeter = Fraction(2 * (w + h), self._scale)
+        self.breaks = [Fraction(edge[-1], 2 * (w + h)) for edge in self._int_edges]
 
     def _locate(self, t: float):
         t = t % 1.0
@@ -341,24 +343,28 @@ class RectLoop(_Curve):
         vertex a to vertex b is a + t (b - a) for t in [0, 1]."""
         return self._edges
 
-    def exact_point(self, t: Fraction) -> tuple[Fraction, Fraction]:
-        """The point at parameter t in [0, 1], in exact arithmetic."""
-        prev = Fraction(0)
-        for piece, b in zip(self._edges, self.breaks):
-            if t <= b:
-                return piece_point(piece, (t - prev) / (b - prev))
-            prev = b
-        raise ValueError(f"parameter {t} outside [0, 1]")
-
     def box_of(self, t0: float, t1: float):
         """Enclosure of the exact points with parameter in [t0, t1]: its
-        endpoints and the vertices between them."""
-        pts = [self.exact_point(Fraction(t0)), self.exact_point(Fraction(t1))]
-        pts += [self.vertices[(e + 1) % 4] for e, b in enumerate(self.breaks)
-                if t0 < b < t1]
-        xs, ys = [p[0] for p in pts], [p[1] for p in pts]
-        return ((iv.make(min(xs))[0], iv.make(max(xs))[1]),
-                (iv.make(min(ys))[0], iv.make(max(ys))[1]))
+        endpoints and the vertices strictly between them.  With t = m / e and
+        E the larger e (powers of two), each is an integer pair over L E, so
+        each bound is `iv.ratio`, the bits of `iv.make` of the rational."""
+        (m0, e0), (m1, e1) = t0.as_integer_ratio(), t1.as_integer_ratio()
+        e = max(e0, e1)
+        perimeter = self._int_edges[-1][-1]
+        s0, s1 = m0 * (e // e0) * perimeter, m1 * (e // e1) * perimeter
+        if not 0 <= s0 <= s1 <= perimeter * e:
+            raise ValueError(f"arc [{t0}, {t1}] outside [0, 1]")
+        xs, ys = [], []
+        for x, y, dx, dy, start, end in self._int_edges:
+            start, end = start * e, end * e
+            at = [s for s in (s0, s1) if start < s <= end or s == start == 0]
+            if s0 < end < s1:
+                at.append(end)
+            xs += [x * e + dx * (s - start) for s in at]
+            ys += [y * e + dy * (s - start) for s in at]
+        n = self._scale * e
+        return ((iv.ratio(min(xs), n)[0], iv.ratio(max(xs), n)[1]),
+                (iv.ratio(min(ys), n)[0], iv.ratio(max(ys), n)[1]))
 
     def length_upper(self) -> float:
         return iv.up(float(self.perimeter))

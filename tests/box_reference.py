@@ -1,11 +1,17 @@
-"""Reference interval evaluator: fresh axis tables for every box.
+"""Reference boxes: fresh axis tables for every box, and rectangle arc boxes
+in exact arithmetic.
 
 `certify.winding_stats` reads memoised per-arc tables (`_Curve.tables_of`)
 and the quadtree reads shared per-column and per-row tables
-(`poly.cell_test`); both must give what this gives.
+(`poly.cell_test`); both must give what `box_evaluator` gives.
+`RectLoop.box_of` works in integers and must give what `rect_box_of` gives.
 """
 
+from fractions import Fraction
+
+from vfblock import interval as iv
 from vfblock.poly import _ring_plans
+from vfblock.regions import piece_point
 
 
 def box_evaluator(scalars):
@@ -19,3 +25,24 @@ def box_evaluator(scalars):
         return (s.eval_interval(ix, iy, tables) for s in scalars)
 
     return evaluate
+
+
+def exact_point(loop, t: Fraction) -> tuple[Fraction, Fraction]:
+    """The point of a `RectLoop` at parameter t in [0, 1], in exact arithmetic."""
+    prev = Fraction(0)
+    for piece, b in zip(loop.pieces(), loop.breaks):
+        if t <= b:
+            return piece_point(piece, (t - prev) / (b - prev))
+        prev = b
+    raise ValueError(f"parameter {t} outside [0, 1]")
+
+
+def rect_box_of(loop, t0: float, t1: float):
+    """`RectLoop.box_of` in `Fraction`s: the endpoints of the arc and the
+    vertices strictly between them, each bound rounded by `iv.make`."""
+    pts = [exact_point(loop, Fraction(t0)), exact_point(loop, Fraction(t1))]
+    pts += [loop.vertices[(e + 1) % 4] for e, b in enumerate(loop.breaks)
+            if t0 < b < t1]
+    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+    return ((iv.make(min(xs))[0], iv.make(max(xs))[1]),
+            (iv.make(min(ys))[0], iv.make(max(ys))[1]))

@@ -9,7 +9,8 @@ what a pass that computes every box and table anew gives: the same
 `WindingStats` and `BoundaryPass`, every float compared by repr, or the
 same `BoundaryZero`.  `iv.make`, and `iv.ratio` of a numerator and
 denominator in any terms, must match the `Fraction` rule they replaced, kept
-in `fraction_reference.make_reference`.
+in `fraction_reference.make_reference`; rectangle arc boxes, computed in
+integers, must match their exact form in `box_reference.rect_box_of`.
 """
 
 import math
@@ -18,6 +19,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from box_reference import rect_box_of
 from fraction_reference import make_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,7 +31,7 @@ from vfblock.errors import BoundaryZero
 from vfblock.fields import plane_field, torus_field
 from vfblock.index import homotopy_invariance_check, wedge_check
 from vfblock.poly import Poly2, X, Y
-from vfblock.regions import Circle, Region, _Curve, annulus, disk, rectangle
+from vfblock.regions import Circle, RectLoop, Region, _Curve, annulus, disk, rectangle
 from vfblock.trig import TrigPoly2
 
 _DEPTH = "12"   # VFBLOCK_MAX_DEPTH: keeps a pass that meets a boundary zero short
@@ -127,26 +129,33 @@ def test_memoised_curves_any_pass_order(region, first, second, coarse_first):
 
 
 def test_checks_share_one_curve_list(monkeypatch):
-    from vfblock import certify
+    """The segment pass and both end passes of a homotopy, then the two
+    passes of a wedge check, all run over one memoised curve."""
+    from vfblock import certify, index
 
     seen = []
-    original = certify.winding_stats
+    winding, segment = certify.winding_stats, certify.segment_clear
 
-    def spy(field, curve, tol=None):
+    def winding_spy(field, curve, tol=None):
         seen.append(curve)
-        return original(field, curve, tol)
+        return winding(field, curve, tol)
 
-    monkeypatch.setattr(certify, "winding_stats", spy)
+    def segment_spy(x0, x1, curve):
+        seen.append(curve)
+        return segment(x0, x1, curve)
+
+    monkeypatch.setattr(certify, "winding_stats", winding_spy)
+    monkeypatch.setattr(index, "segment_clear", segment_spy)
     region = rectangle(-1, -1, 1, 1)
     x0, x1 = plane_field(X, Y), plane_field(X + Y, Y - X)
     assert homotopy_invariance_check(x0, x1, region, 4).index == 1
-    assert len(seen) == 5 and all(c is seen[0] for c in seen)
+    assert len(seen) == 3 and all(c is seen[0] for c in seen)
     assert wedge_check(x0, x0.times_scalar_poly(1 + X * X), region).index == 1
-    assert len(seen) == 7 and all(c is seen[0] for c in seen)
+    assert len(seen) == 5 and all(c is seen[0] for c in seen)
     # the verdicts of fresh curves
     Region.boundary_curves.cache_clear()
     assert homotopy_invariance_check(x0, x1, region, 4).index == 1
-    assert seen[7] is not seen[0]
+    assert seen[5] is not seen[0]
 
 
 _SIN_X = TrigPoly2.term(1, 0, "sc", 1)     # sin(2 pi x)
@@ -155,8 +164,9 @@ _WEIGHT = 3 + TrigPoly2.term(1, 1, "cc", 1)
 
 
 def test_homotopy_builds_each_arcs_tables_once_per_ring(monkeypatch):
-    """Nine passes of an 8-step homotopy share every arc's box and tables:
-    each arc reached gets one box and one table per axis, per ring."""
+    """The segment pass and the two end passes of a homotopy share every
+    arc's box and tables: each arc reached gets one box and one table per
+    axis, per ring."""
     builds, boxes, visits = {}, [], []
     for ring in (Poly2, TrigPoly2):
         def counting(a, n, ring=ring, build=ring.axis_table):
@@ -178,7 +188,7 @@ def test_homotopy_builds_each_arcs_tables_once_per_ring(monkeypatch):
         visits.clear()
         assert homotopy_invariance_check(x0, x1, region, 8).index == 1
         assert len(set(boxes)) == len(boxes) == len(set(visits))
-        assert len(visits) >= 9 * 16                # every pass reads the 16 first arcs
+        assert len(visits) >= 3 * 16                # every pass reads the 16 first arcs
         assert builds.pop(ring) == 2 * len(boxes)
     assert not builds
 
@@ -209,6 +219,32 @@ def test_lower_degree_pass_reads_fresh_bits(monkeypatch, ring, high_first):
         assert sum(len(xt) > nx and len(yt) > ny
                    for _, _, (xt, yt) in arcs.values()) >= 16
         Region.boundary_curves.cache_clear()
+
+
+# rectangle arc boxes in integers against exact points ---------------------------
+
+_corner = st.fractions(min_value=-10 ** 4, max_value=10 ** 4, max_denominator=10 ** 4)
+_side = st.fractions(min_value=Fraction(1, 10 ** 4), max_value=10 ** 4,
+                     max_denominator=10 ** 4)
+
+
+@given(_corner, _corner, _side, _side, st.integers(4, 8), st.data())
+@example(Fraction(-1), Fraction(-1), Fraction(2), Fraction(2), 4, None)
+@example(Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11), Fraction(1, 10 ** 4), 8, None)
+@settings(max_examples=200, deadline=None)
+def test_rect_box_of_matches_exact_points(x0, y0, w, h, depth, data):
+    """`RectLoop.box_of` in integers gives, bit for bit, the `iv.make`
+    rounding of the exact endpoints and the vertices between them
+    (`box_reference.rect_box_of`): on every arc of one dyadic level, on
+    arcs through vertices and on the whole loop."""
+    loop = RectLoop((x0, y0, x0 + w, y0 + h))
+    n = 2 ** depth
+    arcs = [(k / n, (k + 1) / n) for k in range(n)] + [(0.0, 1.0), (0.0, 0.0), (1.0, 1.0)]
+    if data is not None:
+        a, b = sorted(data.draw(st.lists(st.floats(0, 1), min_size=2, max_size=2)))
+        arcs.append((a, b))
+    for t0, t1 in arcs:
+        assert loop.box_of(t0, t1) == rect_box_of(loop, t0, t1)
 
 
 # iv.make against the Fraction rule ---------------------------------------------

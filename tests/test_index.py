@@ -7,21 +7,22 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from homotopy_reference import sampled_homotopy_check
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vfblock import index, upoly
 from vfblock.certify import BoundaryPass, certify_block
-from vfblock.config import ENV_MAX_DEPTH
+from vfblock.config import ENV_MAX_DEPTH, default_max_depth
 from vfblock.errors import BoundaryZero, ContradictionError, PreconditionFailed
 from vfblock.fields import PlanarField, plane_field, torus_field
 from vfblock.index import (HomotopyVerdict, _dependent_on_boundary, block_index,
                            homotopy_invariance_check, interval_lipschitz,
                            lift_double_cover, make_double_cover_lift,
                            min_norm_on_boundary, perturbation_bound, region_index,
-                           wedge_check, winding_stats)
+                           segment_clear, wedge_check, winding_stats)
 from vfblock.poly import Poly2, X, Y, restrict
-from vfblock.regions import Circle, annulus, disk, rectangle
+from vfblock.regions import Circle, _Curve, annulus, disk, rectangle
 from vfblock.trig import COS, SIN, PiNumber, TrigPoly2
 
 
@@ -220,6 +221,34 @@ def test_homotopy_degenerate_midpoint(euler, unit_disk):
     assert verdict.t == Fraction(1, 2)
 
 
+def test_homotopy_zero_between_samples_is_degenerate(euler, unit_disk):
+    """X_1/2 of Euler -> -Euler is identically zero, but no sample of three
+    steps lands on it: the verdict is degenerate, with no t to name."""
+    assert sampled_homotopy_check(euler, -euler, unit_disk, 3).status == "invariant"
+    verdict = homotopy_invariance_check(euler, -euler, unit_disk, 3)
+    assert verdict == HomotopyVerdict("degenerate")
+    assert verdict.to_json() == {"status": "degenerate"}
+
+
+@pytest.mark.parametrize("depth", [None, "12", "40"])
+def test_refused_segment_visits_a_few_arcs_per_depth(monkeypatch, euler, depth):
+    """Depth first, Euler -> -Euler is refused on its first arc's leftmost
+    descendants: at most two `tables_of` visits per depth, on every curve."""
+    if depth is not None:
+        monkeypatch.setenv(ENV_MAX_DEPTH, depth)
+    visits = []
+    tables_of = _Curve.tables_of
+    monkeypatch.setattr(_Curve, "tables_of", lambda c, *a: (
+        visits.append(a[:2]), tables_of(c, *a))[1])
+    regions = (disk((0, 0), 1), rectangle(-1, -2, 3, 1), annulus((1, 0), 1, 2))
+    for curve in (c for region in regions for c in region.boundary_curves()):
+        visits.clear()
+        assert not segment_clear(euler, -euler, curve)
+        assert 0 < len(visits) <= 2 * default_max_depth()
+    assert homotopy_invariance_check(euler, -euler, regions[0], 4) == \
+        HomotopyVerdict("degenerate", t=Fraction(1, 2))
+
+
 def test_homotopy_constant(euler, unit_disk):
     verdict = homotopy_invariance_check(euler, euler, unit_disk, 4)
     assert verdict.status == "invariant" and verdict.index == 1
@@ -281,10 +310,11 @@ def _term_order(s):
           True), 6)
 @settings(max_examples=200, deadline=None)
 def test_homotopy_step_fields_are_the_convex_combination(ends, steps):
-    """The field of step t is x0.scale(1 - t) + x1.scale(t), with its k, its
-    terms in term-map order and its interval plan bit for bit; t = 0 and
-    t = 1 included.  The boundary passes are stubbed, so every step field
-    is reached up to the first zero one."""
+    """The field the locator checks at step t is x0.scale(1 - t) + x1.scale(t),
+    with its k, its terms in term-map order and its interval plan bit for
+    bit; t = 0 and t = 1 included.  The segment certificate is patched to
+    refuse and the boundary passes are stubbed, so the locator reaches
+    every step field up to the first zero one, and names no t past it."""
     x0, x1, negated = ends
     seen = []
 
@@ -292,13 +322,16 @@ def test_homotopy_step_fields_are_the_convex_combination(ends, steps):
         seen.append(field)
         return BoundaryPass(Fraction(1), 0, 1)
 
-    with mock.patch.object(index, "min_norm_on_boundary", boundary_pass):
+    with mock.patch.object(index, "segment_clear", lambda *_: False), \
+            mock.patch.object(index, "min_norm_on_boundary", boundary_pass):
         verdict = homotopy_invariance_check(x0, x1, disk((0, 0), 1), steps)
     want = [x0.scale(1 - Fraction(i, steps)) + x1.scale(Fraction(i, steps))
             for i in range(steps + 1)]
-    if verdict.status == "degenerate":
+    assert verdict.status == "degenerate"
+    if verdict.t is None:
+        assert len(seen) == len(want) and not any(w.is_zero() for w in want)
+    else:
         assert want[len(seen)].is_zero() and verdict.t == Fraction(len(seen), steps)
-    assert len(seen) == len(want) if verdict.status == "invariant" else len(seen) < len(want)
     for got, ref in zip(seen, want):
         assert got.k == ref.k == min(x0.k, x1.k)
         for a, b in ((got.p, ref.p), (got.q, ref.q)):
@@ -306,6 +339,53 @@ def test_homotopy_step_fields_are_the_convex_combination(ends, steps):
             assert repr(a._plan()) == repr(b._plan())
     if negated and steps % 2 == 0 and not x0.is_zero():
         assert verdict == HomotopyVerdict("degenerate", t=Fraction(1, 2))
+
+
+@st.composite
+def _planar_regions(draw):
+    c = (draw(_small), draw(_small))
+    size = st.fractions(min_value=Fraction(1, 8), max_value=1, max_denominator=8)
+    kind = draw(st.sampled_from(("disk", "annulus", "rect")))
+    if kind == "disk":
+        return disk(c, draw(size))
+    if kind == "annulus":
+        r_in = draw(size)
+        return annulus(c, r_in, r_in + draw(size))
+    return rectangle(c[0], c[1], c[0] + draw(size), c[1] + draw(size))
+
+
+def _sampled_or_none(x0, x1, region, steps):
+    try:
+        return sampled_homotopy_check(x0, x1, region, steps)
+    except ContradictionError:     # samples that pass with different indices
+        return None
+
+
+@given(_homotopy_ends(), _planar_regions(), st.integers(2, 8))
+@example((plane_field(X, Y), plane_field(2 * X + Y, X + 2 * Y), False),
+         rectangle(-1, -1, 1, 1), 8)
+@example((plane_field(X, Y), plane_field(-Y, X), False), annulus((0, 0), 1, 2), 3)
+@example((plane_field(X, Y), plane_field(Y, -X), False), disk((0, 0), 1), 5)
+@settings(max_examples=150, deadline=None)
+def test_segment_certificate_against_sampled_loop(ends, region, steps):
+    """Wherever `segment_clear` holds on every boundary curve, the sampled
+    loop of `homotopy_reference` returns `invariant` with the index of the
+    check; negated ends are always refused.  Where it refuses, the check
+    names the sampled loop's first failing t, or no t when every sample
+    passes."""
+    x0, x1, negated = ends
+    with mock.patch.dict(os.environ, {ENV_MAX_DEPTH: "12"}):
+        clear = all(segment_clear(x0, x1, c) for c in region.boundary_curves())
+        verdict = homotopy_invariance_check(x0, x1, region, steps)
+        sampled = _sampled_or_none(x0, x1, region, steps)
+    if negated:
+        assert not clear
+    if clear:
+        assert verdict.status == "invariant" and sampled == verdict
+    elif sampled is not None and sampled.t is not None:
+        assert verdict == sampled
+    else:
+        assert verdict == HomotopyVerdict("degenerate")
 
 
 def test_wedge_examples(euler, const_east, unit_disk):

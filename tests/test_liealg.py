@@ -223,6 +223,9 @@ def test_structure_constants_match_per_bracket_solve(basis):
     g = structure_constants(basis)
     assert (g.structure, g.closed, g.witness, g.bracket_table) == want
     assert all(type(v) is Fraction for plane in g.structure for row in plane for v in row)
+    # the tensor seeded from the solve's integers is the one the Fractions give
+    assert "tensor" in vars(g)
+    assert g.tensor == LieAlgebraPresentation.tensor.func(g)
 
 
 def _det(mat):

@@ -510,6 +510,45 @@ def test_blockwise_region_tests_match_the_per_cell_loop(region, sub, depth, blob
         assert restrict_block(parent, sub).enclosure.cells == want
 
 
+def _collar_outcome(enclosure, frame=None):
+    try:
+        certify._check_collar(enclosure, frame)
+    except CertificationFailed as e:
+        return str(e)
+    return None
+
+
+@given(_regions(), _blob, st.fractions(Fraction(1, 64), Fraction(1, 2), max_denominator=64))
+@settings(max_examples=100, deadline=None)
+def test_collar_frame_memoised_on_the_grid_setup(region, blob, resolution):
+    """K's collar frame, built once on the grid set-up of (region,
+    resolution), makes the collar test raise, with the same message, exactly
+    when the frame built anew does."""
+    setup = certify._GridSetup(region, resolution)
+    enclosure = ZeroEnclosure(_cell_set(setup.grid, blob), setup.grid, resolution, region)
+    want = _collar_outcome(enclosure)
+    assert _collar_outcome(enclosure, setup.collar) == want
+    assert setup.collar is setup.collar
+    assert setup.collar[0] == setup.grid.scaling(*region.params,
+                                                 DEFAULTS.collar_factor * resolution)
+
+
+def test_certify_block_builds_the_collar_frame_once_per_grid(monkeypatch, euler):
+    """Blocks of two fields on one region and resolution share K's collar
+    frame; `restrict_block` builds its sub-region's own."""
+    built = []
+    collar_frame = certify._collar_frame
+    monkeypatch.setattr(certify, "_collar_frame", lambda *a: (built.append(a[1]),
+                                                              collar_frame(*a))[1])
+    _grid_setup.cache_clear()
+    region, sub = disk((0, 0), 1), disk((0, 0), Fraction(1, 2))
+    block = certify_block(euler, region, Fraction(1, 16))
+    certify_block(plane_field(2 * X, Y), region, Fraction(1, 16))
+    assert built == [region]
+    assert restrict_block(block, sub).index == 1
+    assert built == [region, sub]
+
+
 def _within_slack(sub, region) -> float:
     """In floats, how far closure(sub), a disk or an annulus, stays inside
     closure(region): negative when it leaves it."""
