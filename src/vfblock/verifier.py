@@ -11,6 +11,10 @@ certified outer enclosures is a proof of empty intersection.
 Every question about K (is X k-flat on it, do Z(Y) or Z(g) meet it) is
 answered by one descent near K's cells on K's grid, `_near_k`, so with a
 certified block each theorem runs one quadtree over all of closure(U).
+
+MAIN runs as LIEALG's one-element case, g = span{Y}, through one pipeline,
+`_verify_meets_k`; only the theorem's own hypotheses differ, so MAIN builds no
+structure constants.  Known zeros outside closure(U) are ignored.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import partial
 from itertools import islice, takewhile
 
 from .certify import (Block, ZeroEnclosure, certify_block, components,
@@ -150,18 +155,13 @@ def _check_tracking(y_field: PlanarField, x_field: PlanarField) -> CheckRecord:
                        {"certificate": cert.to_json()})
 
 
-def _certify_block_checked(field: PlanarField, region: Region, resolution):
-    try:
-        return certify_block(field, region, resolution), None
-    except VfblockError as e:
-        return None, str(e)
-
-
 def _check_essential_block(field: PlanarField, region: Region, resolution):
+    """The record, the certified block (or None) and its index result."""
     name = "K is an essential X-block"
-    block, err = _certify_block_checked(field, region, resolution)
-    if block is None:
-        return CheckRecord(name, INCONCLUSIVE, {"error": err}), None, None
+    try:
+        block = certify_block(field, region, resolution)
+    except VfblockError as e:
+        return CheckRecord(name, INCONCLUSIVE, {"error": str(e)}), None, None
     result = block_index(block)
     record = CheckRecord(name, PASS if result.essential else FAIL,
                          {"index": result.to_json(),
@@ -180,13 +180,13 @@ def _verified_exact_zero(field: PlanarField, point) -> bool:
 def _common_zero_witness(x_field: PlanarField, fields, region: Region,
                          known_zeros, centers):
     """An exact rational point of Z(X) n cl(U) where every field of `fields`
-    vanishes too, if one can be pinned: a known zero (an exact zero of X, as
-    the k-flat check's `jet_order` raises on any other), or a zero of X
-    polished from one of the centres and rounded to a small denominator."""
+    vanishes too, if one can be pinned: a known zero (in closure(U) and an
+    exact zero of X, as the k-flat check's `jet_order` raises on any other),
+    or a zero of X polished from one of the centres and rounded to a small
+    denominator."""
     for z in known_zeros:
         zf = (_frac(z[0]), _frac(z[1]))
-        if region.contains_point_closed(zf) and all(
-                _verified_exact_zero(f, zf) for f in fields):
+        if all(_verified_exact_zero(f, zf) for f in fields):
             return zf
     for c in centers:
         p = polish_zero(x_field, c)
@@ -216,47 +216,67 @@ def _near_k(enclose, fields, x_field, region, block, known_zeros):
     return enc, True, w and [_frac_str(w[0]), _frac_str(w[1])]
 
 
-def _zy_meets_k(x_field, y_field, region, block, resolution, known_zeros):
-    """`_near_k` for Z(Y); raises VfblockError without a block."""
+def _zeros_meet_k(enclose, fields, x_field, region, resolution, block, known_zeros):
+    """The conclusion of every theorem about K: `_near_k` for the common zeros
+    of `fields`, enclosed by `enclose(region, resolution, near)`.  Raises
+    VfblockError without a certified block."""
     if block is None:
         raise CertificationFailed("no certified block")
-    return _near_k(lambda near: zero_enclosure(y_field, region, resolution, near=near),
-                   [y_field], x_field, region, block, known_zeros)
+    return _near_k(lambda near: enclose(region, resolution, near), fields,
+                   x_field, region, block, known_zeros)
+
+
+# per theorem: the conclusion's name and the keys of its cell count and enclosure
+_CONCLUSION = {MAIN: ("Z(Y) n K is nonempty", "y_zero_boxes", None),
+               LIEALG: ("Z(g) n K is nonempty", "zg_boxes", "zg_enclosure")}
+
+
+def _verify_meets_k(theorem, hypotheses, enclose, fields, x_field: PlanarField,
+                    region: Region, k, resolution, known_zeros) -> TheoremReport:
+    """The one path of MAIN and LIEALG.  Hypotheses: essential block, X
+    nowhere k-flat on K, then the theorem's own `hypotheses()`.  Conclusion:
+    the common zeros of `fields` (see `_zeros_meet_k`) meet K."""
+    if resolution is None:
+        resolution = DEFAULTS.default_resolution
+    known_zeros = [z for z in known_zeros if region.contains_point_closed(z)]
+    essential, block, _ = _check_essential_block(x_field, region, resolution)
+    hyp = [essential,
+           _check_not_kflat(x_field, region, k, resolution, known_zeros, block),
+           *hypotheses()]
+    name, boxes_key, enclosure_key = _CONCLUSION[theorem]
+    try:
+        enc, overlap, witness = _zeros_meet_k(enclose, fields, x_field, region,
+                                              resolution, block, known_zeros)
+    except VfblockError as e:
+        return TheoremReport(theorem, hyp, [CheckRecord(name, INCONCLUSIVE,
+                                                        {"error": str(e)})])
+    data = {boxes_key: len(enc.cells), "k_boxes": len(block.enclosure.cells),
+            "enclosures_overlap": overlap}
+    if enclosure_key is not None:
+        data[enclosure_key] = enc.to_json() if len(enc.cells) <= 64 else None
+    if witness is not None:
+        data["witness"] = witness
+    # certified disjoint outer enclosures prove the intersection empty
+    concl = CheckRecord(name, PASS if overlap else FAIL, data)
+    return TheoremReport(theorem, hyp, [concl])
 
 
 def verify_main(x_field: PlanarField, y_field: PlanarField, region: Region,
                 k: int = 1, resolution=None, known_zeros=()) -> TheoremReport:
     """Hypotheses: essential block, nowhere k-flat on K, Y tracks X.
     Conclusion: Z(Y) meets K."""
-    if resolution is None:
-        resolution = DEFAULTS.default_resolution
-    hyp = []
-    essential, block, _ = _check_essential_block(x_field, region, resolution)
-    hyp.append(essential)
-    hyp.append(_check_not_kflat(x_field, region, k, resolution, known_zeros, block))
-    hyp.append(_check_tracking(y_field, x_field))
-    name = "Z(Y) n K is nonempty"
-    try:
-        y_enc, overlap, witness = _zy_meets_k(x_field, y_field, region, block,
-                                              resolution, known_zeros)
-    except VfblockError as e:
-        concl = CheckRecord(name, INCONCLUSIVE, {"error": str(e)})
-        return TheoremReport(MAIN, hyp, [concl])
-    data = {"y_zero_boxes": len(y_enc.cells), "k_boxes": len(block.enclosure.cells),
-            "enclosures_overlap": overlap}
-    if witness is not None:
-        data["witness"] = witness
-    # certified disjoint outer enclosures prove Z(Y) n K is empty
-    concl = CheckRecord(name, PASS if overlap else FAIL, data)
-    return TheoremReport(MAIN, hyp, [concl])
+    return _verify_meets_k(MAIN, lambda: [_check_tracking(y_field, x_field)],
+                           partial(zero_enclosure, y_field), [y_field],
+                           x_field, region, k, resolution, known_zeros)
 
 
 def _check_zy_disjoint_from_k(x_field, y_field, region, block, resolution,
                               known_zeros) -> CheckRecord:
     name = "Z(Y) n K is empty"
     try:
-        y_enc, overlap, witness = _zy_meets_k(x_field, y_field, region, block,
-                                              resolution, known_zeros)
+        y_enc, overlap, witness = _zeros_meet_k(partial(zero_enclosure, y_field),
+                                                [y_field], x_field, region,
+                                                resolution, block, known_zeros)
     except VfblockError as e:
         return CheckRecord(name, INCONCLUSIVE, {"error": str(e)})
     data = {"y_zero_boxes": len(y_enc.cells)}
@@ -401,16 +421,16 @@ def verify_mainbis(x_field: PlanarField, y_field: PlanarField, region: Region,
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if resolution is None:
         resolution = DEFAULTS.default_resolution
-    hyp = []
-    block, err = _certify_block_checked(x_field, region, resolution)
-    hyp.append(_check_not_kflat(x_field, region, k, resolution, known_zeros, block))
-    hyp.append(_check_tracking(y_field, x_field))
-    hyp.append(_check_zy_disjoint_from_k(x_field, y_field, region, block,
-                                         resolution, known_zeros))
+    known_zeros = [z for z in known_zeros if region.contains_point_closed(z)]
+    essential, block, idx = _check_essential_block(x_field, region, resolution)
+    hyp = [_check_not_kflat(x_field, region, k, resolution, known_zeros, block),
+           _check_tracking(y_field, x_field),
+           _check_zy_disjoint_from_k(x_field, y_field, region, block, resolution,
+                                     known_zeros)]
     iso = "U is isolating for (X, K)"
     concl = []
     if block is None:
-        hyp.append(CheckRecord(iso, INCONCLUSIVE, {"error": err}))
+        hyp.append(CheckRecord(iso, INCONCLUSIVE, essential.data))
         for nm in ("(i) index of K is zero", "(ii) components are embedded circles",
                    "(iii) X controlled by flowbox line fields",
                    "(iv) index zero at each component"):
@@ -418,7 +438,6 @@ def verify_mainbis(x_field: PlanarField, y_field: PlanarField, region: Region,
     else:
         hyp.append(CheckRecord(iso, PASS,
                                {"boundary_margin": _frac_str(block.boundary_margin)}))
-        idx = block_index(block)
         concl.append(CheckRecord("(i) index of K is zero",
                                  PASS if idx.index == 0 else FAIL,
                                  {"index": idx.to_json()}))
@@ -428,11 +447,7 @@ def verify_mainbis(x_field: PlanarField, y_field: PlanarField, region: Region,
             "(ii) components are embedded circles",
             PASS if comps and all(loops) else (FAIL if comps else INCONCLUSIVE),
             {"components": len(comps), "loop_like": loops, "certified": False}))
-        order = 1
-        if known_zeros:
-            jo = jet_order(x_field, known_zeros[0], k)
-            if jo.order is not None:
-                order = jo.order
+        order = (known_zeros and jet_order(x_field, known_zeros[0], k).order) or 1
         cc = _flowbox_control_check(x_field, y_field, block, order, tol)
         concl.append(CheckRecord("(iii) " + cc.name, cc.verdict, cc.data))
         ci = _component_indices_check(x_field, block, comps, resolution)
@@ -443,46 +458,30 @@ def verify_mainbis(x_field: PlanarField, y_field: PlanarField, region: Region,
     return TheoremReport(MAINBIS, hyp, concl)
 
 
+def _check_algebra(algebra: LieAlgebraPresentation,
+                   x_field: PlanarField) -> list[CheckRecord]:
+    """LIEALG's own hypotheses: the algebra is supersolvable and tracks X."""
+    name_ss, name_tr = "algebra is supersolvable", "algebra tracks X"
+    if not algebra.closed:
+        return [CheckRecord(name_ss, FAIL,
+                            {"error": f"not closed, witness {algebra.witness}"}),
+                CheckRecord(name_tr, INCONCLUSIVE, {"error": "algebra not closed"})]
+    try:
+        flag = supersolvable_flag(algebra)
+        ss = CheckRecord(name_ss, PASS if flag.status == "flag" else FAIL,
+                         {"flag": flag.to_json()})
+    except VfblockError as e:
+        ss = CheckRecord(name_ss, INCONCLUSIVE, {"error": str(e)})
+    tr = algebra_tracks(algebra, x_field)
+    return [ss, CheckRecord(name_tr, PASS if tr.verdict else FAIL, tr.to_json())]
+
+
 def verify_liealg(algebra, x_field: PlanarField, region: Region, k: int = 1,
                   resolution=None, known_zeros=()) -> TheoremReport:
     """Hypotheses: essential block, nowhere k-flat on K, a supersolvable algebra
     tracking X.  Conclusion: the common zero set of the algebra meets K."""
-    if resolution is None:
-        resolution = DEFAULTS.default_resolution
     if not isinstance(algebra, LieAlgebraPresentation):
         algebra = structure_constants(list(algebra))
-    hyp = []
-    essential, block, _ = _check_essential_block(x_field, region, resolution)
-    hyp.append(essential)
-    hyp.append(_check_not_kflat(x_field, region, k, resolution, known_zeros, block))
-    name_ss, name_tr = "algebra is supersolvable", "algebra tracks X"
-    if not algebra.closed:
-        hyp.append(CheckRecord(name_ss, FAIL,
-                               {"error": f"not closed, witness {algebra.witness}"}))
-        hyp.append(CheckRecord(name_tr, INCONCLUSIVE, {"error": "algebra not closed"}))
-    else:
-        try:
-            flag = supersolvable_flag(algebra)
-            hyp.append(CheckRecord(name_ss, PASS if flag.status == "flag" else FAIL,
-                                   {"flag": flag.to_json()}))
-        except VfblockError as e:
-            hyp.append(CheckRecord(name_ss, INCONCLUSIVE, {"error": str(e)}))
-        tr = algebra_tracks(algebra, x_field)
-        hyp.append(CheckRecord(name_tr, PASS if tr.verdict else FAIL, tr.to_json()))
-    name = "Z(g) n K is nonempty"
-    try:
-        if block is None:
-            raise CertificationFailed("no certified block")
-        zg, overlap, witness = _near_k(
-            lambda near: common_zero_set(algebra, region, resolution, near),
-            algebra.basis, x_field, region, block, known_zeros)
-    except VfblockError as e:
-        concl = CheckRecord(name, INCONCLUSIVE, {"error": str(e)})
-        return TheoremReport(LIEALG, hyp, [concl])
-    data = {"zg_boxes": len(zg.cells), "k_boxes": len(block.enclosure.cells),
-            "enclosures_overlap": overlap,
-            "zg_enclosure": zg.to_json() if len(zg.cells) <= 64 else None}
-    if witness is not None:
-        data["witness"] = witness
-    concl = CheckRecord(name, PASS if overlap else FAIL, data)
-    return TheoremReport(LIEALG, hyp, [concl])
+    return _verify_meets_k(LIEALG, lambda: _check_algebra(algebra, x_field),
+                           partial(common_zero_set, algebra), algebra.basis,
+                           x_field, region, k, resolution, known_zeros)

@@ -261,6 +261,69 @@ def test_kflat_found_by_polishing_without_known_zeros():
     assert rec.data["kflat_locus_boxes"] > 0
 
 
+def test_kflat_ignores_known_zeros_outside_closure_of_u(euler, unit_disk):
+    # X = phi (x, y) with phi = (x - 2)^2 + y^2 is 1-flat at (2, 0), outside
+    # the unit disk, where K is the origin alone
+    phi = (X - 2) ** 2 + Y ** 2
+    field = plane_field(phi * X, phi * Y)
+    kwargs = dict(k=1, resolution=Fraction(1, 32))
+    for zeros in ([(0, 0)], [(0, 0), (2, 0)]):
+        for report in (verify_main(field, euler, unit_disk, known_zeros=zeros, **kwargs),
+                       verify_liealg([euler], field, unit_disk, known_zeros=zeros,
+                                     **kwargs)):
+            assert report.overall == {"status": "Pass"}
+            assert report.hypothesis_checks[1].data == {
+                "orders_at_known_zeros": [{"k": 1, "k_flat": False, "order": 1}],
+                "kflat_locus_boxes": 0}
+        report = verify_mainbis(field, euler, unit_disk, known_zeros=zeros, **kwargs)
+        assert report.hypothesis_checks[0].verdict == "pass"
+
+
+def test_main_is_liealg_on_span_of_y():
+    # a one-dimensional algebra is supersolvable, so MAIN is LIEALG on span{Y}
+    rng = random.Random(0)
+    for _ in range(60):
+        x_field, y_field, region, zeros = random_tracking_scenario(rng)
+        kwargs = dict(k=1, resolution=Fraction(1, 16), known_zeros=zeros)
+        main = verify_main(x_field, y_field, region, **kwargs)
+        lie = verify_liealg([y_field], x_field, region, **kwargs)
+        assert main.overall["status"] == lie.overall["status"]
+        for a, b in zip(main.hypothesis_checks[:2], lie.hypothesis_checks[:2]):
+            assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+        (cm,), (cl,) = main.conclusion_checks, lie.conclusion_checks
+        assert cm.verdict == cl.verdict
+        for key in ("enclosures_overlap", "witness"):
+            assert cm.data.get(key) == cl.data.get(key)
+        assert cm.data["y_zero_boxes"] == cl.data["zg_boxes"]
+
+
+def test_main_builds_no_algebra(monkeypatch, euler, rotation, unit_disk):
+    def refuse(*args, **kwargs):
+        raise AssertionError("MAIN entered the algebra path")
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return tracks_symbolic(*args, **kwargs)
+
+    for module in (verifier, liealg):
+        for name in ("structure_constants", "supersolvable_flag", "algebra_tracks"):
+            monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(module, "tracks_symbolic", counting)
+    report = verify_main(euler, rotation, unit_disk, k=1, resolution=Fraction(1, 16),
+                         known_zeros=[(0, 0)])
+    assert report.overall == {"status": "Pass"}
+    assert calls == [(rotation, euler)]
+    # Y = 0 spans no one-dimensional algebra, yet MAIN still reports
+    calls.clear()
+    zero = plane_field(Poly2.zero(), Poly2.zero())
+    report = verify_main(euler, zero, unit_disk, k=1, resolution=Fraction(1, 16),
+                         known_zeros=[(0, 0)])
+    assert report.overall == {"status": "Pass"}
+    assert calls == [(zero, euler)]
+
+
 def _kflat_locus_reference(field, region, k, resolution):
     """The k-flat locus as it was enclosed before it moved onto K's grid: one
     quadtree over all of closure(U) at resolution max(resolution, 1/16), of
