@@ -117,12 +117,6 @@ class ZeroEnclosure:
             raise ValueError(f"count must be at least 1, got {count}")
         return self.grid.centers(self.cells[::max(1, len(self.cells) // count)][:count])
 
-    def contains_point(self, point) -> bool:
-        """Whether the exact point lies in a closed cell."""
-        n, boxes = self.grid.scaled_boxes(self.cells, *point)
-        x, y = (int(_frac(v) * n) for v in point)
-        return any(x0 <= x <= x1 and y0 <= y <= y1 for x0, y0, x1, y1 in boxes)
-
     def to_json(self) -> dict:
         return {
             "resolution": _frac_str(self.resolution),

@@ -27,8 +27,7 @@ from . import interval as iv
 from .certify import (Block, BoundaryPass, min_norm_on_boundary,  # noqa: F401 (re-export)
                       segment_clear, winding_stats)
 from .config import DEFAULTS
-from .errors import (BoundaryZero, CertificationFailed, ContradictionError,
-                     PreconditionFailed)
+from .errors import CertificationFailed, ContradictionError, PreconditionFailed
 from .fields import PlanarField
 from .poly import Poly2, _frac, _frac_str, float_plan, restrict
 from .regions import ANNULUS, Region, piece_point
@@ -80,16 +79,6 @@ def sampled_lipschitz(evalf, curve) -> float:
             best = max(best, dv / dp)
         prev_p, prev_v = p, v
     return best * DEFAULTS.sampled_lipschitz_safety + 1e-300
-
-
-def region_index(field: PlanarField, region: Region) -> IndexResult:
-    """Index of X in U from one boundary pass that stops at the first positive
-    bound on every arc; raises BoundaryZero when there is none."""
-    boundary = min_norm_on_boundary(field, region, tol=1)
-    if boundary is None:
-        raise BoundaryZero("X is not certified nonvanishing on the boundary")
-    return IndexResult(boundary.index, boundary.margin, boundary.arcs,
-                       essential=boundary.index != 0, certified=True)
 
 
 def block_index(block: Block) -> IndexResult:

@@ -1,25 +1,27 @@
 """Finite-dimensional Lie algebras of vector fields.
 
-Closure and structure constants are computed symbolically and exactly.  Past
-the Fraction constants c of the report, everything reads one integer tensor
-T = D c, D > 0 the lcm of their denominators: brackets, the antisymmetry and
-Jacobi checks, the derived series (on integer rows, as a span's dimension does
-not depend on the scale), the flag search and its ideal-chain re-check.
+Closure and structure constants are computed symbolically and exactly, and
+held as one integer tensor T = D c, D > 0 the lcm of the denominators of the
+constants c.  Everything reads T: brackets, the antisymmetry and Jacobi
+checks, the derived series (on integer rows, as a span's dimension does not
+depend on the scale), the flag search and its ideal-chain re-check.  The
+Fraction constants c = T / D are a view for the JSON report.
 Supersolvability is operationalized as a complete flag of ideals, found by an
 exact nested common-eigenvector search.  A rational eigenvector of a rational
 matrix forces a rational eigenvalue, so exact kernels decide every verifiable
 case; Sturm counts detect irrational real eigenvalues, which surface as
 NumericalAmbiguity only when no exact candidate exists, and only from maps the
 search reaches.  The search runs over Z, on an integer multiple of each
-quotient level's structure tensor (whose ad maps have the same eigenvectors).
-A basis element's spectrum is computed once, and each quotient keeps it less
-the eigenvalue on the ideal divided out.
+quotient level's structure tensor (whose ad maps have the same eigenvectors),
+and picks each ideal as a primitive integer vector; only the reported chain
+is built from Fractions.  A basis element's spectrum is computed once, and
+each quotient keeps it less the eigenvalue on the ideal divided out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -63,45 +65,25 @@ def _coefficient_row(f: PlanarField, keys) -> tuple[list[int], int]:
     return [mp.get(k, 0) * sp if c == "P" else mq.get(k, 0) * sq for c, k in keys], s
 
 
-def _scaled(vec) -> tuple[list[int], int]:
-    """(d v, d): the rational vector v as integers over d, the lcm of its
-    denominators."""
-    d = math.lcm(*(c.denominator for c in vec))
-    return [c.numerator * (d // c.denominator) for c in vec], d
-
-
-def _coefficient_vector(f: PlanarField, keys) -> list[Fraction]:
-    """The coefficient vector of f at keys, as Fractions."""
-    row, s = _coefficient_row(f, keys)
-    return [Fraction(v, s) for v in row]
-
-
 @dataclass
 class LieAlgebraPresentation:
     basis: list[PlanarField]
-    structure: list  # c[i][j][k] Fractions with [b_i, b_j] = sum_k c[i][j][k] b_k
+    # (D, T): [b_i, b_j] = sum_k T[i][j][k] / D b_k, with D > 0 the lcm of the
+    # constants' denominators; shared, so callers must not mutate it
+    tensor: tuple[int, list]
     closed: bool
     witness: tuple | None = None
-    bracket_table: dict = dc_field(default_factory=dict)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def adjoint(self, i: int):
-        """Matrix of ad(b_i): v -> [b_i, v] in basis coordinates."""
-        n = self.dim
-        return [[self.structure[i][j][k] for j in range(n)] for k in range(n)]
-
     @cached_property
-    def tensor(self) -> tuple[int, list]:
-        """(D, T): T = D c, the structure constants c as integers over D > 0,
-        the lcm of their denominators.  Built once, on first use, and shared:
-        callers must not mutate it."""
-        den = math.lcm(*(c.denominator for plane in self.structure for row in plane
-                         for c in row))
-        return den, [[[c.numerator * (den // c.denominator) for c in row] for row in plane]
-                     for plane in self.structure]
+    def structure(self) -> list:
+        """The constants c[i][j][k] = T[i][j][k] / D as Fractions, for the
+        JSON report only."""
+        den, t = self.tensor
+        return [[[Fraction(x, den) for x in row] for row in plane] for plane in t]
 
     def _bracket_int(self, u, v):
         """D [u, v] for integer coordinate vectors u and v."""
@@ -114,12 +96,6 @@ class LieAlgebraPresentation:
                         c = a * b
                         out = [o + c * x for o, x in zip(out, t[i][j])]
         return out
-
-    def bracket_coords(self, u, v):
-        """[u, v] in basis coordinates, as Fractions."""
-        (a, da), (b, db) = _scaled(u), _scaled(v)
-        s = self.tensor[0] * da * db
-        return [Fraction(x, s) for x in self._bracket_int(a, b)]
 
     def antisymmetry_holds(self) -> bool:
         t = self.tensor[1]
@@ -177,10 +153,8 @@ def structure_constants(basis: list[PlanarField]) -> LieAlgebraPresentation:
         raise DependentBasisError("basis fields are linearly dependent")
     lcm = math.lcm(*(row[c] for row, c in zip(rows, pivots)))
     red = [[a * (lcm // row[c]) for a in row] for row, c in zip(rows, pivots)]
-    structure = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     closed = True
     witness = None
-    table = {}
     numerators = {}     # (i, j): (integer coordinates, their denominator)
     for (i, j), b in brackets.items():
         target, s = _coefficient_row(b, keys)
@@ -194,20 +168,13 @@ def structure_constants(basis: list[PlanarField]) -> LieAlgebraPresentation:
                 witness = (i, j)
             continue
         numerators[i, j] = w[nk:], lcm * s
-        coords = [Fraction(a, lcm * s) for a in w[nk:]]
-        table[(i, j)] = coords
-        for k in range(n):
-            structure[i][j][k] = coords[k]
-            structure[j][i][k] = -coords[k]
-    g = LieAlgebraPresentation(list(basis), structure, closed, witness, table)
-    # the tensor from the integers: the reduced denominators of a bracket's
-    # coordinates a / m have the lcm m / gcd(m, a, ...)
+    # the reduced denominators of a bracket's coordinates a / m have the lcm
+    # m / gcd(m, a, ...)
     den = math.lcm(*(m // math.gcd(m, *w) for w, m in numerators.values()))
     t = [[[0] * n for _ in range(n)] for _ in range(n)]
     for (i, j), (w, m) in numerators.items():
         t[i][j], t[j][i] = [a * den // m for a in w], [-a * den // m for a in w]
-    g.__dict__["tensor"] = den, t
-    return g
+    return LieAlgebraPresentation(list(basis), (den, t), closed, witness)
 
 
 def _require_closed(g: LieAlgebraPresentation):
@@ -324,23 +291,34 @@ def _flag_candidates(ads, spectra, ambiguous_flag):
         return candidates
 
     candidates = search(0, [[int(r == c) for c in range(n)] for r in range(n)])
+    # search reaches itself through its closure: break that cycle, so the maps
+    # and eigenspaces it holds are freed now, not at the next gc collection
+    del search
     if not candidates and any(spectrum(i)[1] for i in sorted(reached)):
         ambiguous_flag.append(True)
     return candidates
 
 
-def _pick_candidate(candidates):
-    def key(vec):
-        lead = next(i for i, v in enumerate(vec) if v != 0)
-        norm = [v / vec[lead] for v in vec]
-        return (lead, norm)
+def _ratio_str(a: int, b: int) -> str:
+    """str(Fraction(a, b)) for b > 0."""
+    g = math.gcd(a, b)
+    return str(a // g) if g == b else f"{a // g}/{b // g}"
 
-    normed = []
-    for v in candidates:
-        lead, norm = key(v)
-        normed.append((lead, norm))
-    normed.sort(key=lambda t: (t[0], [str(x) for x in t[1]]))
-    return normed[0][1]
+
+def _pick_candidate(candidates):
+    """The integer candidate direction with the least lead, then the least
+    str of each entry over the lead, as a primitive vector with a positive
+    lead."""
+    def primitive(u):
+        lead = next(k for k, c in enumerate(u) if c)
+        g = math.gcd(*u) if u[lead] > 0 else -math.gcd(*u)
+        return lead, [c // g for c in u]
+
+    def key(pair):
+        lead, v = pair
+        return lead, [_ratio_str(c, v[lead]) for c in v]
+
+    return min(map(primitive, candidates), key=key)[1]
 
 
 def _quotient(t, v, lead, spectra, lams):
@@ -376,15 +354,15 @@ def supersolvable_flag(g: LieAlgebraPresentation) -> FlagResult:
     n = g.dim
     # work in coordinates: the current quotient's basis is e_k, k in keep
     keep = list(range(n))
-    chain: list[list[Fraction]] = []
+    members: list[list[int]] = []  # primitive, with positive leads
     # the integer structure tensor; one spectrum per basis element, carried
     # down the quotients
     t = g.tensor[1]
     spectra = [None] * n
-    while len(chain) < n:
+    while len(members) < n:
         dim = len(t)
         if dim == 1:
-            chain.append([Fraction(int(d == keep[0])) for d in range(n)])
+            members.append([int(d == keep[0]) for d in range(n)])
             break
         ads = [[[t[i][j][k] for j in range(dim)] for k in range(dim)] for i in range(dim)]
         ambiguous: list[bool] = []
@@ -396,48 +374,47 @@ def supersolvable_flag(g: LieAlgebraPresentation) -> FlagResult:
                     "no exactly verifiable one-dimensional ideal found"
                 )
             return FlagResult("no_real_flag")
-        v = _pick_candidate([[Fraction(c) for c in u] for u in cands])
+        v = _pick_candidate(cands)
         # exact re-verification: [b_i, v] in span(v) for all i, i.e. each
         # w = ad_i v is lam_i = w[lead] / v[lead] times v
-        vi = _scaled(v)[0]
-        lead = next(k for k, c in enumerate(vi) if c)
+        lead = next(k for k, c in enumerate(v) if c)
         lams = []
         for ad in ads:
-            w = [sum(a * b for a, b in zip(row, vi) if b) for row in ad]
-            if any(a * vi[lead] != w[lead] * b for a, b in zip(w, vi)):
+            w = [sum(a * b for a, b in zip(row, v) if b) for row in ad]
+            if any(a * v[lead] != w[lead] * b for a, b in zip(w, v)):
                 raise NumericalAmbiguity("candidate failed exact ideal verification")
-            lams.append(w[lead] // vi[lead])
+            lams.append(w[lead] // v[lead])
         # lift to original coordinates
-        orig = [Fraction(0)] * n
+        orig = [0] * n
         for c, d in zip(v, keep):
             orig[d] = c
-        chain.append(orig)
-        t, spectra = _quotient(t, vi, lead, spectra, lams)
+        members.append(orig)
+        t, spectra = _quotient(t, v, lead, spectra, lams)
         del keep[lead]
-    full_chain = tuple(chain)
-    _verify_ideal_chain(g, full_chain)
-    return FlagResult("flag", full_chain)
+    _verify_ideal_chain(g, members)
+    chain = []
+    for u in members:     # reported over Q, each member over its lead entry
+        head = next(filter(None, u))
+        chain.append([Fraction(c, head) for c in u])
+    return FlagResult("flag", tuple(chain))
 
 
 def _verify_ideal_chain(g: LieAlgebraPresentation, chain):
-    """Ideal verification of every chain prefix, from the integer tensor and
-    the chain alone.  Once P_{d-1} is verified, P_d = P_{d-1} + span(c_d) is
-    an ideal iff [e_i, c_d] lies in P_d for every basis vector e_i, since
-    [e_i, P_{d-1}] lies in P_{d-1}: so each basis vector is bracketed once
-    with each member's primitive integer multiple and reduced by the prefix's
+    """Ideal verification of every prefix of a chain of integer vectors, from
+    the integer tensor and the chain alone.  Once P_{d-1} is verified,
+    P_d = P_{d-1} + span(c_d) is an ideal iff [e_i, c_d] lies in P_d for every
+    basis vector e_i, since [e_i, P_{d-1}] lies in P_{d-1}: so each basis
+    vector is bracketed once with each member and reduced by the prefix's
     integer echelon rows, which grow by one reduced member per depth."""
     n = g.dim
     e = [[int(i == j) for j in range(n)] for i in range(n)]
     rows, pivots = [], []
-    for depth, member in enumerate(chain, 1):
-        u = _scaled(member)[0]
+    for depth, u in enumerate(chain, 1):
         w = xl.residual(rows, pivots, u)
         if not any(w):
             raise NumericalAmbiguity("flag chain lost a dimension")
         rows.append(w)
         pivots.append(next(k for k, a in enumerate(w) if a))
-        c = math.gcd(*u)
-        u = [a // c for a in u]
         for i in range(n):
             if any(xl.residual(rows, pivots, g._bracket_int(e[i], u))):
                 raise NumericalAmbiguity(

@@ -193,7 +193,11 @@ def parse_scenario(data: dict) -> Scenario:
         algebras[name] = [fields[b] for b in ad["basis"]]
     tols = data.get("tolerances", {})
     tol = _positive_tol(tols.get("tol", 1e-6), "tolerance 'tol'")
-    resolution = Fraction(tols.get("resolution", "1/64"))
+    value = tols.get("resolution", "1/64")
+    try:
+        resolution = Fraction(value)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ScenarioSchemaError(f"resolution {value!r} is not a rational number") from e
     if resolution <= 0:
         raise ScenarioSchemaError("resolution must be positive")
     plot = data.get("plot")

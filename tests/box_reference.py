@@ -5,13 +5,22 @@ in exact arithmetic.
 and the quadtree reads shared per-column and per-row tables
 (`poly.cell_test`); both must give what `box_evaluator` gives.
 `RectLoop.box_of` works in integers and must give what `rect_box_of` gives.
+`contains_point` decides point membership in an enclosure's closed cells on
+the grid's integer-scaled corners (`Grid.scaled_boxes`).
 """
 
 from fractions import Fraction
 
 from vfblock import interval as iv
-from vfblock.poly import _ring_plans
+from vfblock.poly import _frac, _ring_plans
 from vfblock.regions import piece_point
+
+
+def contains_point(enc, point) -> bool:
+    """Whether the exact point lies in a closed cell of the enclosure."""
+    n, boxes = enc.grid.scaled_boxes(enc.cells, *point)
+    x, y = (int(_frac(v) * n) for v in point)
+    return any(x0 <= x <= x1 and y0 <= y <= y1 for x0, y0, x1, y1 in boxes)
 
 
 def box_evaluator(scalars):

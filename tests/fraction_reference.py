@@ -11,18 +11,22 @@ the Fraction structure constants.  So must `vfblock.interval.make` with
 `make_reference`, `vfblock.poly.restrict` along the curves' pieces with
 `restrict_to_circle` and `restrict_to_segment`, and
 `vfblock.liealg.supersolvable_flag` with `supersolvable_flag_reference`, the
-flag search on Fraction structure constants that it replaced.  Every
-`Poly2` operation must agree with its `poly_*` function here, which runs on a
-Fraction per monomial as `Poly2` did before it stored integer numerators.
+flag search on Fraction structure constants that it replaced, and its integer
+pick with `pick_candidate_reference`.  The references read a presentation's
+constants through its Fraction view `structure`; `presentation` builds one
+from Fraction constants.  Every `Poly2` operation must agree with its `poly_*`
+function here, which runs on a Fraction per monomial as `Poly2` did before it
+stored integer numerators.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from vfblock import exactlin as xl
 from vfblock import upoly
 from vfblock.errors import NumericalAmbiguity
-from vfblock.liealg import (FlagResult, LieAlgebraPresentation, _pick_candidate,
+from vfblock.liealg import (FlagResult, LieAlgebraPresentation, _coefficient_row,
                             _require_closed)
 from vfblock.poly import Poly2, _frac
 from vfblock.upoly import deg, derivative, evaluate, trim
@@ -418,7 +422,57 @@ def poly_restrict(a, x, y, w):
 # intersections, the quotient presentation built from Fraction brackets, the
 # derived series and the ideal-chain re-check.
 
-def bracket_reference(g: LieAlgebraPresentation, u, v):
+def coefficient_vector(f, keys) -> list[Fraction]:
+    """The coefficient vector of the field f at keys, as Fractions."""
+    row, s = _coefficient_row(f, keys)
+    return [Fraction(v, s) for v in row]
+
+
+def tensor_reference(structure):
+    """(D, T): the Fraction constants as integers T = D c over D > 0, the lcm
+    of their denominators."""
+    den = math.lcm(*(c.denominator for plane in structure for row in plane for c in row))
+    return den, [[[int(c * den) for c in row] for row in plane] for plane in structure]
+
+
+def presentation(structure) -> LieAlgebraPresentation:
+    """The closed presentation with the Fraction constants c[i][j][k]."""
+    return LieAlgebraPresentation([None] * len(structure), tensor_reference(structure), True)
+
+
+@dataclass
+class FractionPresentation:
+    """Fraction constants alone: the quotients of the reference flag search."""
+    structure: list
+
+    @property
+    def dim(self) -> int:
+        return len(self.structure)
+
+
+def adjoint_reference(g, i: int):
+    """Matrix of ad(b_i): v -> [b_i, v] in basis coordinates."""
+    n = g.dim
+    return [[g.structure[i][j][k] for j in range(n)] for k in range(n)]
+
+
+def pick_candidate_reference(candidates):
+    """The Fraction pick the flag search made: the least lead, then the least
+    str of each entry over the lead; returned over its lead."""
+    def key(vec):
+        lead = next(i for i, v in enumerate(vec) if v != 0)
+        norm = [v / vec[lead] for v in vec]
+        return (lead, norm)
+
+    normed = []
+    for v in candidates:
+        lead, norm = key(v)
+        normed.append((lead, norm))
+    normed.sort(key=lambda t: (t[0], [str(x) for x in t[1]]))
+    return normed[0][1]
+
+
+def bracket_reference(g, u, v):
     """[u, v] from the Fraction structure constants, term by term."""
     n = g.dim
     out = [Fraction(0)] * n
@@ -430,7 +484,7 @@ def bracket_reference(g: LieAlgebraPresentation, u, v):
     return out
 
 
-def derived_depth_reference(g: LieAlgebraPresentation):
+def derived_depth_reference(g):
     """The derived series' length on Fraction rref bases, None when it
     stalls (not solvable)."""
     space, depth = identity(g.dim), 0
@@ -443,7 +497,7 @@ def derived_depth_reference(g: LieAlgebraPresentation):
     return depth
 
 
-def verify_ideal_chain_reference(g: LieAlgebraPresentation, chain):
+def verify_ideal_chain_reference(g, chain):
     """Each prefix row-reduced from scratch, each [e_i, c_d] tested by a
     Fraction span reduction."""
     n = g.dim
@@ -454,6 +508,7 @@ def verify_ideal_chain_reference(g: LieAlgebraPresentation, chain):
         for e in identity(n):
             if not in_rref_span(sub, pivots, bracket_reference(g, e, chain[depth - 1])):
                 raise NumericalAmbiguity(f"chain member of dim {depth} is not an ideal")
+
 
 def real_rational_eigenvalues(mat):
     """(rational eigenvalues, whether irrational real eigenvalues exist) of
@@ -494,7 +549,7 @@ def common_eigendirections(ads, space, ambiguous_flag):
     return search(0, space) if space else []
 
 
-def quotient_reference(g: LieAlgebraPresentation, v, lift):
+def quotient_reference(g, v, lift):
     """Quotient presentation by the 1-dim ideal span(v), with updated lift rows."""
     n = g.dim
     lead = next(i for i, c in enumerate(v) if c != 0)
@@ -508,8 +563,7 @@ def quotient_reference(g: LieAlgebraPresentation, v, lift):
     basis_vecs = [[Fraction(int(k == i)) for k in range(n)] for i in comp_idx]
     structure = [[project(bracket_reference(g, basis_vecs[a], basis_vecs[b])) for b in range(m)]
                  for a in range(m)]
-    return (LieAlgebraPresentation([None] * m, structure, True),
-            [lift[i] for i in comp_idx])
+    return FractionPresentation(structure), [lift[i] for i in comp_idx]
 
 
 def supersolvable_flag_reference(g: LieAlgebraPresentation) -> FlagResult:
@@ -525,7 +579,7 @@ def supersolvable_flag_reference(g: LieAlgebraPresentation) -> FlagResult:
         if dim == 1:
             chain.append(lift[0])
             break
-        ads = [current.adjoint(i) for i in range(dim)]
+        ads = [adjoint_reference(current, i) for i in range(dim)]
         ambiguous = []
         cands = common_eigendirections(ads, identity(dim), ambiguous)
         if not cands:
@@ -535,7 +589,7 @@ def supersolvable_flag_reference(g: LieAlgebraPresentation) -> FlagResult:
                     "no exactly verifiable one-dimensional ideal found"
                 )
             return FlagResult("no_real_flag")
-        v = _pick_candidate(cands)
+        v = pick_candidate_reference(cands)
         lead = next(k for k, c in enumerate(v) if c)
         for ad in ads:
             w = [sum(a * b for a, b in zip(row, v) if b) for row in ad]

@@ -1,4 +1,5 @@
-"""Reference homotopy check: one boundary pass per sample t = i/steps.
+"""Reference boundary passes: a region's index, and a homotopy check with
+one boundary pass per sample t = i/steps.
 
 `index.homotopy_invariance_check` certifies every t in [0, 1] at once
 (`certify.segment_clear`); wherever that certificate holds, every sampled
@@ -8,8 +9,18 @@ pass below succeeds and reads the same index.
 from dataclasses import replace
 from fractions import Fraction
 
-from vfblock.errors import ContradictionError
-from vfblock.index import HomotopyVerdict, min_norm_on_boundary
+from vfblock.errors import BoundaryZero, ContradictionError
+from vfblock.index import HomotopyVerdict, IndexResult, min_norm_on_boundary
+
+
+def region_index(field, region) -> IndexResult:
+    """Index of X in U from one boundary pass that stops at the first positive
+    bound on every arc; raises BoundaryZero when there is none."""
+    boundary = min_norm_on_boundary(field, region, tol=1)
+    if boundary is None:
+        raise BoundaryZero("X is not certified nonvanishing on the boundary")
+    return IndexResult(boundary.index, boundary.margin, boundary.arcs,
+                       essential=boundary.index != 0, certified=True)
 
 
 def sampled_homotopy_check(x0, x1, region, steps: int) -> HomotopyVerdict:

@@ -1,6 +1,8 @@
 """Import hygiene: every module-level import in `src/vfblock` (the package's
 `__init__.py` excepted) binds only names its module uses.  A statement that
-is kept on purpose, say as a re-export, carries `# noqa`."""
+is kept on purpose, say as a re-export, carries `# noqa`.  And no function or
+method in `src/vfblock` is dead: each is named somewhere in the package,
+exported by `__init__.py`, or allowed below with its reason."""
 
 import ast
 import pathlib
@@ -67,3 +69,51 @@ def test_the_scan_sees_an_unused_import(tmp_path):
                       "def f(a: Fraction, b: 'Poly2') -> None:\n    return None\n",
                       encoding="utf-8")
     assert _unused_imports(module) == ["m.py:2: math", "m.py:5: X"]
+
+
+# functions that no code in src/vfblock names, kept on purpose
+DEAD_NAME_ALLOWLIST = {
+    "contains_zero": "the README names it as the tests' interval oracle",
+    "interval_lipschitz": "benchmark/tracer.py times it as the index.lipschitz span",
+    "falsification_run": "the entry point of scripts/run_falsification.py",
+}
+
+
+def _dead_functions(package: pathlib.Path) -> list[str]:
+    """Functions and methods defined in the package's modules whose name no
+    code in the package reads (as a name or an attribute) and `__init__.py`
+    does not export.  Names are matched, not bindings, so a name shared with
+    a live function passes; dunder methods are called by the language."""
+    named, defined = set(), []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias) and path.name == "__init__.py":
+                named.add(node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append((path.name, node.lineno, node.name))
+    return [f"{module}:{line}: {name}" for module, line, name in defined
+            if name not in named and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_function_is_named():
+    found = _dead_functions(PACKAGE)
+    dead = [d for d in found if d.rsplit(" ", 1)[1] not in DEAD_NAME_ALLOWLIST]
+    assert dead == [], f"defined but never named in src/vfblock: {dead}"
+    # an allowed name that code starts to read, or that is deleted, leaves the list
+    assert {d.rsplit(" ", 1)[1] for d in found} == set(DEAD_NAME_ALLOWLIST)
+
+
+def test_the_scan_sees_a_dead_function(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .m import exported\n", encoding="utf-8")
+    (tmp_path / "m.py").write_text(
+        "def exported():\n    return _used()\n\n"
+        "def _used():\n    return 1\n\n"
+        "def dead():\n    return 2\n\n"
+        "class C:\n    def __len__(self):\n        return 0\n\n"
+        "    def method(self):\n        return self.other()\n\n"
+        "    def other(self):\n        return 3\n", encoding="utf-8")
+    assert _dead_functions(tmp_path) == ["m.py:7: dead", "m.py:14: method"]

@@ -7,7 +7,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from homotopy_reference import sampled_homotopy_check
+from homotopy_reference import region_index, sampled_homotopy_check
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +19,7 @@ from vfblock.fields import PlanarField, plane_field, torus_field
 from vfblock.index import (HomotopyVerdict, _dependent_on_boundary, block_index,
                            homotopy_invariance_check, interval_lipschitz,
                            lift_double_cover, make_double_cover_lift,
-                           min_norm_on_boundary, perturbation_bound, region_index,
+                           min_norm_on_boundary, perturbation_bound,
                            segment_clear, wedge_check, winding_stats)
 from vfblock.poly import Poly2, X, Y, restrict
 from vfblock.regions import Circle, _Curve, annulus, disk, rectangle

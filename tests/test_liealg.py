@@ -16,9 +16,8 @@ from vfblock.errors import (ContradictionError, DependentBasisError, NotClosedEr
                             NumericalAmbiguity, VfblockError)
 from vfblock.exactlin import _rref_int, charpoly, intersect_subspaces, kernel, residual
 from vfblock.fields import lie_bracket, plane_field
-from vfblock.liealg import (FlagResult, LieAlgebraPresentation, SolvabilityResult,
-                            _coefficient_keys,
-                            _coefficient_vector, _flag_candidates, _quotient, _spectrum,
+from vfblock.liealg import (FlagResult, SolvabilityResult, _coefficient_keys,
+                            _flag_candidates, _pick_candidate, _quotient, _spectrum,
                             _verify_ideal_chain,
                             algebra_tracks, common_zero_set, solvability,
                             structure_constants, supersolvable_flag)
@@ -26,12 +25,15 @@ from vfblock.poly import Poly2, X, Y
 from vfblock.regions import disk
 from vfblock.verifier import verify_liealg
 
-from fraction_reference import (bracket_reference, count_real_roots,
+from box_reference import contains_point
+from fraction_reference import (bracket_reference, coefficient_vector, count_real_roots,
                                 derived_depth_reference, identity, in_rref_span,
-                                intersect_reference, kernel_reference, rational_roots,
+                                intersect_reference, kernel_reference,
+                                pick_candidate_reference, presentation, rational_roots,
                                 rref, rref_reference, solve_in_span, span_reference,
                                 subspace_basis, supersolvable_flag_reference,
-                                verify_ideal_chain_reference, vector_in_span)
+                                tensor_reference, verify_ideal_chain_reference,
+                                vector_in_span)
 
 
 def _e2():
@@ -165,27 +167,26 @@ def test_integer_elimination_matches_fraction_reference(case):
 
 
 def _structure_reference(basis):
-    """The per-bracket span solve: (structure, closed, witness, table)."""
+    """The per-bracket span solve: (structure, closed, witness)."""
     n = len(basis)
     brackets = {(i, j): lie_bracket(basis[i], basis[j])
                 for i in range(n) for j in range(i + 1, n)}
     keys = _coefficient_keys(list(basis) + list(brackets.values()))
-    vecs = [_coefficient_vector(f, keys) for f in basis]
+    vecs = [coefficient_vector(f, keys) for f in basis]
     if len(rref_reference(vecs)[1]) < n:
         raise DependentBasisError("basis fields are linearly dependent")
     structure = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    closed, witness, table = True, None, {}
+    closed, witness = True, None
     for (i, j), b in brackets.items():
-        coords = solve_in_span(vecs, _coefficient_vector(b, keys))
+        coords = solve_in_span(vecs, coefficient_vector(b, keys))
         if coords is None:
             closed = False
             witness = witness or (i, j)
             continue
-        table[(i, j)] = coords
         for k in range(n):
             structure[i][j][k] = coords[k]
             structure[j][i][k] = -coords[k]
-    return structure, closed, witness, table
+    return structure, closed, witness
 
 
 _monomials = (Poly2.const(1), X, Y, X * X, X * Y, Y * Y)
@@ -221,11 +222,10 @@ def test_structure_constants_match_per_bracket_solve(basis):
             structure_constants(basis)
         return
     g = structure_constants(basis)
-    assert (g.structure, g.closed, g.witness, g.bracket_table) == want
+    # the tensor built from the solve's integers is the one the Fractions give
+    assert g.tensor == tensor_reference(want[0])
+    assert (g.structure, g.closed, g.witness) == want
     assert all(type(v) is Fraction for plane in g.structure for row in plane for v in row)
-    # the tensor seeded from the solve's integers is the one the Fractions give
-    assert "tensor" in vars(g)
-    assert g.tensor == LieAlgebraPresentation.tensor.func(g)
 
 
 def _det(mat):
@@ -412,7 +412,7 @@ def test_flag_members_are_ideals_reverified():
         for i in range(n):
             e = [Fraction(1) if d == i else Fraction(0) for d in range(n)]
             for u in sub:
-                assert vector_in_span(sub, g.bracket_coords(e, u))
+                assert vector_in_span(sub, bracket_reference(g, e, u))
 
 
 small_frac = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -437,15 +437,21 @@ def test_rref_span_reduction_matches_span_solve(case):
     assert in_rref_span(m, pivots, inside)
 
 
+def _verify_chain(g, chain):
+    """`_verify_ideal_chain` on a chain of rational vectors, each taken as
+    integers."""
+    _verify_ideal_chain(g, _ints(chain))
+
+
 def test_ideal_chain_check_rejects_non_ideals():
     g = structure_constants(_uppertri())    # x d/dx, y d/dx, y d/dy
     e = identity(3)
-    _verify_ideal_chain(g, [e[1], e[0], e[2]])
-    _verify_ideal_chain(g, supersolvable_flag(g).chain)
+    _verify_chain(g, [e[1], e[0], e[2]])
+    _verify_chain(g, supersolvable_flag(g).chain)
     with pytest.raises(NumericalAmbiguity, match="dim 1 is not an ideal"):
-        _verify_ideal_chain(g, [e[0], e[1], e[2]])
+        _verify_chain(g, [e[0], e[1], e[2]])
     with pytest.raises(NumericalAmbiguity, match="lost a dimension"):
-        _verify_ideal_chain(g, [e[1], e[1], e[2]])
+        _verify_chain(g, [e[1], e[1], e[2]])
 
 
 def test_supersolvable_implies_solvable_on_corpus():
@@ -479,7 +485,7 @@ def test_common_zero_sets(euler, unit_disk):
                    abs(float(b[1])), abs(float(b[3]))) < 2 ** -5 for b in enc.boxes)
     ut = structure_constants(_uppertri())
     enc2 = common_zero_set(ut, unit_disk, Fraction(1, 64))
-    assert enc2.boxes and enc2.contains_point((0, 0))
+    assert enc2.boxes and contains_point(enc2, (0, 0))
     only_east = structure_constants([plane_field(Poly2.const(1), Poly2.zero())])
     assert common_zero_set(only_east, unit_disk, Fraction(1, 64)).is_empty
 
@@ -498,7 +504,8 @@ def test_common_zeros_contained_in_each_basis_enclosure(euler, unit_disk):
 def test_structure_constants_roundtrip_brackets():
     from vfblock.fields import lie_bracket
     g = structure_constants(_e2())
-    for (i, j), coords in g.bracket_table.items():
+    for i, j in ((i, j) for i in range(g.dim) for j in range(i + 1, g.dim)):
+        coords = g.structure[i][j]
         rebuilt = None
         for k, c in enumerate(coords):
             term = g.basis[k].scale(c)
@@ -522,6 +529,23 @@ def test_liealg_reports_are_pinned(euler, unit_disk):
     assert digest == "f262853ace424db469c38507345629830e2fdd6f1b2714a97711693a8733fd8f"
 
 
+def test_liealg_never_builds_the_fraction_view(euler, unit_disk):
+    # the integer tensor is the one representation the checks read; the
+    # Fraction constants are built only for the JSON report
+    rng = random.Random(0)
+    for n, status in ((1, "Pass"), (3, "HypothesisFailed")):
+        g = structure_constants(_seeded_solvable_basis(n, rng))
+        report = verify_liealg(g, euler, unit_disk, k=1, resolution=Fraction(1, 64),
+                               known_zeros=[(0, 0)])
+        assert report.overall["status"] == status
+        assert report.hypothesis_checks[2].data["flag"]["status"] == "flag"
+        assert "structure" not in vars(g)
+    assert not any(hasattr(g, name) for name in ("bracket_table", "adjoint", "bracket_coords"))
+    den, t = g.tensor
+    assert g.to_json()["structure_constants"] == [
+        [[str(Fraction(x, den)) for x in row] for row in plane] for plane in t]
+
+
 def test_ideal_chain_checks_each_new_member():
     # d/dx, d/dy, x d/dx + y d/dy: span(d/dx) is an ideal, but adding the
     # dilation D is not, since [d/dy, D] = d/dy; d/dx, d/dy, D is a flag
@@ -529,17 +553,17 @@ def test_ideal_chain_checks_each_new_member():
                              plane_field(Poly2.zero(), Poly2.const(1)),
                              plane_field(X, Y)])
     dx, dy, dil = ([Fraction(int(i == k)) for i in range(3)] for k in range(3))
-    _verify_ideal_chain(g, (dx, dy, dil))
-    _verify_ideal_chain(g, (dx,))
+    _verify_chain(g, (dx, dy, dil))
+    _verify_chain(g, (dx,))
     with pytest.raises(NumericalAmbiguity, match="chain member of dim 2 is not an ideal"):
-        _verify_ideal_chain(g, (dx, dil, dy))
+        _verify_chain(g, (dx, dil, dy))
     with pytest.raises(NumericalAmbiguity, match="chain member of dim 1 is not an ideal"):
-        _verify_ideal_chain(g, (dil, dx, dy))
+        _verify_chain(g, (dil, dx, dy))
 
 
 def test_flag_candidate_is_reverified(monkeypatch):
     # x d/dx, y d/dx, y d/dy: span(y d/dx) is an ideal, span(x d/dx) is not,
-    # since [y d/dx, x d/dx] = y d/dx
+    # since [y d/dx, x d/dx] = y d/dx; the search itself picks x d/dx + y d/dy
     import vfblock.liealg as liealg
     g = structure_constants(_uppertri())
     pick = liealg._pick_candidate
@@ -547,12 +571,36 @@ def test_flag_candidate_is_reverified(monkeypatch):
     def first_pick(v):
         return lambda cands: v if len(cands[0]) == 3 else pick(cands)
 
-    f = Fraction
-    monkeypatch.setattr(liealg, "_pick_candidate", first_pick([f(0), f(-2), f(0)]))
-    assert supersolvable_flag(g).chain[0] == [f(0), f(-2), f(0)]
-    monkeypatch.setattr(liealg, "_pick_candidate", first_pick([f(1), f(0), f(0)]))
+    assert supersolvable_flag(g).chain[0] == [1, 0, 1]
+    monkeypatch.setattr(liealg, "_pick_candidate", first_pick([0, 1, 0]))
+    assert supersolvable_flag(g).chain[0] == [0, 1, 0]
+    monkeypatch.setattr(liealg, "_pick_candidate", first_pick([1, 0, 0]))
     with pytest.raises(NumericalAmbiguity, match="exact ideal verification"):
         supersolvable_flag(g)
+
+
+def _primitive_lead_positive(v):
+    lead = next(c for c in v if c)
+    return lead > 0 and math.gcd(*v) == 1
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+           st.tuples(st.lists(st.integers(-12, 12), min_size=n, max_size=n).filter(any),
+                     st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=3)),
+           min_size=1, max_size=5)))
+@example([([-2, 1], [1]), ([3, 1], [1])])      # 1, -1/2 against 1, 1/3
+@example([([1, 9], [1]), ([1, 10], [-3])])      # "10" sorts before "9"
+@example([([0, 0, 2], [1, -1]), ([0, 4, 4], [-1, 2])])
+@settings(max_examples=200, deadline=None)
+def test_integer_pick_matches_fraction_pick(directions):
+    # each direction enters as several nonzero multiples, negative leads and
+    # non-primitive vectors included; the pick must be the direction the
+    # Fraction pick chose, primitive, with a positive lead
+    cands = [[m * c for c in d] for d, multiples in directions for m in multiples]
+    got = _pick_candidate(cands)
+    want = pick_candidate_reference([[Fraction(c) for c in u] for u in cands])
+    assert _primitive_lead_positive(got)
+    assert got == _ints([want])[0]
 
 
 # The integer flag search against the Fraction search it replaced -----------
@@ -591,7 +639,7 @@ def _split_rotation(s_at):
     for (a, b), (k, v) in acts.items():
         c[at[a]][at[b]][at[k]] = Fraction(v)
         c[at[b]][at[a]][at[k]] = Fraction(-v)
-    return LieAlgebraPresentation([None] * 8, c, True)
+    return presentation(c)
 
 
 def _matrix_algebra(mats):
@@ -603,7 +651,7 @@ def _matrix_algebra(mats):
                                            for h in range(k))
                                        for i in range(k) for j in range(k)])
                   for b in mats] for a in mats]
-    return LieAlgebraPresentation([None] * len(mats), structure, True)
+    return presentation(structure)
 
 
 @st.composite
@@ -694,7 +742,7 @@ def test_integer_tensor_matches_fraction_structure(g, data):
     flag = supersolvable_flag(g)
     assert flag.status == "flag"
     chain, n = list(flag.chain), g.dim
-    assert _chain_outcome(_verify_ideal_chain, g, chain) is None
+    assert _chain_outcome(_verify_chain, g, chain) is None
     if data is None:
         return
     mutants = []
@@ -708,7 +756,7 @@ def test_integer_tensor_matches_fraction_structure(g, data):
     if non_ideal:
         mutants.append(chain[:k] + [v] + chain[k + 1:])
     for mutant in mutants:
-        got = _chain_outcome(_verify_ideal_chain, g, mutant)
+        got = _chain_outcome(_verify_chain, g, mutant)
         assert got == _chain_outcome(verify_ideal_chain_reference, g, mutant)
     if non_ideal and k == 0:
         assert got == "chain member of dim 1 is not an ideal"

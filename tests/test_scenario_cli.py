@@ -401,6 +401,21 @@ def test_non_finite_tol_in_scenario_is_schema_error(tmp_path, where):
     assert proc.stderr.count("error:") == 1
 
 
+@pytest.mark.parametrize("resolution", ["abc", "nan", "1/0"])
+def test_malformed_resolution_is_schema_error(tmp_path, resolution):
+    # Fraction() raises ValueError or ZeroDivisionError on these
+    data = json.loads((SCENARIOS / "source_disk.json").read_text())
+    data.setdefault("tolerances", {})["resolution"] = resolution
+    message = f"resolution {resolution!r} is not a rational number"
+    with pytest.raises(ScenarioSchemaError, match=message):
+        run_scenario(data)
+    path = tmp_path / "resolution.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    proc = _cli("verify", str(path))
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == ("", f"error: {path}: {message}\n")
+
+
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_cli_max_depth_below_one_exit_2(depth):
     proc = _cli("verify", str(SCENARIOS / "annulus_mainbis.json"), "--max-depth", depth)
