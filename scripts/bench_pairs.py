@@ -10,7 +10,10 @@ checkout runs as it stands, uncommitted edits included.
 
 For every end-to-end metric of BENCHMARK.json the script prints both medians,
 the parent's quartiles and their spread, and in how many pairs this checkout
-was better.  It writes nothing outside the temporary worktree.
+was better.  Then it runs `--trace 1` once on each side, at the first seed,
+and prints every count-valued metric (cells, boxes, calls, samples) that
+differs between the two, or "counts identical".  It writes nothing outside
+the temporary worktree.
 """
 
 from __future__ import annotations
@@ -26,17 +29,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The metrics of one untraced benchmark run in the checkout at `root`."""
+def run_side(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """The metrics {name: {"value", "unit"}} of one benchmark run in the
+    checkout at `root`."""
     out = subprocess.run(
         [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True, check=True)
     result = json.loads(out.stdout.strip().splitlines()[-1])
     if result["failed"]:
         print(f"  {root}: {result['failed']} of {result['attempted']} cases failed",
               file=sys.stderr)
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return result["metrics"]
+
+
+def count_changes(parent: dict, change: dict) -> list[str]:
+    """One line per count-valued metric whose value differs between two
+    traced runs' metrics, or that only one of them reports."""
+    names = [n for n in {**parent, **change}
+             if (parent.get(n) or change[n])["unit"] == "count"]
+    return [f"{name}: {parent.get(name, {}).get('value')} -> "
+            f"{change.get(name, {}).get('value')}"
+            for name in names if parent.get(name) != change.get(name)]
 
 
 def summary(metrics, runs: dict[str, list[dict]]) -> list[str]:
@@ -77,16 +91,21 @@ def main(argv=None) -> int:
                 order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
                 for side in order:
                     root = parent_root if side == "parent" else ROOT
-                    runs[side].append(run_side(root, args.workload, seed, args.seconds))
+                    measured = run_side(root, args.workload, seed, args.seconds)
+                    runs[side].append({n: m["value"] for n, m in measured.items()})
                 print(f"pair {k + 1}/{args.pairs} seed {seed}: " + ", ".join(
                     f"{side} {runs[side][-1]['cases_per_s']:.4g}" for side in order)
                     + " cases_per_s", flush=True)
+            traced = [run_side(root, args.workload, args.seed, args.seconds, trace=1)
+                      for root in (parent_root, ROOT)]
         finally:
             subprocess.run(["git", "worktree", "remove", "--force", str(parent_root)],
                            cwd=ROOT, check=False)
     print(f"\n{args.workload}, {args.pairs} pairs of {args.seconds:g} s, "
           f"seeds {args.seed}-{args.seed + args.pairs - 1}, parent {args.parent}:")
     print("\n".join(summary(metrics, runs)))
+    print(f"\ntraced counts at seed {args.seed}, parent -> change:")
+    print("\n".join(count_changes(*traced)) or "counts identical")
     return 0
 
 

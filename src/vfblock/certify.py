@@ -9,8 +9,8 @@ the index of X in U (see `winding_stats`).
 Every enclosure cell lies on one dyadic grid: the square root box of the
 region, halved `depth` times.  A cell is an integer pair (i, j).  Scaling the
 grid and the region by n = lcm(denominators) * 2^depth makes every cell corner
-an integer, so the region predicates run in integer arithmetic and the float
-interval of a cell comes straight from integer quotients.
+an integer, so the region predicates and the Poly2 cell tests run in integer
+arithmetic; only a torus TrigPoly2 cell is rounded outward to floats.
 """
 
 from __future__ import annotations
@@ -156,11 +156,11 @@ def _root_box(region: Region) -> Box:
 
 class _AxisTables(dict):
     """The tables of one grid axis, keyed on (depth d, column or row i): each
-    is built once, on first use, as the tuple build(a, count) of the float
-    interval a of [start + i w, start + (i + 1) w] / n, w = h 2^(depth - d);
-    `build` is a ring's `axis_table`.  Entry k of such a table does not depend
-    on its length, so one store serves scalars of every degree up to `count`,
-    bit for bit."""
+    is built once, on first use, as the tuple build(a, a + w, n, count) of
+    the scaled integer interval [a, a + w], a = start + i w, w = h 2^(depth -
+    d); `build` is a ring's cell table (`poly.cell_test`).  Entry k of such
+    a table does not depend on its length, so one store serves scalars of
+    every degree up to `count`, bit for bit."""
 
     def __init__(self, start: int, h: int, depth: int, n: int, build, count: int):
         super().__init__()
@@ -171,8 +171,7 @@ class _AxisTables(dict):
         d, i = key
         w = self.h << (self.depth - d)
         a = self.start + i * w
-        box = iv.ratio(a, self.n)[0], iv.ratio(a + w, self.n)[1]
-        table = self[key] = tuple(self.build(box, self.count))
+        table = self[key] = tuple(self.build(a, a + w, self.n, self.count))
         return table
 
 
@@ -249,15 +248,17 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
     the order of the remaining tests and all four counters are those of a
     region test on every cell.
 
+    Poly2 scalars are tested by the exact natural extension on the integer
+    cells (`poly.cell_test`), other rings by the outward-rounded float one.
     The natural extension overestimates more the farther a box lies from the
     origin.  So when every scalar is a Poly2 and the root box has a nonzero
     centre c (and depth > 0), the descent tests s.translate(c), exact, on the
     cells shifted by -c, and a final-depth cell is kept only if the untranslated
-    scalars also admit 0 there.  Both forms are inclusion-isotone: every
-    rounded operation is a monotone function of exact endpoints, as in
-    `iv.mul4` and `_sum_terms`.  So a leaf that passes the natural test has
-    ancestors that all pass it, and the kept cells are exactly those that both
-    forms keep at every depth: a subset of what either keeps alone.
+    scalars also admit 0 there.  Both forms are inclusion-isotone: their
+    endpoints are exact, and the range of each power and product on a cell
+    lies in its range on the parent.  So a leaf that passes the natural test
+    has ancestors that all pass it, and the kept cells are exactly those that
+    both forms keep at every depth: a subset of what either keeps alone.
 
     With `near`, an enclosure on the same grid (else ValueError), the kept
     cells are exactly `list(meeting_cells(full, near))` of the unrestricted
@@ -280,7 +281,7 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
     grid, scaled = setup.grid, setup.scaled
     n, sx, sy, h = setup.scaling
     depth = grid.depth
-    build, nx, ny, test = cell_test(scalars)
+    build, nx, ny, test = cell_test(scalars, n)
     columns, rows = setup.axis(sx, build, nx), setup.axis(sy, build, ny)
     leaf_test = None
     half = h << depth >> 1          # n side / 2, exact when depth > 0
@@ -288,7 +289,7 @@ def zero_enclosure_scalars(scalars, region: Region, resolution,
     if depth and (cx or cy) and all(isinstance(s, Poly2) for s in scalars):
         leaf_test, leaf_columns, leaf_rows = test, columns, rows
         c = Fraction(cx, n), Fraction(cy, n)
-        build, nx, ny, test = cell_test([s.translate(*c) for s in scalars])
+        build, nx, ny, test = cell_test([s.translate(*c) for s in scalars], n)
         columns, rows = setup.axis(sx - cx, build, nx), setup.axis(sy - cy, build, ny)
     if near is not None and near.grid != grid:
         raise ValueError("the enclosures lie on different grids")

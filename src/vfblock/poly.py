@@ -390,21 +390,72 @@ def _ring_plans(scalars):
             max((p[1] for p in plans), default=0), plans)
 
 
-def cell_test(scalars):
-    """(build, nx, ny, test) for the cells of one grid, scalars of one ring.
-    A grid column with x-interval ix, or a row with y-interval iy, reaches
-    `test(xt, yt)` as the table build(ix, nx), or build(iy, ny), or a longer
-    one.  `test` walks the scalars in order and returns False at the first
-    whose enclosure over the cell excludes 0; each enclosure has the bits of
-    `s.eval_interval(ix, iy)`.  It only reads the tables, so callers may
-    share them."""
-    build, nx, ny, plans = _ring_plans(scalars)
-    kernels = [partial(_sum_terms, p[2]) for p in plans]
+def _int_powers(lo: int, hi: int, n: int, count: int) -> list:
+    """[X^0, ..., X^count], each the exact (min, max) over the integer
+    interval [lo, hi], X = n x (n is not read): odd powers, and all powers on
+    one side of 0, are monotone; an even power across 0 is [0, max]."""
+    out = [(1, 1)]
+    a = b = 1
+    for k in range(1, count + 1):
+        a *= lo
+        b *= hi
+        out.append((a, b) if k & 1 or lo >= 0 else (b, a) if hi <= 0 else (0, max(a, b)))
+    return out
+
+
+def _monomial_range(terms, xp, yp):
+    """The exact range of the sum of c * (xp[i] * yp[j]) over terms
+    (i, j, c), from integer axis tables; each product of two ranges takes
+    its endpoints by the signs of its factors (Moore's nine cases)."""
+    lo = hi = 0
+    for i, j, c in terms:
+        a0, a1 = xp[i]
+        b0, b1 = yp[j]
+        if a0 >= 0:
+            m0, m1 = (a0 if b0 >= 0 else a1) * b0, (a1 if b1 >= 0 else a0) * b1
+        elif a1 <= 0:
+            m0, m1 = (a0 if b1 >= 0 else a1) * b1, (a1 if b0 >= 0 else a0) * b0
+        elif b0 >= 0:
+            m0, m1 = a0 * b1, a1 * b1
+        elif b1 <= 0:
+            m0, m1 = a1 * b0, a0 * b0
+        else:
+            m0, m1 = min(a0 * b1, a1 * b0), max(a0 * b0, a1 * b1)
+        if c > 0:
+            lo, hi = lo + c * m0, hi + c * m1
+        else:
+            lo, hi = lo + c * m1, hi + c * m0
+    return lo, hi
+
+
+def cell_test(scalars, n: int):
+    """(build, nx, ny, test) for the cells of one grid scaled by n, scalars
+    of one ring.  A column whose scaled x-interval is [lo, hi], or such a
+    row, reaches `test(xt, yt)` as the table build(lo, hi, n, nx), or ny, or
+    longer.  `test` returns False at the first scalar whose enclosure over
+    the cell excludes 0; it only reads the tables, so callers may share them.
+    Poly2 scalars of largest degree D run in integers: d n^D p(X / n, Y / n),
+    the sum of m n^(D - i - j) X^i Y^j over p's numerators m, has p's sign,
+    and `_monomial_range` on `_int_powers` tables is its exact natural
+    extension.  Other rings keep their `cell_table` and `_sum_terms`, with
+    the bits of `s.eval_interval` on the cell's outward-rounded box."""
+    if all(isinstance(s, Poly2) for s in scalars):
+        build = _int_powers
+        nx = max((i for s in scalars for i, _ in s._m), default=0)
+        ny = max((j for s in scalars for _, j in s._m), default=0)
+        top = max((i + j for s in scalars for i, j in s._m), default=0)
+        kernels = [partial(_monomial_range, [(i, j, m * n ** (top - i - j))
+                                             for (i, j), m in s._m.items()])
+                   for s in scalars]
+    else:
+        _, nx, ny, plans = _ring_plans(scalars)
+        build = scalars[0].cell_table
+        kernels = [partial(_sum_terms, p[2]) for p in plans]
 
     def test(xt, yt):
         for kernel in kernels:
             lo, hi = kernel(xt, yt)
-            if lo > 0.0 or hi < 0.0:
+            if lo > 0 or hi < 0:
                 return False
         return True
 

@@ -152,6 +152,21 @@ def _positive_tol(value, what: str) -> float:
     return tol
 
 
+def _positive_resolution(value, what: str) -> Fraction:
+    """`value` as a positive Fraction; Fraction() raises ValueError,
+    ZeroDivisionError, OverflowError or TypeError on malformed ones, and
+    would take a JSON true for 1."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError(value)
+        resolution = Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError) as e:
+        raise ScenarioSchemaError(f"{what} {value!r} is not a rational number") from e
+    if resolution <= 0:
+        raise ScenarioSchemaError(f"{what} must be positive, got {value!r}")
+    return resolution
+
+
 @functools.cache
 def _validator():
     """SCENARIO_SCHEMA is checked once, here, not on every parse."""
@@ -193,13 +208,7 @@ def parse_scenario(data: dict) -> Scenario:
         algebras[name] = [fields[b] for b in ad["basis"]]
     tols = data.get("tolerances", {})
     tol = _positive_tol(tols.get("tol", 1e-6), "tolerance 'tol'")
-    value = tols.get("resolution", "1/64")
-    try:
-        resolution = Fraction(value)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ScenarioSchemaError(f"resolution {value!r} is not a rational number") from e
-    if resolution <= 0:
-        raise ScenarioSchemaError("resolution must be positive")
+    resolution = _positive_resolution(tols.get("resolution", "1/64"), "resolution")
     plot = data.get("plot")
     for key, known in (("field", fields), ("region", regions)):
         if plot and plot[key] not in known:
@@ -248,7 +257,8 @@ class _Ctx:
 
     @property
     def resolution(self):
-        return Fraction(self.args.get("resolution", self.s.resolution))
+        return _positive_resolution(self.args.get("resolution", self.s.resolution),
+                                    "check argument 'resolution'")
 
     def int_arg(self, key, default):
         """A JSON integer; 2.9, "3" or true would be truncated or coerced."""

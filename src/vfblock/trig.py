@@ -154,12 +154,18 @@ def factors(a, n: int) -> list:
     return out[:n + 1]
 
 
+def cell_factors(lo: int, hi: int, n: int, count: int) -> list:
+    """`factors` of [lo / n, hi / n] rounded outward: a scaled grid cell's."""
+    return factors((iv.ratio(lo, n)[0], iv.ratio(hi, n)[1]), count)
+
+
 class TrigPoly2(TermMap):
     """Trig polynomial on the torus; term map (m, n, bx, by) -> PiNumber."""
 
     __slots__ = ("_plan_cache",)
     _SCALARS = (int, Fraction, PiNumber)
     axis_table = staticmethod(factors)      # entry 2m + bx of a plan's x table
+    cell_table = staticmethod(cell_factors)
 
     def __init__(self, terms=None):
         t: dict[tuple[int, int, int, int], PiNumber] = {}

@@ -199,7 +199,7 @@ def test_mixed_scalars_keep_their_own_paths():
     with pytest.raises(TypeError):
         box_evaluator([p, t])
     with pytest.raises(TypeError):
-        cell_test([t, p])
+        cell_test([t, p], 1)
     assert float_plan([p, t])(0.3, 0.7) == [p.eval_float(0.3, 0.7), t.eval_float(0.3, 0.7)]
 
 

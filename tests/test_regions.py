@@ -13,7 +13,7 @@ from itertools import islice
 from unittest import mock
 
 import pytest
-from box_reference import box_evaluator, contains_point
+from box_reference import contains_point, zero_enclosure_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +24,7 @@ from vfblock.certify import (_EDGE_STEPS, Block, Grid, ZeroEnclosure, _AxisTable
                              _has_hole, _root_box, certify_block,
                              components, meeting_cells, min_norm_on_boundary,
                              restrict_block, zero_enclosure, zero_enclosure_scalars)
-from vfblock.config import DEFAULTS, ENV_MAX_DEPTH, default_max_depth
+from vfblock.config import DEFAULTS, ENV_MAX_DEPTH
 from vfblock.corpus import random_tracking_scenario
 from vfblock.errors import (BoundaryZero, CertificationFailed, DepthLimitExceeded,
                             UnsupportedRegion)
@@ -117,7 +117,7 @@ def test_cells_inside_closure_skip_the_region_test(monkeypatch):
     assert len(calls) == 181 < enc.cells_examined
     assert (enc.cells, enc.cells_examined, enc.cells_discarded_geometry,
             enc.cells_discarded_interval, enc.depth_used) == \
-        _zero_enclosure_reference(scalars, region, resolution)
+        zero_enclosure_reference(scalars, region, resolution)
 
 
 @pytest.mark.parametrize("count", [0, -3])
@@ -126,66 +126,6 @@ def test_spread_centers_rejects_non_positive_count(euler, unit_disk, count):
     assert len(enc.spread_centers(1)) == 1
     with pytest.raises(ValueError):
         enc.spread_centers(count)
-
-
-def _zero_enclosure_reference(scalars, region, resolution, max_depth=None, centred=True):
-    """Reference quadtree: one `box_evaluator` call per cell, from the cell's
-    own float intervals.  With `centred`, Poly2 scalars on a grid of depth > 0
-    whose root box has a nonzero centre c are tested as s.translate(c) on the
-    cell shifted by -c at every depth, and as themselves on the cell at the
-    final depth; without it, as themselves at every depth.  Returns the cells
-    and the certificate counters."""
-    resolution = Fraction(resolution)
-    if max_depth is None:
-        max_depth = default_max_depth()
-    x0, y0, x1, _ = _root_box(region)
-    side = x1 - x0
-    depth = 0
-    while 2 * side * side > resolution * resolution * 4 ** depth:
-        depth += 1
-    grid = Grid(x0, y0, side, depth)
-    n, sx, sy, h = grid.scaling(*region.params)
-    scaled = region.scaled(n)
-    c = (x0 + side / 2, y0 + side / 2)
-    natural = box_evaluator(scalars)
-    shift = (centred and depth > 0 and c != (0, 0)
-             and all(isinstance(s, Poly2) for s in scalars))
-    evaluate = box_evaluator([s.translate(*c) for s in scalars]) if shift else natural
-    nc = [v * n if shift else Fraction(0) for v in c]
-    assert all(v.denominator == 1 for v in nc)     # n c is integral when depth > 0
-    ncx, ncy = map(int, nc)
-
-    def cell(bx, by, w):
-        return ((iv.ratio(bx, n)[0], iv.ratio(bx + w, n)[1]),
-                (iv.ratio(by, n)[0], iv.ratio(by + w, n)[1]))
-
-    examined = discarded_geom = discarded_iv = depth_used = 0
-    kept = []
-    stack = [(0, 0, 0)]
-    while stack:
-        i, j, d = stack.pop()
-        examined += 1
-        depth_used = max(depth_used, d)
-        w = h << (depth - d)
-        bx, by = sx + i * w, sy + j * w
-        if not box_intersects_closure(scaled, (bx, by, bx + w, by + w)):
-            discarded_geom += 1
-            continue
-        if not all(iv.contains_zero(v) for v in evaluate(*cell(bx - ncx, by - ncy, w))):
-            discarded_iv += 1
-            continue
-        if d == depth:
-            if shift and not all(iv.contains_zero(v) for v in natural(*cell(bx, by, w))):
-                discarded_iv += 1
-            else:
-                kept.append((i, j))
-            continue
-        if d >= max_depth:
-            raise DepthLimitExceeded(f"resolution {resolution} unreachable")
-        i, j, d = 2 * i, 2 * j, d + 1
-        stack += [(i, j, d), (i + 1, j, d), (i, j + 1, d), (i + 1, j + 1, d)]
-    kept.sort()
-    return kept, examined, discarded_geom, discarded_iv, depth_used
 
 
 _coef = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -245,7 +185,7 @@ def test_quadtree_matches_reference_loop(case, max_depth):
     scalars, region, resolution = case
     env = {} if max_depth is None else {ENV_MAX_DEPTH: str(max_depth)}
     try:
-        want = _zero_enclosure_reference(scalars, region, resolution, max_depth)
+        want = zero_enclosure_reference(scalars, region, resolution, max_depth)
     except DepthLimitExceeded:
         with pytest.raises(DepthLimitExceeded), mock.patch.dict(os.environ, env):
             zero_enclosure_scalars(scalars, region, resolution)
@@ -256,7 +196,7 @@ def test_quadtree_matches_reference_loop(case, max_depth):
             enc.cells_discarded_interval, enc.depth_used) == want
     # the centred descent only ever removes cells the natural extension keeps
     try:
-        natural = _zero_enclosure_reference(scalars, region, resolution, max_depth,
+        natural = zero_enclosure_reference(scalars, region, resolution, max_depth,
                                             centred=False)
     except DepthLimitExceeded:
         return
@@ -454,11 +394,11 @@ def test_integer_cell_geometry_matches_fractions(region, depth, data, collar):
             == box_clears_boundary(region, box, collar))
     for a, exact in zip(scaled_box, box):
         assert iv.ratio(a, n) == iv.make(exact)
-    # the quadtree's per-column and per-row intervals are the cell's, rounded outward
+    # the quadtree's per-column and per-row intervals are the cell's, scaled by n
     _, sx, sy, h = grid.scaling(*region.params, collar)
     for start, k, lo, hi in ((sx, cell[0], box[0], box[2]), (sy, cell[1], box[1], box[3])):
-        assert _AxisTables(start, h, depth, n, lambda a, count: a, 0)[depth, k] == \
-            (iv.make(lo)[0], iv.make(hi)[1])
+        assert _AxisTables(start, h, depth, n, lambda a, b, n, count: (a, b), 0)[depth, k] == \
+            (lo * n, hi * n)
 
 
 _blob = st.tuples(st.integers(0, 127), st.integers(0, 127), st.integers(0, 12),

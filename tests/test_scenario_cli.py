@@ -416,6 +416,25 @@ def test_malformed_resolution_is_schema_error(tmp_path, resolution):
     assert (proc.stdout, proc.stderr) == ("", f"error: {path}: {message}\n")
 
 
+@pytest.mark.parametrize("resolution, problem", [
+    ("abc", "'abc' is not a rational number"), ("nan", "'nan' is not a rational number"),
+    ("1/0", "'1/0' is not a rational number"), ("0", "must be positive, got '0'"),
+    ("-1/8", "must be positive, got '-1/8'"), (True, "True is not a rational number")])
+def test_malformed_check_resolution_is_schema_error(tmp_path, resolution, problem):
+    # a check's own resolution gets the schema message, not a crashed check
+    data = json.loads((SCENARIOS / "source_disk.json").read_text())
+    data["checks"][0]["args"]["resolution"] = resolution
+    message = f"check argument 'resolution' {problem}"
+    with pytest.raises(ScenarioSchemaError) as caught:
+        run_scenario(data)
+    assert str(caught.value) == message
+    path = tmp_path / "check_resolution.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    proc = _cli("verify", str(path))
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == ("", f"error: {path}: {message}\n")
+
+
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_cli_max_depth_below_one_exit_2(depth):
     proc = _cli("verify", str(SCENARIOS / "annulus_mainbis.json"), "--max-depth", depth)
