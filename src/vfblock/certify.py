@@ -599,26 +599,30 @@ class Component:
         }
 
 
-def _clusters(cells: set[Cell], steps, wrap: int | None = None) -> list[list[Cell]]:
-    """Connected clusters of the cells under the given steps (mod `wrap` in
-    both axes when it is set), each sorted, in order of their least cell."""
-    seen = set()
+def _clusters(cells: set[int], steps, width: int, wrap: int = 0) -> list[list[int]]:
+    """Connected clusters of the cells packed as i * width + j (width > every
+    j + 1, so no planar step off the grid lands on a cell) under the steps
+    (di, dj), mod `wrap` in both axes when set; each sorted, by least cell."""
+    deltas = [di * width + dj for di, dj in steps]
+    left = set(cells)
     out = []
     for start in sorted(cells):
-        if start in seen:
+        if start not in left:
             continue
+        left.remove(start)
         todo = [start]
         cluster = []
-        seen.add(start)
         while todo:
-            ci, cj = c = todo.pop()
+            c = todo.pop()
             cluster.append(c)
-            for di, dj in steps:
-                nb = (ci + di, cj + dj)
-                if wrap:
-                    nb = (nb[0] % wrap, nb[1] % wrap)
-                if nb in cells and nb not in seen:
-                    seen.add(nb)
+            if wrap:
+                i, j = divmod(c, width)
+                nbs = [(i + di) % wrap * width + (j + dj) % wrap for di, dj in steps]
+            else:
+                nbs = [c + d for d in deltas]
+            for nb in nbs:
+                if nb in left:
+                    left.remove(nb)
                     todo.append(nb)
         cluster.sort()
         out.append(cluster)
@@ -627,26 +631,30 @@ def _clusters(cells: set[Cell], steps, wrap: int | None = None) -> list[list[Cel
 
 def components(enclosure: ZeroEnclosure) -> list[Component]:
     """Edge-adjacency connected clusters of enclosure cells (wrapping around
-    on the torus), each with a heuristic (non-certified) loop-like flag."""
+    on the torus), each with a heuristic (non-certified) loop-like flag, on
+    cells packed as i * width + j with width = 2^depth + 1."""
+    width = (1 << enclosure.grid.depth) + 1
     wrap = enclosure.region.kind == TORUS_FULL
     out = []
-    for cluster in _clusters(set(enclosure.cells), _EDGE_STEPS,
-                             1 << enclosure.grid.depth if wrap else None):
-        lo = enclosure.grid.box((cluster[0][0], min(j for _, j in cluster)))
-        hi = enclosure.grid.box((cluster[-1][0], max(j for _, j in cluster)))
-        out.append(Component(cluster, lo[:2] + hi[2:], _has_hole(set(cluster), wrap)))
+    for cluster in _clusters({i * width + j for i, j in enclosure.cells}, _EDGE_STEPS,
+                             width, width - 1 if wrap else 0):
+        cells = [divmod(c, width) for c in cluster]
+        lo = enclosure.grid.box((cells[0][0], min(j for _, j in cells)))
+        hi = enclosure.grid.box((cells[-1][0], max(j for _, j in cells)))
+        out.append(Component(cells, lo[:2] + hi[2:], _has_hole(cluster, width, wrap)))
     return out
 
 
-def _has_hole(cluster: set[Cell], wrapped: bool = False) -> bool:
-    """Whether the union of the closed cells encloses a hole.  Its Euler
-    characteristic V - E + F is its number of 8-connected pieces minus its
-    number of holes.  An edge-connected planar cluster is one piece; a
-    cluster that wraps around the torus may fall apart at the seam."""
-    verts = set()
-    edges = set()
-    for i, j in cluster:
-        verts.update(((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)))
-        edges.update(((i, j, 0), (i, j + 1, 0), (i, j, 1), (i + 1, j, 1)))
-    pieces = len(_clusters(cluster, _KING_STEPS)) if wrapped else 1
-    return len(verts) - len(edges) + len(cluster) < pieces
+def _has_hole(cluster: list[int], width: int, wrapped: bool = False) -> bool:
+    """Whether the union of the closed packed cells encloses a hole.  Its
+    Euler characteristic V - E + F is its number of 8-connected pieces minus
+    its number of holes; cell c has vertices c, c + 1, c + width, c + width +
+    1 and edges c, c + 1 (horizontal), c, c + width (vertical).  An
+    edge-connected planar cluster is one piece; a cluster that wraps around
+    the torus may fall apart at the seam."""
+    faces = set(cluster)
+    rows = faces | {c + 1 for c in faces}           # horizontal edges
+    verts = len(rows | {c + width for c in rows})
+    edges = len(rows) + len(faces | {c + width for c in faces})
+    pieces = len(_clusters(faces, _KING_STEPS, width)) if wrapped else 1
+    return verts - edges + len(faces) < pieces

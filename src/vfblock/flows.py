@@ -8,12 +8,16 @@ does the float operations of the plain tableau loop, in the same order (see
 the chart sends (t, s) to the time-t flow of the point p + s * n, with n the
 unit normal to Y(p).  The s-derivative column is integrated alongside through
 the exact variational equation, whose right-hand side for a polynomial field
-is one generated function per field (`PlanarField.variational_plan`).
+is one generated function per field (`PlanarField.variational_plan`).  The
+frames on one transversal line resume one recorded trajectory (`integrate`'s
+trail) per direction of time instead of starting again at t = 0.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+from array import array
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -37,9 +41,10 @@ DEFAULT_BBOX = (-1e3, -1e3, 1e3, 1e3)
 _MAX_STEPS = 200000
 _MAX_SHRINKS = 12
 _MARGIN_GRID = 5
+_BITS = struct.Struct("2d").pack     # a start point's exact bits, -0.0 apart from 0.0
 
 
-def integrate(f, y0, t_total: float, tol: float, bbox=DEFAULT_BBOX):
+def integrate(f, y0, t_total: float, tol: float, bbox=DEFAULT_BBOX, trail=None):
     """Integrate the autonomous system y' = f(y) from 0 to t_total.
 
     The step loop is `_stepper(len(y0))`: the source `_STEP_LOOP`, filled in
@@ -52,24 +57,47 @@ def integrate(f, y0, t_total: float, tol: float, bbox=DEFAULT_BBOX):
     left to right on Python 3.10 and 3.11), with its step control, messages
     and caught errors.  tests/test_flow_oracle.py compares the two by `repr`
     of every float and by every raised error.  A bbox bounds the first two
-    coordinates."""
+    coordinates, so it needs a state of dimension at least 2.
+
+    A `trail`, an empty `array("d")` at first, is shared by the runs of one
+    f, y0, tol, bbox, sign of t_total and `_start_step`: the iteration-start
+    states (elapsed, h, iteration, *y) they reached by unclamped steps.  Until
+    a run stops (elapsed >= |t_total| - 1e-300) or clamps (h >= |t_total| -
+    elapsed), its steps do not depend on |t_total|, so it resumes at the
+    first recorded state where it would, or extends the trail from the last
+    one, with a fresh run's floats, errors and messages."""
+    if bbox is not None and len(y0) < 2:
+        raise ValueError(f"a bbox needs a state of dimension >= 2, got {len(y0)}")
     if t_total == 0.0:
         return tuple(y0)
-    y = tuple(float(v) for v in y0)
-    return _stepper(len(y))(f, y, t_total, tol, bbox)
+    h0, h_min = _start_step(t_total)
+    state = (0.0, h0, 0, *(float(v) for v in y0))
+    if trail:
+        span, width = abs(t_total), len(state)
+        for at in range(0, len(trail), width):      # where this run stops or clamps
+            if not (trail[at] < span - 1e-300 and trail[at + 1] < span - trail[at]):
+                break
+        state = trail[at:at + width]      # the loop stops recording where it halts
+    elif trail is not None:
+        trail.extend(state)
+    return _stepper(len(state) - 3)(f, state, t_total, h_min, tol, bbox, trail)
+
+
+def _start_step(t_total: float) -> tuple[float, float]:
+    """(h0, h_min): a run's first step, and its `StepUnderflow` floor."""
+    return min(0.1, abs(t_total)), 1e-14 * max(1.0, abs(t_total))
 
 
 _STEP_LOOP = """\
-def step_loop(f, y, t_total, tol, bbox):
-    {ys} = y
+def step_loop(f, state, t_total, h_min, tol, bbox, trail):
+    elapsed, h, start, {ys} = state
     direction = 1.0 if t_total > 0 else -1.0
     remaining = abs(t_total)
-    h = min(0.1, remaining)
-    h_min = 1e-14 * max(1.0, abs(t_total))
-    elapsed = 0.0
-    for _ in range(MAX_STEPS):
+    for it in range(int(start), MAX_STEPS):
         if elapsed >= remaining - 1e-300:
             return ({ys})
+        if trail is not None and not h < remaining - elapsed:
+            trail = None                    # the steps from here are this run's own
         h = min(h, remaining - elapsed)
         if h < h_min and h < remaining - elapsed:   # shrunk by error control
             raise StepUnderflow(f"step collapsed to {{h:g}} at t={{direction*elapsed:g}}")
@@ -86,12 +114,14 @@ def step_loop(f, y, t_total, tol, bbox):
         if err <= 1.0:
             elapsed += h
             {ys} = {news}
-            if bbox is not None and not (bbox[0] <= y0 <= bbox[2] and bbox[1] <= {y1} <= bbox[3]):
+            if bbox is not None and not (bbox[0] <= y0 <= bbox[2] and bbox[1] <= y1 <= bbox[3]):
                 raise EscapeError(f"trajectory left the bounding box at {{({head})}}")
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         else:
             factor = max(0.2, 0.9 * err ** -0.2) if math.isfinite(err) else 0.2
         h *= factor
+        if trail is not None:
+            trail.extend((elapsed, h, it + 1, {ys}))
     raise StepUnderflow("integrator exceeded its step budget")
 """
 
@@ -127,8 +157,7 @@ def _stepper(n: int):
                  f"err += ((hs * (p{d} - q{d})) / scale) ** 2"]
     source = _STEP_LOOP.format(
         n=n, ys=tup(f"y{d}" for d in dims), k0=tup(f"k0_{d}" for d in dims),
-        news=tup(f"n{d}" for d in dims), y1="y1" if n > 1 else "(y0,)[1]",
-        head=tup(f"y{d}" for d in dims[:2]),
+        news=tup(f"n{d}" for d in dims), head=tup(f"y{d}" for d in dims[:2]),
         stages="\n".join(" " * 12 + s for s in stages),
         sums="\n".join(" " * 12 + s for s in sums))
     exec(compile(source, f"<dormand_prince_{n}>", "exec"), env)
@@ -165,6 +194,7 @@ class Flowbox:
     tol: float
     injectivity_margin: float = 0.0
     _frames: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    _trails: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     def _transversal(self, s: float) -> tuple[float, float]:
         return (self.base[0] + s * self.normal[0], self.base[1] + s * self.normal[1])
@@ -172,8 +202,11 @@ class Flowbox:
     def frame(self, t: float, s: float):
         """Chart point plus the columns of the chart differential:
         (point, Y(point), v) with v the transported transversal direction.
-        Memoised per chart on the exact (t, s); errors are not cached."""
-        found = self._frames.get((t, s))
+        Memoised per chart on the exact (t, s), the sign of a zero s included;
+        errors are not cached.  Integrations share one `integrate` trail per
+        start point's bits, sign of t and `_start_step`."""
+        key = (t, s) if s else (t, s, math.copysign(1.0, s))
+        found = self._frames.get(key)
         if found is not None:
             return found
         x0, y0 = self._transversal(s)
@@ -181,11 +214,13 @@ class Flowbox:
             pt = (x0, y0)
             v = self.normal
         else:
+            trail = self._trails.setdefault((_BITS(x0, y0), t > 0, *_start_step(t)),
+                                            array("d"))
             x, y, vx, vy = integrate(self.field.variational_plan, (x0, y0, *self.normal),
-                                     t, self.tol, bbox=None)
+                                     t, self.tol, None, trail)
             pt = (x, y)
             v = (vx, vy)
-        found = self._frames[(t, s)] = (pt, self.field.eval_float(*pt), v)
+        found = self._frames[key] = (pt, self.field.eval_float(*pt), v)
         return found
 
     def forward(self, t: float, s: float) -> tuple[float, float]:

@@ -260,12 +260,16 @@ class _Ctx:
         return _positive_resolution(self.args.get("resolution", self.s.resolution),
                                     "check argument 'resolution'")
 
-    def int_arg(self, key, default):
-        """A JSON integer; 2.9, "3" or true would be truncated or coerced."""
+    def int_arg(self, key, default, minimum=1):
+        """A JSON integer of at least `minimum`; 2.9, "3" or true would be
+        truncated or coerced."""
         value = self.args.get(key, default)
         if isinstance(value, bool) or not isinstance(value, int):
             raise ScenarioSchemaError(
                 f"check argument {key!r} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ScenarioSchemaError(
+                f"check argument {key!r} must be at least {minimum}, got {value!r}")
         return value
 
 
@@ -303,7 +307,7 @@ def _op_wedge(ctx: _Ctx):
 
 def _op_homotopy(ctx: _Ctx):
     verdict = homotopy_invariance_check(ctx.field("X0"), ctx.field("X1"),
-                                        ctx.region("U"), ctx.int_arg("steps", 10))
+                                        ctx.region("U"), ctx.int_arg("steps", 10, 2))
     return {"homotopy": verdict.to_json()}, PASS if verdict.status == "invariant" else FAIL
 
 

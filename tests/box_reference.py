@@ -11,16 +11,18 @@ descent that the exact one refines.
 `RectLoop.box_of` works in integers and must give what `rect_box_of` gives.
 `contains_point` decides point membership in an enclosure's closed cells on
 the grid's integer-scaled corners (`Grid.scaled_boxes`).
+`certify.components` floods cells packed into integers and must give what
+`components_reference` gives on (i, j) tuples.
 """
 
 from fractions import Fraction
 
 from vfblock import interval as iv
-from vfblock.certify import _root_box
+from vfblock.certify import _EDGE_STEPS, _KING_STEPS, Component, _root_box
 from vfblock.config import default_max_depth
 from vfblock.errors import DepthLimitExceeded
 from vfblock.poly import Poly2, _frac, _ring_plans
-from vfblock.regions import box_intersects_closure, piece_point
+from vfblock.regions import TORUS_FULL, box_intersects_closure, piece_point
 
 
 def contains_point(enc, point) -> bool:
@@ -28,6 +30,58 @@ def contains_point(enc, point) -> bool:
     n, boxes = enc.grid.scaled_boxes(enc.cells, *point)
     x, y = (int(_frac(v) * n) for v in point)
     return any(x0 <= x <= x1 and y0 <= y <= y1 for x0, y0, x1, y1 in boxes)
+
+
+def clusters_reference(cells, steps, wrap=None):
+    """Connected clusters of the (i, j) cells under the given steps (mod
+    `wrap` in both axes when it is set), each sorted, in order of their
+    least cell."""
+    seen = set()
+    out = []
+    for start in sorted(cells):
+        if start in seen:
+            continue
+        todo = [start]
+        cluster = []
+        seen.add(start)
+        while todo:
+            ci, cj = c = todo.pop()
+            cluster.append(c)
+            for di, dj in steps:
+                nb = (ci + di, cj + dj)
+                if wrap:
+                    nb = (nb[0] % wrap, nb[1] % wrap)
+                if nb in cells and nb not in seen:
+                    seen.add(nb)
+                    todo.append(nb)
+        cluster.sort()
+        out.append(cluster)
+    return out
+
+
+def has_hole_reference(cluster, wrapped=False) -> bool:
+    """Whether the union of the closed (i, j) cells encloses a hole, by the
+    Euler characteristic V - E + F on tuple vertices and edges against the
+    number of 8-connected pieces (one for an edge-connected planar cluster)."""
+    verts = set()
+    edges = set()
+    for i, j in cluster:
+        verts.update(((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)))
+        edges.update(((i, j, 0), (i, j + 1, 0), (i, j, 1), (i + 1, j, 1)))
+    pieces = len(clusters_reference(cluster, _KING_STEPS)) if wrapped else 1
+    return len(verts) - len(edges) + len(cluster) < pieces
+
+
+def components_reference(enclosure):
+    """`certify.components` on tuple cells and Python sets of tuples."""
+    wrap = enclosure.region.kind == TORUS_FULL
+    out = []
+    for cluster in clusters_reference(set(enclosure.cells), _EDGE_STEPS,
+                                      1 << enclosure.grid.depth if wrap else None):
+        lo = enclosure.grid.box((cluster[0][0], min(j for _, j in cluster)))
+        hi = enclosure.grid.box((cluster[-1][0], max(j for _, j in cluster)))
+        out.append(Component(cluster, lo[:2] + hi[2:], has_hole_reference(set(cluster), wrap)))
+    return out
 
 
 def box_evaluator(scalars):

@@ -35,6 +35,8 @@ _MAX_STEPS = 200000
 
 def integrate_reference(f, y0, t_total: float, tol: float, bbox=DEFAULT_BBOX):
     """Integrate the autonomous system y' = f(y) from 0 to t_total."""
+    if bbox is not None and len(y0) < 2:
+        raise ValueError(f"a bbox needs a state of dimension >= 2, got {len(y0)}")
     if t_total == 0.0:
         return tuple(y0)
     y = tuple(float(v) for v in y0)

@@ -13,15 +13,15 @@ from itertools import islice
 from unittest import mock
 
 import pytest
-from box_reference import contains_point, zero_enclosure_reference
+from box_reference import (clusters_reference, components_reference, contains_point,
+                           has_hole_reference, zero_enclosure_reference)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vfblock import certify
 from vfblock import interval as iv
 from vfblock.certify import (_EDGE_STEPS, Block, Grid, ZeroEnclosure, _AxisTables,
-                             _clusters, _grid_setup,
-                             _has_hole, _root_box, certify_block,
+                             _grid_setup, _root_box, certify_block,
                              components, meeting_cells, min_norm_on_boundary,
                              restrict_block, zero_enclosure, zero_enclosure_scalars)
 from vfblock.config import DEFAULTS, ENV_MAX_DEPTH
@@ -312,27 +312,54 @@ _cell_sets = st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1
 @example({(0, 0), (1, 1)})                          # touching at a corner only
 def test_euler_hole_test_matches_flood_fill(cells):
     # planar: each edge-connected cluster, as `components` passes it
-    for cluster in _clusters(cells, _EDGE_STEPS):
-        assert _has_hole(set(cluster)) == _has_hole_flood(set(cluster))
+    for cluster in clusters_reference(cells, _EDGE_STEPS):
+        assert has_hole_reference(set(cluster)) == _has_hole_flood(set(cluster))
     # torus of side 8: clusters wrap across the seam, so the flood fill sees
     # them in several pieces; any cell set counts its own pieces
-    for cluster in _clusters(cells, _EDGE_STEPS, 8):
-        assert _has_hole(set(cluster), True) == _has_hole_flood(set(cluster))
-    assert _has_hole(cells, True) == _has_hole_flood(cells)
+    for cluster in clusters_reference(cells, _EDGE_STEPS, 8):
+        assert has_hole_reference(set(cluster), True) == _has_hole_flood(set(cluster))
+    assert has_hole_reference(cells, True) == _has_hole_flood(cells)
 
 
 def test_euler_hole_test_on_seam_clusters():
     # a ring cut by the seam x = 0 of an 8-cell torus falls into two planar
     # pieces, neither enclosing anything
     cut = {(7, 2), (7, 3), (7, 4), (0, 2), (0, 4), (1, 2), (1, 3), (1, 4)}
-    assert _clusters(cut, _EDGE_STEPS, 8) == [sorted(cut)]
-    assert not _has_hole(cut, True) and not _has_hole_flood(cut)
+    assert clusters_reference(cut, _EDGE_STEPS, 8) == [sorted(cut)]
+    assert not has_hole_reference(cut, True) and not _has_hole_flood(cut)
     # joined by (2, 3) to an uncut ring around (4, 4): still one wrapped
     # cluster, two planar pieces, and one hole (chi = 1 < 2 pieces)
     ring = {(3, 3), (4, 3), (5, 3), (3, 4), (5, 4), (3, 5), (4, 5), (5, 5)}
     joined = cut | {(2, 3)} | ring
-    assert _clusters(joined, _EDGE_STEPS, 8) == [sorted(joined)]
-    assert _has_hole(joined, True) and _has_hole_flood(joined)
+    assert clusters_reference(joined, _EDGE_STEPS, 8) == [sorted(joined)]
+    assert has_hole_reference(joined, True) and _has_hole_flood(joined)
+
+
+_SEAM_RING = {(7, 2), (7, 3), (7, 4), (0, 2), (0, 4), (1, 2), (1, 3), (1, 4)}
+_RING = {(3, 3), (4, 3), (5, 3), (3, 4), (5, 4), (3, 5), (4, 5), (5, 5)}
+
+
+@given(_cell_sets, st.booleans())
+@settings(max_examples=300, deadline=None)
+@example(_SEAM_RING, True)                          # one cluster across the seam x = 0
+@example(_SEAM_RING | {(2, 3)} | _RING, True)       # across the seam, with a hole
+@example(_RING | {(0, 0), (7, 7), (0, 7)}, False)   # a hole and three more components
+@example({(0, 0), (7, 7), (0, 7), (7, 0)}, True)    # four corners: one cluster on the torus
+@example({(0, 3), (7, 3), (3, 0), (3, 7), (2, 2)}, False)   # off-edge steps alias no cell
+def test_components_match_tuple_reference(cells, torus):
+    # packed integer cells give the tuple flood's clusters, order, boxes and flags
+    region = torus_full() if torus else rectangle(0, 0, 1, 1)
+    enc = ZeroEnclosure(sorted(cells), Grid(Fraction(0), Fraction(0), Fraction(1), 3),
+                        Fraction(1, 8), region)
+    assert components(enc) == components_reference(enc)
+
+
+def test_components_match_tuple_reference_on_enclosures(circle_field, saddle_pair_field,
+                                                        std_annulus, torus_sin):
+    for enc in (zero_enclosure(circle_field, std_annulus, Fraction(1, 64)),
+                zero_enclosure(saddle_pair_field, std_annulus, Fraction(1, 32)),
+                zero_enclosure(torus_sin, torus_full(), Fraction(1, 32))):
+        assert components(enc) == components_reference(enc)
 
 
 def test_region_validation():

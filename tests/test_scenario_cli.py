@@ -357,6 +357,29 @@ def test_cli_non_integer_count_exit_2(tmp_path, op, args, key, value):
     assert (proc.stdout, proc.stderr) == ("", f"error: {path}: {message}\n")
 
 
+@pytest.mark.parametrize("op, args, key, value, minimum", [
+    ("verify_mainbis", {"X": "X", "Y": "X", "U": "U"}, "k", 0, 1),
+    ("jet_order", {"X": "X", "p": "origin"}, "k", -1, 1),
+    ("component_orders", {"X": "X", "points": ["origin"]}, "k", 0, 1),
+    ("factor_y_power", {"F": "X"}, "l", 0, 1),
+    ("homotopy", {"X0": "X", "X1": "X", "U": "U"}, "steps", 1, 2),
+])
+def test_count_below_minimum_is_schema_error(tmp_path, op, args, key, value, minimum):
+    # verify_mainbis with k = 0 used to report a crashed check ("k must be >= 1")
+    data = json.loads((SCENARIOS / "source_disk.json").read_text())
+    data["points"] = {"origin": ["0", "0"]}
+    data["checks"] = [{"op": op, "name": op, "args": {**args, key: value}}]
+    message = f"check argument {key!r} must be at least {minimum}, got {value!r}"
+    with pytest.raises(ScenarioSchemaError) as caught:
+        run_scenario(data)
+    assert str(caught.value) == message
+    path = tmp_path / "count.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    proc = _cli("verify", str(path))
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == ("", f"error: {path}: {message}\n")
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_cli_non_finite_tol_exit_2(tol):
     # NaN or infinity would make the flowbox control check fail or pass vacuously
