@@ -12,8 +12,10 @@ For every end-to-end metric of BENCHMARK.json the script prints both medians,
 the parent's quartiles and their spread, and in how many pairs this checkout
 was better.  Then it runs `--trace 1` once on each side, at the first seed,
 and prints every count-valued metric (cells, boxes, calls, samples) that
-differs between the two, or "counts identical".  It writes nothing outside
-the temporary worktree.
+differs between the two, or "counts identical", then both sides' seconds of
+every traced span (`*.s`) above 1% of `verifier.theorem.s`, so the layer a
+change targets shows in the same run.  It writes nothing outside the
+temporary worktree.
 """
 
 from __future__ import annotations
@@ -51,6 +53,19 @@ def count_changes(parent: dict, change: dict) -> list[str]:
     return [f"{name}: {parent.get(name, {}).get('value')} -> "
             f"{change.get(name, {}).get('value')}"
             for name in names if parent.get(name) != change.get(name)]
+
+
+def span_seconds(parent: dict, change: dict) -> list[str]:
+    """One line per traced `*.s` span metric whose seconds on either side
+    exceed 1% of that side's `verifier.theorem.s`: both sides' seconds."""
+    def value(metrics, name):
+        return metrics.get(name, {}).get("value", 0.0)
+
+    names = [n for n in {**parent, **change} if n.endswith(".s")
+             and any(value(m, n) > 0.01 * value(m, "verifier.theorem.s")
+                     for m in (parent, change))]
+    return [f"{'span':34s} {'parent':>10s} {'change':>10s}"] + [
+        f"{n:34s} {value(parent, n):10.4g} {value(change, n):10.4g}" for n in names]
 
 
 def summary(metrics, runs: dict[str, list[dict]]) -> list[str]:
@@ -106,6 +121,8 @@ def main(argv=None) -> int:
     print("\n".join(summary(metrics, runs)))
     print(f"\ntraced counts at seed {args.seed}, parent -> change:")
     print("\n".join(count_changes(*traced)) or "counts identical")
+    print(f"\ntraced span seconds at seed {args.seed}:")
+    print("\n".join(span_seconds(*traced)))
     return 0
 
 

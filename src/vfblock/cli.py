@@ -107,7 +107,8 @@ def _verify(args) -> int:
         reports.append(report.to_json())
         verdicts.append(report.verdict)
         for check in report.checks:
-            print(f"{report.name}: {check.name}: {check.verdict}")
+            unmet = " (expectation not met)" if check.expected_ok is False else ""
+            print(f"{report.name}: {check.name}: {check.verdict}{unmet}")
 
     if args.report and reports:
         payload = reports[0] if len(reports) == 1 else {"reports": reports}

@@ -203,8 +203,8 @@ class Flowbox:
         """Chart point plus the columns of the chart differential:
         (point, Y(point), v) with v the transported transversal direction.
         Memoised per chart on the exact (t, s), the sign of a zero s included;
-        errors are not cached.  Integrations share one `integrate` trail per
-        start point's bits, sign of t and `_start_step`."""
+        errors are not cached.  Integrations run inside `DEFAULT_BBOX` and share
+        one trail per start point's bits, sign of t and `_start_step`."""
         key = (t, s) if s else (t, s, math.copysign(1.0, s))
         found = self._frames.get(key)
         if found is not None:
@@ -217,7 +217,7 @@ class Flowbox:
             trail = self._trails.setdefault((_BITS(x0, y0), t > 0, *_start_step(t)),
                                             array("d"))
             x, y, vx, vy = integrate(self.field.variational_plan, (x0, y0, *self.normal),
-                                     t, self.tol, None, trail)
+                                     t, self.tol, DEFAULT_BBOX, trail)
             pt = (x, y)
             v = (vx, vy)
         found = self._frames[key] = (pt, self.field.eval_float(*pt), v)
@@ -300,7 +300,7 @@ def _injectivity_margin(fb: Flowbox) -> float:
             s = fb.half_length * (2.0 * j / (_MARGIN_GRID - 1) - 1.0)
             try:
                 _, ycol, vcol = fb.frame(t, s)
-            except StepUnderflow:       # frames integrate with no bbox
+            except (StepUnderflow, EscapeError):
                 return 0.0
             ny = math.hypot(*ycol)
             nv = math.hypot(*vcol)

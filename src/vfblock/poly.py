@@ -429,28 +429,36 @@ def _monomial_range(terms, xp, yp):
 
 
 def cell_test(scalars, n: int):
-    """(build, nx, ny, test) for the cells of one grid scaled by n, scalars
-    of one ring.  A column whose scaled x-interval is [lo, hi], or such a
-    row, reaches `test(xt, yt)` as the table build(lo, hi, n, nx), or ny, or
-    longer.  `test` returns False at the first scalar whose enclosure over
-    the cell excludes 0; it only reads the tables, so callers may share them.
+    """(build, nx, ny, test, compiled) for the cells of one grid scaled by n,
+    scalars of one ring.  A column whose scaled x-interval is [lo, hi], or
+    such a row, reaches `test(xt, yt)` as the table build(lo, hi, n, nx), or
+    ny, or longer.  `test` returns False at the first scalar whose enclosure
+    over the cell excludes 0; it only reads the tables, so callers may share
+    them.  `compiled()` builds a test with the same verdicts.
     Poly2 scalars of largest degree D run in integers: d n^D p(X / n, Y / n),
     the sum of m n^(D - i - j) X^i Y^j over p's numerators m, has p's sign,
     and `_monomial_range` on `_int_powers` tables is its exact natural
-    extension.  Other rings keep their `cell_table` and `_sum_terms`, with
-    the bits of `s.eval_interval` on the cell's outward-rounded box."""
+    extension, compiled by `_corner_kernel`.  Other rings keep their
+    `cell_table` and `_sum_terms`, with the bits of `s.eval_interval` on the
+    cell's outward-rounded box; their `compiled()` is `test`."""
     if all(isinstance(s, Poly2) for s in scalars):
         build = _int_powers
         nx = max((i for s in scalars for i, _ in s._m), default=0)
         ny = max((j for s in scalars for _, j in s._m), default=0)
         top = max((i + j for s in scalars for i, j in s._m), default=0)
-        kernels = [partial(_monomial_range, [(i, j, m * n ** (top - i - j))
-                                             for (i, j), m in s._m.items()])
-                   for s in scalars]
+        terms = [[(i, j, m * n ** (top - i - j)) for (i, j), m in s._m.items()]
+                 for s in scalars]
+        kernels = [partial(_monomial_range, t) for t in terms]
+
+        def compiled():
+            ordered = [sorted(t) for t in terms]    # one pattern per monomial set
+            pattern = tuple(tuple((i, j, c > 0) for i, j, c in t) for t in ordered)
+            return _corner_kernel(pattern)(tuple(c for t in ordered for *_, c in t), test)
     else:
         _, nx, ny, plans = _ring_plans(scalars)
         build = scalars[0].cell_table
         kernels = [partial(_sum_terms, p[2]) for p in plans]
+        compiled = lambda: test   # noqa: E731
 
     def test(xt, yt):
         for kernel in kernels:
@@ -459,7 +467,50 @@ def cell_test(scalars, n: int):
                 return False
         return True
 
-    return build, nx, ny, test
+    return build, nx, ny, test, compiled
+
+
+@lru_cache(maxsize=32)
+def _corner_kernel(pattern):
+    """make(c, fallback): straight-line `cell_test` code for one pattern, per
+    scalar its terms (i, j, c > 0); the coefficients arrive as the tuple c, so
+    no value is written into the source.  On a cell whose column and row each
+    lie on one side of 0, X^i < 0 only for odd i left of 0, and the end of
+    c X^i Y^j sought takes X^i's upper corner exactly when Y^j < 0 xor that
+    end is the monomial's largest (the lower end for c < 0), Y^j's likewise:
+    `_monomial_range`'s integers.  Cells that cross an axis with an odd
+    exponent, such as the root cell, go to `fallback`."""
+    names = [[f"c{k}_{t}" for t in range(len(terms))] for k, terms in enumerate(pattern)]
+    axes = [sorted({t[a] for terms in pattern for t in terms if t[a]}) for a in (0, 1)]
+    odd = [any(e % 2 for e in axis) for axis in axes]
+
+    def end(k, neg_x, neg_y, upper):
+        parts = [name + (f" * x{'lh'[(neg_y and j % 2 == 1) != (pos == upper)]}{i}" if i else "")
+                 + (f" * y{'lh'[(neg_x and i % 2 == 1) != (pos == upper)]}{j}" if j else "")
+                 for name, (i, j, pos) in zip(names[k], pattern[k])]
+        return " + ".join(f"({' + '.join(parts[g:g + 64])})"     # no deep ASTs
+                          for g in range(0, len(parts), 64)) or "0"
+
+    body = [f"{v}l{e}, {v}h{e} = {v}t[{e}]" for v, axis, o in zip("xy", axes, odd)
+            for e in sorted({1, *axis} if o else axis)]
+    for neg_x in (False, True)[:1 + odd[0]]:
+        if odd[0]:
+            body.append("if xh1 <= 0:" if neg_x else "if xl1 >= 0:")
+        for neg_y in (False, True)[:1 + odd[1]]:
+            if odd[1]:
+                body.append("    " * odd[0] + ("if yh1 <= 0:" if neg_y else "if yl1 >= 0:"))
+            pad = "    " * (odd[0] + odd[1])
+            body += [f"{pad}if {end(k, neg_x, neg_y, False)} > 0 or "
+                     f"{end(k, neg_x, neg_y, True)} < 0: return False" for k in range(len(pattern))]
+            body.append(pad + "return True")
+    body.append("return fallback(xt, yt)")
+    unpack = "".join(f"{name}, " for row in names for name in row)
+    source = ("def make(c, fallback):\n" + (f"    {unpack}= c\n" if unpack else "")
+              + "    def test(xt, yt):\n" + "".join(f"        {b}\n" for b in body)
+              + "    return test\n")
+    env = {}
+    exec(compile(source, "<cell_test>", "exec"), env)
+    return env["make"]
 
 
 def float_plan(polys):

@@ -32,6 +32,11 @@ from .verifier import (ERROR, EXIT_CODE, FAIL, PASS, verify_liealg, verify_main,
 
 _RATIONAL = {"type": ["string", "integer"]}
 _EXPONENT = {"type": "integer", "minimum": 0}
+_POINT = {"type": "array", "minItems": 2, "maxItems": 2, "items": _RATIONAL}
+_REGION_KEY = {"center": _POINT, "r": _RATIONAL, "r_in": _RATIONAL, "r_out": _RATIONAL,
+               "corners": {"type": "array", "minItems": 2, "maxItems": 2, "items": _POINT}}
+_REGION_KEYS = {"disk": ("center", "r"), "annulus": ("center", "r_in", "r_out"),
+                "rect": ("corners",), "torus": ()}
 
 SCENARIO_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -55,6 +60,15 @@ SCENARIO_SCHEMA = {
                      "propertyNames": {"pattern": "^pi[0-9]+$"},
                      "additionalProperties": _RATIONAL}]}}},
         ]},
+        # per region type exactly its keys; a point is two rationals
+        "region": {
+            "type": "object", "required": ["type"],
+            "properties": {"type": {"enum": list(_REGION_KEYS)}},
+            "allOf": [{"if": {"required": ["type"], "properties": {"type": {"const": kind}}},
+                       "then": {"required": list(keys), "additionalProperties": False,
+                                "properties": {"type": True, **{k: _REGION_KEY[k] for k in keys}}}}
+                      for kind, keys in _REGION_KEYS.items()],
+        },
     },
     "properties": {
         "name": {"type": "string"},
@@ -83,14 +97,7 @@ SCENARIO_SCHEMA = {
                 },
             },
         },
-        "regions": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["type"],
-                "properties": {"type": {"enum": ["disk", "annulus", "rect", "torus"]}},
-            },
-        },
+        "regions": {"type": "object", "additionalProperties": {"$ref": "#/$defs/region"}},
         "points": {
             "type": "object",
             "additionalProperties": {

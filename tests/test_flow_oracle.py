@@ -5,7 +5,9 @@ flowbox frames served from trails against fresh runs, bit for bit.
 Every returned float is compared by `repr` (so -0.0 and NaN count), and a
 raised exception by its type and message."""
 
+import time
 from array import array
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from flow_reference import integrate_reference, variational_reference
 from vfblock import flows
+from vfblock.errors import EscapeError
 from vfblock.fields import plane_field
 from vfblock.flows import DEFAULT_BBOX, Flowbox, _start_step, field_rhs, integrate
 from vfblock.linefield import flowbox_line_field
@@ -170,7 +173,7 @@ def _fresh_frame(fb, t, s):
         pt, v = (x0, y0), fb.normal
     else:
         x, y, vx, vy = integrate(fb.field.variational_plan, (x0, y0, *fb.normal),
-                                 t, fb.tol, None)
+                                 t, fb.tol, DEFAULT_BBOX)
         pt, v = (x, y), (vx, vy)
     return pt, fb.field.eval_float(*pt), v
 
@@ -234,6 +237,22 @@ def test_frames_keep_each_targets_underflow_floor():
         assert outcomes[-1] == _frame_outcome(partial(_fresh_frame, fb), t, 0.0)
     assert outcomes[2:4] == [("StepUnderflow", "step collapsed to 5.24288e-15 at t=0.6"),
                              ("StepUnderflow", "step collapsed to 2.62144e-14 at t=0.6")]
+
+
+def test_runaway_frame_fails_fast():
+    # with no bbox this variational run spent the 200,000-step budget (over
+    # 2 s) before StepUnderflow; inside DEFAULT_BBOX it escapes in about 25 ms,
+    # and the margin scan reads the escape as a fold, so the window shrinks
+    p = (Fraction(-15, 8) - 2 * Y ** 2 - Fraction(1, 3) * X * Y
+         + Fraction(11, 6) * X ** 2 * Y + Fraction(6, 5) * X ** 3)
+    q = Fraction(11, 7) * X - X ** 2 - Fraction(1, 2) * X ** 3
+    fb = Flowbox(plane_field(p, q), (0.0, -0.0), (0.0, -1.0), (1.0, 0.0), 1.0, 0.1, 1.5,
+                 9.3e-7)
+    start = time.perf_counter()
+    with pytest.raises(EscapeError, match="left the bounding box"):
+        fb.frame(1.5, 0.0)
+    assert time.perf_counter() - start < 0.5
+    assert flows._injectivity_margin(fb) == 0.0
 
 
 def test_each_frame_is_one_integrate_call(monkeypatch, circle_field):

@@ -146,6 +146,41 @@ def test_expectation_mismatch_fails():
     assert report.exit_code == 1
 
 
+def test_cli_marks_an_unmet_expectation(tmp_path, capsys):
+    # the check itself passes, but not with the expected index: exit 1, and
+    # the line says why
+    from vfblock.cli import main
+    data = json.loads((SCENARIOS / "source_disk.json").read_text())
+    data["checks"][0]["expect"] = {"index.index": 2}
+    path = tmp_path / "unmet.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == "source_disk: source_index: pass (expectation not met)\n"
+
+
+@pytest.mark.parametrize("region, message", [
+    ({"type": "disk", "center": ["0", "0", "0"], "r": "1"},
+     "at $['regions']['U']['center']: ['0', '0', '0'] is too long"),
+    ({"type": "disk", "center": ["0", "0"], "r": "1", "r_in": "1/2"},
+     "at $['regions']['U']: Additional properties are not allowed ('r_in' was unexpected)"),
+    ({"type": "annulus", "center": ["0", "0"], "r_in": "1/2"},
+     "at $['regions']['U']: 'r_out' is a required property"),
+    ({"type": "disk", "center": ["0"], "r": "1"},
+     "at $['regions']['U']['center']: ['0'] is too short"),
+    ({"type": "rect", "corners": [["-1", "-1"], ["1"]]},
+     "at $['regions']['U']['corners'][1]: ['1'] is too short"),
+])
+def test_cli_region_schema_names_the_key(tmp_path, capsys, region, message):
+    from vfblock.cli import main
+    data = json.loads((SCENARIOS / "source_disk.json").read_text())
+    data["regions"]["U"] = region
+    path = tmp_path / "region.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {path}: schema violation {message}\n"
+
+
 def test_certification_error_maps_to_exit_2():
     data = json.loads((SCENARIOS / "source_disk.json").read_text())
     # a disk whose boundary passes through the zero: BoundaryZero -> error
