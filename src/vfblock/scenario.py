@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-import jsonschema
-
 from .certify import certify_block, components
 from .errors import ScenarioSchemaError
 from .fields import PlanarField, jet_order
@@ -159,16 +157,26 @@ def _positive_tol(value, what: str) -> float:
     return tol
 
 
-def _positive_resolution(value, what: str) -> Fraction:
-    """`value` as a positive Fraction; Fraction() raises ValueError,
-    ZeroDivisionError, OverflowError or TypeError on malformed ones, and
-    would take a JSON true for 1."""
+def _rational(value, what: str):
+    """`value` as a Fraction; Fraction() raises ValueError, ZeroDivisionError,
+    OverflowError or TypeError on malformed ones, and would take a JSON true
+    for 1.  A list (a point, a rectangle's corners) or a dict (a torus
+    coefficient {"pi1": "3", ...}) is parsed entry by entry."""
+    if isinstance(value, list):
+        return [_rational(v, what) for v in value]
+    if isinstance(value, dict):
+        return {k: _rational(v, what) for k, v in value.items()}
     try:
         if isinstance(value, bool):
             raise TypeError(value)
-        resolution = Fraction(value)
+        return Fraction(value)
     except (ValueError, ZeroDivisionError, OverflowError, TypeError) as e:
         raise ScenarioSchemaError(f"{what} {value!r} is not a rational number") from e
+
+
+def _positive_resolution(value, what: str) -> Fraction:
+    """`value` as a positive Fraction."""
+    resolution = _rational(value, what)
     if resolution <= 0:
         raise ScenarioSchemaError(f"{what} must be positive, got {value!r}")
     return resolution
@@ -176,37 +184,38 @@ def _positive_resolution(value, what: str) -> Fraction:
 
 @functools.cache
 def _validator():
-    """SCENARIO_SCHEMA is checked once, here, not on every parse."""
-    jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
-    return jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+    """Built on the first parse, so a run that parses no scenario never imports jsonschema."""
+    from jsonschema import Draft202012Validator
+    return Draft202012Validator(SCENARIO_SCHEMA)
 
 
 def parse_scenario(data: dict) -> Scenario:
-    e = jsonschema.exceptions.best_match(_validator().iter_errors(data))
+    from jsonschema.exceptions import best_match
+    e = best_match(_validator().iter_errors(data))
     if e is not None:
         path = "$" + "".join(f"[{p!r}]" for p in e.absolute_path)
         raise ScenarioSchemaError(f"schema violation at {path}: {e.message}")
     surface = data.get("surface", "plane")
     fields = {}
     for name, fd in data.get("fields", {}).items():
-        fd = dict(fd)
-        fd.setdefault("surface", surface)
+        fd = {"surface": surface, **fd}
+        for key in ("P", "Q"):
+            fd[key] = [{**t, "c": _rational(t["c"], f"field {name!r}: coefficient")}
+                       for t in fd[key]]
         try:
             fields[name] = PlanarField.from_json(fd)
         except Exception as e:
             raise ScenarioSchemaError(f"field {name!r}: {e}") from e
     regions = {}
     for name, rd in data.get("regions", {}).items():
+        rd = {k: v if k == "type" else _rational(v, f"region {name!r}: {k}")
+              for k, v in rd.items()}
         try:
             regions[name] = Region.from_json(rd)
         except Exception as e:
             raise ScenarioSchemaError(f"region {name!r}: {e}") from e
-    points = {}
-    for name, pd in data.get("points", {}).items():
-        try:
-            points[name] = (Fraction(pd[0]), Fraction(pd[1]))
-        except Exception as e:
-            raise ScenarioSchemaError(f"point {name!r}: {e}") from e
+    points = {name: tuple(_rational(pd, f"point {name!r}: coordinate"))
+              for name, pd in data.get("points", {}).items()}
     algebras = {}
     for name, ad in data.get("algebras", {}).items():
         missing = [b for b in ad["basis"] if b not in fields]
@@ -244,20 +253,24 @@ class _Ctx:
     def algebra(self, key):
         return self._named(self.s.algebras, "algebra", key)
 
-    def point_list(self, key):
-        names = self.args.get(key, [])
-        out = []
-        for n in names:
-            if n not in self.s.points:
-                raise ScenarioSchemaError(f"unknown point {n!r}")
-            out.append(self.s.points[n])
-        return out
-
-    def point_list_single(self, key):
-        n = self.args.get(key)
+    def _point(self, n):
         if n not in self.s.points:
             raise ScenarioSchemaError(f"unknown point {n!r}")
         return self.s.points[n]
+
+    def point_list(self, key):
+        """A JSON list of point names; a string would be read letter by letter."""
+        names = self.args.get(key, [])
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise ScenarioSchemaError(
+                f"check argument {key!r} must be a list of point names, got {names!r}")
+        return [self._point(n) for n in names]
+
+    def point_list_single(self, key):
+        n = self.args.get(key)
+        if not isinstance(n, str):
+            raise ScenarioSchemaError(f"check argument {key!r} must be a point name, got {n!r}")
+        return self._point(n)
 
     def tol(self, default):
         return _positive_tol(self.args.get("tol", default), "check argument 'tol'")

@@ -97,7 +97,7 @@ class PiNumber(TermMap):
 
     @classmethod
     def from_json(cls, data) -> "PiNumber":
-        if isinstance(data, (str, int)):
+        if not isinstance(data, dict):
             return cls({0: Fraction(data)})
         return cls({int(k[2:]): Fraction(v) for k, v in data.items()})
 

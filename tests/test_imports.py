@@ -2,10 +2,14 @@
 `__init__.py` excepted) binds only names its module uses.  A statement that
 is kept on purpose, say as a re-export, carries `# noqa`.  And no function or
 method in `src/vfblock` is dead: each is named somewhere in the package,
-exported by `__init__.py`, or allowed below with its reason."""
+exported by `__init__.py`, or allowed below with its reason.  And a run that
+parses no scenario file never imports jsonschema."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -117,3 +121,37 @@ def test_the_scan_sees_a_dead_function(tmp_path):
         "    def method(self):\n        return self.other()\n\n"
         "    def other(self):\n        return 3\n", encoding="utf-8")
     assert _dead_functions(tmp_path) == ["m.py:7: dead", "m.py:14: method"]
+
+
+COLD_RUN = """
+import random, sys
+from fractions import Fraction
+from vfblock import X, Y, disk, plane_field, verify_liealg, verify_main
+from vfblock.corpus import random_tracking_scenario
+
+x_field, y_field, region, zeros = random_tracking_scenario(random.Random(0))
+verify_main(x_field, y_field, region, resolution=Fraction(1, 16), known_zeros=zeros)
+euler = plane_field(X, Y)
+verify_liealg([euler, plane_field(-Y, X)], euler, disk((0, 0), 1),
+              resolution=Fraction(1, 16), known_zeros=[(0, 0)])
+assert "jsonschema" not in sys.modules, "a run that parses no scenario loaded jsonschema"
+
+from vfblock.errors import ScenarioSchemaError
+from vfblock.scenario import parse_scenario
+try:
+    parse_scenario([1, 2])
+except ScenarioSchemaError as e:
+    print(e)
+"""
+
+
+def test_cold_run_without_a_scenario_never_loads_jsonschema():
+    # a fresh interpreter: the test process itself has parsed scenarios
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", COLD_RUN],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    # the first parse still loads the validator and words errors as before
+    assert proc.stdout == "schema violation at $: [1, 2] is not of type 'object'\n"

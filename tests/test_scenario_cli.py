@@ -493,6 +493,67 @@ def test_malformed_check_resolution_is_schema_error(tmp_path, resolution, proble
     assert (proc.stdout, proc.stderr) == ("", f"error: {path}: {message}\n")
 
 
+@pytest.mark.parametrize("base, edit, message", [
+    ("source_disk", lambda d: d["fields"]["X"]["P"][0].update(c="1/0"),
+     "field 'X': coefficient '1/0' is not a rational number"),
+    ("torus_four_blocks", lambda d: d["fields"]["X"]["Q"][0].update(c={"pi1": "2/0"}),
+     "field 'X': coefficient '2/0' is not a rational number"),
+    ("source_disk", lambda d: d["regions"]["U"].update(center=["1/0", "0"]),
+     "region 'U': center '1/0' is not a rational number"),
+    ("source_disk", lambda d: d["regions"]["U"].update(r="one"),
+     "region 'U': r 'one' is not a rational number"),
+    ("source_disk", lambda d: d.update(points={"p": ["0", "1/0"]}),
+     "point 'p': coordinate '1/0' is not a rational number")],
+    ids=["coefficient", "torus-coefficient", "center", "radius", "point"])
+def test_malformed_rational_names_key_and_value(tmp_path, base, edit, message):
+    # each rational of the file goes through one parser, which names what is bad
+    data = json.loads((SCENARIOS / f"{base}.json").read_text())
+    edit(data)
+    with pytest.raises(ScenarioSchemaError) as caught:
+        run_scenario(data)
+    assert str(caught.value) == message
+    path = tmp_path / "rational.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    proc = _cli("verify", str(path))
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == ("", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("op, key, value", [
+    ("component_orders", "points", "origin"), ("component_orders", "points", 5),
+    ("component_orders", "points", "oo"), ("verify_main", "known_zeros", "origin"),
+    ("verify_main", "known_zeros", 5), ("verify_main", "known_zeros", "oo"),
+    ("component_orders", "points", [["o"]])])
+def test_point_list_argument_must_be_a_list_of_names(tmp_path, op, key, value):
+    # a string was read letter by letter: "oo" meant [o, o] and "origin" failed
+    # on point 'o'; an int crashed the check with a TypeError
+    data = json.loads((SCENARIOS / "main_euler_rotation.json").read_text())
+    data["points"]["o"] = ["0", "0"]
+    data["checks"] = [{"op": op, "args": {"X": "X", "Y": "Y", "U": "U", key: value}}]
+    message = f"check argument {key!r} must be a list of point names, got {value!r}"
+    with pytest.raises(ScenarioSchemaError) as caught:
+        run_scenario(data)
+    assert str(caught.value) == message
+    if value == "origin":
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        proc = _cli("verify", str(path))
+        assert proc.returncode == 2
+        assert (proc.stdout, proc.stderr) == ("", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("value", [["origin"], 5, None])
+def test_point_argument_must_be_a_name(value):
+    data = json.loads((SCENARIOS / "main_euler_rotation.json").read_text())
+    args = {"X": "X"} if value is None else {"X": "X", "p": value}
+    data["checks"] = [{"op": "jet_order", "args": args}]
+    with pytest.raises(ScenarioSchemaError) as caught:
+        run_scenario(data)
+    assert str(caught.value) == f"check argument 'p' must be a point name, got {value!r}"
+    data["checks"][0]["args"]["p"] = "origin"
+    assert run_scenario(data).checks[0].verdict == "pass"
+
+
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_cli_max_depth_below_one_exit_2(depth):
     proc = _cli("verify", str(SCENARIOS / "annulus_mainbis.json"), "--max-depth", depth)
