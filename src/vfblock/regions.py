@@ -38,14 +38,14 @@ class Region:
     def __post_init__(self):
         if self.kind == DISK:
             if self.r is None or self.r <= 0:
-                raise ValueError("disk needs a positive radius")
+                raise ValueError("disk needs 0 < r")
         elif self.kind == ANNULUS:
             if self.r_in is None or self.r_out is None or not 0 < self.r_in < self.r_out:
                 raise ValueError("annulus needs 0 < r_in < r_out")
         elif self.kind == RECT:
             x0, y0, x1, y1 = self.corners
             if not (x0 < x1 and y0 < y1):
-                raise ValueError("rectangle is degenerate")
+                raise ValueError("rectangle needs corners x0 < x1 and y0 < y1")
         elif self.kind != TORUS_FULL:
             raise ValueError(f"unknown region kind {self.kind!r}")
 

@@ -1,9 +1,12 @@
 """Scenario files: schema validation, check dispatch, deterministic reports.
 
 A scenario declares named fields, regions, points and algebras, then a list of
-checks referencing them by name.  A report exits with the code of its worst
-check on the verdict ladder, `verifier.EXIT_CODE`; an expectation mismatch
-counts as at least a failure.
+checks referencing them by name.  `CHECK_OPS` declares each op once: its
+handler, the kind of each argument and the top-level keys of its data.  The
+schema's per-op branches are generated from it, and `parse_scenario` resolves
+every check's arguments before any check runs.  A report exits with the code
+of its worst check on the verdict ladder, `verifier.EXIT_CODE`; an expectation
+mismatch counts as at least a failure.
 """
 
 from __future__ import annotations
@@ -13,128 +16,31 @@ import json
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .certify import certify_block, components
 from .errors import ScenarioSchemaError
 from .fields import PlanarField, jet_order
-from .index import (block_index, homotopy_invariance_check, lift_double_cover,
+from .index import (IndexResult, block_index, homotopy_invariance_check, lift_double_cover,
                     perturbation_bound, wedge_check)
 from .liealg import (algebra_tracks, common_zero_set, solvability,
                      structure_constants, supersolvable_flag)
 from .linefield import factor_y_power
 from .poly import _frac_str
-from .regions import Region
+from .regions import ANNULUS, Region
 from .tracking import component_order_check, tracks_symbolic
 from .verifier import (ERROR, EXIT_CODE, FAIL, PASS, verify_liealg, verify_main,
                        verify_mainbis, worst)
 
 _RATIONAL = {"type": ["string", "integer"]}
 _EXPONENT = {"type": "integer", "minimum": 0}
+_NAME = {"type": "string"}
 _POINT = {"type": "array", "minItems": 2, "maxItems": 2, "items": _RATIONAL}
 _REGION_KEY = {"center": _POINT, "r": _RATIONAL, "r_in": _RATIONAL, "r_out": _RATIONAL,
                "corners": {"type": "array", "minItems": 2, "maxItems": 2, "items": _POINT}}
 _REGION_KEYS = {"disk": ("center", "r"), "annulus": ("center", "r_in", "r_out"),
                 "rect": ("corners",), "torus": ()}
 
-SCENARIO_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "vfblock scenario",
-    "type": "object",
-    "required": ["name", "checks"],
-    "additionalProperties": False,
-    "$defs": {
-        # c * x^i y^j on the plane; c * f(2 pi m x) g(2 pi n y) on the torus,
-        # where a torus coefficient may carry powers of pi: {"pi1": "3", ...}
-        "term": {"anyOf": [
-            {"type": "object", "required": ["i", "j", "c"], "additionalProperties": False,
-             "properties": {"i": _EXPONENT, "j": _EXPONENT, "c": _RATIONAL}},
-            {"type": "object", "required": ["m", "n", "basis", "c"],
-             "additionalProperties": False,
-             "properties": {
-                 "m": _EXPONENT, "n": _EXPONENT,
-                 "basis": {"enum": ["cc", "cs", "sc", "ss"]},
-                 "c": {"anyOf": [_RATIONAL, {
-                     "type": "object", "minProperties": 1,
-                     "propertyNames": {"pattern": "^pi[0-9]+$"},
-                     "additionalProperties": _RATIONAL}]}}},
-        ]},
-        # per region type exactly its keys; a point is two rationals
-        "region": {
-            "type": "object", "required": ["type"],
-            "properties": {"type": {"enum": list(_REGION_KEYS)}},
-            "allOf": [{"if": {"required": ["type"], "properties": {"type": {"const": kind}}},
-                       "then": {"required": list(keys), "additionalProperties": False,
-                                "properties": {"type": True, **{k: _REGION_KEY[k] for k in keys}}}}
-                      for kind, keys in _REGION_KEYS.items()],
-        },
-    },
-    "properties": {
-        "name": {"type": "string"},
-        "surface": {"enum": ["plane", "torus"]},
-        "fields": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["P", "Q"],
-                "properties": {
-                    "P": {"type": "array", "items": {"$ref": "#/$defs/term"}},
-                    "Q": {"type": "array", "items": {"$ref": "#/$defs/term"}},
-                    "k": {"type": "integer", "minimum": 1},
-                    "surface": {"enum": ["plane", "torus"]},
-                },
-            },
-        },
-        "algebras": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["basis"],
-                "properties": {
-                    "basis": {"type": "array", "items": {"type": "string"},
-                              "minItems": 1},
-                },
-            },
-        },
-        "regions": {"type": "object", "additionalProperties": {"$ref": "#/$defs/region"}},
-        "points": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "array", "minItems": 2, "maxItems": 2,
-                "items": {"type": "string"},
-            },
-        },
-        "tolerances": {
-            "type": "object",
-            "properties": {
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "resolution": {"type": "string"},
-            },
-        },
-        "seeds": {"type": "object", "additionalProperties": {"type": "integer"}},
-        "plot": {
-            "type": "object",
-            "required": ["field", "region"],
-            "properties": {
-                "field": {"type": "string"},
-                "region": {"type": "string"},
-            },
-        },
-        "checks": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["op"],
-                "properties": {
-                    "op": {"type": "string"},
-                    "name": {"type": "string"},
-                    "args": {"type": "object"},
-                    "expect": {"type": "object"},
-                },
-            },
-        },
-    },
-}
 
 @dataclass
 class Scenario:
@@ -149,6 +55,13 @@ class Scenario:
     plot: dict | None = None
 
 
+class _Check(NamedTuple):
+    name: str
+    op: str
+    args: dict          # argument -> resolved value, defaults filled in
+    expect: dict | None
+
+
 def _positive_tol(value, what: str) -> float:
     """`value` as a float; NaN and infinity pass the schema's minimum."""
     tol = float(value)
@@ -158,19 +71,17 @@ def _positive_tol(value, what: str) -> float:
 
 
 def _rational(value, what: str):
-    """`value` as a Fraction; Fraction() raises ValueError, ZeroDivisionError,
-    OverflowError or TypeError on malformed ones, and would take a JSON true
-    for 1.  A list (a point, a rectangle's corners) or a dict (a torus
-    coefficient {"pi1": "3", ...}) is parsed entry by entry."""
+    """`value`, a string or integer by the schema, as a Fraction; Fraction()
+    raises ValueError or ZeroDivisionError on a malformed string.  A list (a
+    point, a rectangle's corners) or a dict (a torus coefficient {"pi1": "3",
+    ...}) is parsed entry by entry."""
     if isinstance(value, list):
         return [_rational(v, what) for v in value]
     if isinstance(value, dict):
         return {k: _rational(v, what) for k, v in value.items()}
     try:
-        if isinstance(value, bool):
-            raise TypeError(value)
         return Fraction(value)
-    except (ValueError, ZeroDivisionError, OverflowError, TypeError) as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise ScenarioSchemaError(f"{what} {value!r} is not a rational number") from e
 
 
@@ -182,11 +93,304 @@ def _positive_resolution(value, what: str) -> Fraction:
     return resolution
 
 
+class _Kind(NamedTuple):
+    """The type of a check argument: its name in the README's op table, with
+    any default in parentheses; its JSON schema; `read(scenario, key, value)`,
+    which resolves a schema-valid value and checks what the schema cannot; and
+    `default(scenario)`, None for a required argument."""
+    name: str
+    schema: dict
+    read: Callable
+    default: Callable | None = None
+
+
+def _declared(table: str, noun: str):
+    """A reader of names declared in the scenario's `table`."""
+    def read(s: Scenario, key: str, name: str):
+        declared = getattr(s, table)
+        if name not in declared:
+            raise ScenarioSchemaError(f"check argument {key!r} -> unknown {noun} {name!r}")
+        return declared[name]
+    return read
+
+
+def _origin_annulus(s: Scenario, key: str, name: str) -> Region:
+    """A region name; the double-cover lift needs an annulus about 0."""
+    region = _REGION.read(s, key, name)
+    if region.kind != ANNULUS or region.center != (0, 0):
+        raise ScenarioSchemaError(
+            f"check argument {key!r} -> region {name!r} is not an origin-centred annulus")
+    return region
+
+
+def _integer(s: Scenario, key: str, value) -> int:
+    """jsonschema counts 2.0 as an integer; a count must be a JSON integer."""
+    if not isinstance(value, int):
+        raise ScenarioSchemaError(f"check argument {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _count(minimum: int, default: int) -> _Kind:
+    return _Kind(f"count >= {minimum} ({default})", {"type": "integer", "minimum": minimum},
+                 _integer, lambda s: default)
+
+
+_FIELD = _Kind("field", _NAME, _declared("fields", "field"))
+_REGION = _Kind("region", _NAME, _declared("regions", "region"))
+_ALGEBRA = _Kind("algebra", _NAME, _declared("algebras", "algebra"))
+_POINT_NAME = _Kind("point", _NAME, _declared("points", "point"))
+_POINT_NAMES = _Kind("points ([])", {"type": "array", "items": _NAME},
+                     lambda s, key, names: [_POINT_NAME.read(s, key, n) for n in names],
+                     lambda s: [])
+_TOL = _Kind("tol (the scenario's)", {"type": "number", "exclusiveMinimum": 0},
+             lambda s, key, value: _positive_tol(value, f"check argument {key!r}"),
+             lambda s: s.tol)
+_RESOLUTION = _Kind("resolution (the scenario's)", _RATIONAL,
+                    lambda s, key, value: _positive_resolution(value, f"check argument {key!r}"),
+                    lambda s: s.resolution)
+
+
+def _op_block_index(X, U, resolution):
+    block = certify_block(X, U, resolution)
+    result = block_index(block)
+    comps = components(block.enclosure)
+    data = {"index": result.to_json(),
+            "boundary_margin": _frac_str(block.boundary_margin),
+            "components": [c.to_json() for c in comps]}
+    return data, PASS
+
+
+def _op_certify_block(X, U, resolution):
+    block = certify_block(X, U, resolution)
+    return {"block": {"boundary_margin": _frac_str(block.boundary_margin),
+                      "enclosure_boxes": len(block.enclosure.cells)}}, PASS
+
+
+def _op_jet_order(X, p, k):
+    jo = jet_order(X, p, k)
+    return {"jet": jo.to_json()}, FAIL if jo.is_flat else PASS
+
+
+def _op_tracks(Y, X):
+    cert = tracks_symbolic(Y, X)
+    return {"certificate": cert.to_json()}, PASS if cert.verdict else FAIL
+
+
+def _op_wedge(Y, Yp, U):
+    verdict = wedge_check(Y, Yp, U)
+    return {"wedge": verdict.to_json()}, PASS if verdict.status == "equal" else FAIL
+
+
+def _op_homotopy(X0, X1, U, steps):
+    verdict = homotopy_invariance_check(X0, X1, U, steps)
+    return {"homotopy": verdict.to_json()}, PASS if verdict.status == "invariant" else FAIL
+
+
+def _op_perturbation_bound(X, U, resolution):
+    block = certify_block(X, U, resolution, tol=Fraction(1, 200))
+    delta = perturbation_bound(block)
+    return {"delta": _frac_str(delta), "delta_float": float(delta)}, PASS
+
+
+def _op_double_cover(X, A, resolution):
+    block = certify_block(X, A, resolution)
+    base = block_index(block)
+    _, lifted = lift_double_cover(X, A, block)
+    return ({"base_index": base.to_json(), "lifted_index": lifted.to_json()},
+            PASS if lifted.index == 2 * base.index else FAIL)
+
+
+def _op_component_orders(X, points, k):
+    rep = component_order_check(X, points, k)
+    return {"component_orders": rep.to_json()}, PASS if rep.verdict else FAIL
+
+
+def _op_factor_y_power(F, l):
+    g1, g2 = factor_y_power(F, l)
+    return {"g": {"P": g1.to_json(), "Q": g2.to_json()}}, PASS
+
+
+def _op_structure_constants(g):
+    algebra = structure_constants(g)
+    data = {"algebra": algebra.to_json(), "antisymmetry": algebra.antisymmetry_holds(),
+            "jacobi": algebra.jacobi_holds()}
+    return data, PASS if algebra.closed else FAIL
+
+
+def _op_solvability(g):
+    return {"solvability": solvability(structure_constants(g)).to_json()}, PASS
+
+
+def _op_supersolvable(g):
+    r = supersolvable_flag(structure_constants(g))
+    if r.status == "not_solvable":
+        return {"flag": {"status": "not_solvable"}}, PASS
+    return {"flag": r.to_json()}, PASS
+
+
+def _op_algebra_tracks(g, X):
+    r = algebra_tracks(structure_constants(g), X)
+    return {"algebra_tracking": r.to_json()}, PASS if r.verdict else FAIL
+
+
+def _op_common_zero_set(g, U, resolution):
+    enc = common_zero_set(structure_constants(g), U, resolution)
+    return {"common_zeros": enc.to_json()}, PASS
+
+
+def _op_verify_main(X, Y, U, k, resolution, known_zeros):
+    report = verify_main(X, Y, U, k=k, resolution=resolution, known_zeros=known_zeros)
+    return {"report": report.to_json()}, report.verdict
+
+
+def _op_verify_mainbis(X, Y, U, k, resolution, tol, known_zeros):
+    report = verify_mainbis(X, Y, U, k=k, resolution=resolution, tol=tol,
+                            known_zeros=known_zeros)
+    return {"report": report.to_json()}, report.verdict
+
+
+def _op_verify_liealg(g, X, U, k, resolution, known_zeros):
+    report = verify_liealg(g, X, U, k=k, resolution=resolution, known_zeros=known_zeros)
+    return {"report": report.to_json()}, report.verdict
+
+
+_BLOCK = {"X": _FIELD, "U": _REGION, "resolution": _RESOLUTION}
+_THEOREM = {**_BLOCK, "k": _count(1, 1), "known_zeros": _POINT_NAMES}
+_ORIGIN_ANNULUS = _Kind("annulus about 0", _NAME, _origin_annulus)
+# an index result's keys are fixed, so `expect` paths below one are checked too
+_INDEX_KEYS = tuple(IndexResult(0, Fraction(0), 0, False, False).to_json())
+
+# op -> (handler, {argument: kind}, the keys of its data, dotted below the top)
+CHECK_OPS = {
+    "certify_block": (_op_certify_block, _BLOCK, ("block",)),
+    "block_index": (_op_block_index, _BLOCK, ("boundary_margin", "components",
+                                              *(f"index.{k}" for k in _INDEX_KEYS))),
+    "jet_order": (_op_jet_order, {"X": _FIELD, "p": _POINT_NAME, "k": _count(1, 1)}, ("jet",)),
+    "tracks": (_op_tracks, {"Y": _FIELD, "X": _FIELD}, ("certificate",)),
+    "wedge": (_op_wedge, {"Y": _FIELD, "Yp": _FIELD, "U": _REGION}, ("wedge",)),
+    "homotopy": (_op_homotopy, {"X0": _FIELD, "X1": _FIELD, "U": _REGION,
+                                "steps": _count(2, 10)}, ("homotopy",)),
+    "perturbation_bound": (_op_perturbation_bound, _BLOCK, ("delta", "delta_float")),
+    "double_cover": (_op_double_cover, {"X": _FIELD, "A": _ORIGIN_ANNULUS,
+                                        "resolution": _RESOLUTION},
+                     tuple(f"{i}.{k}" for i in ("base_index", "lifted_index")
+                           for k in _INDEX_KEYS)),
+    "component_orders": (_op_component_orders, {"X": _FIELD, "points": _POINT_NAMES,
+                                                "k": _count(1, 1)}, ("component_orders",)),
+    "factor_y_power": (_op_factor_y_power, {"F": _FIELD, "l": _count(1, 1)}, ("g",)),
+    "structure_constants": (_op_structure_constants, {"g": _ALGEBRA},
+                            ("algebra", "antisymmetry", "jacobi")),
+    "solvability": (_op_solvability, {"g": _ALGEBRA}, ("solvability",)),
+    "supersolvable": (_op_supersolvable, {"g": _ALGEBRA}, ("flag",)),
+    "algebra_tracks": (_op_algebra_tracks, {"g": _ALGEBRA, "X": _FIELD}, ("algebra_tracking",)),
+    "common_zero_set": (_op_common_zero_set, {"g": _ALGEBRA, "U": _REGION,
+                                              "resolution": _RESOLUTION}, ("common_zeros",)),
+    "verify_main": (_op_verify_main, {"X": _FIELD, "Y": _FIELD, **_THEOREM}, ("report",)),
+    "verify_mainbis": (_op_verify_mainbis, {"X": _FIELD, "Y": _FIELD, **_THEOREM, "tol": _TOL},
+                       ("report",)),
+    "verify_liealg": (_op_verify_liealg, {"g": _ALGEBRA, **_THEOREM}, ("report",)),
+}
+
+
+def _op_branch(op: str, kinds: dict) -> dict:
+    """The schema of a check whose op is `op`: exactly its arguments, each of its kind."""
+    required = [key for key, kind in kinds.items() if kind.default is None]
+    args = {"type": "object", "required": required, "additionalProperties": False,
+            "properties": {key: kind.schema for key, kind in kinds.items()}}
+    return {"if": {"required": ["op"], "properties": {"op": {"const": op}}},
+            "then": {"required": ["args"] if required else [], "properties": {"args": args}}}
+
+
+SCENARIO_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "title": "vfblock scenario",
+    "type": "object",
+    "required": ["name", "checks"],
+    "additionalProperties": False,
+    "$defs": {
+        # c * x^i y^j on the plane; c * f(2 pi m x) g(2 pi n y) on the torus,
+        # where a torus coefficient may carry powers of pi: {"pi1": "3", ...}.
+        # A term with m, n or basis is a torus term, so an error names its key.
+        "term": {
+            "type": "object",
+            "if": {"anyOf": [{"required": [k]} for k in ("m", "n", "basis")]},
+            "then": {"required": ["m", "n", "basis", "c"], "additionalProperties": False,
+                     "properties": {
+                         "m": _EXPONENT, "n": _EXPONENT,
+                         "basis": {"enum": ["cc", "cs", "sc", "ss"]},
+                         "c": {"anyOf": [_RATIONAL, {
+                             "type": "object", "minProperties": 1,
+                             "propertyNames": {"pattern": "^pi[0-9]+$"},
+                             "additionalProperties": _RATIONAL}]}}},
+            "else": {"required": ["i", "j", "c"], "additionalProperties": False,
+                     "properties": {"i": _EXPONENT, "j": _EXPONENT, "c": _RATIONAL}},
+        },
+        # per region type exactly its keys; a point is two rationals
+        "region": {
+            "type": "object", "required": ["type"],
+            "properties": {"type": {"enum": list(_REGION_KEYS)}},
+            "allOf": [{"if": {"required": ["type"], "properties": {"type": {"const": kind}}},
+                       "then": {"required": list(keys), "additionalProperties": False,
+                                "properties": {"type": True, **{k: _REGION_KEY[k] for k in keys}}}}
+                      for kind, keys in _REGION_KEYS.items()],
+        },
+    },
+    "properties": {
+        "name": {"type": "string"},
+        "surface": {"enum": ["plane", "torus"]},
+        "fields": {"type": "object", "additionalProperties": {
+            "type": "object", "required": ["P", "Q"], "additionalProperties": False,
+            "properties": {"P": {"type": "array", "items": {"$ref": "#/$defs/term"}},
+                           "Q": {"type": "array", "items": {"$ref": "#/$defs/term"}},
+                           "k": {"type": "integer", "minimum": 1},
+                           "surface": {"enum": ["plane", "torus"]}}}},
+        "algebras": {"type": "object", "additionalProperties": {
+            "type": "object", "required": ["basis"], "additionalProperties": False,
+            "properties": {"basis": {"type": "array", "items": _NAME, "minItems": 1}}}},
+        "regions": {"type": "object", "additionalProperties": {"$ref": "#/$defs/region"}},
+        "points": {"type": "object", "additionalProperties": _POINT},
+        "tolerances": {"type": "object", "additionalProperties": False,
+                       "properties": {"tol": _TOL.schema, "resolution": _RESOLUTION.schema}},
+        "plot": {"type": "object", "required": ["field", "region"], "additionalProperties": False,
+                 "properties": {"field": _NAME, "region": _NAME}},
+        "checks": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "object", "required": ["op"], "additionalProperties": False,
+                "properties": {"op": _NAME, "name": _NAME, "args": {"type": "object"},
+                               "expect": {"type": "object"}},
+                # one branch per op; an unknown op is refused by parse_scenario
+                "allOf": [_op_branch(op, kinds) for op, (_, kinds, _) in CHECK_OPS.items()],
+            },
+        },
+    },
+}
+
+
 @functools.cache
 def _validator():
     """Built on the first parse, so a run that parses no scenario never imports jsonschema."""
     from jsonschema import Draft202012Validator
     return Draft202012Validator(SCENARIO_SCHEMA)
+
+
+def _resolve(s: Scenario, i: int, check: dict) -> _Check:
+    """Check `i` with each argument read by its kind, or defaulted, and its
+    `expect` paths checked against its op's data keys."""
+    op = check["op"]
+    if op not in CHECK_OPS:
+        raise ScenarioSchemaError(f"unknown op {op!r}; known: {sorted(CHECK_OPS)}")
+    _, kinds, keys = CHECK_OPS[op]
+    name, expect = check.get("name", f"{op}#{i}"), check.get("expect")
+    given = check.get("args", {})
+    args = {key: kind.read(s, key, given[key]) if key in given else kind.default(s)
+            for key, kind in kinds.items()}
+    for path in expect or ():   # at, above or below a declared key
+        if not any(f"{k}.".startswith(f"{path}.") or path.startswith(f"{k}.") for k in keys):
+            raise ScenarioSchemaError(
+                f"check {name!r}: expect path {path!r} is not in the data of {op}: {list(keys)}")
+    return _Check(name, op, args, expect)
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -229,209 +433,9 @@ def parse_scenario(data: dict) -> Scenario:
     for key, known in (("field", fields), ("region", regions)):
         if plot and plot[key] not in known:
             raise ScenarioSchemaError(f"plot {key} {plot[key]!r} is not declared")
-    return Scenario(data["name"], fields, regions, points, algebras, tol,
-                    resolution, list(data["checks"]), plot)
-
-
-class _Ctx:
-    def __init__(self, scenario: Scenario, args: dict):
-        self.s = scenario
-        self.args = args
-
-    def _named(self, table: dict, noun: str, key):
-        name = self.args.get(key)
-        if name is None or name not in table:
-            raise ScenarioSchemaError(f"check argument {key!r} -> unknown {noun} {name!r}")
-        return table[name]
-
-    def field(self, key):
-        return self._named(self.s.fields, "field", key)
-
-    def region(self, key):
-        return self._named(self.s.regions, "region", key)
-
-    def algebra(self, key):
-        return self._named(self.s.algebras, "algebra", key)
-
-    def _point(self, n):
-        if n not in self.s.points:
-            raise ScenarioSchemaError(f"unknown point {n!r}")
-        return self.s.points[n]
-
-    def point_list(self, key):
-        """A JSON list of point names; a string would be read letter by letter."""
-        names = self.args.get(key, [])
-        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
-            raise ScenarioSchemaError(
-                f"check argument {key!r} must be a list of point names, got {names!r}")
-        return [self._point(n) for n in names]
-
-    def point_list_single(self, key):
-        n = self.args.get(key)
-        if not isinstance(n, str):
-            raise ScenarioSchemaError(f"check argument {key!r} must be a point name, got {n!r}")
-        return self._point(n)
-
-    def tol(self, default):
-        return _positive_tol(self.args.get("tol", default), "check argument 'tol'")
-
-    @property
-    def resolution(self):
-        return _positive_resolution(self.args.get("resolution", self.s.resolution),
-                                    "check argument 'resolution'")
-
-    def int_arg(self, key, default, minimum=1):
-        """A JSON integer of at least `minimum`; 2.9, "3" or true would be
-        truncated or coerced."""
-        value = self.args.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioSchemaError(
-                f"check argument {key!r} must be an integer, got {value!r}")
-        if value < minimum:
-            raise ScenarioSchemaError(
-                f"check argument {key!r} must be at least {minimum}, got {value!r}")
-        return value
-
-
-def _op_block_index(ctx: _Ctx):
-    block = certify_block(ctx.field("X"), ctx.region("U"), ctx.resolution)
-    result = block_index(block)
-    comps = components(block.enclosure)
-    data = {"index": result.to_json(),
-            "boundary_margin": _frac_str(block.boundary_margin),
-            "components": [c.to_json() for c in comps]}
-    return data, PASS
-
-
-def _op_certify_block(ctx: _Ctx):
-    block = certify_block(ctx.field("X"), ctx.region("U"), ctx.resolution)
-    return {"block": {"boundary_margin": _frac_str(block.boundary_margin),
-                      "enclosure_boxes": len(block.enclosure.cells)}}, PASS
-
-
-def _op_jet_order(ctx: _Ctx):
-    jo = jet_order(ctx.field("X"), ctx.point_list_single("p"),
-                   ctx.int_arg("k", 1))
-    return {"jet": jo.to_json()}, FAIL if jo.is_flat else PASS
-
-
-def _op_tracks(ctx: _Ctx):
-    cert = tracks_symbolic(ctx.field("Y"), ctx.field("X"))
-    return {"certificate": cert.to_json()}, PASS if cert.verdict else FAIL
-
-
-def _op_wedge(ctx: _Ctx):
-    verdict = wedge_check(ctx.field("Y"), ctx.field("Yp"), ctx.region("U"))
-    return {"wedge": verdict.to_json()}, PASS if verdict.status == "equal" else FAIL
-
-
-def _op_homotopy(ctx: _Ctx):
-    verdict = homotopy_invariance_check(ctx.field("X0"), ctx.field("X1"),
-                                        ctx.region("U"), ctx.int_arg("steps", 10, 2))
-    return {"homotopy": verdict.to_json()}, PASS if verdict.status == "invariant" else FAIL
-
-
-def _op_perturbation_bound(ctx: _Ctx):
-    block = certify_block(ctx.field("X"), ctx.region("U"), ctx.resolution,
-                          tol=Fraction(1, 200))
-    delta = perturbation_bound(block)
-    return {"delta": _frac_str(delta), "delta_float": float(delta)}, PASS
-
-
-def _op_double_cover(ctx: _Ctx):
-    field = ctx.field("X")
-    region = ctx.region("A")
-    block = certify_block(field, region, ctx.resolution)
-    base = block_index(block)
-    _, lifted = lift_double_cover(field, region, block)
-    return ({"base_index": base.to_json(), "lifted_index": lifted.to_json()},
-            PASS if lifted.index == 2 * base.index else FAIL)
-
-
-def _op_component_orders(ctx: _Ctx):
-    rep = component_order_check(ctx.field("X"), ctx.point_list("points"),
-                                ctx.int_arg("k", 1))
-    return {"component_orders": rep.to_json()}, PASS if rep.verdict else FAIL
-
-
-def _op_factor_y_power(ctx: _Ctx):
-    g1, g2 = factor_y_power(ctx.field("F"), ctx.int_arg("l", 1))
-    return {"g": {"P": g1.to_json(), "Q": g2.to_json()}}, PASS
-
-
-def _op_structure_constants(ctx: _Ctx):
-    g = structure_constants(ctx.algebra("g"))
-    data = {"algebra": g.to_json(), "antisymmetry": g.antisymmetry_holds(),
-            "jacobi": g.jacobi_holds()}
-    return data, PASS if g.closed else FAIL
-
-
-def _op_solvability(ctx: _Ctx):
-    g = structure_constants(ctx.algebra("g"))
-    r = solvability(g)
-    return {"solvability": r.to_json()}, PASS
-
-
-def _op_supersolvable(ctx: _Ctx):
-    r = supersolvable_flag(structure_constants(ctx.algebra("g")))
-    if r.status == "not_solvable":
-        return {"flag": {"status": "not_solvable"}}, PASS
-    return {"flag": r.to_json()}, PASS
-
-
-def _op_algebra_tracks(ctx: _Ctx):
-    g = structure_constants(ctx.algebra("g"))
-    r = algebra_tracks(g, ctx.field("X"))
-    return {"algebra_tracking": r.to_json()}, PASS if r.verdict else FAIL
-
-
-def _op_common_zero_set(ctx: _Ctx):
-    g = structure_constants(ctx.algebra("g"))
-    enc = common_zero_set(g, ctx.region("U"), ctx.resolution)
-    return {"common_zeros": enc.to_json()}, PASS
-
-
-def _op_verify_main(ctx: _Ctx):
-    report = verify_main(ctx.field("X"), ctx.field("Y"), ctx.region("U"),
-                         k=ctx.int_arg("k", 1), resolution=ctx.resolution,
-                         known_zeros=ctx.point_list("known_zeros"))
-    return {"report": report.to_json()}, report.verdict
-
-
-def _op_verify_mainbis(ctx: _Ctx):
-    report = verify_mainbis(ctx.field("X"), ctx.field("Y"), ctx.region("U"),
-                            k=ctx.int_arg("k", 1), resolution=ctx.resolution,
-                            tol=ctx.tol(ctx.s.tol), known_zeros=ctx.point_list("known_zeros"))
-    return {"report": report.to_json()}, report.verdict
-
-
-def _op_verify_liealg(ctx: _Ctx):
-    report = verify_liealg(ctx.algebra("g"), ctx.field("X"), ctx.region("U"),
-                           k=ctx.int_arg("k", 1), resolution=ctx.resolution,
-                           known_zeros=ctx.point_list("known_zeros"))
-    return {"report": report.to_json()}, report.verdict
-
-
-CHECK_OPS = {
-    "certify_block": _op_certify_block,
-    "block_index": _op_block_index,
-    "jet_order": _op_jet_order,
-    "tracks": _op_tracks,
-    "wedge": _op_wedge,
-    "homotopy": _op_homotopy,
-    "perturbation_bound": _op_perturbation_bound,
-    "double_cover": _op_double_cover,
-    "component_orders": _op_component_orders,
-    "factor_y_power": _op_factor_y_power,
-    "structure_constants": _op_structure_constants,
-    "solvability": _op_solvability,
-    "supersolvable": _op_supersolvable,
-    "algebra_tracks": _op_algebra_tracks,
-    "common_zero_set": _op_common_zero_set,
-    "verify_main": _op_verify_main,
-    "verify_mainbis": _op_verify_mainbis,
-    "verify_liealg": _op_verify_liealg,
-}
+    s = Scenario(data["name"], fields, regions, points, algebras, tol, resolution, [], plot)
+    s.checks = [_resolve(s, i, check) for i, check in enumerate(data["checks"])]
+    return s
 
 
 def _match_expectation(expect: dict, data: dict) -> bool:
@@ -513,25 +517,18 @@ def run_scenario(source) -> ScenarioReport:
             ) from e
     scenario = data if isinstance(data, Scenario) else parse_scenario(data)
     outcomes = []
-    for i, check in enumerate(scenario.checks):
-        op = check["op"]
-        name = check.get("name", f"{op}#{i}")
-        handler = CHECK_OPS.get(op)
-        if handler is None:
-            raise ScenarioSchemaError(
-                f"unknown op {op!r}; known: {sorted(CHECK_OPS)}")
-        ctx = _Ctx(scenario, check.get("args", {}))
+    for check in scenario.checks:
         try:
-            data_out, verdict = handler(ctx)
+            data_out, verdict = CHECK_OPS[check.op][0](**check.args)
         except ScenarioSchemaError:
             raise
         except Exception as e:      # a crashing check is that check's error
-            outcomes.append(CheckOutcome(name, op, ERROR,
+            outcomes.append(CheckOutcome(check.name, check.op, ERROR,
                                          {"error": type(e).__name__,
                                           "message": str(e)}))
             continue
         expected_ok = None
-        if "expect" in check:
-            expected_ok = _match_expectation(check["expect"], data_out)
-        outcomes.append(CheckOutcome(name, op, verdict, data_out, expected_ok))
+        if check.expect is not None:
+            expected_ok = _match_expectation(check.expect, data_out)
+        outcomes.append(CheckOutcome(check.name, check.op, verdict, data_out, expected_ok))
     return ScenarioReport(scenario.name, outcomes)

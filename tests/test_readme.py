@@ -1,5 +1,5 @@
 """The README's examples run as written: the Quick tour prints what its
-comments say, the scenario file it shows exits 0, and its list of ops is
+comments say, the scenario file it shows exits 0, and its table of ops is
 the scenario dispatch table."""
 
 import contextlib
@@ -38,7 +38,21 @@ def test_scenario_example_exits_0():
     assert run_scenario(scenario).exit_code == 0
 
 
+def _expand(key: str) -> list:
+    """`a.{b,c}` -> a.b, a.c."""
+    top, brace, subs = key.partition(".{")
+    return [f"{top}.{sub}" for sub in subs.rstrip("}").split(",")] if brace else [key]
+
+
 def test_available_ops_are_the_dispatch_table():
-    start = README.index("Available ops:")
-    sentence = README[start:README.index(".\n", start)]
-    assert sorted(re.findall(r"`(\w+)`", sentence)) == sorted(CHECK_OPS)
+    # each row: the op, each argument with its kind and default, the data keys
+    start = README.index("| op | arguments (kind, default) | data keys |")
+    rows = README[start:README.index("\n\n", start)].splitlines()[2:]
+    table = {}
+    for row in rows:
+        op, args, keys = (cell.strip() for cell in row.strip("|").split("|"))
+        table[op.strip("`")] = ([tuple(a.split(" ", 1)) for a in args.split(", ")],
+                                [k for key in re.findall(r"`([^`]+)`", keys) for k in _expand(key)])
+    assert list(table) == list(CHECK_OPS)
+    for op, (_, kinds, keys) in CHECK_OPS.items():
+        assert table[op] == ([(f"`{a}`", kind.name) for a, kind in kinds.items()], list(keys))

