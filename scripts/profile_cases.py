@@ -3,13 +3,16 @@
     python scripts/profile_cases.py --workload algebra --cases 200
     python scripts/profile_cases.py --workload annulus --cases 4 --sort tottime
     python scripts/profile_cases.py --workload algebra --cases 40 --callers bracket
+    python scripts/profile_cases.py --workload boundary --kind double_cover --cases 16
 
 The cases are those `benchmark/run.py` times at seed 1: `benchmark/workloads.py`
 builds the pool, and its first N cases run in order under one profiler (past
 the end of the pool, it starts again from the first, as the benchmark's rounds
-do).  The table shows the 40 heaviest functions.  Each case's guaranteed
-result is checked outside the profile; a case whose check fails is reported
-and makes the exit status nonzero.  The script prints to stdout and writes
+do).  `--kind` keeps only the pool's cases of one kind, so a kind that is one
+case in eight is not diluted by the others; an unknown kind exits 2 and lists
+the workload's kinds.  The table shows the 40 heaviest functions.  Each
+case's guaranteed result is checked outside the profile; a case whose check
+fails is reported and makes the exit status nonzero.  The script prints to stdout and writes
 nothing, no bytecode cache included.
 """
 
@@ -31,6 +34,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--cases", type=int, required=True, help="profile the first N cases")
     parser.add_argument("--sort", choices=("cumulative", "tottime"), default="cumulative")
+    parser.add_argument("--kind", help="profile only the pool's cases of this kind")
     parser.add_argument("--callers", metavar="PATTERN",
                         help="print the callers of the functions matching PATTERN")
     args = parser.parse_args(argv)
@@ -44,6 +48,12 @@ def main(argv=None) -> int:
     if args.cases < 1:
         parser.error("--cases must be at least 1")
     pool = workloads.WORKLOADS[args.workload].build(SEED)
+    if args.kind is not None:
+        kinds = list(dict.fromkeys(case.kind for case in pool))
+        if args.kind not in kinds:
+            parser.error(f"unknown kind {args.kind!r} for workload {args.workload}; "
+                         f"choose from {', '.join(kinds)}")
+        pool = [case for case in pool if case.kind == args.kind]
     cases = [pool[k % len(pool)] for k in range(args.cases)]
     profiler = cProfile.Profile()
     failed = 0
@@ -53,7 +63,8 @@ def main(argv=None) -> int:
         if problem is not None:
             failed += 1
             print(f"{case.kind}: {problem}", file=sys.stderr)
-    print(f"{args.workload}, seed {SEED}: {len(cases)} cases, {failed} failed checks")
+    kind = f" {args.kind}" if args.kind else ""
+    print(f"{args.workload}{kind}, seed {SEED}: {len(cases)} cases, {failed} failed checks")
     stats = pstats.Stats(profiler, stream=sys.stdout).strip_dirs().sort_stats(args.sort)
     stats.print_stats(ROWS)
     if args.callers:

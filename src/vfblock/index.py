@@ -5,8 +5,8 @@ read off the leaf arcs that certify the boundary margin: each leaf's interval
 image lies in one open half-plane p > 0, q > 0, p < 0 or q < 0, and the degree
 is the sum of the quarter turns between neighbouring leaves over 4 (Stenger
 1975, Kearfott 1979; see `certify.winding_stats`, re-exported here).  Only the
-annulus double-cover lift, a float evaluator compiled once per lift
-(`poly.float_plan`), is still sampled.
+annulus double-cover lift is still sampled: its evaluator and its Lipschitz
+sweep are straight-line code compiled once per monomial pattern.
 
 An arc's interval box, and its axis tables for a coefficient ring, depend on
 the curve, not on the field.  Each curve memoises them (`_Curve.tables_of`
@@ -29,7 +29,7 @@ from .certify import (Block, BoundaryPass, min_norm_on_boundary,  # noqa: F401 (
 from .config import DEFAULTS
 from .errors import CertificationFailed, ContradictionError, PreconditionFailed
 from .fields import PlanarField
-from .poly import Poly2, _frac, _frac_str, float_plan, restrict
+from .poly import Poly2, _compile_plan, _frac, _frac_str, float_plan, plan_lines, restrict
 from .regions import ANNULUS, Region, piece_point
 from . import upoly
 
@@ -65,19 +65,10 @@ def interval_lipschitz(field: PlanarField, bbox) -> float:
 _LIPSCHITZ_SAMPLES = 2048
 
 
-def sampled_lipschitz(evalf, curve) -> float:
-    """Finite-difference Lipschitz estimate along a curve, with a safety factor."""
-    best = 0.0
-    prev_p = curve.point(0.0)
-    prev_v = evalf(*prev_p)
-    for i in range(1, _LIPSCHITZ_SAMPLES + 1):
-        p = curve.point(i / _LIPSCHITZ_SAMPLES)
-        v = evalf(*p)
-        dp = math.hypot(p[0] - prev_p[0], p[1] - prev_p[1])
-        dv = math.hypot(v[0] - prev_v[0], v[1] - prev_v[1])
-        if dp > 0:
-            best = max(best, dv / dp)
-        prev_p, prev_v = p, v
+def sampled_lipschitz(sweep, curve) -> float:
+    """Finite-difference Lipschitz estimate of the lift along a circle, by the
+    `sweep` of `make_double_cover_lift`, with a safety factor."""
+    best = sweep(*curve._cf, curve._rf, 1.0 if curve.ccw else -1.0, _LIPSCHITZ_SAMPLES)
     return best * DEFAULTS.sampled_lipschitz_safety + 1e-300
 
 
@@ -202,25 +193,62 @@ def wedge_check(y_field: PlanarField, yp_field: PlanarField,
     return WedgeVerdict("equal", index=b1.index)
 
 
+# The lift at (u, v) into (a, b), X read by {plan}: the `poly.plan_lines` of
+# (P, Q), or one call of a torus field's `float_plan`.
+_LIFT_POINT = """\
+phi = atan2(v, u)
+rho = hypot(u, v)
+theta = 2.0 * phi
+ct, st = cos(theta), sin(theta)
+x, y = rho * ct, rho * st
+{plan}
+radial = r0 * ct + r1 * st
+tangential = -r0 * st + r1 * ct
+cp, sp = cos(phi), sin(phi)
+a = radial * cp - 0.5 * tangential * sp
+b = radial * sp + 0.5 * tangential * cp"""
+
+# The lift, and its largest finite-difference quotient on the points
+# `Circle.point(t)`, t = i / n for i = 0..n.
+_LIFT_SOURCE = """\
+def lift(u, v):
+{lift}
+    return (a, b)
+
+
+def sweep(cx, cy, rf, sign, n):
+    best = 0.0
+    for i in range(n + 1):
+        angle = 2.0 * pi * (i / n) * sign
+        u, v = cx + rf * cos(angle), cy + rf * sin(angle)
+{loop}
+        if i:
+            dp = hypot(u - pu, v - pv)
+            dv = hypot(a - pa, b - pb)
+            if dp > 0:
+                q = dv / dp
+                if q > best:
+                    best = q
+        pu, pv, pa, pb = u, v, a, b
+    return best
+"""
+
+
 def make_double_cover_lift(field: PlanarField):
-    """Evaluator for the lift of the field under the angle-doubling cover of an
-    origin-centered annulus: kappa(r, theta) = (r, 2 theta).  X is read
-    through one `poly.float_plan` per lift, bit for bit `eval_float`."""
-    evaluate = float_plan((field.p, field.q))
-
-    def lifted(u: float, v: float) -> tuple[float, float]:
-        phi = math.atan2(v, u)
-        rho = math.hypot(u, v)
-        theta = 2.0 * phi
-        ct, st = math.cos(theta), math.sin(theta)
-        wx, wy = evaluate(rho * ct, rho * st)
-        radial = wx * ct + wy * st
-        tangential = -wx * st + wy * ct
-        cp, sp = math.cos(phi), math.sin(phi)
-        return (radial * cp - 0.5 * tangential * sp,
-                radial * sp + 0.5 * tangential * cp)
-
-    return lifted
+    """(lift, sweep) for the lift of the field under the angle-doubling cover
+    of an origin-centered annulus: kappa(r, theta) = (r, 2 theta), bit for bit
+    the lift of `eval_float`.  Their source, one per monomial pattern of
+    (P, Q), is compiled once; a torus field's X is read through `float_plan`."""
+    polys = (field.p, field.q)
+    if all(isinstance(p, Poly2) for p in polys):
+        names, lines = plan_lines(polys)
+    else:
+        names, lines = {"evaluate": float_plan(polys)}, ["r0, r1 = evaluate(x, y)"]
+    point = _LIFT_POINT.format(plan="\n".join(lines)).splitlines()
+    lift, loop = ("\n".join(" " * depth + line for line in point) for depth in (4, 8))
+    names.update(atan2=math.atan2, hypot=math.hypot, cos=math.cos, sin=math.sin, pi=math.pi)
+    exec(_compile_plan(_LIFT_SOURCE.format(lift=lift, loop=loop)), names)
+    return names["lift"], names["sweep"]
 
 
 def lift_double_cover(field: PlanarField, region: Region, block: Block | None = None):
@@ -244,13 +272,13 @@ def lift_double_cover(field: PlanarField, region: Region, block: Block | None = 
         raise ValueError("the block certifies another field or region")
     if base is None or base.margin <= 0:
         raise CertificationFailed("field not certified nonvanishing on the annulus boundary")
-    lifted = make_double_cover_lift(field)
+    lifted, sweep = make_double_cover_lift(field)
     margin = base.margin / 2
 
     def sampled_winding(curve) -> tuple[int, int]:
         """(winding, samples) of the lift along the curve, sampled uniformly
         finer than margin / (sampled Lipschitz estimate)."""
-        lipschitz = sampled_lipschitz(lifted, curve)
+        lipschitz = sampled_lipschitz(sweep, curve)
         need = DEFAULTS.lipschitz_safety * lipschitz * curve.length_upper() / float(margin)
         samples = max(16, int(math.ceil(need)))
         if samples > DEFAULTS.winding_budget:

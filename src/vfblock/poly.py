@@ -533,6 +533,16 @@ def generated_plan(polys, result, state="x, y"):
     """`float_plan`'s code for Poly2 entries, r{n} = polys[n].eval_float(x, y),
     returning the expression `result` of them; it takes x and y, or one tuple
     that it unpacks into the names `state` (x and y first)."""
+    coeffs, lines = plan_lines(polys)
+    params, body = ("x, y", []) if state == "x, y" else ("s", [f"{state} = s"])
+    body += lines + [f"return {result}"]
+    exec(_compile_plan(f"def evaluate({params}):\n" + "".join(f"    {b}\n" for b in body)), coeffs)
+    return coeffs["evaluate"]
+
+
+def plan_lines(polys):
+    """({name: coefficient}, lines): `float_plan`'s body over x and y, the
+    powers x**e, y**e (e >= 2), then r{n}; the dict binds the names as globals."""
     coeffs, powers, lines = {}, set(), []
     for n, p in enumerate(polys):
         parts = ["0.0"]
@@ -548,11 +558,7 @@ def generated_plan(polys, result, state="x, y"):
             parts.append(term)
         for k in range(0, len(parts), 64):     # a chain per line: no deep ASTs
             lines.append(f"r{n} = " + " + ".join([f"r{n}"] * (k > 0) + parts[k:k + 64]))
-    params, body = ("x, y", []) if state == "x, y" else ("s", [f"{state} = s"])
-    body += [f"{v}{e} = {v} ** {e}" for v, e in sorted(powers)] + lines
-    body.append(f"return {result}")
-    exec(_compile_plan(f"def evaluate({params}):\n" + "".join(f"    {b}\n" for b in body)), coeffs)
-    return coeffs["evaluate"]
+    return coeffs, [f"{v}{e} = {v} ** {e}" for v, e in sorted(powers)] + lines
 
 
 @lru_cache(maxsize=256)

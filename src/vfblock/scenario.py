@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -70,15 +71,32 @@ def _positive_tol(value, what: str) -> float:
     return tol
 
 
+_MAX_EXPONENT = 4300    # sys.get_int_max_str_digits()'s default
+
+
 def _rational(value, what: str):
     """`value`, a string or integer by the schema, as a Fraction; Fraction()
-    raises ValueError or ZeroDivisionError on a malformed string.  A list (a
-    point, a rectangle's corners) or a dict (a torus coefficient {"pi1": "3",
-    ...}) is parsed entry by entry."""
+    raises ValueError or ZeroDivisionError on a malformed string.  A decimal
+    exponent over `_MAX_EXPONENT` in magnitude, or more digits after the point,
+    is refused first: Fraction('1e1000000') alone takes 0.2 s, and Fraction()
+    refuses that many digits after the point only once it has raised 10 to
+    their count.
+    A list (a point, a rectangle's corners) or a dict (a torus coefficient
+    {"pi1": "3", ...}) is parsed entry by entry."""
     if isinstance(value, list):
         return [_rational(v, what) for v in value]
     if isinstance(value, dict):
         return {k: _rational(v, what) for k, v in value.items()}
+    literal = value if isinstance(value, str) else ""
+    exponent = re.search(r"[eE][-+]?([\d_]+)\s*\Z", literal)
+    digits = exponent[1].replace("_", "") if exponent else "0"
+    if len(digits) > _MAX_EXPONENT or int(digits) > _MAX_EXPONENT:
+        raise ScenarioSchemaError(f"{what} {value!r} has a decimal exponent over "
+                                  f"{_MAX_EXPONENT} in magnitude")
+    decimals = re.search(r"\.([\d_]*)", literal)
+    if decimals and len(decimals[1].replace("_", "")) > _MAX_EXPONENT:
+        raise ScenarioSchemaError(f"{what} {value!r} has over {_MAX_EXPONENT} digits "
+                                  "after the point")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as e:

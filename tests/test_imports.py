@@ -3,7 +3,9 @@
 is kept on purpose, say as a re-export, carries `# noqa`.  And no function or
 method in `src/vfblock` is dead: each is named somewhere in the package,
 exported by `__init__.py`, or allowed below with its reason.  And a run that
-parses no scenario file never imports jsonschema."""
+parses no scenario file never imports jsonschema.  And every Python file of
+the repository parses under the 3.10 grammar, the oldest the project
+supports."""
 
 import ast
 import os
@@ -13,8 +15,11 @@ import sys
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "vfblock"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "vfblock"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(p for d in ("src", "tests", "benchmark", "scripts")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def _bound_names(stmt):
@@ -155,3 +160,21 @@ def test_cold_run_without_a_scenario_never_loads_jsonschema():
     assert proc.returncode == 0, proc.stderr
     # the first parse still loads the validator and words errors as before
     assert proc.stdout == "schema violation at $: [1, 2] is not of type 'object'\n"
+
+
+def _newer_syntax(path: pathlib.Path) -> list[str]:
+    """Where the file does not parse as Python 3.10, or []."""
+    try:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+    except SyntaxError as e:
+        return [f"{path.name}:{e.lineno}: {e.msg}"]
+    return []
+
+
+def test_every_source_parses_as_python_3_10(tmp_path):
+    # requires-python is >= 3.10; the grammar is checked on any interpreter
+    assert len(SOURCES) > len(MODULES)
+    assert [line for path in SOURCES for line in _newer_syntax(path)] == []
+    newer = tmp_path / "m.py"
+    newer.write_text("try:\n    pass\nexcept* ValueError:\n    pass\n", encoding="utf-8")
+    assert [line.split(":")[0] for line in _newer_syntax(newer)] == ["m.py"]

@@ -3,25 +3,29 @@
 import math
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 from homotopy_reference import region_index, sampled_homotopy_check
+from lift_reference import (lift_double_cover_reference, lifted_reference,
+                            sampled_lipschitz_reference)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vfblock import index, upoly
 from vfblock.certify import BoundaryPass, certify_block
 from vfblock.config import ENV_MAX_DEPTH, default_max_depth
-from vfblock.errors import BoundaryZero, ContradictionError, PreconditionFailed
+from vfblock.errors import (BoundaryZero, ContradictionError, PreconditionFailed,
+                            VfblockError)
 from vfblock.fields import PlanarField, plane_field, torus_field
 from vfblock.index import (HomotopyVerdict, _dependent_on_boundary, block_index,
                            homotopy_invariance_check, interval_lipschitz,
                            lift_double_cover, make_double_cover_lift,
                            min_norm_on_boundary, perturbation_bound,
                            segment_clear, wedge_check, winding_stats)
-from vfblock.poly import Poly2, X, Y, restrict
+from vfblock.poly import Poly2, X, Y, float_plan, restrict
 from vfblock.regions import Circle, _Curve, annulus, disk, rectangle
 from vfblock.trig import COS, SIN, PiNumber, TrigPoly2
 
@@ -527,29 +531,12 @@ def test_double_cover_doubling(saddle_pair_field, circle_field, const_east,
                 + oracle_winding(lifted_eval, inner, 20000)) == 2 * base_expected
 
 
-def _eval_float_lift(field):
-    """The double-cover lift through the field's own `eval_float`."""
-
-    def lifted(u, v):
-        phi = math.atan2(v, u)
-        rho = math.hypot(u, v)
-        theta = 2.0 * phi
-        ct, st = math.cos(theta), math.sin(theta)
-        wx, wy = field.eval_float(rho * ct, rho * st)
-        radial = wx * ct + wy * st
-        tangential = -wx * st + wy * ct
-        cp, sp = math.cos(phi), math.sin(phi)
-        return (radial * cp - 0.5 * tangential * sp,
-                radial * sp + 0.5 * tangential * cp)
-
-    return lifted
-
-
-def _lift_outcome(lifted, u, v):
+def _outcome(run):
+    """repr of run()'s result, or the type and message of what it raised."""
     try:
-        return [repr(w) for w in lifted(u, v)]
-    except OverflowError as e:
-        return ("overflow", str(e))
+        return repr(run())
+    except (ArithmeticError, VfblockError) as e:
+        return (type(e).__name__, str(e))
 
 
 _lift_point = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.5, 1e200)),
@@ -562,9 +549,50 @@ _lift_point = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.5, 1e200)),
 @settings(max_examples=100, deadline=None)
 def test_double_cover_lift_matches_eval_float(p, q, points):
     field = plane_field(p, q)
-    fast, plain = make_double_cover_lift(field), _eval_float_lift(field)
+    fast, plain = make_double_cover_lift(field)[0], lifted_reference(field.eval_float)
     for u, v in points:
-        assert _lift_outcome(fast, u, v) == _lift_outcome(plain, u, v)
+        assert _outcome(lambda: fast(u, v)) == _outcome(lambda: plain(u, v))
+
+
+_cover_radii = st.sets(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1),
+                                        Fraction(3, 2), Fraction(5, 2)]),
+                       min_size=2, max_size=2).map(sorted)
+
+
+@given(_cubic, _cubic, _cover_radii)
+@example(X ** 3 - 1, X * Y, [Fraction(1, 2), Fraction(10 ** 110)])   # x ** 3 overflows
+@settings(max_examples=60, deadline=None)
+def test_compiled_lift_matches_reference_loops(p, q, radii):
+    """The compiled sweep, and the check around it, against the plain loops of
+    `lift_reference`: the Lipschitz floats on circles of both orientations,
+    then the whole check's IndexResult or error on the annulus between them,
+    all by repr.  A smaller winding budget keeps the reference's sample loops
+    short; a refusal by the budget still compares the sample count."""
+    field = plane_field(p, q)
+    sweep = make_double_cover_lift(field)[1]
+    reference = lifted_reference(float_plan((field.p, field.q)))
+    for r in radii:
+        for ccw in (True, False):
+            curve = Circle((0, 0), r, ccw)
+            assert (_outcome(lambda: index.sampled_lipschitz(sweep, curve))
+                    == _outcome(lambda: sampled_lipschitz_reference(reference, curve)))
+    region = annulus((0, 0), *radii)
+    with mock.patch.object(index, "DEFAULTS", replace(index.DEFAULTS, winding_budget=1 << 14)):
+        assert (_outcome(lambda: lift_double_cover(field, region)[1])
+                == _outcome(lambda: lift_double_cover_reference(field, region)))
+
+
+def test_torus_lift_matches_reference_loops(torus_sin):
+    # a TrigPoly2 field has no float plan: the compiled lift reads X pointwise
+    region = annulus((0, 0), Fraction(1, 16), Fraction(1, 8))
+    lift, sweep = make_double_cover_lift(torus_sin)
+    reference = lifted_reference(torus_sin.eval_float)
+    assert repr(lift(0.1, -0.03)) == repr(reference(0.1, -0.03))
+    for curve in region.boundary_curves():
+        assert (repr(index.sampled_lipschitz(sweep, curve))
+                == repr(sampled_lipschitz_reference(reference, curve)))
+    result = lift_double_cover(torus_sin, region)[1]
+    assert repr(result) == repr(lift_double_cover_reference(torus_sin, region))
 
 
 def test_double_cover_takes_the_blocks_boundary_pass(saddle_pair_field, circle_field,

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -523,6 +524,42 @@ def test_malformed_rational_names_key_and_value(tmp_path, base, edit, message):
     assert (proc.stdout, proc.stderr) == ("", f"error: {path}: {message}\n")
 
 
+_OVER_EXPONENT = "has a decimal exponent over 4300 in magnitude"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["fields"]["X"]["P"][0].update(c="1e100000000"),
+     f"field 'X': coefficient '1e100000000' {_OVER_EXPONENT}"),
+    (lambda d: d["fields"]["X"]["Q"][0].update(c="-2.5E-4_301"),
+     f"field 'X': coefficient '-2.5E-4_301' {_OVER_EXPONENT}"),
+    (lambda d: d["regions"]["U"].update(r="1e04301"), f"region 'U': r '1e04301' {_OVER_EXPONENT}"),
+    (lambda d: d.setdefault("tolerances", {}).update(resolution="1e-100000000"),
+     f"resolution '1e-100000000' {_OVER_EXPONENT}"),
+    (lambda d: d["regions"]["U"].update(r="0." + "1" * 4301),
+     f"region 'U': r '0.{'1' * 4301}' has over 4300 digits after the point")],
+    ids=["coefficient", "negative-exponent", "radius", "resolution", "fraction-digits"])
+def test_huge_decimal_exponent_exits_2_naming_the_key(tmp_path, capsys, edit, message):
+    # Fraction() would take minutes on these, or on a longer fraction; the parse
+    # refuses them at once
+    from vfblock.cli import main
+    data = json.loads((SCENARIOS / "source_disk.json").read_text())
+    edit(data)
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {path}: {message}\n")
+
+
+def test_decimal_exponent_of_4300_parses():
+    data = json.loads((SCENARIOS / "source_disk.json").read_text())
+    data["fields"]["X"]["P"][0]["c"] = "1e4300"
+    data["fields"]["X"]["Q"][0]["c"] = "-1E-4_300"
+    field = parse_scenario(data).fields["X"]
+    assert field.p.monomials() == {(1, 0): Fraction(10) ** 4300}
+    assert field.q.monomials() == {(0, 1): -Fraction(1, 10 ** 4300)}
+
+
 @pytest.mark.parametrize("op, key, value", [
     ("component_orders", "points", "origin"), ("component_orders", "points", 5),
     ("component_orders", "points", "oo"), ("verify_main", "known_zeros", "origin"),
@@ -696,6 +733,22 @@ def test_profile_script_profiles_algebra_cases(tmp_path):
     assert proc.stdout.startswith("algebra, seed 1: 2 cases, 0 failed checks\n")
     assert "function calls" in proc.stdout and "_bracket_int" in proc.stdout
     assert sorted(ROOT.rglob("*")) == before and not any(tmp_path.iterdir())
+
+
+def test_profile_script_keeps_one_kind(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    script = [sys.executable, str(ROOT / "scripts" / "profile_cases.py"), "--workload",
+              "boundary", "--cases", "2", "--kind"]
+    proc = subprocess.run(script + ["double_cover"], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("boundary double_cover, seed 1: 2 cases, 0 failed checks\n")
+    assert "lift_double_cover" in proc.stdout and "wedge_check" not in proc.stdout
+    proc = subprocess.run(script + ["lift"], capture_output=True, text=True, env=env,
+                          cwd=tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.endswith("error: unknown kind 'lift' for workload boundary; "
+                                "choose from homotopy, wedge, double_cover\n")
 
 
 GOLDEN_REPORTS = ROOT / "tests" / "data" / "scenario_reports"
