@@ -396,7 +396,10 @@ def winding_stats(field: PlanarField, curve, tol=None) -> WindingStats:
         p_iv, q_iv = p.eval_interval(ix, iy, tables), q.eval_interval(ix, iy, tables)
         lo, _ = iv.add(iv.sqr(p_iv), iv.sqr(q_iv))
         if slack:
-            vx, vy = field.eval_float(*curve.point(0.5 * (t0 + t1)))
+            try:
+                vx, vy = field.eval_float(*curve.point(0.5 * (t0 + t1)))
+            except OverflowError as e:
+                raise BoundaryZero(f"X overflows a float at a sampled boundary point: {e}") from e
             emp = min(emp, vx * vx + vy * vy)
         heapq.heappush(heap, (lo, t0, t1, p_iv, q_iv))
 
@@ -416,8 +419,14 @@ def winding_stats(field: PlanarField, curve, tol=None) -> WindingStats:
         push(tm, t1)
         splits += 1
     heap.sort(key=lambda leaf: leaf[1])
+    return WindingStats(_degree([leaf[3:] for leaf in heap]), len(heap), lo)
+
+
+def _degree(images) -> int:
+    """The degree of X/|X| from the leaf images (p, q), in curve order, each
+    in an open half-plane: the quarter-step rule of `winding_stats`."""
     quarters = [0 if pv[0] > 0.0 else 1 if qv[0] > 0.0 else 2 if pv[1] < 0.0 else 3
-                for _, _, _, pv, qv in heap]
+                for pv, qv in images]
     turns = 0
     for k0, k1 in zip(quarters, quarters[1:] + quarters[:1]):
         step = (k1 - k0) % 4
@@ -425,37 +434,7 @@ def winding_stats(field: PlanarField, curve, tol=None) -> WindingStats:
             raise ContradictionError(
                 "neighbouring boundary arcs map into opposite half-planes")
         turns += step if step < 2 else -1
-    return WindingStats(turns // 4, len(heap), lo)
-
-
-def segment_clear(x0: PlanarField, x1: PlanarField, curve) -> bool:
-    """Whether (1 - t) X0 + t X1 is certified nonzero on the closed curve for
-    every t in [0, 1].  An arc is certified when the interval images of X0
-    and X1 give lo(X0 . X1) > 0 or 0 not in det(X0, X1): they are then
-    nonzero and not antiparallel on it, so no convex combination vanishes.
-    Other arcs are split depth first, under the width and leaf budget of
-    `winding_stats`; the first that may not be split refuses, after
-    O(max depth) arcs.  Arcs and tables come from the curve's `tables_of`."""
-    min_width = 0.5 ** default_max_depth()
-    scalars = x0.p, x0.q, x1.p, x1.q
-    build, nx, ny, _ = _ring_plans(scalars)
-    stack = [(i / _INITIAL_ARCS, (i + 1) / _INITIAL_ARCS) for i in range(_INITIAL_ARCS)][::-1]
-    splits = 0
-    while stack:
-        t0, t1 = stack.pop()
-        ix, iy, tables = curve.tables_of(t0, t1, build, nx, ny)
-        a0, b0, a1, b1 = (s.eval_interval(ix, iy, tables) for s in scalars)
-        if iv.add(iv.mul(a0, a1), iv.mul(b0, b1))[0] > 0.0:
-            continue
-        lo, hi = iv.sub(iv.mul(a0, b1), iv.mul(b0, a1))
-        if lo > 0.0 or hi < 0.0:
-            continue
-        if (t1 - t0) < min_width or splits >= _LEAF_BUDGET:
-            return False
-        tm = 0.5 * (t0 + t1)
-        stack += [(tm, t1), (t0, tm)]
-        splits += 1
-    return True
+    return turns // 4
 
 
 @dataclass(frozen=True)
@@ -481,8 +460,74 @@ def min_norm_on_boundary(field: PlanarField, region: Region,
                  for curve in region.boundary_curves()]
     except BoundaryZero:
         return None
+    return _summed(stats)
+
+
+def _summed(stats) -> BoundaryPass:
+    """The `BoundaryPass` of a region from the `WindingStats` of its curves."""
     return BoundaryPass(Fraction(iv.sqrt_lower(min(s.norm_sq_lower for s in stats))),
                         sum(s.winding for s in stats), sum(s.samples for s in stats))
+
+
+def joint_boundary_pass(fields, region: Region,
+                        segment: bool = False) -> list[BoundaryPass] | None:
+    """Each field's `min_norm_on_boundary(field, region, tol=1)`, for fields
+    of one ring, from one depth-first subdivision of each boundary curve;
+    None where one is None or, with `segment`, where (1 - t) X0 + t X1 is
+    not certified nonzero.  A field's test, lo(|X|^2) > 0, makes an arc one
+    of its leaves; the segment's, lo(X0 . X1) > 0 or 0 not in det(X0, X1),
+    makes X0 and X1 nonzero and not antiparallel on it.  An arc is split
+    while a test fails on it, under `winding_stats`' width cap and its leaf
+    budget per test, and a test that held is not asked below.  So each
+    field gets its own pass's leaves, degree and margin, bit for bit, and
+    each arc's box and tables are built once, at the largest degree."""
+    require_planar_boundary(region, "joint_boundary_pass")
+    min_width = 0.5 ** default_max_depth()
+    build, nx, ny, _ = _ring_plans([s for f in fields for s in (f.p, f.q)])
+    m = len(fields)
+    stats = [[] for _ in fields]
+    for curve in region.boundary_curves():
+        leaves, splits = [[] for _ in fields], [0] * (m + 1)
+        tests = list(range(m + segment))
+        stack = [(i / _INITIAL_ARCS, (i + 1) / _INITIAL_ARCS, tests)
+                 for i in range(_INITIAL_ARCS)][::-1]
+        while stack:
+            t0, t1, tests = stack.pop()
+            ix, iy, tables = curve.tables_of(t0, t1, build, nx, ny)
+            images = {k: (fields[k].p.eval_interval(ix, iy, tables),
+                          fields[k].q.eval_interval(ix, iy, tables))
+                      for k in (range(m) if m in tests else tests)}
+            failing = []
+            for k in tests:
+                if k == m:
+                    if not _segment_leaf(*images[0], *images[1]):
+                        failing.append(k)
+                    continue
+                lo = iv.add(iv.sqr(images[k][0]), iv.sqr(images[k][1]))[0]
+                if lo > 0.0:
+                    leaves[k].append((lo, images[k]))
+                else:
+                    failing.append(k)
+            if not failing:
+                continue
+            if (t1 - t0) < min_width or any(splits[k] >= _LEAF_BUDGET for k in failing):
+                return None
+            for k in failing:
+                splits[k] += 1
+            tm = 0.5 * (t0 + t1)
+            stack += [(tm, t1, failing), (t0, tm, failing)]
+        for k, found in enumerate(leaves):
+            stats[k].append(WindingStats(_degree([image for _, image in found]), len(found),
+                                         min(lo for lo, _ in found)))
+    return [_summed(st) for st in stats]
+
+
+def _segment_leaf(a0, b0, a1, b1) -> bool:
+    """lo(X0 . X1) > 0 or 0 not in det(X0, X1) for X0 = (a0, b0), X1 = (a1, b1)."""
+    if iv.add(iv.mul(a0, a1), iv.mul(b0, b1))[0] > 0.0:
+        return True
+    lo, hi = iv.sub(iv.mul(a0, b1), iv.mul(b0, a1))
+    return lo > 0.0 or hi < 0.0
 
 
 @dataclass

@@ -89,7 +89,7 @@ class PlanarField:
         """Float evaluator (x, y) -> [p, q, dp/dx, dp/dy, dq/dx, dq/dy], bit for
         bit each component's eval_float (`poly.float_plan`); built once per
         field, on first use."""
-        return float_plan((self.p, self.q, *self.jacobian()))
+        return float_plan((self.p, self.q, *self.jacobian()), "<jacobian_plan>")
 
     @cached_property
     def variational_plan(self):
@@ -99,7 +99,7 @@ class PlanarField:
         if self.surface == PLANE:
             return generated_plan((self.p, self.q, *self.jacobian()),
                                   "(r0, r1, r2 * v0 + r3 * v1, r4 * v0 + r5 * v1)",
-                                  "x, y, v0, v1")
+                                  "x, y, v0, v1", "<variational_plan>")
         evaluate = self.jacobian_plan
 
         def rhs(s):

@@ -11,10 +11,10 @@ sweep are straight-line code compiled once per monomial pattern.
 An arc's interval box, and its axis tables for a coefficient ring, depend on
 the curve, not on the field.  Each curve memoises them (`_Curve.tables_of`
 in `regions`), and `Region.boundary_curves` memoises the curves of the last
-region asked: the passes of one homotopy or wedge check, and consecutive
-checks on an equal region, share them.  A homotopy is certified for every
-t in [0, 1] by one subdivision of the boundary (`certify.segment_clear`)
-plus the passes of its two ends.
+region asked, so consecutive checks on an equal region share them.  A
+homotopy or wedge check subdivides each curve once for both of its fields
+(`certify.joint_boundary_pass`): the leaves that certify a homotopy for
+every t in [0, 1], or a wedge's two margins, carry both indices.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import interval as iv
-from .certify import (Block, BoundaryPass, min_norm_on_boundary,  # noqa: F401 (re-export)
-                      segment_clear, winding_stats)
+from .certify import (Block, BoundaryPass, joint_boundary_pass,  # noqa: F401 (re-export)
+                      min_norm_on_boundary, winding_stats)
 from .config import DEFAULTS
 from .errors import CertificationFailed, ContradictionError, PreconditionFailed
 from .fields import PlanarField
@@ -103,26 +103,26 @@ class HomotopyVerdict:
 def homotopy_invariance_check(x0: PlanarField, x1: PlanarField, region: Region,
                               steps: int) -> HomotopyVerdict:
     """Certify that (1 - t) x0 + t x1 has no zero on the boundary of U for
-    every t in [0, 1] (`segment_clear`); the index, read at t = 0 and 1, is
-    then constant.  If that certificate refuses, the step fields at
-    t = i/steps (x0 + t (x1 - x0), x1 itself at t = 1: the terms of
-    x0.scale(1 - t) + x1.scale(t)) only locate the first t whose field is
-    zero or not certified nonvanishing; if none is, the verdict is
-    degenerate without t.  Degenerate verdicts are honest failures of
-    certification, not counterexamples.  All passes share the region's
-    memoised curves."""
+    every t in [0, 1]; the index is then constant.  One pass per boundary
+    curve (`joint_boundary_pass` with `segment`) certifies the segment and
+    reads the indices of x0 and x1 off the same leaves.  If it refuses, the
+    step fields at t = i/steps (x0 + t (x1 - x0), x1 itself at t = 1: the
+    terms of x0.scale(1 - t) + x1.scale(t)) only locate the first t whose
+    field is zero or not certified nonvanishing (`min_norm_on_boundary`);
+    if none is, the verdict is degenerate without t.  Degenerate verdicts
+    are honest failures of certification, not counterexamples.  All passes
+    share the region's memoised curves."""
     if isinstance(steps, bool) or not isinstance(steps, int):
         raise ValueError(f"steps must be an int, got {steps!r}")
     if steps < 2:
         raise ValueError("steps must be >= 2")
     x0._same_surface(x1)
-    if all(segment_clear(x0, x1, curve) for curve in region.boundary_curves()):
-        ends = [min_norm_on_boundary(x, region, tol=1) for x in (x0, x1)]
-        if None not in ends:
-            if ends[0].index != ends[1].index:
-                raise ContradictionError("index changed along a certified-nonvanishing "
-                                         f"homotopy: {[b.index for b in ends]}")
-            return HomotopyVerdict("invariant", index=ends[0].index)
+    ends = joint_boundary_pass((x0, x1), region, segment=True)
+    if ends is not None:
+        if ends[0].index != ends[1].index:
+            raise ContradictionError("index changed along a certified-nonvanishing "
+                                     f"homotopy: {[b.index for b in ends]}")
+        return HomotopyVerdict("invariant", index=ends[0].index)
     d = x1 - x0
     for i in range(steps + 1):
         t = Fraction(i, steps)
@@ -174,17 +174,17 @@ def _dependent_on_boundary(det, curves):
 def wedge_check(y_field: PlanarField, yp_field: PlanarField,
                 region: Region) -> WedgeVerdict:
     """Certify pointwise linear dependence of the two fields along the boundary
-    of an isolating region; their indices must then agree.  Both boundary
-    passes run over the region's memoised boundary curves and so share their
-    arc boxes and axis tables."""
+    of an isolating region; their indices must then agree.  One pass per
+    boundary curve (`joint_boundary_pass`) certifies both margins and reads
+    both indices off the same leaves, each arc's box and tables built once."""
     det = y_field.p * yp_field.q - y_field.q * yp_field.p
     dependent, witness = _dependent_on_boundary(det, region.boundary_curves())
     if not dependent:
         return WedgeVerdict("not_dependent", witness=witness)
-    b1 = min_norm_on_boundary(y_field, region, tol=1)
-    b2 = min_norm_on_boundary(yp_field, region, tol=1)
-    if b1 is None or b2 is None:
+    passes = joint_boundary_pass((y_field, yp_field), region)
+    if passes is None:
         return WedgeVerdict("not_isolating")
+    b1, b2 = passes
     if b1.index != b2.index:
         raise ContradictionError(
             f"boundary-dependent fields with certified margins {b1.margin}, "
@@ -247,7 +247,7 @@ def make_double_cover_lift(field: PlanarField):
     point = _LIFT_POINT.format(plan="\n".join(lines)).splitlines()
     lift, loop = ("\n".join(" " * depth + line for line in point) for depth in (4, 8))
     names.update(atan2=math.atan2, hypot=math.hypot, cos=math.cos, sin=math.sin, pi=math.pi)
-    exec(_compile_plan(_LIFT_SOURCE.format(lift=lift, loop=loop)), names)
+    exec(_compile_plan(_LIFT_SOURCE.format(lift=lift, loop=loop), "<lift>"), names)
     return names["lift"], names["sweep"]
 
 

@@ -513,7 +513,7 @@ def _corner_kernel(pattern):
     return env["make"]
 
 
-def float_plan(polys):
+def float_plan(polys, filename="<float_plan>"):
     """Evaluator (x, y) -> [p.eval_float(x, y) for p in polys], bit for bit,
     when every entry is a Poly2; TrigPoly2 entries keep their own path.
 
@@ -523,20 +523,24 @@ def float_plan(polys):
     c * x**i * y**j over the sorted monomials, a factor x**0 or y**0 dropped
     (c * 1.0 is c).  Coefficients reach the code by name through its globals,
     so no value is written into the source.  `test_float_plan_matches_eval_float`
-    pins every result, and every OverflowError, against eval_float by repr."""
+    pins every result, and every OverflowError, against eval_float by repr.
+    The code is compiled under `filename`, which names it in profiles."""
     if not all(isinstance(p, Poly2) for p in polys):
         return lambda x, y: [p.eval_float(x, y) for p in polys]
-    return generated_plan(polys, f"[{', '.join(f'r{n}' for n in range(len(polys)))}]")
+    return generated_plan(polys, f"[{', '.join(f'r{n}' for n in range(len(polys)))}]",
+                          "x, y", filename)
 
 
-def generated_plan(polys, result, state="x, y"):
+def generated_plan(polys, result, state, filename):
     """`float_plan`'s code for Poly2 entries, r{n} = polys[n].eval_float(x, y),
     returning the expression `result` of them; it takes x and y, or one tuple
-    that it unpacks into the names `state` (x and y first)."""
+    that it unpacks into the names `state` (x and y first), compiled under
+    `filename`."""
     coeffs, lines = plan_lines(polys)
     params, body = ("x, y", []) if state == "x, y" else ("s", [f"{state} = s"])
     body += lines + [f"return {result}"]
-    exec(_compile_plan(f"def evaluate({params}):\n" + "".join(f"    {b}\n" for b in body)), coeffs)
+    source = f"def evaluate({params}):\n" + "".join(f"    {b}\n" for b in body)
+    exec(_compile_plan(source, filename), coeffs)
     return coeffs["evaluate"]
 
 
@@ -562,9 +566,11 @@ def plan_lines(polys):
 
 
 @lru_cache(maxsize=256)
-def _compile_plan(source):
-    """Plans with one monomial pattern share one source and so one code object."""
-    return compile(source, "<float_plan>", "exec")
+def _compile_plan(source, filename):
+    """Plans with one monomial pattern share one source and so one code object;
+    `filename` names the kind of code (`<float_plan>`, `<lift>`, ...) in
+    tracebacks and profiles, and is part of the key."""
+    return compile(source, filename, "exec")
 
 
 def _frac_str(c: Fraction) -> str:

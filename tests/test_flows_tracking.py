@@ -74,9 +74,9 @@ def test_one_float_plan_per_field(monkeypatch):
     from vfblock import fields
     builds = []
 
-    def counted(polys):
+    def counted(*args):
         builds.append("jacobian")
-        return float_plan(polys)
+        return float_plan(*args)
 
     def counted_generated(*args):
         builds.append("variational")
@@ -90,6 +90,10 @@ def test_one_float_plan_per_field(monkeypatch):
     assert first.forward(0.1, 0.05) == again.forward(0.1, 0.05)
     assert polish_zero(field, (0.1, 0.1)) == polish_zero(field, (0.1, 0.1))
     assert builds == ["variational", "jacobian"]
+    # each kind of generated code under its own name in profiles
+    assert field.variational_plan.__code__.co_filename == "<variational_plan>"
+    assert field.jacobian_plan.__code__.co_filename == "<jacobian_plan>"
+    assert float_plan([field.p]).__code__.co_filename == "<float_plan>"
     assert field.jacobian_plan(0.5, -0.25) == [c.eval_float(0.5, -0.25) for c in
                                                (field.p, field.q, *field.jacobian())]
 

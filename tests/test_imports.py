@@ -5,7 +5,8 @@ method in `src/vfblock` is dead: each is named somewhere in the package,
 exported by `__init__.py`, or allowed below with its reason.  And a run that
 parses no scenario file never imports jsonschema.  And every Python file of
 the repository parses under the 3.10 grammar, the oldest the project
-supports."""
+supports, and names none of the modules, classes and builtins that 3.11
+added."""
 
 import ast
 import os
@@ -178,3 +179,41 @@ def test_every_source_parses_as_python_3_10(tmp_path):
     newer = tmp_path / "m.py"
     newer.write_text("try:\n    pass\nexcept* ValueError:\n    pass\n", encoding="utf-8")
     assert [line.split(":")[0] for line in _newer_syntax(newer)] == ["m.py"]
+
+
+# What 3.11 added that the 3.10 grammar accepts: (module, name) pairs, a
+# module alone, or a builtin alone.  The 3.10 leg of CI would fail on them
+# only when the line runs.
+_NEWER_NAMES = {("tomllib", None), ("enum", "StrEnum"), ("typing", "Self"),
+                ("asyncio", "TaskGroup"), (None, "ExceptionGroup"),
+                (None, "BaseExceptionGroup")}
+
+
+def _newer_names(path: pathlib.Path) -> list[str]:
+    """Where the file imports or names a 3.11 addition, one line each."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names = [(alias.name.split(".")[0], None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [(node.module, None)] + [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [(node.value.id, node.attr)]
+        elif isinstance(node, ast.Name):
+            names = [(None, node.id)]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno}: {'.'.join(filter(None, pair))}"
+                  for pair in names if pair in _NEWER_NAMES]
+    return found
+
+
+def test_no_source_names_a_python_3_11_addition(tmp_path):
+    assert [line for path in SOURCES for line in _newer_names(path)] == []
+    newer = tmp_path / "m.py"
+    newer.write_text("import tomllib\nfrom enum import StrEnum\nimport typing\n"
+                     "x: typing.Self\nimport asyncio\nasyncio.TaskGroup()\n"
+                     "raise ExceptionGroup('e', [])\n", encoding="utf-8")
+    assert _newer_names(newer) == ["m.py:1: tomllib", "m.py:2: enum.StrEnum",
+                                   "m.py:4: typing.Self", "m.py:6: asyncio.TaskGroup",
+                                   "m.py:7: ExceptionGroup"]

@@ -8,7 +8,8 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from homotopy_reference import region_index, sampled_homotopy_check
+from homotopy_reference import (homotopy_check_reference, region_index,
+                                sampled_homotopy_check, wedge_check_reference)
 from lift_reference import (lift_double_cover_reference, lifted_reference,
                             sampled_lipschitz_reference)
 from hypothesis import assume, example, given, settings
@@ -17,17 +18,18 @@ from hypothesis import strategies as st
 from vfblock import index, upoly
 from vfblock.certify import BoundaryPass, certify_block
 from vfblock.config import ENV_MAX_DEPTH, default_max_depth
-from vfblock.errors import (BoundaryZero, ContradictionError, PreconditionFailed,
-                            VfblockError)
+from vfblock.errors import (BoundaryZero, CertificationFailed, ContradictionError,
+                            PreconditionFailed, VfblockError)
 from vfblock.fields import PlanarField, plane_field, torus_field
 from vfblock.index import (HomotopyVerdict, _dependent_on_boundary, block_index,
                            homotopy_invariance_check, interval_lipschitz,
-                           lift_double_cover, make_double_cover_lift,
-                           min_norm_on_boundary, perturbation_bound,
-                           segment_clear, wedge_check, winding_stats)
+                           joint_boundary_pass, lift_double_cover,
+                           make_double_cover_lift, min_norm_on_boundary,
+                           perturbation_bound, wedge_check, winding_stats)
 from vfblock.poly import Poly2, X, Y, float_plan, restrict
 from vfblock.regions import Circle, _Curve, annulus, disk, rectangle
 from vfblock.trig import COS, SIN, PiNumber, TrigPoly2
+from vfblock.verifier import verify_main
 
 
 def _angle_steps(evalf, curve, n):
@@ -236,8 +238,9 @@ def test_homotopy_zero_between_samples_is_degenerate(euler, unit_disk):
 
 @pytest.mark.parametrize("depth", [None, "12", "40"])
 def test_refused_segment_visits_a_few_arcs_per_depth(monkeypatch, euler, depth):
-    """Depth first, Euler -> -Euler is refused on its first arc's leftmost
-    descendants: at most two `tables_of` visits per depth, on every curve."""
+    """Depth first, the segment Euler -> -Euler is refused on the first arc's
+    leftmost descendants: one joint pass makes at most two `tables_of`
+    visits per depth, on every region."""
     if depth is not None:
         monkeypatch.setenv(ENV_MAX_DEPTH, depth)
     visits = []
@@ -245,9 +248,9 @@ def test_refused_segment_visits_a_few_arcs_per_depth(monkeypatch, euler, depth):
     monkeypatch.setattr(_Curve, "tables_of", lambda c, *a: (
         visits.append(a[:2]), tables_of(c, *a))[1])
     regions = (disk((0, 0), 1), rectangle(-1, -2, 3, 1), annulus((1, 0), 1, 2))
-    for curve in (c for region in regions for c in region.boundary_curves()):
+    for region in regions:
         visits.clear()
-        assert not segment_clear(euler, -euler, curve)
+        assert joint_boundary_pass((euler, -euler), region, segment=True) is None
         assert 0 < len(visits) <= 2 * default_max_depth()
     assert homotopy_invariance_check(euler, -euler, regions[0], 4) == \
         HomotopyVerdict("degenerate", t=Fraction(1, 2))
@@ -316,7 +319,7 @@ def _term_order(s):
 def test_homotopy_step_fields_are_the_convex_combination(ends, steps):
     """The field the locator checks at step t is x0.scale(1 - t) + x1.scale(t),
     with its k, its terms in term-map order and its interval plan bit for
-    bit; t = 0 and t = 1 included.  The segment certificate is patched to
+    bit; t = 0 and t = 1 included.  The joint pass is patched to
     refuse and the boundary passes are stubbed, so the locator reaches
     every step field up to the first zero one, and names no t past it."""
     x0, x1, negated = ends
@@ -326,7 +329,7 @@ def test_homotopy_step_fields_are_the_convex_combination(ends, steps):
         seen.append(field)
         return BoundaryPass(Fraction(1), 0, 1)
 
-    with mock.patch.object(index, "segment_clear", lambda *_: False), \
+    with mock.patch.object(index, "joint_boundary_pass", lambda *_, **__: None), \
             mock.patch.object(index, "min_norm_on_boundary", boundary_pass):
         verdict = homotopy_invariance_check(x0, x1, disk((0, 0), 1), steps)
     want = [x0.scale(1 - Fraction(i, steps)) + x1.scale(Fraction(i, steps))
@@ -372,14 +375,14 @@ def _sampled_or_none(x0, x1, region, steps):
 @example((plane_field(X, Y), plane_field(Y, -X), False), disk((0, 0), 1), 5)
 @settings(max_examples=150, deadline=None)
 def test_segment_certificate_against_sampled_loop(ends, region, steps):
-    """Wherever `segment_clear` holds on every boundary curve, the sampled
-    loop of `homotopy_reference` returns `invariant` with the index of the
-    check; negated ends are always refused.  Where it refuses, the check
-    names the sampled loop's first failing t, or no t when every sample
-    passes."""
+    """Wherever the joint pass certifies the segment on every boundary curve,
+    the sampled loop of `homotopy_reference` returns `invariant` with the
+    index of the check; negated ends are always refused.  Where it refuses,
+    the check names the sampled loop's first failing t, or no t when every
+    sample passes."""
     x0, x1, negated = ends
     with mock.patch.dict(os.environ, {ENV_MAX_DEPTH: "12"}):
-        clear = all(segment_clear(x0, x1, c) for c in region.boundary_curves())
+        clear = joint_boundary_pass((x0, x1), region, segment=True) is not None
         verdict = homotopy_invariance_check(x0, x1, region, steps)
         sampled = _sampled_or_none(x0, x1, region, steps)
     if negated:
@@ -390,6 +393,59 @@ def test_segment_certificate_against_sampled_loop(ends, region, steps):
         assert verdict == sampled
     else:
         assert verdict == HomotopyVerdict("degenerate")
+
+
+@st.composite
+def _check_pairs(draw):
+    """(x0, x1, region, steps): x0 and the region of `_fields_and_regions`
+    (planar disks, annuli, rectangles, torus disks), x1 of x0's ring: x0
+    times a weight >= 1, x0 turned by a rotation-scaling, x0 plus a
+    constant, -x0, or -c x0, whose step field at t = 1 / (1 + c) is zero
+    (x1 itself for c = 0)."""
+    x0, region = draw(_fields_and_regions())
+    const = Poly2.const if x0.surface == "plane" else TrigPoly2.const
+    how = draw(st.sampled_from(("weighted", "turned", "shifted", "negated", "zero_step")))
+    if how == "weighted":
+        weight = 1 + X * X if x0.surface == "plane" else 2 + TrigPoly2.term(1, 1, "cc", 1)
+        x1 = x0.times_scalar_poly(weight)
+    elif how == "turned":
+        b = draw(_rational)
+        x1 = replace(x0, p=x0.p - x0.q * b, q=x0.q + x0.p * b)
+    elif how == "shifted":
+        x1 = x0 + replace(x0, p=const(draw(_rational)), q=const(draw(_rational)))
+    elif how == "negated":
+        x1 = -x0
+    else:
+        x1 = x0.scale(-draw(st.sampled_from((0, Fraction(1, 3), Fraction(1, 2), 2, 3))))
+    return x0, x1, region, draw(st.integers(2, 8))
+
+
+@given(_check_pairs())
+@example((plane_field(X, Y), plane_field(-X, -Y), disk((0, 0), 1), 4))
+@example((plane_field(X, Y), plane_field(-2 * X, -2 * Y), rectangle(-1, -1, 1, 1), 3))
+@example((plane_field(X, Y), plane_field(Poly2.zero(), Poly2.zero()),
+          annulus((0, 0), 1, 2), 2))
+@example((plane_field(X * X - 1, X * Y), plane_field(X * X - 1 - Y, X * Y + X),
+          annulus((0, 0), Fraction(1, 2), Fraction(3, 2)), 8))
+@example((torus_field(TrigPoly2.term(1, 0, "sc", 1), TrigPoly2.term(0, 1, "cs", 1)),
+          torus_field(-TrigPoly2.term(1, 0, "sc", 1), -TrigPoly2.term(0, 1, "cs", 1)),
+          disk((0, 0), Fraction(1, 8)), 6))
+@settings(max_examples=150, deadline=None)
+def test_checks_match_separate_passes(case):
+    """`homotopy_invariance_check` and `wedge_check`, one joint pass per curve,
+    give the verdicts (status, index, t or witness) of `homotopy_reference`'s
+    checks, which run the segment pass and one `min_norm_on_boundary` per
+    field, and raise what they raise."""
+    x0, x1, region, steps = case
+    with mock.patch.dict(os.environ, {ENV_MAX_DEPTH: "12"}):
+        assert _outcome(lambda: homotopy_invariance_check(x0, x1, region, steps)) == \
+            _outcome(lambda: homotopy_check_reference(x0, x1, region, steps))
+        assert _outcome(lambda: wedge_check(x0, x1, region)) == \
+            _outcome(lambda: wedge_check_reference(x0, x1, region))
+        passes = joint_boundary_pass((x0, x1), region)
+        if passes is not None:      # each field's pass, bit for bit
+            assert repr(passes) == repr([min_norm_on_boundary(x, region, tol=1)
+                                         for x in (x0, x1)])
 
 
 def test_wedge_examples(euler, const_east, unit_disk):
@@ -567,9 +623,11 @@ def test_compiled_lift_matches_reference_loops(p, q, radii):
     `lift_reference`: the Lipschitz floats on circles of both orientations,
     then the whole check's IndexResult or error on the annulus between them,
     all by repr.  A smaller winding budget keeps the reference's sample loops
-    short; a refusal by the budget still compares the sample count."""
+    short; a refusal by the budget still compares the sample count.  The
+    compiled code is named `<lift>` in profiles."""
     field = plane_field(p, q)
-    sweep = make_double_cover_lift(field)[1]
+    lift, sweep = make_double_cover_lift(field)
+    assert lift.__code__.co_filename == sweep.__code__.co_filename == "<lift>"
     reference = lifted_reference(float_plan((field.p, field.q)))
     for r in radii:
         for ccw in (True, False):
@@ -593,6 +651,24 @@ def test_torus_lift_matches_reference_loops(torus_sin):
                 == repr(sampled_lipschitz_reference(reference, curve)))
     result = lift_double_cover(torus_sin, region)[1]
     assert repr(result) == repr(lift_double_cover_reference(torus_sin, region))
+
+
+def test_float_overflow_on_the_boundary_is_refused_not_raised():
+    """x ** 3 overflows a float at the midpoints that the margin pass samples
+    on the outer circle: the pass refuses with a BoundaryZero naming the
+    overflow, so the lift is refused and the theorem check that needs the
+    block is inconclusive, not crashed by a bare OverflowError."""
+    field = plane_field(X ** 3 - 1, X * Y)
+    region = annulus((0, 0), Fraction(1, 2), Fraction(10 ** 110))
+    with pytest.raises(BoundaryZero, match="overflows a float"):
+        winding_stats(field, region.boundary_curves()[0], tol=Fraction(1, 2))
+    assert min_norm_on_boundary(field, region) is None
+    with pytest.raises(CertificationFailed, match="not certified nonvanishing"):
+        lift_double_cover(field, region)
+    report = verify_main(field, plane_field(X, Y), region)
+    assert report.hypothesis_checks[0].to_json() == {
+        "name": "K is an essential X-block", "verdict": "inconclusive",
+        "data": {"error": "no positive boundary margin could be certified"}}
 
 
 def test_double_cover_takes_the_blocks_boundary_pass(saddle_pair_field, circle_field,
