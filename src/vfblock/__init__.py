@@ -8,7 +8,7 @@ from .fields import (JetOrder, PlanarField, jet_order, lie_bracket, plane_field,
                      torus_field)
 from .flows import Flowbox, flow_integrate, flowbox_build
 from .index import (IndexResult, block_index, homotopy_invariance_check,
-                    lift_double_cover, perturbation_bound, wedge_check)
+                    lift_double_cover, wedge_check)
 from .liealg import (FlagResult, LieAlgebraPresentation, algebra_tracks,
                      common_zero_set, solvability, structure_constants,
                      supersolvable_flag)

@@ -440,7 +440,9 @@ def _degree(images) -> int:
 @dataclass(frozen=True)
 class BoundaryPass:
     """Certified lower bound for |X| on the boundary of U, the index of X in U
-    and the number of leaf arcs that certify both."""
+    and the number of leaf arcs that certify both.  Any field within `margin`
+    of X in sup distance on cl(U) has no boundary zero and the same index:
+    the straight-line homotopy to X has none on the boundary either."""
 
     margin: Fraction
     index: int
@@ -543,23 +545,15 @@ class Block:
     index: int
     arcs: int
 
-    def to_json(self) -> dict:
-        return {
-            "region": self.region.to_json(),
-            "boundary_margin": _frac_str(self.boundary_margin),
-            "enclosure": self.enclosure.to_json(),
-        }
 
-
-def certify_block(field: PlanarField, region: Region, resolution=None,
-                  tol=None) -> Block:
+def certify_block(field: PlanarField, region: Region, resolution=None) -> Block:
     """Certify that U is isolating for the field and enclose K = Z(X) n cl(U)."""
     if region.kind == TORUS_FULL:
         require_planar_boundary(region, "certify_block")
     if resolution is None:
         resolution = DEFAULTS.default_resolution
     resolution = _frac(resolution)
-    boundary = min_norm_on_boundary(field, region, tol)
+    boundary = min_norm_on_boundary(field, region)
     if boundary is None or boundary.margin <= 0:
         raise BoundaryZero("no positive boundary margin could be certified")
     enclosure = zero_enclosure(field, region, resolution)

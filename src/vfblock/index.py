@@ -79,12 +79,6 @@ def block_index(block: Block) -> IndexResult:
                        essential=block.index != 0, certified=True)
 
 
-def perturbation_bound(block: Block) -> Fraction:
-    """A sup-distance delta such that any field within delta of X on cl(U) has
-    no boundary zeros and the same index (straight-line homotopy argument)."""
-    return block.boundary_margin
-
-
 @dataclass(frozen=True)
 class HomotopyVerdict:
     status: str  # "invariant" | "degenerate"

@@ -190,9 +190,6 @@ class SolvabilityResult:
     status: str  # "solvable" | "not_solvable"
     depth: int | None = None
 
-    def to_json(self) -> dict:
-        return {"status": self.status, "depth": self.depth}
-
 
 def _derived_subspace(g: LieAlgebraPresentation, space):
     """Row-reduced integer rows spanning [space, space]."""

@@ -316,7 +316,6 @@ class RectLoop(_Curve):
         self._int_edges = [(ix0, iy0, 1, 0, 0, w), (ix1, iy0, 0, 1, w, w + h),
                            (ix1, iy1, -1, 0, w + h, 2 * w + h),
                            (ix0, iy1, 0, -1, 2 * w + h, 2 * (w + h))]
-        self.perimeter = Fraction(2 * (w + h), self._scale)
         self.breaks = [Fraction(edge[-1], 2 * (w + h)) for edge in self._int_edges]
 
     def _locate(self, t: float):
@@ -365,10 +364,6 @@ class RectLoop(_Curve):
         n = self._scale * e
         return ((iv.ratio(min(xs), n)[0], iv.ratio(max(xs), n)[1]),
                 (iv.ratio(min(ys), n)[0], iv.ratio(max(ys), n)[1]))
-
-    def length_upper(self) -> float:
-        return iv.up(float(self.perimeter))
-
 
 def piece_point(piece, t: Fraction) -> tuple[Fraction, Fraction]:
     """The exact point (x(t) / w(t), y(t) / w(t)) of a curve piece (x, y, w)."""

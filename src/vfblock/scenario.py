@@ -23,9 +23,8 @@ from .certify import certify_block, components
 from .errors import ScenarioSchemaError
 from .fields import PlanarField, jet_order
 from .index import (IndexResult, block_index, homotopy_invariance_check, lift_double_cover,
-                    perturbation_bound, wedge_check)
-from .liealg import (algebra_tracks, common_zero_set, solvability,
-                     structure_constants, supersolvable_flag)
+                    wedge_check)
+from .liealg import algebra_tracks, structure_constants, supersolvable_flag
 from .linefield import factor_y_power
 from .poly import _frac_str
 from .regions import ANNULUS, Region
@@ -178,12 +177,6 @@ def _op_block_index(X, U, resolution):
     return data, PASS
 
 
-def _op_certify_block(X, U, resolution):
-    block = certify_block(X, U, resolution)
-    return {"block": {"boundary_margin": _frac_str(block.boundary_margin),
-                      "enclosure_boxes": len(block.enclosure.cells)}}, PASS
-
-
 def _op_jet_order(X, p, k):
     jo = jet_order(X, p, k)
     return {"jet": jo.to_json()}, FAIL if jo.is_flat else PASS
@@ -202,12 +195,6 @@ def _op_wedge(Y, Yp, U):
 def _op_homotopy(X0, X1, U, steps):
     verdict = homotopy_invariance_check(X0, X1, U, steps)
     return {"homotopy": verdict.to_json()}, PASS if verdict.status == "invariant" else FAIL
-
-
-def _op_perturbation_bound(X, U, resolution):
-    block = certify_block(X, U, resolution, tol=Fraction(1, 200))
-    delta = perturbation_bound(block)
-    return {"delta": _frac_str(delta), "delta_float": float(delta)}, PASS
 
 
 def _op_double_cover(X, A, resolution):
@@ -235,10 +222,6 @@ def _op_structure_constants(g):
     return data, PASS if algebra.closed else FAIL
 
 
-def _op_solvability(g):
-    return {"solvability": solvability(structure_constants(g)).to_json()}, PASS
-
-
 def _op_supersolvable(g):
     r = supersolvable_flag(structure_constants(g))
     if r.status == "not_solvable":
@@ -249,11 +232,6 @@ def _op_supersolvable(g):
 def _op_algebra_tracks(g, X):
     r = algebra_tracks(structure_constants(g), X)
     return {"algebra_tracking": r.to_json()}, PASS if r.verdict else FAIL
-
-
-def _op_common_zero_set(g, U, resolution):
-    enc = common_zero_set(structure_constants(g), U, resolution)
-    return {"common_zeros": enc.to_json()}, PASS
 
 
 def _op_verify_main(X, Y, U, k, resolution, known_zeros):
@@ -280,7 +258,6 @@ _INDEX_KEYS = tuple(IndexResult(0, Fraction(0), 0, False, False).to_json())
 
 # op -> (handler, {argument: kind}, the keys of its data, dotted below the top)
 CHECK_OPS = {
-    "certify_block": (_op_certify_block, _BLOCK, ("block",)),
     "block_index": (_op_block_index, _BLOCK, ("boundary_margin", "components",
                                               *(f"index.{k}" for k in _INDEX_KEYS))),
     "jet_order": (_op_jet_order, {"X": _FIELD, "p": _POINT_NAME, "k": _count(1, 1)}, ("jet",)),
@@ -288,7 +265,6 @@ CHECK_OPS = {
     "wedge": (_op_wedge, {"Y": _FIELD, "Yp": _FIELD, "U": _REGION}, ("wedge",)),
     "homotopy": (_op_homotopy, {"X0": _FIELD, "X1": _FIELD, "U": _REGION,
                                 "steps": _count(2, 10)}, ("homotopy",)),
-    "perturbation_bound": (_op_perturbation_bound, _BLOCK, ("delta", "delta_float")),
     "double_cover": (_op_double_cover, {"X": _FIELD, "A": _ORIGIN_ANNULUS,
                                         "resolution": _RESOLUTION},
                      tuple(f"{i}.{k}" for i in ("base_index", "lifted_index")
@@ -298,11 +274,8 @@ CHECK_OPS = {
     "factor_y_power": (_op_factor_y_power, {"F": _FIELD, "l": _count(1, 1)}, ("g",)),
     "structure_constants": (_op_structure_constants, {"g": _ALGEBRA},
                             ("algebra", "antisymmetry", "jacobi")),
-    "solvability": (_op_solvability, {"g": _ALGEBRA}, ("solvability",)),
     "supersolvable": (_op_supersolvable, {"g": _ALGEBRA}, ("flag",)),
     "algebra_tracks": (_op_algebra_tracks, {"g": _ALGEBRA, "X": _FIELD}, ("algebra_tracking",)),
-    "common_zero_set": (_op_common_zero_set, {"g": _ALGEBRA, "U": _REGION,
-                                              "resolution": _RESOLUTION}, ("common_zeros",)),
     "verify_main": (_op_verify_main, {"X": _FIELD, "Y": _FIELD, **_THEOREM}, ("report",)),
     "verify_mainbis": (_op_verify_mainbis, {"X": _FIELD, "Y": _FIELD, **_THEOREM, "tol": _TOL},
                        ("report",)),

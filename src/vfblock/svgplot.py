@@ -8,12 +8,14 @@ precision and iteration orders are fixed.  No plotting library is involved.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .fields import PlanarField
 from .regions import ANNULUS, DISK, Region
 
 _SCALE = 240.0
 _PAD = 0.12
+_GRID = 15      # the quiver samples (_GRID + 1)^2 points of the bounding box
 
 
 def _fmt(x: float) -> str:
@@ -60,8 +62,6 @@ def _region_elements(region: Region, m: _Mapper) -> list[str]:
 
 def _enclosure_elements(enclosure, m: _Mapper) -> list[str]:
     out = []
-    if enclosure is None:
-        return out
     style = 'fill="#e4572e" fill-opacity="0.55" stroke="none"'
     for b in enclosure.boxes:
         x0, y0, x1, y1 = (float(v) for v in b)
@@ -72,20 +72,17 @@ def _enclosure_elements(enclosure, m: _Mapper) -> list[str]:
     return out
 
 
-def _quiver_elements(field: PlanarField, region: Region, m: _Mapper,
-                     grid: int) -> list[str]:
+def _quiver_elements(field: PlanarField, region: Region, m: _Mapper) -> list[str]:
     out = []
-    if field is None:
-        return out
     x0, y0, x1, y1 = (float(v) for v in region.bounding_box())
-    cell = min(x1 - x0, y1 - y0) / grid
+    cell = min(x1 - x0, y1 - y0) / _GRID
     pts = []
     vecs = []
     max_norm = 0.0
-    for i in range(grid + 1):
-        for j in range(grid + 1):
-            px = x0 + (x1 - x0) * i / grid
-            py = y0 + (y1 - y0) * j / grid
+    for i in range(_GRID + 1):
+        for j in range(_GRID + 1):
+            px = x0 + (x1 - x0) * i / _GRID
+            py = y0 + (y1 - y0) * j / _GRID
             vx, vy = field.eval_float(px, py)
             n = math.hypot(vx, vy)
             pts.append((px, py))
@@ -122,8 +119,9 @@ def _label_elements(labels, m: _Mapper) -> list[str]:
     return out
 
 
-def render_svg(region: Region, field: PlanarField = None, enclosure=None,
-               labels=(), grid: int = 15) -> str:
+def render_svg(region: Region, field: PlanarField, enclosure, labels) -> str:
+    """The figure: enclosure boxes, quiver, region boundary, then the labels,
+    each ((x, y), text)."""
     m = _Mapper(region.bounding_box())
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -132,29 +130,23 @@ def render_svg(region: Region, field: PlanarField = None, enclosure=None,
         '<rect width="100%" height="100%" fill="#ffffff"/>',
     ]
     parts.extend(_enclosure_elements(enclosure, m))
-    parts.extend(_quiver_elements(field, region, m, grid))
+    parts.extend(_quiver_elements(field, region, m))
     parts.extend(_region_elements(region, m))
     parts.extend(_label_elements(labels, m))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def emit_plot(report, region: Region, field: PlanarField, enclosure, out_path,
-              labels=(), grid: int = 15) -> str:
-    """Write the figure; label list entries are ((x, y), text).  When a report
-    with per-component indices is given and no labels are passed, component
-    labels are derived from it."""
-    labels = list(labels)
-    if report is not None and not labels:
-        labels = _labels_from_report(report)
-    svg = render_svg(region, field, enclosure, labels, grid)
+def emit_plot(report, region: Region, field: PlanarField, enclosure, out_path) -> str:
+    """Write the figure, with each component labelled by its index when the
+    report (a scenario report's JSON, or None) carries per-component indices."""
+    svg = render_svg(region, field, enclosure, _labels_from_report(report))
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
     return svg
 
 
 def _labels_from_report(report) -> list:
-    data = report.to_json() if hasattr(report, "to_json") else report
     out = []
 
     def walk(node):
@@ -165,7 +157,6 @@ def _labels_from_report(report) -> list:
                 for comp in comps:
                     bb = comp.get("bounding_box")
                     if bb:
-                        from fractions import Fraction
                         cx = (Fraction(bb["x0"]) + Fraction(bb["x1"])) / 2
                         cy = (Fraction(bb["y0"]) + Fraction(bb["y1"])) / 2
                         out.append(((float(cx), float(cy)), str(idx.get("index"))))
@@ -175,5 +166,5 @@ def _labels_from_report(report) -> list:
             for v in node:
                 walk(v)
 
-    walk(data)
+    walk(report)
     return out

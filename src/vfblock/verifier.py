@@ -363,8 +363,7 @@ def _flowbox_deviations(x_field: PlanarField, boxes) -> dict:
             "flowboxes": len(boxes)}
 
 
-def _component_indices_check(x_field: PlanarField, block: Block,
-                             comps, resolution) -> CheckRecord:
+def _component_indices_check(block: Block, comps, resolution) -> CheckRecord:
     """Index of each K-component (`components(block.enclosure)`) through an
     isolating sub-annulus (or sub-disk) built around its box cluster."""
     name = "index zero at each component"
@@ -450,7 +449,7 @@ def verify_mainbis(x_field: PlanarField, y_field: PlanarField, region: Region,
         order = (known_zeros and jet_order(x_field, known_zeros[0], k).order) or 1
         cc = _flowbox_control_check(x_field, y_field, block, order, tol)
         concl.append(CheckRecord("(iii) " + cc.name, cc.verdict, cc.data))
-        ci = _component_indices_check(x_field, block, comps, resolution)
+        ci = _component_indices_check(block, comps, resolution)
         concl.append(CheckRecord("(iv) " + ci.name, ci.verdict, ci.data))
     concl.append(CheckRecord(
         "(v) zero-free approximation in U", NOT_IMPLEMENTED,

@@ -13,7 +13,7 @@ from vfblock.certify import certify_block, components
 from vfblock.corpus import falsification_run
 from vfblock.fields import plane_field, torus_field
 from vfblock.index import (block_index, homotopy_invariance_check,
-                           lift_double_cover, perturbation_bound, wedge_check)
+                           lift_double_cover, min_norm_on_boundary, wedge_check)
 from vfblock.liealg import (solvability, structure_constants, supersolvable_flag)
 from vfblock.poly import Poly2, X, Y
 from vfblock.regions import Circle, annulus, disk
@@ -82,8 +82,7 @@ def test_c02_mainbis_pipeline():
 
 
 def test_c03_stability():
-    blk = certify_block(EULER, UNIT_DISK, Fraction(1, 32), tol=Fraction(1, 200))
-    delta = perturbation_bound(blk)
+    delta = min_norm_on_boundary(EULER, UNIT_DISK, tol=Fraction(1, 200)).margin
     assert delta >= Fraction(99, 100)
     rng = random.Random(2024)
     for _ in range(100):

@@ -2,7 +2,9 @@
 `__init__.py` excepted) binds only names its module uses.  A statement that
 is kept on purpose, say as a re-export, carries `# noqa`.  And no function or
 method in `src/vfblock` is dead: each is named somewhere in the package,
-exported by `__init__.py`, or allowed below with its reason.  And a run that
+exported by `__init__.py`, or allowed below with its reason.  And every
+parameter of a function or method in `src/vfblock` is read in its body, or
+allowed below with its reason.  And a run that
 parses no scenario file never imports jsonschema.  And every Python file of
 the repository parses under the 3.10 grammar, the oldest the project
 supports, and names none of the modules, classes and builtins that 3.11
@@ -127,6 +129,61 @@ def test_the_scan_sees_a_dead_function(tmp_path):
         "    def method(self):\n        return self.other()\n\n"
         "    def other(self):\n        return 3\n", encoding="utf-8")
     assert _dead_functions(tmp_path) == ["m.py:7: dead", "m.py:14: method"]
+
+
+# parameters that their function never reads, kept on purpose
+UNREAD_PARAMETER_ALLOWLIST = {
+    "poly._int_powers(n)": "cell_test calls it with the arguments of trig.cell_factors",
+    "scenario._integer(s)": "it is a _Kind.read, called with the scenario",
+    "poly.TermMap._of(d)": "Poly2._of overrides it and reads d",
+}
+
+
+def _unread_parameters(package: pathlib.Path) -> list[str]:
+    """Parameters of the functions and methods defined in the package's
+    modules that their body never reads, as `module.qualname(parameter)`.  A
+    read in a nested function or lambda counts; names are matched, not
+    bindings, as in `_dead_functions`.  `self` and `cls` are skipped."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        scopes = [(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+        while scopes:
+            node, qualname = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    scopes.append((child, qualname))
+                    continue
+                name = f"{qualname}.{child.name}"
+                scopes.append((child, name))
+                if isinstance(child, ast.ClassDef):
+                    continue
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                a = child.args
+                found += [f"{name}({p.arg})" for p in (*a.posonlyargs, *a.args, a.vararg,
+                                                       *a.kwonlyargs, a.kwarg)
+                          if p and p.arg not in read and p.arg not in ("self", "cls")]
+    return sorted(found)
+
+
+def test_every_parameter_is_read():
+    found = _unread_parameters(PACKAGE)
+    unread = [p for p in found if p not in UNREAD_PARAMETER_ALLOWLIST]
+    assert unread == [], f"parameters never read in src/vfblock: {unread}"
+    # an allowed parameter that its function starts to read, or that is deleted,
+    # leaves the list
+    assert set(found) == set(UNREAD_PARAMETER_ALLOWLIST)
+
+
+def test_the_scan_sees_an_unread_parameter(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def f(a, b):\n    return a\n\n"
+        "def g(x, *args, y, **kw):\n    return lambda: (x, kw)\n\n"
+        "def h(z):\n    def inner(u):\n        return z\n    return inner\n\n"
+        "class C:\n    def m(self, v):\n        return None\n\n"
+        "    @classmethod\n    def k(cls, w):\n        return w\n", encoding="utf-8")
+    assert _unread_parameters(tmp_path) == ["m.C.m(v)", "m.f(b)", "m.g(args)", "m.g(y)",
+                                            "m.h.inner(u)"]
 
 
 COLD_RUN = """

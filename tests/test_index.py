@@ -24,8 +24,8 @@ from vfblock.fields import PlanarField, plane_field, torus_field
 from vfblock.index import (HomotopyVerdict, _dependent_on_boundary, block_index,
                            homotopy_invariance_check, interval_lipschitz,
                            joint_boundary_pass, lift_double_cover,
-                           make_double_cover_lift, min_norm_on_boundary,
-                           perturbation_bound, wedge_check, winding_stats)
+                           make_double_cover_lift, min_norm_on_boundary, wedge_check,
+                           winding_stats)
 from vfblock.poly import Poly2, X, Y, float_plan, restrict
 from vfblock.regions import Circle, _Curve, annulus, disk, rectangle
 from vfblock.trig import COS, SIN, PiNumber, TrigPoly2
@@ -186,8 +186,7 @@ def test_stability_a_nonzero_index_forces_zeros(euler, dipole, unit_disk):
 
 
 def test_perturbation_bound_contract(euler, unit_disk):
-    blk = certify_block(euler, unit_disk, Fraction(1, 32), tol=Fraction(1, 200))
-    delta = perturbation_bound(blk)
+    delta = min_norm_on_boundary(euler, unit_disk, tol=Fraction(1, 200)).margin
     assert delta >= Fraction(99, 100)
     rng = random.Random(11)
     for _ in range(100):
@@ -209,8 +208,7 @@ def test_perturbation_bound_contract(euler, unit_disk):
 
 
 def test_perturbation_explicit_shift(euler, unit_disk):
-    blk = certify_block(euler, unit_disk, Fraction(1, 32), tol=Fraction(1, 200))
-    delta = perturbation_bound(blk)
+    delta = min_norm_on_boundary(euler, unit_disk, tol=Fraction(1, 200)).margin
     shifted = euler + plane_field(Poly2.const(delta / 2), Poly2.zero())
     assert region_index(shifted, unit_disk).index == 1
 

@@ -131,15 +131,14 @@ _EVERY_OP = {
     "points": {"origin": ["0", "0"]},
     "tolerances": {"resolution": "1/16"},
     "checks": [{"op": op, "args": args} for op, args in [
-        ("certify_block", {"X": "E", "U": "U"}), ("block_index", {"X": "E", "U": "U"}),
+        ("block_index", {"X": "E", "U": "U"}),
         ("jet_order", {"X": "E", "p": "origin"}), ("tracks", {"Y": "R", "X": "E"}),
         ("wedge", {"Y": "E", "Yp": "E", "U": "U"}),
         ("homotopy", {"X0": "E", "X1": "E", "U": "U", "steps": 2}),
-        ("perturbation_bound", {"X": "E", "U": "U"}), ("double_cover", {"X": "D", "A": "A"}),
+        ("double_cover", {"X": "D", "A": "A"}),
         ("component_orders", {"X": "E", "points": ["origin"]}),
         ("factor_y_power", {"F": "yR", "l": 1}), ("structure_constants", {"g": "g"}),
-        ("solvability", {"g": "g"}), ("supersolvable", {"g": "g"}),
-        ("algebra_tracks", {"g": "g", "X": "E"}), ("common_zero_set", {"g": "g", "U": "U"}),
+        ("supersolvable", {"g": "g"}), ("algebra_tracks", {"g": "g", "X": "E"}),
         ("verify_main", {"X": "E", "Y": "R", "U": "U", "known_zeros": ["origin"]}),
         ("verify_mainbis", {"X": "E", "Y": "R", "U": "U"}),
         ("verify_liealg", {"g": "g", "X": "E", "U": "U", "known_zeros": ["origin"]})]],
