@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 
 from . import interval as iv
-from .config import DEFAULTS, default_max_depth
+from .config import DEFAULT_RESOLUTION, default_max_depth
 from .errors import (BoundaryZero, CertificationFailed, ContradictionError,
                      DepthLimitExceeded)
 from .fields import PlanarField
@@ -175,6 +175,9 @@ class _AxisTables(dict):
         return table
 
 
+_COLLAR_FACTOR = 2      # K keeps _COLLAR_FACTOR * resolution off the frontier
+
+
 class _GridSetup:
     """What every enclosure of one region at one resolution shares: the grid,
     its `scaling` (n, n x0, n y0, n h), the region scaled by n, the collar's
@@ -188,7 +191,7 @@ class _GridSetup:
         while 2 * side * side > resolution * resolution * 4 ** depth:
             depth += 1
         self.grid = Grid(x0, y0, side, depth)
-        self.region, self.collar_width = region, DEFAULTS.collar_factor * resolution
+        self.region, self.collar_width = region, _COLLAR_FACTOR * resolution
         self.scaling = self.grid.scaling(*region.params)
         self.scaled = region.scaled(self.scaling[0])
         self._stores = {}
@@ -350,6 +353,7 @@ def zero_enclosure(field: PlanarField, region: Region, resolution,
 
 _INITIAL_ARCS = 16
 _LEAF_BUDGET = 40000
+_MARGIN_TOL = 0.25      # relative slack target for boundary margins
 
 
 @dataclass(frozen=True)
@@ -359,7 +363,7 @@ class WindingStats:
     norm_sq_lower: float    # least leaf lower bound for |X|^2
 
 
-def winding_stats(field: PlanarField, curve, tol=None) -> WindingStats:
+def winding_stats(field: PlanarField, curve, tol=_MARGIN_TOL) -> WindingStats:
     """Certified lower bound for |X|^2 on a closed curve and the degree of
     X/|X| along it, from one adaptive interval subdivision of the curve.
 
@@ -378,8 +382,6 @@ def winding_stats(field: PlanarField, curve, tol=None) -> WindingStats:
     within the depth cap or the leaf budget.  An arc's box and axis tables
     come from the curve's memo (`tables_of`), shared by every pass.
     """
-    if tol is None:
-        tol = DEFAULTS.margin_tol
     tol = float(tol)
     if not 0 < tol <= 1:
         raise ValueError("tol must lie in (0, 1]")
@@ -450,7 +452,7 @@ class BoundaryPass:
 
 
 def min_norm_on_boundary(field: PlanarField, region: Region,
-                         tol=None) -> BoundaryPass | None:
+                         tol=_MARGIN_TOL) -> BoundaryPass | None:
     """One certified pass over the boundary of U (`winding_stats` on each
     curve), or None when |X| cannot be certified positive there (e.g. a
     boundary zero).  The curves are the region's memoised `boundary_curves()`,
@@ -534,32 +536,27 @@ def _segment_leaf(a0, b0, a1, b1) -> bool:
 
 @dataclass
 class Block:
-    """A certified isolating neighborhood: positive boundary margin plus a zero
-    enclosure at positive distance from the frontier; `index` and `arcs` come
-    from the boundary pass that certified the margin."""
+    """A certified isolating neighborhood: a zero enclosure at positive
+    distance from the frontier, and the boundary pass that certified a
+    positive margin and read the index."""
 
     field: PlanarField
     region: Region
     enclosure: ZeroEnclosure
-    boundary_margin: Fraction
-    index: int
-    arcs: int
+    boundary: BoundaryPass
 
 
-def certify_block(field: PlanarField, region: Region, resolution=None) -> Block:
+def certify_block(field: PlanarField, region: Region, resolution=DEFAULT_RESOLUTION) -> Block:
     """Certify that U is isolating for the field and enclose K = Z(X) n cl(U)."""
     if region.kind == TORUS_FULL:
         require_planar_boundary(region, "certify_block")
-    if resolution is None:
-        resolution = DEFAULTS.default_resolution
     resolution = _frac(resolution)
     boundary = min_norm_on_boundary(field, region)
     if boundary is None or boundary.margin <= 0:
         raise BoundaryZero("no positive boundary margin could be certified")
     enclosure = zero_enclosure(field, region, resolution)
     _check_collar(enclosure, _grid_setup(region, resolution).collar)
-    return Block(field, region, enclosure, boundary.margin, boundary.index,
-                 boundary.arcs)
+    return Block(field, region, enclosure, boundary)
 
 
 _BLOCK_LEVELS = 3      # region tests decide 8 x 8 cells at once (`_select`)
@@ -603,7 +600,7 @@ def _check_collar(enclosure: ZeroEnclosure, frame=None):
     frontier; `frame` is the enclosure's `_collar_frame`, built here if None."""
     grid, cells = enclosure.grid, enclosure.cells
     scaling, scaled, collar = frame or _collar_frame(
-        grid, enclosure.region, DEFAULTS.collar_factor * enclosure.resolution)
+        grid, enclosure.region, _COLLAR_FACTOR * enclosure.resolution)
     clears = partial(box_clears_boundary, scaled, collar=collar)
     if len(_select(grid, cells, scaling, clears)) < len(cells):
         raise CertificationFailed(
@@ -626,8 +623,7 @@ def restrict_block(parent: Block, sub_region: Region) -> Block:
                     partial(box_intersects_closure, scaled))
     enclosure = ZeroEnclosure(cells, enc.grid, enc.resolution, sub_region)
     _check_collar(enclosure)
-    return Block(parent.field, sub_region, enclosure, boundary.margin,
-                 boundary.index, boundary.arcs)
+    return Block(parent.field, sub_region, enclosure, boundary)
 
 
 # connected components --------------------------------------------------------

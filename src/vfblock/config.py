@@ -1,27 +1,15 @@
-"""Default knobs for subdivision, boundary margins and the sampled
-double-cover winding."""
+"""Defaults read by more than one module; a knob with one reader is a
+private constant beside it."""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 ENV_MAX_DEPTH = "VFBLOCK_MAX_DEPTH"
-
-
-@dataclass(frozen=True)
-class Settings:
-    max_depth: int = 24                 # quadtree / boundary subdivision depth cap
-    winding_budget: int = 1 << 20       # max samples per curve, double-cover lift
-    lipschitz_safety: float = 1.2       # oversampling factor on the chord bound
-    sampled_lipschitz_safety: float = 2.0
-    collar_factor: int = 2              # boundary collar = collar_factor * resolution
-    margin_tol: Fraction = Fraction(1, 4)     # relative slack target for boundary margins
-    default_resolution: Fraction = Fraction(1, 64)
-
-
-DEFAULTS = Settings()
+MAX_DEPTH = 24                          # quadtree / boundary subdivision depth cap
+DEFAULT_RESOLUTION = Fraction(1, 64)    # enclosure cell diameter bound
+DEFAULT_TOL = 1e-6                      # MAINBIS flowbox line-field tolerance
 
 
 def default_max_depth() -> int:
@@ -29,7 +17,7 @@ def default_max_depth() -> int:
     Raises ValueError unless the override is an integer >= 1."""
     raw = os.environ.get(ENV_MAX_DEPTH)
     if raw is None:
-        return DEFAULTS.max_depth
+        return MAX_DEPTH
     error = ValueError(f"{ENV_MAX_DEPTH} must be an integer >= 1, got {raw!r}")
     try:
         depth = int(raw)

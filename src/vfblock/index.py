@@ -24,9 +24,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import interval as iv
-from .certify import (Block, BoundaryPass, joint_boundary_pass,  # noqa: F401 (re-export)
+from .certify import (Block, joint_boundary_pass,  # noqa: F401 (re-export)
                       min_norm_on_boundary, winding_stats)
-from .config import DEFAULTS
 from .errors import CertificationFailed, ContradictionError, PreconditionFailed
 from .fields import PlanarField
 from .poly import Poly2, _compile_plan, _frac, _frac_str, float_plan, plan_lines, restrict
@@ -63,20 +62,23 @@ def interval_lipschitz(field: PlanarField, bbox) -> float:
 
 
 _LIPSCHITZ_SAMPLES = 2048
+_SAMPLED_LIPSCHITZ_SAFETY = 2.0     # factor on the finite-difference estimate
+_LIPSCHITZ_SAFETY = 1.2             # oversampling factor on the chord bound
+_WINDING_BUDGET = 1 << 20           # most samples per curve of the lift
 
 
 def sampled_lipschitz(sweep, curve) -> float:
     """Finite-difference Lipschitz estimate of the lift along a circle, by the
     `sweep` of `make_double_cover_lift`, with a safety factor."""
     best = sweep(*curve._cf, curve._rf, 1.0 if curve.ccw else -1.0, _LIPSCHITZ_SAMPLES)
-    return best * DEFAULTS.sampled_lipschitz_safety + 1e-300
+    return best * _SAMPLED_LIPSCHITZ_SAFETY + 1e-300
 
 
 def block_index(block: Block) -> IndexResult:
     """Poincare-Hopf index of the block, with its essentiality flag; read from
     the boundary pass that certified the block."""
-    return IndexResult(block.index, block.boundary_margin, block.arcs,
-                       essential=block.index != 0, certified=True)
+    b = block.boundary
+    return IndexResult(b.index, b.margin, b.arcs, essential=b.index != 0, certified=True)
 
 
 @dataclass(frozen=True)
@@ -261,7 +263,7 @@ def lift_double_cover(field: PlanarField, region: Region, block: Block | None = 
     if block is None:
         base = min_norm_on_boundary(field, region)
     elif (block.field, block.region) == (field, region):
-        base = BoundaryPass(block.boundary_margin, block.index, block.arcs)
+        base = block.boundary
     else:
         raise ValueError("the block certifies another field or region")
     if base is None or base.margin <= 0:
@@ -273,9 +275,9 @@ def lift_double_cover(field: PlanarField, region: Region, block: Block | None = 
         """(winding, samples) of the lift along the curve, sampled uniformly
         finer than margin / (sampled Lipschitz estimate)."""
         lipschitz = sampled_lipschitz(sweep, curve)
-        need = DEFAULTS.lipschitz_safety * lipschitz * curve.length_upper() / float(margin)
+        need = _LIPSCHITZ_SAFETY * lipschitz * curve.length_upper() / float(margin)
         samples = max(16, int(math.ceil(need)))
-        if samples > DEFAULTS.winding_budget:
+        if samples > _WINDING_BUDGET:
             raise CertificationFailed(f"winding needs {samples} samples, over the budget")
         total = 0.0
         first = prev = lifted(*curve.point(0.0))

@@ -2,11 +2,12 @@
 
 A scenario declares named fields, regions, points and algebras, then a list of
 checks referencing them by name.  `CHECK_OPS` declares each op once: its
-handler, the kind of each argument and the top-level keys of its data.  The
-schema's per-op branches are generated from it, and `parse_scenario` resolves
-every check's arguments before any check runs.  A report exits with the code
-of its worst check on the verdict ladder, `verifier.EXIT_CODE`; an expectation
-mismatch counts as at least a failure.
+handler, the kind of each argument and the dotted paths of its data's leaves,
+which an `expect` path must be at or above.  The schema's per-op branches are
+generated from it, and `parse_scenario` resolves every check's arguments
+before any check runs.  A report exits with the code of its worst check on
+the verdict ladder, `verifier.EXIT_CODE`; an expectation mismatch counts as
+at least a failure.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .certify import certify_block, components
+from .config import DEFAULT_RESOLUTION, DEFAULT_TOL
 from .errors import ScenarioSchemaError
 from .fields import PlanarField, jet_order
 from .index import (IndexResult, block_index, homotopy_invariance_check, lift_double_cover,
@@ -172,7 +174,7 @@ def _op_block_index(X, U, resolution):
     result = block_index(block)
     comps = components(block.enclosure)
     data = {"index": result.to_json(),
-            "boundary_margin": _frac_str(block.boundary_margin),
+            "boundary_margin": _frac_str(block.boundary.margin),
             "components": [c.to_json() for c in comps]}
     return data, PASS
 
@@ -224,9 +226,7 @@ def _op_structure_constants(g):
 
 def _op_supersolvable(g):
     r = supersolvable_flag(structure_constants(g))
-    if r.status == "not_solvable":
-        return {"flag": {"status": "not_solvable"}}, PASS
-    return {"flag": r.to_json()}, PASS
+    return {"flag": r.to_json()}, PASS if r.status == "flag" else FAIL
 
 
 def _op_algebra_tracks(g, X):
@@ -253,33 +253,47 @@ def _op_verify_liealg(g, X, U, k, resolution, known_zeros):
 _BLOCK = {"X": _FIELD, "U": _REGION, "resolution": _RESOLUTION}
 _THEOREM = {**_BLOCK, "k": _count(1, 1), "known_zeros": _POINT_NAMES}
 _ORIGIN_ANNULUS = _Kind("annulus about 0", _NAME, _origin_annulus)
-# an index result's keys are fixed, so `expect` paths below one are checked too
-_INDEX_KEYS = tuple(IndexResult(0, Fraction(0), 0, False, False).to_json())
 
-# op -> (handler, {argument: kind}, the keys of its data, dotted below the top)
+
+def _under(top: str, *keys: str) -> tuple:
+    """`top.{keys}`, as the README's op table writes it."""
+    return tuple(f"{top}.{k}" for k in keys)
+
+
+_INDEX_KEYS = tuple(IndexResult(0, Fraction(0), 0, False, False).to_json())
+_REPORT_KEYS = _under("report", "theorem", "hypotheses", "conclusions",
+                      "overall.status", "overall.name")
+
+# op -> (handler, {argument: kind}, the dotted paths of its data's leaves)
 CHECK_OPS = {
     "block_index": (_op_block_index, _BLOCK, ("boundary_margin", "components",
-                                              *(f"index.{k}" for k in _INDEX_KEYS))),
-    "jet_order": (_op_jet_order, {"X": _FIELD, "p": _POINT_NAME, "k": _count(1, 1)}, ("jet",)),
-    "tracks": (_op_tracks, {"Y": _FIELD, "X": _FIELD}, ("certificate",)),
-    "wedge": (_op_wedge, {"Y": _FIELD, "Yp": _FIELD, "U": _REGION}, ("wedge",)),
-    "homotopy": (_op_homotopy, {"X0": _FIELD, "X1": _FIELD, "U": _REGION,
-                                "steps": _count(2, 10)}, ("homotopy",)),
+                                              *_under("index", *_INDEX_KEYS))),
+    "jet_order": (_op_jet_order, {"X": _FIELD, "p": _POINT_NAME, "k": _count(1, 1)},
+                  _under("jet", "order", "k", "k_flat")),
+    "tracks": (_op_tracks, {"Y": _FIELD, "X": _FIELD},
+               _under("certificate", "mode", "verdict", "residual")),
+    "wedge": (_op_wedge, {"Y": _FIELD, "Yp": _FIELD, "U": _REGION},
+              _under("wedge", "status", "index", "witness")),
+    "homotopy": (_op_homotopy, {"X0": _FIELD, "X1": _FIELD, "U": _REGION, "steps": _count(2, 10)},
+                 _under("homotopy", "status", "index", "t")),
     "double_cover": (_op_double_cover, {"X": _FIELD, "A": _ORIGIN_ANNULUS,
                                         "resolution": _RESOLUTION},
-                     tuple(f"{i}.{k}" for i in ("base_index", "lifted_index")
-                           for k in _INDEX_KEYS)),
+                     _under("base_index", *_INDEX_KEYS) + _under("lifted_index", *_INDEX_KEYS)),
     "component_orders": (_op_component_orders, {"X": _FIELD, "points": _POINT_NAMES,
-                                                "k": _count(1, 1)}, ("component_orders",)),
-    "factor_y_power": (_op_factor_y_power, {"F": _FIELD, "l": _count(1, 1)}, ("g",)),
+                                                "k": _count(1, 1)},
+                         _under("component_orders", "verdict", "orders")),
+    "factor_y_power": (_op_factor_y_power, {"F": _FIELD, "l": _count(1, 1)},
+                       _under("g", "P", "Q")),
     "structure_constants": (_op_structure_constants, {"g": _ALGEBRA},
-                            ("algebra", "antisymmetry", "jacobi")),
-    "supersolvable": (_op_supersolvable, {"g": _ALGEBRA}, ("flag",)),
-    "algebra_tracks": (_op_algebra_tracks, {"g": _ALGEBRA, "X": _FIELD}, ("algebra_tracking",)),
-    "verify_main": (_op_verify_main, {"X": _FIELD, "Y": _FIELD, **_THEOREM}, ("report",)),
+                            (*_under("algebra", "dim", "closed", "witness", "structure_constants"),
+                             "antisymmetry", "jacobi")),
+    "supersolvable": (_op_supersolvable, {"g": _ALGEBRA}, _under("flag", "status", "chain")),
+    "algebra_tracks": (_op_algebra_tracks, {"g": _ALGEBRA, "X": _FIELD},
+                       _under("algebra_tracking", "verdict", "per_basis")),
+    "verify_main": (_op_verify_main, {"X": _FIELD, "Y": _FIELD, **_THEOREM}, _REPORT_KEYS),
     "verify_mainbis": (_op_verify_mainbis, {"X": _FIELD, "Y": _FIELD, **_THEOREM, "tol": _TOL},
-                       ("report",)),
-    "verify_liealg": (_op_verify_liealg, {"g": _ALGEBRA, **_THEOREM}, ("report",)),
+                       _REPORT_KEYS),
+    "verify_liealg": (_op_verify_liealg, {"g": _ALGEBRA, **_THEOREM}, _REPORT_KEYS),
 }
 
 
@@ -377,8 +391,8 @@ def _resolve(s: Scenario, i: int, check: dict) -> _Check:
     given = check.get("args", {})
     args = {key: kind.read(s, key, given[key]) if key in given else kind.default(s)
             for key, kind in kinds.items()}
-    for path in expect or ():   # at, above or below a declared key
-        if not any(f"{k}.".startswith(f"{path}.") or path.startswith(f"{k}.") for k in keys):
+    for path in expect or ():   # at or above a declared leaf
+        if not any(f"{k}.".startswith(f"{path}.") for k in keys):
             raise ScenarioSchemaError(
                 f"check {name!r}: expect path {path!r} is not in the data of {op}: {list(keys)}")
     return _Check(name, op, args, expect)
@@ -418,8 +432,8 @@ def parse_scenario(data: dict) -> Scenario:
             raise ScenarioSchemaError(f"algebra {name!r} references unknown fields {missing}")
         algebras[name] = [fields[b] for b in ad["basis"]]
     tols = data.get("tolerances", {})
-    tol = _positive_tol(tols.get("tol", 1e-6), "tolerance 'tol'")
-    resolution = _positive_resolution(tols.get("resolution", "1/64"), "resolution")
+    tol = _positive_tol(tols.get("tol", DEFAULT_TOL), "tolerance 'tol'")
+    resolution = _positive_resolution(tols.get("resolution", DEFAULT_RESOLUTION), "resolution")
     plot = data.get("plot")
     for key, known in (("field", fields), ("region", regions)):
         if plot and plot[key] not in known:

@@ -28,7 +28,7 @@ from itertools import islice, takewhile
 from .certify import (Block, ZeroEnclosure, certify_block, components,
                       meeting_cells, restrict_block, zero_enclosure,
                       zero_enclosure_scalars)
-from .config import DEFAULTS
+from .config import DEFAULT_RESOLUTION, DEFAULT_TOL
 from .errors import CertificationFailed, VfblockError
 from .fields import PlanarField, jet_order, partials_by_order
 from .flows import flowbox_build
@@ -236,8 +236,6 @@ def _verify_meets_k(theorem, hypotheses, enclose, fields, x_field: PlanarField,
     """The one path of MAIN and LIEALG.  Hypotheses: essential block, X
     nowhere k-flat on K, then the theorem's own `hypotheses()`.  Conclusion:
     the common zeros of `fields` (see `_zeros_meet_k`) meet K."""
-    if resolution is None:
-        resolution = DEFAULTS.default_resolution
     known_zeros = [z for z in known_zeros if region.contains_point_closed(z)]
     essential, block, _ = _check_essential_block(x_field, region, resolution)
     hyp = [essential,
@@ -262,7 +260,7 @@ def _verify_meets_k(theorem, hypotheses, enclose, fields, x_field: PlanarField,
 
 
 def verify_main(x_field: PlanarField, y_field: PlanarField, region: Region,
-                k: int = 1, resolution=None, known_zeros=()) -> TheoremReport:
+                k: int = 1, resolution=DEFAULT_RESOLUTION, known_zeros=()) -> TheoremReport:
     """Hypotheses: essential block, nowhere k-flat on K, Y tracks X.
     Conclusion: Z(Y) meets K."""
     return _verify_meets_k(MAIN, lambda: [_check_tracking(y_field, x_field)],
@@ -410,7 +408,7 @@ def _component_indices_check(block: Block, comps, resolution) -> CheckRecord:
 
 
 def verify_mainbis(x_field: PlanarField, y_field: PlanarField, region: Region,
-                   k: int = 1, resolution=None, tol: float = 1e-6,
+                   k: int = 1, resolution=DEFAULT_RESOLUTION, tol: float = DEFAULT_TOL,
                    known_zeros=()) -> TheoremReport:
     """Hypotheses: nowhere k-flat on K, tracking, Z(Y) disjoint from K,
     isolating U.  Conclusions: index 0, circle components (heuristic), flowbox
@@ -418,8 +416,6 @@ def verify_mainbis(x_field: PlanarField, y_field: PlanarField, region: Region,
     conclusion is reported not-implemented."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if resolution is None:
-        resolution = DEFAULTS.default_resolution
     known_zeros = [z for z in known_zeros if region.contains_point_closed(z)]
     essential, block, idx = _check_essential_block(x_field, region, resolution)
     hyp = [_check_not_kflat(x_field, region, k, resolution, known_zeros, block),
@@ -436,7 +432,7 @@ def verify_mainbis(x_field: PlanarField, y_field: PlanarField, region: Region,
             concl.append(CheckRecord(nm, INCONCLUSIVE, {"error": "no certified block"}))
     else:
         hyp.append(CheckRecord(iso, PASS,
-                               {"boundary_margin": _frac_str(block.boundary_margin)}))
+                               {"boundary_margin": _frac_str(block.boundary.margin)}))
         concl.append(CheckRecord("(i) index of K is zero",
                                  PASS if idx.index == 0 else FAIL,
                                  {"index": idx.to_json()}))
@@ -476,7 +472,7 @@ def _check_algebra(algebra: LieAlgebraPresentation,
 
 
 def verify_liealg(algebra, x_field: PlanarField, region: Region, k: int = 1,
-                  resolution=None, known_zeros=()) -> TheoremReport:
+                  resolution=DEFAULT_RESOLUTION, known_zeros=()) -> TheoremReport:
     """Hypotheses: essential block, nowhere k-flat on K, a supersolvable algebra
     tracking X.  Conclusion: the common zero set of the algebra meets K."""
     if not isinstance(algebra, LieAlgebraPresentation):

@@ -53,17 +53,16 @@ def sampled_lipschitz_reference(evalf, curve) -> float:
         if dp > 0:
             best = max(best, dv / dp)
         prev_p, prev_v = p, v
-    return best * index.DEFAULTS.sampled_lipschitz_safety + 1e-300
+    return best * index._SAMPLED_LIPSCHITZ_SAFETY + 1e-300
 
 
 def sampled_winding_reference(lifted, curve, margin) -> tuple[int, int]:
     """(winding, samples) of the lift along the curve, sampled uniformly
     finer than margin / (sampled Lipschitz estimate)."""
-    settings = index.DEFAULTS
     lipschitz = sampled_lipschitz_reference(lifted, curve)
-    need = settings.lipschitz_safety * lipschitz * curve.length_upper() / float(margin)
+    need = index._LIPSCHITZ_SAFETY * lipschitz * curve.length_upper() / float(margin)
     samples = max(16, int(math.ceil(need)))
-    if samples > settings.winding_budget:
+    if samples > index._WINDING_BUDGET:
         raise CertificationFailed(f"winding needs {samples} samples, over the budget")
     total = 0.0
     first = prev = lifted(*curve.point(0.0))

@@ -1,24 +1,11 @@
-"""Every default knob in `config.Settings` is read by the library, and the
-environment override of the depth cap is checked."""
+"""The environment override of the depth cap is checked."""
 
-import dataclasses
-import pathlib
-import re
 from fractions import Fraction
 
 import pytest
 
 from vfblock.certify import zero_enclosure
-from vfblock.config import ENV_MAX_DEPTH, Settings, default_max_depth
-
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "vfblock"
-
-
-def test_every_setting_is_read():
-    text = "\n".join(p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py")))
-    read = set(re.findall(r"\bDEFAULTS\.(\w+)", text))
-    unread = [f.name for f in dataclasses.fields(Settings) if f.name not in read]
-    assert not unread, f"Settings fields read nowhere as DEFAULTS.<field>: {unread}"
+from vfblock.config import ENV_MAX_DEPTH, MAX_DEPTH, default_max_depth
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", ""])
@@ -32,4 +19,4 @@ def test_max_depth_env_override(monkeypatch):
     monkeypatch.setenv(ENV_MAX_DEPTH, "7")
     assert default_max_depth() == 7
     monkeypatch.delenv(ENV_MAX_DEPTH)
-    assert default_max_depth() == Settings().max_depth
+    assert default_max_depth() == MAX_DEPTH

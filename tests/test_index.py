@@ -151,7 +151,7 @@ def test_block_indices(euler, saddle, dipole, circle_field, saddle_pair_field,
         assert result.index == expected
         assert result.essential is essential
         assert result.certified
-        assert result.samples == blk.arcs > 0
+        assert result.samples == blk.boundary.arcs > 0
 
 
 def test_index_additivity(saddle_pair_field, std_annulus):
@@ -633,7 +633,7 @@ def test_compiled_lift_matches_reference_loops(p, q, radii):
             assert (_outcome(lambda: index.sampled_lipschitz(sweep, curve))
                     == _outcome(lambda: sampled_lipschitz_reference(reference, curve)))
     region = annulus((0, 0), *radii)
-    with mock.patch.object(index, "DEFAULTS", replace(index.DEFAULTS, winding_budget=1 << 14)):
+    with mock.patch.object(index, "_WINDING_BUDGET", 1 << 14):
         assert (_outcome(lambda: lift_double_cover(field, region)[1])
                 == _outcome(lambda: lift_double_cover_reference(field, region)))
 

@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 
 from vfblock import certify
 from vfblock import interval as iv
-from vfblock.certify import (_EDGE_STEPS, Block, Grid, ZeroEnclosure, _AxisTables,
-                             _grid_setup, _root_box, certify_block,
+from vfblock.certify import (_EDGE_STEPS, Block, BoundaryPass, Grid, ZeroEnclosure,
+                             _AxisTables, _grid_setup, _root_box, certify_block,
                              components, meeting_cells, min_norm_on_boundary,
                              restrict_block, zero_enclosure, zero_enclosure_scalars)
-from vfblock.config import DEFAULTS, ENV_MAX_DEPTH
+from vfblock.config import ENV_MAX_DEPTH
 from vfblock.corpus import random_tracking_scenario
 from vfblock.errors import (BoundaryZero, CertificationFailed, DepthLimitExceeded,
                             UnsupportedRegion)
@@ -240,7 +240,7 @@ def test_min_norm_boundary_zero_inconclusive(monkeypatch, euler):
 
 def test_certify_block(euler, unit_disk):
     blk = certify_block(euler, unit_disk, Fraction(1, 32))
-    assert blk.boundary_margin > Fraction(7, 10)
+    assert blk.boundary.margin > Fraction(7, 10)
     assert blk.enclosure.boxes
 
 
@@ -458,7 +458,7 @@ def test_blockwise_region_tests_match_the_per_cell_loop(region, sub, depth, blob
     x0, y0, x1, _ = _root_box(region)
     grid = Grid(x0, y0, x1 - x0, depth)
     cells = _cell_set(grid, blob)
-    collar = DEFAULTS.collar_factor * resolution
+    collar = certify._COLLAR_FACTOR * resolution
 
     def collar_fails(region, cells):
         return any(not box_clears_boundary(region, grid.box(c), collar) for c in cells)
@@ -468,7 +468,7 @@ def test_blockwise_region_tests_match_the_per_cell_loop(region, sub, depth, blob
           else contextlib.nullcontext()):
         certify._check_collar(enclosure)
     parent = Block(plane_field(Poly2.const(1), Poly2.zero()), region, enclosure,
-                   Fraction(1), 0, 16)
+                   BoundaryPass(Fraction(1), 0, 16))
     want = [c for c in cells if box_intersects_closure(sub, grid.box(c))]
     if collar_fails(sub, want):
         with pytest.raises(CertificationFailed):
@@ -497,7 +497,7 @@ def test_collar_frame_memoised_on_the_grid_setup(region, blob, resolution):
     assert _collar_outcome(enclosure, setup.collar) == want
     assert setup.collar is setup.collar
     assert setup.collar[0] == setup.grid.scaling(*region.params,
-                                                 DEFAULTS.collar_factor * resolution)
+                                                 certify._COLLAR_FACTOR * resolution)
 
 
 def test_certify_block_builds_the_collar_frame_once_per_grid(monkeypatch, euler):
@@ -512,7 +512,7 @@ def test_certify_block_builds_the_collar_frame_once_per_grid(monkeypatch, euler)
     block = certify_block(euler, region, Fraction(1, 16))
     certify_block(plane_field(2 * X, Y), region, Fraction(1, 16))
     assert built == [region]
-    assert restrict_block(block, sub).index == 1
+    assert restrict_block(block, sub).boundary.index == 1
     assert built == [region, sub]
 
 

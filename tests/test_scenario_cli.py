@@ -15,6 +15,7 @@ import pytest
 from vfblock.corpus import falsification_run
 from vfblock.errors import ScenarioSchemaError
 from vfblock.scenario import CHECK_OPS, SCENARIO_SCHEMA, parse_scenario, run_scenario
+from vfblock.verifier import EXIT_CODE
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -85,16 +86,22 @@ _SL2_LINE = {f"x{i}": {"P": [{"i": i, "j": 0, "c": "1"}], "Q": []} for i in rang
 _UPPERTRI = {"x": {"P": [{"i": 1, "j": 0, "c": "1"}], "Q": []},
              "y": {"P": [{"i": 0, "j": 1, "c": "1"}], "Q": []},
              "ydy": {"P": [], "Q": [{"i": 0, "j": 1, "c": "1"}]}}
+_EUCLIDEAN = {"rot": {"P": [{"i": 0, "j": 1, "c": "-1"}], "Q": [{"i": 1, "j": 0, "c": "1"}]},
+              "dx": {"P": [{"i": 0, "j": 0, "c": "1"}], "Q": []},
+              "dy": {"P": [], "Q": [{"i": 0, "j": 0, "c": "1"}]}}
 
 
-@pytest.mark.parametrize("fields, want", [
-    (_SL2_LINE, '{"flag": {"status": "not_solvable"}}'),
-    (_UPPERTRI, '"status": "flag"'),
-], ids=["sl2_line", "uppertri"])
-def test_supersolvable_op_runs_the_derived_series_once(monkeypatch, fields, want):
+@pytest.mark.parametrize("fields, want, verdict", [
+    (_SL2_LINE, '{"flag": {"status": "not_solvable", "chain": []}}', "fail"),
+    (_EUCLIDEAN, '{"flag": {"status": "no_real_flag", "chain": []}}', "fail"),
+    (_UPPERTRI, '"status": "flag"', "pass"),
+], ids=["sl2_line", "euclidean", "uppertri"])
+def test_supersolvable_op_runs_the_derived_series_once(monkeypatch, fields, want, verdict):
     # the op reads not_solvable off the flag search's own derived series, so
     # it runs once: for 1, x and x^2 times d/dx, which span sl(2) and report
-    # no chain, and for a solvable algebra alike
+    # no chain, and for a solvable algebra alike.  It fails, exit 1, unless
+    # there is a flag: sl(2) has none, nor has the rotation with d/dx and
+    # d/dy, whose ad(rotation) turns the translations by +-i
     import vfblock.liealg as liealg
     calls = []
 
@@ -108,6 +115,7 @@ def test_supersolvable_op_runs_the_derived_series_once(monkeypatch, fields, want
                            "algebras": {"g": {"basis": list(fields)}},
                            "checks": [{"op": "supersolvable", "args": {"g": "g"}}]})
     assert want in json.dumps(report.checks[0].data)
+    assert (report.checks[0].verdict, report.exit_code) == (verdict, EXIT_CODE[verdict])
     assert len(calls) == 1
 
 

@@ -52,7 +52,13 @@ def _schema(path, message):
      "['boundary_margin', 'components', 'index.index', 'index.margin', 'index.samples', "
      "'index.essential', 'index.certified']"),
     ("liealg_uppertri", lambda d: _set(d, ("checks", 1), "expect", {"flags.status": "flag"}),
-     "check 'flag': expect path 'flags.status' is not in the data of supersolvable: ['flag']"),
+     "check 'flag': expect path 'flags.status' is not in the data of supersolvable: "
+     "['flag.status', 'flag.chain']"),
+    ("main_euler_rotation",
+     lambda d: _set(d, ("checks", 0), "expect", {"report.overall.statuss": "Pass"}),
+     "check 'main_theorem': expect path 'report.overall.statuss' is not in the data of "
+     "verify_main: ['report.theorem', 'report.hypotheses', 'report.conclusions', "
+     "'report.overall.status', 'report.overall.name']"),
     ("annulus_mainbis", lambda d: _set(d, ("checks", 1, "args"), "k", 2.0),
      "check argument 'k' must be an integer, got 2.0"),
     ("annulus_mainbis", lambda d: _set(d, ("checks", 1, "args"), "tol", math.nan),
@@ -75,9 +81,9 @@ def _schema(path, message):
     ("double_cover_annulus", lambda d: d["regions"]["A"].update(center=["1/8", "0"]),
      "check argument 'A' -> region 'A' is not an origin-centred annulus"),
 ], ids=["unknown-argument", "list-name", "dict-name", "tol-string", "expects",
-        "index.indx", "flags.status", "k-2.0", "tol-nan", "resolution-true",
-        "tolerances-key", "field-key", "plot-key", "algebra-key", "seeds",
-        "double-cover-disk", "double-cover-off-centre"])
+        "index.indx", "flags.status", "overall.statuss", "k-2.0", "tol-nan",
+        "resolution-true", "tolerances-key", "field-key", "plot-key",
+        "algebra-key", "seeds", "double-cover-disk", "double-cover-off-centre"])
 def test_malformed_argument_exits_2_naming_the_key(tmp_path, capsys, base, edit, message):
     # each of these passed, or ended a check in a builtin exception, or read
     # as a certified failure, before the op table typed every argument
@@ -145,16 +151,29 @@ _EVERY_OP = {
 }
 
 
+def _leaves(data, prefix=""):
+    """The dotted paths of the non-dict values under `data`."""
+    out = set()
+    for key, value in data.items():
+        path = prefix + key
+        out |= _leaves(value, path + ".") if isinstance(value, dict) else {path}
+    return out
+
+
 def test_every_op_returns_its_declared_data_keys():
-    # the keys `expect` paths are checked against are the keys handlers return
+    # `expect` paths are checked against the declared leaves: each leaf a
+    # handler returns is declared, so any path that can match is accepted, and
+    # each declared leaf hangs off returned data (a few, like `wedge.witness`,
+    # only on some outcomes)
     report = run_scenario(copy.deepcopy(_EVERY_OP))
     assert [c.op for c in report.checks] == list(CHECK_OPS)
     for check in report.checks:
         keys = CHECK_OPS[check.op][2]
         assert check.verdict != "error", check.data
         assert set(check.data) == {k.split(".")[0] for k in keys}
+        assert _leaves(check.data) <= set(keys), _leaves(check.data) - set(keys)
         for key in keys:
-            _at(check.data, key.split("."))
+            assert isinstance(_at(check.data, key.split(".")[:-1]), dict), key
 
 
 # Fuzzer.  A mutant is (scenario, path of a JSON object, key or None, new key or
@@ -201,16 +220,12 @@ def _mutants(draw):
 
 
 def _must_refuse(data, path, key, new_key) -> bool:
-    """A new key is unknown, unless it names a point that nothing references
-    or an expect path below a data key whose contents are not declared."""
+    """A new key is unknown, unless it names a point that nothing references."""
     if new_key is None or new_key == key:
         return False
     if path == ("points",):
         named = [v for check in data["checks"] for v in check.get("args", {}).values()]
         return any(key == v or isinstance(v, list) and key in v for v in named)
-    if path[-1:] == ("expect",):
-        keys = CHECK_OPS[_at(data, path[:-1])["op"]][2]
-        return not any(new_key.startswith(f"{k}.") for k in keys)
     return True
 
 
