@@ -8,13 +8,20 @@ generated from it, and `parse_scenario` resolves every check's arguments
 before any check runs.  A report exits with the code of its worst check on
 the verdict ladder, `verifier.EXIT_CODE`; an expectation mismatch counts as
 at least a failure.
+
+`SCENARIO_SCHEMA` is read by the module's own validator, which implements
+the JSON Schema 2020-12 keywords the schema uses and no others.  It words,
+places and picks its errors as jsonschema 4.26 does, the tests' reference
+implementation, so a parse loads no third-party package and a refusal does
+not depend on which jsonschema is installed.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
+import numbers
+import operator
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -35,7 +42,8 @@ from .verifier import (ERROR, EXIT_CODE, FAIL, PASS, verify_liealg, verify_main,
                        verify_mainbis, worst)
 
 _RATIONAL = {"type": ["string", "integer"]}
-_EXPONENT = {"type": "integer", "minimum": 0}
+_MAX_DEGREE = 64        # of a term's i, j, m or n; the README gives the reason
+_EXPONENT = {"type": "integer", "minimum": 0, "maximum": _MAX_DEGREE}
 _NAME = {"type": "string"}
 _POINT = {"type": "array", "minItems": 2, "maxItems": 2, "items": _RATIONAL}
 _REGION_KEY = {"center": _POINT, "r": _RATIONAL, "r_in": _RATIONAL, "r_out": _RATIONAL,
@@ -65,8 +73,12 @@ class _Check(NamedTuple):
 
 
 def _positive_tol(value, what: str) -> float:
-    """`value` as a float; NaN and infinity pass the schema's minimum."""
-    tol = float(value)
+    """`value` as a float; NaN, infinity and an integer beyond float range
+    pass the schema's minimum."""
+    try:
+        tol = float(value)
+    except OverflowError:
+        tol = math.inf
     if not (math.isfinite(tol) and tol > 0):
         raise ScenarioSchemaError(f"{what} must be finite and positive, got {value!r}")
     return tol
@@ -143,7 +155,7 @@ def _origin_annulus(s: Scenario, key: str, name: str) -> Region:
 
 
 def _integer(s: Scenario, key: str, value) -> int:
-    """jsonschema counts 2.0 as an integer; a count must be a JSON integer."""
+    """JSON Schema counts 2.0 as an integer; a count must be a JSON integer."""
     if not isinstance(value, int):
         raise ScenarioSchemaError(f"check argument {key!r} must be an integer, got {value!r}")
     return value
@@ -373,11 +385,121 @@ SCENARIO_SCHEMA = {
 }
 
 
-@functools.cache
-def _validator():
-    """Built on the first parse, so a run that parses no scenario never imports jsonschema."""
-    from jsonschema import Draft202012Validator
-    return Draft202012Validator(SCENARIO_SCHEMA)
+# The validator of SCENARIO_SCHEMA: each keyword the schema uses, with the
+# words, paths and error order of jsonschema 4.26, and its `best_match` rule
+# to pick the error a refusal names.  Like jsonschema, it skips a keyword it
+# does not know, so a test fails on any keyword of the schema outside
+# `_KEYWORDS`.
+
+_TYPES = {"object": lambda x: isinstance(x, dict), "array": lambda x: isinstance(x, list),
+          "string": lambda x: isinstance(x, str),
+          "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+          "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                                or isinstance(x, float) and x.is_integer())}
+
+
+class _Violation(NamedTuple):
+    path: tuple         # from $, or from the instance of the error whose context holds it
+    message: str
+    weak: bool          # an anyOf, which best_match ranks below its siblings
+    typed: bool         # the instance has the type the keyword's schema asks for
+    context: tuple = ()
+
+
+def _violations(schema, x, path=()):
+    """The errors of `x` under `schema`, in jsonschema's order.  A keyword
+    yields a message for an error of its own, or the errors of a subschema."""
+    if schema is True:
+        return
+    for key, value in schema.items():
+        keyword = _KEYWORDS.get(key)
+        for v in keyword(value, x, schema, path) if keyword else ():
+            yield v if isinstance(v, _Violation) else _Violation(path, v, False, _typed(schema, x))
+
+
+def _listed(types) -> list:
+    return [types] if isinstance(types, str) else types
+
+
+def _typed(schema: dict, x) -> bool:
+    return any(_TYPES[t](x) for t in _listed(schema.get("type", ())))
+
+
+def _additional(extra, x, schema, path):
+    if isinstance(x, dict):
+        extras = [key for key in x if key not in schema.get("properties", {})]
+        if isinstance(extra, dict):
+            for key in extras:
+                yield from _violations(extra, x[key], path + (key,))
+        elif not extra and extras:
+            names = ", ".join(map(repr, sorted(extras, key=str)))
+            yield (f"Additional properties are not allowed ({names} "
+                   f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+
+
+def _if(condition, x, schema, path):
+    branch = "else" if next(_violations(condition, x), None) else "then"
+    if branch in schema:
+        yield from _violations(schema[branch], x, path)
+
+
+def _any_of(options, x, schema, path):
+    context = []
+    for option in options:
+        errors = list(_violations(option, x))
+        if not errors:
+            return
+        context += errors
+    yield _Violation(path, f"{x!r} is not valid under any of the given schemas", True,
+                     _typed(schema, x), tuple(context))
+
+
+def _length(kind: str, test, edge: int, words: tuple):
+    """A bound n on the length of a JSON `kind`: refuses x when `test(len(x), n)`,
+    in words[0] if n is `edge` and in words[1] otherwise."""
+    return lambda n, x, schema, path: (
+        (f"{x!r} {words[0] if n == edge else words[1]}",)
+        if _TYPES[kind](x) and test(len(x), n) else ())
+
+
+def _number(test, words: str):
+    """A bound on a number: refuses x when `test(x, bound)`."""
+    return lambda bound, x, schema, path: (
+        (f"{x!r} {words} {bound!r}",) if _TYPES["number"](x) and test(x, bound) else ())
+
+
+# enum and const compare with ==, which is jsonschema's equality when the
+# schema's values are strings, as the keyword guard of the tests holds
+_KEYWORDS = {
+    "additionalProperties": _additional, "if": _if, "anyOf": _any_of,
+    "type": lambda types, x, schema, path: () if _typed(schema, x) else (
+        f"{x!r} is not of type {', '.join(map(repr, _listed(types)))}",),
+    "properties": lambda properties, x, schema, path: (
+        v for key, sub in (properties.items() if isinstance(x, dict) else ()) if key in x
+        for v in _violations(sub, x[key], path + (key,))),
+    "required": lambda names, x, schema, path: (
+        f"{n!r} is a required property" for n in names if isinstance(x, dict) and n not in x),
+    "items": lambda items, x, schema, path: (
+        v for i, item in enumerate(x if isinstance(x, list) else ())
+        for v in _violations(items, item, path + (i,))),
+    "allOf": lambda subs, x, schema, path: (v for sub in subs for v in _violations(sub, x, path)),
+    "$ref": lambda ref, x, schema, path: _violations(
+        SCENARIO_SCHEMA["$defs"][ref.removeprefix("#/$defs/")], x, path),
+    "propertyNames": lambda sub, x, schema, path: (
+        v for name in (x if isinstance(x, dict) else ()) for v in _violations(sub, name, path)),
+    "pattern": lambda pattern, x, schema, path: (
+        (f"{x!r} does not match {pattern!r}",)
+        if isinstance(x, str) and not re.search(pattern, x) else ()),
+    "enum": lambda enum, x, schema, path: () if x in enum else (f"{x!r} is not one of {enum!r}",),
+    "const": lambda const, x, schema, path: () if x == const else (f"{const!r} was expected",),
+    "minimum": _number(operator.lt, "is less than the minimum of"),
+    "maximum": _number(operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": _number(operator.le, "is less than or equal to the minimum of"),
+    "minItems": _length("array", operator.lt, 1, ("should be non-empty", "is too short")),
+    "maxItems": _length("array", operator.gt, 0, ("is expected to be empty", "is too long")),
+    "minProperties": _length("object", operator.lt, 1, ("should be non-empty",
+                                                       "does not have enough properties")),
+}
 
 
 def _resolve(s: Scenario, i: int, check: dict) -> _Check:
@@ -398,12 +520,35 @@ def _resolve(s: Scenario, i: int, check: dict) -> _Check:
     return _Check(name, op, args, expect)
 
 
+def _relevance(v: _Violation) -> tuple:
+    """jsonschema's `relevance` key, which ranks higher a shallower error,
+    then a later path, then one not raised by anyOf, then one whose instance
+    lacks the type its schema asks for."""
+    return -len(v.path), v.path, not v.weak, not v.typed
+
+
+def _best_match(data) -> tuple | None:
+    """(path, message) of the error jsonschema's `best_match` picks, or None:
+    the most relevant error, then down its context to the least relevant
+    while that one is alone."""
+    best = max(_violations(SCENARIO_SCHEMA, data), key=_relevance, default=None)
+    if best is None:
+        return None
+    path = best.path
+    while best.context:
+        first, *rest = sorted(best.context, key=_relevance)[:2]
+        if rest and _relevance(first) == _relevance(rest[0]):
+            break
+        best = first
+        path += best.path
+    return path, best.message
+
+
 def parse_scenario(data: dict) -> Scenario:
-    from jsonschema.exceptions import best_match
-    e = best_match(_validator().iter_errors(data))
-    if e is not None:
-        path = "$" + "".join(f"[{p!r}]" for p in e.absolute_path)
-        raise ScenarioSchemaError(f"schema violation at {path}: {e.message}")
+    error = _best_match(data)
+    if error is not None:
+        path = "$" + "".join(f"[{p!r}]" for p in error[0])
+        raise ScenarioSchemaError(f"schema violation at {path}: {error[1]}")
     surface = data.get("surface", "plane")
     fields = {}
     for name, fd in data.get("fields", {}).items():

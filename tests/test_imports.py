@@ -4,13 +4,15 @@ is kept on purpose, say as a re-export, carries `# noqa`.  And no function or
 method in `src/vfblock` is dead: each is named somewhere in the package,
 exported by `__init__.py`, or allowed below with its reason.  And every
 parameter of a function or method in `src/vfblock` is read in its body, or
-allowed below with its reason.  And a run that
-parses no scenario file never imports jsonschema.  And every Python file of
+allowed below with its reason.  And no run imports jsonschema, a scenario
+parse included, and every shipped scenario runs alike where it cannot be
+imported.  And every Python file of
 the repository parses under the 3.10 grammar, the oldest the project
 supports, and names none of the modules, classes and builtins that 3.11
 added."""
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -187,7 +189,7 @@ def test_the_scan_sees_an_unread_parameter(tmp_path):
 
 
 COLD_RUN = """
-import random, sys
+import json, pathlib, random, sys
 from fractions import Fraction
 from vfblock import X, Y, disk, plane_field, verify_liealg, verify_main
 from vfblock.corpus import random_tracking_scenario
@@ -205,19 +207,53 @@ try:
     parse_scenario([1, 2])
 except ScenarioSchemaError as e:
     print(e)
+parse_scenario(json.loads(pathlib.Path(sys.argv[1]).read_text(encoding="utf-8")))
+assert "jsonschema" not in sys.modules, "a scenario parse loaded jsonschema"
 """
 
 
-def test_cold_run_without_a_scenario_never_loads_jsonschema():
-    # a fresh interpreter: the test process itself has parsed scenarios
+def _fresh_interpreter(code: str, *args: str) -> subprocess.CompletedProcess:
+    # a fresh interpreter: the test process itself has imported jsonschema
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", COLD_RUN],
+    return subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True, env=env)
+
+
+def test_cold_run_without_a_scenario_never_loads_jsonschema():
+    proc = _fresh_interpreter(COLD_RUN, str(ROOT / "scenarios" / "annulus_mainbis.json"))
     assert proc.returncode == 0, proc.stderr
-    # the first parse still loads the validator and words errors as before
+    # a refusal is worded as jsonschema words it, and neither it nor a
+    # parse that passes loads jsonschema
     assert proc.stdout == "schema violation at $: [1, 2] is not of type 'object'\n"
+
+
+BLOCKED_RUN = """
+import contextlib, io, json, sys
+sys.modules["jsonschema"] = None     # any import of it raises ImportError
+from vfblock.cli import main
+runs = {}
+for path in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", path])
+    runs[path] = [code, out.getvalue()]
+print(json.dumps(runs))
+"""
+
+
+def test_every_scenario_runs_alike_without_jsonschema(capsys):
+    from vfblock.cli import main
+    paths = sorted(str(p) for p in (ROOT / "scenarios").glob("*.json"))
+    proc = _fresh_interpreter(BLOCKED_RUN, *paths)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    normal = {}
+    for path in paths:
+        code = main(["verify", path])
+        normal[path] = [code, capsys.readouterr().out]
+    assert json.loads(proc.stdout) == normal
+    assert len(normal) == 6 and all(code == 0 for code, _ in normal.values())
 
 
 def _newer_syntax(path: pathlib.Path) -> list[str]:

@@ -80,13 +80,20 @@ def _schema(path, message):
      "check argument 'A' -> region 'U' is not an origin-centred annulus"),
     ("double_cover_annulus", lambda d: d["regions"]["A"].update(center=["1/8", "0"]),
      "check argument 'A' -> region 'A' is not an origin-centred annulus"),
+    ("source_disk", lambda d: d["fields"]["X"]["P"][0].update(i=1000000),
+     _schema(("fields", "X", "P", 0, "i"), "1000000 is greater than the maximum of 64")),
+    ("source_disk", lambda d: d.setdefault("tolerances", {}).update(tol=10 ** 400),
+     f"tolerance 'tol' must be finite and positive, got {10 ** 400!r}"),
 ], ids=["unknown-argument", "list-name", "dict-name", "tol-string", "expects",
         "index.indx", "flags.status", "overall.statuss", "k-2.0", "tol-nan",
         "resolution-true", "tolerances-key", "field-key", "plot-key",
-        "algebra-key", "seeds", "double-cover-disk", "double-cover-off-centre"])
+        "algebra-key", "seeds", "double-cover-disk", "double-cover-off-centre",
+        "exponent-1e6", "tol-overflow"])
 def test_malformed_argument_exits_2_naming_the_key(tmp_path, capsys, base, edit, message):
     # each of these passed, or ended a check in a builtin exception, or read
-    # as a certified failure, before the op table typed every argument
+    # as a certified failure, before the op table typed every argument; an
+    # exponent of a million ran for minutes, and a tol beyond float range
+    # ended in OverflowError
     from vfblock.cli import main
     data = copy.deepcopy(SHIPPED[base])
     edit(data)
