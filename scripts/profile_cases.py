@@ -4,13 +4,17 @@
     python scripts/profile_cases.py --workload annulus --cases 4 --sort tottime
     python scripts/profile_cases.py --workload algebra --cases 40 --callers bracket
     python scripts/profile_cases.py --workload boundary --kind double_cover --cases 16
+    python scripts/profile_cases.py --workload boundary --setup
 
 The cases are those `benchmark/run.py` times at seed 1: `benchmark/workloads.py`
 builds the pool, and its first N cases run in order under one profiler (past
 the end of the pool, it starts again from the first, as the benchmark's rounds
 do).  `--kind` keeps only the pool's cases of one kind, so a kind that is one
 case in eight is not diluted by the others; an unknown kind exits 2 and lists
-the workload's kinds.  The table shows the 40 heaviest functions.  Each
+the workload's kinds.  `--setup` profiles the input build,
+`WORKLOADS[w].build(seed)`, instead of the cases: the part of the benchmark's
+`setup_s` that follows `import vfblock`, seen layer by layer as case time is.
+The table shows the 40 heaviest functions.  Each
 case's guaranteed result is checked outside the profile; a case whose check
 fails is reported and makes the exit status nonzero.  The script prints to stdout and writes
 nothing, no bytecode cache included.
@@ -32,7 +36,9 @@ ROWS = 40
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--cases", type=int, required=True, help="profile the first N cases")
+    parser.add_argument("--cases", type=int, help="profile the first N cases")
+    parser.add_argument("--setup", action="store_true",
+                        help="profile the workload's input build instead of its cases")
     parser.add_argument("--sort", choices=("cumulative", "tottime"), default="cumulative")
     parser.add_argument("--kind", help="profile only the pool's cases of this kind")
     parser.add_argument("--callers", metavar="PATTERN",
@@ -45,8 +51,16 @@ def main(argv=None) -> int:
     if args.workload not in workloads.WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}; "
                      f"choose from {', '.join(workloads.WORKLOADS)}")
-    if args.cases < 1:
-        parser.error("--cases must be at least 1")
+    profiler = cProfile.Profile()
+    if args.setup:
+        if args.cases is not None or args.kind is not None:
+            parser.error("--setup takes neither --cases nor --kind")
+        pool = profiler.runcall(workloads.WORKLOADS[args.workload].build, SEED)
+        print(f"{args.workload} build, seed {SEED}: {len(pool)} cases")
+        print_stats(profiler, args)
+        return 0
+    if args.cases is None or args.cases < 1:
+        parser.error("--cases must be given and at least 1")
     pool = workloads.WORKLOADS[args.workload].build(SEED)
     if args.kind is not None:
         kinds = list(dict.fromkeys(case.kind for case in pool))
@@ -55,7 +69,6 @@ def main(argv=None) -> int:
                          f"choose from {', '.join(kinds)}")
         pool = [case for case in pool if case.kind == args.kind]
     cases = [pool[k % len(pool)] for k in range(args.cases)]
-    profiler = cProfile.Profile()
     failed = 0
     for case in cases:
         result = profiler.runcall(case.run)
@@ -65,11 +78,15 @@ def main(argv=None) -> int:
             print(f"{case.kind}: {problem}", file=sys.stderr)
     kind = f" {args.kind}" if args.kind else ""
     print(f"{args.workload}{kind}, seed {SEED}: {len(cases)} cases, {failed} failed checks")
+    print_stats(profiler, args)
+    return 1 if failed else 0
+
+
+def print_stats(profiler, args) -> None:
     stats = pstats.Stats(profiler, stream=sys.stdout).strip_dirs().sort_stats(args.sort)
     stats.print_stats(ROWS)
     if args.callers:
         stats.print_callers(args.callers)
-    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -79,6 +79,9 @@ def _verify(args) -> int:
             print(f"error: {path}: malformed JSON at line {e.lineno}, "
                   f"column {e.colno}: {e.msg}", file=sys.stderr)
             return EXIT_CODE[ERROR]
+        except ValueError as e:     # not UTF-8, or an int past the digit limit
+            print(f"error: cannot parse {path}: {e}", file=sys.stderr)
+            return EXIT_CODE[ERROR]
         if args.tol is not None and isinstance(data, dict):
             tolerances = data.setdefault("tolerances", {})
             if isinstance(tolerances, dict):    # other shapes fail the schema check

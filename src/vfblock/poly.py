@@ -40,19 +40,37 @@ def add_term(m: dict, key, c) -> None:
 
 class TermMap:
     """Sparse map `_m` from term keys to nonzero coefficients over the
-    denominator `_d`, with its additive structure; it is falsy exactly when
-    it is zero.  Subclasses define `const` and `_SCALARS`, the coefficient
-    types that coerce to a constant; only Poly2 keeps a `_d` other than 1."""
+    positive denominator `_d`, with its additive structure; it is falsy
+    exactly when it is zero.  `Poly2` and `trig.PiNumber` keep int numerators
+    in lowest terms over `_d` (1 for zero); `trig.TrigPoly2` keeps `PiNumber`
+    coefficients over 1.  Subclasses define `const` and `_SCALARS`, the
+    coefficient types that coerce to a constant.  The float and plan slots
+    are caches of the evaluation forms, built on first use."""
 
-    __slots__ = ("_m", "_hash")
+    __slots__ = ("_m", "_d", "_hash", "_float_terms", "_plan_cache")
     _SCALARS: tuple = ()
-    _d = 1
+
+    def _set(self, m, d=1):
+        """Set the map to numerators m over d, its caches empty."""
+        self._m, self._d = m, d
+        self._hash = self._float_terms = self._plan_cache = None
+
+    def _set_fractions(self, m):
+        """Set the map from nonzero Fractions: reduced, they share no factor
+        with the lcm of their denominators, so their numerators over it are
+        in lowest terms."""
+        d = math.lcm(*(c.denominator for c in m.values()))
+        self._set({k: c.numerator * (d // c.denominator) for k, c in m.items()}, d)
 
     @classmethod
     def _of(cls, m, d=1):
-        """Wrap an already normalized term map (d is 1 here)."""
-        out = cls()
-        out._m = m
+        """Wrap numerators m over d > 0, divided by their common gcd."""
+        if d != 1:
+            g = math.gcd(d, *m.values())
+            if g != 1:
+                m, d = {k: c // g for k, c in m.items()}, d // g
+        out = cls.__new__(cls)
+        out._set(m, d)
         return out
 
     @classmethod
@@ -95,6 +113,13 @@ class TermMap:
             self._hash = hash((self._d, frozenset(self._m.items())))
         return self._hash
 
+    def _scaled(self, q):
+        """self * q for an int or Fraction q, on int numerators."""
+        if not q:
+            return self.zero()
+        n = q.numerator
+        return self._of({k: c * n for k, c in self._m.items()}, self._d * q.denominator)
+
     def is_zero(self) -> bool:
         return not self._m
 
@@ -120,7 +145,7 @@ class Poly2(TermMap):
     """Polynomial in x, y: monomial map (i, j) -> nonzero int numerator over
     the int denominator `_d` > 0, with gcd(`_d`, every numerator) = 1."""
 
-    __slots__ = ("_d", "_float_terms", "_plan_cache")
+    __slots__ = ()
     _SCALARS = (int, Fraction)
     axis_table = staticmethod(_powers)      # entry i of a plan's x table is x^i
 
@@ -133,22 +158,7 @@ class Poly2(TermMap):
                     if i < 0 or j < 0:
                         raise ValueError("negative exponent")
                     m[(int(i), int(j))] = c
-        # reduced Fractions over their lcm share no factor with it
-        d = math.lcm(*(c.denominator for c in m.values()))
-        self._m, self._d = {k: c.numerator * (d // c.denominator) for k, c in m.items()}, d
-        self._float_terms = self._plan_cache = self._hash = None
-
-    @classmethod
-    def _of(cls, m, d=1):
-        """Wrap numerators m over d > 0, divided by their common gcd."""
-        if d != 1:
-            g = math.gcd(d, *m.values())
-            if g != 1:
-                m, d = {k: c // g for k, c in m.items()}, d // g
-        out = cls.__new__(cls)
-        out._m, out._d = m, d
-        out._float_terms = out._plan_cache = out._hash = None
-        return out
+        self._set_fractions(m)
 
     # construction -------------------------------------------------------
 
@@ -180,10 +190,7 @@ class Poly2(TermMap):
 
     def __mul__(self, other):
         if isinstance(other, self._SCALARS):
-            if not other:
-                return self.zero()
-            n = other.numerator
-            return self._of({k: v * n for k, v in self._m.items()}, self._d * other.denominator)
+            return self._scaled(other)
         other = self._coerce(other)
         m: dict[tuple[int, int], int] = {}
         for (i1, j1), c1 in self._m.items():

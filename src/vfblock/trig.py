@@ -1,8 +1,11 @@
 """Exact trigonometric polynomials on the flat torus (period 1 per axis).
 
 Terms are products of cos/sin at integer frequencies; products reduce by the
-product-to-sum identities, so the ring is closed.  Differentiation introduces
-factors of 2*pi, so coefficients live in Q[pi] (PiNumber); pi being
+product-to-sum identities, so the ring is closed: the signs of the identities
+come from a table cached per pair of 1-D factors (`_axis_product`), and their
+factors 1/2 go onto the coefficient's denominator.  Differentiation introduces
+factors of 2*pi, so coefficients live in Q[pi] (PiNumber), held as `Poly2`
+holds Q: int numerators per power of pi over one denominator.  pi being
 transcendental makes exact zero tests trivial: all rational coefficients must
 vanish.  Exact point evaluation is available at quarter-period rational
 points, where every angle is a multiple of pi/2.
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from . import interval as iv
 from .errors import InexactTrigEvaluation
@@ -20,6 +24,7 @@ from .poly import TermMap, _frac, _frac_str, _sum_terms, add_term
 COS, SIN = 0, 1
 _BASIS_STR = {COS: "c", SIN: "s"}
 _STR_BASIS = {"c": COS, "s": SIN}
+_FUNC = {COS: math.cos, SIN: math.sin}
 
 # cos((pi/2)t), sin((pi/2)t) for t mod 4
 _COS_QUARTER = (Fraction(1), Fraction(0), Fraction(-1), Fraction(0))
@@ -28,7 +33,7 @@ _SIN_QUARTER = (Fraction(0), Fraction(1), Fraction(0), Fraction(-1))
 
 class PiNumber(TermMap):
     """A polynomial in pi with rational coefficients: sum c_k * pi**k, a term
-    map k -> c_k."""
+    map k -> int numerator over the denominator `_d`, as in `Poly2`."""
 
     __slots__ = ()
     _SCALARS = (int, Fraction)
@@ -40,10 +45,13 @@ class PiNumber(TermMap):
                 v = _frac(v)
                 if v != 0:
                     c[int(k)] = v
-        self._m = c
-        self._hash = None
+        self._set_fractions(c)
 
-    _c = property(lambda self: self._m)     # read-only alias of the term map
+    @property
+    def _c(self) -> dict:
+        """The Fraction view k -> c_k, in term-map order."""
+        d = self._d
+        return {k: Fraction(v, d) for k, v in self._m.items()}
 
     @classmethod
     def const(cls, c) -> "PiNumber":
@@ -59,17 +67,19 @@ class PiNumber(TermMap):
         """The exact rational value, or None if a pi power is present."""
         if not self._m:
             return Fraction(0)
-        if set(self._m) == {0}:
-            return self._m[0]
+        if self._m.keys() == {0}:
+            return Fraction(self._m[0], self._d)
         return None
 
     def __mul__(self, other):
+        if isinstance(other, self._SCALARS):
+            return self._scaled(other)
         other = self._coerce(other)
-        c: dict[int, Fraction] = {}
+        c: dict[int, int] = {}
         for k1, v1 in self._m.items():
             for k2, v2 in other._m.items():
                 add_term(c, k1 + k2, v1 * v2)
-        return self._of(c)
+        return self._of(c, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -81,19 +91,20 @@ class PiNumber(TermMap):
     __hash__ = TermMap.__hash__
 
     def __float__(self):
-        return sum(float(v) * math.pi ** k for k, v in self._m.items())
+        d = self._d     # n / d is correctly rounded, as float(Fraction(n, d)) is
+        return sum((v / d * math.pi ** k for k, v in self._m.items()), 0.0)
 
     def interval(self):
         total = (0.0, 0.0)
         for k, v in self._m.items():
-            total = iv.add(total, iv.mul(iv.make(v), iv.pow_int(iv.PI, k)))
+            total = iv.add(total, iv.mul(iv.ratio(v, self._d), iv.pow_int(iv.PI, k)))
         return total
 
     def to_json(self):
         f = self.as_fraction()
         if f is not None:
             return _frac_str(f)
-        return {f"pi{k}": _frac_str(v) for k, v in sorted(self._m.items())}
+        return {f"pi{k}": _frac_str(v) for k, v in sorted(self._c.items())}
 
     @classmethod
     def from_json(cls, data) -> "PiNumber":
@@ -105,7 +116,7 @@ class PiNumber(TermMap):
         if not self._m:
             return "0"
         return " + ".join(
-            f"{v}" + ("" if k == 0 else f"*pi^{k}") for k, v in sorted(self._m.items())
+            f"{v}" + ("" if k == 0 else f"*pi^{k}") for k, v in sorted(self._c.items())
         )
 
 
@@ -120,27 +131,18 @@ def _norm_axis(m: int, basis: int, sign: int):
     return m, basis, sign
 
 
+@lru_cache(maxsize=None)
 def _axis_product(m1, b1, m2, b2):
-    """Product of two 1-D trig factors as [(freq, basis, rational factor)]."""
-    half = Fraction(1, 2)
-    if b1 == COS and b2 == COS:
-        raw = [(m1 - m2, COS, half), (m1 + m2, COS, half)]
-    elif b1 == SIN and b2 == SIN:
-        raw = [(m1 - m2, COS, half), (m1 + m2, COS, -half)]
-    elif b1 == SIN and b2 == COS:
-        raw = [(m1 + m2, SIN, half), (m1 - m2, SIN, half)]
-    else:  # cos * sin
-        raw = [(m1 + m2, SIN, half), (m1 - m2, SIN, -half)]
-    out = []
-    for m, b, f in raw:
-        norm = _norm_axis(m, b, 1)
-        if norm is None:
-            if b == COS:
-                out.append((0, COS, f))
-            continue
-        mm, bb, sg = norm
-        out.append((mm, bb, f * sg))
-    return out
+    """Product of two 1-D trig factors at frequencies m1, m2 >= 0 as
+    ((freq, basis, sign), ...) by the product-to-sum identities: each term
+    is sign / 2 times its factor, normalized by `_norm_axis`."""
+    if b1 == b2:    # cos cos, sin sin
+        raw = ((m1 - m2, COS, 1), (m1 + m2, COS, 1 if b1 == COS else -1))
+    elif b1 == SIN:
+        raw = ((m1 + m2, SIN, 1), (m1 - m2, SIN, 1))
+    else:           # cos sin
+        raw = ((m1 + m2, SIN, 1), (m1 - m2, SIN, -1))
+    return tuple(t for t in (_norm_axis(*r) for r in raw) if t is not None)
 
 
 def factors(a, n: int) -> list:
@@ -162,7 +164,7 @@ def cell_factors(lo: int, hi: int, n: int, count: int) -> list:
 class TrigPoly2(TermMap):
     """Trig polynomial on the torus; term map (m, n, bx, by) -> PiNumber."""
 
-    __slots__ = ("_plan_cache",)
+    __slots__ = ()
     _SCALARS = (int, Fraction, PiNumber)
     axis_table = staticmethod(factors)      # entry 2m + bx of a plan's x table
     cell_table = staticmethod(cell_factors)
@@ -181,9 +183,7 @@ class TrigPoly2(TermMap):
                 if ny is None:
                     continue
                 add_term(t, (nx[0], ny[0], nx[1], ny[1]), c if nx[2] == ny[2] else -c)
-        self._m = t
-        self._plan_cache = None
-        self._hash = None
+        self._set(t)
 
     @classmethod
     def const(cls, c) -> "TrigPoly2":
@@ -200,18 +200,18 @@ class TrigPoly2(TermMap):
 
     def __mul__(self, other):
         if isinstance(other, self._SCALARS):
-            c = PiNumber.of(other)
-            if not c:
+            if not other:
                 return self.zero()
-            return self._of({k: v * c for k, v in self._m.items()})
+            return self._of({k: v * other for k, v in self._m.items()})
         other = self._coerce(other)
         acc: dict[tuple[int, int, int, int], PiNumber] = {}
         for (m1, n1, bx1, by1), c1 in self._m.items():
             for (m2, n2, bx2, by2), c2 in other._m.items():
                 c = c1 * c2
-                for mx, bx, fx in _axis_product(m1, bx1, m2, bx2):
-                    for ny, by, fy in _axis_product(n1, by1, n2, by2):
-                        add_term(acc, (mx, ny, bx, by), c * (fx * fy))
+                c = c._of(c._m, 4 * c._d)   # the two factors 1/2
+                for mx, bx, sx in _axis_product(m1, bx1, m2, bx2):
+                    for ny, by, sy in _axis_product(n1, by1, n2, by2):
+                        add_term(acc, (mx, ny, bx, by), c if sx == sy else -c)
         return self._of(acc)
 
     __rmul__ = __mul__
@@ -228,8 +228,8 @@ class TrigPoly2(TermMap):
                 continue
             new = list(key)
             new[2 + axis] = SIN if basis == COS else COS
-            factor = PiNumber({1: Fraction(-2 * f if basis == COS else 2 * f)})
-            add_term(t, tuple(new), c * factor)
+            s = -2 * f if basis == COS else 2 * f     # times s pi
+            add_term(t, tuple(new), c._of({k + 1: v * s for k, v in c._m.items()}, c._d))
         return self._of(t)
 
     def dx(self) -> "TrigPoly2":
@@ -262,14 +262,19 @@ class TrigPoly2(TermMap):
                 total = total + c * f
         return total
 
+    def _floats(self):
+        """[(cos or sin, 2 pi m, cos or sin, 2 pi n, float(c))] in term-map
+        order, built once."""
+        if self._float_terms is None:
+            w = 2.0 * math.pi
+            self._float_terms = [(_FUNC[bx], w * m, _FUNC[by], w * n, float(c))
+                                 for (m, n, bx, by), c in self._m.items()]
+        return self._float_terms
+
     def eval_float(self, x: float, y: float) -> float:
         total = 0.0
-        for (m, n, bx, by), c in self._m.items():
-            ax = 2.0 * math.pi * m * x
-            ay = 2.0 * math.pi * n * y
-            fx = math.cos(ax) if bx == COS else math.sin(ax)
-            fy = math.cos(ay) if by == COS else math.sin(ay)
-            total += float(c) * fx * fy
+        for fx, wx, fy, wy, c in self._floats():
+            total += c * fx(wx * x) * fy(wy * y)
         return total
 
     def _plan(self):

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from vfblock import exactlin as xl
+from vfblock import interval as iv
 from vfblock import upoly
 from vfblock.errors import NumericalAmbiguity
 from vfblock.liealg import (FlagResult, LieAlgebraPresentation, _coefficient_row,
@@ -421,6 +422,179 @@ def poly_restrict(a, x, y, w):
 # and eigenspaces per map and quotient level, Fraction kernels and
 # intersections, the quotient presentation built from Fraction brackets, the
 # derived series and the ideal-chain re-check.
+
+# PiNumber and TrigPoly2 on Fraction dicts, as both ran before PiNumber stored
+# integer numerators: a Q[pi] number is {k: nonzero Fraction}, a torus
+# polynomial is {(m, n, bx, by): nonzero Q[pi] dict}.  Sums and products go
+# through _add_pi_term, so the dict orders are the term orders vfblock keeps.
+
+_COS, _SIN = 0, 1
+
+
+def pi_of(coeffs):
+    """The dict that PiNumber(coeffs) stands for."""
+    return {int(k): _frac(v) for k, v in coeffs.items() if _frac(v)}
+
+
+def pi_add(a, b):
+    return poly_add(a, b)
+
+
+def pi_neg(a):
+    return {k: -c for k, c in a.items()}
+
+
+def pi_mul(a, b):
+    m = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            _add_term(m, k1 + k2, c1 * c2)
+    return m
+
+
+def pi_float(a):
+    return sum((float(v) * math.pi ** k for k, v in a.items()), 0.0)
+
+
+def pi_interval(a):
+    total = (0.0, 0.0)
+    for k, v in a.items():
+        total = iv.add(total, iv.mul(make_reference(v), iv.pow_int(iv.PI, k)))
+    return total
+
+
+def pi_to_json(a):
+    if not a:
+        return "0"
+    if set(a) == {0}:
+        return str(a[0])
+    return {f"pi{k}": str(v) for k, v in sorted(a.items())}
+
+
+def _add_pi_term(m, key, c):
+    s = m.get(key)
+    s = c if s is None else pi_add(s, c)
+    if s:
+        m[key] = s
+    else:
+        m.pop(key, None)
+
+
+def _norm_axis(m, basis, sign):
+    if m < 0:
+        m = -m
+        if basis == _SIN:
+            sign = -sign
+    if m == 0 and basis == _SIN:
+        return None
+    return m, basis, sign
+
+
+def _axis_product(m1, b1, m2, b2):
+    half = Fraction(1, 2)
+    if b1 == _COS and b2 == _COS:
+        raw = [(m1 - m2, _COS, half), (m1 + m2, _COS, half)]
+    elif b1 == _SIN and b2 == _SIN:
+        raw = [(m1 - m2, _COS, half), (m1 + m2, _COS, -half)]
+    elif b1 == _SIN and b2 == _COS:
+        raw = [(m1 + m2, _SIN, half), (m1 - m2, _SIN, half)]
+    else:
+        raw = [(m1 + m2, _SIN, half), (m1 - m2, _SIN, -half)]
+    out = []
+    for m, b, f in raw:
+        norm = _norm_axis(m, b, 1)
+        if norm is not None:
+            out.append((norm[0], norm[1], f * norm[2]))
+    return out
+
+
+def trig_of(terms):
+    """The dict that TrigPoly2(terms) stands for, from Q[pi] dict coefficients."""
+    t = {}
+    for (m, n, bx, by), c in terms.items():
+        nx, ny = _norm_axis(int(m), int(bx), 1), _norm_axis(int(n), int(by), 1)
+        if c and nx is not None and ny is not None:
+            _add_pi_term(t, (nx[0], ny[0], nx[1], ny[1]), c if nx[2] == ny[2] else pi_neg(c))
+    return t
+
+
+def trig_add(a, b):
+    m = dict(a)
+    for k, c in b.items():
+        _add_pi_term(m, k, c)
+    return m
+
+
+def trig_neg(a):
+    return {k: pi_neg(c) for k, c in a.items()}
+
+
+def trig_sub(a, b):
+    return trig_add(a, trig_neg(b))
+
+
+def trig_scale(a, c):
+    """a times the Q[pi] dict c."""
+    return {k: pi_mul(v, c) for k, v in a.items()} if c else {}
+
+
+def trig_mul(a, b):
+    acc = {}
+    for (m1, n1, bx1, by1), c1 in a.items():
+        for (m2, n2, bx2, by2), c2 in b.items():
+            c = pi_mul(c1, c2)
+            for mx, bx, fx in _axis_product(m1, bx1, m2, bx2):
+                for ny, by, fy in _axis_product(n1, by1, n2, by2):
+                    _add_pi_term(acc, (mx, ny, bx, by), pi_mul(c, {0: fx * fy}))
+    return acc
+
+
+def trig_diff(a, axis):
+    t = {}
+    for key, c in a.items():
+        f, basis = key[axis], key[2 + axis]
+        if f == 0:
+            continue
+        new = list(key)
+        new[2 + axis] = _SIN if basis == _COS else _COS
+        factor = {1: Fraction(-2 * f if basis == _COS else 2 * f)}
+        _add_pi_term(t, tuple(new), pi_mul(c, factor))
+    return t
+
+
+def trig_eval_float(a, x, y):
+    total = 0.0
+    for (m, n, bx, by), c in a.items():
+        ax = 2.0 * math.pi * m * x
+        ay = 2.0 * math.pi * n * y
+        fx = math.cos(ax) if bx == _COS else math.sin(ax)
+        fy = math.cos(ay) if by == _COS else math.sin(ay)
+        total += pi_float(c) * fx * fy
+    return total
+
+
+def trig_plan(a):
+    """TrigPoly2._plan: (largest x index, largest y index, [(2m + bx,
+    2n + by, c_lo, c_hi)] in term order)."""
+    terms = [(2 * m + bx, 2 * n + by, *pi_interval(c)) for (m, n, bx, by), c in a.items()]
+    return (max((t[0] for t in terms), default=0), max((t[1] for t in terms), default=0),
+            terms)
+
+
+def trig_to_json(a):
+    return [{"m": m, "n": n, "basis": "cs"[bx] + "cs"[by], "c": pi_to_json(c)}
+            for (m, n, bx, by), c in sorted(a.items())]
+
+
+def trig_from_json(data):
+    terms = {}
+    for t in data:
+        c = t["c"]
+        c = {int(k[2:]): Fraction(v) for k, v in c.items()} if isinstance(c, dict) else {
+            0: Fraction(c)}
+        terms[(t["m"], t["n"], "cs".index(t["basis"][0]), "cs".index(t["basis"][1]))] = pi_of(c)
+    return trig_of(terms)
+
 
 def coefficient_vector(f, keys) -> list[Fraction]:
     """The coefficient vector of the field f at keys, as Fractions."""

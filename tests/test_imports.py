@@ -137,7 +137,6 @@ def test_the_scan_sees_a_dead_function(tmp_path):
 UNREAD_PARAMETER_ALLOWLIST = {
     "poly._int_powers(n)": "cell_test calls it with the arguments of trig.cell_factors",
     "scenario._integer(s)": "it is a _Kind.read, called with the scenario",
-    "poly.TermMap._of(d)": "Poly2._of overrides it and reads d",
 }
 
 

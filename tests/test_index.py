@@ -304,7 +304,7 @@ def _homotopy_ends(draw):
 
 def _term_order(s):
     """Keys and coefficients in term-map order, a PiNumber's terms in theirs."""
-    return [(key, list(c._m.items()) if isinstance(c, PiNumber) else c)
+    return [(key, list(c._c.items()) if isinstance(c, PiNumber) else c)
             for key, c in s._m.items()]
 
 

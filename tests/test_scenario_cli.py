@@ -290,6 +290,28 @@ def test_cli_malformed_json_exit_2(tmp_path):
     assert "malformed JSON" in proc.stderr
 
 
+def test_cli_non_utf8_file_exit_2(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    proc = _cli("verify", str(bad))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot parse {bad}: 'utf-8' codec can't decode")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_cli_integer_past_the_digit_limit_exit_2(tmp_path):
+    # int() refuses a decimal string of more than 4300 digits
+    text = (SCENARIOS / "source_disk.json").read_text()
+    data = json.loads(text)
+    data["regions"][next(iter(data["regions"]))]["r"] = 0
+    path = tmp_path / "long_int.json"
+    path.write_text(json.dumps(data).replace('"r": 0', '"r": 1' + "0" * 5000), encoding="utf-8")
+    proc = _cli("verify", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot parse {path}: Exceeds the limit")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_cli_missing_file_exit_2():
     proc = _cli("verify", "/nonexistent/scenario.json")
     assert proc.returncode == 2
@@ -758,6 +780,21 @@ def test_profile_script_keeps_one_kind(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.endswith("error: unknown kind 'lift' for workload boundary; "
                                 "choose from homotopy, wedge, double_cover\n")
+
+
+def test_profile_script_profiles_the_build(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    script = [sys.executable, str(ROOT / "scripts" / "profile_cases.py"), "--workload",
+              "boundary", "--setup"]
+    proc = subprocess.run(script, capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("boundary build, seed 1: 1024 cases\n")
+    assert "build_boundary" in proc.stdout and "wedge_check" not in proc.stdout
+    proc = subprocess.run(script + ["--cases", "2"], capture_output=True, text=True, env=env,
+                          cwd=tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.endswith("error: --setup takes neither --cases nor --kind\n")
+    assert not any(tmp_path.iterdir())
 
 
 GOLDEN_REPORTS = ROOT / "tests" / "data" / "scenario_reports"
